@@ -235,8 +235,41 @@ let jittered t cost =
     let f = 1.0 +. Zapc_sim.Rng.float t.rng (2.0 *. j) -. j in
     Simtime.ns (int_of_float (float_of_int cost *. f))
 
-(* (node, pod_id) -> parked restart continuation awaiting a streamed image *)
-let parked : (int * int, unit -> unit) Hashtbl.t = Hashtbl.create 8
+(* The success report of one finished operation: its agent-side timing,
+   measured from [started], and the sizes it moved. *)
+let report_done t pod_id ~started ~net_time ?(conn_time = Simtime.zero)
+    ~image_bytes ?(full_bytes = 0) ?(net_bytes = 0) ~sockets ~procs () =
+  let stats =
+    { Protocol.st_net_time = net_time;
+      st_local_time = Simtime.sub (Engine.now t.engine) started;
+      st_conn_time = conn_time;
+      st_image_bytes = image_bytes;
+      st_full_bytes = full_bytes;
+      st_net_bytes = net_bytes;
+      st_sockets = sockets;
+      st_procs = procs }
+  in
+  send_to_manager t
+    (Protocol.M_done { node = t.node; pod_id; ok = true; detail = ""; stats })
+
+(* The Agent on [node] when it can take image bytes: a crashed Agent, or
+   one cut off from the Manager, receives nothing. *)
+let reachable t node =
+  match t.peer_agents node with
+  | Some p when (match p.chan with Some ch -> not (Control.is_broken ch) | None -> false) ->
+    Some p
+  | Some _ | None -> None
+
+(* Peer transfer, the one way image bytes travel between Agents: after
+   [prep] (the local capture) plus one control latency plus [bytes] at
+   fabric bandwidth, [arrive] gets the destination Agent, or None when it is
+   unreachable.  Nothing lands once [live ()] turns false. *)
+let ship t ~dest ?(prep = Simtime.zero) ~bytes ~live arrive =
+  after t
+    (Simtime.add prep
+       (Simtime.add t.params.ctrl_latency
+          (Params.copy_time ~bps:t.params.fabric.bandwidth_bps bytes)))
+    (fun () -> if live () then arrive (reachable t dest))
 
 (* Base key for migration residue deltas: never stored, the destination
    applies them onto its staged image immediately. *)
@@ -262,9 +295,6 @@ let abort_checkpoint t pod_id =
     Hashtbl.remove t.ckpts pod_id
 
 let abort_restart t pod_id =
-  (* a restart parked waiting for a streamed image has no restore_op yet;
-     dropping the parked continuation is the whole abort *)
-  Hashtbl.remove parked (t.node, pod_id);
   match Hashtbl.find_opt t.restores pod_id with
   | None -> ()
   | Some op ->
@@ -312,7 +342,7 @@ let abort_all t =
 (* Checkpoint (Figure 1, Agent side)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec start_ckpt_op ?(incremental = false) ?mig ?ctx t ~pod_id ~dest ~resume =
+let rec start_checkpoint ?(incremental = false) ?mig ?ctx t ~pod_id ~dest ~resume =
   match find_pod t pod_id with
   | None -> report_failure t pod_id "no such pod"
   | Some pod when Pod.member_count pod = 0 ->
@@ -524,41 +554,69 @@ and maybe_finalize_ckpt t op =
     after t fs_delay (fun () -> finalize_ckpt t op)
   end
 
+(* One pipeline for every checkpoint: choose the image (full, storage
+   delta or migration residue), hand it to its sink — Storage for
+   [U_storage], the destination Agent for [U_node] — and complete.  A
+   stream lands on the destination (staged with the M_migrate_done commit
+   for a live migration, in [streamed] for a whole-application stream)
+   before the source destroys or resumes its copy, so an abort or an
+   unreachable destination anywhere before that leaves the pod running on
+   the source: no lost-pod window, no split brain. *)
 and finalize_ckpt t op =
-  if op.co_aborted then ()
-  else match op.co_mig with
-  | Some mop -> finalize_migration t op mop
-  | None -> begin
+  if not op.co_aborted then begin
     let pod = op.co_pod in
     let res = Option.get op.co_result in
-    Netfilter.unblock (nf t) pod.rip;
-    span_end t ~pod:pod.pod_id "paused";
     let image =
       match op.co_delta with
       | Some d -> d
       | None -> Image.of_pod_image res.image
     in
-    let stored =
-      match op.co_dest with
-      | Protocol.U_storage key ->
-        Storage.put ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
-          ~node:t.node t.storage key image
-      | Protocol.U_node target ->
-        (* direct migration: stream the image to the receiving Agent without
-           touching secondary storage *)
-        stream_image t ~target ~image;
-        Ok ()
-    in
-    match stored with
-    | Error reason ->
-      (* the image went nowhere, so the pod must survive even on the
-         migration path — resume unconditionally and report the failure *)
-      Pod.resume pod;
-      trace t ~pod:pod.pod_id "resumed";
-      span_end_all t ~pod:pod.pod_id;
-      Hashtbl.remove t.ckpts pod.pod_id;
-      report_failure t pod.pod_id (Printf.sprintf "storage write failed: %s" reason)
-    | Ok () ->
+    match op.co_dest with
+    | Protocol.U_storage key ->
+      release_network t pod;
+      complete_ckpt t op res image
+        (Storage.put ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
+           ~node:t.node t.storage key image
+         |> Result.map_error (Printf.sprintf "storage write failed: %s"))
+    | Protocol.U_node dest ->
+      let live () =
+        not (op.co_aborted
+             || match op.co_mig with Some mop -> mop.mi_aborted | None -> false)
+      in
+      if op.co_mig <> None then trace t ~pod:pod.pod_id "mig_residue";
+      if live () then  (* the trace can inject faults *)
+        ship t ~dest ~bytes:image.Image.logical_size ~live (function
+          | None ->
+            complete_ckpt t op res image
+              (Error "migration stream failed: destination unreachable")
+          | Some peer ->
+            (match op.co_mig with
+             | Some mop ->
+               receive_mig_final peer ~pod_id:pod.pod_id ~image ~rounds:mop.mi_round
+                 ~precopy_bytes:mop.mi_precopy_bytes ~forced:mop.mi_forced
+                 ~suspend_at:mop.mi_suspend
+             | None -> Hashtbl.replace peer.streamed pod.pod_id image);
+            release_network t pod;
+            complete_ckpt t op res image (Ok ()))
+  end
+
+and release_network t pod =
+  Netfilter.unblock (nf t) pod.rip;
+  span_end t ~pod:pod.pod_id "paused"
+
+and complete_ckpt t op res image outcome =
+  let pod = op.co_pod in
+  match outcome with
+  | Error reason ->
+    (* the image went nowhere: the pod must survive, whatever [resume] *)
+    Netfilter.unblock (nf t) pod.rip;
+    Pod.resume pod;
+    trace t ~pod:pod.pod_id "resumed";
+    span_end_all t ~pod:pod.pod_id;
+    Hashtbl.remove t.ckpts pod.pod_id;
+    if op.co_mig <> None then Hashtbl.remove t.migs pod.pod_id;
+    report_failure t pod.pod_id reason
+  | Ok () ->
     (* remember the durably stored image as the base for the next delta,
        and reset dirty tracking — everything written so far is now safe *)
     (match op.co_dest with
@@ -581,105 +639,23 @@ and finalize_ckpt t op =
      else begin
        Pod.destroy pod;
        forget_pod t pod.pod_id;
-       trace t ~pod:pod.pod_id "destroyed"
+       if op.co_mig = None then trace t ~pod:pod.pod_id "destroyed"
      end);
     span_end t ~pod:pod.pod_id "pod_ckpt";
     Hashtbl.remove t.ckpts pod.pod_id;
-    let stats =
-      {
-        Protocol.st_net_time = op.co_net_time;
-        st_local_time = Simtime.sub (Engine.now t.engine) op.co_started;
-        st_conn_time = Simtime.zero;
-        st_image_bytes = image.Image.logical_size;
-        st_full_bytes =
-          (match op.co_delta with
-           | Some _ -> Pod_ckpt.logical_size res  (* what a full would have cost *)
-           | None -> 0);
-        st_net_bytes = res.net_result.image_bytes;
-        st_sockets = res.net_result.socket_count;
-        st_procs = res.proc_count;
-      }
+    let started =
+      match op.co_mig with
+      | Some mop ->
+        Hashtbl.remove t.migs pod.pod_id;
+        trace t ~pod:pod.pod_id "mig_handoff";
+        mop.mi_started
+      | None -> op.co_started
     in
-    send_to_manager t
-      (Protocol.M_done { node = t.node; pod_id = pod.pod_id; ok = true; detail = ""; stats })
-  end
-
-(* The migration residue: stream the last (stop-and-copy) image to the
-   destination and, once it lands there, hand the pod off — the source only
-   destroys its copy after the destination holds the authoritative one, so
-   an abort or a broken link anywhere before that leaves the pod alive on
-   the source (no lost-pod window, no split brain). *)
-and finalize_migration t op mop =
-  let pod = op.co_pod in
-  let res = Option.get op.co_result in
-  let image =
-    match op.co_delta with
-    | Some d -> d
-    | None -> Image.of_pod_image res.image
-  in
-  trace t ~pod:pod.pod_id "mig_residue";
-  if op.co_aborted || mop.mi_aborted then ()  (* the trace can inject faults *)
-  else begin
-    let delay =
-      Simtime.add t.params.ctrl_latency
-        (Params.copy_time ~bps:t.params.fabric.bandwidth_bps image.Image.logical_size)
-    in
-    after t delay (fun () ->
-        if op.co_aborted || mop.mi_aborted then ()
-        else
-          let peer_ok =
-            match t.peer_agents mop.mi_dest with
-            | Some p ->
-              (match p.chan with
-               | Some ch -> not (Control.is_broken ch)
-               | None -> false)
-            | None -> false
-          in
-          if not peer_ok then begin
-            (* the residue went nowhere: the pod must survive on the source *)
-            Netfilter.unblock (nf t) pod.rip;
-            Pod.resume pod;
-            trace t ~pod:pod.pod_id "resumed";
-            span_end_all t ~pod:pod.pod_id;
-            Hashtbl.remove t.ckpts pod.pod_id;
-            Hashtbl.remove t.migs pod.pod_id;
-            report_failure t pod.pod_id "migration stream failed: destination unreachable"
-          end
-          else begin
-            let peer = Option.get (t.peer_agents mop.mi_dest) in
-            (* commit point: the destination stages the final image and
-               sends M_migrate_done before the source lets go *)
-            receive_mig_final peer ~pod_id:pod.pod_id ~image ~rounds:mop.mi_round
-              ~precopy_bytes:mop.mi_precopy_bytes ~forced:mop.mi_forced
-              ~suspend_at:mop.mi_suspend;
-            Netfilter.unblock (nf t) pod.rip;
-            span_end t ~pod:pod.pod_id "paused";
-            Pod.destroy pod;
-            forget_pod t pod.pod_id;
-            span_end t ~pod:pod.pod_id "pod_ckpt";
-            Hashtbl.remove t.ckpts pod.pod_id;
-            Hashtbl.remove t.migs pod.pod_id;
-            trace t ~pod:pod.pod_id "mig_handoff";
-            let stats =
-              {
-                Protocol.st_net_time = op.co_net_time;
-                st_local_time = Simtime.sub (Engine.now t.engine) mop.mi_started;
-                st_conn_time = Simtime.zero;
-                st_image_bytes = image.Image.logical_size;
-                st_full_bytes =
-                  (match op.co_delta with
-                   | Some _ -> Pod_ckpt.logical_size res
-                   | None -> 0);
-                st_net_bytes = res.net_result.image_bytes;
-                st_sockets = res.net_result.socket_count;
-                st_procs = res.proc_count;
-              }
-            in
-            send_to_manager t
-              (Protocol.M_done
-                 { node = t.node; pod_id = pod.pod_id; ok = true; detail = ""; stats })
-          end)
-  end
+    report_done t pod.pod_id ~started ~net_time:op.co_net_time
+      ~image_bytes:image.Image.logical_size
+      ?full_bytes:(Option.map (fun _ -> Pod_ckpt.logical_size res) op.co_delta)
+      ~net_bytes:res.net_result.image_bytes ~sockets:res.net_result.socket_count
+      ~procs:res.proc_count ()
 
 (* ------------------------------------------------------------------ *)
 (* Live migration: source round loop and destination staging           *)
@@ -715,11 +691,9 @@ and start_migrate ?ctx t ~pod_id ~dest ~max_rounds ~dirty_threshold =
     else begin
       (* announce the migration to the destination right away: the pod
          skeleton build (the [restore_fixed] work) overlaps the rounds *)
-      after t t.params.ctrl_latency (fun () ->
-          if not mop.mi_aborted then
-            match t.peer_agents mop.mi_dest with
-            | Some peer -> receive_mig_announce peer ~pod_id
-            | None -> ());
+      ship t ~dest ~bytes:0 ~live:(fun () -> not mop.mi_aborted) (function
+          | Some peer -> receive_mig_announce peer ~pod_id
+          | None -> ());
       mig_round t mop
     end
 
@@ -750,46 +724,39 @@ and mig_round t mop =
     mop.mi_last <- Some res.image;
     let bytes = image.Image.logical_size in
     (* capture at memory bandwidth, then stream over the fabric *)
-    let delay =
-      Simtime.add
-        (jittered t (Params.copy_time ~bps:t.params.mem_bw bytes))
-        (Simtime.add t.params.ctrl_latency
-           (Params.copy_time ~bps:t.params.fabric.bandwidth_bps bytes))
-    in
-    after t delay (fun () ->
-        if mop.mi_aborted then ()
-        else begin
-          (match t.peer_agents mop.mi_dest with
-           | Some peer -> receive_mig_round peer ~pod_id:pod.pod_id ~round image
-           | None -> ());
-          mop.mi_precopy_bytes <- mop.mi_precopy_bytes + bytes;
-          mop.mi_round <- round + 1;
-          let dirty_now = Pod_ckpt.dirty_memory_bytes pod in
-          trace t ~pod:pod.pod_id "mig_round";
-          send_to_manager t
-            (Protocol.M_migrate_round
-               { node = t.node; pod_id = pod.pod_id;
-                 stats =
-                   { Protocol.mg_round = round; mg_bytes = bytes;
-                     mg_dirty = dirty_now;
-                     mg_duration = Simtime.sub (Engine.now t.engine) t0 } });
-          if mop.mi_aborted then ()  (* the trace can inject faults *)
-          else if
-            float_of_int dirty_now
-            <= mop.mi_threshold *. float_of_int mop.mi_full_bytes
-          then begin
-            trace t ~pod:pod.pod_id "mig_converged";
-            span_end t ~pod:pod.pod_id "mig_precopy";
-            mig_final t mop
-          end
-          else if mop.mi_round >= mop.mi_max_rounds then begin
-            mop.mi_forced <- true;
-            trace t ~pod:pod.pod_id "mig_forced";
-            span_end t ~pod:pod.pod_id "mig_precopy";
-            mig_final t mop
-          end
-          else mig_round t mop
-        end)
+    let prep = jittered t (Params.copy_time ~bps:t.params.mem_bw bytes) in
+    ship t ~dest:mop.mi_dest ~prep ~bytes ~live:(fun () -> not mop.mi_aborted)
+      (fun peer ->
+        (match peer with
+         | Some peer -> receive_mig_round peer ~pod_id:pod.pod_id ~round image
+         | None -> ());
+        mop.mi_precopy_bytes <- mop.mi_precopy_bytes + bytes;
+        mop.mi_round <- round + 1;
+        let dirty_now = Pod_ckpt.dirty_memory_bytes pod in
+        trace t ~pod:pod.pod_id "mig_round";
+        send_to_manager t
+          (Protocol.M_migrate_round
+             { node = t.node; pod_id = pod.pod_id;
+               stats =
+                 { Protocol.mg_round = round; mg_bytes = bytes;
+                   mg_dirty = dirty_now;
+                   mg_duration = Simtime.sub (Engine.now t.engine) t0 } });
+        if mop.mi_aborted then ()  (* the trace can inject faults *)
+        else if
+          float_of_int dirty_now
+          <= mop.mi_threshold *. float_of_int mop.mi_full_bytes
+        then begin
+          trace t ~pod:pod.pod_id "mig_converged";
+          span_end t ~pod:pod.pod_id "mig_precopy";
+          mig_final t mop
+        end
+        else if mop.mi_round >= mop.mi_max_rounds then begin
+          mop.mi_forced <- true;
+          trace t ~pod:pod.pod_id "mig_forced";
+          span_end t ~pod:pod.pod_id "mig_precopy";
+          mig_final t mop
+        end
+        else mig_round t mop)
   end
 
 (* The convergence policy said stop: run the final stop-and-copy through
@@ -797,7 +764,7 @@ and mig_round t mop =
    the Manager, continue, standalone, residue stream + handoff). *)
 and mig_final t mop =
   if not mop.mi_aborted then
-    start_ckpt_op ~mig:mop t ~pod_id:mop.mi_pod.pod_id
+    start_checkpoint ~mig:mop t ~pod_id:mop.mi_pod.pod_id
       ~dest:(Protocol.U_node mop.mi_dest) ~resume:false
 
 (* Destination: a migration was announced.  Start building the pod skeleton
@@ -806,39 +773,31 @@ and mig_final t mop =
    the activation after the final stop-and-copy then only pays
    [mig_resume_fixed] plus the residue copy. *)
 and receive_mig_announce t ~pod_id =
-  let dead = match t.chan with Some ch -> Control.is_broken ch | None -> true in
-  if dead then ()
-  else begin
-    let flag = ref false in
-    Hashtbl.replace t.skeletons pod_id flag;
-    trace t ~pod:pod_id "mig_skeleton";
-    after t (jittered t t.params.restore_fixed) (fun () ->
-        match Hashtbl.find_opt t.skeletons pod_id with
-        | Some f when f == flag ->
-          f := true;
-          trace t ~pod:pod_id "mig_prestaged"
-        | Some _ | None -> ())
-  end
+  let flag = ref false in
+  Hashtbl.replace t.skeletons pod_id flag;
+  trace t ~pod:pod_id "mig_skeleton";
+  after t (jittered t t.params.restore_fixed) (fun () ->
+      match Hashtbl.find_opt t.skeletons pod_id with
+      | Some f when f == flag ->
+        f := true;
+        trace t ~pod:pod_id "mig_prestaged"
+      | Some _ | None -> ())
 
 (* Destination: one pre-copy round landed.  Round 0 stages the full image;
    later rounds fold their deltas into the staged image.  The memory
    preload needs no extra delay of its own: the write-back proceeds as the
    bytes arrive, and memory bandwidth exceeds the fabric's. *)
 and receive_mig_round t ~pod_id ~round (image : Image.t) =
-  let dead = match t.chan with Some ch -> Control.is_broken ch | None -> true in
-  if dead then ()  (* a crashed destination never sees the stream *)
-  else begin
-    let v = Image.to_pod_image image in
-    if round = 0 then begin
-      let stage = { sg_image = v; sg_residue = 0; sg_suspend_at = Simtime.zero } in
-      Hashtbl.replace t.stages pod_id stage;
-      trace t ~pod:pod_id "mig_stage0"
-    end
-    else
-      match Hashtbl.find_opt t.stages pod_id with
-      | None -> ()  (* stage dropped by an abort; ignore the stray round *)
-      | Some sg -> sg.sg_image <- Delta.apply ~base:sg.sg_image v
+  let v = Image.to_pod_image image in
+  if round = 0 then begin
+    let stage = { sg_image = v; sg_residue = 0; sg_suspend_at = Simtime.zero } in
+    Hashtbl.replace t.stages pod_id stage;
+    trace t ~pod:pod_id "mig_stage0"
   end
+  else
+    match Hashtbl.find_opt t.stages pod_id with
+    | None -> ()  (* stage dropped by an abort; ignore the stray round *)
+    | Some sg -> sg.sg_image <- Delta.apply ~base:sg.sg_image v
 
 (* Destination: the final stop-and-copy landed.  Materialize the full
    image, make it restartable (the streamed table), and COMMIT by telling
@@ -846,60 +805,35 @@ and receive_mig_round t ~pod_id ~round (image : Image.t) =
    dies before its own done-report gets out. *)
 and receive_mig_final t ~pod_id ~(image : Image.t) ~rounds ~precopy_bytes ~forced
     ~suspend_at =
-  let dead = match t.chan with Some ch -> Control.is_broken ch | None -> true in
-  if dead then ()
-  else begin
-    let v = Image.to_pod_image image in
-    let full_opt =
-      if Delta.is_delta v then
-        match Hashtbl.find_opt t.stages pod_id with
-        | Some sg -> Some (Delta.apply ~base:sg.sg_image v)
-        | None -> None  (* stage dropped by an abort racing the residue *)
-      else Some v
+  let v = Image.to_pod_image image in
+  let full_opt =
+    if Delta.is_delta v then
+      match Hashtbl.find_opt t.stages pod_id with
+      | Some sg -> Some (Delta.apply ~base:sg.sg_image v)
+      | None -> None  (* stage dropped by an abort racing the residue *)
+    else Some v
+  in
+  match full_opt with
+  | None -> trace t ~pod:pod_id "mig_residue_dropped"
+  | Some full ->
+    let stage =
+      match Hashtbl.find_opt t.stages pod_id with
+      | Some sg -> sg
+      | None ->
+        (* round cap 0: nothing was prestaged, the restore pays full cost *)
+        let sg =
+          { sg_image = full; sg_residue = 0; sg_suspend_at = suspend_at }
+        in
+        Hashtbl.replace t.stages pod_id sg;
+        sg
     in
-    match full_opt with
-    | None -> trace t ~pod:pod_id "mig_residue_dropped"
-    | Some full ->
-      let stage =
-        match Hashtbl.find_opt t.stages pod_id with
-        | Some sg -> sg
-        | None ->
-          (* round cap 0: nothing was prestaged, the restore pays full cost *)
-          let sg =
-            { sg_image = full; sg_residue = 0; sg_suspend_at = suspend_at }
-          in
-          Hashtbl.replace t.stages pod_id sg;
-          sg
-      in
-      stage.sg_image <- full;
-      stage.sg_residue <- image.Image.logical_size;
-      stage.sg_suspend_at <- suspend_at;
-      Hashtbl.replace t.streamed pod_id (Image.of_pod_image full);
-      trace t ~pod:pod_id "mig_final_staged";
-      send_to_manager t
-        (Protocol.M_migrate_done { node = t.node; pod_id; rounds; precopy_bytes; forced });
-      try_start_parked_restart t pod_id
-  end
-
-and stream_image t ~target ~image =
-  match t.peer_agents target with
-  | None -> Log.err (fun m -> m "no agent on node %d to stream to" target)
-  | Some peer ->
-    let delay =
-      Simtime.add t.params.ctrl_latency
-        (Params.copy_time ~bps:t.params.fabric.bandwidth_bps image.Image.logical_size)
-    in
-    after t delay (fun () ->
-        Hashtbl.replace peer.streamed image.Image.pod_id image;
-        (* a restart command may already be parked waiting for this image *)
-        try_start_parked_restart peer image.Image.pod_id)
-
-and try_start_parked_restart t pod_id =
-  match Hashtbl.find_opt parked (t.node, pod_id) with
-  | Some k ->
-    Hashtbl.remove parked (t.node, pod_id);
-    k ()
-  | None -> ()
+    stage.sg_image <- full;
+    stage.sg_residue <- image.Image.logical_size;
+    stage.sg_suspend_at <- suspend_at;
+    Hashtbl.replace t.streamed pod_id (Image.of_pod_image full);
+    trace t ~pod:pod_id "mig_final_staged";
+    send_to_manager t
+      (Protocol.M_migrate_done { node = t.node; pod_id; rounds; precopy_bytes; forced })
 
 (* ------------------------------------------------------------------ *)
 (* Restart (Figure 3, Agent side)                                      *)
@@ -907,65 +841,61 @@ and try_start_parked_restart t pod_id =
 
 and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
     ~skip_sendq =
-  let with_image fn =
+  (* a streamed image lands before its source reports done, so a restart
+     that finds none here has nothing to wait for *)
+  let image =
     match uri with
     | Protocol.U_storage key ->
-      (match Storage.get t.storage key with
-       | Some image -> fn image
-       | None -> report_failure t pod_id ("no image at " ^ key))
+      Option.to_result ~none:("no image at " ^ key) (Storage.get t.storage key)
     | Protocol.U_node _ ->
-      (match Hashtbl.find_opt t.streamed pod_id with
-       | Some image -> fn image
-       | None ->
-         (* image still in flight: park the restart until it lands *)
-         Hashtbl.replace parked (t.node, pod_id) (fun () ->
-             match Hashtbl.find_opt t.streamed pod_id with
-             | Some image -> fn image
-             | None -> report_failure t pod_id "streamed image lost"))
+      Option.to_result ~none:"no streamed image landed on this node"
+        (Hashtbl.find_opt t.streamed pod_id)
   in
-  with_image (fun image ->
-      let image_v = Image.to_pod_image image in
-      let op_id, parent = ctx_args ctx in
-      let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
-      span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
-        "pod_create";
-      after t t.params.pod_create_cost (fun () ->
-          (* step 1: create a new (empty) pod *)
-          let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
-          pod.virtualize_time <- t.params.virtualize_time;
-          (* [vip_map] covers only the restored set; saved connections may
-             also reference application pods outside it, so extend with the
-             rest of the world (first match wins, new bindings shadow) *)
-          Pod.set_vip_map pod (vip_map @ Pod.current_vip_map ());
-          register_pod t pod;
-          let op =
-            {
-              ro_pod = pod;
-              ro_mig = Hashtbl.find_opt t.stages pod_id;
-              ro_image = image_v;
-              ro_entries = entries;
-              ro_extra_altq = extra_altq;
-              ro_skip_sendq = skip_sendq;
-              ro_sock_imgs = Pod_ckpt.sockets_of_image image_v;
-              ro_my_meta = Pod_ckpt.meta_of_image image_v;
-              ro_sockets = Hashtbl.create 8;
-              ro_op = op_id;
-              ro_span = top;
-              ro_started = Engine.now t.engine;
-              ro_conn_started = Engine.now t.engine;
-              ro_conn_done = Engine.now t.engine;
-              ro_net_done = Engine.now t.engine;
-              ro_pending_conns = 0;
-              ro_temp_listeners = [];
-              ro_aborted = false;
-            }
-          in
-          Hashtbl.replace t.restores pod_id op;
-          span_end t ~pod:pod_id "pod_create";
-          trace t ~pod:pod_id "pod_created";
-          span_begin t ~op:op.ro_op ?parent:(Trace.parent_arg op.ro_span)
-            ~pod:pod_id "conn_recovery";
-          restore_connectivity t op))
+  match image with
+  | Error detail -> report_failure t pod_id detail
+  | Ok image ->
+    let image_v = Image.to_pod_image image in
+    let op_id, parent = ctx_args ctx in
+    let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
+    span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
+      "pod_create";
+    after t t.params.pod_create_cost (fun () ->
+        (* step 1: create a new (empty) pod *)
+        let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
+        pod.virtualize_time <- t.params.virtualize_time;
+        (* [vip_map] covers only the restored set; saved connections may
+           also reference application pods outside it, so extend with the
+           rest of the world (first match wins, new bindings shadow) *)
+        Pod.set_vip_map pod (vip_map @ Pod.current_vip_map ());
+        register_pod t pod;
+        let op =
+          {
+            ro_pod = pod;
+            ro_mig = Hashtbl.find_opt t.stages pod_id;
+            ro_image = image_v;
+            ro_entries = entries;
+            ro_extra_altq = extra_altq;
+            ro_skip_sendq = skip_sendq;
+            ro_sock_imgs = Pod_ckpt.sockets_of_image image_v;
+            ro_my_meta = Pod_ckpt.meta_of_image image_v;
+            ro_sockets = Hashtbl.create 8;
+            ro_op = op_id;
+            ro_span = top;
+            ro_started = Engine.now t.engine;
+            ro_conn_started = Engine.now t.engine;
+            ro_conn_done = Engine.now t.engine;
+            ro_net_done = Engine.now t.engine;
+            ro_pending_conns = 0;
+            ro_temp_listeners = [];
+            ro_aborted = false;
+          }
+        in
+        Hashtbl.replace t.restores pod_id op;
+        span_end t ~pod:pod_id "pod_create";
+        trace t ~pod:pod_id "pod_created";
+        span_begin t ~op:op.ro_op ?parent:(Trace.parent_arg op.ro_span)
+          ~pod:pod_id "conn_recovery";
+        restore_connectivity t op)
 
 (* step 2: recover network connectivity — listeners first, then the two
    concurrent tasks.  All addresses here are real (translated through the
@@ -1352,29 +1282,16 @@ and restore_standalone t op =
            trace t ~pod:pod.pod_id "mig_activated"
          | None -> ());
         Hashtbl.remove t.restores pod.pod_id;
-        let stats =
-          {
-            Protocol.st_net_time = Simtime.sub op.ro_net_done op.ro_conn_done;
-            st_local_time = Simtime.sub (Engine.now t.engine) op.ro_started;
-            st_conn_time = Simtime.sub op.ro_conn_done op.ro_conn_started;
-            st_image_bytes = image_bytes;
-            st_full_bytes = 0;
-            st_net_bytes = 0;
-            st_sockets = Array.length op.ro_sock_imgs;
-            st_procs = List.length procs;
-          }
-        in
-        send_to_manager t
-          (Protocol.M_done
-             { node = t.node; pod_id = pod.pod_id; ok = true; detail = ""; stats })
+        report_done t pod.pod_id ~started:op.ro_started
+          ~net_time:(Simtime.sub op.ro_net_done op.ro_conn_done)
+          ~conn_time:(Simtime.sub op.ro_conn_done op.ro_conn_started)
+          ~image_bytes ~sockets:(Array.length op.ro_sock_imgs)
+          ~procs:(List.length procs) ()
       end)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let start_checkpoint ?incremental ?ctx t ~pod_id ~dest ~resume =
-  start_ckpt_op ?incremental ?ctx t ~pod_id ~dest ~resume
 
 let rec handle_command t (msg : Protocol.to_agent) =
   match msg with

@@ -36,7 +36,13 @@ val deliver : t -> Protocol.to_agent -> unit
     locally-addressed commands here after routing the rest. *)
 
 val set_peer_resolver : t -> (int -> t option) -> unit
-(** How to reach other Agents for direct migration streaming. *)
+(** How to reach other Agents.  Every image sent to another Agent — the
+    announce and pre-copy rounds of a live migration, its final residue,
+    and a whole-application [Protocol.U_node] stream — travels through one
+    peer transfer: control latency plus the bytes at fabric bandwidth, then
+    a check that the destination Agent is up and connected.  An
+    unreachable destination fails the checkpoint and the pod resumes on
+    the source. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Record the phase boundaries of this Agent's operations (Figure 2). *)
@@ -46,16 +52,17 @@ val forget_pod : t -> int -> unit
 val find_pod : t -> int -> Pod.t option
 
 val handle_command : t -> Protocol.to_agent -> unit
-
-val start_checkpoint :
-  ?incremental:bool -> ?ctx:Protocol.trace_ctx ->
-  t -> pod_id:int -> dest:Protocol.uri -> resume:bool -> unit
-(** [incremental] (default false) writes a delta against the last image this
-    Agent durably stored for the pod, when one is still resident in storage
-    and the chain is shorter than [Params.max_delta_chain]; otherwise (and
-    always on the migration path) a full image is written.  [ctx] is the
-    Manager's causal trace context: the Agent's local spans parent under
-    [ctx.tc_parent] and carry operation id [ctx.tc_op]. *)
+(** An [A_checkpoint] runs one pipeline: capture, choose the image, hand it
+    to its sink, complete.  With [incremental] the image is a delta against
+    the last image this Agent durably stored for the pod, when one is still
+    resident in storage and the chain is shorter than
+    [Params.max_delta_chain]; otherwise (and always for a [U_node] stream) a
+    full image.  The sink is Storage for [U_storage] or the destination
+    Agent for [U_node]; a stream lands there before the source destroys or
+    resumes its pod, so a failed transfer leaves the pod running.  A
+    command's [ctx] is the Manager's causal trace context: the Agent's local
+    spans parent under [ctx.tc_parent] and carry operation id
+    [ctx.tc_op]. *)
 
 val start_restart :
   ?ctx:Protocol.trace_ctx ->
@@ -84,8 +91,10 @@ val abort_checkpoint : t -> int -> unit
 (** Idempotent: unblocks the pod's network, resumes it, drops the op. *)
 
 val abort_restart : t -> int -> unit
-(** Idempotent: destroys the half-restored pod (or drops a parked restart
-    that is still waiting for its streamed image). *)
+(** Idempotent: destroys the half-restored pod.  A [U_node] restart never
+    waits for its image — the stream lands before its checkpoint completes,
+    and a restart that finds no image fails at once — so there is nothing
+    else to drop. *)
 
 val abort_migrate : t -> int -> unit
 (** Idempotent.  Source side: stops the pre-copy loop (the pod was never

@@ -667,6 +667,69 @@ let test_migration_streaming () =
   Cluster.run_until cluster ~timeout:(Simtime.sec 1200.0) (fun () -> exited ranks);
   check tbool "completes after migration" true (has_log "bt_nas: checksum")
 
+(* A stream lands on its destination before the source lets go: with both
+   destination Agents cut off, the checkpoint fails and every source pod
+   keeps running where it was, its network unblocked. *)
+let test_stream_to_unreachable_keeps_source () =
+  let cluster = make_cluster () in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 30) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  List.iter (fun n -> Manager.break_channel (Cluster.manager cluster) ~node:n) [ 2; 3 ];
+  (* let the Manager see the breaks before the checkpoint starts *)
+  Cluster.run cluster ~until:(Simtime.ms 6) ();
+  let items =
+    List.map2
+      (fun (p : Pod.t) (src, dst) ->
+        { Manager.ci_node = src; ci_pod = p.pod_id; ci_dest = Protocol.U_node dst })
+      app.Launch.pods [ (0, 2); (1, 3) ]
+  in
+  let r = Cluster.checkpoint_sync cluster ~items ~resume:false in
+  check tbool "stream to unreachable nodes fails" false r.Manager.r_ok;
+  List.iter2
+    (fun id node ->
+      match Pod.find id with
+      | None -> Alcotest.failf "source pod %d lost" id
+      | Some pod ->
+        check tbool "still on its node" true
+          (Zapc_simnet.Fabric.node_of_ip (Cluster.fabric cluster) pod.Pod.rip = Some node);
+        check tbool "running" false pod.Pod.frozen)
+    (Launch.pod_ids app) [ 0; 1 ];
+  check tint "no netfilter rule left" 0
+    (Zapc_simnet.Netfilter.blocked_count
+       (Zapc_simnet.Fabric.netfilter (Cluster.fabric cluster)));
+  ignore (Launch.wait_done cluster app);
+  check tbool "app completes in place" true (has_log "bt_nas: checksum")
+
+(* A U_node restart whose image never landed has nothing to wait for: it
+   fails at once with the Agent's report instead of hanging until the
+   phase timeout. *)
+let test_restart_without_streamed_image () =
+  let cluster = make_cluster () in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 30) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"nostream" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  List.iter Pod.destroy app.Launch.pods;
+  let items =
+    List.map2
+      (fun id target ->
+        { Manager.ri_node = target; ri_pod = id; ri_uri = Protocol.U_node target })
+      (Launch.pod_ids app) [ 2; 3 ]
+  in
+  let rr = Cluster.restart_sync cluster ~items in
+  check tbool "restart fails" false rr.Manager.r_ok;
+  (match rr.Manager.r_failure with
+   | Some (Protocol.F_agent _) -> ()
+   | _ -> Alcotest.failf "expected F_agent, got: %s" rr.Manager.r_detail);
+  check tbool "fails well under a virtual second" true
+    (Simtime.compare rr.Manager.r_duration (Simtime.ms 100) < 0)
+
 let test_ring_restart () =
   let cluster = make_cluster ~nodes:4 () in
   let placement = [ 0; 1; 2 ] in
@@ -1722,7 +1785,11 @@ let () =
             test_periodic_epoch_mid_migration;
           Alcotest.test_case "gm (kernel-bypass) migration" `Quick
             test_gm_checkpoint_migration;
-          Alcotest.test_case "N-to-M consolidation" `Quick test_n_to_m_consolidation ] );
+          Alcotest.test_case "N-to-M consolidation" `Quick test_n_to_m_consolidation;
+          Alcotest.test_case "stream to unreachable keeps source" `Quick
+            test_stream_to_unreachable_keeps_source;
+          Alcotest.test_case "restart without streamed image" `Quick
+            test_restart_without_streamed_image ] );
       ( "protocol",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "timing structure" `Quick test_checkpoint_timing_structure;
