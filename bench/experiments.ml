@@ -1676,9 +1676,12 @@ type scale_row = {
   sc_flat_ms : float;
   sc_tree_ms : float;
   sc_depth : int;  (* relay hops below the manager in the tree arm *)
+  sc_flat_restart_ms : float;
+  sc_tree_restart_ms : float;
 }
 
-let scale_arm ~nodes ~fanout =
+(* One pod per node, linked into one application, booted and parked. *)
+let scale_cluster ~nodes ~fanout =
   Zapc_simos.Program.register_if_absent (module Idler);
   let cluster =
     Cluster.make ~seed:42 ~params:(scale_params fanout) ~node_count:nodes ()
@@ -1694,6 +1697,33 @@ let scale_arm ~nodes ~fanout =
     pods;
   (* let every idler boot and park before the measured checkpoint *)
   Cluster.run cluster ~until:(Simtime.ms 5) ();
+  (cluster, pods)
+
+(* Destroy the checkpointed pods and restart every one of them one node
+   over; returns the restart's virtual latency and its host CPU seconds.
+   The restored pods leave the process-wide pod registry afterwards, so the
+   next cluster's restarts do not re-announce into stale namespaces. *)
+let scale_restart cluster pods ~key_prefix =
+  let nodes = List.length pods in
+  let ids = List.map (fun (p : Pod.t) -> p.Pod.pod_id) pods in
+  List.iter Pod.destroy pods;
+  Gc.compact ();
+  let t0 = Sys.time () in
+  let r =
+    Cluster.restart_app cluster ~pod_ids:ids
+      ~target_nodes:(List.init nodes (fun i -> (i + 1) mod nodes))
+      ~key_prefix
+  in
+  let host_s = Sys.time () -. t0 in
+  if not r.Manager.r_ok then
+    failwith
+      (Printf.sprintf "scale: restart failed at %d nodes: %s" nodes
+         r.Manager.r_detail);
+  List.iter (fun id -> Option.iter Pod.destroy (Pod.find id)) ids;
+  (Simtime.to_sec r.Manager.r_duration *. 1000.0, host_s)
+
+let scale_arm ~nodes ~fanout =
+  let cluster, pods = scale_cluster ~nodes ~fanout in
   let r = Cluster.snapshot cluster ~pods ~key_prefix:"scale" in
   if not r.Manager.r_ok then
     failwith
@@ -1702,22 +1732,59 @@ let scale_arm ~nodes ~fanout =
   let depth =
     int_of_float (Zapc_obs.Metrics.gauge (Cluster.metrics cluster) "mgr.tree.depth")
   in
-  (Simtime.to_sec r.Manager.r_duration *. 1000.0, depth)
+  let restart_ms, _ = scale_restart cluster pods ~key_prefix:"scale" in
+  (Simtime.to_sec r.Manager.r_duration *. 1000.0, depth, restart_ms)
 
 let scale_measure nodes =
-  let flat_ms, _ = scale_arm ~nodes ~fanout:0 in
-  let tree_ms, depth = scale_arm ~nodes ~fanout:scale_fanout in
+  let flat_ms, _, flat_restart_ms = scale_arm ~nodes ~fanout:0 in
+  let tree_ms, depth, tree_restart_ms = scale_arm ~nodes ~fanout:scale_fanout in
   { sc_nodes = nodes; sc_flat_ms = flat_ms; sc_tree_ms = tree_ms;
-    sc_depth = depth }
+    sc_depth = depth; sc_flat_restart_ms = flat_restart_ms;
+    sc_tree_restart_ms = tree_restart_ms }
 
-let scale_json path rows crossover (heap_rate, cal_rate, eng_ratio) =
+(* Host-time growth of the restart: each restored pod re-announces its vip
+   to every live namespace, so N restores cost O(N^2) when a rebind is O(1)
+   per namespace and O(N^3) when it rewrites each namespace's whole map.
+   Timed in five alternating 64/256-node pairs of the tree arm; the gate
+   holds the median 256/64 ratio under [scale_restart_bound]. *)
+let scale_restart_pairs = 5
+let scale_restart_small = 64
+let scale_restart_big = 256
+
+(* Quadratic growth is x16, cubic x64.  On a shared 2-core VM the indexed
+   rebind's median ranged x16.9-x21.5 over five runs (single pairs
+   x13.5-x24.8: cache and GC costs grow with the heap), and the
+   whole-map rewrite it replaced measured x214 (pairs x198-x247).  x40
+   repeats for the one and fails the other by 5x. *)
+let scale_restart_bound = 40.0
+
+let scale_restart_host nodes =
+  let cluster, pods = scale_cluster ~nodes ~fanout:scale_fanout in
+  let r = Cluster.snapshot cluster ~pods ~key_prefix:"scale_host" in
+  if not r.Manager.r_ok then
+    failwith ("scale: host-timing checkpoint failed: " ^ r.Manager.r_detail);
+  snd (scale_restart cluster pods ~key_prefix:"scale_host")
+
+let scale_restart_growth () =
+  let pairs =
+    List.init scale_restart_pairs (fun _ ->
+        let small = scale_restart_host scale_restart_small in
+        (small, scale_restart_host scale_restart_big))
+  in
+  ( Micro.median (List.map fst pairs),
+    Micro.median (List.map snd pairs),
+    List.map (fun (s, b) -> b /. s) pairs )
+
+let scale_json path rows crossover (heap_rate, cal_rate, eng_ratio)
+    (small_s, big_s, restart_ratio) =
   let oc = open_out path in
   let field r =
     Printf.sprintf
       "    {\"nodes\": %d, \"flat_ms\": %.3f, \"tree_ms\": %.3f, \
-       \"tree_depth\": %d, \"speedup_ratio\": %.3f}"
+       \"tree_depth\": %d, \"speedup_ratio\": %.3f, \
+       \"flat_restart_ms\": %.3f, \"tree_restart_ms\": %.3f}"
       r.sc_nodes r.sc_flat_ms r.sc_tree_ms r.sc_depth
-      (r.sc_flat_ms /. r.sc_tree_ms)
+      (r.sc_flat_ms /. r.sc_tree_ms) r.sc_flat_restart_ms r.sc_tree_restart_ms
   in
   let last = List.nth rows (List.length rows - 1) in
   Printf.fprintf oc
@@ -1734,14 +1801,18 @@ let scale_json path rows crossover (heap_rate, cal_rate, eng_ratio) =
     \  \"engine\": {\"events\": %d, \"standing\": %d,\n\
     \             \"host_heap_events_per_sec\": %.0f,\n\
     \             \"host_calendar_events_per_sec\": %.0f,\n\
-    \             \"host_speedup\": %.2f, \"floor_ratio\": %.1f}\n\
+    \             \"host_speedup\": %.2f, \"floor_ratio\": %.1f},\n\
+    \  \"restart_host\": {\"small_nodes\": %d, \"big_nodes\": %d,\n\
+    \                   \"small_cpu_s\": %.4f, \"big_cpu_s\": %.4f,\n\
+    \                   \"growth_ratio\": %.2f, \"bound_ratio\": %.1f}\n\
      }\n"
     scale_fanout scale_fanout
     (String.concat ",\n" (List.map field rows))
     crossover
     (last.sc_flat_ms /. last.sc_tree_ms)
     Micro.churn_events Micro.churn_standing heap_rate cal_rate eng_ratio
-    scale_engine_floor;
+    scale_engine_floor scale_restart_small scale_restart_big small_s big_s
+    restart_ratio scale_restart_bound;
   close_out oc
 
 let scale () =
@@ -1752,13 +1823,14 @@ let scale () =
        \       coordinator, 300us per-hop latency) + engine events/s, heap\n\
        \       baseline vs calendar queue"
        scale_fanout);
-  row "%6s %12s %12s %7s %9s\n" "nodes" "flat (ms)" "tree (ms)" "depth"
-    "speedup";
+  row "%6s %12s %12s %7s %9s %14s %14s\n" "nodes" "flat (ms)" "tree (ms)" "depth"
+    "speedup" "flat rst (ms)" "tree rst (ms)";
   let rows = List.map scale_measure scale_counts in
   List.iter
     (fun r ->
-      row "%6d %12.2f %12.2f %7d %8.2fx\n" r.sc_nodes r.sc_flat_ms r.sc_tree_ms
-        r.sc_depth (r.sc_flat_ms /. r.sc_tree_ms))
+      row "%6d %12.2f %12.2f %7d %8.2fx %14.2f %14.2f\n" r.sc_nodes r.sc_flat_ms
+        r.sc_tree_ms r.sc_depth (r.sc_flat_ms /. r.sc_tree_ms)
+        r.sc_flat_restart_ms r.sc_tree_restart_ms)
     rows;
   let crossover =
     match List.find_opt (fun r -> r.sc_tree_ms < r.sc_flat_ms) rows with
@@ -1785,6 +1857,18 @@ let scale () =
          "scale: calendar queue only %.2fx over the heap baseline (floor %.1fx)"
          eng_ratio scale_engine_floor);
   let eng = (heap_rate, cal_rate, eng_ratio) in
+  let small_s, big_s, growth = scale_restart_growth () in
+  let restart_ratio = Micro.median growth in
+  row "restart host CPU: %d nodes %.3fs, %d nodes %.3fs (median x%.1f; \
+       pairs %s)\n"
+    scale_restart_small small_s scale_restart_big big_s restart_ratio
+    (String.concat " " (List.map (Printf.sprintf "x%.1f") growth));
+  if restart_ratio > scale_restart_bound then
+    failwith
+      (Printf.sprintf
+         "scale: restart host time grew x%.1f for 4x the nodes (bound x%.0f) — \
+          the vip rebind looks O(map) per namespace again"
+         restart_ratio scale_restart_bound);
   (* a traced tree-mode checkpoint: the causal tree must survive the
      extra relay hop (manager op span -> agent pod spans, cross-node
      parent edges intact), validated by obs_check --causal in @scale *)
@@ -1808,5 +1892,5 @@ let scale () =
     failwith ("scale: traced tree checkpoint failed: " ^ r.Manager.r_detail);
   Zapc.Trace.dump_chrome tr "BENCH_scale_trace.json";
   let path = "BENCH_scale.json" in
-  scale_json path rows crossover eng;
+  scale_json path rows crossover eng (small_s, big_s, restart_ratio);
   Printf.printf "\nwrote %s BENCH_scale_trace.json\n" path

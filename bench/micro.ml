@@ -107,7 +107,47 @@ let t_span_named =
          done;
          assert (Span.open_count r = 0)))
 
-let tests = [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named ]
+(* The pod address map.  A restart re-announces each restored vip in every
+   live namespace, whose maps carry an entry per pod of the application:
+   the rebind must not cost the map's length.  The 16-entry lookups (all
+   16 vips out, all 16 rips back in) are what each Connect, Sendto,
+   Recvfrom and Accept of a 16-rank application pays. *)
+module Namespace = Zapc_pod.Namespace
+module Addr = Zapc_simnet.Addr
+
+let ns_fixture n =
+  let map =
+    List.init n (fun i ->
+        ( Addr.make_ip 10 1 (i lsr 8) (i land 255),
+          Addr.make_ip 172 16 (i land 255) (11 + (i lsr 8)) ))
+  in
+  let ns = Namespace.create () in
+  Namespace.set_vip_map ns map;
+  (* the first lookup indexes the map; the timed runs start after it *)
+  ignore (Namespace.rip_of_vip ns Addr.any);
+  (ns, Array.of_list (List.map fst map), Array.of_list (List.map snd map))
+
+let t_ns_rebind =
+  let ns, vips, _ = ns_fixture 512 in
+  let k = ref 0 in
+  Test.make ~name:"ns.rebind-512"
+    (Staged.stage (fun () ->
+         (* each vip alternates between two fresh rips *)
+         k := (!k + 1) land 1023;
+         Namespace.rebind_vip ns ~vip:vips.(!k land 511) ~rip:(Addr.make_ip 192 168 0 0 + !k)))
+
+let t_ns_lookup =
+  let ns, vips, rips = ns_fixture 16 in
+  Test.make ~name:"ns.lookup-16"
+    (Staged.stage (fun () ->
+         for i = 0 to 15 do
+           ignore (Sys.opaque_identity (Namespace.rip_of_vip ns vips.(i)));
+           ignore (Sys.opaque_identity (Namespace.vip_of_rip ns rips.(i)))
+         done))
+
+let tests =
+  [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
+    t_ns_lookup ]
 
 (* --- engine hot-path throughput (events/s), heap vs calendar ----------
 

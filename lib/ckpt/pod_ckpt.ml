@@ -191,7 +191,7 @@ let checkpoint ?(mode = Zapc_netckpt.Sock_state.Read_inject) ?net (pod : Pod.t) 
         ("name", Value.str pod.name);
         ("vip", Value.int pod.vip);
         ("clock", Value.int (Simtime.add now pod.time_bias));
-        ("next_vpid", Value.int pod.ns.Zapc_pod.Namespace.next_vpid);
+        ("next_vpid", Value.int (Zapc_pod.Namespace.next_vpid pod.ns));
         ("memory_bytes", Value.int memory_bytes);
         ("sockets", Net_ckpt.images_to_value net.images);
         ("meta", Meta.to_value net.meta);
@@ -226,7 +226,7 @@ let restore_processes (pod : Pod.t) (image : Value.t)
      gap is invisible to the application *)
   let saved_clock = Value.to_int (Value.field "clock" image) in
   Pod.apply_time_bias pod ~saved_clock ~current_clock:(Simtime.add now pod.time_bias);
-  pod.ns.Zapc_pod.Namespace.next_vpid <- Value.to_int (Value.field "next_vpid" image);
+  Zapc_pod.Namespace.set_next_vpid pod.ns (Value.to_int (Value.field "next_vpid" image));
   (* pipes *)
   let pipe_imgs = Value.to_list (fun v -> v) (Value.field "pipes" image) in
   let pipes =

@@ -149,12 +149,8 @@ let create ~pod_id ~name ~vip ~rip kernel =
 
 (* Install the application-wide virtual->real address map (the Manager
    distributes this; it is rewritten on migration). Always contains our own
-   entry. *)
-let set_vip_map pod map =
-  let map =
-    if List.mem_assoc pod.vip map then map else (pod.vip, pod.rip) :: map
-  in
-  Namespace.set_vip_map pod.ns map
+   entry.  O(1): [Cluster.link_pods] hands one list to every pod. *)
+let set_vip_map pod map = Namespace.set_vip_map ~own:(pod.vip, pod.rip) pod.ns map
 
 (* The current (vip, rip) binding of every live pod.  The restore path
    extends its partial map with this so a restored pod can still reach

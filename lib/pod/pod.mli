@@ -38,17 +38,22 @@ val find : int -> t option
 
 val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
 (** Install the application-wide virtual->real address map; the pod's own
-    entry is always included. *)
+    entry is prepended when the map lacks it.  Lookups are
+    first-entry-wins in both directions ({!Namespace}).  O(1): the
+    namespace checks the own entry and indexes the map on its first lookup
+    or rebind. *)
 
 val current_vip_map : unit -> (Addr.ip * Addr.ip) list
 (** The (vip, rip) binding of every live pod, for extending a restored
-    pod's partial map with the rest of the world. *)
+    pod's partial map with the rest of the world.  O(live pods). *)
 
 val rebind_vip : vip:Addr.ip -> rip:Addr.ip -> unit
 (** Gratuitous ARP: repoint [vip] at [rip] in the namespace of every live
     pod that has an entry for it.  Called when a restored or migrated pod
     re-acquires its virtual address at a new real address, so pods outside
-    the restored set (e.g. clients of a restored server) keep resolving. *)
+    the restored set (e.g. clients of a restored server) keep resolving.
+    O(1) per live pod once its namespace is indexed, so restoring N pods
+    costs O(N²) in all. *)
 
 val adopt : t -> Proc.t -> unit
 (** Bring a process into the pod: assign the next vpid, install the

@@ -243,6 +243,145 @@ let test_namespace_addrs () =
   check tbool "unknown unchanged" true
     (Addr.equal_ip (Namespace.translate_addr_out ns { Addr.ip = other; port = 1 }).Addr.ip other)
 
+(* The reference model: the namespace's address map as a plain assoc
+   list, first entry wins in both directions.  The indexed namespace must
+   answer every lookup exactly as this does. *)
+module List_model = struct
+  type t = { mutable map : (Addr.ip * Addr.ip) list }
+
+  let create () = { map = [] }
+
+  (* the pod's own entry goes in front when the map lacks its vip *)
+  let set_vip_map ?own t map =
+    t.map <-
+      (match own with
+       | Some ((vip, _) as entry) when not (List.mem_assoc vip map) -> entry :: map
+       | Some _ | None -> map)
+
+  let rebind_vip t ~vip ~rip =
+    if List.exists (fun (v, _) -> Addr.equal_ip v vip) t.map then
+      t.map <- List.map (fun (v, r) -> if Addr.equal_ip v vip then (v, rip) else (v, r)) t.map
+
+  let rip_of_vip t vip =
+    match List.assoc_opt vip t.map with Some rip -> rip | None -> vip
+
+  let vip_of_rip t rip =
+    match List.find_opt (fun (_, r) -> Addr.equal_ip r rip) t.map with
+    | Some (v, _) -> v
+    | None -> rip
+
+  let translate_addr_out t (a : Addr.t) = { a with Addr.ip = rip_of_vip t a.ip }
+  let translate_addr_in t (a : Addr.t) = { a with Addr.ip = vip_of_rip t a.ip }
+end
+
+(* One pool of six addresses serves as both vips and rips, so random maps
+   carry duplicate vips, duplicate rips, one rip under two vips, and
+   addresses that are a vip in one entry and a rip in another. *)
+let addr_pool = Array.init 6 (fun i -> Addr.make_ip 10 0 0 (i + 1))
+
+type ns_op =
+  | Set of (int * int) option * (int * int) list
+  | Rebind of int * int
+  | Rip_of of int
+  | Vip_of of int
+  | Out of int * int
+  | In of int * int
+  | Check_all
+
+let pp_ns_op = function
+  | Set (own, m) ->
+    Printf.sprintf "set%s [%s]"
+      (match own with Some (v, r) -> Printf.sprintf " own=%d->%d" v r | None -> "")
+      (String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d->%d" v r) m))
+  | Rebind (v, r) -> Printf.sprintf "rebind %d->%d" v r
+  | Rip_of v -> Printf.sprintf "rip_of %d" v
+  | Vip_of r -> Printf.sprintf "vip_of %d" r
+  | Out (a, p) -> Printf.sprintf "out %d:%d" a p
+  | In (a, p) -> Printf.sprintf "in %d:%d" a p
+  | Check_all -> "check_all"
+
+let gen_ns_ops =
+  let open QCheck.Gen in
+  let a = int_bound (Array.length addr_pool - 1) in
+  let op =
+    frequency
+      [ (2, map2 (fun own m -> Set (own, m)) (opt (pair a a)) (list_size (int_bound 8) (pair a a)));
+        (4, map2 (fun v r -> Rebind (v, r)) a a);
+        (2, map (fun v -> Rip_of v) a);
+        (2, map (fun r -> Vip_of r) a);
+        (1, map2 (fun x p -> Out (x, p)) a (int_bound 9));
+        (1, map2 (fun x p -> In (x, p)) a (int_bound 9));
+        (1, return Check_all) ]
+  in
+  list_size (int_range 1 30) op
+
+(* Lookups are only checked where the sequence asks for them, so rebinds
+   also hit namespaces that have not indexed their map yet. *)
+let prop_namespace_matches_list_model =
+  QCheck.Test.make ~name:"indexed address map matches the list model" ~count:2000
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat ", " (List.map pp_ns_op ops))
+       gen_ns_ops)
+    (fun ops ->
+      let ns = Namespace.create () and m = List_model.create () in
+      let ip i = addr_pool.(i) in
+      let all_agree () =
+        Array.for_all
+          (fun x ->
+            Addr.equal_ip (Namespace.rip_of_vip ns x) (List_model.rip_of_vip m x)
+            && Addr.equal_ip (Namespace.vip_of_rip ns x) (List_model.vip_of_rip m x))
+          addr_pool
+      in
+      let step = function
+        | Set (own, map) ->
+          let own = Option.map (fun (v, r) -> (ip v, ip r)) own in
+          let map = List.map (fun (v, r) -> (ip v, ip r)) map in
+          Namespace.set_vip_map ?own ns map;
+          List_model.set_vip_map ?own m map;
+          true
+        | Rebind (v, r) ->
+          Namespace.rebind_vip ns ~vip:(ip v) ~rip:(ip r);
+          List_model.rebind_vip m ~vip:(ip v) ~rip:(ip r);
+          true
+        | Rip_of v ->
+          Addr.equal_ip (Namespace.rip_of_vip ns (ip v)) (List_model.rip_of_vip m (ip v))
+        | Vip_of r ->
+          Addr.equal_ip (Namespace.vip_of_rip ns (ip r)) (List_model.vip_of_rip m (ip r))
+        | Out (x, port) ->
+          let a = { Addr.ip = ip x; port } in
+          Addr.equal (Namespace.translate_addr_out ns a) (List_model.translate_addr_out m a)
+        | In (x, port) ->
+          let a = { Addr.ip = ip x; port } in
+          Addr.equal (Namespace.translate_addr_in ns a) (List_model.translate_addr_in m a)
+        | Check_all -> all_agree ()
+      in
+      List.for_all step ops && all_agree ())
+
+(* A restored pod's map is its restored set's fresh bindings followed by
+   every live pod's current one, so a stale (vip, old_rip) can sit behind
+   the fresh (vip, new_rip): the fresh entry answers for the vip, the
+   stale one still answers for the old rip until the vip is rebound. *)
+let test_namespace_stale_duplicate () =
+  let ns = Namespace.create () in
+  let vip = Addr.make_ip 10 1 0 1 and other = Addr.make_ip 10 1 0 2 in
+  let fresh = Addr.make_ip 172 16 2 11 and stale = Addr.make_ip 172 16 1 11 in
+  let other_rip = Addr.make_ip 172 16 3 11 in
+  Namespace.set_vip_map ns [ (vip, fresh); (other, other_rip); (vip, stale) ];
+  check tbool "fresh entry answers the vip" true (Namespace.rip_of_vip ns vip = fresh);
+  check tbool "fresh rip maps back" true (Namespace.vip_of_rip ns fresh = vip);
+  check tbool "stale rip still maps back" true (Namespace.vip_of_rip ns stale = vip);
+  let moved = Addr.make_ip 172 16 4 11 in
+  Namespace.rebind_vip ns ~vip ~rip:moved;
+  check tbool "rebind moves the vip" true (Namespace.rip_of_vip ns vip = moved);
+  check tbool "new rip maps back" true (Namespace.vip_of_rip ns moved = vip);
+  check tbool "stale rip forgotten" true (Namespace.vip_of_rip ns stale = stale);
+  check tbool "fresh rip forgotten" true (Namespace.vip_of_rip ns fresh = fresh);
+  check tbool "other vip untouched" true (Namespace.rip_of_vip ns other = other_rip);
+  Namespace.rebind_vip ns ~vip:(Addr.make_ip 10 9 9 9) ~rip:moved;
+  check tbool "rebinding an unknown vip is a no-op" true
+    (Namespace.vip_of_rip ns moved = vip
+     && Namespace.rip_of_vip ns (Addr.make_ip 10 9 9 9) = Addr.make_ip 10 9 9 9)
+
 (* --- pod behaviour --- *)
 
 let test_getpid_virtualized () =
@@ -405,7 +544,10 @@ let () =
   Alcotest.run "pod"
     [ ( "namespace",
         [ Alcotest.test_case "pids" `Quick test_namespace_pids;
-          Alcotest.test_case "addresses" `Quick test_namespace_addrs ] );
+          Alcotest.test_case "addresses" `Quick test_namespace_addrs;
+          QCheck_alcotest.to_alcotest prop_namespace_matches_list_model;
+          Alcotest.test_case "stale duplicate shadowed" `Quick
+            test_namespace_stale_duplicate ] );
       ( "virtualization",
         [ Alcotest.test_case "getpid" `Quick test_getpid_virtualized;
           Alcotest.test_case "kill by vpid" `Quick test_kill_by_vpid;

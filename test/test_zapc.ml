@@ -14,6 +14,7 @@ module Proc = Zapc_simos.Proc
 module Program = Zapc_simos.Program
 module Syscall = Zapc_simos.Syscall
 module Pod = Zapc_pod.Pod
+module Namespace = Zapc_pod.Namespace
 module Cluster = Zapc.Cluster
 module Manager = Zapc.Manager
 module Protocol = Zapc.Protocol
@@ -1745,6 +1746,55 @@ let test_tree_subtree_break_aborts () =
   ignore (Launch.wait_done cluster app);
   check tbool "app completed after subtree abort" true (has_log "bt_nas: checksum")
 
+(* Gratuitous ARP at fleet scale: 32 linked pods plus a client pod that is
+   not restored.  After the 32 restart one node over, every live
+   namespace — the client's included — resolves each restored vip to its
+   new rip and back, and forgets the old rip. *)
+let test_restart_rebinds_every_namespace () =
+  let n = 32 in
+  let cluster = make_cluster ~nodes:(n + 1) () in
+  let pods =
+    List.init n (fun i ->
+        Cluster.create_pod cluster ~node_idx:i ~name:(Printf.sprintf "idle%d" i))
+  in
+  let client = Cluster.create_pod cluster ~node_idx:n ~name:"client" in
+  Cluster.link_pods (client :: pods);
+  List.iter
+    (fun pod ->
+      ignore
+        (Pod.spawn pod ~program:"test.dirtyhog"
+           ~args:(hog_args ~regions:1 ~size:4096 ~stride:0 ~period_us:0 ~loops:0)))
+    (client :: pods);
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let r = Cluster.snapshot cluster ~pods ~key_prefix:"arp" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  let ids = List.map (fun (p : Pod.t) -> p.pod_id) pods in
+  let old_rips = List.map (fun (p : Pod.t) -> p.rip) pods in
+  List.iter Pod.destroy pods;
+  let rr =
+    Cluster.restart_app cluster ~pod_ids:ids
+      ~target_nodes:(List.init n (fun i -> (i + 1) mod n))
+      ~key_prefix:"arp"
+  in
+  check tbool "restart ok" true rr.Manager.r_ok;
+  check tint "one rebind per restored pod" n
+    (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "net.vip_rebound");
+  let restored = List.map (fun id -> Option.get (Pod.find id)) ids in
+  List.iter
+    (fun (owner : Pod.t) ->
+      List.iter2
+        (fun (q : Pod.t) old_rip ->
+          let where = Printf.sprintf "%s's view of %s" owner.name q.name in
+          check tbool (where ^ ": moved") false (Addr.equal_ip q.rip old_rip);
+          check tbool (where ^ ": vip -> new rip") true
+            (Addr.equal_ip (Namespace.rip_of_vip owner.ns q.vip) q.rip);
+          check tbool (where ^ ": new rip -> vip") true
+            (Addr.equal_ip (Namespace.vip_of_rip owner.ns q.rip) q.vip);
+          check tbool (where ^ ": old rip forgotten") true
+            (Addr.equal_ip (Namespace.vip_of_rip owner.ns old_rip) old_rip))
+        restored old_rips)
+    (client :: restored)
+
 let () =
   Alcotest.run "zapc"
     [ ( "coordinated",
@@ -1789,7 +1839,9 @@ let () =
           Alcotest.test_case "stream to unreachable keeps source" `Quick
             test_stream_to_unreachable_keeps_source;
           Alcotest.test_case "restart without streamed image" `Quick
-            test_restart_without_streamed_image ] );
+            test_restart_without_streamed_image;
+          Alcotest.test_case "restart rebinds every namespace" `Quick
+            test_restart_rebinds_every_namespace ] );
       ( "protocol",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "timing structure" `Quick test_checkpoint_timing_structure;
