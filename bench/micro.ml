@@ -145,9 +145,88 @@ let t_ns_lookup =
            ignore (Sys.opaque_identity (Namespace.vip_of_rip ns rips.(i)))
          done))
 
+(* One process blocked in Poll over 400 idle TCP sockets.  Each run fires
+   one of them without data (rotating), so the process wakes, scans all 400
+   in a fresh poll and blocks again: what a server holding many idle client
+   connections does per request.  Blocking queues the process's waker on
+   every socket it polls; a waker already queued is not queued again. *)
+module Kernel = Zapc_simos.Kernel
+module Program = Zapc_simos.Program
+module Syscall = Zapc_simos.Syscall
+module Fdtable = Zapc_simos.Fdtable
+module Netstack = Zapc_simnet.Netstack
+module Socket = Zapc_simnet.Socket
+module Sockopt = Zapc_simnet.Sockopt
+
+module Poller = struct
+  type state = int list
+
+  let name = "bench.poller"
+  let start v = Value.to_list Value.to_int v
+
+  let step fds (_ : Syscall.outcome) =
+    let reqs = List.map (fun pfd -> { Syscall.pfd; want_read = true; want_write = false }) fds in
+    (fds, Program.Sys (Syscall.Poll (reqs, None)))
+
+  let to_value fds = Value.list Value.int fds
+  let of_value = start
+end
+
+let poll_fixture n =
+  Program.register_if_absent (module Poller : Program.S);
+  let engine = Engine.create () in
+  let fabric = Zapc_simnet.Fabric.create engine in
+  let k = Kernel.create ~node_id:0 fabric in
+  let net = Kernel.netstack k and peer = Netstack.create ~node:1 fabric in
+  let ip0 = Addr.make_ip 10 0 0 1 and ip1 = Addr.make_ip 10 0 0 2 in
+  Netstack.add_ip net ip0;
+  Netstack.add_ip peer ip1;
+  let listener = Netstack.new_socket peer Socket.Stream in
+  ignore (Netstack.bind peer listener { Addr.ip = ip1; port = 80 });
+  ignore (Netstack.listen peer listener n);
+  let socks =
+    Array.init n (fun _ ->
+        let s = Netstack.new_socket net Socket.Stream in
+        ignore (Netstack.connect_start net s { Addr.ip = ip1; port = 80 });
+        s)
+  in
+  Engine.run engine;
+  let fds = Fdtable.create () in
+  let fd_list = Array.to_list (Array.map (fun s -> Fdtable.add fds (Fdtable.Fsock s)) socks) in
+  let p = Kernel.create_proc k (Program.spawn "bench.poller" (Poller.to_value fd_list)) in
+  p.Zapc_simos.Proc.fds <- fds;
+  Array.iter (Kernel.ref_socket k) socks;
+  Kernel.enqueue k p;
+  Engine.run engine;
+  assert (p.Zapc_simos.Proc.rstate = Zapc_simos.Proc.Blocked);
+  (engine, socks)
+
+let t_poll_block =
+  let fixture = lazy (poll_fixture 400) in
+  let i = ref 0 in
+  Test.make ~name:"poll.block-400"
+    (Staged.stage (fun () ->
+         let engine, socks = Lazy.force fixture in
+         i := if !i = Array.length socks - 1 then 0 else !i + 1;
+         Socket.wake_readers socks.(!i);
+         Engine.run engine))
+
+(* The four option reads on the hot paths: the poll scan's send-buffer
+   size, TCP's per-segment MSS and receive buffer, the nonblocking flag. *)
+let t_sockopt_get =
+  let t = Sockopt.create () in
+  Sockopt.set t Sockopt.SO_NONBLOCK 1;
+  Sockopt.set t Sockopt.TCP_NODELAY 1;
+  Test.make ~name:"sockopt.get"
+    (Staged.stage (fun () ->
+         ignore
+           (Sys.opaque_identity
+              (Sockopt.get t Sockopt.SO_SNDBUF + Sockopt.get t Sockopt.TCP_MAXSEG
+              + Sockopt.get t Sockopt.SO_RCVBUF + Sockopt.get t Sockopt.SO_NONBLOCK))))
+
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
-    t_ns_lookup ]
+    t_ns_lookup; t_poll_block; t_sockopt_get ]
 
 (* --- engine hot-path throughput (events/s), heap vs calendar ----------
 

@@ -25,7 +25,7 @@ type port = {
   rxq : (Addr.t * string) Queue.t;  (* (source gm address, payload) *)
   mutable rx_bytes : int;
   capacity : int;
-  mutable rd_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;
   mutable closed : bool;
 }
 
@@ -41,10 +41,7 @@ let create ~node = { node; ports = Hashtbl.create 8; next_port = 1; tx = (fun _ 
 
 let set_tx t fn = t.tx <- fn
 
-let wake (p : port) =
-  let ws = p.rd_waiters in
-  p.rd_waiters <- [];
-  List.iter (fun w -> w ()) (List.rev ws)
+let wake (p : port) = Waitq.wake p.rd_waiters
 
 (* --- the "library" interface (reached through ioctl-like syscalls) --- *)
 
@@ -64,7 +61,7 @@ let open_port t ~(ip : Addr.ip) ~(port : int) : (port, Errno.t) result =
   else begin
     let p =
       { gp_addr = { Addr.ip; port }; rxq = Queue.create (); rx_bytes = 0;
-        capacity = default_capacity; rd_waiters = []; closed = false }
+        capacity = default_capacity; rd_waiters = Waitq.create (); closed = false }
     in
     Hashtbl.replace t.ports (ip, port) p;
     Ok p
@@ -108,7 +105,7 @@ let recv (p : port) : rres =
     Gdata (src, payload)
   end
 
-let wait_readable (p : port) w = p.rd_waiters <- w :: p.rd_waiters
+let wait_readable (p : port) w = Waitq.add p.rd_waiters w
 
 (* --- hardware receive path (called from the network stack's demux) --- *)
 

@@ -23,7 +23,7 @@ type port = {
   rxq : (Addr.t * string) Queue.t;
   mutable rx_bytes : int;
   capacity : int;
-  mutable rd_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;  (** woken on arrival and on close *)
   mutable closed : bool;
 }
 
@@ -44,6 +44,9 @@ type rres = Gdata of Addr.t * string | Gblock | Gclosed
 
 val recv : port -> rres
 val wait_readable : port -> (unit -> unit) -> unit
+(** Queue a waiter for the next arrival (or close) on the port.  A waiter
+    already queued is not added again; the wake runs waiters in
+    first-registration order ({!Waitq}). *)
 
 (** {1 Hardware receive path} *)
 

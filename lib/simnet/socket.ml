@@ -128,8 +128,8 @@ type t = {
   mutable shut_rd : bool;
   mutable shut_wr : bool;
   mutable closed : bool;
-  mutable rd_waiters : (unit -> unit) list;
-  mutable wr_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;
+  wr_waiters : Waitq.t;
   mutable rto_tm : nc_timer option;  (* lazily-created retransmission timer *)
   dispatch : dispatch;
   netctx : netctx;
@@ -184,25 +184,15 @@ let tcp_state s = match s.tcb with Some tcb -> tcb.st | None -> St_closed
 
 let is_listening s = tcp_state s = St_listen
 
-let run_waiters ws =
-  List.iter (fun w -> w ()) (List.rev ws)
-
-let wake_readers s =
-  let ws = s.rd_waiters in
-  s.rd_waiters <- [];
-  run_waiters ws
-
-let wake_writers s =
-  let ws = s.wr_waiters in
-  s.wr_waiters <- [];
-  run_waiters ws
+let wake_readers s = Waitq.wake s.rd_waiters
+let wake_writers s = Waitq.wake s.wr_waiters
 
 let wake_all s =
   wake_readers s;
   wake_writers s
 
-let wait_readable s w = s.rd_waiters <- w :: s.rd_waiters
-let wait_writable s w = s.wr_waiters <- w :: s.wr_waiters
+let wait_readable s w = Waitq.add s.rd_waiters w
+let wait_writable s w = Waitq.add s.wr_waiters w
 
 let synq_add listener child = listener.synq <- listener.synq @ [ child ]
 
@@ -322,8 +312,8 @@ let create ~id ~kind ~netctx =
     shut_rd = false;
     shut_wr = false;
     closed = false;
-    rd_waiters = [];
-    wr_waiters = [];
+    rd_waiters = Waitq.create ();
+    wr_waiters = Waitq.create ();
     rto_tm = None;
     dispatch = make_dispatch ();
     netctx;

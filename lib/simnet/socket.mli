@@ -117,8 +117,8 @@ type t = {
   mutable shut_rd : bool;
   mutable shut_wr : bool;
   mutable closed : bool;
-  mutable rd_waiters : (unit -> unit) list;
-  mutable wr_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;  (** woken when the socket may have become readable *)
+  wr_waiters : Waitq.t;  (** woken when the socket may have become writable *)
   mutable rto_tm : nc_timer option;  (* lazily-created retransmission timer *)
   dispatch : dispatch;
   netctx : netctx;
@@ -177,7 +177,11 @@ val sendq_space : t -> int
 val tcp_state : t -> tcp_state
 val is_listening : t -> bool
 
-(** {1 Wakeups (condition-variable style)} *)
+(** {1 Wakeups (condition-variable style)}
+
+    Each direction has one {!Waitq.t}.  A waiter is queued at most once
+    (a closure already queued is not added again), and a wake empties the
+    queue and runs its waiters in first-registration order. *)
 
 val wake_readers : t -> unit
 val wake_writers : t -> unit

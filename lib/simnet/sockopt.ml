@@ -70,19 +70,51 @@ let default = function
   | SO_PRIORITY | SO_RCVTIMEO | SO_SNDTIMEO | SO_NONBLOCK | TCP_NODELAY
   | TCP_STDURG | IP_TOS -> 0
 
-type table = (key, int) Hashtbl.t
+(* The key's position in [all_keys]. *)
+let index = function
+  | SO_RCVBUF -> 0
+  | SO_SNDBUF -> 1
+  | SO_REUSEADDR -> 2
+  | SO_KEEPALIVE -> 3
+  | SO_LINGER -> 4
+  | SO_OOBINLINE -> 5
+  | SO_BROADCAST -> 6
+  | SO_PRIORITY -> 7
+  | SO_RCVTIMEO -> 8
+  | SO_SNDTIMEO -> 9
+  | SO_NONBLOCK -> 10
+  | TCP_NODELAY -> 11
+  | TCP_MAXSEG -> 12
+  | TCP_KEEPIDLE -> 13
+  | TCP_KEEPINTVL -> 14
+  | TCP_KEEPCNT -> 15
+  | TCP_STDURG -> 16
+  | IP_TTL -> 17
+  | IP_TOS -> 18
 
-let create () : table = Hashtbl.create 8
-let get (t : table) k = match Hashtbl.find_opt t k with Some v -> v | None -> default k
-let set (t : table) k v = Hashtbl.replace t k v
+let defaults = Array.of_list (List.map default all_keys)
 
-let to_value (t : table) =
+(* One slot per key, indexed by [index]; bit [index k] of [set] records that
+   [k] was set explicitly, so [copy_into] copies exactly those keys. *)
+type table = { vals : int array; mutable set : int }
+
+let create () = { vals = Array.copy defaults; set = 0 }
+let get t k = Array.unsafe_get t.vals (index k)
+
+let set t k v =
+  let i = index k in
+  t.vals.(i) <- v;
+  t.set <- t.set lor (1 lsl i)
+
+let to_value t =
   let kvs = List.map (fun k -> (key_name k, Value.Int (get t k))) all_keys in
   Value.Assoc kvs
 
-let of_value v : table =
+let of_value v =
   let t = create () in
   List.iter (fun (name, v) -> set t (key_of_name name) (Value.to_int v)) (Value.to_assoc v);
   t
 
-let copy_into ~src ~dst = Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
+let copy_into ~src ~dst =
+  Array.iteri (fun i v -> if src.set land (1 lsl i) <> 0 then dst.vals.(i) <- v) src.vals;
+  dst.set <- dst.set lor src.set

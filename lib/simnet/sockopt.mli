@@ -30,11 +30,19 @@ val key_name : key -> string
 val key_of_name : string -> key
 val default : key -> int
 
-type table = (key, int) Hashtbl.t
+type table
+(** One socket's options: every key has a value, its {!default} until set. *)
 
 val create : unit -> table
 val get : table -> key -> int
 val set : table -> key -> int -> unit
+
 val to_value : table -> Zapc_codec.Value.t
+(** Every key, set or not, in {!all_keys} order. *)
+
 val of_value : Zapc_codec.Value.t -> table
+(** The keys of the value count as set. *)
+
 val copy_into : src:table -> dst:table -> unit
+(** Copy onto [dst] only the keys [src] set explicitly (by {!set} or
+    {!of_value}); [dst] keeps its values for the others. *)

@@ -135,7 +135,7 @@ and dispatch k (p : Proc.t) =
     | Some remaining -> run_slice k p remaining
     | None ->
       (match p.pending_sys with
-       | Some sc -> run_syscall k p sc ~retrying:true
+       | Some sc -> run_syscall k p sc
        | None ->
          let action = Program.step_instance p.inst p.next_outcome in
          (match action with
@@ -143,7 +143,7 @@ and dispatch k (p : Proc.t) =
             let t = Simtime.ns (int_of_float (float_of_int t /. k.config.cpu_scale)) in
             let t = Stdlib.max 1 t in
             run_slice k p t
-          | Program.Sys sc -> run_syscall k p sc ~retrying:false
+          | Program.Sys sc -> run_syscall k p sc
           | Program.Exit code ->
             terminate k p code;
             release_cpu k))
@@ -160,8 +160,7 @@ and run_slice k (p : Proc.t) remaining =
       end;
       yield k p)
 
-and run_syscall k (p : Proc.t) sc_orig ~retrying =
-  ignore retrying;
+and run_syscall k (p : Proc.t) sc_orig =
   let sc =
     match p.filter with Some f -> f.f_pre p sc_orig | None -> sc_orig
   in
@@ -185,7 +184,7 @@ and run_syscall k (p : Proc.t) sc_orig ~retrying =
   | `Block register ->
     p.pending_sys <- Some sc_orig;
     p.rstate <- Proc.Blocked;
-    register (fun () -> wake_proc k p);
+    register p.waker;
     release_cpu k
 
 and wake_proc k (p : Proc.t) =
@@ -255,6 +254,7 @@ and alloc_pid k =
 
 and create_proc k inst =
   let p = Proc.create ~pid:(alloc_pid k) inst in
+  p.waker <- (fun () -> wake_proc k p);
   Hashtbl.replace k.procs p.pid p;
   p
 
@@ -344,7 +344,7 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
          p.block_deadline <- Some deadline;
          block (fun waiter ->
              Engine.schedule_at k.engine ~label:"os.sleep" ~at:deadline
-               (fun () -> waiter ()))
+             (fun () -> waiter ()))
        end)
   | Syscall.Alarm_set d ->
     p.alarm_deadline <- Some (Simtime.add (now k) d);
@@ -546,7 +546,7 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
           ok (Syscall.Rdata d)
         | Pipe.Peof -> ok (Syscall.Rdata "")
         | Pipe.Pblock ->
-          block (fun waiter -> pi.rd_waiters <- waiter :: pi.rd_waiters)))
+          block (fun waiter -> Pipe.wait_readable pi waiter)))
   | Syscall.Write (fd, data) ->
     (match Fdtable.find p.fds fd with
      | None -> err Errno.EBADF
@@ -557,7 +557,7 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
         | Pipe.Pwrote n -> ok (Syscall.Rint n)
         | Pipe.Pepipe -> err Errno.EPIPE
         | Pipe.Pwblock ->
-          block (fun waiter -> pi.wr_waiters <- waiter :: pi.wr_waiters)))
+          block (fun waiter -> Pipe.wait_writable pi waiter)))
 
 and exec_send k (s : Socket.t) data ~ok ~err ~block =
   match s.kind with
@@ -635,10 +635,8 @@ and exec_poll k (p : Proc.t) reqs timeout =
                 | Some (Fdtable.Fsock s) ->
                   if r.want_read then Socket.wait_readable s waiter;
                   if r.want_write then Socket.wait_writable s waiter
-                | Some (Fdtable.Fpipe_r pi) ->
-                  pi.rd_waiters <- waiter :: pi.rd_waiters
-                | Some (Fdtable.Fpipe_w pi) ->
-                  pi.wr_waiters <- waiter :: pi.wr_waiters
+                | Some (Fdtable.Fpipe_r pi) -> Pipe.wait_readable pi waiter
+                | Some (Fdtable.Fpipe_w pi) -> Pipe.wait_writable pi waiter
                 | Some (Fdtable.Fgm port) ->
                   if r.want_read then Zapc_simnet.Gmdev.wait_readable port waiter
                 | None -> ())

@@ -3,10 +3,11 @@
     programs to the network stack, pipes, timers and memory accounting.
 
     Scheduling invariant: a [Running] process always has exactly one pending
-    engine event that will release its CPU; [Blocked] processes hold wakeup
-    closures registered on the resources they wait for, and their pending
-    system call is re-executed on wakeup (restartable-syscall semantics —
-    also how restored processes resume after a restart). *)
+    engine event that will release its CPU; a [Blocked] process has its one
+    waker ([Proc.t.waker], made by {!create_proc}) queued at most once on
+    each resource it waits for, and its pending system call is re-executed
+    on wakeup (restartable-syscall semantics — also how restored processes
+    resume after a restart). *)
 
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
@@ -77,7 +78,8 @@ val unref_socket : t -> Socket.t -> unit
 (** {1 Processes} *)
 
 val create_proc : t -> Program.instance -> Proc.t
-(** Register a new process without scheduling it (restore path). *)
+(** Register a new process, with its waker, without scheduling it
+    (restore path). *)
 
 val enqueue : t -> Proc.t -> unit
 (** Make a [Ready] process runnable. *)

@@ -3,6 +3,7 @@
    track how many fd-table entries point at each end (spawn inherits fds). *)
 
 module Sockbuf = Zapc_simnet.Sockbuf
+module Waitq = Zapc_simnet.Waitq
 
 type t = {
   id : int;
@@ -10,25 +11,20 @@ type t = {
   capacity : int;
   mutable rd_refs : int;
   mutable wr_refs : int;
-  mutable rd_waiters : (unit -> unit) list;
-  mutable wr_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;
+  wr_waiters : Waitq.t;
 }
 
 let default_capacity = 65536
 
 let create ~id =
   { id; buf = Sockbuf.create (); capacity = default_capacity; rd_refs = 1; wr_refs = 1;
-    rd_waiters = []; wr_waiters = [] }
+    rd_waiters = Waitq.create (); wr_waiters = Waitq.create () }
 
-let wake_readers t =
-  let ws = t.rd_waiters in
-  t.rd_waiters <- [];
-  List.iter (fun w -> w ()) (List.rev ws)
-
-let wake_writers t =
-  let ws = t.wr_waiters in
-  t.wr_waiters <- [];
-  List.iter (fun w -> w ()) (List.rev ws)
+let wake_readers t = Waitq.wake t.rd_waiters
+let wake_writers t = Waitq.wake t.wr_waiters
+let wait_readable t w = Waitq.add t.rd_waiters w
+let wait_writable t w = Waitq.add t.wr_waiters w
 
 let space t = Stdlib.max 0 (t.capacity - Sockbuf.length t.buf)
 

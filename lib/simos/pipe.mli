@@ -3,6 +3,7 @@
     track how many fd-table entries point at each end. *)
 
 module Sockbuf = Zapc_simnet.Sockbuf
+module Waitq = Zapc_simnet.Waitq
 
 type t = {
   id : int;
@@ -10,8 +11,8 @@ type t = {
   capacity : int;
   mutable rd_refs : int;
   mutable wr_refs : int;
-  mutable rd_waiters : (unit -> unit) list;
-  mutable wr_waiters : (unit -> unit) list;
+  rd_waiters : Waitq.t;  (** woken on write and on the last writer's close *)
+  wr_waiters : Waitq.t;  (** woken on read and on the last reader's close *)
 }
 
 val default_capacity : int
@@ -28,5 +29,14 @@ val write : t -> string -> wres
 val after_read : t -> unit
 val close_read : t -> unit
 val close_write : t -> unit
+
+(** {1 Wakeups}
+
+    Each end has one {!Waitq.t}.  A waiter is queued at most once (a closure
+    already queued is not added again), and a wake empties the queue and
+    runs its waiters in first-registration order. *)
+
 val wake_readers : t -> unit
 val wake_writers : t -> unit
+val wait_readable : t -> (unit -> unit) -> unit
+val wait_writable : t -> (unit -> unit) -> unit

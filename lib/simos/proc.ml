@@ -2,10 +2,10 @@
 
    Scheduling invariant: a [Running] process always has exactly one pending
    engine event that will eventually release its CPU; [Ready] processes sit
-   in the run queue ([in_runq] guards duplicates); [Blocked] processes have
-   wakeup closures registered on the resources they wait for; [Stopped]
-   remembers which of Ready/Blocked to return to on SIGCONT (plus whether a
-   wakeup fired while stopped). *)
+   in the run queue ([in_runq] guards duplicates); a [Blocked] process has
+   its single [waker] queued at most once on each resource it waits for;
+   [Stopped] remembers which of Ready/Blocked to return to on SIGCONT (plus
+   whether a wakeup fired while stopped). *)
 
 module Simtime = Zapc_sim.Simtime
 
@@ -38,6 +38,7 @@ type t = {
   mutable pod : int option;                   (* pod membership tag *)
   mutable filter : filter option;             (* pod syscall interposition *)
   mutable exit_watchers : (int -> unit) list;
+  mutable waker : unit -> unit;               (* the one closure it blocks with *)
 }
 
 (* System-call interposition, the pod virtualization hook: [f_pre] rewrites a
@@ -71,6 +72,7 @@ let create ~pid inst =
     pod = None;
     filter = None;
     exit_watchers = [];
+    waker = ignore;
   }
 
 let is_alive p = match p.rstate with Zombie -> false | _ -> true

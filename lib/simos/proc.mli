@@ -2,11 +2,11 @@
 
     Scheduling invariant: a [Running] process always has exactly one pending
     engine event that will eventually release its CPU; [Ready] processes sit
-    in the run queue ([in_runq] guards duplicates); [Blocked] processes have
-    wakeup closures registered on the resources they wait for and re-execute
-    their pending system call on wakeup; [Stopped] remembers which of
-    Ready/Blocked to return to on SIGCONT (plus whether a wakeup fired while
-    stopped).  The checkpoint saves exactly the mutable fields below that
+    in the run queue ([in_runq] guards duplicates); a [Blocked] process has
+    its single {!field-waker} queued at most once on each resource it waits
+    for, and re-executes its pending system call on wakeup; [Stopped]
+    remembers which of Ready/Blocked to return to on SIGCONT (plus whether a
+    wakeup fired while stopped).  The checkpoint saves exactly the mutable fields below that
     cannot be reconstructed. *)
 
 module Simtime = Zapc_sim.Simtime
@@ -35,6 +35,10 @@ type t = {
   mutable pod : int option;  (** pod membership tag *)
   mutable filter : filter option;  (** pod syscall interposition *)
   mutable exit_watchers : (int -> unit) list;
+  mutable waker : unit -> unit;
+      (** the process's one wakeup closure, set once by
+          [Kernel.create_proc]: every blocking system call queues this same
+          closure, so a wait queue holds it at most once *)
 }
 
 (** System-call interposition — the pod virtualization hook: [f_pre]
@@ -48,5 +52,6 @@ and filter = {
 }
 
 val create : pid:int -> Program.instance -> t
+
 val is_alive : t -> bool
 val pp : Format.formatter -> t -> unit

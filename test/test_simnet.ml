@@ -14,6 +14,9 @@ module Sockbuf = Zapc_simnet.Sockbuf
 module Sockopt = Zapc_simnet.Sockopt
 module Tcp = Zapc_simnet.Tcp
 module Errno = Zapc_simnet.Errno
+module Gmdev = Zapc_simnet.Gmdev
+module Waitq = Zapc_simnet.Waitq
+module Value = Zapc_codec.Value
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -447,6 +450,160 @@ let test_sockopt_defaults_and_save () =
   check tint "nodelay restored" 1 (Sockopt.get t2 Sockopt.TCP_NODELAY);
   check tint "mss restored" 1448 (Sockopt.get t2 Sockopt.TCP_MAXSEG)
 
+(* The options table against the generic hashtable it replaced, kept here
+   as the reference model: a key reads its default until set, [copy_into]
+   copies only the keys the source set explicitly, [of_value] sets every
+   key it names. *)
+module Hashtbl_model = struct
+  type t = (Sockopt.key, int) Hashtbl.t
+
+  let create () : t = Hashtbl.create 8
+  let get (t : t) k = match Hashtbl.find_opt t k with Some v -> v | None -> Sockopt.default k
+  let set (t : t) k v = Hashtbl.replace t k v
+
+  let to_value t =
+    Value.Assoc (List.map (fun k -> (Sockopt.key_name k, Value.Int (get t k))) Sockopt.all_keys)
+
+  let of_value v =
+    let t = create () in
+    List.iter
+      (fun (name, v) -> set t (Sockopt.key_of_name name) (Value.to_int v))
+      (Value.to_assoc v);
+    t
+
+  let copy_into ~(src : t) ~(dst : t) = Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
+end
+
+let n_tables = 3
+let key_array = Array.of_list Sockopt.all_keys
+
+type opt_op =
+  | O_set of int * int * int  (* table, key index, value *)
+  | O_get of int * int
+  | O_copy of int * int  (* src, dst *)
+  | O_to_value of int
+  | O_roundtrip of int * int  (* dst := of_value (to_value src) *)
+  | O_of_partial of int * (int * int) list  (* dst := of_value of these keys *)
+  | O_fresh of int
+
+let pp_opt_op =
+  let k i = Sockopt.key_name key_array.(i) in
+  function
+  | O_set (t, i, v) -> Printf.sprintf "set t%d %s %d" t (k i) v
+  | O_get (t, i) -> Printf.sprintf "get t%d %s" t (k i)
+  | O_copy (a, b) -> Printf.sprintf "copy t%d -> t%d" a b
+  | O_to_value t -> Printf.sprintf "to_value t%d" t
+  | O_roundtrip (a, b) -> Printf.sprintf "t%d := of_value (to_value t%d)" b a
+  | O_of_partial (t, kvs) ->
+    Printf.sprintf "t%d := of_value [%s]" t
+      (String.concat "; " (List.map (fun (i, v) -> Printf.sprintf "%s=%d" (k i) v) kvs))
+  | O_fresh t -> Printf.sprintf "t%d := create" t
+
+(* Values are often the key's default, so a table that confused "set" with
+   "differs from the default" would copy the wrong keys. *)
+let gen_opt_ops =
+  let open QCheck.Gen in
+  let tbl = int_bound (n_tables - 1) in
+  let key = int_bound (Array.length key_array - 1) in
+  let kv =
+    key >>= fun i ->
+    map (fun v -> (i, v)) (oneof [ return (Sockopt.default key_array.(i)); int_range 0 4 ])
+  in
+  let op =
+    frequency
+      [ (5, map2 (fun t (i, v) -> O_set (t, i, v)) tbl kv);
+        (3, map2 (fun t i -> O_get (t, i)) tbl key);
+        (3, map2 (fun a b -> O_copy (a, b)) tbl tbl);
+        (1, map (fun t -> O_to_value t) tbl);
+        (1, map2 (fun a b -> O_roundtrip (a, b)) tbl tbl);
+        (1, map2 (fun t kvs -> O_of_partial (t, kvs)) tbl (list_size (int_bound 4) kv));
+        (1, map (fun t -> O_fresh t) tbl) ]
+  in
+  list_size (int_range 1 40) op
+
+let prop_sockopt_matches_hashtbl_model =
+  QCheck.Test.make ~name:"options table matches the hashtable model" ~count:2000
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat ", " (List.map pp_opt_op ops))
+       gen_opt_ops)
+    (fun ops ->
+      let real = Array.init n_tables (fun _ -> Sockopt.create ()) in
+      let model = Array.init n_tables (fun _ -> Hashtbl_model.create ()) in
+      let agree t = Sockopt.to_value real.(t) = Hashtbl_model.to_value model.(t) in
+      let step = function
+        | O_set (t, i, v) ->
+          Sockopt.set real.(t) key_array.(i) v;
+          Hashtbl_model.set model.(t) key_array.(i) v;
+          true
+        | O_get (t, i) ->
+          Sockopt.get real.(t) key_array.(i) = Hashtbl_model.get model.(t) key_array.(i)
+        | O_copy (a, b) ->
+          Sockopt.copy_into ~src:real.(a) ~dst:real.(b);
+          Hashtbl_model.copy_into ~src:model.(a) ~dst:model.(b);
+          true
+        | O_to_value t -> agree t
+        | O_roundtrip (a, b) ->
+          real.(b) <- Sockopt.of_value (Sockopt.to_value real.(a));
+          model.(b) <- Hashtbl_model.of_value (Hashtbl_model.to_value model.(a));
+          true
+        | O_of_partial (t, kvs) ->
+          let v =
+            Value.Assoc
+              (List.map (fun (i, v) -> (Sockopt.key_name key_array.(i), Value.Int v)) kvs)
+          in
+          real.(t) <- Sockopt.of_value v;
+          model.(t) <- Hashtbl_model.of_value v;
+          true
+        | O_fresh t ->
+          real.(t) <- Sockopt.create ();
+          model.(t) <- Hashtbl_model.create ();
+          true
+      in
+      List.for_all step ops && List.for_all agree (List.init n_tables Fun.id))
+
+(* --- wait queues --- *)
+
+(* A closure queued twice runs once, at its first registration's place. *)
+let test_waitq_dedupe () =
+  let env = setup () in
+  let s = Netstack.new_socket env.ns0 Socket.Stream in
+  let ran = ref [] in
+  let w1 () = ran := "w1" :: !ran and w2 () = ran := "w2" :: !ran in
+  Socket.wait_readable s w1;
+  Socket.wait_readable s w2;
+  Socket.wait_readable s w1;
+  Socket.wake_readers s;
+  check (Alcotest.list tstr) "w1, w2, each once" [ "w1"; "w2" ] (List.rev !ran);
+  check tint "queue emptied" 0 (Waitq.length s.Socket.rd_waiters);
+  (* the same on a gm port, woken by its close *)
+  let gm = Gmdev.create ~node:0 in
+  let port = Result.get_ok (Gmdev.open_port gm ~ip:env.ip0 ~port:0) in
+  ran := [];
+  Gmdev.wait_readable port w2;
+  Gmdev.wait_readable port w1;
+  Gmdev.wait_readable port w2;
+  Gmdev.close_port gm port;
+  check (Alcotest.list tstr) "gm port: w2, w1, each once" [ "w2"; "w1" ] (List.rev !ran)
+
+(* A wake runs the batch it emptied; what its closures queue waits for the
+   next wake. *)
+let test_waitq_add_during_wake () =
+  let q = Waitq.create () in
+  let ran = ref [] in
+  let rec w1 () =
+    ran := "w1" :: !ran;
+    Waitq.add q w1;
+    Waitq.add q w3
+  and w3 () = ran := "w3" :: !ran in
+  Waitq.add q w1;
+  Waitq.wake q;
+  check (Alcotest.list tstr) "first batch: w1 only" [ "w1" ] (List.rev !ran);
+  check tint "re-queued for the next batch" 2 (Waitq.length q);
+  ran := [];
+  Waitq.add q w3;
+  Waitq.wake q;
+  check (Alcotest.list tstr) "next batch in registration order" [ "w1"; "w3" ] (List.rev !ran)
+
 let test_ephemeral_ports_distinct () =
   let env = setup () in
   let mk () =
@@ -599,4 +756,8 @@ let () =
           Alcotest.test_case "sockopt save/restore" `Quick test_sockopt_defaults_and_save;
           Alcotest.test_case "ephemeral ports" `Quick test_ephemeral_ports_distinct;
           Alcotest.test_case "bind conflict" `Quick test_bind_conflict;
-          Alcotest.test_case "raw ip" `Quick test_raw_ip ] ) ]
+          Alcotest.test_case "raw ip" `Quick test_raw_ip;
+          QCheck_alcotest.to_alcotest prop_sockopt_matches_hashtbl_model ] );
+      ( "waitq",
+        [ Alcotest.test_case "dedupe, first-registration order" `Quick test_waitq_dedupe;
+          Alcotest.test_case "add during wake: next batch" `Quick test_waitq_add_during_wake ] ) ]

@@ -145,6 +145,36 @@ module Clock_prog = struct
   let of_value = Value.to_int
 end
 
+(* socket poller: binds a datagram socket, polls it listing it twice, logs
+   what poll returned, then receives *)
+module Sock_poller = struct
+  type state = int * int  (* phase, fd *)
+
+  let name = "test.sock_poller"
+  let start _ = (0, -1)
+
+  let step (phase, fd) (outcome : Syscall.outcome) =
+    let want = { Syscall.pfd = fd; want_read = true; want_write = false } in
+    match (phase, outcome) with
+    | 0, _ -> ((1, fd), Program.Sys (Syscall.Sock_create Socket.Dgram))
+    | 1, Syscall.Ret (Syscall.Rint fd) ->
+      ( (2, fd),
+        Program.Sys
+          (Syscall.Bind (fd, { Zapc_simnet.Addr.ip = Zapc_simnet.Addr.make_ip 10 9 9 9; port = 7000 })) )
+    | 2, _ -> ((3, fd), Program.Sys (Syscall.Poll ([ want; want ], None)))
+    | 3, Syscall.Ret (Syscall.Rpoll evs) ->
+      ((4, fd), Program.Sys (Syscall.Log (Printf.sprintf "polled %d" (List.length evs))))
+    | 4, _ -> ((5, fd), Program.Sys (Syscall.Recv (fd, 100, Socket.plain_recv)))
+    | 5, Syscall.Ret (Syscall.Rdata d) -> ((6, fd), Program.Sys (Syscall.Log ("got " ^ d)))
+    | _, _ -> ((6, fd), Program.Exit 0)
+
+  let to_value (a, b) = Value.List [ Value.Int a; Value.Int b ]
+
+  let of_value = function
+    | Value.List [ Value.Int a; Value.Int b ] -> (a, b)
+    | _ -> failwith "bad"
+end
+
 let registered = ref false
 
 let register_test_programs () =
@@ -154,7 +184,8 @@ let register_test_programs () =
     Program.register_if_absent (module Burner : Program.S);
     Program.register_if_absent (module Pipe_parent : Program.S);
     Program.register_if_absent (module Pipe_child : Program.S);
-    Program.register_if_absent (module Clock_prog : Program.S)
+    Program.register_if_absent (module Clock_prog : Program.S);
+    Program.register_if_absent (module Sock_poller : Program.S)
   end
 
 (* --- tests --- *)
@@ -222,6 +253,39 @@ let test_sigstop_while_blocked () =
   run engine;
   check tbool "exited" true (p.Proc.exit_code = Some 0);
   check tbool "woke" true (List.mem "woke" !logged)
+
+(* Stopped while blocked in a poll that lists its socket twice: the socket
+   fires while it is stopped, which marks the blocked call for retry and
+   leaves it stopped; SIGCONT then runs the poll once. *)
+let test_sigstop_while_blocked_on_socket () =
+  register_test_programs ();
+  let engine, k = make_kernel () in
+  let p = Kernel.spawn k ~program:"test.sock_poller" ~args:Value.Unit in
+  run_until engine (Simtime.ms 1);
+  check tbool "blocked in poll" true (p.Proc.rstate = Proc.Blocked);
+  let s =
+    Option.get
+      (Zapc_simos.Fdtable.fold p.Proc.fds
+         (fun _ e acc -> match e with Zapc_simos.Fdtable.Fsock s -> Some s | _ -> acc)
+         None)
+  in
+  check tint "its waker queued once" 1 (Zapc_simnet.Waitq.length s.Socket.rd_waiters);
+  Kernel.signal_proc k p Signal.Sigstop;
+  let net = Kernel.netstack k in
+  let sender = Zapc_simnet.Netstack.new_socket net Socket.Dgram in
+  let dst = { Zapc_simnet.Addr.ip = Zapc_simnet.Addr.make_ip 10 9 9 9; port = 7000 } in
+  ignore (Zapc_simnet.Netstack.sendto net sender dst "hi");
+  run_until engine (Simtime.ms 20);
+  check tbool "still stopped" true (p.Proc.rstate = Proc.Stopped);
+  check tbool "marked for retry" true p.Proc.retry_after_cont;
+  check tint "queue emptied" 0 (Zapc_simnet.Waitq.length s.Socket.rd_waiters);
+  check tbool "poll not re-run while stopped" false
+    (List.exists (String.starts_with ~prefix:"polled") !logged);
+  Kernel.signal_proc k p Signal.Sigcont;
+  run engine;
+  check tbool "exited" true (p.Proc.exit_code = Some 0);
+  check (Alcotest.list Alcotest.string) "poll returned once, then the datagram"
+    [ "polled 2"; "got hi" ] (List.rev !logged)
 
 let test_sigkill () =
   register_test_programs ();
@@ -343,7 +407,9 @@ let () =
       ( "signals",
         [ Alcotest.test_case "stop/cont" `Quick test_sigstop_cont;
           Alcotest.test_case "stop while blocked" `Quick test_sigstop_while_blocked;
-          Alcotest.test_case "kill" `Quick test_sigkill ] );
+          Alcotest.test_case "kill" `Quick test_sigkill;
+          Alcotest.test_case "stop while blocked on a socket" `Quick
+            test_sigstop_while_blocked_on_socket ] );
       ( "resources",
         [ Alcotest.test_case "pipe + spawn + waitpid" `Quick test_pipe_spawn_waitpid;
           Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
