@@ -145,11 +145,14 @@ let t_ns_lookup =
            ignore (Sys.opaque_identity (Namespace.vip_of_rip ns rips.(i)))
          done))
 
-(* One process blocked in Poll over 400 idle TCP sockets.  Each run fires
-   one of them without data (rotating), so the process wakes, scans all 400
-   in a fresh poll and blocks again: what a server holding many idle client
+(* A process polling 400 TCP sockets, with its request list built once in
+   its state.  poll.block-400: all idle, so it blocks; each run fires one
+   of them without data (rotating), so the process wakes, scans all 400 in
+   a fresh poll and blocks again — what a server holding many idle client
    connections does per request.  Blocking queues the process's waker on
-   every socket it polls; a waker already queued is not queued again. *)
+   every socket it polls; a waker already queued is not queued again.
+   poll.scan-400: one socket holds unread data, so every poll returns at
+   once; each run is one poll (dispatch, scan, syscall return). *)
 module Kernel = Zapc_simos.Kernel
 module Program = Zapc_simos.Program
 module Syscall = Zapc_simos.Syscall
@@ -159,21 +162,24 @@ module Socket = Zapc_simnet.Socket
 module Sockopt = Zapc_simnet.Sockopt
 
 module Poller = struct
-  type state = int list
+  type state = Syscall.poll_req list
 
   let name = "bench.poller"
-  let start v = Value.to_list Value.to_int v
 
-  let step fds (_ : Syscall.outcome) =
-    let reqs = List.map (fun pfd -> { Syscall.pfd; want_read = true; want_write = false }) fds in
-    (fds, Program.Sys (Syscall.Poll (reqs, None)))
+  let start v =
+    List.map
+      (fun pfd -> { Syscall.pfd; want_read = true; want_write = false })
+      (Value.to_list Value.to_int v)
 
-  let to_value fds = Value.list Value.int fds
+  let step reqs (_ : Syscall.outcome) = (reqs, Program.Sys (Syscall.Poll (reqs, None)))
+  let to_value reqs = Value.list (fun (r : Syscall.poll_req) -> Value.int r.pfd) reqs
   let of_value = start
 end
 
-let poll_fixture n =
-  Program.register_if_absent (module Poller : Program.S);
+(* [n] established connections; with [~ready], the peer has sent one byte
+   on one of them.  Returns the kernel, its engine, the sockets, an fd
+   table holding them and their fds. *)
+let socket_fixture ~ready n =
   let engine = Engine.create () in
   let fabric = Zapc_simnet.Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
@@ -191,18 +197,30 @@ let poll_fixture n =
         s)
   in
   Engine.run engine;
+  if ready then
+    ignore (Zapc_simnet.Tcp.send_data (Option.get (Netstack.accept_take listener)) "x");
+  Engine.run engine;
   let fds = Fdtable.create () in
   let fd_list = Array.to_list (Array.map (fun s -> Fdtable.add fds (Fdtable.Fsock s)) socks) in
-  let p = Kernel.create_proc k (Program.spawn "bench.poller" (Poller.to_value fd_list)) in
-  p.Zapc_simos.Proc.fds <- fds;
   Array.iter (Kernel.ref_socket k) socks;
+  (k, engine, socks, fds, fd_list)
+
+let poll_fixture ~ready n =
+  Program.register_if_absent (module Poller : Program.S);
+  let k, engine, socks, fds, fd_list = socket_fixture ~ready n in
+  let p = Kernel.create_proc k (Program.spawn "bench.poller" (Value.list Value.int fd_list)) in
+  p.Zapc_simos.Proc.fds <- fds;
   Kernel.enqueue k p;
-  Engine.run engine;
-  assert (p.Zapc_simos.Proc.rstate = Zapc_simos.Proc.Blocked);
-  (engine, socks)
+  (engine, socks, p)
 
 let t_poll_block =
-  let fixture = lazy (poll_fixture 400) in
+  let fixture =
+    lazy
+      (let engine, socks, p = poll_fixture ~ready:false 400 in
+       Engine.run engine;
+       assert (p.Zapc_simos.Proc.rstate = Zapc_simos.Proc.Blocked);
+       (engine, socks))
+  in
   let i = ref 0 in
   Test.make ~name:"poll.block-400"
     (Staged.stage (fun () ->
@@ -210,6 +228,30 @@ let t_poll_block =
          i := if !i = Array.length socks - 1 then 0 else !i + 1;
          Socket.wake_readers socks.(!i);
          Engine.run engine))
+
+let t_poll_scan =
+  let fixture =
+    lazy
+      (let engine, _, p = poll_fixture ~ready:true 400 in
+       Engine.run ~max_events:2 engine;
+       assert (p.Zapc_simos.Proc.rstate <> Zapc_simos.Proc.Blocked);
+       engine)
+  in
+  Test.make ~name:"poll.scan-400"
+    (Staged.stage (fun () -> Engine.run ~max_events:2 (Lazy.force fixture)))
+
+let t_fdtable_find =
+  let fixture =
+    lazy
+      (let _, _, _, fds, fd_list = socket_fixture ~ready:false 400 in
+       (fds, Array.of_list fd_list))
+  in
+  Test.make ~name:"fdtable.find-400"
+    (Staged.stage (fun () ->
+         let fds, fd_array = Lazy.force fixture in
+         for i = 0 to Array.length fd_array - 1 do
+           ignore (Sys.opaque_identity (Fdtable.find fds (Array.unsafe_get fd_array i)))
+         done))
 
 (* The four option reads on the hot paths: the poll scan's send-buffer
    size, TCP's per-segment MSS and receive buffer, the nonblocking flag. *)
@@ -226,7 +268,7 @@ let t_sockopt_get =
 
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
-    t_ns_lookup; t_poll_block; t_sockopt_get ]
+    t_ns_lookup; t_poll_block; t_poll_scan; t_fdtable_find; t_sockopt_get ]
 
 (* --- engine hot-path throughput (events/s), heap vs calendar ----------
 

@@ -203,8 +203,9 @@ let synq_remove listener child =
 
 let stream_readable s =
   (not (Sockbuf.is_empty s.recvq))
-  || s.oob_byte <> None
-  || s.err <> None || s.shut_rd
+  || (match s.oob_byte with Some _ -> true | None -> false)
+  || (match s.err with Some _ -> true | None -> false)
+  || s.shut_rd
   || (match s.tcb with Some tcb -> tcb.fin_rcvd | None -> false)
 
 let default_recvmsg s (flags : recv_flags) n : recv_result =
@@ -249,25 +250,25 @@ let default_recvmsg s (flags : recv_flags) n : recv_result =
       let data = if String.length data > n then String.sub data 0 n else data in
       Rv_from (from, data)
 
+let stream_writable s =
+  (not s.shut_wr)
+  &&
+  match s.tcb with
+  | Some tcb ->
+    (match tcb.st with
+     | St_established | St_close_wait -> sendq_space s > 0
+     | St_closed -> s.err <> None (* connect failed: report via poll *)
+     | St_listen | St_syn_sent | St_syn_received | St_fin_wait_1 | St_fin_wait_2
+     | St_closing | St_last_ack | St_time_wait -> false)
+  | None -> false
+
 let default_poll s : poll_events =
   match s.kind with
   | Stream ->
     let listener_ready = not (Queue.is_empty s.accept_q) in
     let readable = listener_ready || stream_readable s in
-    let writable =
-      (not s.shut_wr)
-      &&
-      match s.tcb with
-      | Some tcb ->
-        (match tcb.st with
-         | St_established | St_close_wait -> sendq_space s > 0
-         | St_closed -> s.err <> None (* connect failed: report via poll *)
-         | St_listen | St_syn_sent | St_syn_received | St_fin_wait_1 | St_fin_wait_2
-         | St_closing | St_last_ack | St_time_wait -> false)
-      | None -> false
-    in
     let hangup = (match s.tcb with Some tcb -> tcb.fin_rcvd | None -> false) || s.closed in
-    { readable; writable; pollerr = s.err <> None; hangup }
+    { readable; writable = stream_writable s; pollerr = s.err <> None; hangup }
   | Dgram | Raw _ ->
     {
       readable = (not (Queue.is_empty s.dgrams)) || s.err <> None;
@@ -275,6 +276,24 @@ let default_poll s : poll_events =
       pollerr = s.err <> None;
       hangup = false;
     }
+
+(* [default_poll]'s relevance test with short-circuit field reads and no
+   record: pollerr and hangup first, since they report whatever was asked
+   for.  A socket whose poll method is not the default (the alternate-queue
+   interposition below) asks that method instead. *)
+let poll_relevant s ~want_read ~want_write =
+  if s.dispatch.d_poll != default_poll then
+    let ev = s.dispatch.d_poll s in
+    (ev.readable && want_read) || (ev.writable && want_write) || ev.pollerr || ev.hangup
+  else
+    let erred = match s.err with Some _ -> true | None -> false in
+    match s.kind with
+    | Stream ->
+      erred || s.closed
+      || (match s.tcb with Some tcb -> tcb.fin_rcvd | None -> false)
+      || (want_read && ((not (Queue.is_empty s.accept_q)) || stream_readable s))
+      || (want_write && stream_writable s)
+    | Dgram | Raw _ -> erred || want_write || (want_read && not (Queue.is_empty s.dgrams))
 
 let default_release s =
   Sockbuf.clear s.recvq;

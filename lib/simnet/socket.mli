@@ -177,6 +177,14 @@ val sendq_space : t -> int
 val tcp_state : t -> tcp_state
 val is_listening : t -> bool
 
+val poll_relevant : t -> want_read:bool -> want_write:bool -> bool
+(** Whether a poll asking for [want_read] / [want_write] reports this
+    socket: exactly [(ev.readable && want_read) || (ev.writable &&
+    want_write) || ev.pollerr || ev.hangup] for [ev = dispatch.d_poll s],
+    computed from the socket's fields without building [ev].  A socket
+    whose [d_poll] is not the default method (an interposed socket whose
+    restored data sits in [altq]) falls back to calling [d_poll]. *)
+
 (** {1 Wakeups (condition-variable style)}
 
     Each direction has one {!Waitq.t}.  A waiter is queued at most once

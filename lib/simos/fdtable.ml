@@ -10,25 +10,38 @@ type entry =
   | Fpipe_w of Pipe.t
   | Fgm of Zapc_simnet.Gmdev.port  (* kernel-bypass messaging port *)
 
+(* [index] answers lookups (slot [fd] holds what [entries] maps [fd] to);
+   [entries] alone gives the fold/iter order that images and exit-close
+   follow. *)
 type t = {
   entries : (int, entry) Hashtbl.t;
+  mutable index : entry option array;
   mutable next_fd : int;
 }
 
-let create () = { entries = Hashtbl.create 8; next_fd = 3 }
-
-let add t entry =
-  let fd = t.next_fd in
-  t.next_fd <- t.next_fd + 1;
-  Hashtbl.replace t.entries fd entry;
-  fd
+let create () = { entries = Hashtbl.create 8; index = [||]; next_fd = 3 }
 
 let add_at t fd entry =
+  let n = Array.length t.index in
+  if fd >= n then begin
+    let grown = Array.make (Stdlib.max (fd + 1) (2 * n)) None in
+    Array.blit t.index 0 grown 0 n;
+    t.index <- grown
+  end;
+  t.index.(fd) <- Some entry;
   Hashtbl.replace t.entries fd entry;
   if fd >= t.next_fd then t.next_fd <- fd + 1
 
-let find t fd = Hashtbl.find_opt t.entries fd
-let remove t fd = Hashtbl.remove t.entries fd
+let add t entry =
+  let fd = t.next_fd in
+  add_at t fd entry;
+  fd
+
+let find t fd = if fd >= 0 && fd < Array.length t.index then Array.unsafe_get t.index fd else None
+
+let remove t fd =
+  Hashtbl.remove t.entries fd;
+  if fd >= 0 && fd < Array.length t.index then t.index.(fd) <- None
 
 let socket t fd =
   match find t fd with
@@ -43,7 +56,7 @@ let cardinal t = Hashtbl.length t.entries
    refcounts.  Socket sharing needs no per-object count here because the
    kernel tracks socket fd references itself. *)
 let copy t =
-  let t' = { entries = Hashtbl.copy t.entries; next_fd = t.next_fd } in
+  let t' = { entries = Hashtbl.copy t.entries; index = Array.copy t.index; next_fd = t.next_fd } in
   Hashtbl.iter
     (fun _ e ->
       match e with

@@ -576,6 +576,10 @@ and exec_send k (s : Socket.t) data ~ok ~err ~block =
         | Ok n -> ok (Syscall.Rint n)
         | Error e -> err e))
 
+(* Poll scans every requested fd, usually hundreds of idle sockets with
+   one or two ready, so the per-fd test must not allocate: [Fdtable.find]
+   reads the fd index and [Socket.poll_relevant] reads socket fields; the
+   [d_poll] record is built only for the fds reported. *)
 and exec_poll k (p : Proc.t) reqs timeout =
   let ok r = (`Complete (Syscall.Ret r), Simtime.zero) in
   let events =
@@ -585,12 +589,9 @@ and exec_poll k (p : Proc.t) reqs timeout =
         | None ->
           Some (r.pfd, { Socket.readable = false; writable = false; pollerr = true; hangup = false })
         | Some (Fdtable.Fsock s) ->
-          let ev = s.dispatch.d_poll s in
-          let relevant =
-            (ev.readable && r.want_read) || (ev.writable && r.want_write) || ev.pollerr
-            || ev.hangup
-          in
-          if relevant then Some (r.pfd, ev) else None
+          if Socket.poll_relevant s ~want_read:r.want_read ~want_write:r.want_write then
+            Some (r.pfd, s.dispatch.d_poll s)
+          else None
         | Some (Fdtable.Fpipe_r pi) ->
           let readable =
             (not (Zapc_simnet.Sockbuf.is_empty pi.buf)) || pi.wr_refs = 0

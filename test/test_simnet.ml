@@ -717,6 +717,188 @@ let test_pcb_invariant () =
   check tbool "recv1 >= acked2" true (st.Socket.rcv_nxt >= ct.Socket.snd_una);
   check tbool "acked <= sent" true (ct.Socket.snd_una <= ct.Socket.snd_nxt)
 
+(* --- poll readiness without the event record ---
+
+   [Socket.poll_relevant] must answer exactly what the [d_poll] record
+   says, for every socket state a random mix of TCP and UDP traffic
+   reaches: listeners with queued children, refused and reset connections,
+   half and full closes, loss, and a zero window that fills the sender's
+   queue. *)
+
+let relevant_of_record s ~want_read ~want_write =
+  let ev = s.Socket.dispatch.d_poll s in
+  (ev.Socket.readable && want_read) || (ev.writable && want_write) || ev.pollerr || ev.hangup
+
+let poll_relevant_agrees s =
+  List.for_all
+    (fun (want_read, want_write) ->
+      Socket.poll_relevant s ~want_read ~want_write
+      = relevant_of_record s ~want_read ~want_write)
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+type rd_op =
+  | R_listen
+  | R_connect of int  (* target port offset; some have no listener *)
+  | R_accept of int
+  | R_send of int * int  (* socket, bytes *)
+  | R_recv of int * int
+  | R_shutdown of int * bool  (* socket, write side? *)
+  | R_close of int
+  | R_loss of bool
+  | R_rst of int
+  | R_udp of bool  (* on the second stack? *)
+  | R_sendto of int * int * int  (* from, to, bytes *)
+
+let show_rd_op = function
+  | R_listen -> "listen"
+  | R_connect j -> Printf.sprintf "connect :%d" (7000 + j)
+  | R_accept i -> Printf.sprintf "accept s%d" i
+  | R_send (i, n) -> Printf.sprintf "send s%d %dB" i n
+  | R_recv (i, n) -> Printf.sprintf "recv s%d %dB" i n
+  | R_shutdown (i, wr) -> Printf.sprintf "shutdown s%d %s" i (if wr then "wr" else "rd")
+  | R_close i -> Printf.sprintf "close s%d" i
+  | R_loss on -> Printf.sprintf "loss %b" on
+  | R_rst i -> Printf.sprintf "rst s%d" i
+  | R_udp second -> Printf.sprintf "udp ns%d" (if second then 1 else 0)
+  | R_sendto (i, j, n) -> Printf.sprintf "sendto s%d s%d %dB" i j n
+
+let gen_rd_op =
+  let open QCheck.Gen in
+  let sock = int_bound 63 and bytes = int_range 1 20_000 in
+  frequency
+    [ (2, return R_listen);
+      (6, map (fun j -> R_connect j) (frequency [ (3, return 0); (3, return 1); (1, return 2); (1, return 3) ]));
+      (3, map (fun i -> R_accept i) sock);
+      (5, map2 (fun i n -> R_send (i, n)) sock bytes);
+      (4, map2 (fun i n -> R_recv (i, n)) sock bytes);
+      (1, map2 (fun i wr -> R_shutdown (i, wr)) sock bool);
+      (1, map (fun i -> R_close i) sock);
+      (1, map (fun on -> R_loss on) bool);
+      (1, map (fun i -> R_rst i) sock);
+      (2, map (fun second -> R_udp second) bool);
+      (2, map3 (fun i j n -> R_sendto (i, j, n)) sock sock (int_range 1 3000)) ]
+
+let prop_poll_relevant_matches_record =
+  QCheck.Test.make ~name:"poll_relevant matches the d_poll record" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_rd_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_rd_op))
+    (fun ops ->
+      let env = setup () in
+      (* every socket made so far, with its stack, oldest first *)
+      let socks = ref [||] in
+      let listeners = ref 0 and udp_ports = ref 0 in
+      let push ns s = socks := Array.append !socks [| (ns, s) |] in
+      let apply_listen () =
+        let l = Netstack.new_socket env.ns1 Socket.Stream in
+        ignore (Netstack.bind env.ns1 l { Addr.ip = env.ip1; port = 7000 + !listeners });
+        ignore (Netstack.listen env.ns1 l 4);
+        incr listeners;
+        push env.ns1 l;
+        l
+      in
+      ignore (apply_listen ());
+      (* connections to :7001 advertise a zero window from the start, and
+         their clients get a small send buffer, so a send fills it *)
+      Sockopt.set (apply_listen ()).Socket.opts Sockopt.SO_RCVBUF 0;
+      let pick i = if !socks = [||] then None else Some !socks.(i mod Array.length !socks) in
+      let all_agree () =
+        Array.for_all
+          (fun (_, s) ->
+            poll_relevant_agrees s
+            && Queue.fold (fun ok c -> ok && poll_relevant_agrees c) true s.Socket.accept_q
+            && List.for_all poll_relevant_agrees s.Socket.synq)
+          !socks
+      in
+      let apply = function
+        | R_listen -> ignore (apply_listen ())
+        | R_connect j ->
+          let c = Netstack.new_socket env.ns0 Socket.Stream in
+          if j = 1 then Sockopt.set c.Socket.opts Sockopt.SO_SNDBUF 4096;
+          ignore (Netstack.connect_start env.ns0 c { Addr.ip = env.ip1; port = 7000 + j });
+          push env.ns0 c
+        | R_accept i ->
+          (match pick i with
+           | Some (ns, l) when Socket.is_listening l ->
+             Option.iter (push ns) (Netstack.accept_take l)
+           | Some _ | None -> ())
+        | R_send (i, n) ->
+          Option.iter
+            (fun (_, s) ->
+              if s.Socket.kind = Socket.Stream then ignore (Tcp.send_data s (String.make n 'd')))
+            (pick i)
+        | R_recv (i, n) ->
+          Option.iter
+            (fun (_, s) ->
+              match s.Socket.dispatch.d_recvmsg s Socket.plain_recv n with
+              | Socket.Rv_data _ when s.Socket.kind = Socket.Stream -> Tcp.after_app_read s
+              | _ -> ())
+            (pick i)
+        | R_shutdown (i, wr) ->
+          Option.iter
+            (fun (_, s) ->
+              if wr then Tcp.shutdown_write s
+              else begin
+                s.Socket.shut_rd <- true;
+                Socket.wake_readers s
+              end)
+            (pick i)
+        | R_close i ->
+          Option.iter (fun (ns, s) -> if not s.Socket.closed then Netstack.close ns s) (pick i)
+        | R_loss on -> Fabric.set_loss_prob env.fabric (if on then 0.3 else 0.0)
+        | R_rst i ->
+          (match pick i with
+           | Some (_, ({ Socket.local = Some dst; remote = Some src; kind = Socket.Stream; _ } as s))
+             when s.Socket.tcb <> None ->
+             let flags = { Packet.no_flags with rst = true } in
+             Fabric.send env.fabric
+               { Packet.src; dst;
+                 body =
+                   Packet.Tcp_seg
+                     { seq = 0; ack_no = 0; flags; window = 0; urg_ptr = 0; payload = "" } }
+           | Some _ | None -> ())
+        | R_udp second ->
+          let ns, ip = if second then (env.ns1, env.ip1) else (env.ns0, env.ip0) in
+          let u = Netstack.new_socket ns Socket.Dgram in
+          ignore (Netstack.bind ns u { Addr.ip; port = 9000 + !udp_ports });
+          incr udp_ports;
+          push ns u
+        | R_sendto (i, j, n) ->
+          (match (pick i, pick j) with
+           | Some (ns, ({ Socket.kind = Socket.Dgram; _ } as u)), Some (_, { Socket.local = Some dst; _ }) ->
+             ignore (Netstack.sendto ns u dst (String.make n 'u'))
+           | _ -> ())
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          let ok = ref (all_agree ()) and steps = ref 0 in
+          while !ok && !steps < 40 && Engine.pending env.engine > 0 do
+            Engine.run ~max_events:1 env.engine;
+            incr steps;
+            ok := all_agree ()
+          done;
+          !ok)
+        ops)
+
+(* An interposed socket answers from its poll method: restored data in the
+   alternate queue makes it readable though its receive queue is empty. *)
+let test_poll_relevant_interposed () =
+  let env = setup () in
+  let _, _, server = establish env in
+  check tbool "idle: not readable" false
+    (Socket.poll_relevant server ~want_read:true ~want_write:false);
+  Socket.install_altqueue server "restored";
+  check tbool "empty receive queue" true (Sockbuf.is_empty server.Socket.recvq);
+  check tbool "readable via altq" true
+    (Socket.poll_relevant server ~want_read:true ~want_write:false);
+  check tbool "agrees with d_poll" true (poll_relevant_agrees server);
+  ignore (recv_str server);
+  check tbool "drained: uninstalled" false server.Socket.dispatch.interposed;
+  check tbool "drained: not readable" false
+    (Socket.poll_relevant server ~want_read:true ~want_write:false);
+  check tbool "drained: agrees with d_poll" true (poll_relevant_agrees server)
+
 let () =
   Alcotest.run "simnet"
     [ ( "sockbuf",
@@ -760,4 +942,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sockopt_matches_hashtbl_model ] );
       ( "waitq",
         [ Alcotest.test_case "dedupe, first-registration order" `Quick test_waitq_dedupe;
-          Alcotest.test_case "add during wake: next batch" `Quick test_waitq_add_during_wake ] ) ]
+          Alcotest.test_case "add during wake: next batch" `Quick test_waitq_add_during_wake ] );
+      ( "poll",
+        [ QCheck_alcotest.to_alcotest prop_poll_relevant_matches_record;
+          Alcotest.test_case "interposed socket asks d_poll" `Quick
+            test_poll_relevant_interposed ] ) ]

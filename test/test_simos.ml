@@ -175,6 +175,41 @@ module Sock_poller = struct
     | _ -> failwith "bad"
 end
 
+(* request poller: makes [n] polls of one request list, built once at
+   start, then exits, recording each poll's result in [polled] *)
+let polled : (int * Socket.poll_events) list list ref = ref []
+
+module Req_poller = struct
+  type state = int * Syscall.poll_req list  (* polls left, requests *)
+
+  let name = "test.req_poller"
+
+  let req_of_value v =
+    match v with
+    | Value.List [ Value.Int pfd; Value.Bool want_read; Value.Bool want_write ] ->
+      { Syscall.pfd; want_read; want_write }
+    | _ -> failwith "bad"
+
+  let of_value = function
+    | Value.List [ Value.Int n; reqs ] -> (n, Value.to_list req_of_value reqs)
+    | _ -> failwith "bad"
+
+  let start = of_value
+
+  let to_value (n, reqs) =
+    Value.List
+      [ Value.Int n;
+        Value.list
+          (fun (r : Syscall.poll_req) ->
+            Value.List [ Value.Int r.pfd; Value.Bool r.want_read; Value.Bool r.want_write ])
+          reqs ]
+
+  let step (n, reqs) (outcome : Syscall.outcome) =
+    (match outcome with Syscall.Ret (Syscall.Rpoll evs) -> polled := evs :: !polled | _ -> ());
+    if n = 0 then ((n, reqs), Program.Exit 0)
+    else ((n - 1, reqs), Program.Sys (Syscall.Poll (reqs, None)))
+end
+
 let registered = ref false
 
 let register_test_programs () =
@@ -185,7 +220,8 @@ let register_test_programs () =
     Program.register_if_absent (module Pipe_parent : Program.S);
     Program.register_if_absent (module Pipe_child : Program.S);
     Program.register_if_absent (module Clock_prog : Program.S);
-    Program.register_if_absent (module Sock_poller : Program.S)
+    Program.register_if_absent (module Sock_poller : Program.S);
+    Program.register_if_absent (module Req_poller : Program.S)
   end
 
 (* --- tests --- *)
@@ -397,6 +433,239 @@ let test_memory_accounting () =
   let m' = Zapc_simos.Memory.of_value v in
   check tint "restored" 30 (Zapc_simos.Memory.total m')
 
+(* --- the fd table against its hash-table model ---
+
+   [Fd_model] is the table as a plain hash table (lookups included), the
+   behaviour the indexed table must keep: same lookups, and fold/iter in
+   the same order, since pod images and exit-close follow that order. *)
+
+module Fdtable = Zapc_simos.Fdtable
+
+module Fd_model = struct
+  type t = { entries : (int, Fdtable.entry) Hashtbl.t; mutable next_fd : int }
+
+  let create () = { entries = Hashtbl.create 8; next_fd = 3 }
+
+  let add t e =
+    let fd = t.next_fd in
+    t.next_fd <- fd + 1;
+    Hashtbl.replace t.entries fd e;
+    fd
+
+  let add_at t fd e =
+    Hashtbl.replace t.entries fd e;
+    if fd >= t.next_fd then t.next_fd <- fd + 1
+
+  let copy t = { entries = Hashtbl.copy t.entries; next_fd = t.next_fd }
+end
+
+type fd_op =
+  | Op_add of int * int  (* table, entry *)
+  | Op_add_at of int * int * int  (* table, fd, entry *)
+  | Op_remove of int * int  (* table, fd *)
+  | Op_copy of int * int  (* from, into *)
+
+let fd_tables = 3
+
+let show_fd_op = function
+  | Op_add (t, e) -> Printf.sprintf "add t%d e%d" t e
+  | Op_add_at (t, fd, e) -> Printf.sprintf "add_at t%d %d e%d" t fd e
+  | Op_remove (t, fd) -> Printf.sprintf "remove t%d %d" t fd
+  | Op_copy (a, b) -> Printf.sprintf "copy t%d -> t%d" a b
+
+let gen_fd_op =
+  let open QCheck.Gen in
+  let table = int_bound (fd_tables - 1) and entry = int_bound 5 in
+  (* mostly near the low descriptors the tables hand out, sometimes far
+     past the index *)
+  let fd = frequency [ (8, int_bound 24); (1, int_range 5000 5003); (1, return (-1)) ] in
+  frequency
+    [ (4, map2 (fun t e -> Op_add (t, e)) table entry);
+      (3, map3 (fun t fd e -> Op_add_at (t, max 0 fd, e)) table fd entry);
+      (3, map2 (fun t fd -> Op_remove (t, fd)) table fd);
+      (1, map2 (fun a b -> Op_copy (a, b)) table table) ]
+
+let prop_fdtable_matches_model =
+  QCheck.Test.make ~name:"fd table matches the hash-table model" ~count:1000
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_fd_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) gen_fd_op))
+    (fun ops ->
+      let engine = Engine.create () in
+      let net = Zapc_simnet.Netstack.create ~node:0 (Fabric.create engine) in
+      let pipe = Zapc_simos.Pipe.create ~id:1 in
+      let entries =
+        [| Fdtable.Fpipe_r pipe; Fdtable.Fpipe_w pipe;
+           Fdtable.Fsock (Zapc_simnet.Netstack.new_socket net Socket.Stream);
+           Fdtable.Fsock (Zapc_simnet.Netstack.new_socket net Socket.Dgram);
+           Fdtable.Fpipe_r (Zapc_simos.Pipe.create ~id:2);
+           Fdtable.Fpipe_w (Zapc_simos.Pipe.create ~id:3) |]
+      in
+      let real = Array.init fd_tables (fun _ -> Fdtable.create ()) in
+      let model = Array.init fd_tables (fun _ -> Fd_model.create ()) in
+      let same_entry a b =
+        match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+      in
+      let same_list l m =
+        List.length l = List.length m
+        && List.for_all2 (fun (fa, ea) (fb, eb) -> fa = fb && ea == eb) l m
+      in
+      let agree i =
+        let r = real.(i) and m = model.(i) in
+        let lookups_agree =
+          List.for_all
+            (fun fd ->
+              same_entry (Fdtable.find r fd) (Hashtbl.find_opt m.Fd_model.entries fd)
+              && (match (Fdtable.socket r fd, Hashtbl.find_opt m.Fd_model.entries fd) with
+                  | Some s, Some (Fdtable.Fsock s') -> s == s'
+                  | None, (None | Some (Fdtable.Fpipe_r _ | Fdtable.Fpipe_w _ | Fdtable.Fgm _)) ->
+                    true
+                  | _ -> false))
+            (List.init 30 (fun fd -> fd - 1) @ [ 4999; 5000; 5001; 5002; 5003; 5004; 10_000 ])
+        in
+        let folded = Fdtable.fold r (fun fd e acc -> (fd, e) :: acc) [] in
+        let iterated = ref [] in
+        Fdtable.iter r (fun fd e -> iterated := (fd, e) :: !iterated);
+        let model_folded = Hashtbl.fold (fun fd e acc -> (fd, e) :: acc) m.Fd_model.entries [] in
+        lookups_agree && same_list folded model_folded && same_list !iterated model_folded
+        && Fdtable.cardinal r = Hashtbl.length m.Fd_model.entries
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Op_add (t, e) ->
+             let fd = Fdtable.add real.(t) entries.(e) in
+             if fd <> Fd_model.add model.(t) entries.(e) then QCheck.Test.fail_report "add: fd"
+           | Op_add_at (t, fd, e) ->
+             Fdtable.add_at real.(t) fd entries.(e);
+             Fd_model.add_at model.(t) fd entries.(e)
+           | Op_remove (t, fd) ->
+             Fdtable.remove real.(t) fd;
+             Hashtbl.remove model.(t).Fd_model.entries fd
+           | Op_copy (a, b) ->
+             real.(b) <- Fdtable.copy real.(a);
+             model.(b) <- Fd_model.copy model.(a));
+          List.for_all agree (List.init fd_tables Fun.id))
+        ops)
+
+(* --- poll --- *)
+
+let no_events = { Socket.readable = false; writable = false; pollerr = false; hangup = false }
+
+(* One poll over every kind of descriptor, ready and not, reports exactly
+   the ready ones in request order, with their event records. *)
+let test_poll_mixed_kinds () =
+  register_test_programs ();
+  let engine, k = make_kernel () in
+  let net = Kernel.netstack k in
+  let ip = Zapc_simnet.Addr.make_ip 10 9 9 9 in
+  let gm = Kernel.gm k in
+  let port = Result.get_ok (Zapc_simnet.Gmdev.open_port gm ~ip ~port:40) in
+  let gm_sender = Result.get_ok (Zapc_simnet.Gmdev.open_port gm ~ip ~port:41) in
+  ignore (Zapc_simnet.Gmdev.send gm gm_sender { Zapc_simnet.Addr.ip; port = 40 } "frame");
+  let udp port =
+    let s = Zapc_simnet.Netstack.new_socket net Socket.Dgram in
+    ignore (Zapc_simnet.Netstack.bind net s { Zapc_simnet.Addr.ip; port });
+    s
+  in
+  let idle = udp 7001 and busy = udp 7002 in
+  ignore (Zapc_simnet.Netstack.sendto net idle { Zapc_simnet.Addr.ip; port = 7002 } "dgram");
+  let full = Zapc_simos.Pipe.create ~id:(Kernel.alloc_pipe_id k) in
+  ignore (Zapc_simos.Pipe.write full "bytes");
+  let empty = Zapc_simos.Pipe.create ~id:(Kernel.alloc_pipe_id k) in
+  run engine;
+  let fds = Fdtable.create () in
+  let fd_gm = Fdtable.add fds (Fdtable.Fgm port) in
+  let fd_idle = Fdtable.add fds (Fdtable.Fsock idle) in
+  let fd_pipe_r = Fdtable.add fds (Fdtable.Fpipe_r full) in
+  let fd_busy = Fdtable.add fds (Fdtable.Fsock busy) in
+  let fd_pipe_w = Fdtable.add fds (Fdtable.Fpipe_w empty) in
+  let unknown = 99 in
+  let rd pfd = { Syscall.pfd; want_read = true; want_write = false } in
+  let reqs =
+    [ rd fd_gm; rd unknown; rd fd_idle; rd fd_pipe_r; rd fd_busy;
+      { Syscall.pfd = fd_pipe_w; want_read = false; want_write = true } ]
+  in
+  polled := [];
+  let p =
+    Kernel.create_proc k (Program.spawn "test.req_poller" (Req_poller.to_value (1, reqs)))
+  in
+  p.Proc.fds <- fds;
+  Kernel.enqueue k p;
+  run engine;
+  check tbool "exited" true (p.Proc.exit_code = Some 0);
+  let show (fd, (e : Socket.poll_events)) =
+    Printf.sprintf "%d r%b w%b e%b h%b" fd e.readable e.writable e.pollerr e.hangup
+  in
+  check (Alcotest.list Alcotest.string) "ready ones, in request order"
+    (List.map show
+       [ (fd_gm, { no_events with readable = true; writable = true });
+         (unknown, { no_events with pollerr = true });
+         (fd_pipe_r, { no_events with readable = true });
+         (fd_busy, { no_events with readable = true; writable = true });
+         (fd_pipe_w, { no_events with writable = true }) ])
+    (List.map show (List.concat !polled))
+
+(* A process blocked in Poll over 400 idle TCP sockets, woken by one of
+   them with nothing to read, rescans all 400 and blocks again.  That
+   round must not allocate per polled fd: no lookup result, no event
+   record.  (Re-queueing the waker on the one socket that fired, and the
+   engine's own events, are the only allocations.) *)
+let test_poll_rescan_allocation () =
+  register_test_programs ();
+  let module Netstack = Zapc_simnet.Netstack in
+  let module Addr = Zapc_simnet.Addr in
+  let n = 400 in
+  let engine = Engine.create ~seed:3 () in
+  let fabric = Fabric.create engine in
+  let k = Kernel.create ~node_id:0 fabric in
+  let net = Kernel.netstack k and peer = Netstack.create ~node:1 fabric in
+  let ip0 = Addr.make_ip 10 0 0 1 and ip1 = Addr.make_ip 10 0 0 2 in
+  Netstack.add_ip net ip0;
+  Netstack.add_ip peer ip1;
+  let listener = Netstack.new_socket peer Socket.Stream in
+  ignore (Netstack.bind peer listener { Addr.ip = ip1; port = 80 });
+  ignore (Netstack.listen peer listener n);
+  let socks =
+    Array.init n (fun _ ->
+        let s = Netstack.new_socket net Socket.Stream in
+        ignore (Netstack.connect_start net s { Addr.ip = ip1; port = 80 });
+        s)
+  in
+  run engine;
+  let fds = Fdtable.create () in
+  let reqs =
+    Array.to_list
+      (Array.map
+         (fun s ->
+           { Syscall.pfd = Fdtable.add fds (Fdtable.Fsock s); want_read = true; want_write = false })
+         socks)
+  in
+  let p =
+    Kernel.create_proc k (Program.spawn "test.req_poller" (Req_poller.to_value (max_int, reqs)))
+  in
+  p.Proc.fds <- fds;
+  Array.iter (Kernel.ref_socket k) socks;
+  polled := [];
+  Kernel.enqueue k p;
+  run engine;
+  check tbool "blocked" true (p.Proc.rstate = Proc.Blocked);
+  let fire i =
+    Socket.wake_readers socks.(i);
+    let w0 = Gc.minor_words () in
+    Engine.run engine;
+    Gc.minor_words () -. w0
+  in
+  ignore (fire 0);
+  let words = fire 1 in
+  check tbool "blocked again" true (p.Proc.rstate = Proc.Blocked);
+  check tint "re-queued on the socket that fired" 1
+    (Zapc_simnet.Waitq.length socks.(1).Socket.rd_waiters);
+  check tbool "no poll returned" true (!polled = []);
+  Printf.printf "rescan of %d fds: %.0f minor words\n" n words;
+  if words >= 2.0 *. float_of_int n then
+    Alcotest.failf "rescan of %d fds allocated %.0f words (limit %d)" n words (2 * n)
+
 let () =
   Alcotest.run "simos"
     [ ( "scheduler",
@@ -418,4 +687,10 @@ let () =
           Alcotest.test_case "spawn unknown" `Quick test_spawn_unknown_program;
           Alcotest.test_case "memory accounting" `Quick test_memory_accounting ] );
       ( "values",
-        [ Alcotest.test_case "syscall roundtrip" `Quick test_syscall_value_roundtrip ] ) ]
+        [ Alcotest.test_case "syscall roundtrip" `Quick test_syscall_value_roundtrip ] );
+      ("fdtable", [ QCheck_alcotest.to_alcotest prop_fdtable_matches_model ]);
+      ( "poll",
+        [ Alcotest.test_case "mixed kinds: ready ones in request order" `Quick
+            test_poll_mixed_kinds;
+          Alcotest.test_case "rescan allocates nothing per fd" `Quick
+            test_poll_rescan_allocation ] ) ]
