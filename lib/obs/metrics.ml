@@ -181,6 +181,10 @@ let fnum v =
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
+let names t =
+  List.sort_uniq compare
+    (sorted_keys t.counters @ sorted_keys t.gauges @ sorted_keys t.hists)
+
 let to_json t =
   let b = Buffer.create 4096 in
   let comma first = if not !first then Buffer.add_char b ',' ; first := false in

@@ -30,6 +30,10 @@ val add : t -> string -> int -> unit
     incremented. *)
 val counter : t -> string -> int
 
+(** [names t] is every registered instrument name — counters, gauges and
+    histograms — sorted and without duplicates. *)
+val names : t -> string list
+
 (** {1 Gauges} — last-write-wins floats, or callback-backed values sampled
     at read/snapshot time (prometheus collect style). *)
 

@@ -35,34 +35,19 @@ let src = Logs.Src.create "zapc.agent" ~doc:"ZapC agent"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Source side of a live migration: the iterative pre-copy loop.  The pod
-   keeps RUNNING while rounds are captured (non-destructive Peek) and
-   shipped; only the final stop-and-copy suspends it. *)
-type mig_op = {
-  mi_pod : Pod.t;
-  mi_dest : int;
-  mi_max_rounds : int;
-  mi_threshold : float;  (* converged when round dirty <= this x full image *)
-  mi_op : int;  (* manager operation id (trace_ctx), 0 when untraced *)
-  mi_span : int;  (* id of this op's "mig_precopy" span, -1 when untraced *)
-  mi_started : Simtime.t;
-  mutable mi_round : int;  (* next round number; 0 ships the full image *)
-  mutable mi_last : Value.t option;  (* newest full capture shipped (delta base) *)
-  mutable mi_full_bytes : int;  (* logical size of the round-0 full image *)
-  mutable mi_precopy_bytes : int;
-  mutable mi_forced : bool;  (* round cap hit without converging *)
-  mutable mi_suspend : Simtime.t;  (* blackout start: the final suspend *)
-  mutable mi_aborted : bool;
-}
-
-(* Destination side of a live migration: the staged image assembled from
-   the pre-copy rounds, prestaged (skeleton created, memory preloaded)
-   while the source keeps running so the final activation skips the full
-   restore cost. *)
-type mig_stage = {
-  mutable sg_image : Value.t;  (* materialized full pod image so far *)
-  mutable sg_residue : int;  (* logical bytes of the final stop-and-copy *)
-  mutable sg_suspend_at : Simtime.t;  (* source suspend time (blackout start) *)
+(* The live pre-copy pre-phase of a migration's checkpoint: the pod keeps
+   RUNNING while rounds are captured (non-destructive Peek) and shipped to
+   the destination; only the final stop-and-copy suspends it. *)
+type precopy = {
+  pc_dest : int;
+  pc_cap : Protocol.precopy;  (* round cap and convergence threshold *)
+  mutable pc_running : bool;  (* rounds in flight: the pod was never suspended *)
+  mutable pc_round : int;  (* next round number; 0 ships the full image *)
+  mutable pc_last : Value.t option;  (* newest full capture shipped (delta base) *)
+  mutable pc_full_bytes : int;  (* logical size of the round-0 full image *)
+  mutable pc_bytes : int;  (* bytes shipped before the stop-and-copy *)
+  mutable pc_forced : bool;  (* round cap hit without converging *)
+  mutable pc_suspend : Simtime.t;  (* blackout start: the final suspend *)
 }
 
 type ckpt_op = {
@@ -70,9 +55,12 @@ type ckpt_op = {
   co_dest : Protocol.uri;
   co_resume : bool;
   co_incremental : bool;
-  co_mig : mig_op option;  (* Some: this is a migration's final stop-and-copy *)
+  co_precopy : precopy option;  (* Some: a live migration's item *)
   co_op : int;  (* manager operation id (trace_ctx), 0 when untraced *)
-  co_span : int;  (* id of this op's "pod_ckpt" span, -1 when untraced *)
+  mutable co_parent : int option;
+  (* parent of this op's pod_ckpt and blackout spans: the manager's span,
+     or the mig_precopy span once pre-copy rounds run *)
+  mutable co_span : int;  (* id of this op's "pod_ckpt" span, -1 when untraced *)
   co_started : Simtime.t;
   mutable co_continue : bool;
   mutable co_standalone_done : bool;
@@ -92,9 +80,22 @@ type delta_cache = {
   dc_chain : int;
 }
 
+(* Destination side of a [U_node] stream: what has landed for one pod.  A
+   live migration's announce prestages a pod skeleton (the [restore_fixed]
+   work, overlapped with the rounds) and its rounds build the image up while
+   the source keeps running; the final image — full, or a residue delta
+   onto the staged rounds — makes the entry restartable. *)
+type landing = {
+  mutable ld_image : Value.t option;  (* full pod image materialized so far *)
+  ld_final : bool;  (* the final image landed: a restart may use it *)
+  ld_residue : int;  (* logical bytes of the final image *)
+  ld_blackout : Simtime.t option;  (* a migration's source suspend instant *)
+  ld_skeleton : bool ref option;  (* prestaged skeleton; true once ready *)
+}
+
 type restore_op = {
   ro_pod : Pod.t;
-  ro_mig : mig_stage option;  (* live migration: staged rounds to activate *)
+  ro_landing : landing option;  (* a [U_node] restart's landed image *)
   ro_image : Value.t;
   ro_entries : Meta.restart_entry list;
   ro_extra_altq : (int * string) list;
@@ -122,16 +123,10 @@ type t = {
   storage : Storage.t;
   mutable chan : Protocol.channel option;
   pods : (int, Pod.t) Hashtbl.t;
-  streamed : (int, Image.t) Hashtbl.t;  (* images received by direct migration *)
+  landings : (int, landing) Hashtbl.t;  (* U_node images landed or staged here *)
   deltas : (int, delta_cache) Hashtbl.t;  (* pod -> incremental base *)
   ckpts : (int, ckpt_op) Hashtbl.t;
   restores : (int, restore_op) Hashtbl.t;
-  migs : (int, mig_op) Hashtbl.t;  (* source-side pre-copy loops in flight *)
-  stages : (int, mig_stage) Hashtbl.t;  (* dest-side staged migration images *)
-  skeletons : (int, bool ref) Hashtbl.t;
-  (* dest-side pod skeleton builds, started at the migration announce so the
-     [restore_fixed] work overlaps the pre-copy rounds; the flag flips to
-     true when the skeleton is ready for a fast activation *)
   rng : Zapc_sim.Rng.t;
   metrics : Metrics.t;
   mutable trace : Trace.t option;
@@ -151,13 +146,10 @@ let create ?metrics ~node ~params ~storage ~fabric kernel =
     storage;
     chan = None;
     pods = Hashtbl.create 4;
-    streamed = Hashtbl.create 4;
+    landings = Hashtbl.create 4;
     deltas = Hashtbl.create 4;
     ckpts = Hashtbl.create 4;
     restores = Hashtbl.create 4;
-    migs = Hashtbl.create 4;
-    stages = Hashtbl.create 4;
-    skeletons = Hashtbl.create 4;
     rng = Zapc_sim.Rng.split (Engine.rng (Kernel.engine kernel));
     metrics;
     trace = None;
@@ -176,19 +168,14 @@ let trace t ~pod what =
    [op]/[parent] stitch the span into the cross-node causal tree: the
    operation id and parent span id arrive in the command's
    [Protocol.trace_ctx] and are threaded through the op records below. *)
-let span_begin t ?op ?parent ~pod name =
-  match t.trace with
-  | Some tr ->
-    Trace.span_begin tr ~time:(Engine.now t.engine) ?op ~node:t.node ?parent
-      ~pod name
-  | None -> ()
-
 let span_begin_id t ?op ?parent ~pod name =
   match t.trace with
   | Some tr ->
     Trace.span_begin_id tr ~time:(Engine.now t.engine) ?op ~node:t.node
       ?parent ~pod name
   | None -> -1
+
+let span_begin t ?op ?parent ~pod name = ignore (span_begin_id t ?op ?parent ~pod name)
 
 let span_end t ~pod name =
   match t.trace with
@@ -279,18 +266,27 @@ let mig_base_key pod_id = Printf.sprintf "mig:pod%d" pod_id
 (* Abort paths (Manager failure / explicit abort / timeouts)           *)
 (* ------------------------------------------------------------------ *)
 
-(* Both aborts are idempotent: a second call (say an explicit A_abort after
+(* Every abort is idempotent: a second call (say an explicit A_abort after
    a channel break already cleaned up) finds nothing and does nothing. *)
 
+(* A checkpoint still in its pre-copy rounds never suspended the pod: the
+   rounds just stop and the pod keeps running. *)
 let abort_checkpoint t pod_id =
   match Hashtbl.find_opt t.ckpts pod_id with
   | None -> ()
   | Some op ->
     op.co_aborted <- true;
-    Netfilter.unblock (nf t) op.co_pod.rip;
-    Pod.resume op.co_pod;
-    Metrics.incr t.metrics "agent.ckpt_aborted";
-    trace t ~pod:pod_id "ckpt_aborted";
+    (match op.co_precopy with
+     | Some pc when pc.pc_running -> ()
+     | Some _ | None ->
+       Netfilter.unblock (nf t) op.co_pod.rip;
+       Pod.resume op.co_pod;
+       Metrics.incr t.metrics "agent.ckpt_aborted";
+       trace t ~pod:pod_id "ckpt_aborted");
+    if op.co_precopy <> None then begin
+      Metrics.incr t.metrics "agent.mig_aborted";
+      trace t ~pod:pod_id "mig_aborted"
+    end;
     span_end_all t ~pod:pod_id;
     Hashtbl.remove t.ckpts pod_id
 
@@ -306,99 +302,172 @@ let abort_restart t pod_id =
     span_end_all t ~pod:pod_id;
     Hashtbl.remove t.restores pod_id
 
-(* Aborting a migration on the source just stops the pre-copy loop — the
-   pod was never suspended, so it simply keeps running (the final
-   stop-and-copy, if in flight, is a ckpt_op and abort_checkpoint resumes
-   it).  On the destination it drops whatever was staged. *)
-let abort_migrate t pod_id =
-  if Hashtbl.mem t.stages pod_id || Hashtbl.mem t.skeletons pod_id then begin
-    Hashtbl.remove t.stages pod_id;
-    Hashtbl.remove t.streamed pod_id;
-    Hashtbl.remove t.skeletons pod_id;
+(* Destination: the entry of a stream still staging here, if any. *)
+let staged t pod_id =
+  match Hashtbl.find_opt t.landings pod_id with
+  | Some ld when not ld.ld_final -> Some ld
+  | Some _ | None -> None
+
+(* Drop what a stream staged here before its final image landed.  A landed
+   image is committed and waits for its restart. *)
+let drop_staged t pod_id =
+  if staged t pod_id <> None then begin
+    Hashtbl.remove t.landings pod_id;
     trace t ~pod:pod_id "mig_stage_dropped"
-  end;
-  match Hashtbl.find_opt t.migs pod_id with
-  | None -> ()
-  | Some mop ->
-    mop.mi_aborted <- true;
-    Hashtbl.remove t.migs pod_id;
-    Metrics.incr t.metrics "agent.mig_aborted";
-    trace t ~pod:pod_id "mig_aborted";
-    if not (Hashtbl.mem t.ckpts pod_id) then span_end_all t ~pod:pod_id
+  end
 
 let abort_all t =
-  let cks = Hashtbl.fold (fun k _ acc -> k :: acc) t.ckpts [] in
-  List.iter (abort_checkpoint t) cks;
-  let mgs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.migs []
-    @ Hashtbl.fold (fun k _ acc -> k :: acc) t.stages []
-    @ Hashtbl.fold (fun k _ acc -> k :: acc) t.skeletons []
-  in
-  List.iter (abort_migrate t) (List.sort_uniq Int.compare mgs);
-  let rss = Hashtbl.fold (fun k _ acc -> k :: acc) t.restores [] in
-  List.iter (abort_restart t) rss
+  let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
+  List.iter (abort_checkpoint t) (keys t.ckpts);
+  List.iter (drop_staged t) (List.sort Int.compare (keys t.landings));
+  List.iter (abort_restart t) (keys t.restores)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint (Figure 1, Agent side)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec start_checkpoint ?(incremental = false) ?mig ?ctx t ~pod_id ~dest ~resume =
-  match find_pod t pod_id with
-  | None -> report_failure t pod_id "no such pod"
-  | Some pod when Pod.member_count pod = 0 ->
+let rec start_checkpoint ?(incremental = false) ?precopy ?ctx t ~pod_id ~dest ~resume =
+  match find_pod t pod_id, dest with
+  | None, _ -> report_failure t pod_id "no such pod"
+  | Some pod, _ when Pod.member_count pod = 0 ->
     (* a pod whose processes have all died has nothing consistent to save;
        refusing keeps a coordinated checkpoint from recording a partially
        dead application as a good recovery point *)
     report_failure t pod_id "pod has no live processes"
-  | Some pod ->
-    (* the causal context comes off the wire for a manager-driven
-       checkpoint, or from the enclosing pre-copy loop for a migration's
-       final stop-and-copy *)
-    let op_id, parent =
-      match (ctx, mig) with
-      | Some _, _ -> ctx_args ctx
-      | None, Some (m : mig_op) -> (m.mi_op, Trace.parent_arg m.mi_span)
-      | None, None -> (0, None)
+  | Some _, Protocol.U_node n when t.peer_agents n = None ->
+    report_failure t pod_id (Printf.sprintf "no agent on node %d" n)
+  | Some pod, _ ->
+    let op_id, parent = ctx_args ctx in
+    let precopy =
+      match precopy, dest with
+      | Some cap, Protocol.U_node n ->
+        Some
+          { pc_dest = n; pc_cap = cap; pc_running = cap.max_rounds > 0; pc_round = 0;
+            pc_last = None; pc_full_bytes = 0; pc_bytes = 0; pc_forced = false;
+            pc_suspend = Simtime.zero }
+      | Some _, Protocol.U_storage _ | None, _ -> None
     in
-    let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_ckpt" in
     let op =
       { co_pod = pod; co_dest = dest; co_resume = resume; co_incremental = incremental;
-        co_mig = mig;
-        co_op = op_id; co_span = top;
+        co_precopy = precopy; co_op = op_id; co_parent = parent; co_span = -1;
         co_started = Engine.now t.engine;
         co_continue = false; co_standalone_done = false; co_result = None;
         co_delta = None;
         co_net_time = Simtime.zero; co_finalizing = false; co_aborted = false }
     in
     Hashtbl.replace t.ckpts pod_id op;
-    span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id "suspend";
-    (* step 1: suspend the pod, block its network *)
-    let suspend_cost =
-      Simtime.add
-        (Params.scale t.params.kconfig.signal_cost (Pod.member_count pod))
-        t.params.netfilter_cost
+    match precopy with
+    | Some pc ->
+      Metrics.incr t.metrics "agent.mig_started";
+      trace t ~pod:pod_id "mig_start";
+      if pc.pc_running then begin
+        op.co_parent <-
+          Trace.parent_arg (span_begin_id t ~op:op_id ?parent ~pod:pod_id "mig_precopy");
+        (* announce the migration to the destination right away: the pod
+           skeleton build (the [restore_fixed] work) overlaps the rounds *)
+        ship t ~dest:pc.pc_dest ~bytes:0 ~live:(fun () -> not op.co_aborted) (function
+          | Some peer -> receive_announce peer ~pod_id
+          | None -> ());
+        precopy_round t op pc
+      end
+      else suspend t op
+    | None -> suspend t op
+
+(* One pre-copy round: capture the RUNNING pod (the non-destructive Peek —
+   the proper read-inject extraction would drain queues the application is
+   about to read), ship the full image (round 0) or a delta of the regions
+   dirtied during the previous round, then decide: converged, forced, or
+   another round.  The pod keeps dirtying memory under the copy; that is
+   what the next round picks up. *)
+and precopy_round t op pc =
+  if not op.co_aborted then begin
+    let pod = op.co_pod in
+    let round = pc.pc_round in
+    let t0 = Engine.now t.engine in
+    let res = Pod_ckpt.checkpoint ~mode:Sock_state.Peek pod in
+    let dirty_snap = Pod_ckpt.snapshot_memory_dirty pod in
+    let image =
+      match round, pc.pc_last with
+      | 0, _ | _, None ->
+        pc.pc_full_bytes <- Pod_ckpt.logical_size res;
+        Image.of_pod_image res.image
+      | _, Some base ->
+        Image.of_pod_image
+          (Delta.make ~base_key:(mig_base_key pod.pod_id) ~base ~full:res.image
+             ~dirty_bytes:dirty_snap)
     in
-    after t suspend_cost (fun () ->
-        if not op.co_aborted then begin
-          Pod.suspend pod;
-          Netfilter.block (nf t) pod.rip;
-          span_end t ~pod:pod.pod_id "suspend";
-          (* the network-blocked window: the application downtime story *)
-          span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
-            ~pod:pod.pod_id "paused";
-          (match op.co_mig with
-           | Some mop ->
-             (* the migration blackout starts here and only ends when the
-                destination Agent resumes the pod, which is also who closes
-                the span (Trace matches open spans by name and pod) *)
-             mop.mi_suspend <- Engine.now t.engine;
-             span_begin t ~op:op.co_op ?parent:(Trace.parent_arg mop.mi_span)
-               ~pod:pod.pod_id "blackout";
-             trace t ~pod:pod.pod_id "mig_blackout"
-           | None -> ());
-          trace t ~pod:pod.pod_id "suspended";
-          ckpt_network t op
-        end)
+    pc.pc_last <- Some res.image;
+    let bytes = image.Image.logical_size in
+    (* capture at memory bandwidth, then stream over the fabric *)
+    let prep = jittered t (Params.copy_time ~bps:t.params.mem_bw bytes) in
+    ship t ~dest:pc.pc_dest ~prep ~bytes ~live:(fun () -> not op.co_aborted)
+      (fun peer ->
+        (match peer with
+         | Some peer -> receive_round peer ~pod_id:pod.pod_id ~round image
+         | None -> ());
+        pc.pc_bytes <- pc.pc_bytes + bytes;
+        pc.pc_round <- round + 1;
+        let dirty_now = Pod_ckpt.dirty_memory_bytes pod in
+        trace t ~pod:pod.pod_id "mig_round";
+        send_to_manager t
+          (Protocol.M_migrate_round
+             { node = t.node; pod_id = pod.pod_id;
+               stats =
+                 { Protocol.mg_round = round; mg_bytes = bytes;
+                   mg_dirty = dirty_now;
+                   mg_duration = Simtime.sub (Engine.now t.engine) t0 } });
+        if op.co_aborted then ()  (* the trace can inject faults *)
+        else if
+          float_of_int dirty_now
+          <= pc.pc_cap.dirty_threshold *. float_of_int pc.pc_full_bytes
+        then stop_precopy t op pc "mig_converged"
+        else if pc.pc_round >= pc.pc_cap.max_rounds then begin
+          pc.pc_forced <- true;
+          stop_precopy t op pc "mig_forced"
+        end
+        else precopy_round t op pc)
+  end
+
+(* The convergence policy said stop: the final stop-and-copy is the
+   ordinary coordinated checkpoint (suspend, net-ckpt, meta to the
+   Manager, continue, standalone, residue stream + handoff). *)
+and stop_precopy t op pc why =
+  trace t ~pod:op.co_pod.pod_id why;
+  span_end t ~pod:op.co_pod.pod_id "mig_precopy";
+  pc.pc_running <- false;
+  suspend t op
+
+(* step 1: suspend the pod, block its network *)
+and suspend t op =
+  let pod = op.co_pod in
+  op.co_span <- span_begin_id t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id "pod_ckpt";
+  span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span) ~pod:pod.pod_id
+    "suspend";
+  let suspend_cost =
+    Simtime.add
+      (Params.scale t.params.kconfig.signal_cost (Pod.member_count pod))
+      t.params.netfilter_cost
+  in
+  after t suspend_cost (fun () ->
+      if not op.co_aborted then begin
+        Pod.suspend pod;
+        Netfilter.block (nf t) pod.rip;
+        span_end t ~pod:pod.pod_id "suspend";
+        (* the network-blocked window: the application downtime story *)
+        span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
+          ~pod:pod.pod_id "paused";
+        (match op.co_precopy with
+         | Some pc ->
+           (* the migration blackout starts here and only ends when the
+              destination Agent resumes the pod, which is also who closes
+              the span (Trace matches open spans by name and pod) *)
+           pc.pc_suspend <- Engine.now t.engine;
+           span_begin t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id "blackout";
+           trace t ~pod:pod.pod_id "mig_blackout"
+         | None -> ());
+        trace t ~pod:pod.pod_id "suspended";
+        ckpt_network t op
+      end)
 
 (* step 2: network-state checkpoint; 2a: report meta-data *)
 and ckpt_network t op =
@@ -454,30 +523,21 @@ and wait_continue_then t op fn =
    live migration's final stop-and-copy, when the destination already holds
    the last pre-copy round: the residue diffs against it. *)
 and choose_delta t op (res : Pod_ckpt.checkpoint_result) =
-  match op.co_mig with
-  | Some { mi_last = Some base; _ } ->
+  let delta ~base_key ~base =
     let dirty_bytes = Pod_ckpt.dirty_memory_bytes op.co_pod in
-    Some
-      (Image.of_pod_image
-         (Delta.make ~base_key:(mig_base_key op.co_pod.pod_id) ~base
-            ~full:res.image ~dirty_bytes))
-  | Some { mi_last = None; _ } -> None  (* round cap 0: plain stop-and-copy *)
-  | None ->
-    if not op.co_incremental then None
-    else
-      match op.co_dest with
-      | Protocol.U_node _ -> None  (* migration streams a full image *)
-      | Protocol.U_storage _ ->
-        (match Hashtbl.find_opt t.deltas op.co_pod.pod_id with
-         | Some c when c.dc_chain < t.params.max_delta_chain
-                       && Storage.mem t.storage c.dc_key ->
-           let dirty_bytes = Pod_ckpt.dirty_memory_bytes op.co_pod in
-           let dv =
-             Delta.make ~base_key:c.dc_key ~base:c.dc_image ~full:res.image
-               ~dirty_bytes
-           in
-           Some (Image.of_pod_image dv)
-         | Some _ | None -> None)
+    Some (Image.of_pod_image (Delta.make ~base_key ~base ~full:res.image ~dirty_bytes))
+  in
+  match op.co_precopy, op.co_dest with
+  | Some { pc_last = Some base; _ }, _ ->
+    delta ~base_key:(mig_base_key op.co_pod.pod_id) ~base
+  | Some { pc_last = None; _ }, _ -> None  (* round cap 0: plain stop-and-copy *)
+  | None, Protocol.U_node _ -> None  (* a whole-application stream is full *)
+  | None, Protocol.U_storage _ when not op.co_incremental -> None
+  | None, Protocol.U_storage _ ->
+    (match Hashtbl.find_opt t.deltas op.co_pod.pod_id with
+     | Some c when c.dc_chain < t.params.max_delta_chain && Storage.mem t.storage c.dc_key ->
+       delta ~base_key:c.dc_key ~base:c.dc_image
+     | Some _ | None -> None)
 
 (* step 3: standalone pod checkpoint, overlapped with the Manager sync *)
 and ckpt_standalone t op net =
@@ -496,17 +556,19 @@ and ckpt_standalone t op net =
   (* a migration's final stop after pre-copy rounds already enumerated the
      kernel objects: only the dirty-residue scan remains *)
   let fixed =
-    match op.co_mig with
-    | Some { mi_last = Some _; _ } -> t.params.mig_stop_fixed
-    | Some { mi_last = None; _ } | None -> t.params.ckpt_fixed
+    match op.co_precopy with
+    | Some { pc_last = Some _; _ } -> t.params.mig_stop_fixed
+    | Some { pc_last = None; _ } | None -> t.params.ckpt_fixed
   in
-  (* the compressor is a virtual-CPU stage of the image pipeline: every
-     written byte passes through it at compress_bps before hitting storage
-     (the stored bytes shrink; the checkpoint pays the CPU time) *)
+  (* the compressor is a virtual-CPU stage of the storage pipeline: every
+     byte written to storage passes through it at compress_bps (the stored
+     bytes shrink; the checkpoint pays the CPU time).  A [U_node] stream
+     never passes through Storage and ships its logical bytes. *)
   let compress_cost =
-    if t.params.compress then
+    match op.co_dest with
+    | Protocol.U_storage _ when t.params.compress ->
       Params.copy_time ~bps:t.params.compress_bps write_bytes
-    else Simtime.zero
+    | Protocol.U_storage _ | Protocol.U_node _ -> Simtime.zero
   in
   let cost =
     jittered t
@@ -557,8 +619,7 @@ and maybe_finalize_ckpt t op =
 (* One pipeline for every checkpoint: choose the image (full, storage
    delta or migration residue), hand it to its sink — Storage for
    [U_storage], the destination Agent for [U_node] — and complete.  A
-   stream lands on the destination (staged with the M_migrate_done commit
-   for a live migration, in [streamed] for a whole-application stream)
+   stream lands on the destination, which commits it with M_migrate_done,
    before the source destroys or resumes its copy, so an abort or an
    unreachable destination anywhere before that leaves the pod running on
    the source: no lost-pod window, no split brain. *)
@@ -579,25 +640,21 @@ and finalize_ckpt t op =
            ~node:t.node t.storage key image
          |> Result.map_error (Printf.sprintf "storage write failed: %s"))
     | Protocol.U_node dest ->
-      let live () =
-        not (op.co_aborted
-             || match op.co_mig with Some mop -> mop.mi_aborted | None -> false)
-      in
-      if op.co_mig <> None then trace t ~pod:pod.pod_id "mig_residue";
+      let live () = not op.co_aborted in
+      if op.co_precopy <> None then trace t ~pod:pod.pod_id "mig_residue";
       if live () then  (* the trace can inject faults *)
-        ship t ~dest ~bytes:image.Image.logical_size ~live (function
-          | None ->
-            complete_ckpt t op res image
-              (Error "migration stream failed: destination unreachable")
-          | Some peer ->
-            (match op.co_mig with
-             | Some mop ->
-               receive_mig_final peer ~pod_id:pod.pod_id ~image ~rounds:mop.mi_round
-                 ~precopy_bytes:mop.mi_precopy_bytes ~forced:mop.mi_forced
-                 ~suspend_at:mop.mi_suspend
-             | None -> Hashtbl.replace peer.streamed pod.pod_id image);
-            release_network t pod;
-            complete_ckpt t op res image (Ok ()))
+        ship t ~dest ~bytes:image.Image.logical_size ~live (fun peer ->
+            if
+              match peer with
+              | Some peer -> land_image peer ~pod_id:pod.pod_id ~image op.co_precopy
+              | None -> false
+            then begin
+              release_network t pod;
+              complete_ckpt t op res image (Ok ())
+            end
+            else
+              complete_ckpt t op res image
+                (Error "migration stream failed: destination unreachable"))
   end
 
 and release_network t pod =
@@ -614,7 +671,6 @@ and complete_ckpt t op res image outcome =
     trace t ~pod:pod.pod_id "resumed";
     span_end_all t ~pod:pod.pod_id;
     Hashtbl.remove t.ckpts pod.pod_id;
-    if op.co_mig <> None then Hashtbl.remove t.migs pod.pod_id;
     report_failure t pod.pod_id reason
   | Ok () ->
     (* remember the durably stored image as the base for the next delta,
@@ -639,201 +695,86 @@ and complete_ckpt t op res image outcome =
      else begin
        Pod.destroy pod;
        forget_pod t pod.pod_id;
-       if op.co_mig = None then trace t ~pod:pod.pod_id "destroyed"
+       if op.co_precopy = None then trace t ~pod:pod.pod_id "destroyed"
      end);
     span_end t ~pod:pod.pod_id "pod_ckpt";
     Hashtbl.remove t.ckpts pod.pod_id;
-    let started =
-      match op.co_mig with
-      | Some mop ->
-        Hashtbl.remove t.migs pod.pod_id;
-        trace t ~pod:pod.pod_id "mig_handoff";
-        mop.mi_started
-      | None -> op.co_started
-    in
-    report_done t pod.pod_id ~started ~net_time:op.co_net_time
+    if op.co_precopy <> None then trace t ~pod:pod.pod_id "mig_handoff";
+    report_done t pod.pod_id ~started:op.co_started ~net_time:op.co_net_time
       ~image_bytes:image.Image.logical_size
       ?full_bytes:(Option.map (fun _ -> Pod_ckpt.logical_size res) op.co_delta)
       ~net_bytes:res.net_result.image_bytes ~sockets:res.net_result.socket_count
       ~procs:res.proc_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Live migration: source round loop and destination staging           *)
+(* Destination side of a U_node stream                                 *)
 (* ------------------------------------------------------------------ *)
 
-and start_migrate ?ctx t ~pod_id ~dest ~max_rounds ~dirty_threshold =
-  match find_pod t pod_id with
-  | None -> report_failure t pod_id "no such pod"
-  | Some pod when Pod.member_count pod = 0 ->
-    report_failure t pod_id "pod has no live processes"
-  | Some _ when t.peer_agents dest = None ->
-    report_failure t pod_id (Printf.sprintf "no agent on node %d" dest)
-  | Some pod ->
-    let op_id, parent = ctx_args ctx in
-    (* with no pre-copy span (round cap 0) the final stop-and-copy parents
-       directly under the manager's span *)
-    let top =
-      if max_rounds <= 0 then (match parent with Some p -> p | None -> -1)
-      else span_begin_id t ~op:op_id ?parent ~pod:pod_id "mig_precopy"
-    in
-    let mop =
-      { mi_pod = pod; mi_dest = dest; mi_max_rounds = max_rounds;
-        mi_threshold = dirty_threshold;
-        mi_op = op_id; mi_span = top;
-        mi_started = Engine.now t.engine;
-        mi_round = 0; mi_last = None; mi_full_bytes = 0; mi_precopy_bytes = 0;
-        mi_forced = false; mi_suspend = Simtime.zero; mi_aborted = false }
-    in
-    Hashtbl.replace t.migs pod_id mop;
-    Metrics.incr t.metrics "agent.mig_started";
-    trace t ~pod:pod_id "mig_start";
-    if max_rounds <= 0 then mig_final t mop  (* degenerate: pure stop-and-copy *)
-    else begin
-      (* announce the migration to the destination right away: the pod
-         skeleton build (the [restore_fixed] work) overlaps the rounds *)
-      ship t ~dest ~bytes:0 ~live:(fun () -> not mop.mi_aborted) (function
-          | Some peer -> receive_mig_announce peer ~pod_id
-          | None -> ());
-      mig_round t mop
-    end
-
-(* One pre-copy round: capture the RUNNING pod (the non-destructive Peek —
-   the proper read-inject extraction would drain queues the application is
-   about to read), ship the full image (round 0) or a delta of the regions
-   dirtied during the previous round, then decide: converged, forced, or
-   another round.  The pod keeps dirtying memory under the copy; that is
-   what the next round picks up. *)
-and mig_round t mop =
-  if mop.mi_aborted then ()
-  else begin
-    let pod = mop.mi_pod in
-    let round = mop.mi_round in
-    let t0 = Engine.now t.engine in
-    let res = Pod_ckpt.checkpoint ~mode:Sock_state.Peek pod in
-    let dirty_snap = Pod_ckpt.snapshot_memory_dirty pod in
-    let image =
-      match round, mop.mi_last with
-      | 0, _ | _, None ->
-        mop.mi_full_bytes <- Pod_ckpt.logical_size res;
-        Image.of_pod_image res.image
-      | _, Some base ->
-        Image.of_pod_image
-          (Delta.make ~base_key:(mig_base_key pod.pod_id) ~base ~full:res.image
-             ~dirty_bytes:dirty_snap)
-    in
-    mop.mi_last <- Some res.image;
-    let bytes = image.Image.logical_size in
-    (* capture at memory bandwidth, then stream over the fabric *)
-    let prep = jittered t (Params.copy_time ~bps:t.params.mem_bw bytes) in
-    ship t ~dest:mop.mi_dest ~prep ~bytes ~live:(fun () -> not mop.mi_aborted)
-      (fun peer ->
-        (match peer with
-         | Some peer -> receive_mig_round peer ~pod_id:pod.pod_id ~round image
-         | None -> ());
-        mop.mi_precopy_bytes <- mop.mi_precopy_bytes + bytes;
-        mop.mi_round <- round + 1;
-        let dirty_now = Pod_ckpt.dirty_memory_bytes pod in
-        trace t ~pod:pod.pod_id "mig_round";
-        send_to_manager t
-          (Protocol.M_migrate_round
-             { node = t.node; pod_id = pod.pod_id;
-               stats =
-                 { Protocol.mg_round = round; mg_bytes = bytes;
-                   mg_dirty = dirty_now;
-                   mg_duration = Simtime.sub (Engine.now t.engine) t0 } });
-        if mop.mi_aborted then ()  (* the trace can inject faults *)
-        else if
-          float_of_int dirty_now
-          <= mop.mi_threshold *. float_of_int mop.mi_full_bytes
-        then begin
-          trace t ~pod:pod.pod_id "mig_converged";
-          span_end t ~pod:pod.pod_id "mig_precopy";
-          mig_final t mop
-        end
-        else if mop.mi_round >= mop.mi_max_rounds then begin
-          mop.mi_forced <- true;
-          trace t ~pod:pod.pod_id "mig_forced";
-          span_end t ~pod:pod.pod_id "mig_precopy";
-          mig_final t mop
-        end
-        else mig_round t mop)
-  end
-
-(* The convergence policy said stop: run the final stop-and-copy through
-   the ordinary coordinated-checkpoint machine (suspend, net-ckpt, meta to
-   the Manager, continue, standalone, residue stream + handoff). *)
-and mig_final t mop =
-  if not mop.mi_aborted then
-    start_checkpoint ~mig:mop t ~pod_id:mop.mi_pod.pod_id
-      ~dest:(Protocol.U_node mop.mi_dest) ~resume:false
-
-(* Destination: a migration was announced.  Start building the pod skeleton
-   (the [restore_fixed] work: image validation scaffolding, kernel-object
+(* A migration was announced.  Start building the pod skeleton (the
+   [restore_fixed] work: image validation scaffolding, kernel-object
    re-creation) immediately so it overlaps the source's pre-copy rounds;
    the activation after the final stop-and-copy then only pays
    [mig_resume_fixed] plus the residue copy. *)
-and receive_mig_announce t ~pod_id =
+and receive_announce t ~pod_id =
   let flag = ref false in
-  Hashtbl.replace t.skeletons pod_id flag;
+  Hashtbl.replace t.landings pod_id
+    { ld_image = None; ld_final = false; ld_residue = 0; ld_blackout = None;
+      ld_skeleton = Some flag };
   trace t ~pod:pod_id "mig_skeleton";
   after t (jittered t t.params.restore_fixed) (fun () ->
-      match Hashtbl.find_opt t.skeletons pod_id with
-      | Some f when f == flag ->
+      match Hashtbl.find_opt t.landings pod_id with
+      | Some { ld_skeleton = Some f; _ } when f == flag ->
         f := true;
         trace t ~pod:pod_id "mig_prestaged"
       | Some _ | None -> ())
 
-(* Destination: one pre-copy round landed.  Round 0 stages the full image;
-   later rounds fold their deltas into the staged image.  The memory
-   preload needs no extra delay of its own: the write-back proceeds as the
-   bytes arrive, and memory bandwidth exceeds the fabric's. *)
-and receive_mig_round t ~pod_id ~round (image : Image.t) =
+(* One pre-copy round landed.  Round 0 stages the full image; later rounds
+   fold their deltas into the staged image.  The memory preload needs no
+   extra delay of its own: the write-back proceeds as the bytes arrive, and
+   memory bandwidth exceeds the fabric's. *)
+and receive_round t ~pod_id ~round (image : Image.t) =
   let v = Image.to_pod_image image in
-  if round = 0 then begin
-    let stage = { sg_image = v; sg_residue = 0; sg_suspend_at = Simtime.zero } in
-    Hashtbl.replace t.stages pod_id stage;
-    trace t ~pod:pod_id "mig_stage0"
-  end
-  else
-    match Hashtbl.find_opt t.stages pod_id with
-    | None -> ()  (* stage dropped by an abort; ignore the stray round *)
-    | Some sg -> sg.sg_image <- Delta.apply ~base:sg.sg_image v
+  match staged t pod_id, round with
+  | Some ld, 0 -> ld.ld_image <- Some v
+  | None, 0 ->
+    Hashtbl.replace t.landings pod_id
+      { ld_image = Some v; ld_final = false; ld_residue = 0; ld_blackout = None;
+        ld_skeleton = None }
+  | Some ({ ld_image = Some base; _ } as ld), _ -> ld.ld_image <- Some (Delta.apply ~base v)
+  | Some _, _ | None, _ -> ()  (* stage dropped by an abort; ignore the stray round *)
 
-(* Destination: the final stop-and-copy landed.  Materialize the full
-   image, make it restartable (the streamed table), and COMMIT by telling
-   the Manager — from here on the destination copy wins even if the source
-   dies before its own done-report gets out. *)
-and receive_mig_final t ~pod_id ~(image : Image.t) ~rounds ~precopy_bytes ~forced
-    ~suspend_at =
+(* The final image of a [U_node] item landed.  Materialize it (a residue
+   delta applies onto the staged rounds, whose skeleton it keeps), make it
+   restartable, and COMMIT by telling the Manager: from here on the
+   destination copy wins even if the source dies before its own
+   done-report gets out.  False when an abort already dropped the stage
+   the residue needs. *)
+and land_image t ~pod_id ~(image : Image.t) precopy =
   let v = Image.to_pod_image image in
-  let full_opt =
-    if Delta.is_delta v then
-      match Hashtbl.find_opt t.stages pod_id with
-      | Some sg -> Some (Delta.apply ~base:sg.sg_image v)
-      | None -> None  (* stage dropped by an abort racing the residue *)
-    else Some v
+  let stage = staged t pod_id in
+  let full =
+    if not (Delta.is_delta v) then Some v
+    else Option.map (fun base -> Delta.apply ~base v) (Option.bind stage (fun ld -> ld.ld_image))
   in
-  match full_opt with
-  | None -> trace t ~pod:pod_id "mig_residue_dropped"
+  match full with
+  | None ->
+    trace t ~pod:pod_id "mig_residue_dropped";
+    false
   | Some full ->
-    let stage =
-      match Hashtbl.find_opt t.stages pod_id with
-      | Some sg -> sg
-      | None ->
-        (* round cap 0: nothing was prestaged, the restore pays full cost *)
-        let sg =
-          { sg_image = full; sg_residue = 0; sg_suspend_at = suspend_at }
-        in
-        Hashtbl.replace t.stages pod_id sg;
-        sg
+    Hashtbl.replace t.landings pod_id
+      { ld_image = Some full; ld_final = true; ld_residue = image.Image.logical_size;
+        ld_blackout = Option.map (fun pc -> pc.pc_suspend) precopy;
+        ld_skeleton = Option.bind stage (fun ld -> ld.ld_skeleton) };
+    let rounds, precopy_bytes, forced =
+      match precopy with
+      | Some pc ->
+        trace t ~pod:pod_id "mig_final_staged";
+        (pc.pc_round, pc.pc_bytes, pc.pc_forced)
+      | None -> (0, 0, false)
     in
-    stage.sg_image <- full;
-    stage.sg_residue <- image.Image.logical_size;
-    stage.sg_suspend_at <- suspend_at;
-    Hashtbl.replace t.streamed pod_id (Image.of_pod_image full);
-    trace t ~pod:pod_id "mig_final_staged";
     send_to_manager t
-      (Protocol.M_migrate_done { node = t.node; pod_id; rounds; precopy_bytes; forced })
+      (Protocol.M_migrate_done { node = t.node; pod_id; rounds; precopy_bytes; forced });
+    true
 
 (* ------------------------------------------------------------------ *)
 (* Restart (Figure 3, Agent side)                                      *)
@@ -846,15 +787,16 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
   let image =
     match uri with
     | Protocol.U_storage key ->
-      Option.to_result ~none:("no image at " ^ key) (Storage.get t.storage key)
+      Option.to_result ~none:("no image at " ^ key)
+        (Option.map (fun i -> (Image.to_pod_image i, None)) (Storage.get t.storage key))
     | Protocol.U_node _ ->
-      Option.to_result ~none:"no streamed image landed on this node"
-        (Hashtbl.find_opt t.streamed pod_id)
+      (match Hashtbl.find_opt t.landings pod_id with
+       | Some ({ ld_final = true; ld_image = Some v; _ } as ld) -> Ok (v, Some ld)
+       | Some _ | None -> Error "no streamed image landed on this node")
   in
   match image with
   | Error detail -> report_failure t pod_id detail
-  | Ok image ->
-    let image_v = Image.to_pod_image image in
+  | Ok (image_v, landing) ->
     let op_id, parent = ctx_args ctx in
     let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
     span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
@@ -871,7 +813,7 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
         let op =
           {
             ro_pod = pod;
-            ro_mig = Hashtbl.find_opt t.stages pod_id;
+            ro_landing = landing;
             ro_image = image_v;
             ro_entries = entries;
             ro_extra_altq = extra_altq;
@@ -1196,6 +1138,12 @@ and restore_network_state t op =
       | Some li ->
         (match (Hashtbl.find_opt op.ro_sockets i, Hashtbl.find_opt op.ro_sockets li) with
          | Some child, Some listener ->
+           (* accept reports the peer: a child rebuilt without a connection
+              (its peer is outside the restored set) keeps its saved ends *)
+           if child.Socket.remote = None then begin
+             child.Socket.local <- Option.map (Namespace.translate_addr_out ns) im.local;
+             child.Socket.remote <- Option.map (Namespace.translate_addr_out ns) im.remote
+           end;
            Queue.add child listener.accept_q;
            Socket.wake_readers listener
          | _ -> ())
@@ -1224,9 +1172,9 @@ and restore_network_state t op =
    applied.  A skeleton build still in flight is waited out — the remainder
    of that build is the blackout's cost, never a second full restore. *)
 and restore_standalone t op =
-  let skel = Hashtbl.find_opt t.skeletons op.ro_pod.pod_id in
-  match op.ro_mig, skel with
-  | Some _, Some ready when not !ready ->
+  let skeleton = Option.bind op.ro_landing (fun ld -> ld.ld_skeleton) in
+  match skeleton with
+  | Some ready when not !ready ->
     after t (Simtime.us 250) (fun () ->
         if not op.ro_aborted then restore_standalone t op)
   | _ ->
@@ -1236,18 +1184,18 @@ and restore_standalone t op =
   let mem_bytes = Pod_ckpt.memory_bytes_of_image op.ro_image in
   let image_bytes = Zapc_codec.Wire.encoded_size op.ro_image + mem_bytes in
   let cost =
-    match op.ro_mig, skel with
-    | Some sg, Some _ ->
+    match op.ro_landing, skeleton with
+    | Some ld, Some _ ->
       jittered t
         (Simtime.add t.params.mig_resume_fixed
            (Simtime.add
               (Params.scale t.params.per_proc_restore (List.length procs))
-              (Params.copy_time ~bps:t.params.mem_bw sg.sg_residue)))
+              (Params.copy_time ~bps:t.params.mem_bw ld.ld_residue)))
     | Some _, None | None, _ ->
       (* a storage-path restore of a compressed image pays the decompressor
-         (migration streams travel uncompressed and skip it) *)
+         (streams travel uncompressed and skip it) *)
       let decompress_cost =
-        if t.params.compress && op.ro_mig = None then
+        if t.params.compress && op.ro_landing = None then
           Params.copy_time ~bps:t.params.compress_bps image_bytes
         else Simtime.zero
       in
@@ -1269,17 +1217,18 @@ and restore_standalone t op =
         span_end t ~pod:pod.pod_id "standalone_restore";
         span_end t ~pod:pod.pod_id "pod_restart";
         trace t ~pod:pod.pod_id "restart_resumed";
-        (match op.ro_mig with
-         | Some sg ->
-           (* end of the migration blackout: the span was opened by the
-              source Agent at the final suspend *)
-           Hashtbl.remove t.stages pod.pod_id;
-           Hashtbl.remove t.streamed pod.pod_id;
-           Hashtbl.remove t.skeletons pod.pod_id;
-           Metrics.observe t.metrics "mig.blackout_ms"
-             (Simtime.to_ms (Simtime.sub (Engine.now t.engine) sg.sg_suspend_at));
-           span_end t ~pod:pod.pod_id "blackout";
-           trace t ~pod:pod.pod_id "mig_activated"
+        (match op.ro_landing with
+         | Some ld ->
+           Hashtbl.remove t.landings pod.pod_id;
+           (match ld.ld_blackout with
+            | Some suspend_at ->
+              (* end of the migration blackout: the span was opened by the
+                 source Agent at the final suspend *)
+              Metrics.observe t.metrics "mig.blackout_ms"
+                (Simtime.to_ms (Simtime.sub (Engine.now t.engine) suspend_at));
+              span_end t ~pod:pod.pod_id "blackout";
+              trace t ~pod:pod.pod_id "mig_activated"
+            | None -> ())
          | None -> ());
         Hashtbl.remove t.restores pod.pod_id;
         report_done t pod.pod_id ~started:op.ro_started
@@ -1299,8 +1248,8 @@ let rec handle_command t (msg : Protocol.to_agent) =
     (* tree mode puts a relay in front of the agent which unwraps bundles;
        a bundle reaching the agent directly carries only local items *)
     List.iter (fun (_, m) -> handle_command t m) items
-  | Protocol.A_checkpoint { pod_id; dest; resume; incremental; ctx } ->
-    start_checkpoint ~incremental ?ctx t ~pod_id ~dest ~resume
+  | Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx } ->
+    start_checkpoint ~incremental ?precopy ?ctx t ~pod_id ~dest ~resume
   | Protocol.A_continue { pod_id } ->
     (match Hashtbl.find_opt t.ckpts pod_id with
      | Some op ->
@@ -1310,10 +1259,8 @@ let rec handle_command t (msg : Protocol.to_agent) =
      | None -> ())
   | Protocol.A_abort { pod_id } ->
     abort_checkpoint t pod_id;
-    abort_migrate t pod_id;
+    drop_staged t pod_id;
     abort_restart t pod_id
-  | Protocol.A_migrate { pod_id; dest; max_rounds; dirty_threshold; ctx } ->
-    start_migrate ?ctx t ~pod_id ~dest ~max_rounds ~dirty_threshold
   | Protocol.A_restart { pod_id; name; vip; rip; uri; entries; vip_map; extra_altq;
                          skip_sendq; ctx } ->
     start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
@@ -1343,6 +1290,4 @@ let live_pods t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.pods []
   |> List.sort (fun (a : Pod.t) (b : Pod.t) -> Int.compare a.pod_id b.pod_id)
 
-let busy t =
-  Hashtbl.length t.ckpts > 0 || Hashtbl.length t.restores > 0
-  || Hashtbl.length t.migs > 0
+let busy t = Hashtbl.length t.ckpts > 0 || Hashtbl.length t.restores > 0

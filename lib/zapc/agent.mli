@@ -37,12 +37,11 @@ val deliver : t -> Protocol.to_agent -> unit
 
 val set_peer_resolver : t -> (int -> t option) -> unit
 (** How to reach other Agents.  Every image sent to another Agent — the
-    announce and pre-copy rounds of a live migration, its final residue,
-    and a whole-application [Protocol.U_node] stream — travels through one
-    peer transfer: control latency plus the bytes at fabric bandwidth, then
-    a check that the destination Agent is up and connected.  An
-    unreachable destination fails the checkpoint and the pod resumes on
-    the source. *)
+    announce and pre-copy rounds of a live migration and the final image
+    of every [Protocol.U_node] item — travels through one peer transfer:
+    control latency plus the bytes at fabric bandwidth, then a check that
+    the destination Agent is up and connected.  An unreachable destination
+    fails the checkpoint and the pod resumes on the source. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Record the phase boundaries of this Agent's operations (Figure 2). *)
@@ -58,11 +57,18 @@ val handle_command : t -> Protocol.to_agent -> unit
     resident in storage and the chain is shorter than
     [Params.max_delta_chain]; otherwise (and always for a [U_node] stream) a
     full image.  The sink is Storage for [U_storage] or the destination
-    Agent for [U_node]; a stream lands there before the source destroys or
-    resumes its pod, so a failed transfer leaves the pod running.  A
-    command's [ctx] is the Manager's causal trace context: the Agent's local
-    spans parent under [ctx.tc_parent] and carry operation id
-    [ctx.tc_op]. *)
+    Agent for [U_node]; a stream lands there, and the destination commits
+    it to the Manager ([M_migrate_done]), before the source destroys or
+    resumes its pod, so a failed transfer leaves the pod running.  With
+    [precopy] (a live migration's item) the checkpoint first runs pre-copy
+    rounds while the pod keeps running — round 0 ships the full image, each
+    later round a delta of the regions dirtied under the previous one —
+    until the dirty residue falls to [dirty_threshold] x the full image or
+    [max_rounds] have run; the suspend then ships only the residue, and the
+    destination activates a prestaged skeleton.  A command's [ctx] is the
+    Manager's causal trace context: the Agent's local spans parent under
+    [ctx.tc_parent] and carry operation id [ctx.tc_op].  Stream images
+    skip the compressor on both sides: only Storage compresses. *)
 
 val start_restart :
   ?ctx:Protocol.trace_ctx ->
@@ -78,17 +84,10 @@ val start_restart :
   skip_sendq:bool ->
   unit
 
-val start_migrate :
-  ?ctx:Protocol.trace_ctx ->
-  t -> pod_id:int -> dest:int -> max_rounds:int -> dirty_threshold:float -> unit
-(** Source side of a live migration: iterative pre-copy rounds (the pod
-    keeps running) followed by a stop-and-copy of the residue plus
-    process/socket/netfilter state.  [max_rounds = 0] degenerates to plain
-    stop-and-copy; convergence is reached when a round's dirty residue
-    falls to [dirty_threshold] x the pod's full image size. *)
-
 val abort_checkpoint : t -> int -> unit
-(** Idempotent: unblocks the pod's network, resumes it, drops the op. *)
+(** Idempotent: unblocks the pod's network, resumes it, drops the op.  A
+    checkpoint still in its pre-copy rounds never suspended the pod: the
+    rounds stop and the pod keeps running. *)
 
 val abort_restart : t -> int -> unit
 (** Idempotent: destroys the half-restored pod.  A [U_node] restart never
@@ -96,13 +95,10 @@ val abort_restart : t -> int -> unit
     and a restart that finds no image fails at once — so there is nothing
     else to drop. *)
 
-val abort_migrate : t -> int -> unit
-(** Idempotent.  Source side: stops the pre-copy loop (the pod was never
-    suspended, so it simply keeps running — a final stop-and-copy in flight
-    is aborted through {!abort_checkpoint}).  Destination side: drops the
-    staged rounds. *)
-
 val abort_all : t -> unit
+(** Abort every checkpoint and restart in flight here, and drop every
+    stream staged here whose final image has not landed (a landed image is
+    committed and waits for its restart). *)
 
 val node : t -> int
 
@@ -111,4 +107,5 @@ val live_pods : t -> Pod.t list
     kills these on a node crash; the chaos harness audits them). *)
 
 val busy : t -> bool
-(** An in-flight checkpoint, restart, or migration operation exists. *)
+(** An in-flight checkpoint (pre-copy rounds included) or restart
+    exists. *)

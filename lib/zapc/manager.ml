@@ -47,38 +47,31 @@ type op_result = {
    streamed images (whose bytes the Manager never sees) *)
 type pod_info = { pi_vip : Addr.ip; pi_name : string; pi_meta : Meta.pod_meta }
 
+type kind = [ `Checkpoint | `Restart | `Mig_copy | `Mig_restore ]
+
 type pending = {
   mutable p_wait_meta : int list;  (* pods still to report meta *)
   mutable p_wait_done : int list;
   mutable p_stats : (int * Protocol.agent_stats) list;
   mutable p_metas : Meta.pod_meta list;
-  mutable p_failed : Protocol.failure option;
   mutable p_arm : int;
   (* phase-timeout keepalive: each pre-copy round report bumps this, killing
      the armed watchdog and re-arming from now (a live migration's copy
      phase legitimately outlives one [phase_timeout] as long as rounds keep
      landing) *)
   p_items : (int * int) list;  (* (pod, node) *)
+  p_dests : (int * int) list;
+  (* (pod, destination node) of every [U_node] item: the destination is a
+     party to the item, so an abort reaches it too *)
+  mutable p_landed : int list;
+  (* [U_node] items whose destination reported the image landed: each is
+     committed, and losing its source no longer fails it *)
   p_started : Simtime.t;
-  p_kind : [ `Checkpoint | `Restart | `Mig_copy | `Mig_restore ];
+  p_kind : kind;
+  (* observability labels only: a migration's copy and restore phases are
+     a checkpoint and a restart reported under mgr.mig.* *)
   p_gen : int;  (* guards stale timeout closures *)
   p_done : op_result -> unit;
-}
-
-(* One live migration spans two pendings (copy phase, then restore phase);
-   this is the state that outlives them.  [mg_committed] flips when the
-   destination's M_migrate_done lands: from that instant the destination
-   copy is authoritative and losing the source is NOT a failure. *)
-type mig_state = {
-  mg_pod : int;
-  mg_src : int;
-  mg_dest : int;
-  mg_started : Simtime.t;
-  mutable mg_rounds : int;
-  mutable mg_forced : bool;
-  mutable mg_committed : bool;
-  mg_gen : int;
-  mg_done : op_result -> unit;
 }
 
 type t = {
@@ -109,7 +102,6 @@ type t = {
   metrics : Metrics.t;
   mutable trace : Trace.t option;
   mutable current : pending option;
-  mutable mig : mig_state option;  (* live migration in progress *)
   mutable gen : int;  (* bumped per operation *)
   mutable last_critpath : (string * Critpath.report) option;
   (* (operation span name, analysis) of the most recent successful op *)
@@ -128,7 +120,7 @@ let create ?metrics ~engine ~params ~storage ~alloc_rip () =
     out_buf = Hashtbl.create 8; out_flush = false; proc_free = Simtime.zero;
     alloc_rip;
     infos = Hashtbl.create 16; metrics; trace = None; current = None;
-    mig = None; gen = 0; last_critpath = None;
+    gen = 0; last_critpath = None;
     on_pong = (fun ~node:_ ~seq:_ -> ());
     on_migrated = (fun ~pod:_ ~src:_ ~dest:_ -> ()) }
 
@@ -143,19 +135,15 @@ let trace t what =
 (* Manager-scope spans (pod -1): the whole operation plus the sync window
    (broadcast -> 'continue'), whose overlap with the agents' standalone
    spans is the Figure-2 story. *)
-let span_begin t ?op ?parent name =
-  match t.trace with
-  | Some tr ->
-    Trace.span_begin tr ~time:(Engine.now t.engine) ?op ?parent ~pod:(-1) name
-  | None -> ()
-
-(* As span_begin, returning the span id (-1 without a trace) so it can ride
-   as [Protocol.trace_ctx.tc_parent] and parent the agents' spans. *)
 let span_begin_id t ?op ?parent name =
   match t.trace with
   | Some tr ->
     Trace.span_begin_id tr ~time:(Engine.now t.engine) ?op ?parent ~pod:(-1) name
   | None -> -1
+
+(* The span id (-1 without a trace) rides as [Protocol.trace_ctx.tc_parent]
+   and parents the agents' spans; most callers only open the span. *)
+let span_begin t ?op ?parent name = ignore (span_begin_id t ?op ?parent name)
 
 let ctx_for t span_id =
   if span_id >= 0 then Some { Protocol.tc_op = t.gen; tc_parent = span_id }
@@ -247,18 +235,19 @@ let send_opt t node msg = send_via t ~strict:false node msg
 let remember_pod t ~pod_id ~name ~vip meta =
   Hashtbl.replace t.infos pod_id { pi_vip = vip; pi_name = name; pi_meta = meta }
 
+(* (metric prefix, operation span, failure tag) of each operation kind *)
+let labels = function
+  | `Checkpoint -> ("mgr.ckpt", "ckpt_op", "ckpt")
+  | `Restart -> ("mgr.restart", "restart_op", "restart")
+  | `Mig_copy -> ("mgr.mig.copy", "mig_copy", "mig_copy")
+  | `Mig_restore -> ("mgr.mig.restore", "mig_restore", "mig_restore")
+
 let finish t result =
   match t.current with
   | None -> ()
   | Some p ->
     t.current <- None;
-    let prefix, opname =
-      match p.p_kind with
-      | `Checkpoint -> "mgr.ckpt", "ckpt_op"
-      | `Restart -> "mgr.restart", "restart_op"
-      | `Mig_copy -> "mgr.mig.copy", "mig_copy"
-      | `Mig_restore -> "mgr.mig.restore", "mig_restore"
-    in
+    let prefix, opname, _ = labels p.p_kind in
     Metrics.incr t.metrics (prefix ^ if result.r_ok then ".ok" else ".failed");
     Metrics.observe t.metrics (prefix ^ ".duration_ms")
       (Simtime.to_ms result.r_duration);
@@ -321,28 +310,20 @@ let fail_op t failure =
   match t.current with
   | None -> ()
   | Some p ->
-    if p.p_failed = None then begin
-      p.p_failed <- Some failure;
-      (* the flight recorder trips on this instant *)
-      let kind =
-        match p.p_kind with
-        | `Checkpoint -> "ckpt"
-        | `Restart -> "restart"
-        | `Mig_copy -> "mig_copy"
-        | `Mig_restore -> "mig_restore"
-      in
-      trace t (Printf.sprintf "op_failed:%s" kind);
-      (* abort everyone still involved; skip nodes whose channel (or route)
-         is gone — the abort path must itself survive a broken channel *)
-      List.iter
-        (fun (pod, node) -> send_opt t node (Protocol.A_abort { pod_id = pod }))
-        p.p_items;
-      finish t
-        { r_ok = false; r_failure = Some failure;
-          r_detail = Protocol.failure_to_string failure;
-          r_duration = Simtime.sub (Engine.now t.engine) p.p_started;
-          r_stats = p.p_stats; r_metas = p.p_metas }
-    end
+    (* the flight recorder trips on this instant *)
+    let _, _, kind = labels p.p_kind in
+    trace t (Printf.sprintf "op_failed:%s" kind);
+    (* abort everyone still involved, stream destinations included; skip
+       nodes whose channel (or route) is gone — the abort path must itself
+       survive a broken channel *)
+    List.iter
+      (fun (pod, node) -> send_opt t node (Protocol.A_abort { pod_id = pod }))
+      (p.p_items @ p.p_dests);
+    finish t
+      { r_ok = false; r_failure = Some failure;
+        r_detail = Protocol.failure_to_string failure;
+        r_duration = Simtime.sub (Engine.now t.engine) p.p_started;
+        r_stats = p.p_stats; r_metas = p.p_metas }
 
 (* Per-phase watchdog (paper section 4 only aborts on *broken* channels; a
    hung-but-connected Agent would stall the protocol forever without this).
@@ -375,39 +356,57 @@ let arm_phase_timeout t (p : pending) (phase : Protocol.phase) =
         | Some _ | None -> ())
   end
 
-(* A broken channel normally fails the operation outright.  One exception:
-   losing the *source* during a migration's copy phase is only fatal if the
-   destination has not committed.  The break and the destination's
-   M_migrate_done race on independent channels, so wait a few control
-   latencies for an in-flight commit to land before deciding.  In tree mode
-   the same logic serves breaks the manager hears about second-hand
-   ([M_subtree_down] from a relay whose child edge severed). *)
+let succeed t p =
+  finish t
+    { r_ok = true; r_failure = None; r_detail = "";
+      r_duration = Simtime.sub (Engine.now t.engine) p.p_started;
+      r_stats = p.p_stats; r_metas = p.p_metas }
+
+(* A broken channel fails the operation, with one exception: the commit
+   rule of [U_node] items.  Once an item's destination has reported its
+   image landed, the destination copy is authoritative and losing the
+   source is NOT a failure.  The break and the landing report race on
+   independent channels, so when the broken node is only the source of
+   stream items, wait a few control latencies for an in-flight report
+   before deciding.  In tree mode the same logic serves breaks the manager
+   hears about second-hand ([M_subtree_down] from a relay whose child edge
+   severed). *)
 let channel_broke t ~node =
-  match t.mig, t.current with
-  | Some mg, Some p when p.p_kind = `Mig_copy && node = mg.mg_src ->
+  (* the node's pods, when each is a [U_node] item and the node holds no
+     item's destination copy *)
+  let sources p =
+    let pods = List.filter_map (fun (pod, n) -> if n = node then Some pod else None) p.p_items in
+    if pods <> [] && List.for_all (fun pod -> List.mem_assoc pod p.p_dests) pods
+       && not (List.exists (fun (_, d) -> d = node) p.p_dests)
+    then Some (p, pods)
+    else None
+  in
+  match Option.bind t.current sources with
+  | None -> fail_op t (Protocol.F_channel { node })
+  | Some (p, pods) ->
     let gen = p.p_gen in
     trace t "mig_src_break";
     Engine.schedule_at t.engine ~label:"mgr.mig_grace"
       ~at:(Simtime.add (Engine.now t.engine) (5 * t.params.ctrl_latency))
       (fun () ->
-        match t.mig, t.current with
-        | Some mg', Some p' when mg' == mg && p' == p && p'.p_gen = gen
-                                 && mg.mg_gen = gen ->
-          if mg.mg_committed then begin
-            (* the destination copy already won: the pod survives there *)
-            Metrics.incr t.metrics "mgr.mig.src_lost_after_commit";
-            trace t
-              (Printf.sprintf "mig_src_lost:pod%d->node%d" mg.mg_pod mg.mg_dest);
-            p.p_wait_meta <- [];
-            p.p_wait_done <- [];
-            finish t
-              { r_ok = true; r_failure = None; r_detail = "";
-                r_duration = Simtime.sub (Engine.now t.engine) p.p_started;
-                r_stats = p.p_stats; r_metas = p.p_metas }
+        match t.current with
+        | Some p' when p' == p && p.p_gen = gen ->
+          if List.for_all (fun pod -> List.mem pod p.p_landed) pods then begin
+            (* every destination copy already won: the pods survive there *)
+            List.iter
+              (fun pod ->
+                Metrics.incr t.metrics "mgr.mig.src_lost_after_commit";
+                trace t
+                  (Printf.sprintf "mig_src_lost:pod%d->node%d" pod
+                     (List.assoc pod p.p_dests)))
+              pods;
+            let waiting l = List.filter (fun id -> not (List.mem id pods)) l in
+            p.p_wait_meta <- waiting p.p_wait_meta;
+            p.p_wait_done <- waiting p.p_wait_done;
+            if p.p_wait_meta = [] && p.p_wait_done = [] then succeed t p
           end
           else fail_op t (Protocol.F_channel { node })
-        | _ -> ())
-  | _ -> fail_op t (Protocol.F_channel { node })
+        | Some _ | None -> ())
 
 let rec on_agent_message t (msg : Protocol.to_manager) =
   (* heartbeat replies are independent of any running operation *)
@@ -423,40 +422,37 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
     trace t (Printf.sprintf "subtree_down:node%d" node);
     channel_broke t ~node
   | Protocol.M_pong { node; seq } -> t.on_pong ~node ~seq
-  | Protocol.M_migrate_round { stats; _ } ->
-    (match t.mig, t.current with
-     | Some mg, Some p when p.p_kind = `Mig_copy ->
-       mg.mg_rounds <- stats.Protocol.mg_round + 1;
-       Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
-         "mig.bytes_per_round" (float_of_int stats.Protocol.mg_bytes);
-       trace t (Printf.sprintf "mig_round_report:%d" stats.Protocol.mg_round);
-       (* keepalive: a converging pre-copy legitimately outlives one
-          phase_timeout; every round report pushes the watchdog out *)
-       p.p_arm <- p.p_arm + 1;
-       arm_phase_timeout t p Protocol.Ph_meta
-     | _ -> ())
-  | Protocol.M_migrate_done { rounds; precopy_bytes; forced; _ } ->
-    (* the destination's commit: its staged copy is now complete and
-       authoritative even if the source is lost from here on *)
-    (match t.mig with
-     | Some mg ->
-       mg.mg_committed <- true;
-       mg.mg_rounds <- rounds;
-       mg.mg_forced <- forced;
-       Metrics.observe t.metrics "mig.rounds" (float_of_int rounds);
-       Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
-         "mig.precopy_bytes" (float_of_int precopy_bytes);
-       if forced then Metrics.incr t.metrics "mig.forced_stops";
-       trace t "mig_committed"
-     | None -> ())
-  | Protocol.M_meta _ | Protocol.M_done _ ->
+  | Protocol.M_migrate_round _ | Protocol.M_migrate_done _ | Protocol.M_meta _
+  | Protocol.M_done _ ->
   match t.current with
   | None -> ()
   | Some p ->
     (match msg with
-     | Protocol.M_pong _ | Protocol.M_migrate_round _ | Protocol.M_migrate_done _
-     | Protocol.M_batch _ | Protocol.M_subtree_down _ ->
+     | Protocol.M_pong _ | Protocol.M_batch _ | Protocol.M_subtree_down _ ->
        ()  (* handled above *)
+     | Protocol.M_migrate_round { pod_id; stats; _ } ->
+       if List.mem_assoc pod_id p.p_dests then begin
+         Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
+           "mig.bytes_per_round" (float_of_int stats.Protocol.mg_bytes);
+         trace t (Printf.sprintf "mig_round_report:%d" stats.Protocol.mg_round);
+         (* keepalive: a converging pre-copy legitimately outlives one
+            phase_timeout; every round report pushes the watchdog out *)
+         p.p_arm <- p.p_arm + 1;
+         arm_phase_timeout t p Protocol.Ph_meta
+       end
+     | Protocol.M_migrate_done { pod_id; rounds; precopy_bytes; forced; _ } ->
+       (* the destination's commit: its copy is now complete and
+          authoritative even if the source is lost from here on *)
+       if List.mem_assoc pod_id p.p_dests && not (List.mem pod_id p.p_landed) then begin
+         p.p_landed <- pod_id :: p.p_landed;
+         if p.p_kind = `Mig_copy then begin
+           Metrics.observe t.metrics "mig.rounds" (float_of_int rounds);
+           Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
+             "mig.precopy_bytes" (float_of_int precopy_bytes);
+           if forced then Metrics.incr t.metrics "mig.forced_stops"
+         end;
+         trace t "mig_committed"
+       end
      | Protocol.M_meta { pod_id; meta; _ } ->
        p.p_metas <- meta :: p.p_metas;
        p.p_wait_meta <- List.filter (fun id -> id <> pod_id) p.p_wait_meta;
@@ -465,8 +461,7 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
         | None -> ());
        (* step 3 of Figure 1: when every Agent has reported its meta-data,
           tell them all to continue (a migration's final stop-and-copy runs
-          the same gated protocol; the destination's stray 'continue' is
-          harmless) *)
+          the same gated protocol) *)
        if p.p_wait_meta = [] && (p.p_kind = `Checkpoint || p.p_kind = `Mig_copy)
        then begin
          span_end t "mgr_sync";
@@ -493,11 +488,7 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
        else begin
          p.p_stats <- (pod_id, stats) :: p.p_stats;
          p.p_wait_done <- List.filter (fun id -> id <> pod_id) p.p_wait_done;
-         if p.p_wait_done = [] && (p.p_kind = `Restart || p.p_wait_meta = []) then
-           finish t
-             { r_ok = true; r_failure = None; r_detail = "";
-               r_duration = Simtime.sub (Engine.now t.engine) p.p_started;
-               r_stats = p.p_stats; r_metas = p.p_metas }
+         if p.p_wait_done = [] && p.p_wait_meta = [] then succeed t p
        end)
 
 let attach_agent t ~node (ch : Protocol.channel) =
@@ -539,12 +530,6 @@ let agent_channel t ~node =
   | Some _ as ch -> ch
   | None -> Hashtbl.find_opt t.channels node
 
-let agent_nodes t =
-  (if Hashtbl.length t.edges > 0 then
-     Hashtbl.fold (fun n _ acc -> n :: acc) t.edges []
-   else Hashtbl.fold (fun n _ acc -> n :: acc) t.channels [])
-  |> List.sort Int.compare
-
 (* --- heartbeats --- *)
 
 let set_on_pong t fn = t.on_pong <- fn
@@ -555,38 +540,56 @@ let ping t ~node ~seq = send_opt t node (Protocol.A_ping { seq })
 
 (* --- checkpoint --- *)
 
-let checkpoint ?(incremental = false) ?parent t ~(items : ckpt_item list)
-    ~(resume : bool) ~(on_done : op_result -> unit) =
-  if t.current <> None then invalid_arg "Manager: operation already in progress";
+(* Open an operation: its pending state under a fresh generation.  Only a
+   checkpoint gathers meta-data before its completion statuses. *)
+let open_pending t ~kind ~items ~dests ~gather_meta ~metas ~on_done =
   t.gen <- t.gen + 1;
+  let pods = List.map fst items in
   let p =
-    {
-      p_wait_meta = List.map (fun i -> i.ci_pod) items;
-      p_wait_done = List.map (fun i -> i.ci_pod) items;
-      p_stats = [];
-      p_metas = [];
-      p_failed = None;
-      p_arm = 0;
-      p_items = List.map (fun i -> (i.ci_pod, i.ci_node)) items;
-      p_started = Engine.now t.engine;
-      p_kind = `Checkpoint;
-      p_gen = t.gen;
-      p_done = on_done;
-    }
+    { p_wait_meta = (if gather_meta then pods else []); p_wait_done = pods;
+      p_stats = []; p_metas = metas; p_arm = 0; p_items = items; p_dests = dests;
+      p_landed = []; p_started = Engine.now t.engine; p_kind = kind; p_gen = t.gen;
+      p_done = on_done }
   in
   t.current <- Some p;
-  Metrics.incr t.metrics "mgr.ckpt.started";
-  let op_span = span_begin_id t ~op:t.gen ?parent "ckpt_op" in
+  p
+
+(* One coordinated checkpoint; [kind] only picks the observability labels
+   (a migration's copy phase is [`Mig_copy]).  [precopy] rides on every
+   [U_node] item. *)
+let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
+    ~(items : ckpt_item list) ~(resume : bool) ~(on_done : op_result -> unit) =
+  if t.current <> None then invalid_arg "Manager: operation already in progress";
+  let p =
+    open_pending t ~kind:(kind :> kind) ~gather_meta:true ~metas:[] ~on_done
+      ~items:(List.map (fun i -> (i.ci_pod, i.ci_node)) items)
+      ~dests:
+        (List.filter_map
+           (fun i ->
+             match i.ci_dest with
+             | Protocol.U_node d -> Some (i.ci_pod, d)
+             | Protocol.U_storage _ -> None)
+           items)
+  in
+  let prefix, opname, _ = labels kind in
+  Metrics.incr t.metrics (prefix ^ ".started");
+  let op_span = span_begin_id t ~op:t.gen ?parent opname in
   span_begin t ~op:t.gen ?parent:(Trace.parent_arg op_span) "mgr_sync";
   let ctx = ctx_for t op_span in
-  trace t "ckpt_broadcast";
+  if kind = `Checkpoint then trace t "ckpt_broadcast";
   List.iter
     (fun i ->
+      let precopy =
+        match i.ci_dest with Protocol.U_node _ -> precopy | Protocol.U_storage _ -> None
+      in
       send t i.ci_node
         (Protocol.A_checkpoint
-           { pod_id = i.ci_pod; dest = i.ci_dest; resume; incremental; ctx }))
+           { pod_id = i.ci_pod; dest = i.ci_dest; resume; incremental; precopy; ctx }))
     items;
   arm_phase_timeout t p Protocol.Ph_meta
+
+let checkpoint ?incremental ?parent t ~items ~resume ~on_done =
+  start_checkpoint ?incremental ?parent ~kind:`Checkpoint t ~items ~resume ~on_done
 
 (* --- restart --- *)
 
@@ -661,25 +664,17 @@ let redirected_altq ~metas ~images (pod_id : int) (entries : Meta.restart_entry 
 let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
     ~(on_done : op_result -> unit) =
   if t.current <> None then invalid_arg "Manager: operation already in progress";
-  let prefix, opname =
-    match kind with
-    | `Restart -> "mgr.restart", "restart_op"
-    | `Mig_restore -> "mgr.mig.restore", "mig_restore"
-  in
+  let prefix, opname, _ = labels kind in
   Metrics.incr t.metrics (prefix ^ ".started");
   let facts = List.map (fun i -> (i, pod_facts t i)) items in
-  match List.find_opt (fun (_, f) -> Result.is_error f) facts with
-  | Some (_, Error msg) ->
+  match List.find_map (fun (_, f) -> Result.fold ~ok:(fun _ -> None) ~error:Option.some f) facts with
+  | Some msg ->
     Metrics.incr t.metrics (prefix ^ ".failed");
     on_done
       { r_ok = false; r_failure = Some (Protocol.F_missing_image msg); r_detail = msg;
         r_duration = Simtime.zero; r_stats = []; r_metas = [] }
-  | Some (_, Ok _) | None ->
-    let facts =
-      List.map
-        (fun (i, f) -> match f with Ok x -> (i, x) | Error _ -> assert false)
-        facts
-    in
+  | None ->
+    let facts = List.map (fun (i, f) -> (i, Result.get_ok f)) facts in
     let metas = List.map (fun (_, (m, _, _, _)) -> m) facts in
     let images =
       List.filter_map
@@ -694,23 +689,10 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
     let redirect =
       t.params.redirect_sendq && List.length images = List.length items
     in
-    t.gen <- t.gen + 1;
     let p =
-      {
-        p_wait_meta = [];
-        p_wait_done = List.map (fun i -> i.ri_pod) items;
-        p_stats = [];
-        p_metas = metas;
-        p_failed = None;
-        p_arm = 0;
-        p_items = List.map (fun i -> (i.ri_pod, i.ri_node)) items;
-        p_started = Engine.now t.engine;
-        p_kind = (kind :> [ `Checkpoint | `Restart | `Mig_copy | `Mig_restore ]);
-        p_gen = t.gen;
-        p_done = on_done;
-      }
+      open_pending t ~kind:(kind :> kind) ~gather_meta:false ~metas ~dests:[] ~on_done
+        ~items:(List.map (fun i -> (i.ri_pod, i.ri_node)) items)
     in
-    t.current <- Some p;
     let op_span = span_begin_id t ~op:t.gen ?parent opname in
     let ctx = ctx_for t op_span in
     arm_phase_timeout t p Protocol.Ph_done;
@@ -736,98 +718,65 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
 
 let set_on_migrated t fn = t.on_migrated <- fn
 
-(* Two phases under one generation-guarded operation: (A) the source Agent
-   iterates pre-copy rounds into the destination's stage, then runs the
-   gated stop-and-copy of the residue (same meta/continue/done protocol as
-   a checkpoint — that is the blackout window); (B) the staged copy is
-   activated on the destination through the ordinary restart path, which
-   finds it prestaged and only pays the residue-apply cost. *)
-let migrate ?max_rounds ?dirty_threshold ?parent t ~(pod : int)
-    ~(src_node : int) ~(dest_node : int) ~(on_done : op_result -> unit) =
-  if t.current <> None || t.mig <> None then
-    invalid_arg "Manager: operation already in progress";
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> t.params.mig_max_rounds
+(* A live migration is a checkpoint whose [U_node] items run pre-copy
+   rounds before the suspend, followed synchronously — in the same engine
+   callback, so Periodic and the Supervisor never see a half-moved pod —
+   by the ordinary restart on the destinations, which finds the staged
+   images and activates their prestaged skeletons.  Its two phases report
+   under mgr.mig.copy.* and mgr.mig.restore.*, both inside one "migrate"
+   span; the migration itself keeps no state. *)
+let migrate_items ?max_rounds ?dirty_threshold ?parent t ~(items : ckpt_item list)
+    ~(on_done : op_result -> unit) =
+  if t.current <> None then invalid_arg "Manager: operation already in progress";
+  let dest_of i =
+    match i.ci_dest with
+    | Protocol.U_node d -> d
+    | Protocol.U_storage _ -> invalid_arg "Manager.migrate_items: destinations must be U_node"
   in
-  let dirty_threshold =
-    match dirty_threshold with
-    | Some f -> f
-    | None -> t.params.mig_dirty_threshold
+  let restarts =
+    List.map (fun i -> { ri_node = dest_of i; ri_pod = i.ci_pod; ri_uri = i.ci_dest }) items
   in
-  t.gen <- t.gen + 1;
-  let mg =
-    { mg_pod = pod; mg_src = src_node; mg_dest = dest_node;
-      mg_started = Engine.now t.engine; mg_rounds = 0; mg_forced = false;
-      mg_committed = false; mg_gen = t.gen; mg_done = on_done }
+  let precopy =
+    { Protocol.max_rounds = Option.value max_rounds ~default:t.params.mig_max_rounds;
+      dirty_threshold = Option.value dirty_threshold ~default:t.params.mig_dirty_threshold }
   in
-  t.mig <- Some mg;
+  let started = Engine.now t.engine in
   Metrics.incr t.metrics "mgr.mig.started";
-  let mig_span = span_begin_id t ~op:t.gen ?parent "migrate" in
-  trace t (Printf.sprintf "migrate_start:pod%d:%d->%d" pod src_node dest_node);
+  (* the copy checkpoint takes the next generation: the migrate span shares it *)
+  let mig_span = span_begin_id t ~op:(t.gen + 1) ?parent "migrate" in
+  trace t
+    ("migrate_start:"
+     ^ String.concat ","
+         (List.map (fun i -> Printf.sprintf "pod%d:%d->%d" i.ci_pod i.ci_node (dest_of i)) items));
   let finish_mig (r : op_result) =
-    t.mig <- None;
+    let r = { r with r_duration = Simtime.sub (Engine.now t.engine) started } in
     Metrics.incr t.metrics (if r.r_ok then "mgr.mig.ok" else "mgr.mig.failed");
     Metrics.observe t.metrics "mgr.mig.duration_ms" (Simtime.to_ms r.r_duration);
-    if r.r_ok then
-      trace t
-        (Printf.sprintf "mig_done:rounds%d%s" mg.mg_rounds
-           (if mg.mg_forced then ":forced" else ""));
+    if r.r_ok then trace t "mig_done";
     span_end t "migrate";
     (* watchers learn the new home before (and regardless of how) the
        caller reacts to completion *)
-    if r.r_ok then t.on_migrated ~pod ~src:src_node ~dest:dest_node;
-    mg.mg_done r
+    if r.r_ok then
+      List.iter (fun i -> t.on_migrated ~pod:i.ci_pod ~src:i.ci_node ~dest:(dest_of i)) items;
+    on_done r
   in
-  let p =
-    {
-      p_wait_meta = [ pod ];
-      p_wait_done = [ pod ];
-      p_stats = [];
-      p_metas = [];
-      p_failed = None;
-      p_arm = 0;
-      (* the destination is a party to the copy phase: an abort broadcast
-         must also clear its staged rounds *)
-      p_items = [ (pod, src_node); (pod, dest_node) ];
-      p_started = Engine.now t.engine;
-      p_kind = `Mig_copy;
-      p_gen = t.gen;
-      p_done =
-        (fun (copy : op_result) ->
-          if not copy.r_ok then
+  start_checkpoint ~precopy ?parent:(Trace.parent_arg mig_span) ~kind:`Mig_copy t ~items
+    ~resume:false ~on_done:(fun (copy : op_result) ->
+      if not copy.r_ok then finish_mig copy
+      else begin
+        trace t "mig_copy_done";
+        restart ~kind:`Mig_restore ?parent:(Trace.parent_arg mig_span) t ~items:restarts
+          ~on_done:(fun (res : op_result) ->
             finish_mig
-              { copy with
-                r_duration = Simtime.sub (Engine.now t.engine) mg.mg_started }
-          else begin
-            trace t "mig_copy_done";
-            (* phase B, synchronously in the same engine callback (finish
-               cleared t.current first, and nothing can interleave): the
-               handoff to the activated destination copy is atomic as far
-               as Periodic and the Supervisor can observe *)
-            restart ~kind:`Mig_restore ?parent:(Trace.parent_arg mig_span) t
-              ~items:
-                [ { ri_node = dest_node; ri_pod = pod;
-                    ri_uri = Protocol.U_node dest_node } ]
-              ~on_done:(fun (res : op_result) ->
-                finish_mig
-                  { res with
-                    r_stats = res.r_stats @ copy.r_stats;
-                    r_metas =
-                      (match res.r_metas with [] -> copy.r_metas | ms -> ms);
-                    r_duration =
-                      Simtime.sub (Engine.now t.engine) mg.mg_started })
-          end);
-    }
-  in
-  t.current <- Some p;
-  let copy_span =
-    span_begin_id t ~op:t.gen ?parent:(Trace.parent_arg mig_span) "mig_copy"
-  in
-  span_begin t ~op:t.gen ?parent:(Trace.parent_arg copy_span) "mgr_sync";
-  let ctx = ctx_for t copy_span in
-  send t src_node
-    (Protocol.A_migrate
-       { pod_id = pod; dest = dest_node; max_rounds; dirty_threshold; ctx });
-  arm_phase_timeout t p Protocol.Ph_meta
+              { res with
+                r_stats = res.r_stats @ copy.r_stats;
+                r_metas = (match res.r_metas with [] -> copy.r_metas | ms -> ms) })
+      end)
 
-let busy t = t.current <> None || t.mig <> None
+let migrate ?max_rounds ?dirty_threshold ?parent t ~(pod : int) ~(src_node : int)
+    ~(dest_node : int) ~(on_done : op_result -> unit) =
+  migrate_items ?max_rounds ?dirty_threshold ?parent t
+    ~items:[ { ci_node = src_node; ci_pod = pod; ci_dest = Protocol.U_node dest_node } ]
+    ~on_done
+
+let busy t = t.current <> None

@@ -88,7 +88,11 @@ val checkpoint :
   t -> items:ckpt_item list -> resume:bool -> on_done:(op_result -> unit) -> unit
 (** [resume = true] takes a snapshot (pods continue afterwards);
     [resume = false] is the migration path (pods are destroyed and their
-    images shipped to the URI destinations).
+    images shipped to the URI destinations).  A [U_node] item commits when
+    its destination Agent reports the image landed; if the item's source
+    is lost after that report (the Manager waits 5 control latencies for
+    a racing report, [mgr.mig_grace]), the item still succeeds and
+    [mgr.mig.src_lost_after_commit] counts it.
     [incremental] (default false) lets each Agent write a delta against its
     last stored image for the pod; Agents fall back to a full image when no
     usable base exists or [Params.max_delta_chain] is reached.
@@ -105,6 +109,30 @@ val restart :
     [mig_restore] span instead of the plain restart names.  [parent] as in
     {!checkpoint}. *)
 
+val migrate_items :
+  ?max_rounds:int ->
+  ?dirty_threshold:float ->
+  ?parent:int ->
+  t -> items:ckpt_item list -> on_done:(op_result -> unit) -> unit
+(** Live-migrate a pod set under one synchronization point.  A migration
+    is a composition with no state of its own: a {!checkpoint} of [items]
+    (every [ci_dest] must be [Protocol.U_node]) with a pre-copy pre-phase,
+    reported under [mgr.mig.copy.*], followed synchronously in the same
+    callback by a {!restart} of the pods on their destinations, reported
+    under [mgr.mig.restore.*]; both sit inside one [migrate] span and the
+    whole operation reports [mgr.mig.ok/failed/duration_ms].  In the copy
+    phase each pod keeps running while pre-copy rounds stream to its
+    destination Agent; the suspend then ships only the dirty residue plus
+    process/socket/netfilter state (the blackout), and the restart
+    activates the prestaged copies.  [max_rounds]/[dirty_threshold]
+    default to the {!Params} knobs; [max_rounds = 0] is exactly a
+    whole-application [U_node] checkpoint followed by its restart.  Every
+    [U_node] item commits when its destination reports the image landed:
+    a failure before that aborts cleanly and the pod resumes at its source;
+    after it the destination copy wins even if the source is lost.
+    @raise Invalid_argument if an operation is already in progress or a
+    destination is not [U_node]. *)
+
 val migrate :
   ?max_rounds:int ->
   ?dirty_threshold:float ->
@@ -115,17 +143,7 @@ val migrate :
   dest_node:int ->
   on_done:(op_result -> unit) ->
   unit
-(** Live-migrate one pod: iterative pre-copy rounds stream to the
-    destination Agent while the pod keeps running, a stop-and-copy of the
-    dirty residue plus process/socket/netfilter state forms the blackout
-    window, and the staged copy is activated on the destination.
-    [max_rounds]/[dirty_threshold] default to the {!Params} knobs;
-    [max_rounds = 0] degenerates to checkpoint-migrate-restart.
-    The source keeps the frozen pod until the destination commits, so a
-    failure at any point before the commit aborts cleanly and the pod
-    resumes at the source; after the commit the destination copy wins even
-    if the source is lost.
-    @raise Invalid_argument if an operation is already in progress. *)
+(** {!migrate_items} of the one pod [pod] from [src_node] to [dest_node]. *)
 
 val set_on_migrated : t -> (pod:int -> src:int -> dest:int -> unit) -> unit
 (** Install the handoff hook, fired on successful migration before the
@@ -133,8 +151,9 @@ val set_on_migrated : t -> (pod:int -> src:int -> dest:int -> unit) -> unit
     home atomically with completion. *)
 
 val busy : t -> bool
-(** An operation — including any phase of a live migration — is in
-    progress. *)
+(** An operation is in progress.  A live migration's copy phase hands over
+    to its restore phase within one engine callback, so the Manager is
+    busy throughout. *)
 
 val last_critpath : t -> (string * Zapc_obs.Critpath.report) option
 (** The critical-path analysis of the most recent successful operation, as
@@ -149,9 +168,6 @@ val break_channel : t -> node:int -> unit
 
 val agent_channel : t -> node:int -> Protocol.channel option
 (** The control channel to one node's Agent (fault injection hooks in). *)
-
-val agent_nodes : t -> int list
-(** Nodes with an attached Agent, sorted. *)
 
 (** {1 Heartbeats (supervisor support)} *)
 

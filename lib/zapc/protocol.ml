@@ -89,9 +89,15 @@ type trace_ctx = {
   tc_parent : int;  (* span id of the manager-side operation span *)
 }
 
+(* Live pre-copy as a pre-phase of a checkpoint to [U_node]: rounds ship
+   the running pod until its dirty residue falls to [dirty_threshold] x the
+   full image, or [max_rounds] have run (0 = plain stop-and-copy). *)
+type precopy = { max_rounds : int; dirty_threshold : float }
+
 type to_agent =
   | A_checkpoint of {
       pod_id : int; dest : uri; resume : bool; incremental : bool;
+      precopy : precopy option;  (* Some: a live migration (U_node only) *)
       ctx : trace_ctx option;
     }
   | A_continue of { pod_id : int }
@@ -109,13 +115,6 @@ type to_agent =
       ctx : trace_ctx option;
     }
   | A_ping of { seq : int }  (* supervisor heartbeat probe *)
-  | A_migrate of {
-      pod_id : int;
-      dest : int;  (* destination node: rounds stream to its Agent *)
-      max_rounds : int;  (* pre-copy round cap; 0 = plain stop-and-copy *)
-      dirty_threshold : float;  (* converged when round dirty <= this x full *)
-      ctx : trace_ctx option;
-    }
   | A_batch of (int * to_agent) list
       (* hierarchical coordination: a bundle of addressed commands sent as
          ONE control message down a tree edge.  Each (node, msg) item is
@@ -130,7 +129,9 @@ type to_manager =
   | M_migrate_round of { node : int; pod_id : int; stats : mig_round_stats }
       (* the source: one pre-copy round's stream has landed at the dest *)
   | M_migrate_done of {
-      node : int;  (* the DESTINATION node: this is the commit message *)
+      node : int;
+      (* the DESTINATION node: a [U_node] image has landed there, which
+         commits the item *)
       pod_id : int;
       rounds : int;  (* pre-copy rounds that ran (cap 0 => 0) *)
       precopy_bytes : int;  (* bytes shipped before the stop-and-copy *)
@@ -150,7 +151,6 @@ let rec to_agent_bytes = function
   | A_continue _ -> 16
   | A_abort _ -> 16
   | A_ping _ -> 16
-  | A_migrate _ -> 32
   | A_restart r ->
     128
     + (List.length r.entries * 64)
@@ -236,13 +236,27 @@ let ctx_of_body b =
       { tc_op = Value.to_int (Value.field "op" cv);
         tc_parent = Value.to_int (Value.field "parent" cv) }
 
+(* Pre-copy arguments ride as an optional assoc entry too: absent means a
+   plain checkpoint. *)
+let precopy_entries = function
+  | None -> []
+  | Some p ->
+    [ ("precopy", Value.pair Value.int (fun f -> Value.Float f) (p.max_rounds, p.dirty_threshold)) ]
+
+let precopy_of_body b =
+  Option.map
+    (fun v ->
+      let max_rounds, dirty_threshold = Value.to_pair Value.to_int Value.to_float v in
+      { max_rounds; dirty_threshold })
+    (Value.field_opt "precopy" b)
+
 let rec to_agent_to_value = function
-  | A_checkpoint { pod_id; dest; resume; incremental; ctx } ->
+  | A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx } ->
     Value.tag "checkpoint"
       (Value.assoc
          ([ ("pod", Value.int pod_id); ("dest", uri_to_value dest);
             ("resume", Value.bool resume); ("incremental", Value.bool incremental) ]
-          @ ctx_entries ctx))
+          @ precopy_entries precopy @ ctx_entries ctx))
   | A_continue { pod_id } -> Value.tag "continue" (Value.int pod_id)
   | A_abort { pod_id } -> Value.tag "abort" (Value.int pod_id)
   | A_restart
@@ -259,13 +273,6 @@ let rec to_agent_to_value = function
             ("skip_sendq", Value.bool skip_sendq) ]
           @ ctx_entries ctx))
   | A_ping { seq } -> Value.tag "ping" (Value.int seq)
-  | A_migrate { pod_id; dest; max_rounds; dirty_threshold; ctx } ->
-    Value.tag "migrate"
-      (Value.assoc
-         ([ ("pod", Value.int pod_id); ("dest", Value.int dest);
-            ("max_rounds", Value.int max_rounds);
-            ("dirty_threshold", Value.Float dirty_threshold) ]
-          @ ctx_entries ctx))
   | A_batch items ->
     Value.tag "batch"
       (Value.list (Value.pair Value.int to_agent_to_value) items)
@@ -278,6 +285,7 @@ let rec to_agent_of_value v =
         dest = uri_of_value (Value.field "dest" b);
         resume = Value.to_bool (Value.field "resume" b);
         incremental = Value.to_bool (Value.field "incremental" b);
+        precopy = precopy_of_body b;
         ctx = ctx_of_body b }
   | "continue", b -> A_continue { pod_id = Value.to_int b }
   | "abort", b -> A_abort { pod_id = Value.to_int b }
@@ -297,13 +305,6 @@ let rec to_agent_of_value v =
         skip_sendq = Value.to_bool (Value.field "skip_sendq" b);
         ctx = ctx_of_body b }
   | "ping", b -> A_ping { seq = Value.to_int b }
-  | "migrate", b ->
-    A_migrate
-      { pod_id = Value.to_int (Value.field "pod" b);
-        dest = Value.to_int (Value.field "dest" b);
-        max_rounds = Value.to_int (Value.field "max_rounds" b);
-        dirty_threshold = Value.to_float (Value.field "dirty_threshold" b);
-        ctx = ctx_of_body b }
   | "batch", b ->
     A_batch (Value.to_list (Value.to_pair Value.to_int to_agent_of_value) b)
   | tag, _ -> Value.decode_error "bad to_agent tag %s" tag

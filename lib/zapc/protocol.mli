@@ -71,6 +71,14 @@ type trace_ctx = {
     encoded without the field (older encoders, tracing off) decode to
     [None] (see [test/test_codec.ml]). *)
 
+type precopy = {
+  max_rounds : int;  (** pre-copy round cap; 0 = plain stop-and-copy *)
+  dirty_threshold : float;
+      (** converged once a round's dirty residue falls to this fraction of
+          the pod's full image *)
+}
+(** Live pre-copy, the optional pre-phase of a checkpoint to [U_node]. *)
+
 type to_agent =
   | A_checkpoint of {
       pod_id : int;
@@ -80,6 +88,10 @@ type to_agent =
           (** the Agent may write a delta against its last stored image for
               this pod (it falls back to a full image when no usable base
               exists or the chain cap is reached) *)
+      precopy : precopy option;
+          (** [Some] only for a live migration's items, with a [U_node]
+              destination: the pod keeps running while rounds stream to
+              the destination, and only the residue rides the suspend *)
       ctx : trace_ctx option;
     }
   | A_continue of { pod_id : int }  (** the single synchronization point *)
@@ -99,15 +111,6 @@ type to_agent =
       ctx : trace_ctx option;
     }
   | A_ping of { seq : int }  (** supervisor heartbeat probe *)
-  | A_migrate of {
-      pod_id : int;
-      dest : int;  (** destination node: rounds stream to its Agent *)
-      max_rounds : int;  (** pre-copy round cap; 0 = plain stop-and-copy *)
-      dirty_threshold : float;
-          (** converged once a round's dirty residue falls to this fraction
-              of the pod's full image *)
-      ctx : trace_ctx option;
-    }
   | A_batch of (int * to_agent) list
       (** hierarchical coordination: a bundle of addressed commands carried
           as one control message down a tree edge.  Each [(node, msg)] item
@@ -119,9 +122,13 @@ type to_manager =
   | M_done of { node : int; pod_id : int; ok : bool; detail : string; stats : agent_stats }
   | M_pong of { node : int; seq : int }  (** heartbeat reply *)
   | M_migrate_round of { node : int; pod_id : int; stats : mig_round_stats }
-      (** from the source: one pre-copy round's stream landed at the dest *)
+      (** from the source: one pre-copy round's stream landed at the dest;
+          also the keepalive of the Manager's meta-phase watchdog *)
   | M_migrate_done of {
-      node : int;  (** the {e destination} node: this is the commit message *)
+      node : int;
+          (** the {e destination} node: a [U_node] image landed there.
+              This commits the item — the destination copy wins even if
+              the source is lost from here on *)
       pod_id : int;
       rounds : int;  (** pre-copy rounds that ran (cap 0 => 0) *)
       precopy_bytes : int;  (** bytes shipped before the stop-and-copy *)

@@ -495,6 +495,53 @@ let run_mig_residue_break seed =
   mig_app_intact "mig-residue-break" cluster reference;
   mig_digest fs r p.Pod.pod_id cluster
 
+(* Scenario 4: the commit rule holds for every U_node item, not only a
+   live migration's.  A whole-application stream (nodes 0,1 -> 2,3) loses
+   a SOURCE node the instant it hands its pod off: the image has landed on
+   the destination, the done-report never gets out.  The checkpoint
+   succeeds, the restart brings the application up on the destinations,
+   and the run ends on the unmigrated checksum. *)
+let run_stream_src_crash seed =
+  let cluster, fs, app, p, reference = mig_setup (3400 + seed) in
+  Faultsim.install fs
+    { fault = Crash_node { node = 1 };
+      trigger = On_phase { phase = "destroyed"; pod = Some p.Pod.pod_id; skip = 0 } };
+  let moves =
+    List.map (fun (q : Pod.t) -> (q.pod_id, node_of_pod cluster q)) app.Launch.pods
+  in
+  let result = ref None in
+  Manager.checkpoint (Cluster.manager cluster) ~resume:false
+    ~items:
+      (List.map
+         (fun (id, src) ->
+           { Manager.ci_node = src; ci_pod = id; ci_dest = Protocol.U_node (src + 2) })
+         moves)
+    ~on_done:(fun r -> result := Some r);
+  let r = wait_result cluster result in
+  check tbool "landed images win" true r.Manager.r_ok;
+  assert_result_shape "stream-src-crash" r;
+  check tbool "fault fired" true (List.length (Faultsim.fired fs) = 1);
+  check tbool "source loss after commit counted once" true
+    (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "mgr.mig.src_lost_after_commit"
+     = 1);
+  let rr =
+    Cluster.restart_sync cluster
+      ~items:
+        (List.map
+           (fun (id, src) ->
+             { Manager.ri_node = src + 2; ri_pod = id; ri_uri = Protocol.U_node (src + 2) })
+           moves)
+  in
+  check tbool "restart from the landed images" true rr.Manager.r_ok;
+  List.iter
+    (fun (id, src) -> check tbool "pod on its destination" true (pod_node cluster id = src + 2))
+    moves;
+  assert_clean "stream-src-crash" cluster fs;
+  mig_app_intact "stream-src-crash" cluster reference;
+  mig_digest fs r p.Pod.pod_id cluster
+
+let test_stream_src_crash () = ignore (run_stream_src_crash 42)
+
 let test_mig_under_traffic () = ignore (run_mig_under_traffic 42)
 let test_mig_dest_crash () = ignore (run_mig_dest_crash 42)
 let test_mig_src_crash () = ignore (run_mig_src_crash 42)
@@ -983,6 +1030,8 @@ let () =
           Alcotest.test_case "source crash after handoff" `Quick test_mig_src_crash;
           Alcotest.test_case "channel break during residue" `Quick
             test_mig_residue_break;
+          Alcotest.test_case "stream source crash after landing" `Quick
+            test_stream_src_crash;
           Alcotest.test_case "scenarios across seeds" `Quick test_mig_seed_sweep;
           Alcotest.test_case "scenario determinism" `Quick test_mig_deterministic ] );
       ( "availability",

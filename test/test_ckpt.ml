@@ -632,8 +632,8 @@ let test_delta_chain_corruption_and_gc () =
 
 (* --- live-migration pre-copy properties --------------------------------
    The destination of a live migration folds round deltas over the round-0
-   full image and finally the stop-and-copy residue (Agent.receive_mig_round
-   / receive_mig_final).  Whatever the touch pattern, that composition must
+   full image and finally the stop-and-copy residue (the Agent's
+   receive_round / land_image).  Whatever the touch pattern, that composition must
    be Value- and byte-identical to a plain stop-and-copy image taken at the
    final instant; and when the dirty rate decays, the per-round residue must
    shrink monotonically. *)
@@ -661,7 +661,7 @@ let proc_mem pod =
 let region i = Printf.sprintf "r%d" i
 
 (* Emulate one source-side pre-copy round: capture the running pod, clear
-   the dirty set (capture-and-clear, as Agent.mig_round does), diff against
+   the dirty set (capture-and-clear, as Agent.precopy_round does), diff against
    the previous capture. *)
 let capture_round pod ~last =
   let r = Pod_ckpt.checkpoint ~mode:Sock_state.Peek pod in

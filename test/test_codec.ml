@@ -233,13 +233,26 @@ let ctx_gen =
         (fun (tc_op, tc_parent) -> Some { Protocol.tc_op; tc_parent })
         (pair nat nat) ]
 
+let precopy_gen =
+  let open QCheck.Gen in
+  oneof
+    [ return None;
+      map
+        (fun (max_rounds, dirty_threshold) ->
+          Some { Protocol.max_rounds; dirty_threshold })
+        (pair (int_bound 32)
+           (* exact binary fractions so float equality is trustworthy *)
+           (map (fun n -> float_of_int n /. 256.0) (int_bound 256))) ]
+
 let to_agent_gen =
   let open QCheck.Gen in
   oneof
     [ map
-        (fun (((pod_id, dest), (resume, incremental)), ctx) ->
-          Protocol.A_checkpoint { pod_id; dest; resume; incremental; ctx })
-        (pair (pair (pair nat uri_gen) (pair bool bool)) ctx_gen);
+        (fun ((((pod_id, dest), (resume, incremental)), precopy), ctx) ->
+          Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx })
+        (pair
+           (pair (pair (pair nat uri_gen) (pair bool bool)) precopy_gen)
+           ctx_gen);
       map (fun pod_id -> Protocol.A_continue { pod_id }) nat;
       map (fun pod_id -> Protocol.A_abort { pod_id }) nat;
       map
@@ -258,16 +271,7 @@ let to_agent_gen =
                     (pair (list_size (int_bound 3) (pair (int_bound 32) string_small))
                        bool))))
            ctx_gen);
-      map (fun seq -> Protocol.A_ping { seq }) nat;
-      map
-        (fun (((pod_id, dest), (max_rounds, dirty_threshold)), ctx) ->
-          Protocol.A_migrate { pod_id; dest; max_rounds; dirty_threshold; ctx })
-        (pair
-           (pair (pair nat (int_bound 16))
-              (pair (int_bound 32)
-                 (* exact binary fractions so float equality is trustworthy *)
-                 (map (fun n -> float_of_int n /. 256.0) (int_bound 256))))
-           ctx_gen) ]
+      map (fun seq -> Protocol.A_ping { seq }) nat ]
 
 let mig_round_stats_gen =
   let open QCheck.Gen in
@@ -315,7 +319,6 @@ let drop_ctx (m : Protocol.to_agent) =
   match m with
   | Protocol.A_checkpoint r -> Protocol.A_checkpoint { r with ctx = None }
   | Protocol.A_restart r -> Protocol.A_restart { r with ctx = None }
-  | Protocol.A_migrate r -> Protocol.A_migrate { r with ctx = None }
   | (Protocol.A_continue _ | Protocol.A_abort _ | Protocol.A_ping _) as m -> m
   | Protocol.A_batch _ as m -> m  (* generator never nests batches *)
 

@@ -539,7 +539,80 @@ module Dirtyhog = struct
       next = Value.to_int (Value.field "next" v) }
 end
 
+(* Listens, then sleeps long enough for a checkpoint/restart to catch a
+   connection still queued on the listener; then accepts one connection
+   and logs the peer's address and everything it reads up to EOF. *)
+module Lazy_server = struct
+  type state = { port : int; mutable ph : int; mutable fd : int; mutable got : string }
+
+  let name = "test.lazy_server"
+  let start args = { port = Value.to_int args; ph = 0; fd = -1; got = "" }
+
+  let step s (outcome : Syscall.outcome) =
+    let next ph call = s.ph <- ph; (s, Program.Sys call) in
+    match (s.ph, outcome) with
+    | 0, _ -> next 1 (Syscall.Sock_create Socket.Stream)
+    | 1, Syscall.Ret (Syscall.Rint fd) ->
+      s.fd <- fd;
+      next 2 (Syscall.Bind (fd, { Addr.ip = Addr.any; port = s.port }))
+    | 2, _ -> next 3 (Syscall.Listen (s.fd, 4))
+    | 3, _ -> next 4 (Syscall.Nanosleep (Simtime.ms 200))
+    | 4, _ -> next 5 (Syscall.Accept s.fd)
+    | 5, Syscall.Ret (Syscall.Raccept (fd, peer)) ->
+      s.fd <- fd;
+      next 6 (Syscall.Log (Format.asprintf "accepted %a" Addr.pp peer))
+    | 6, Syscall.Ret (Syscall.Rdata "") ->
+      next 7 (Syscall.Log (Printf.sprintf "read %S then eof" s.got))
+    | 6, Syscall.Ret (Syscall.Rdata d) ->
+      s.got <- s.got ^ d;
+      next 6 (Syscall.Recv (s.fd, 64, Socket.plain_recv))
+    | 6, Syscall.Err _ -> (s, Program.Exit 1)
+    | 6, _ -> next 6 (Syscall.Recv (s.fd, 64, Socket.plain_recv))
+    | 7, _ -> (s, Program.Exit 0)
+    | _, _ -> (s, Program.Exit 1)
+
+  let to_value s =
+    Value.assoc
+      [ ("port", Value.int s.port); ("ph", Value.int s.ph); ("fd", Value.int s.fd);
+        ("got", Value.str s.got) ]
+
+  let of_value v =
+    { port = Value.to_int (Value.field "port" v); ph = Value.to_int (Value.field "ph" v);
+      fd = Value.to_int (Value.field "fd" v); got = Value.to_str (Value.field "got" v) }
+end
+
+(* Connects to a server, sends "hello" and then idles with the connection
+   open. *)
+module Hello_client = struct
+  type state = { dst : Addr.t; mutable ph : int; mutable fd : int }
+
+  let name = "test.hello_client"
+  let start args = { dst = Addr.of_value args; ph = 0; fd = -1 }
+
+  let step s (outcome : Syscall.outcome) =
+    let next ph call = s.ph <- ph; (s, Program.Sys call) in
+    match (s.ph, outcome) with
+    | 0, _ -> next 1 (Syscall.Nanosleep (Simtime.ms 5))
+    | 1, _ -> next 2 (Syscall.Sock_create Socket.Stream)
+    | 2, Syscall.Ret (Syscall.Rint fd) ->
+      s.fd <- fd;
+      next 3 (Syscall.Connect (fd, s.dst))
+    | 3, Syscall.Ret _ -> next 4 (Syscall.Send (s.fd, "hello"))
+    | 4, _ -> next 4 (Syscall.Nanosleep (Simtime.sec 50.0))
+    | _, _ -> (s, Program.Exit 1)
+
+  let to_value s =
+    Value.assoc
+      [ ("dst", Addr.to_value s.dst); ("ph", Value.int s.ph); ("fd", Value.int s.fd) ]
+
+  let of_value v =
+    { dst = Addr.of_value (Value.field "dst" v); ph = Value.to_int (Value.field "ph" v);
+      fd = Value.to_int (Value.field "fd" v) }
+end
+
 let () =
+  Program.register_if_absent (module Lazy_server : Program.S);
+  Program.register_if_absent (module Hello_client : Program.S);
   Program.register_if_absent (module Ring : Program.S);
   Program.register_if_absent (module Udp_chat : Program.S);
   Program.register_if_absent (module Alarm_prog : Program.S);
@@ -730,6 +803,99 @@ let test_restart_without_streamed_image () =
    | _ -> Alcotest.failf "expected F_agent, got: %s" rr.Manager.r_detail);
   check tbool "fails well under a virtual second" true
     (Simtime.compare rr.Manager.r_duration (Simtime.ms 100) < 0)
+
+(* A connection still queued on a listener, from a pod outside the
+   restored set, comes back as an orphan on the restored listener's accept
+   queue: accepting it reports the peer's address, then reads the saved
+   data and EOF. *)
+let test_restart_queued_orphan () =
+  let cluster = make_cluster () in
+  let server = Cluster.create_pod cluster ~node_idx:0 ~name:"server" in
+  let client = Cluster.create_pod cluster ~node_idx:1 ~name:"client" in
+  Cluster.link_pods [ server; client ];
+  ignore (Pod.spawn server ~program:"test.lazy_server" ~args:(Value.int 7000));
+  ignore
+    (Pod.spawn client ~program:"test.hello_client"
+       ~args:(Addr.to_value { Addr.ip = server.vip; port = 7000 }));
+  Cluster.run cluster ~until:(Simtime.ms 20) ();
+  let r = Cluster.snapshot cluster ~pods:[ server ] ~key_prefix:"orphan" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  Pod.destroy server;
+  let rr =
+    Cluster.restart_app cluster ~pod_ids:[ server.pod_id ] ~target_nodes:[ 2 ]
+      ~key_prefix:"orphan"
+  in
+  check tbool "restart ok" true rr.Manager.r_ok;
+  Cluster.run_until cluster ~timeout:(Simtime.sec 1.0) (fun () -> has_log "read ");
+  check tbool "accept reports the client" true
+    (has_log (Format.asprintf "accepted %a:" Addr.pp_ip client.vip));
+  check tbool "saved data, then EOF" true (has_log "read \"hello\" then eof")
+
+(* Stream a running 2-rank BT/NAS from nodes 0 and 1 straight to the
+   Agents of nodes 2 and 3, and restart it there. *)
+let stream_bt ?params ?(before = fun _ _ -> ()) () =
+  let cluster = make_cluster ?params () in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 30) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  before cluster app;
+  let items =
+    List.map2
+      (fun (p : Pod.t) (src, dst) ->
+        { Manager.ci_node = src; ci_pod = p.pod_id; ci_dest = Protocol.U_node dst })
+      app.Launch.pods [ (0, 2); (1, 3) ]
+  in
+  let r = Cluster.checkpoint_sync cluster ~items ~resume:false in
+  check tbool "stream checkpoint ok" true r.Manager.r_ok;
+  let rr =
+    Cluster.restart_sync cluster
+      ~items:
+        (List.map2
+           (fun id dst -> { Manager.ri_node = dst; ri_pod = id; ri_uri = Protocol.U_node dst })
+           (Launch.pod_ids app) [ 2; 3 ])
+  in
+  check tbool "stream restart ok" true rr.Manager.r_ok;
+  (cluster, app, r, rr)
+
+(* A stream never passes through Storage, so it ships logical bytes and
+   pays no codec CPU on either side: with compression on, the checkpoint
+   and the restart take exactly the virtual time they take with it off. *)
+let test_stream_skips_compression () =
+  let durations compress =
+    let _, _, r, rr = stream_bt ~params:{ Params.default with compress } () in
+    (r.Manager.r_duration, rr.Manager.r_duration)
+  in
+  check (Alcotest.pair tint tint) "same checkpoint and restart durations"
+    (durations false) (durations true)
+
+(* The commit rule of every U_node item: a source lost right after its
+   image landed costs nothing — the checkpoint succeeds, the restart brings
+   the application up on the destinations, and it completes. *)
+let stream_source_lost () =
+  let lost = ref false in
+  let cluster, app, _, _ =
+    stream_bt
+      ~before:(fun cluster app ->
+        let src = List.combine (Launch.pod_ids app) [ 0; 1 ] in
+        Zapc.Trace.on_record (Cluster.enable_trace cluster) (fun ev ->
+            if (not !lost) && String.equal ev.Zapc.Trace.ev_what "destroyed" then begin
+              lost := true;
+              Manager.break_channel (Cluster.manager cluster)
+                ~node:(List.assoc ev.Zapc.Trace.ev_pod src)
+            end))
+      ()
+  in
+  let m = Cluster.metrics cluster in
+  check tint "one source lost after its commit" 1
+    (Zapc_obs.Metrics.counter m "mgr.mig.src_lost_after_commit");
+  let ranks = restarted_ranks (Launch.pod_ids app) "bt_nas" in
+  Cluster.run_until cluster ~timeout:(Simtime.sec 1200.0) (fun () -> exited ranks);
+  check tbool "completes after the stream" true (has_log "bt_nas: checksum");
+  m
+
+let test_stream_source_lost () = ignore (stream_source_lost ())
 
 let test_ring_restart () =
   let cluster = make_cluster ~nodes:4 () in
@@ -1496,19 +1662,26 @@ let migrate_quiescent_blackout ~max_rounds =
   in
   check tint "working set intact" (256 * 262_144) mem_total;
   check tint "one migration succeeded" 1 (Zapc_obs.Metrics.counter m "mgr.mig.ok");
+  m
+
+let rounds_blackout_forced m =
   (Zapc_obs.Metrics.hist_sum m "mig.rounds",
    Zapc_obs.Metrics.hist_sum m "mig.blackout_ms",
    Zapc_obs.Metrics.counter m "mig.forced_stops")
 
 let test_live_migrate_quiescent () =
-  let rounds, blackout_pc, forced = migrate_quiescent_blackout ~max_rounds:8 in
+  let rounds, blackout_pc, forced =
+    rounds_blackout_forced (migrate_quiescent_blackout ~max_rounds:8)
+  in
   check tbool "converged in at most 2 rounds" true (rounds >= 1.0 && rounds <= 2.0);
   check tint "no forced stop" 0 forced;
   check tbool "blackout recorded" true (blackout_pc > 0.0);
   (* same pod, same instant, stop-and-copy (round cap 0): the pre-copy
      blackout must be well under it — the full image travels while the pod
      still runs, and the prestaged restore skips the cold-start fixed cost *)
-  let rounds0, blackout_sc, _ = migrate_quiescent_blackout ~max_rounds:0 in
+  let rounds0, blackout_sc, _ =
+    rounds_blackout_forced (migrate_quiescent_blackout ~max_rounds:0)
+  in
   check tbool "cap 0 ships no pre-copy round" true (rounds0 = 0.0);
   check tbool
     (Printf.sprintf "pre-copy blackout (%.1f ms) < 50%% of stop-and-copy (%.1f ms)"
@@ -1519,7 +1692,7 @@ let test_live_migrate_quiescent () =
 (* A pod dirtying its whole working set faster than the link can ship it
    never converges: the round cap forces the stop-and-copy, the operation
    still succeeds, and the forced stop is visible in the metrics. *)
-let test_live_migrate_forced_stop () =
+let migrate_forced_stop () =
   let cluster = make_cluster ~nodes:2 () in
   let m = Cluster.metrics cluster in
   (* 16 x 128 KB = 2 MB, all of it rewritten every ~0.5 ms: a round's copy
@@ -1540,12 +1713,15 @@ let test_live_migrate_forced_stop () =
   (* bounded blackout: the forced stop-and-copy ships only the residue (one
      round's dirtying), not rounds x the working set *)
   let blackout = Zapc_obs.Metrics.hist_sum m "mig.blackout_ms" in
-  check tbool "blackout bounded" true (blackout > 0.0 && blackout < 1000.0)
+  check tbool "blackout bounded" true (blackout > 0.0 && blackout < 1000.0);
+  m
+
+let test_live_migrate_forced_stop () = ignore (migrate_forced_stop ())
 
 (* Round cap 0 degenerates to today's checkpoint-migrate-restart: no
    pre-copy round is ever sent, the destination pays the full cold-start
    restore, and the pod still arrives correctly. *)
-let test_live_migrate_cap0_degenerates () =
+let migrate_cap0 () =
   let cluster = make_cluster ~nodes:2 () in
   let m = Cluster.metrics cluster in
   let tr = Cluster.enable_trace cluster in
@@ -1567,7 +1743,139 @@ let test_live_migrate_cap0_degenerates () =
   check tbool "commit reported zero rounds" true
     (Zapc_obs.Metrics.hist_count m "mig.rounds" = 1
      && Zapc_obs.Metrics.hist_sum m "mig.rounds" = 0.0);
-  check tint "pod lives on the destination" 1 (pod_node cluster pod.Pod.pod_id)
+  check tint "pod lives on the destination" 1 (pod_node cluster pod.Pod.pod_id);
+  m
+
+let test_live_migrate_cap0_degenerates () = ignore (migrate_cap0 ())
+
+(* Both ranks of a connected application live-migrate in one operation,
+   under the paper's single synchronization point: each pod goes dark
+   exactly once, inside the migrate span, both land on their destinations,
+   and the run ends on the checksum of an unmigrated run. *)
+let migrate_pod_set () =
+  let launch_bt cluster =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 30) ()
+  in
+  let reference =
+    let cluster = make_cluster () in
+    ignore (Launch.wait_done cluster (launch_bt cluster));
+    match find_log "bt_nas: checksum" with
+    | Some l -> l
+    | None -> Alcotest.fail "unmigrated run logged no checksum"
+  in
+  let cluster = make_cluster () in
+  let tr = Cluster.enable_trace cluster in
+  let app = launch_bt cluster in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let dests = [ 2; 3 ] in
+  let items =
+    List.map2
+      (fun (p : Pod.t) dst ->
+        { Manager.ci_node = pod_node cluster p.pod_id; ci_pod = p.pod_id;
+          ci_dest = Protocol.U_node dst })
+      app.Launch.pods dests
+  in
+  let result = ref None in
+  Manager.migrate_items (Cluster.manager cluster) ~max_rounds:4 ~items
+    ~on_done:(fun r -> result := Some r);
+  Cluster.run_until cluster ~timeout:(Simtime.sec 10.0) (fun () -> !result <> None);
+  check tbool "pod-set migration ok" true (Option.get !result).Manager.r_ok;
+  let spans = Zapc_obs.Span.spans (Zapc.Trace.recorder tr) in
+  let named n =
+    List.filter (fun (sp : Zapc_obs.Span.span) -> String.equal sp.sp_name n) spans
+  in
+  let m0, m1 =
+    match named "migrate" with
+    | [ { sp_begin; sp_end = Some e; _ } ] -> (sp_begin, e)
+    | _ -> Alcotest.fail "expected one closed migrate span"
+  in
+  List.iter2
+    (fun id dst ->
+      (match List.filter (fun (sp : Zapc_obs.Span.span) -> sp.sp_pod = id) (named "blackout") with
+       | [ { sp_begin; sp_end = Some e; _ } ] ->
+         check tbool "blackout inside the migrate span" true (m0 < sp_begin && e < m1)
+       | bs -> Alcotest.failf "pod %d: %d blackout spans" id (List.length bs));
+      check tint "pod on its destination" dst (pod_node cluster id))
+    (Launch.pod_ids app) dests;
+  let ranks = restarted_ranks (Launch.pod_ids app) "bt_nas" in
+  Cluster.run_until cluster ~timeout:(Simtime.sec 1200.0) (fun () -> exited ranks);
+  check tbool "checksum of the unmigrated run" true (List.mem reference !logged);
+  Cluster.metrics cluster
+
+let test_live_migrate_pod_set () = ignore (migrate_pod_set ())
+
+(* A migration's failure paths: losing the destination mid-round fails the
+   copy and the pod keeps running at its source; losing it as the restore
+   begins fails the restore. *)
+let migrate_failures () =
+  let cluster = make_cluster () in
+  let tr = Cluster.enable_trace cluster in
+  let break_at what node =
+    let armed = ref true in
+    Zapc.Trace.on_record tr (fun ev ->
+        if !armed && String.equal ev.Zapc.Trace.ev_what what then begin
+          armed := false;
+          Manager.break_channel (Cluster.manager cluster) ~node
+        end)
+  in
+  let pod =
+    launch_hog cluster ~node_idx:0
+      ~args:(hog_args ~regions:16 ~size:131_072 ~stride:16 ~period_us:500
+               ~loops:100_000)
+  in
+  Cluster.run cluster ~until:(Simtime.ms 20) ();
+  break_at "mig_round" 1;
+  let r = Cluster.migrate_sync cluster ~pod ~dest_node:1 ~max_rounds:3 in
+  check tbool "copy fails with its destination" false r.Manager.r_ok;
+  check tint "pod still on its source" 0 (pod_node cluster pod.Pod.pod_id);
+  break_at "mig_copy_done" 2;
+  let r = Cluster.migrate_sync cluster ~pod ~dest_node:2 ~max_rounds:3 in
+  check tbool "restore fails with its destination" false r.Manager.r_ok;
+  Cluster.metrics cluster
+
+(* The metric catalogue contract for live migration: every mig.*,
+   mgr.mig.* and agent.mig* instrument the migration tests' clusters
+   register is listed in doc/OBSERVABILITY.md, and every such name the
+   document lists is registered by one of them. *)
+let test_migration_metric_catalogue () =
+  let ours name =
+    List.exists
+      (fun p ->
+        String.length name >= String.length p
+        && String.equal (String.sub name 0 (String.length p)) p)
+      [ "mig."; "mgr.mig."; "agent.mig" ]
+  in
+  let registered =
+    List.concat_map
+      (fun m -> List.filter ours (Zapc_obs.Metrics.names m))
+      [ migrate_quiescent_blackout ~max_rounds:8; migrate_forced_stop ();
+        migrate_cap0 (); migrate_pod_set (); stream_source_lost ();
+        migrate_failures () ]
+    |> List.sort_uniq compare
+  in
+  (* every name written whole between backquotes *)
+  let doc =
+    let path =
+      if Sys.file_exists "../doc/OBSERVABILITY.md" then "../doc/OBSERVABILITY.md"
+      else "doc/OBSERVABILITY.md"
+    in
+    In_channel.with_open_text path In_channel.input_all
+  in
+  let name_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' || c = '.' in
+  let documented = ref [] in
+  String.iteri
+    (fun i c ->
+      if c = '`' then begin
+        let j = ref (i + 1) in
+        while !j < String.length doc && name_char doc.[!j] do incr j done;
+        let name = String.sub doc (i + 1) (!j - i - 1) in
+        if !j < String.length doc && doc.[!j] = '`' && ours name then
+          documented := name :: !documented
+      end)
+    doc;
+  check (Alcotest.list Alcotest.string) "registered names = documented names"
+    (List.sort_uniq compare !documented) registered
 
 (* Regression: Periodic and the Supervisor observe a migrated pod's new
    home atomically at the handoff.  An epoch that fires mid-migration is
@@ -1831,6 +2139,9 @@ let () =
             test_live_migrate_forced_stop;
           Alcotest.test_case "live migrate: cap 0 degenerates" `Quick
             test_live_migrate_cap0_degenerates;
+          Alcotest.test_case "live migrate: pod set" `Quick test_live_migrate_pod_set;
+          Alcotest.test_case "live migrate: metric catalogue" `Quick
+            test_migration_metric_catalogue;
           Alcotest.test_case "periodic epoch mid-migration" `Quick
             test_periodic_epoch_mid_migration;
           Alcotest.test_case "gm (kernel-bypass) migration" `Quick
@@ -1840,6 +2151,12 @@ let () =
             test_stream_to_unreachable_keeps_source;
           Alcotest.test_case "restart without streamed image" `Quick
             test_restart_without_streamed_image;
+          Alcotest.test_case "restart with a queued orphan" `Quick
+            test_restart_queued_orphan;
+          Alcotest.test_case "stream skips compression" `Quick
+            test_stream_skips_compression;
+          Alcotest.test_case "stream source lost after commit" `Quick
+            test_stream_source_lost;
           Alcotest.test_case "restart rebinds every namespace" `Quick
             test_restart_rebinds_every_namespace ] );
       ( "protocol",
