@@ -103,8 +103,10 @@ let run ?until ?max_events t =
       fn ()
     | None ->
       (match until with
-       | Some limit when pending t > 0 ->
-         (* queue non-empty but nothing due: the horizon was reached *)
+       | Some limit when pending t > 0 && Simtime.compare limit t.clock > 0 ->
+         (* queue non-empty but nothing due: the horizon was reached.  A
+            horizon already in the past leaves the clock alone — moving it
+            backward would queue later events behind ones already run. *)
          t.clock <- limit
        | _ -> ());
       continue := false

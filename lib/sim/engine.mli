@@ -30,7 +30,8 @@ val schedule_at : t -> ?label:string -> at:Simtime.t -> (unit -> unit) -> unit
 val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
 (** Process events until the queue is empty, [until] is reached, or
     [max_events] have fired.  Raises [Stalled] never — an empty queue simply
-    stops. *)
+    stops.  The clock never moves backward: running to an [until] that is
+    already past is a no-op. *)
 
 val pending : t -> int
 (** Number of queued events. *)

@@ -125,11 +125,15 @@ and yield k (p : Proc.t) =
     p.rstate <- Proc.Ready;
     release_cpu k;
     enqueue k p
-  | Proc.Stopped | Proc.Zombie -> release_cpu k
-  | Proc.Ready | Proc.Blocked -> release_cpu k
+  | Proc.Stopped ->
+    (* stopped mid-episode: this was the event SIGCONT would have waited
+       for, so a later SIGCONT must enqueue the process again *)
+    if p.stopped_from = Proc.Running then p.stopped_from <- Proc.Ready;
+    release_cpu k
+  | Proc.Zombie | Proc.Ready | Proc.Blocked -> release_cpu k
 
 and dispatch k (p : Proc.t) =
-  if p.rstate <> Proc.Running then release_cpu k
+  if p.rstate <> Proc.Running then yield k p
   else
     match p.pending_compute with
     | Some remaining -> run_slice k p remaining
@@ -204,17 +208,19 @@ and signal_proc k (p : Proc.t) (sg : Signal.t) =
   | Signal.Sigstop ->
     (match p.rstate with
      | Proc.Stopped | Proc.Zombie -> ()
-     | Proc.Ready | Proc.Running ->
-       p.stopped_from <- Proc.Ready;
-       p.rstate <- Proc.Stopped
-     | Proc.Blocked ->
-       p.stopped_from <- Proc.Blocked;
+     | (Proc.Ready | Proc.Running | Proc.Blocked) as from ->
+       p.stopped_from <- from;
        p.rstate <- Proc.Stopped)
   | Signal.Sigcont ->
     (match p.rstate with
      | Proc.Stopped ->
        if p.stopped_from = Proc.Blocked && not p.retry_after_cont then
          p.rstate <- Proc.Blocked
+       else if p.stopped_from = Proc.Running then
+         (* the slice or syscall event that holds its CPU is still pending
+            and releases the CPU as usual; enqueuing it would let a second
+            CPU dispatch it again *)
+         p.rstate <- Proc.Running
        else begin
          p.rstate <- Proc.Ready;
          enqueue k p

@@ -4,8 +4,9 @@
    engine event that will eventually release its CPU; [Ready] processes sit
    in the run queue ([in_runq] guards duplicates); a [Blocked] process has
    its single [waker] queued at most once on each resource it waits for;
-   [Stopped] remembers which of Ready/Blocked to return to on SIGCONT (plus
-   whether a wakeup fired while stopped). *)
+   [Stopped] remembers which of Running/Ready/Blocked to return to on SIGCONT
+   (plus whether a wakeup fired while stopped); it stays "Running" only
+   while the event that holds its CPU is still pending. *)
 
 module Simtime = Zapc_sim.Simtime
 

@@ -5,8 +5,9 @@
     in the run queue ([in_runq] guards duplicates); a [Blocked] process has
     its single {!field-waker} queued at most once on each resource it waits
     for, and re-executes its pending system call on wakeup; [Stopped]
-    remembers which of Ready/Blocked to return to on SIGCONT (plus whether a
-    wakeup fired while stopped).  The checkpoint saves exactly the mutable fields below that
+    remembers which of Running/Ready/Blocked to return to on SIGCONT (plus
+    whether a wakeup fired while stopped); it stays [Running] only while the
+    event that holds its CPU is still pending.  The checkpoint saves exactly the mutable fields below that
     cannot be reconstructed. *)
 
 module Simtime = Zapc_sim.Simtime

@@ -98,6 +98,9 @@ val flight : t -> Zapc_obs.Flight.t option
 (** {1 Running the simulation} *)
 
 val run : t -> ?until:Simtime.t -> ?max_events:int -> unit -> unit
+(** Run the engine (see {!Zapc_sim.Engine.run}).  Virtual time never moves
+    backward: [~until] an instant already past (say, one a synchronous
+    checkpoint overran) runs nothing and leaves the clock where it is. *)
 
 exception Timeout of string
 

@@ -1,25 +1,29 @@
-(* Checkpoint image storage: one interface, three composable backends.
+(* Checkpoint image storage: one copy model, one stored form, three
+   backends that differ only in data chosen at [create].
 
-   [Sb_plain] is the SAN/NAS of the paper's cluster: every image verbatim on
-   every replica, reads falling back past outaged or corrupt copies.
-
-   [Sb_dedup] is a content-addressed store layered on the same replica
-   model: an image is split into FNV-addressed chunks (Zapc_ckpt.Chunk) —
-   real chunks of the Wire encoding plus virtual chunks of the modelled
-   memory regions — and each distinct chunk is stored once, refcounted.
-   Identical text/data across epochs, replicas and sibling pods (the 16 BT
-   ranks all declare the same regions) collapses to one stored copy, and
-   the savings multiply with delta chains: an unchanged region dedupes even
-   inside a full checkpoint.
-
-   [Sb_buddy] is the peer-memory backend: each image lands in the owner
-   node's RAM plus a partner ("buddy") node's RAM over the per-node links,
-   bypassing the shared SAN entirely — LiveStack's argument that cluster-
-   scale checkpoint traffic must avoid any central choke point.  When a
-   node dies the Supervisor calls [node_died]; surviving copies are
+   Every physical name maps to one entry: its pristine recipe, checksum,
+   accounted bytes and a fixed row of copy slots.  A slot's location is a
+   SAN replica, a node's RAM or nowhere, and every read, heal, outage and
+   corruption walks or indexes that one row.  [Sb_plain] is the SAN/NAS of
+   the paper's cluster (slot i = replica i, each holding the image
+   verbatim).  [Sb_buddy] is the peer-memory backend: slot 0 is the owner
+   node's RAM and slot 1 a partner ("buddy") node's RAM over the per-node
+   links, bypassing the shared SAN entirely — LiveStack's argument that
+   cluster-scale checkpoint traffic must avoid any central choke point.
+   When a node dies the Supervisor calls [node_died]; surviving copies are
    re-buddied onto the next live node.
 
-   Compression ([compress]) composes with all three: the stored/flushed
+   Every stored image is a recipe: a skeleton plus its encoded bytes as
+   chunks.  A plain image is one inline chunk with nothing hashed.
+   [Sb_dedup] instead splits it into FNV-addressed chunks (Zapc_ckpt.Chunk)
+   — real chunks of the Wire encoding plus virtual chunks of the modelled
+   memory regions — and stores each distinct chunk once in a refcounted
+   pool.  Identical text/data across epochs, replicas and sibling pods (the
+   16 BT ranks all declare the same regions) collapses to one stored copy,
+   and the savings multiply with delta chains: an unchanged region dedupes
+   even inside a full checkpoint.
+
+   Compression ([compress]) composes with every backend: the stored/flushed
    byte accounting shrinks to the image's modelled compressed size
    (Image.comp_size) while the virtual-CPU compressor cost is charged by
    the Agent.  The bytes that restart must reproduce are never transformed,
@@ -52,50 +56,50 @@ type chunk = {
   mutable c_refs : int;  (* referencing stored entries (per occurrence) *)
 }
 
-(* One encoded-bytes chunk of a recipe: normally a pool reference; inline
-   when the pool address collided with different content (never observed —
-   the safety valve keeps a hash collision from corrupting images). *)
+(* One encoded-bytes chunk of a recipe: a pool reference, or the bytes
+   themselves — a plain image's single chunk, a pool address that collided
+   with different content (never observed — the safety valve keeps a hash
+   collision from corrupting images), or a corrupted copy's shadow. *)
 type ch = Cref of int | Cinline of string
 
-type stored =
-  | Whole of Image.t  (* plain/buddy: the image, verbatim *)
-  | Recipe of {
-      skel : Image.t;  (* the image minus its encoded bytes *)
-      chs : ch array;  (* encoded bytes, in chunk order *)
-      vrefs : int array;  (* virtual region-chunk addresses (accounting) *)
-    }
-
-type copyset = {
-  images : (string, stored * int) Hashtbl.t;  (* pname -> stored, checksum *)
-  mutable fail : string option;  (* injected per-replica outage *)
+(* Every stored image is a recipe. *)
+type stored = {
+  skel : Image.t;  (* the image minus its encoded bytes *)
+  chs : ch array;  (* encoded bytes, in chunk order *)
+  vrefs : int array;  (* virtual region-chunk addresses (accounting) *)
 }
 
-(* Copy-independent record of a stored physical name: the pristine stored
-   form, its checksum and its accounted (flush/backfill) byte size.  The
-   source of truth for chunk refcounts, heal-time re-replication and flush
-   sizing; corruption injection only ever touches replica copies. *)
-type entry = { e_stored : stored; e_sum : int; e_bytes : int }
+(* Where a copy slot lives: a SAN replica, a node's RAM, or nowhere (a buddy
+   entry with no live partner, or one whose copies all died). *)
+type loc = San | Ram of int | Nowhere
+
+type slot = {
+  loc : loc;
+  mutable data : (stored * int) option;  (* the copy and its checksum *)
+}
+
+(* One stored physical name: the pristine recipe, its checksum, its
+   accounted (flush/backfill) byte size, and its copy slots.  The pristine
+   recipe is the source of truth for chunk refcounts and heal-time
+   backfill; corruption injection only ever touches a slot's copy. *)
+type entry = { e_stored : stored; e_sum : int; e_bytes : int; copies : slot array }
 
 type t = {
   engine : Engine.t;
-  backend : Params.storage_backend;
   compress : bool;
+  chunked : bool;  (* split images into the content-addressed pool *)
+  place : int -> loc array;  (* writer's node -> one location per slot *)
   bps : float;  (* shared SAN flush bandwidth *)
   buddy_bps : float;  (* per-node link bandwidth (buddy transfers) *)
   latency : Simtime.t;
-  nodes : int;  (* cluster size the buddy backend assigns partners from *)
-  replicas : copyset array;
-  (* buddy backend state: per-node RAM copies, per-pname (owner, partner)
-     placement (-1 = no live partner), and the dead-node set *)
-  rams : (int, (string, stored * int) Hashtbl.t) Hashtbl.t;
-  locs : (string, int * int) Hashtbl.t;
+  nodes : int;  (* cluster size buddy partners are drawn from *)
+  fails : string option array;  (* injected per-slot outages *)
   dead : (int, unit) Hashtbl.t;
-  (* content-addressed chunk pool (dedup backend) *)
-  chunks : (int, chunk) Hashtbl.t;
+  chunks : (int, chunk) Hashtbl.t;  (* content-addressed chunk pool *)
   (* versioned keyspace *)
   versions : (string, int) Hashtbl.t;  (* public key -> current version *)
   vseq : (string, int) Hashtbl.t;  (* public key -> last version ever issued *)
-  logical : (string, entry) Hashtbl.t;  (* pname -> pristine stored record *)
+  entries : (string, entry) Hashtbl.t;  (* pname -> entry *)
   (* delta-chain bookkeeping, keyed by physical name *)
   bases : (string, string) Hashtbl.t;  (* delta pname -> its base pname *)
   pins : (string, int) Hashtbl.t;  (* pname -> # of live deltas based on it *)
@@ -106,10 +110,9 @@ type t = {
   mutable write_failures : int;
   mutable corruption_detected : int;
   mutable trace : Trace.t option;
-  (* contention: the shared SAN serializes flushes; each node's buddy link
-     serializes its own transfers but runs in parallel with other nodes *)
-  mutable san_free : Simtime.t;
-  links_free : (int, Simtime.t) Hashtbl.t;
+  (* contention: each link (the shared SAN, each buddy owner's own link)
+     serializes its own flushes; distinct links run in parallel *)
+  links_free : (loc, Simtime.t) Hashtbl.t;
   (* running totals behind the dedup_factor / compress_ratio gauges *)
   mutable dd_logical : int;
   mutable dd_unique : int;
@@ -117,27 +120,49 @@ type t = {
   mutable comp_out : int;
 }
 
+(* Next live node after [after] (never [after] itself); None if no other
+   node is alive. *)
+let next_alive ~nodes ~dead after =
+  let rec go i =
+    if i >= nodes then None
+    else
+      let cand = (after + i) mod nodes in
+      if Hashtbl.mem dead cand then go (i + 1) else Some cand
+  in
+  go 1
+
 let create ?metrics ?(bps = 180e6) ?(latency = Simtime.us 500) ?(replicas = 2)
     ?(backend = Params.Sb_plain) ?(compress = false) ?(buddy_bps = 1e9)
     ?(nodes = 2) engine =
   let replicas = Stdlib.max 1 replicas in
+  let nodes = Stdlib.max 1 nodes in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  { engine; backend; compress; bps; buddy_bps; latency;
-    nodes = Stdlib.max 1 nodes;
-    replicas = Array.init replicas (fun _ -> { images = Hashtbl.create 16; fail = None });
-    rams = Hashtbl.create 8; locs = Hashtbl.create 16; dead = Hashtbl.create 4;
-    chunks = Hashtbl.create 64;
+  let dead = Hashtbl.create 4 in
+  let san = Array.make replicas San in
+  (* Buddy: slot 0 is the writer's own RAM, slot 1 the next live node's. *)
+  let buddy node =
+    let owner = ((node mod nodes) + nodes) mod nodes in
+    [| Ram owner;
+       (match next_alive ~nodes ~dead owner with Some p -> Ram p | None -> Nowhere) |]
+  in
+  let place, chunked =
+    match backend with
+    | Params.Sb_plain -> ((fun _ -> san), false)
+    | Params.Sb_dedup -> ((fun _ -> san), true)
+    | Params.Sb_buddy -> (buddy, false)
+  in
+  { engine; compress; chunked; place; bps; buddy_bps; latency; nodes;
+    fails = Array.make (Array.length (place 0)) None;
+    dead; chunks = Hashtbl.create 64;
     versions = Hashtbl.create 16; vseq = Hashtbl.create 16;
-    logical = Hashtbl.create 16;
+    entries = Hashtbl.create 16;
     bases = Hashtbl.create 16; pins = Hashtbl.create 16; condemned = Hashtbl.create 8;
     metrics;
     bytes_written = 0; fail_writes = None; write_failures = 0; corruption_detected = 0;
-    trace = None;
-    san_free = Simtime.zero; links_free = Hashtbl.create 8;
+    trace = None; links_free = Hashtbl.create 8;
     dd_logical = 0; dd_unique = 0; comp_in = 0; comp_out = 0 }
 
-let replica_count t = Array.length t.replicas
-let backend t = t.backend
+let replica_count t = Array.length t.fails
 
 let set_trace t tr = t.trace <- Some tr
 
@@ -146,8 +171,15 @@ let write_failures t = t.write_failures
 let corruption_detected t = t.corruption_detected
 
 let set_replica_fail t ~replica reason =
-  if replica >= 0 && replica < Array.length t.replicas then
-    t.replicas.(replica).fail <- reason
+  if replica >= 0 && replica < Array.length t.fails then t.fails.(replica) <- reason
+
+let alive t = function
+  | San -> true
+  | Ram n -> not (Hashtbl.mem t.dead n)
+  | Nowhere -> false
+
+(* A slot a read may use or a write may land in: not outaged, location up. *)
+let usable t i loc = t.fails.(i) = None && alive t loc
 
 (* --- versioned keyspace ------------------------------------------------ *)
 
@@ -159,13 +191,10 @@ let current t key =
   | Some v -> Some (pname key v)
   | None -> None
 
-let ram t node =
-  match Hashtbl.find_opt t.rams node with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.replace t.rams node tbl;
-    tbl
+let current_entry t key =
+  match current t key with
+  | Some p -> Hashtbl.find_opt t.entries p
+  | None -> None
 
 (* --- chunk pool --------------------------------------------------------- *)
 
@@ -179,29 +208,34 @@ let unref_chunk t h =
       Metrics.incr t.metrics "storage.dedup_chunks_freed"
     end
 
-let unref_stored t = function
-  | Whole _ -> ()
-  | Recipe r ->
-    Array.iter (function Cref h -> unref_chunk t h | Cinline _ -> ()) r.chs;
-    Array.iter (unref_chunk t) r.vrefs
+let unref_stored t r =
+  Array.iter (function Cref h -> unref_chunk t h | Cinline _ -> ()) r.chs;
+  Array.iter (unref_chunk t) r.vrefs
 
-(* Rebuild the image a stored form describes.  [None] if a referenced chunk
+(* A chunk's bytes; raises [Exit] if a referenced chunk vanished from the
+   pool. *)
+let chunk_bytes t = function
+  | Cinline s -> s
+  | Cref h ->
+    (match Hashtbl.find_opt t.chunks h with
+     | Some { c_bytes = Some b; _ } -> b
+     | _ -> raise Exit)
+
+(* Rebuild the image a recipe describes.  [None] if a referenced chunk
    vanished from the pool (treated as corruption by the caller). *)
-let materialize t = function
-  | Whole img -> Some img
-  | Recipe { skel; chs; _ } ->
-    (try
-       let buf = Buffer.create 1024 in
-       Array.iter
-         (function
-           | Cinline s -> Buffer.add_string buf s
-           | Cref h ->
-             (match Hashtbl.find_opt t.chunks h with
-              | Some { c_bytes = Some b; _ } -> Buffer.add_string buf b
-              | _ -> raise Exit))
-         chs;
-       Some { skel with Image.encoded = Buffer.contents buf }
-     with Exit -> None)
+let materialize t { skel; chs; _ } =
+  match
+    if Array.length chs = 1 then chunk_bytes t chs.(0)
+    else String.concat "" (Array.to_list (Array.map (chunk_bytes t) chs))
+  with
+  | encoded -> Some { skel with Image.encoded }
+  | exception Exit -> None
+
+(* A plain image: one inline chunk holding its whole encoding, nothing
+   hashed or pooled. *)
+let inline (image : Image.t) =
+  { skel = { image with Image.encoded = "" }; chs = [| Cinline image.Image.encoded |];
+    vrefs = [||] }
 
 (* --- delta-chain GC (pnames) --------------------------------------------
 
@@ -224,14 +258,11 @@ let rec unpin t p =
 
 and really_remove t p =
   Hashtbl.remove t.condemned p;
-  (match Hashtbl.find_opt t.logical p with
+  (match Hashtbl.find_opt t.entries p with
    | Some e ->
      unref_stored t e.e_stored;
-     Hashtbl.remove t.logical p
+     Hashtbl.remove t.entries p
    | None -> ());
-  Array.iter (fun r -> Hashtbl.remove r.images p) t.replicas;
-  Hashtbl.iter (fun _ tbl -> Hashtbl.remove tbl p) t.rams;
-  Hashtbl.remove t.locs p;
   match Hashtbl.find_opt t.bases p with
   | Some base ->
     Hashtbl.remove t.bases p;
@@ -273,22 +304,9 @@ let record_link t p (image : Image.t) =
 
 (* --- writes -------------------------------------------------------------- *)
 
-(* Next live node after [after], skipping [not_this]; None if no other node
-   is alive. *)
-let next_alive t ~after ~not_this =
-  let n = t.nodes in
-  let rec go i =
-    if i > n then None
-    else
-      let cand = (after + i) mod n in
-      if cand <> not_this && not (Hashtbl.mem t.dead cand) then Some cand
-      else go (i + 1)
-  in
-  go 1
-
 (* Split the image into pool chunks, interning new ones (refs counted per
-   occurrence).  Returns the stored recipe plus this put's distinct-new
-   byte count — the only bytes the store actually grows by. *)
+   occurrence).  Returns the recipe plus this put's distinct-new byte
+   count — the only bytes the store actually grows by. *)
 let intern_chunks t (image : Image.t) =
   let new_bytes = ref 0 in
   let intern h size bytes =
@@ -327,7 +345,7 @@ let intern_chunks t (image : Image.t) =
       image.Image.regions
     |> Array.of_list
   in
-  (Recipe { skel = { image with Image.encoded = "" }; chs; vrefs }, !new_bytes)
+  ({ skel = { image with Image.encoded = "" }; chs; vrefs }, !new_bytes)
 
 let fail_put t reason =
   t.write_failures <- t.write_failures + 1;
@@ -341,49 +359,35 @@ let put ?op ?parent ?(node = 0) t key image =
   match t.fail_writes with
   | Some reason -> fail_put t reason
   | None ->
-    let sum = Image.checksum image in
     (* Resolve write targets first: a write with nowhere to land must fail
        without touching the chunk pool or the keyspace. *)
-    let buddy_owner = ((node mod t.nodes) + t.nodes) mod t.nodes in
-    let slot_ok i = i >= Array.length t.replicas || t.replicas.(i).fail = None in
-    (* The buddy partner: next live node after the owner; -1 when the owner
-       is the last node standing (a degraded single-copy write). *)
-    let buddy_partner =
-      match next_alive t ~after:buddy_owner ~not_this:buddy_owner with
-      | Some p -> p
-      | None -> -1
-    in
-    let targets =
-      match t.backend with
-      | Params.Sb_buddy ->
-        (if slot_ok 0 then [ buddy_owner ] else [])
-        @ (if buddy_partner >= 0 && slot_ok 1 then [ buddy_partner ] else [])
-      | _ ->
-        Array.to_list
-          (Array.mapi (fun i r -> if r.fail = None then Some i else None) t.replicas)
-        |> List.filter_map (fun x -> x)
-    in
-    if targets = [] then fail_put t "all replicas unavailable"
+    let locs = t.place node in
+    let landed = Array.mapi (fun i loc -> usable t i loc) locs in
+    if not (Array.exists Fun.id landed) then fail_put t "all replicas unavailable"
     else begin
+      let sum = Image.checksum image in
       let logical_bytes = image.Image.logical_size in
       let asize = if t.compress then image.Image.comp_size else logical_bytes in
-      let ratio = float_of_int asize /. float_of_int (Stdlib.max 1 logical_bytes) in
-      (* Build the stored form and the byte accounting: plain/buddy write
-         [asize] per copy; dedup grows the shared pool by this put's
-         distinct-new bytes only (compressed at the image's ratio). *)
-      let stored, per_copy, once =
-        match t.backend with
-        | Params.Sb_plain | Params.Sb_buddy -> (Whole image, asize, 0)
-        | Params.Sb_dedup ->
+      (* The recipe and its accounted bytes: an inline image is written
+         whole ([asize]) to every copy; a chunked one grows the shared pool
+         once, by this put's distinct-new bytes (compressed at the image's
+         ratio). *)
+      let stored, e_bytes, written =
+        if t.chunked then begin
           let recipe, uniq = intern_chunks t image in
           t.dd_logical <- t.dd_logical + logical_bytes;
           t.dd_unique <- t.dd_unique + uniq;
           Metrics.add t.metrics "storage.dedup_bytes_logical" logical_bytes;
           Metrics.add t.metrics "storage.dedup_bytes_unique" uniq;
           Metrics.set_gauge t.metrics "storage.dedup_factor"
-            (float_of_int t.dd_logical
-            /. float_of_int (Stdlib.max 1 t.dd_unique));
-          (recipe, 0, int_of_float (ratio *. float_of_int uniq))
+            (float_of_int t.dd_logical /. float_of_int (Stdlib.max 1 t.dd_unique));
+          let ratio = float_of_int asize /. float_of_int (Stdlib.max 1 logical_bytes) in
+          let once = int_of_float (ratio *. float_of_int uniq) in
+          (recipe, once, once)
+        end
+        else
+          let copies = Array.fold_left (fun n l -> if l then n + 1 else n) 0 landed in
+          (inline image, asize, copies * asize)
       in
       if t.compress then begin
         t.comp_in <- t.comp_in + logical_bytes;
@@ -395,35 +399,26 @@ let put ?op ?parent ?(node = 0) t key image =
         Metrics.set_gauge t.metrics "storage.compress_ratio"
           (float_of_int t.comp_out /. float_of_int (Stdlib.max 1 t.comp_in))
       end;
+      if Array.exists (function Ram _ -> true | San | Nowhere -> false) locs then begin
+        Metrics.incr t.metrics "storage.buddy_puts";
+        if Array.mem Nowhere locs then Metrics.incr t.metrics "storage.buddy_degraded"
+      end;
       (* Allocate the fresh version and install the copies. *)
       let v = 1 + (match Hashtbl.find_opt t.vseq key with Some n -> n | None -> 0) in
       Hashtbl.replace t.vseq key v;
       let p = pname key v in
-      let copies = ref 0 in
-      (match t.backend with
-       | Params.Sb_buddy ->
-         List.iter (fun n -> Hashtbl.replace (ram t n) p (stored, sum); incr copies)
-           targets;
-         if buddy_partner < 0 then Metrics.incr t.metrics "storage.buddy_degraded";
-         Hashtbl.replace t.locs p (buddy_owner, buddy_partner);
-         Metrics.incr t.metrics "storage.buddy_puts"
-       | _ ->
-         List.iter
-           (fun i -> Hashtbl.replace t.replicas.(i).images p (stored, sum); incr copies)
-           targets);
-      let e_bytes = match t.backend with Params.Sb_dedup -> once | _ -> per_copy in
-      Hashtbl.replace t.logical p { e_stored = stored; e_sum = sum; e_bytes };
+      let copies =
+        Array.mapi
+          (fun i loc -> { loc; data = (if landed.(i) then Some (stored, sum) else None) })
+          locs
+      in
+      Hashtbl.replace t.entries p { e_stored = stored; e_sum = sum; e_bytes; copies };
       record_link t p image;
       (* Retire the previous version: copy-on-write if chains pin it. *)
       (match Hashtbl.find_opt t.versions key with
        | Some vold -> retire t (pname key vold) ~why:"storage.cow_preserved"
        | None -> ());
       Hashtbl.replace t.versions key v;
-      let written =
-        match t.backend with
-        | Params.Sb_dedup -> once
-        | _ -> !copies * per_copy
-      in
       t.bytes_written <- t.bytes_written + written;
       Metrics.incr t.metrics "storage.puts";
       Metrics.add t.metrics "storage.bytes_written" written;
@@ -442,52 +437,28 @@ let put ?op ?parent ?(node = 0) t key image =
 
 (* --- reads --------------------------------------------------------------- *)
 
-(* One stored link by physical name, exactly as written: walk the copies in
-   priority order (replicas, or buddy owner-then-partner), skipping outaged
-   locations and copies that fail to materialize byte-identically. *)
+(* One stored link by physical name, exactly as written: walk the copy slots
+   in order, skipping unusable slots and copies that fail to materialize
+   byte-identically. *)
 let raw_get t p =
-  let verify i (st, sum) next =
-    match materialize t st with
-    | Some img when Image.checksum img = sum ->
-      if i > 0 then Metrics.incr t.metrics "storage.replica_fallbacks";
-      Some img
-    | Some _ | None ->
-      t.corruption_detected <- t.corruption_detected + 1;
-      Metrics.incr t.metrics "storage.corruption_detected";
-      next ()
-  in
-  match t.backend with
-  | Params.Sb_buddy ->
-    (match Hashtbl.find_opt t.locs p with
-     | None -> None
-     | Some (owner, partner) ->
-       let slot_ok i = i >= Array.length t.replicas || t.replicas.(i).fail = None in
-       let copy i n =
-         if n < 0 || Hashtbl.mem t.dead n || not (slot_ok i) then None
-         else
-           match Hashtbl.find_opt t.rams n with
-           | None -> None
-           | Some tbl -> Hashtbl.find_opt tbl p
-       in
-       let rec go = function
-         | [] -> None
-         | (i, n) :: rest ->
-           (match copy i n with
-            | None -> go rest
-            | Some cs -> verify i cs (fun () -> go rest))
-       in
-       go [ (0, owner); (1, partner) ])
-  | _ ->
-    let n = Array.length t.replicas in
+  match Hashtbl.find_opt t.entries p with
+  | None -> None
+  | Some e ->
     let rec go i =
-      if i >= n then None
+      if i >= Array.length e.copies then None
       else
-        let r = t.replicas.(i) in
-        if r.fail <> None then go (i + 1)
-        else
-          match Hashtbl.find_opt r.images p with
-          | None -> go (i + 1)
-          | Some cs -> verify i cs (fun () -> go (i + 1))
+        let s = e.copies.(i) in
+        match s.data with
+        | Some (st, sum) when usable t i s.loc ->
+          (match materialize t st with
+           | Some img when Image.checksum img = sum ->
+             if i > 0 then Metrics.incr t.metrics "storage.replica_fallbacks";
+             Some img
+           | Some _ | None ->
+             t.corruption_detected <- t.corruption_detected + 1;
+             Metrics.incr t.metrics "storage.corruption_detected";
+             go (i + 1))
+        | Some _ | None -> go (i + 1)
     in
     go 0
 
@@ -544,30 +515,18 @@ let get t key =
     (match resolve p0 0 with None -> miss () | Some image -> Some image)
 
 (* Cheap, side-effect-free existence check: the key's current version is
-   present at some non-outaged location.  No chain walk, no metrics, no
+   present in some usable slot.  No chain walk, no metrics, no
    materialization — a corrupt-everywhere key still answers true (only a
    verifying [get] can tell). *)
 let mem t key =
-  match current t key with
+  match current_entry t key with
   | None -> false
-  | Some p ->
-    (match t.backend with
-     | Params.Sb_buddy ->
-       (match Hashtbl.find_opt t.locs p with
-        | None -> false
-        | Some (owner, partner) ->
-          let live n =
-            n >= 0
-            && (not (Hashtbl.mem t.dead n))
-            && (match Hashtbl.find_opt t.rams n with
-                | Some tbl -> Hashtbl.mem tbl p
-                | None -> false)
-          in
-          live owner || live partner)
-     | _ ->
-       Array.exists
-         (fun r -> r.fail = None && Hashtbl.mem r.images p)
-         t.replicas)
+  | Some e ->
+    let rec go i =
+      i < Array.length e.copies
+      && ((e.copies.(i).data <> None && usable t i e.copies.(i).loc) || go (i + 1))
+    in
+    go 0
 
 let base_key t key =
   match current t key with
@@ -577,88 +536,71 @@ let base_key t key =
      | None -> None
      | Some image -> image.Image.base_key)
 
-(* Does this replica (buddy: 0 = owner copy, 1 = partner copy) physically
-   hold the key's current version?  Ignores outage flags — tests use this
-   to observe replication factor directly. *)
+(* The key's current version's copy slot [replica], if in range. *)
+let slot t ~replica key =
+  match current_entry t key with
+  | Some e when replica >= 0 && replica < Array.length e.copies -> Some e.copies.(replica)
+  | Some _ | None -> None
+
+(* Does this slot physically hold the key's current version?  Ignores
+   outage flags — tests use this to observe the replication factor
+   directly. *)
 let replica_has t ~replica key =
-  match current t key with
-  | None -> false
-  | Some p ->
-    (match t.backend with
-     | Params.Sb_buddy ->
-       (match Hashtbl.find_opt t.locs p with
-        | None -> false
-        | Some (owner, partner) ->
-          let n = if replica = 0 then owner else if replica = 1 then partner else -1 in
-          n >= 0
-          && (match Hashtbl.find_opt t.rams n with
-              | Some tbl -> Hashtbl.mem tbl p
-              | None -> false))
-     | _ ->
-       replica >= 0
-       && replica < Array.length t.replicas
-       && Hashtbl.mem t.replicas.(replica).images p)
+  match slot t ~replica key with Some { data = Some _; _ } -> true | _ -> false
 
 (* --- healing ------------------------------------------------------------- *)
 
-(* Clear the per-replica outages AND restore the replication factor: any
-   copy a replica missed (typically a put during its outage) is backfilled
-   from the pristine logical record.  Without the backfill a key written
-   during an outage silently runs below its replication factor forever. *)
+(* Clear the per-slot outages AND restore the replication factor: every
+   empty slot whose location is alive (typically one that missed a put
+   during its outage) is backfilled from the pristine recipe.  Without the
+   backfill a key written during an outage silently runs below its
+   replication factor forever. *)
 let heal_replicas t =
-  Array.iter (fun r -> r.fail <- None) t.replicas;
-  match t.backend with
-  | Params.Sb_buddy -> ()  (* buddy repair rides node_died reassignment *)
-  | _ ->
-    Hashtbl.iter
-      (fun p e ->
-        Array.iter
-          (fun r ->
-            if not (Hashtbl.mem r.images p) then begin
-              Hashtbl.replace r.images p (e.e_stored, e.e_sum);
-              Metrics.incr t.metrics "storage.rereplicated";
-              Metrics.add t.metrics "storage.rereplicated_bytes" e.e_bytes
-            end)
-          t.replicas)
-      t.logical
+  Array.fill t.fails 0 (Array.length t.fails) None;
+  Hashtbl.iter
+    (fun _ e ->
+      Array.iter
+        (fun s ->
+          if s.data = None && alive t s.loc then begin
+            s.data <- Some (e.e_stored, e.e_sum);
+            Metrics.incr t.metrics "storage.rereplicated";
+            Metrics.add t.metrics "storage.rereplicated_bytes" e.e_bytes
+          end)
+        e.copies)
+    t.entries
 
 (* A node died: its RAM (and every buddy copy in it) is gone.  Every entry
    that kept a copy there is re-buddied from its surviving copy onto the
    next live node; an entry whose both copies are gone is lost (that is the
-   peer-memory trade-off the bench quantifies). *)
+   peer-memory trade-off the bench quantifies).  SAN entries have no RAM
+   slot, so nothing else changes. *)
 let node_died t node =
-  if t.backend = Params.Sb_buddy && not (Hashtbl.mem t.dead node) then begin
+  if not (Hashtbl.mem t.dead node) then begin
     Hashtbl.replace t.dead node ();
-    Hashtbl.remove t.rams node;
-    let affected =
-      Hashtbl.fold
-        (fun p (o, pr) acc -> if o = node || pr = node then (p, o, pr) :: acc else acc)
-        t.locs []
-    in
-    List.iter
-      (fun (p, o, pr) ->
-        let survivor = if o = node then pr else o in
-        let surviving_copy =
-          if survivor < 0 || Hashtbl.mem t.dead survivor then None
-          else
-            match Hashtbl.find_opt t.rams survivor with
-            | None -> None
-            | Some tbl -> Hashtbl.find_opt tbl p
-        in
-        match surviving_copy with
-        | None ->
-          Hashtbl.remove t.locs p;
-          Metrics.incr t.metrics "storage.buddy_lost"
-        | Some cs ->
-          (match next_alive t ~after:survivor ~not_this:survivor with
-           | Some np ->
-             Hashtbl.replace (ram t np) p cs;
-             Hashtbl.replace t.locs p (survivor, np);
-             Metrics.incr t.metrics "storage.buddy_reassigned"
-           | None ->
-             Hashtbl.replace t.locs p (survivor, -1);
-             Metrics.incr t.metrics "storage.buddy_degraded"))
-      affected
+    Hashtbl.iter
+      (fun _ e ->
+        if Array.exists (fun s -> s.loc = Ram node) e.copies then begin
+          let survivor =
+            Array.find_opt
+              (fun s -> s.loc <> Ram node && s.data <> None && alive t s.loc)
+              e.copies
+          in
+          match survivor with
+          | Some ({ loc = Ram o; _ } as s) ->
+            e.copies.(0) <- s;
+            e.copies.(1) <-
+              (match next_alive ~nodes:t.nodes ~dead:t.dead o with
+               | Some np ->
+                 Metrics.incr t.metrics "storage.buddy_reassigned";
+                 { loc = Ram np; data = s.data }
+               | None ->
+                 Metrics.incr t.metrics "storage.buddy_degraded";
+                 { loc = Nowhere; data = None })
+          | Some { loc = San | Nowhere; _ } | None ->
+            Array.iteri (fun i _ -> e.copies.(i) <- { loc = Nowhere; data = None }) e.copies;
+            Metrics.incr t.metrics "storage.buddy_lost"
+        end)
+      t.entries
   end
 
 (* A dead node came back: it rejoins with an empty RAM (its buddy copies
@@ -667,64 +609,26 @@ let node_healed t node = Hashtbl.remove t.dead node
 
 (* --- corruption injection ------------------------------------------------ *)
 
-(* Flip a byte of one location's copy of the key's current version while
-   keeping its stale checksum, so only a verifying read notices.  On a
-   dedup recipe the mutation shadows the first encoded chunk inline in
-   that copy only — the shared pool (and the other replicas' recipes)
-   stays pristine, exactly like flipping one replica's disk block. *)
+(* Flip a byte of one slot's copy of the key's current version while
+   keeping its stale checksum, so only a verifying read notices.  The
+   mutation shadows the copy's first chunk inline in that copy only — the
+   shared pool (and the other slots' recipes) stays pristine, exactly like
+   flipping one replica's disk block. *)
 let corrupt t ~replica key =
-  let table =
-    match t.backend with
-    | Params.Sb_buddy ->
-      (match current t key with
-       | None -> None
-       | Some p ->
-         (match Hashtbl.find_opt t.locs p with
-          | None -> None
-          | Some (owner, partner) ->
-            let n = if replica = 0 then owner else if replica = 1 then partner else -1 in
-            if n < 0 then None else Hashtbl.find_opt t.rams n))
-    | _ ->
-      if replica < 0 || replica >= Array.length t.replicas then None
-      else Some t.replicas.(replica).images
-  in
-  match table, current t key with
-  | None, _ | _, None -> false
-  | Some tbl, Some p ->
-    (match Hashtbl.find_opt tbl p with
-     | None -> false
-     | Some (Whole image, sum) ->
-       let b = Bytes.of_string image.Image.encoded in
-       if Bytes.length b = 0 then false
-       else begin
-         let i = Bytes.length b / 2 in
-         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
-         Hashtbl.replace tbl p
-           (Whole { image with Image.encoded = Bytes.to_string b }, sum);
-         true
-       end
-     | Some (Recipe r, sum) ->
-       if Array.length r.chs = 0 then false
-       else
-         let bytes =
-           match r.chs.(0) with
-           | Cinline s -> s
-           | Cref h ->
-             (match Hashtbl.find_opt t.chunks h with
-              | Some { c_bytes = Some b; _ } -> b
-              | _ -> "")
-         in
-         if String.length bytes = 0 then false
-         else begin
-           let b = Bytes.of_string bytes in
-           let i = Bytes.length b / 2 in
-           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
-           let chs = Array.copy r.chs in
-           chs.(0) <- Cinline (Bytes.to_string b);
-           Hashtbl.replace tbl p
-             (Recipe { skel = r.skel; chs; vrefs = r.vrefs }, sum);
-           true
-         end)
+  match slot t ~replica key with
+  | Some ({ data = Some (r, sum); _ } as s) when Array.length r.chs > 0 ->
+    (match chunk_bytes t r.chs.(0) with
+     | exception Exit -> false
+     | "" -> false
+     | bytes ->
+       let b = Bytes.of_string bytes in
+       let i = Bytes.length b / 2 in
+       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+       let chs = Array.copy r.chs in
+       chs.(0) <- Cinline (Bytes.to_string b);
+       s.data <- Some ({ r with chs }, sum);
+       true)
+  | Some _ | None -> false
 
 (* --- flushing ------------------------------------------------------------ *)
 
@@ -732,57 +636,35 @@ let corrupt t ~replica key =
    (a delta flushes its delta bytes; a dedup put flushes only its
    distinct-new bytes; compression shrinks both). *)
 let flush_bytes t key =
-  match current t key with
-  | None -> None
-  | Some p ->
-    (match Hashtbl.find_opt t.logical p with
-     | None -> None
-     | Some e -> Some e.e_bytes)
+  match current_entry t key with None -> None | Some e -> Some e.e_bytes
 
-let flush_bps t =
-  match t.backend with Params.Sb_buddy -> t.buddy_bps | _ -> t.bps
+(* The link a key's flush rides: its first slot's location — the shared SAN,
+   or the buddy owner's own link. *)
+let link t key =
+  match current_entry t key with Some e -> e.copies.(0).loc | None -> Nowhere
 
-(* Uncontended single-transfer time (latency + bytes at the backend's
+(* Uncontended single-transfer time (latency + bytes at the link's
    bandwidth) — what one flush costs with the fabric to itself. *)
 let flush_time t key =
   match flush_bytes t key with
   | None -> Simtime.zero
   | Some bytes ->
-    Simtime.add t.latency
-      (Simtime.ns (int_of_float (float_of_int bytes /. flush_bps t *. 1e9)))
+    let bps = match link t key with Ram _ -> t.buddy_bps | San | Nowhere -> t.bps in
+    Simtime.add t.latency (Simtime.ns (int_of_float (float_of_int bytes /. bps *. 1e9)))
 
-(* Contended flush: the shared SAN serializes every flush in the cluster
-   behind one queue; the buddy backend rides each owner's own link, so
-   flushes from different nodes proceed in parallel.  This queueing is what
-   turns the SAN into the choke point at fleet scale — and what the buddy
-   backend exists to bypass. *)
+(* Contended flush: each link serializes its flushes behind one queue — the
+   shared SAN is one link for the whole cluster, each buddy owner has its
+   own, so flushes from different nodes proceed in parallel.  This queueing
+   is what turns the SAN into the choke point at fleet scale — and what the
+   buddy backend exists to bypass. *)
 let flush t key ~on_done =
   let xfer = flush_time t key in
   let now = Engine.now t.engine in
-  let fin =
-    match t.backend with
-    | Params.Sb_buddy ->
-      let owner =
-        match current t key with
-        | Some p ->
-          (match Hashtbl.find_opt t.locs p with Some (o, _) -> o | None -> 0)
-        | None -> 0
-      in
-      let free =
-        match Hashtbl.find_opt t.links_free owner with
-        | Some f -> f
-        | None -> Simtime.zero
-      in
-      let fin = Simtime.add (Simtime.max now free) xfer in
-      Hashtbl.replace t.links_free owner fin;
-      fin
-    | _ ->
-      let fin = Simtime.add (Simtime.max now t.san_free) xfer in
-      t.san_free <- fin;
-      fin
-  in
-  Engine.schedule t.engine ~label:"storage.flush" ~delay:(Simtime.sub fin now)
-    on_done
+  let l = link t key in
+  let free = match Hashtbl.find_opt t.links_free l with Some f -> f | None -> Simtime.zero in
+  let fin = Simtime.add (Simtime.max now free) xfer in
+  Hashtbl.replace t.links_free l fin;
+  Engine.schedule t.engine ~label:"storage.flush" ~delay:(Simtime.sub fin now) on_done
 
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.versions []

@@ -1,18 +1,24 @@
-(** Checkpoint image storage: one interface, three composable backends.
+(** Checkpoint image storage: one copy model, one stored form.
 
-    {b Plain} ([Sb_plain], the default) is the SAN/NAS of the paper's
-    cluster: [replicas] verbatim copies of every image, reads falling back
-    past outaged or corrupt copies.  {b Dedup} ([Sb_dedup]) layers a
-    content-addressed chunk store on the same replica model: encoded bytes
-    and modelled memory regions split into FNV-addressed chunks stored
-    once, refcounted — identical text/data across epochs, replicas and
-    sibling pods collapses to one stored copy.  {b Buddy} ([Sb_buddy])
-    checkpoints to the owner node's RAM plus a partner node's RAM,
-    bypassing the shared SAN; on node death ({!node_died}, driven by the
-    Supervisor) surviving copies are re-buddied onto the next live node.
-    Compression composes with all three: stored/flushed byte accounting
-    shrinks to the image's modelled compressed size while the Agent
-    charges the virtual-CPU compressor cost.
+    {b Copy slots.}  Each stored image has a fixed row of copy slots, and
+    each slot has a location: a SAN replica, a node's RAM, or nowhere.  On
+    the SAN/NAS of the paper's cluster ([Sb_plain], the default, and
+    [Sb_dedup]) slot [i] is replica [i].  With [Sb_buddy] slot 0 is the
+    writing node's RAM and slot 1 a partner node's RAM, bypassing the
+    shared SAN; on node death ({!node_died}, driven by the Supervisor) a
+    surviving copy is re-buddied onto the next live node.  Reads walk the
+    slots in order, falling back past outaged, dead or corrupt copies;
+    {!set_replica_fail} outages slot [i] on every backend.
+
+    {b Recipes.}  Every image is stored as a recipe: the image's skeleton
+    plus its encoded bytes as a list of chunks.  A plain image is one
+    inline chunk holding its whole encoding, with nothing hashed.  [Sb_dedup]
+    splits the encoded bytes and the modelled memory regions into
+    FNV-addressed chunks interned once in a refcounted pool — identical
+    text/data across epochs, replicas and sibling pods collapses to one
+    stored copy.  Compression composes with every backend: stored/flushed
+    byte accounting shrinks to the image's modelled compressed size while
+    the Agent charges the virtual-CPU compressor cost.
 
     Keys are versioned internally: {!put} retires the previous version of
     the key, preserving its bytes under a shadow name while live delta
@@ -21,9 +27,9 @@
     never retarget or corrupt an existing chain.
 
     Flushing is deliberately {e not} part of checkpoint latency (the
-    paper's methodology).  {!flush} models contention: the shared SAN
-    serializes all flushes behind one queue; buddy flushes ride each
-    owner's own link in parallel. *)
+    paper's methodology).  {!flush} models contention: each link serializes
+    its flushes — the shared SAN is one link for the whole cluster, each
+    buddy owner's link its own, so buddy flushes run in parallel. *)
 
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
@@ -41,21 +47,15 @@ val create :
   ?buddy_bps:float ->
   ?nodes:int ->
   Engine.t -> t
-(** [replicas] (default 2, clamped to at least 1) copies are kept by the
-    plain/dedup backends; [nodes] (default 2) is the cluster size the buddy
-    backend assigns partners from.  [metrics] receives the [storage.*]
-    instruments — puts, put_bytes, bytes_written, gets, get_misses,
-    write_failures, corruption_detected, replica_fallbacks, delta_resolved,
-    chain_broken, gc_deferred, cow_preserved, rereplicated(_bytes),
-    dedup_chunks_new / dedup_chunk_hits / dedup_bytes_logical /
-    dedup_bytes_unique / dedup_chunks_freed / dedup_factor (gauge),
-    compress_in_bytes / compress_out_bytes / compress_saved_bytes /
-    compress_ratio (gauge), buddy_puts / buddy_reassigned / buddy_degraded
-    / buddy_lost. *)
+(** [backend] (default [Sb_plain]) picks the slot locations and the
+    chunking: [replicas] (default 2, clamped to at least 1) SAN slots for
+    [Sb_plain]/[Sb_dedup], two RAM slots for [Sb_buddy]; only [Sb_dedup]
+    chunks into the pool.  [nodes] (default 2) is the cluster size buddy
+    partners are drawn from.  [metrics] receives the [storage.*]
+    instruments listed in doc/OBSERVABILITY.md. *)
 
 val replica_count : t -> int
-
-val backend : t -> Params.storage_backend
+(** Copy slots per key. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Record successful writes as [storage_put] spans in the causal trace
@@ -92,34 +92,34 @@ val write_failures : t -> int
 (** Number of writes rejected by injected outages so far. *)
 
 val set_replica_fail : t -> replica:int -> string option -> unit
-(** Per-replica outage injection: while set, {!put} skips the replica and
-    {!get} falls back past it.  For the buddy backend, replica 0 is the
-    owner copy and replica 1 the partner copy.  Out-of-range indices are
-    ignored. *)
+(** Per-slot outage injection: while set, {!put} skips slot [replica],
+    {!get} falls back past it and {!mem} ignores it.  For the buddy
+    backend, slot 0 is the owner copy and slot 1 the partner copy.
+    Out-of-range indices are ignored. *)
 
 val heal_replicas : t -> unit
-(** Clear every per-replica outage {e and} restore the replication factor:
-    copies a replica missed (writes during its outage) are backfilled from
-    the pristine stored record, counted in [storage.rereplicated] /
-    [storage.rereplicated_bytes].  Buddy repair instead rides {!node_died}
-    reassignment. *)
+(** Clear every per-slot outage {e and} restore the replication factor:
+    every empty slot whose location is alive (typically one that missed a
+    put during its outage) is backfilled from the pristine recipe, counted
+    in [storage.rereplicated] / [storage.rereplicated_bytes].  A dead
+    node's copies are instead repaired by {!node_died} reassignment. *)
 
 val node_died : t -> int -> unit
 (** Buddy backend: the node's RAM (and every buddy copy in it) is gone.
     Entries with a surviving copy are re-buddied onto the next live node
     ([storage.buddy_reassigned]; [storage.buddy_degraded] when no other
     node is alive); entries that lost both copies are gone
-    ([storage.buddy_lost]).  No-op on the other backends. *)
+    ([storage.buddy_lost]).  SAN slots are unaffected. *)
 
 val node_healed : t -> int -> unit
 (** The node rejoined (with an empty RAM — its buddy copies died with it). *)
 
 val corrupt : t -> replica:int -> string -> bool
-(** Corruption injection: flip a byte of one location's copy of the image
-    while keeping its stale checksum, so only a verifying read notices.
-    On a dedup recipe the damage shadows the copy's first chunk without
-    touching the shared pool.  Returns [false] if that location has no
-    (non-empty) copy of the key. *)
+(** Corruption injection: flip a byte of one slot's copy of the image while
+    keeping its stale checksum, so only a verifying read notices.  The
+    damage shadows the copy's first chunk without touching the shared pool
+    or any other slot.  Returns [false] if that slot has no (non-empty)
+    copy of the key. *)
 
 val corruption_detected : t -> int
 (** Number of reads that found a copy failing verification (each such copy
@@ -127,7 +127,7 @@ val corruption_detected : t -> int
 
 val mem : t -> string -> bool
 (** Cheap, side-effect-free existence check: the key's current version is
-    present at some non-outaged location.  No chain walk, no metric
+    present in some non-outaged slot whose location is alive.  No chain walk, no metric
     traffic, no materialization — a copy that would fail verification
     still answers [true]; only a full {!get} can tell. *)
 
@@ -138,7 +138,7 @@ val remove : t -> string -> unit
     referencing delta is removed. *)
 
 val replica_has : t -> replica:int -> string -> bool
-(** Does this location (buddy: 0 = owner, 1 = partner) physically hold the
+(** Does this slot (buddy: 0 = owner, 1 = partner) physically hold the
     key's current version?  Ignores outage flags — tests observe the
     replication factor directly with this. *)
 
@@ -148,13 +148,13 @@ val flush_bytes : t -> string -> int option
     compression when enabled. *)
 
 val flush_time : t -> string -> Simtime.t
-(** Uncontended single-transfer flush time at the backend's bandwidth
-    (shared SAN, or the owner's link for buddy). *)
+(** Uncontended single-transfer flush time at the key's link bandwidth
+    (the shared SAN, or the buddy owner's link). *)
 
 val flush : t -> string -> on_done:(unit -> unit) -> unit
-(** Contended flush: shared-SAN flushes serialize behind one cluster-wide
-    queue; buddy flushes serialize per owner link but run in parallel
-    across nodes. *)
+(** Contended flush: each link serializes its flushes behind one queue —
+    shared-SAN flushes behind one cluster-wide queue, buddy flushes per
+    owner link, in parallel across nodes. *)
 
 val keys : t -> string list
 (** Sorted public keys currently stored. *)

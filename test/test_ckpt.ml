@@ -961,6 +961,164 @@ let test_buddy_reassign_on_death () =
     (Storage.get storage "b.pod3" = None);
   check tbool "loss counted" true (Metrics.counter metrics "storage.buddy_lost" >= 1)
 
+(* Regression: a buddy slot that missed a put during its outage is
+   backfilled by [heal_replicas], exactly like a SAN replica.  Pre-fix,
+   heal only cleared the outage on the buddy backend and the key ran on
+   one copy. *)
+let test_buddy_heal_backfills () =
+  let engine = Engine.create ~seed:11 () in
+  let metrics = Metrics.create () in
+  let storage = Storage.create ~metrics ~backend:ZParams.Sb_buddy ~nodes:4 engine in
+  let img = mk_img ~pod_id:3 ~name:"svc" ~mem:65536 () in
+  Storage.set_replica_fail storage ~replica:1 (Some "outage");
+  (match Storage.put ~node:1 storage "b.pod3" img with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "buddy put: %s" e);
+  check tbool "partner missed the put" false (Storage.replica_has storage ~replica:1 "b.pod3");
+  Storage.heal_replicas storage;
+  check tbool "heal backfilled the partner" true
+    (Storage.replica_has storage ~replica:1 "b.pod3");
+  check tint "re-replication counted" 1 (Metrics.counter metrics "storage.rereplicated");
+  Storage.set_replica_fail storage ~replica:0 (Some "down");
+  match Storage.get storage "b.pod3" with
+  | None -> Alcotest.fail "the backfilled partner must serve the read"
+  | Some got -> check tstr "bytes from the backfill" img.Image.encoded got.Image.encoded
+
+(* Regression: [mem] honours slot outages on the buddy backend, as it does
+   on the SAN.  Pre-fix it answered true with both copies outaged. *)
+let test_buddy_mem_outage () =
+  let engine = Engine.create ~seed:11 () in
+  let storage = Storage.create ~backend:ZParams.Sb_buddy ~nodes:4 engine in
+  ignore (Storage.put ~node:2 storage "k" (mk_img ~pod_id:1 ~name:"p" ~mem:4096 ()));
+  Storage.set_replica_fail storage ~replica:0 (Some "down");
+  check tbool "partner still answers" true (Storage.mem storage "k");
+  Storage.set_replica_fail storage ~replica:1 (Some "down");
+  check tbool "both slots outaged" false (Storage.mem storage "k");
+  check tbool "get agrees" true (Storage.get storage "k" = None)
+
+(* --- qcheck: the storage model ------------------------------------------- *)
+
+(* Four full images of one pod, each from a later instant. *)
+let model_images =
+  lazy
+    (let _, pod, _, _, snap = delta_env_m () in
+     Array.init 4 (fun i ->
+         let r = snap (Simtime.ms (5 * (i + 1))) in
+         Pod_ckpt.clear_memory_dirty pod;
+         r.Pod_ckpt.image))
+
+type store_op =
+  | S_put of int * int * int  (* key, image, writer node *)
+  | S_delta of int * int * int * int  (* key, base key, image, writer node *)
+  | S_remove of int
+  | S_outage of int * bool  (* slot, on/off *)
+  | S_heal
+  | S_corrupt of int * int  (* slot, key *)
+  | S_node_died of int
+  | S_get of int
+
+let show_store_op = function
+  | S_put (k, i, n) -> Printf.sprintf "put k%d img%d @%d" k i n
+  | S_delta (k, b, i, n) -> Printf.sprintf "delta k%d on k%d img%d @%d" k b i n
+  | S_remove k -> Printf.sprintf "remove k%d" k
+  | S_outage (s, on) -> Printf.sprintf "outage slot%d %b" s on
+  | S_heal -> "heal"
+  | S_corrupt (s, k) -> Printf.sprintf "corrupt slot%d k%d" s k
+  | S_node_died n -> Printf.sprintf "node_died %d" n
+  | S_get k -> Printf.sprintf "get k%d" k
+
+let store_configs =
+  [| (ZParams.Sb_plain, false); (ZParams.Sb_plain, true); (ZParams.Sb_dedup, false);
+     (ZParams.Sb_dedup, true); (ZParams.Sb_buddy, false); (ZParams.Sb_buddy, true) |]
+
+let gen_store_op =
+  let open QCheck.Gen in
+  let key = int_bound 2 and img = int_bound 3 and node = int_bound 3 in
+  frequency
+    [ (6, map3 (fun k i n -> S_put (k, i, n)) key img node);
+      (4, map (fun (k, b, i, n) -> S_delta (k, b, i, n)) (quad key key img node));
+      (2, map (fun k -> S_remove k) key);
+      (3, map2 (fun s on -> S_outage (s, on)) (int_bound 2) bool);
+      (2, return S_heal);
+      (1, map2 (fun s k -> S_corrupt (s, k)) (int_bound 1) key);
+      (1, map (fun n -> S_node_died n) node);
+      (4, map (fun k -> S_get k) key) ]
+
+(* Run one op sequence against a model of what each key must read back.
+   [get] may return the bytes last put under the key or [None] — never any
+   other bytes.  After a heal with no corruption and no node death so far,
+   every live key must sit in every slot and read back. *)
+let run_store_model (config, ops) =
+  let backend, compress = store_configs.(config) in
+  let imgs = Lazy.force model_images in
+  let bytes = Array.map (fun v -> (Image.of_pod_image v).Image.encoded) imgs in
+  let storage = Storage.create ~backend ~compress ~nodes:4 (Engine.create ~seed:1 ()) in
+  let keys = [| "a"; "b"; "c" |] in
+  let model = Array.make 3 None in
+  let damaged = ref false in
+  let ok = ref true in
+  let reads_back k =
+    match Storage.get storage keys.(k), model.(k) with
+    | None, _ -> true
+    | Some got, Some i -> String.equal got.Image.encoded bytes.(i)
+    | Some _, None -> false
+  in
+  let put k i node img =
+    match Storage.put ~node storage keys.(k) (Image.of_pod_image img) with
+    | Ok () -> model.(k) <- Some i
+    | Error _ -> ()
+  in
+  List.iter
+    (function
+      | S_put (k, i, node) -> put k i node imgs.(i)
+      | S_delta (k, b, i, node) ->
+        (match model.(b) with
+         | None -> ()
+         | Some j ->
+           put k i node
+             (Delta.make ~base_key:keys.(b) ~base:imgs.(j) ~full:imgs.(i)
+                ~dirty_bytes:4096))
+      | S_remove k ->
+        Storage.remove storage keys.(k);
+        model.(k) <- None
+      | S_outage (slot, on) ->
+        Storage.set_replica_fail storage ~replica:slot (if on then Some "outage" else None)
+      | S_heal ->
+        Storage.heal_replicas storage;
+        if not !damaged then
+          Array.iteri
+            (fun k m ->
+              match m with
+              | None -> ()
+              | Some i ->
+                for slot = 0 to Storage.replica_count storage - 1 do
+                  if not (Storage.replica_has storage ~replica:slot keys.(k)) then ok := false
+                done;
+                (match Storage.get storage keys.(k) with
+                 | Some got when String.equal got.Image.encoded bytes.(i) -> ()
+                 | Some _ | None -> ok := false))
+            model
+      | S_corrupt (slot, k) ->
+        if Storage.corrupt storage ~replica:slot keys.(k) then damaged := true
+      | S_node_died n ->
+        Storage.node_died storage n;
+        damaged := true
+      | S_get k -> if not (reads_back k) then ok := false)
+    ops;
+  !ok && Array.for_all Fun.id (Array.init 3 reads_back)
+
+let prop_storage_model =
+  QCheck.Test.make ~name:"storage model: get returns the last put or nothing"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         let b, z = store_configs.(c) in
+         Printf.sprintf "%s%s: %s" (ZParams.backend_name b)
+           (if z then "+compress" else "")
+           (String.concat "; " (List.map show_store_op ops)))
+       QCheck.Gen.(pair (int_bound 5) (list_size (int_range 1 40) gen_store_op)))
+    run_store_model
+
 (* --- qcheck: chunking and compression ----------------------------------- *)
 
 let prop_chunk_roundtrip =
@@ -1039,7 +1197,12 @@ let () =
           Alcotest.test_case "restart byte-identity across backends" `Quick
             test_backend_restart_byte_identity;
           Alcotest.test_case "buddy reassignment on node death" `Quick
-            test_buddy_reassign_on_death ] );
+            test_buddy_reassign_on_death;
+          Alcotest.test_case "buddy heal backfills a missed slot" `Quick
+            test_buddy_heal_backfills;
+          Alcotest.test_case "buddy mem honours slot outages" `Quick
+            test_buddy_mem_outage;
+          QCheck_alcotest.to_alcotest prop_storage_model ] );
       ( "migration properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_precopy_composition_identity; prop_precopy_residue_monotone;

@@ -184,6 +184,18 @@ let test_engine_until () =
   Engine.run e;
   check tint "all fired" 10 !fired
 
+(* Regression: running to an instant already past must not rewind the
+   clock.  A rewound clock queued later events behind ones already run, so a
+   process could see two dispatches for one syscall result. *)
+let test_engine_until_past () =
+  let e = Engine.create () in
+  Engine.schedule e ~delay:(Simtime.ms 100) (fun () -> ());
+  Engine.run ~until:(Simtime.ms 50) e;
+  check tint "at the horizon" (Simtime.ms 50) (Engine.now e);
+  Engine.run ~until:(Simtime.ms 20) e;
+  check tint "never backward" (Simtime.ms 50) (Engine.now e);
+  check tint "event still pending" 1 (Engine.pending e)
+
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -322,7 +334,8 @@ let () =
           Alcotest.test_case "past clamped" `Quick test_engine_past_schedule_clamped;
           Alcotest.test_case "max events" `Quick test_max_events;
           QCheck_alcotest.to_alcotest prop_engine_queue_equivalence;
-          Alcotest.test_case "timer cancel + re-arm" `Quick test_timer_cancel_rearm ] );
+          Alcotest.test_case "timer cancel + re-arm" `Quick test_timer_cancel_rearm;
+          Alcotest.test_case "until in the past" `Quick test_engine_until_past ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split" `Quick test_rng_split_independent;

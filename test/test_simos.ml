@@ -276,6 +276,23 @@ let test_sigstop_cont () =
   check tbool "exited after cont" true (p.Proc.exit_code = Some 0);
   check tbool "finished after the stop window" true (Engine.now engine >= Simtime.ms 75)
 
+(* Regression: a stop and a continue inside one pending compute slice on a
+   multi-CPU node.  The slice event still holds the CPU, so SIGCONT must not
+   enqueue the process — a free CPU would dispatch it a second time and the
+   burner would finish long before its 100 ms of compute. *)
+let test_sigstop_cont_within_slice () =
+  register_test_programs ();
+  let engine, k = make_kernel ~cpus:2 () in
+  let p = Kernel.spawn k ~program:"test.burner" ~args:(Value.Int (Simtime.ms 100)) in
+  Engine.schedule engine ~delay:(Simtime.ms 1) (fun () ->
+      Kernel.signal_proc k p Signal.Sigstop;
+      Kernel.signal_proc k p Signal.Sigcont);
+  run engine;
+  check tbool "exited" true (p.Proc.exit_code = Some 0);
+  check tbool "ran its whole 100 ms" true (Engine.now engine >= Simtime.ms 100);
+  check tbool "cpu time ~100ms" true
+    (p.Proc.cpu_time >= Simtime.ms 100 && p.Proc.cpu_time < Simtime.ms 102)
+
 let test_sigstop_while_blocked () =
   register_test_programs ();
   let engine, k = make_kernel () in
@@ -678,7 +695,9 @@ let () =
           Alcotest.test_case "stop while blocked" `Quick test_sigstop_while_blocked;
           Alcotest.test_case "kill" `Quick test_sigkill;
           Alcotest.test_case "stop while blocked on a socket" `Quick
-            test_sigstop_while_blocked_on_socket ] );
+            test_sigstop_while_blocked_on_socket;
+          Alcotest.test_case "stop/cont within one slice, 2 cpus" `Quick
+            test_sigstop_cont_within_slice ] );
       ( "resources",
         [ Alcotest.test_case "pipe + spawn + waitpid" `Quick test_pipe_spawn_waitpid;
           Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;

@@ -1834,33 +1834,30 @@ let migrate_failures () =
   check tbool "restore fails with its destination" false r.Manager.r_ok;
   Cluster.metrics cluster
 
-(* The metric catalogue contract for live migration: every mig.*,
-   mgr.mig.* and agent.mig* instrument the migration tests' clusters
-   register is listed in doc/OBSERVABILITY.md, and every such name the
-   document lists is registered by one of them. *)
-let test_migration_metric_catalogue () =
+(* The metric catalogue contract: the instruments of one family that a set
+   of registries holds equal the names the table rows of
+   doc/OBSERVABILITY.md write whole between backquotes, in both
+   directions. *)
+let check_catalogue ~prefixes registries =
   let ours name =
     List.exists
       (fun p ->
         String.length name >= String.length p
         && String.equal (String.sub name 0 (String.length p)) p)
-      [ "mig."; "mgr.mig."; "agent.mig" ]
+      prefixes
   in
   let registered =
-    List.concat_map
-      (fun m -> List.filter ours (Zapc_obs.Metrics.names m))
-      [ migrate_quiescent_blackout ~max_rounds:8; migrate_forced_stop ();
-        migrate_cap0 (); migrate_pod_set (); stream_source_lost ();
-        migrate_failures () ]
+    List.concat_map (fun m -> List.filter ours (Zapc_obs.Metrics.names m)) registries
     |> List.sort_uniq compare
   in
-  (* every name written whole between backquotes *)
   let doc =
     let path =
       if Sys.file_exists "../doc/OBSERVABILITY.md" then "../doc/OBSERVABILITY.md"
       else "doc/OBSERVABILITY.md"
     in
-    In_channel.with_open_text path In_channel.input_all
+    In_channel.with_open_text path In_channel.input_lines
+    |> List.filter (String.starts_with ~prefix:"|")
+    |> String.concat "\n"
   in
   let name_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' || c = '.' in
   let documented = ref [] in
@@ -1876,6 +1873,75 @@ let test_migration_metric_catalogue () =
     doc;
   check (Alcotest.list Alcotest.string) "registered names = documented names"
     (List.sort_uniq compare !documented) registered
+
+(* Every mig.*, mgr.mig.* and agent.mig* instrument the migration tests'
+   clusters register. *)
+let test_migration_metric_catalogue () =
+  check_catalogue ~prefixes:[ "mig."; "mgr.mig."; "agent.mig" ]
+    [ migrate_quiescent_blackout ~max_rounds:8; migrate_forced_stop ();
+      migrate_cap0 (); migrate_pod_set (); stream_source_lost ();
+      migrate_failures () ]
+
+(* A minimal full pod image whose processes carry one value each; enough
+   for [Delta.make]/[Delta.apply] to chain. *)
+let catalogue_image ~procs =
+  Value.assoc
+    [ ("pod_id", Value.int 7); ("name", Value.str "cat"); ("vip", Value.int 0);
+      ("clock", Value.int 0); ("next_vpid", Value.int 3);
+      ("memory_bytes", Value.int 65536); ("sockets", Value.List []);
+      ("meta", Value.List []); ("pipes", Value.List []); ("gm_ports", Value.List []);
+      ("procs",
+       Value.List
+         (List.map
+            (fun (vpid, x) -> Value.assoc [ ("vpid", Value.int vpid); ("x", Value.int x) ])
+            procs)) ]
+
+(* Drive one store through every path that registers a storage.*
+   instrument: puts and misses, a write outage, a slot outage and its heal,
+   corruption with fallback, a delta chain resolved, then broken, a pinned
+   overwrite and remove, and node deaths down to the last copy. *)
+let exercise_storage ~backend ~compress =
+  let module Storage = Zapc.Storage in
+  let module Image = Zapc_ckpt.Image in
+  let module Delta = Zapc_ckpt.Delta in
+  let metrics = Zapc_obs.Metrics.create () in
+  let st =
+    Storage.create ~metrics ~backend ~compress ~nodes:3 (Engine.create ~seed:5 ())
+  in
+  let base = catalogue_image ~procs:[ (1, 1); (2, 2) ] in
+  let full = catalogue_image ~procs:[ (1, 1); (2, 3) ] in
+  let put k v = ignore (Storage.put ~node:0 st k (Image.of_pod_image v)) in
+  let delta ~base_key = Delta.make ~base_key ~base ~full ~dirty_bytes:4096 in
+  put "base" base;
+  put "base2" base;
+  ignore (Storage.get st "missing");
+  Storage.set_fail_writes st (Some "full");
+  put "lost" base;
+  Storage.set_fail_writes st None;
+  Storage.set_replica_fail st ~replica:1 (Some "outage");
+  put "d" (delta ~base_key:"base");
+  Storage.heal_replicas st;
+  ignore (Storage.get st "d");
+  ignore (Storage.corrupt st ~replica:0 "base2");
+  ignore (Storage.get st "base2");
+  put "empty" (catalogue_image ~procs:[]);
+  put "broken" (delta ~base_key:"empty");
+  ignore (Storage.get st "broken");
+  put "base" full;
+  Storage.remove st "empty";
+  Storage.remove st "broken";
+  Storage.remove st "d";
+  List.iter (Storage.node_died st) [ 1; 2; 0 ];
+  metrics
+
+(* Every storage.* instrument that stores of all three backends, with and
+   without compression, register. *)
+let test_storage_metric_catalogue () =
+  check_catalogue ~prefixes:[ "storage." ]
+    (List.concat_map
+       (fun backend ->
+         List.map (fun compress -> exercise_storage ~backend ~compress) [ false; true ])
+       [ Params.Sb_plain; Params.Sb_dedup; Params.Sb_buddy ])
 
 (* Regression: Periodic and the Supervisor observe a migrated pod's new
    home atomically at the handoff.  An epoch that fires mid-migration is
@@ -2158,7 +2224,9 @@ let () =
           Alcotest.test_case "stream source lost after commit" `Quick
             test_stream_source_lost;
           Alcotest.test_case "restart rebinds every namespace" `Quick
-            test_restart_rebinds_every_namespace ] );
+            test_restart_rebinds_every_namespace;
+          Alcotest.test_case "storage metric catalogue" `Quick
+            test_storage_metric_catalogue ] );
       ( "protocol",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "timing structure" `Quick test_checkpoint_timing_structure;
