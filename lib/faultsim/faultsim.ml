@@ -20,6 +20,7 @@ module Agent = Zapc.Agent
 module Control = Zapc.Control
 module Storage = Zapc.Storage
 module Trace = Zapc.Trace
+module Span = Zapc_obs.Span
 
 type fault =
   | Break_channel of { node : int }
@@ -241,7 +242,7 @@ let fire t a =
     (* the [fault:*] instant is what trips the flight recorder into a dump
        (Cluster.enable_flight) — record it before the fault mutates state so
        the rings still hold the pre-fault tail *)
-    Trace.record t.tr ~time:(now t) ~pod:(-1)
+    Span.instant t.tr ~time:(now t) ~pod:(-1)
       ("fault:" ^ fault_to_string a.a_inj.fault);
     apply t a.a_inj.fault
   end
@@ -256,13 +257,13 @@ let install t inj =
       ~at:(Simtime.max at (now t)) (fun () -> fire t a)
   | After d -> after t d (fun () -> fire t a)
   | On_phase { phase; pod; skip } ->
-    Trace.on_record t.tr (fun (ev : Trace.event) ->
-        if (not a.a_fired) && String.equal ev.ev_what phase
-           && (match pod with Some p -> ev.ev_pod = p | None -> true)
-        then begin
-          a.a_seen <- a.a_seen + 1;
-          if a.a_seen > skip then fire t a
-        end)
+    Span.subscribe t.tr (function
+      | Span.Instant i
+        when (not a.a_fired) && String.equal i.in_what phase
+             && (match pod with Some p -> i.in_pod = p | None -> true) ->
+        a.a_seen <- a.a_seen + 1;
+        if a.a_seen > skip then fire t a
+      | _ -> ())
 
 let install_all t = List.iter (install t)
 

@@ -47,10 +47,11 @@ type trigger =
   | At of Simtime.t  (** absolute virtual instant (clamped to now) *)
   | After of Simtime.t  (** relative to install time *)
   | On_phase of { phase : string; pod : int option; skip : int }
-      (** When the [(skip+1)]-th matching trace event is recorded:
-          [phase] matches [ev_what], [pod] (if given) matches [ev_pod].
-          Phase names are the strings in {!Zapc.Trace} events, e.g.
-          ["meta_sent"], ["suspended"], ["continue_broadcast"]. *)
+      (** When the [(skip+1)]-th matching instant is recorded: [phase]
+          matches its [in_what], [pod] (if given) its [in_pod].  Each
+          trigger is one {!Zapc_obs.Span.subscribe}r of the trace; phase
+          names are the protocol instants, e.g. ["meta_sent"],
+          ["suspended"], ["continue_broadcast"]. *)
 
 type injection = {
   fault : fault;
@@ -64,8 +65,9 @@ val injection_to_string : injection -> string
 type t
 
 val create : ?trace:Zapc.Trace.t -> Zapc.Cluster.t -> t
-(** Bind an injector to a cluster.  [trace] is the trace whose events drive
-    {!On_phase} triggers; when omitted a fresh one is attached with
+(** Bind an injector to a cluster.  [trace] is the recorder whose instants
+    drive {!On_phase} triggers and receive the [fault:*] instants; when
+    omitted it is the cluster's, switched on with
     {!Zapc.Cluster.enable_trace}. *)
 
 val trace : t -> Zapc.Trace.t

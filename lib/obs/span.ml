@@ -18,20 +18,24 @@ type instant = {
   in_what : string;
 }
 
-type event = Opened of span | Closed of span
+type event = Opened of span | Closed of span | Instant of instant
 
 type t = {
+  mutable enabled : bool;
   mutable spans : span list;       (* newest first *)
   mutable instants : instant list; (* newest first *)
   open_ : (int, span) Hashtbl.t;   (* sp_id -> still-open span *)
   mutable next_id : int;
   mutable last : Simtime.t;
-  mutable observer : (event -> unit) option;
+  mutable subscribers : (event -> unit) list;  (* subscription order *)
 }
 
 let create () =
-  { spans = []; instants = []; open_ = Hashtbl.create 32; next_id = 0;
-    last = Simtime.zero; observer = None }
+  { enabled = true; spans = []; instants = []; open_ = Hashtbl.create 32;
+    next_id = 0; last = Simtime.zero; subscribers = [] }
+
+let enabled t = t.enabled
+let set_enabled t on = t.enabled <- on
 
 let clear t =
   t.spans <- [];
@@ -40,23 +44,33 @@ let clear t =
   t.next_id <- 0;
   t.last <- Simtime.zero
 
-let set_observer t obs = t.observer <- obs
+let subscribe t fn = t.subscribers <- t.subscribers @ [ fn ]
+let unsubscribe_all t = t.subscribers <- []
 
-let notify t ev = match t.observer with Some f -> f ev | None -> ()
+let notify t ev = List.iter (fun fn -> fn ev) t.subscribers
 
 let touch t time = if Simtime.compare time t.last > 0 then t.last <- time
 
+(* What an off recorder hands back: id -1 links to nothing, and the
+   [sp_id >= 0] guard in [end_span] keeps it from ever being closed. *)
+let off_span =
+  { sp_id = -1; sp_name = ""; sp_op = 0; sp_pod = -1; sp_node = -1;
+    sp_parent = None; sp_begin = Simtime.zero; sp_end = None }
+
 let begin_span t ~time ?(op = 0) ?(node = -1) ?parent ~pod name =
-  let sp =
-    { sp_id = t.next_id; sp_name = name; sp_op = op; sp_pod = pod;
-      sp_node = node; sp_parent = parent; sp_begin = time; sp_end = None }
-  in
-  t.next_id <- t.next_id + 1;
-  t.spans <- sp :: t.spans;
-  Hashtbl.replace t.open_ sp.sp_id sp;
-  touch t time;
-  notify t (Opened sp);
-  sp
+  if not t.enabled then off_span
+  else begin
+    let sp =
+      { sp_id = t.next_id; sp_name = name; sp_op = op; sp_pod = pod;
+        sp_node = node; sp_parent = parent; sp_begin = time; sp_end = None }
+    in
+    t.next_id <- t.next_id + 1;
+    t.spans <- sp :: t.spans;
+    Hashtbl.replace t.open_ sp.sp_id sp;
+    touch t time;
+    notify t (Opened sp);
+    sp
+  end
 
 let close t ~time sp =
   sp.sp_end <- Some time;
@@ -65,9 +79,11 @@ let close t ~time sp =
   notify t (Closed sp)
 
 let end_span t ~time sp =
-  match sp.sp_end with Some _ -> () | None -> close t ~time sp
+  if t.enabled && sp.sp_id >= 0 && sp.sp_end = None then close t ~time sp
 
 let end_named t ~time ~pod name =
+  t.enabled
+  &&
   (* most recently opened match = the open span with the largest id *)
   let best =
     Hashtbl.fold
@@ -84,20 +100,25 @@ let end_named t ~time ~pod name =
   | None -> false
 
 let end_all_for_pod t ~time ~pod =
-  let victims =
-    Hashtbl.fold
-      (fun _ s acc -> if s.sp_pod = pod then s :: acc else acc)
-      t.open_ []
-  in
-  (* close in id order so observers see a deterministic sequence *)
-  List.iter (fun sp -> close t ~time sp)
-    (List.sort (fun a b -> compare a.sp_id b.sp_id) victims);
-  touch t time
+  if t.enabled then begin
+    let victims =
+      Hashtbl.fold
+        (fun _ s acc -> if s.sp_pod = pod then s :: acc else acc)
+        t.open_ []
+    in
+    (* close in id order so subscribers see a deterministic sequence *)
+    List.iter (fun sp -> close t ~time sp)
+      (List.sort (fun a b -> compare a.sp_id b.sp_id) victims);
+    touch t time
+  end
 
 let instant t ~time ?(node = -1) ~pod what =
-  t.instants <- { in_time = time; in_pod = pod; in_node = node; in_what = what }
-                :: t.instants;
-  touch t time
+  if t.enabled then begin
+    let i = { in_time = time; in_pod = pod; in_node = node; in_what = what } in
+    t.instants <- i :: t.instants;
+    touch t time;
+    notify t (Instant i)
+  end
 
 let spans t =
   List.sort

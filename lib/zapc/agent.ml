@@ -13,6 +13,7 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
+module Span = Zapc_obs.Span
 module Value = Zapc_codec.Value
 module Addr = Zapc_simnet.Addr
 module Socket = Zapc_simnet.Socket
@@ -129,11 +130,11 @@ type t = {
   restores : (int, restore_op) Hashtbl.t;
   rng : Zapc_sim.Rng.t;
   metrics : Metrics.t;
-  mutable trace : Trace.t option;
+  trace : Span.t;  (* the cluster's recorder *)
   mutable peer_agents : (int -> t option);  (* resolve agents for streaming *)
 }
 
-let create ?metrics ~node ~params ~storage ~fabric kernel =
+let create ?metrics ~node ~params ~storage ~trace ~fabric kernel =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -152,16 +153,15 @@ let create ?metrics ~node ~params ~storage ~fabric kernel =
     restores = Hashtbl.create 4;
     rng = Zapc_sim.Rng.split (Engine.rng (Kernel.engine kernel));
     metrics;
-    trace = None;
+    trace;
     peer_agents = (fun _ -> None);
   }
 
-let set_trace t tr = t.trace <- Some tr
-
+(* The [enabled] guards keep an off recorder allocation-free: passing
+   [~node] to the recorder's optional argument would box it on every call. *)
 let trace t ~pod what =
-  match t.trace with
-  | Some tr -> Trace.record tr ~node:t.node ~time:(Engine.now t.engine) ~pod what
-  | None -> ()
+  if Span.enabled t.trace then
+    Span.instant t.trace ~node:t.node ~time:(Engine.now t.engine) ~pod what
 
 (* Typed phase spans on this agent's (node, pod) track; the standalone
    span overlapping the manager's sync span is the Figure-2 picture.
@@ -169,23 +169,18 @@ let trace t ~pod what =
    operation id and parent span id arrive in the command's
    [Protocol.trace_ctx] and are threaded through the op records below. *)
 let span_begin_id t ?op ?parent ~pod name =
-  match t.trace with
-  | Some tr ->
-    Trace.span_begin_id tr ~time:(Engine.now t.engine) ?op ~node:t.node
-      ?parent ~pod name
-  | None -> -1
+  if Span.enabled t.trace then
+    (Span.begin_span t.trace ~time:(Engine.now t.engine) ?op ~node:t.node
+       ?parent ~pod name).Span.sp_id
+  else -1
 
 let span_begin t ?op ?parent ~pod name = ignore (span_begin_id t ?op ?parent ~pod name)
 
 let span_end t ~pod name =
-  match t.trace with
-  | Some tr -> Trace.span_end tr ~time:(Engine.now t.engine) ~pod name
-  | None -> ()
+  ignore (Span.end_named t.trace ~time:(Engine.now t.engine) ~pod name)
 
 let span_end_all t ~pod =
-  match t.trace with
-  | Some tr -> Trace.span_end_all tr ~time:(Engine.now t.engine) ~pod
-  | None -> ()
+  Span.end_all_for_pod t.trace ~time:(Engine.now t.engine) ~pod
 
 let register_pod t pod = Hashtbl.replace t.pods pod.Pod.pod_id pod
 

@@ -22,9 +22,11 @@ type t
 
 val create :
   ?metrics:Zapc_obs.Metrics.t ->
-  node:int -> params:Params.t -> storage:Storage.t -> fabric:Fabric.t -> Kernel.t -> t
+  node:int -> params:Params.t -> storage:Storage.t -> trace:Trace.t ->
+  fabric:Fabric.t -> Kernel.t -> t
 (** [metrics] receives the [agent.*] counters (abort outcomes); a private
-    registry is created when omitted. *)
+    registry is created when omitted.  [trace] records the phase
+    boundaries and spans of this Agent's operations (Figure 2). *)
 
 val attach_channel : t -> Protocol.channel -> unit
 (** Wire the Manager connection; a broken channel aborts every in-flight
@@ -42,9 +44,6 @@ val set_peer_resolver : t -> (int -> t option) -> unit
     control latency plus the bytes at fabric bandwidth, then a check that
     the destination Agent is up and connected.  An unreachable destination
     fails the checkpoint and the pod resumes on the source. *)
-
-val set_trace : t -> Trace.t -> unit
-(** Record the phase boundaries of this Agent's operations (Figure 2). *)
 
 val register_pod : t -> Pod.t -> unit
 val forget_pod : t -> int -> unit

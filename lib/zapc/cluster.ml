@@ -6,6 +6,7 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
+module Span = Zapc_obs.Span
 module Addr = Zapc_simnet.Addr
 module Fabric = Zapc_simnet.Fabric
 module Netstack = Zapc_simnet.Netstack
@@ -32,7 +33,7 @@ type t = {
   metrics : Metrics.t;
   mutable next_pod_id : int;
   mutable next_vip_seq : int;
-  mutable trace : Trace.t option;  (* the cluster-wide recorder, once enabled *)
+  trace : Trace.t;  (* the cluster-wide recorder, off until enable_trace *)
   mutable flight : Zapc_obs.Flight.t option;
   mutable relays : Relay.t list;  (* tree mode: one sub-coordinator per node *)
   mutable tree_sig : int list;  (* alive set the current tree was formed over *)
@@ -131,9 +132,12 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let engine = Engine.create ~seed () in
   (* one registry shared by every layer of this cluster; always on *)
   let metrics = Metrics.create () in
+  (* one recorder shared by every layer too, switched off until asked for *)
+  let trace = Trace.create () in
+  Span.set_enabled trace false;
   let fabric = Fabric.create ~config:params.Params.fabric engine in
   let storage =
-    Storage.create ~metrics ~bps:params.Params.storage_bps
+    Storage.create ~metrics ~trace ~bps:params.Params.storage_bps
       ~replicas:params.Params.storage_replicas
       ~backend:params.Params.storage_backend
       ~compress:params.Params.compress ~buddy_bps:params.Params.buddy_bps
@@ -150,7 +154,9 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
         let host_ip = Addr.make_ip 192 168 1 (i + 1) in
         Netstack.add_ip (Kernel.netstack kernel) host_ip;
         Kernel.set_fs kernel shared_fs;
-        let agent = Agent.create ~metrics ~node:i ~params ~storage ~fabric kernel in
+        let agent =
+          Agent.create ~metrics ~node:i ~params ~storage ~trace ~fabric kernel
+        in
         { n_idx = i; n_kernel = kernel; n_agent = agent; n_host_ip = host_ip;
           n_rip_seq = 0; n_alive = true })
   in
@@ -159,10 +165,12 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
     n.n_rip_seq <- n.n_rip_seq + 1;
     Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
   in
-  let manager = Manager.create ~metrics ~engine ~params ~storage ~alloc_rip () in
+  let manager =
+    Manager.create ~metrics ~engine ~params ~storage ~trace ~alloc_rip ()
+  in
   let t =
     { engine; fabric; storage; params; nodes; manager; metrics;
-      next_pod_id = 1; next_vip_seq = 0; trace = None; flight = None;
+      next_pod_id = 1; next_vip_seq = 0; trace; flight = None;
       relays = []; tree_sig = [] }
   in
   (* the engine profiler is opt-in (Params knob): the default hot path
@@ -241,26 +249,18 @@ let create_pod t ~node_idx ~name =
     { Zapc_netckpt.Meta.pm_pod = pod_id; pm_vip = vip; pm_entries = [] };
   pod
 
-(* Attach a fresh protocol trace to the Manager, every Agent, and the
-   shared storage (idempotent: the same recorder is returned once one is
-   attached, so tracing and the flight recorder can be enabled in either
-   order). *)
+(* Switch the cluster-wide recorder on (idempotent, so tracing and the
+   flight recorder can be enabled in either order). *)
 let enable_trace t =
-  match t.trace with
-  | Some tr -> tr
-  | None ->
-    let tr = Trace.create () in
-    Manager.set_trace t.manager tr;
-    Array.iter (fun n -> Agent.set_trace n.n_agent tr) t.nodes;
-    Storage.set_trace t.storage tr;
-    t.trace <- Some tr;
-    tr
+  Span.set_enabled t.trace true;
+  t.trace
 
-let trace t = t.trace
+let recorder t = t.trace
+let trace t = if Span.enabled t.trace then Some t.trace else None
 
-(* The flight recorder: bounded per-node rings fed by the span recorder,
-   the trace instants, and the metric stream; tripped into a JSON dump by
-   the abort/fault/death markers below. *)
+(* The flight recorder: bounded per-node rings fed by one subscriber to the
+   span recorder (spans and instants) and by the metric stream; tripped
+   into a JSON dump by the abort/fault/death markers below. *)
 let flight_trip_reason what =
   let has_prefix p =
     String.length what >= String.length p && String.sub what 0 (String.length p) = p
@@ -272,41 +272,36 @@ let enable_flight ?cap ?dump_dir t =
   | Some fl -> fl
   | None ->
     let module Flight = Zapc_obs.Flight in
-    let module Span = Zapc_obs.Span in
     let tr = enable_trace t in
     let fl = Flight.create ?cap () in
     Flight.set_dump_dir fl dump_dir;
     t.flight <- Some fl;
-    Span.set_observer (Trace.recorder tr)
-      (Some
-         (function
-           | Span.Opened sp ->
-             Flight.record fl ~node:sp.Span.sp_node
-               (Flight.Span_open
-                  { f_time = sp.Span.sp_begin; f_id = sp.Span.sp_id;
-                    f_name = sp.Span.sp_name; f_op = sp.Span.sp_op;
-                    f_pod = sp.Span.sp_pod; f_parent = sp.Span.sp_parent })
-           | Span.Closed sp ->
-             Flight.record fl ~node:sp.Span.sp_node
-               (Flight.Span_close
-                  { f_time =
-                      (match sp.Span.sp_end with
-                       | Some e -> e
-                       | None -> sp.Span.sp_begin);
-                    f_id = sp.Span.sp_id })));
+    Span.subscribe tr (function
+      | Span.Opened sp ->
+        Flight.record fl ~node:sp.Span.sp_node
+          (Flight.Span_open
+             { f_time = sp.Span.sp_begin; f_id = sp.Span.sp_id;
+               f_name = sp.Span.sp_name; f_op = sp.Span.sp_op;
+               f_pod = sp.Span.sp_pod; f_parent = sp.Span.sp_parent })
+      | Span.Closed sp ->
+        Flight.record fl ~node:sp.Span.sp_node
+          (Flight.Span_close
+             { f_time =
+                 (match sp.Span.sp_end with Some e -> e | None -> sp.Span.sp_begin);
+               f_id = sp.Span.sp_id })
+      | Span.Instant i ->
+        Flight.record fl ~node:(-1)
+          (Flight.Instant
+             { f_time = i.Span.in_time; f_pod = i.Span.in_pod;
+               f_what = i.Span.in_what });
+        if flight_trip_reason i.Span.in_what then
+          Flight.trip fl ~time:i.Span.in_time ~reason:i.Span.in_what);
     Metrics.set_on_record t.metrics
       (Some
          (fun name value ->
            Flight.record fl ~node:(-1)
              (Flight.Metric
                 { f_time = Engine.now t.engine; f_name = name; f_value = value })));
-    Trace.on_record tr (fun (ev : Trace.event) ->
-        Flight.record fl ~node:(-1)
-          (Flight.Instant
-             { f_time = ev.Trace.ev_time; f_pod = ev.Trace.ev_pod;
-               f_what = ev.Trace.ev_what });
-        if flight_trip_reason ev.Trace.ev_what then
-          Flight.trip fl ~time:ev.Trace.ev_time ~reason:ev.Trace.ev_what);
     fl
 
 let flight t = t.flight

@@ -75,18 +75,23 @@ val link_pods : Pod.t list -> unit
 (** Install the application-wide virtual address map on a pod group. *)
 
 val enable_trace : t -> Trace.t
-(** Attach a fresh protocol trace to the Manager, every Agent, and the
-    shared storage; returns it for rendering/assertions
-    ({!Trace.render_checkpoint}).  Idempotent: the first call creates the
-    cluster-wide recorder, later calls return the same one. *)
+(** Switch on the cluster-wide recorder and return it for
+    rendering/assertions ({!Trace.render_checkpoint},
+    {!Zapc_obs.Span.instants}).  {!make} creates it switched off and hands
+    it to the Manager, every Agent and the shared storage; {!Periodic} and
+    {!Supervisor} pick it up at start.  Idempotent. *)
+
+val recorder : t -> Trace.t
+(** The cluster-wide recorder, on or off. *)
 
 val trace : t -> Trace.t option
-(** The recorder attached by {!enable_trace}, if any. *)
+(** The recorder once {!enable_trace} has switched it on, [None] before. *)
 
 val enable_flight : ?cap:int -> ?dump_dir:string -> t -> Zapc_obs.Flight.t
-(** Wire the flight recorder: bounded per-node rings fed by the span
-    recorder (per-node routing), the trace instants, and the metric stream
-    (both on the manager ring, node [-1]).  Trips into a JSON dump — to
+(** Wire the flight recorder: bounded per-node rings fed by one
+    {!Zapc_obs.Span.subscribe}r to the recorder — spans on their node's
+    ring, instants on the manager ring (node [-1]) — and by the metric
+    stream (manager ring too).  Trips into a JSON dump — to
     [dump_dir] when given, always retained as
     {!Zapc_obs.Flight.last_dump} — whenever a trace instant marks an
     operation failure ([op_failed:*]), an injected fault ([fault:*]), or a

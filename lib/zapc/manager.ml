@@ -100,7 +100,7 @@ type t = {
   alloc_rip : int -> Addr.ip;
   infos : (int, pod_info) Hashtbl.t;
   metrics : Metrics.t;
-  mutable trace : Trace.t option;
+  trace : Span.t;  (* the cluster's recorder, off until tracing is enabled *)
   mutable current : pending option;
   mutable gen : int;  (* bumped per operation *)
   mutable last_critpath : (string * Critpath.report) option;
@@ -111,7 +111,7 @@ type t = {
      (Supervisor) observe the pod's new home atomically with completion *)
 }
 
-let create ?metrics ~engine ~params ~storage ~alloc_rip () =
+let create ?metrics ~engine ~params ~storage ~trace ~alloc_rip () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -119,30 +119,26 @@ let create ?metrics ~engine ~params ~storage ~alloc_rip () =
     routes = Hashtbl.create 8; edges = Hashtbl.create 8;
     out_buf = Hashtbl.create 8; out_flush = false; proc_free = Simtime.zero;
     alloc_rip;
-    infos = Hashtbl.create 16; metrics; trace = None; current = None;
+    infos = Hashtbl.create 16; metrics; trace; current = None;
     gen = 0; last_critpath = None;
     on_pong = (fun ~node:_ ~seq:_ -> ());
     on_migrated = (fun ~pod:_ ~src:_ ~dest:_ -> ()) }
 
-let set_trace t tr = t.trace <- Some tr
 let metrics t = t.metrics
 
 let trace t what =
-  match t.trace with
-  | Some tr -> Trace.record tr ~time:(Engine.now t.engine) ~pod:(-1) what
-  | None -> ()
+  Span.instant t.trace ~time:(Engine.now t.engine) ~pod:(-1) what
 
 (* Manager-scope spans (pod -1): the whole operation plus the sync window
    (broadcast -> 'continue'), whose overlap with the agents' standalone
    spans is the Figure-2 story. *)
 let span_begin_id t ?op ?parent name =
-  match t.trace with
-  | Some tr ->
-    Trace.span_begin_id tr ~time:(Engine.now t.engine) ?op ?parent ~pod:(-1) name
-  | None -> -1
+  (Span.begin_span t.trace ~time:(Engine.now t.engine) ?op ?parent ~pod:(-1) name)
+    .Span.sp_id
 
-(* The span id (-1 without a trace) rides as [Protocol.trace_ctx.tc_parent]
-   and parents the agents' spans; most callers only open the span. *)
+(* The span id (-1 while the recorder is off) rides as
+   [Protocol.trace_ctx.tc_parent] and parents the agents' spans; most
+   callers only open the span. *)
 let span_begin t ?op ?parent name = ignore (span_begin_id t ?op ?parent name)
 
 let ctx_for t span_id =
@@ -150,9 +146,7 @@ let ctx_for t span_id =
   else None
 
 let span_end t name =
-  match t.trace with
-  | Some tr -> Trace.span_end tr ~time:(Engine.now t.engine) ~pod:(-1) name
-  | None -> ()
+  ignore (Span.end_named t.trace ~time:(Engine.now t.engine) ~pod:(-1) name)
 
 let channel_to t node =
   match Hashtbl.find_opt t.channels node with
@@ -279,29 +273,28 @@ let finish t result =
        spans of this operation (sp_op = generation — the agents' spans
        carry it via the wire trace context) and report which phase
        dominated the end-to-end latency. *)
-    (match t.trace with
-     | Some tr when result.r_ok ->
-       let sps =
-         List.filter
-           (fun (s : Span.span) -> s.Span.sp_op = p.p_gen)
-           (Span.spans (Trace.recorder tr))
-       in
-       let rep =
-         Critpath.analyze ~spans:sps ~t0:p.p_started
-           ~t1:(Engine.now t.engine)
-       in
-       if rep.Critpath.cp_dominant <> "" then begin
-         List.iter
-           (fun (name, d) ->
-             Metrics.observe t.metrics
-               (Printf.sprintf "mgr.critpath.%s_ms" name)
-               (Simtime.to_ms d))
-           rep.Critpath.cp_phases;
-         Metrics.incr t.metrics
-           (Printf.sprintf "mgr.critpath.dominant.%s" rep.Critpath.cp_dominant);
-         t.last_critpath <- Some (opname, rep)
-       end
-     | Some _ | None -> ());
+    if result.r_ok && Span.enabled t.trace then begin
+      let sps =
+        List.filter
+          (fun (s : Span.span) -> s.Span.sp_op = p.p_gen)
+          (Span.spans t.trace)
+      in
+      let rep =
+        Critpath.analyze ~spans:sps ~t0:p.p_started
+          ~t1:(Engine.now t.engine)
+      in
+      if rep.Critpath.cp_dominant <> "" then begin
+        List.iter
+          (fun (name, d) ->
+            Metrics.observe t.metrics
+              (Printf.sprintf "mgr.critpath.%s_ms" name)
+              (Simtime.to_ms d))
+          rep.Critpath.cp_phases;
+        Metrics.incr t.metrics
+          (Printf.sprintf "mgr.critpath.dominant.%s" rep.Critpath.cp_dominant);
+        t.last_critpath <- Some (opname, rep)
+      end
+    end;
     p.p_done result
 
 let last_critpath t = t.last_critpath

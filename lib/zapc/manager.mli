@@ -45,6 +45,7 @@ val create :
   engine:Engine.t ->
   params:Params.t ->
   storage:Storage.t ->
+  trace:Trace.t ->
   alloc_rip:(int -> Addr.ip) ->
   unit ->
   t
@@ -73,9 +74,6 @@ val set_tree : t ->
     after a recovery.  Commands to routed nodes are bundled per direct
     child ({!Protocol.to_agent.A_batch}) and fanned out by the {!Relay}s;
     subtree reports arrive aggregated ({!Protocol.to_manager.M_batch}). *)
-
-val set_trace : t -> Trace.t -> unit
-(** Record broadcast/synchronization instants (Figure 2). *)
 
 val remember_pod : t -> pod_id:int -> name:string -> vip:Addr.ip -> Meta.pod_meta -> unit
 (** Seed the per-pod fact cache (updated by checkpoint meta reports); this

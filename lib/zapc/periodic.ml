@@ -12,10 +12,12 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
+module Span = Zapc_obs.Span
 module Pod = Zapc_pod.Pod
 
 type t = {
   cluster : Cluster.t;
+  trace : Span.t;  (* the cluster's recorder *)
   pods : Pod.t list;  (* the original group; resolve by pod_id, records go
                          stale after a recovery re-creates the pods *)
   prefix : string;
@@ -93,19 +95,13 @@ let skip t reason =
    the causal tree shows WHY the checkpoint ran (the service's clock, not a
    user request); the Manager's op span parents under it via [?parent]. *)
 let epoch_span_begin t =
-  match Cluster.trace t.cluster with
-  | Some tr ->
-    Trace.span_begin_id tr
-      ~time:(Engine.now (Cluster.engine t.cluster))
-      ~pod:(-1) "periodic_epoch"
-  | None -> -1
+  (Span.begin_span t.trace ~time:(Engine.now (Cluster.engine t.cluster))
+     ~pod:(-1) "periodic_epoch").Span.sp_id
 
 let epoch_span_end t =
-  match Cluster.trace t.cluster with
-  | Some tr ->
-    Trace.span_end tr ~time:(Engine.now (Cluster.engine t.cluster)) ~pod:(-1)
-      "periodic_epoch"
-  | None -> ()
+  ignore
+    (Span.end_named t.trace ~time:(Engine.now (Cluster.engine t.cluster))
+       ~pod:(-1) "periodic_epoch")
 
 let rec tick t =
   Engine.schedule (Cluster.engine t.cluster) ~label:"periodic.tick"
@@ -152,8 +148,8 @@ let rec tick t =
 
 let start ?(incremental = false) cluster ~pods ~prefix ~period ?(keep = 2) () =
   let t =
-    { cluster; pods; prefix; period; keep; incremental;
-      epoch = 0; last_good = 0; completed = 0;
+    { cluster; trace = Cluster.recorder cluster; pods; prefix; period; keep;
+      incremental; epoch = 0; last_good = 0; completed = 0;
       skipped = 0; last_skip_reason = None; stopped = false;
       on_epoch = (fun _ _ -> ()) }
   in

@@ -42,6 +42,7 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
+module Span = Zapc_obs.Span
 module Image = Zapc_ckpt.Image
 module Delta = Zapc_ckpt.Delta
 module Chunk = Zapc_ckpt.Chunk
@@ -109,7 +110,7 @@ type t = {
   mutable fail_writes : string option;
   mutable write_failures : int;
   mutable corruption_detected : int;
-  mutable trace : Trace.t option;
+  trace : Span.t;  (* successful writes become [storage_put] spans *)
   (* contention: each link (the shared SAN, each buddy owner's own link)
      serializes its own flushes; distinct links run in parallel *)
   links_free : (loc, Simtime.t) Hashtbl.t;
@@ -131,9 +132,9 @@ let next_alive ~nodes ~dead after =
   in
   go 1
 
-let create ?metrics ?(bps = 180e6) ?(latency = Simtime.us 500) ?(replicas = 2)
-    ?(backend = Params.Sb_plain) ?(compress = false) ?(buddy_bps = 1e9)
-    ?(nodes = 2) engine =
+let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
+    ?(replicas = 2) ?(backend = Params.Sb_plain) ?(compress = false)
+    ?(buddy_bps = 1e9) ?(nodes = 2) engine =
   let replicas = Stdlib.max 1 replicas in
   let nodes = Stdlib.max 1 nodes in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -159,12 +160,10 @@ let create ?metrics ?(bps = 180e6) ?(latency = Simtime.us 500) ?(replicas = 2)
     bases = Hashtbl.create 16; pins = Hashtbl.create 16; condemned = Hashtbl.create 8;
     metrics;
     bytes_written = 0; fail_writes = None; write_failures = 0; corruption_detected = 0;
-    trace = None; links_free = Hashtbl.create 8;
+    trace; links_free = Hashtbl.create 8;
     dd_logical = 0; dd_unique = 0; comp_in = 0; comp_out = 0 }
 
 let replica_count t = Array.length t.fails
-
-let set_trace t tr = t.trace <- Some tr
 
 let set_fail_writes t reason = t.fail_writes <- reason
 let write_failures t = t.write_failures
@@ -425,13 +424,10 @@ let put ?op ?parent ?(node = 0) t key image =
       Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
         "storage.put_bytes"
         (float_of_int image.Image.logical_size);
-      (match t.trace with
-       | Some tr ->
-         let now = Engine.now t.engine in
-         Trace.span_begin tr ~time:now ?op ?parent ~pod:image.Image.pod_id
-           "storage_put";
-         Trace.span_end tr ~time:now ~pod:image.Image.pod_id "storage_put"
-       | None -> ());
+      let now = Engine.now t.engine in
+      Span.end_span t.trace ~time:now
+        (Span.begin_span t.trace ~time:now ?op ?parent ~pod:image.Image.pod_id
+           "storage_put");
       Ok ()
     end
 

@@ -39,6 +39,7 @@ type t
 
 val create :
   ?metrics:Zapc_obs.Metrics.t ->
+  trace:Trace.t ->
   ?bps:float ->
   ?latency:Simtime.t ->
   ?replicas:int ->
@@ -52,15 +53,12 @@ val create :
     [Sb_plain]/[Sb_dedup], two RAM slots for [Sb_buddy]; only [Sb_dedup]
     chunks into the pool.  [nodes] (default 2) is the cluster size buddy
     partners are drawn from.  [metrics] receives the [storage.*]
-    instruments listed in doc/OBSERVABILITY.md. *)
+    instruments listed in doc/OBSERVABILITY.md.  [trace] records each
+    successful write as a [storage_put] span (parented under the writing
+    Agent's operation span via {!put}'s [op]/[parent]). *)
 
 val replica_count : t -> int
 (** Copy slots per key. *)
-
-val set_trace : t -> Trace.t -> unit
-(** Record successful writes as [storage_put] spans in the causal trace
-    (parented under the writing Agent's operation span via {!put}'s
-    [op]/[parent]). *)
 
 val put :
   ?op:int -> ?parent:int -> ?node:int ->

@@ -26,6 +26,7 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
+module Span = Zapc_obs.Span
 module Rng = Zapc_sim.Rng
 module Fabric = Zapc_simnet.Fabric
 module Pod = Zapc_pod.Pod
@@ -44,7 +45,7 @@ type t = {
   service : Periodic.t;
   params : Params.t;
   rng : Rng.t;  (* jitter stream, split off the engine's seeded RNG *)
-  mutable trace : Trace.t option;
+  trace : Span.t;  (* the cluster's recorder unless [start ~trace] *)
   mutable watched : int list;  (* sticky node set under heartbeat watch *)
   misses : (int, int) Hashtbl.t;  (* node -> consecutive unanswered beats *)
   awaiting : (int, int) Hashtbl.t;  (* node -> seq of the unanswered ping *)
@@ -67,24 +68,18 @@ let reg t = Cluster.metrics t.cluster
 
 let note t what =
   t.log <- (now t, what) :: t.log;
-  match t.trace with
-  | Some tr -> Trace.record tr ~time:(now t) ~pod:(-1) what
-  | None -> ()
+  Span.instant t.trace ~time:(now t) ~pod:(-1) what
 
 (* The whole recovery episode (declaration -> recovered/gave up) is one
    [sup_recover] span; each restart attempt's Manager op span parents under
    it through [Periodic.recover_async ?parent]. *)
 let recover_span_begin t =
   t.recover_span <-
-    (match t.trace with
-     | Some tr -> Trace.span_begin_id tr ~time:(now t) ~pod:(-1) "sup_recover"
-     | None -> -1)
+    (Span.begin_span t.trace ~time:(now t) ~pod:(-1) "sup_recover").Span.sp_id
 
 let recover_span_end t =
-  (match t.trace with
-   | Some tr when t.recover_span >= 0 ->
-     Trace.span_end tr ~time:(now t) ~pod:(-1) "sup_recover"
-   | Some _ | None -> ());
+  if t.recover_span >= 0 then
+    ignore (Span.end_named t.trace ~time:(now t) ~pod:(-1) "sup_recover");
   t.recover_span <- -1
 
 (* Nodes currently hosting the group's pods (for the initial watch set and
@@ -276,7 +271,7 @@ let start ?trace cluster service =
       service;
       params = Cluster.params cluster;
       rng = Rng.split (Engine.rng (Cluster.engine cluster));
-      trace;
+      trace = Option.value trace ~default:(Cluster.recorder cluster);
       watched = [];
       misses = Hashtbl.create 8;
       awaiting = Hashtbl.create 8;

@@ -7,7 +7,7 @@
     {!Periodic.recover_async} onto the surviving node set, retrying with
     capped exponential backoff and deterministic jitter up to
     [Params.recover_retries] times before giving up.  Detection, attempts,
-    recovery and surrender are all recorded as [Trace] events
+    recovery and surrender are all recorded as trace instants
     ([sup_detect:node<i>], [sup_attempt:<k>], [sup_backoff:<ms>],
     [sup_recovered], [sup_giveup]), so availability is observable and the
     chaos harness can hook fault triggers onto them.
@@ -27,7 +27,9 @@ type t
 
 val start : ?trace:Trace.t -> Cluster.t -> Periodic.t -> t
 (** Begin monitoring the nodes currently hosting the service's pods.
-    Installs itself as the Manager's pong sink. *)
+    Installs itself as the Manager's pong sink.  Instants and the
+    [sup_recover] span go to [trace], by default the cluster's recorder
+    ({!Cluster.recorder}), which records once tracing is enabled. *)
 
 val stop : t -> unit
 

@@ -1,103 +1,49 @@
-(* Protocol tracing: records the phase boundaries of coordinated
-   checkpoint/restart operations so the Figure-2 timeline of the paper can
-   be rendered (and asserted on) — in particular that the standalone
-   checkpoint overlaps the Manager synchronization and that unblock waits
-   for both.
-
-   Since the observability refactor the structured core is a
-   Zapc_obs.Span recorder: phase boundaries are typed instants (and the
-   Manager/Agents additionally open/close typed spans through the
-   span_begin/span_end wrappers below).  The historical string-event API —
-   [events]/[find]/[pods]/[render_checkpoint] — is retained as a
-   compatibility view derived from the recorded instants, so existing
-   tests and the fault-injection observers keep working unchanged. *)
+(* Protocol tracing: the cluster's Zapc_obs.Span recorder, plus the
+   Figure-2 rendering of its phase instants (the standalone checkpoint
+   overlaps the Manager synchronization, and resume waits for both). *)
 
 module Simtime = Zapc_sim.Simtime
 module Span = Zapc_obs.Span
 
-type event = {
-  ev_time : Simtime.t;
-  ev_pod : int;  (* -1 for Manager-level events *)
-  ev_what : string;
-}
+type t = Span.t
 
-type t = {
-  recorder : Span.t;
-  mutable enabled : bool;
-  mutable observers : (event -> unit) list;
-}
+let create () = Span.create ()
+let recorder t = t
 
-let create () = { recorder = Span.create (); enabled = true; observers = [] }
-let recorder t = t.recorder
-
-(* Observers let external machinery (fault injection, live monitoring) key
-   off protocol phase boundaries without polling the event list. *)
-let on_record t fn = t.observers <- t.observers @ [ fn ]
-let clear_observers t = t.observers <- []
-
-let record ?(node = -1) t ~time ~pod what =
-  if t.enabled then begin
-    Span.instant t.recorder ~time ~node ~pod what;
-    let ev = { ev_time = time; ev_pod = pod; ev_what = what } in
-    List.iter (fun fn -> fn ev) t.observers
-  end
-
-let span_begin t ~time ?op ?node ?parent ~pod name =
-  if t.enabled then
-    ignore (Span.begin_span t.recorder ~time ?op ?node ?parent ~pod name)
-
-(* As span_begin, but hand back the span id so the caller can propagate it
-   as a causal parent (into Protocol messages, child spans, ...).  -1 when
-   tracing is disabled — begin_span/`parent` treat negatives as "no link"
-   only in the sense that no span -1 exists, and callers pass the id along
-   blindly, so normalize at the consumption sites via parent_arg. *)
-let span_begin_id t ~time ?op ?node ?parent ~pod name =
-  if t.enabled then
-    (Span.begin_span t.recorder ~time ?op ?node ?parent ~pod name).Span.sp_id
-  else -1
-
-(* Turn a span_begin_id result (or a wire tc_parent) back into an optional
-   parent argument: negative ids mean "tracing was off, no link". *)
+(* Span ids travel as plain ints (in op records and [Protocol.trace_ctx]);
+   -1 means the recorder was off, so there is no parent to link to. *)
 let parent_arg id = if id >= 0 then Some id else None
 
-let span_end t ~time ~pod name =
-  if t.enabled then ignore (Span.end_named t.recorder ~time ~pod name)
+let dump_chrome t path = Zapc_obs.Chrome.dump t path
 
-let span_end_all t ~time ~pod =
-  if t.enabled then Span.end_all_for_pod t.recorder ~time ~pod
-
-let events t =
-  List.map
-    (fun (i : Span.instant) ->
-      { ev_time = i.in_time; ev_pod = i.in_pod; ev_what = i.in_what })
-    (Span.instants t.recorder)
-
-let clear t = Span.clear t.recorder
-
-let find t ~pod what =
-  List.find_opt (fun e -> e.ev_pod = pod && String.equal e.ev_what what) (events t)
-
-let pods t =
-  List.sort_uniq Int.compare
-    (List.filter_map (fun e -> if e.ev_pod >= 0 then Some e.ev_pod else None) (events t))
-
-let to_chrome t = Zapc_obs.Chrome.to_string t.recorder
-let dump_chrome t path = Zapc_obs.Chrome.dump t.recorder path
+let columns =
+  [ "suspended"; "net_ckpt_done"; "meta_sent"; "standalone_done";
+    "continue_received"; "resumed" ]
 
 (* Render the coordinated-checkpoint timeline (one line per pod, phases as
-   offsets from the Manager's invocation), in the spirit of Figure 2. *)
+   offsets from the Manager's invocation), in the spirit of Figure 2.  One
+   pass over the instants keeps the first time of each (pod, phase). *)
 let render_checkpoint t : string =
-  let buf = Buffer.create 512 in
+  let instants = Span.instants t in
+  let first = Hashtbl.create 64 in
+  let pods = ref [] in
+  List.iter
+    (fun (i : Span.instant) ->
+      if not (Hashtbl.mem first (i.in_pod, i.in_what)) then
+        Hashtbl.add first (i.in_pod, i.in_what) i.in_time;
+      if i.in_pod >= 0 then pods := i.in_pod :: !pods)
+    instants;
   let t0 =
-    match find t ~pod:(-1) "ckpt_broadcast" with
-    | Some e -> e.ev_time
-    | None -> (match events t with e :: _ -> e.ev_time | [] -> Simtime.zero)
+    match Hashtbl.find_opt first (-1, "ckpt_broadcast") with
+    | Some time -> time
+    | None -> (match instants with i :: _ -> i.in_time | [] -> Simtime.zero)
   in
   let off time = Simtime.to_ms (Simtime.sub time t0) in
-  let phase pod what =
-    match find t ~pod what with Some e -> Some (off e.ev_time) | None -> None
+  let fmt = function
+    | Some time -> Printf.sprintf "%7.2f" (off time)
+    | None -> "      -"
   in
-  let fmt = function Some v -> Printf.sprintf "%7.2f" v | None -> "      -" in
+  let buf = Buffer.create 512 in
   Buffer.add_string buf
     "checkpoint timeline (ms after Manager broadcast; Figure 2 of the paper)\n";
   Buffer.add_string buf
@@ -106,18 +52,15 @@ let render_checkpoint t : string =
   List.iter
     (fun pod ->
       Buffer.add_string buf
-        (Printf.sprintf "%-6d %s %s %s %s %s %s\n" pod
-           (fmt (phase pod "suspended"))
-           (fmt (phase pod "net_ckpt_done"))
-           (fmt (phase pod "meta_sent"))
-           (fmt (phase pod "standalone_done"))
-           (fmt (phase pod "continue_received"))
-           (fmt (phase pod "resumed"))))
-    (pods t);
-  (match find t ~pod:(-1) "continue_broadcast" with
-   | Some e ->
+        (Printf.sprintf "%-6d %s\n" pod
+           (String.concat " "
+              (List.map (fun what -> fmt (Hashtbl.find_opt first (pod, what)))
+                 columns))))
+    (List.sort_uniq Int.compare !pods);
+  (match Hashtbl.find_opt first (-1, "continue_broadcast") with
+   | Some time ->
      Buffer.add_string buf
        (Printf.sprintf "manager: all meta-data received, 'continue' sent at %7.2f\n"
-          (off e.ev_time))
+          (off time))
    | None -> ());
   Buffer.contents buf

@@ -1,79 +1,29 @@
-(** Protocol tracing: phase boundaries of coordinated checkpoint/restart
-    operations, for rendering (and asserting on) the paper's Figure-2
-    timeline — in particular that the standalone checkpoint overlaps the
-    Manager synchronization and that resume gates on both conditions.
+(** Protocol tracing: the cluster's {!Zapc_obs.Span} recorder, and the
+    paper's Figure-2 timeline rendered from its phase instants — in
+    particular that the standalone checkpoint overlaps the Manager
+    synchronization and that resume gates on both conditions.
 
-    The structured core is a {!Zapc_obs.Span} recorder: typed spans keyed
-    by (operation id, pod, node) plus instants for phase boundaries.  The
-    string-event API below is a compatibility view over the instants; the
-    span stream is what the Chrome-trace exporter consumes. *)
+    Phase boundaries are {!Zapc_obs.Span.instant}s, phases are typed spans
+    keyed by (operation id, pod, node); consumers read them with
+    {!Zapc_obs.Span.instants}/{!Zapc_obs.Span.spans} or
+    {!Zapc_obs.Span.subscribe} to the stream. *)
 
-module Simtime = Zapc_sim.Simtime
-
-type event = {
-  ev_time : Simtime.t;
-  ev_pod : int;  (** -1 for Manager-level events *)
-  ev_what : string;
-}
-
-type t
+type t = Zapc_obs.Span.t
 
 val create : unit -> t
+(** A fresh recorder, switched on (one not attached to any cluster). *)
 
 val recorder : t -> Zapc_obs.Span.t
-(** The underlying span/instant recorder (for exporters and span-level
-    assertions). *)
-
-val record : ?node:int -> t -> time:Simtime.t -> pod:int -> string -> unit
-(** Record a phase-boundary instant.  [node] defaults to [-1]
-    (manager/cluster scope). *)
-
-val span_begin :
-  t -> time:Simtime.t -> ?op:int -> ?node:int -> ?parent:int -> pod:int ->
-  string -> unit
-(** Open a typed span (no-op when tracing is disabled).  Closed by
-    {!span_end} on the same [name]/[pod].  [parent] is the causal parent's
-    span id (see {!span_begin_id}). *)
-
-val span_begin_id :
-  t -> time:Simtime.t -> ?op:int -> ?node:int -> ?parent:int -> pod:int ->
-  string -> int
-(** As {!span_begin}, returning the new span's id so it can be propagated
-    as a causal parent — into child spans and across the control plane via
-    [Protocol.trace_ctx].  Returns [-1] when tracing is disabled. *)
+(** The recorder itself. *)
 
 val parent_arg : int -> int option
-(** [Some id] when [id >= 0], else [None] — normalizes a {!span_begin_id}
-    result (or a wire [tc_parent]) into a [?parent] argument. *)
-
-val span_end : t -> time:Simtime.t -> pod:int -> string -> unit
-val span_end_all : t -> time:Simtime.t -> pod:int -> unit
-(** Close every open span of [pod] — abort paths. *)
-
-val on_record : t -> (event -> unit) -> unit
-(** Subscribe to every recorded event as it happens; observers fire in
-    subscription order, synchronously with {!record}.  This is the hook the
-    fault-injection layer uses to schedule faults at protocol phase
-    boundaries. *)
-
-val clear_observers : t -> unit
-(** Drop all {!on_record} subscriptions.  Fault-injection/monitoring
-    callbacks otherwise survive {!clear} and fire into dead state on the
-    next run; the chaos harness calls this between seeds. *)
-
-val events : t -> event list
-val clear : t -> unit
-(** Forget recorded events and spans.  Observers survive — use
-    {!clear_observers} for those. *)
-
-val find : t -> pod:int -> string -> event option
-val pods : t -> int list
-
-val to_chrome : t -> string
-(** Render the span stream as Chrome [trace_event] JSON
-    (see {!Zapc_obs.Chrome}). *)
+(** [Some id] when [id >= 0], else [None] — normalizes a span id carried
+    as an int (an off recorder's [-1], a wire [tc_parent]) into a
+    [?parent] argument. *)
 
 val dump_chrome : t -> string -> unit
+(** Write the span stream as Chrome [trace_event] JSON
+    (see {!Zapc_obs.Chrome}). *)
 
 val render_checkpoint : t -> string
 (** One line per pod with phase offsets (ms) from the Manager broadcast. *)

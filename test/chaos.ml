@@ -382,7 +382,7 @@ let mig_digest fs r pod_id cluster =
   let fired =
     List.map (fun (t, w) -> Printf.sprintf "%d %s" t w) (Faultsim.fired fs)
   in
-  Zapc.Trace.clear_observers (Faultsim.trace fs);
+  Zapc_obs.Span.unsubscribe_all (Faultsim.trace fs);
   fired
   @ [ Printf.sprintf "ok=%b pod@%d t=%.3fms" r.Manager.r_ok
         (pod_node cluster pod_id) (Simtime.to_ms (Cluster.now cluster)) ]
@@ -473,9 +473,11 @@ let run_mig_src_crash seed =
 let run_mig_residue_break seed =
   let cluster, fs, _app, p, reference = mig_setup (3300 + seed) in
   let stage_drops = ref 0 in
-  Zapc.Trace.on_record (Faultsim.trace fs) (fun (ev : Zapc.Trace.event) ->
-      if String.equal ev.ev_what "mig_stage_dropped" && ev.ev_pod = p.Pod.pod_id
-      then incr stage_drops);
+  Zapc_obs.Span.subscribe (Faultsim.trace fs) (function
+    | Zapc_obs.Span.Instant i
+      when String.equal i.in_what "mig_stage_dropped" && i.in_pod = p.Pod.pod_id ->
+      incr stage_drops
+    | _ -> ());
   Faultsim.install fs
     { fault = Break_channel { node = 2 };
       trigger = On_phase { phase = "mig_residue"; pod = Some p.Pod.pod_id; skip = 0 } };
@@ -637,10 +639,10 @@ let run_scenario seed =
     if not (has_log done_log) then Alcotest.fail (ctx ^ ": app produced no result")
   end;
   assert_clean ctx cluster fs;
-  (* detach the fault-injection observers before the next seed: [Trace.clear]
+  (* detach the fault-injection subscribers before the next seed: [Span.clear]
      deliberately keeps subscriptions, so a stale hook would otherwise fire
      into this scenario's dead cluster from the next one's events *)
-  Zapc.Trace.clear_observers (Faultsim.trace fs);
+  Zapc_obs.Span.unsubscribe_all (Faultsim.trace fs);
   { so_kinds = List.map (fun (i : Faultsim.injection) -> kind_of i.fault) plan }
 
 let test_random_scenarios () =
@@ -826,7 +828,9 @@ let test_replica_fallback_counters () =
   let module Value = Zapc_codec.Value in
   let engine = Engine.create ~seed:1 () in
   let metrics = Metrics.create () in
-  let storage = Storage.create ~metrics ~replicas:2 engine in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ~replicas:2 engine
+  in
   let img =
     Zapc_ckpt.Image.of_pod_image
       (Value.assoc

@@ -521,7 +521,7 @@ let delta_env () =
       ~rip:(Addr.make_ip 172 16 0 14) k
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);
-  let storage = Storage.create engine in
+  let storage = Storage.create ~trace:(Zapc.Trace.create ()) engine in
   let snap at =
     Engine.run ~until:at ~max_events:100_000 engine;
     Pod.suspend pod;
@@ -765,7 +765,10 @@ let delta_env_m ?backend ?compress ?replicas ?nodes () =
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);
   let metrics = Metrics.create () in
-  let storage = Storage.create ~metrics ?backend ?compress ?replicas ?nodes engine in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ?backend ?compress
+      ?replicas ?nodes engine
+  in
   let snap at =
     Engine.run ~until:at ~max_events:100_000 engine;
     Pod.suspend pod;
@@ -866,7 +869,10 @@ let mk_img ?(regions = []) ~pod_id ~name ~mem () =
 let test_dedup_sibling_gc () =
   let engine = Engine.create ~seed:7 () in
   let metrics = Metrics.create () in
-  let storage = Storage.create ~metrics ~backend:ZParams.Sb_dedup engine in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics
+      ~backend:ZParams.Sb_dedup engine
+  in
   let mb = 1 lsl 20 in
   let regions = [ ("bt.rss", mb, 1) ] in
   let a = mk_img ~regions ~pod_id:1 ~name:"rank0" ~mem:mb () in
@@ -934,7 +940,8 @@ let test_buddy_reassign_on_death () =
   let engine = Engine.create ~seed:11 () in
   let metrics = Metrics.create () in
   let storage =
-    Storage.create ~metrics ~backend:ZParams.Sb_buddy ~nodes:4 engine
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics
+      ~backend:ZParams.Sb_buddy ~nodes:4 engine
   in
   let img = mk_img ~pod_id:3 ~name:"svc" ~mem:65536 () in
   (match Storage.put ~node:1 storage "b.pod3" img with
@@ -968,7 +975,10 @@ let test_buddy_reassign_on_death () =
 let test_buddy_heal_backfills () =
   let engine = Engine.create ~seed:11 () in
   let metrics = Metrics.create () in
-  let storage = Storage.create ~metrics ~backend:ZParams.Sb_buddy ~nodes:4 engine in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics
+      ~backend:ZParams.Sb_buddy ~nodes:4 engine
+  in
   let img = mk_img ~pod_id:3 ~name:"svc" ~mem:65536 () in
   Storage.set_replica_fail storage ~replica:1 (Some "outage");
   (match Storage.put ~node:1 storage "b.pod3" img with
@@ -988,7 +998,10 @@ let test_buddy_heal_backfills () =
    on the SAN.  Pre-fix it answered true with both copies outaged. *)
 let test_buddy_mem_outage () =
   let engine = Engine.create ~seed:11 () in
-  let storage = Storage.create ~backend:ZParams.Sb_buddy ~nodes:4 engine in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~backend:ZParams.Sb_buddy
+      ~nodes:4 engine
+  in
   ignore (Storage.put ~node:2 storage "k" (mk_img ~pod_id:1 ~name:"p" ~mem:4096 ()));
   Storage.set_replica_fail storage ~replica:0 (Some "down");
   check tbool "partner still answers" true (Storage.mem storage "k");
@@ -1052,7 +1065,10 @@ let run_store_model (config, ops) =
   let backend, compress = store_configs.(config) in
   let imgs = Lazy.force model_images in
   let bytes = Array.map (fun v -> (Image.of_pod_image v).Image.encoded) imgs in
-  let storage = Storage.create ~backend ~compress ~nodes:4 (Engine.create ~seed:1 ()) in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~backend ~compress ~nodes:4
+      (Engine.create ~seed:1 ())
+  in
   let keys = [| "a"; "b"; "c" |] in
   let model = Array.make 3 None in
   let damaged = ref false in
@@ -1150,7 +1166,7 @@ let prop_compress_roundtrip =
       in
       let img = Image.of_pod_image v in
       let engine = Engine.create ~seed:1 () in
-      let st = Storage.create ~compress:true engine in
+      let st = Storage.create ~trace:(Zapc.Trace.create ()) ~compress:true engine in
       ignore (Storage.put st "k" img);
       ratio >= 0.12 && ratio <= 0.98
       && Float.equal (Compress.encoded_ratio blob) ratio

@@ -1,8 +1,8 @@
 (* Unit tests of the observability layer: the metrics registry (counters,
    gauges, histogram quantiles, JSON snapshot), the span recorder, the
    Chrome trace_event exporter, the JSON reader used to validate the
-   exporters, the Stats percentile/empty-render fixes, and the Trace
-   observer lifecycle. *)
+   exporters, the Stats percentile/empty-render fixes, and the recorder's
+   subscriber lifecycle. *)
 
 module Simtime = Zapc_sim.Simtime
 module Stats = Zapc_sim.Stats
@@ -103,7 +103,7 @@ let test_storage_mem_metric_neutral () =
   let module Value = Zapc_codec.Value in
   let engine = Engine.create ~seed:3 () in
   let m = Metrics.create () in
-  let storage = Storage.create ~metrics:m ~replicas:2 engine in
+  let storage = Storage.create ~trace:(Zapc.Trace.create ()) ~metrics:m ~replicas:2 engine in
   let img =
     Zapc_ckpt.Image.of_pod_image
       (Value.assoc
@@ -177,13 +177,17 @@ let test_span_chronological () =
 
 let test_span_parent_links () =
   let r = Span.create () in
-  let events = ref [] in
-  Span.set_observer r (Some (fun e -> events := e :: !events));
+  (* two subscribers, each logging (subscriber, event) into one shared log:
+     every event must reach both, first subscriber first *)
+  let log = ref [] in
+  Span.subscribe r (fun e -> log := (1, e) :: !log);
+  Span.subscribe r (fun e -> log := (2, e) :: !log);
   let root = Span.begin_span r ~time:(ms 1) ~pod:(-1) ~node:(-1) "op" in
   let child =
     Span.begin_span r ~time:(ms 2) ~parent:root.Span.sp_id ~pod:3 ~node:1
       "pod_ckpt"
   in
+  Span.instant r ~time:(ms 3) ~pod:3 "meta_sent";
   check tbool "root has no parent" true (root.Span.sp_parent = None);
   check tbool "child links its parent" true
     (child.Span.sp_parent = Some root.Span.sp_id);
@@ -194,20 +198,25 @@ let test_span_parent_links () =
      | None -> false);
   Span.end_span r ~time:(ms 4) child;
   Span.end_span r ~time:(ms 5) root;
-  (* observer saw two opens then two closes, closes with sp_end set *)
-  let opens, closes =
-    List.partition (function Span.Opened _ -> true | Span.Closed _ -> false)
-      !events
+  let label = function
+    | Span.Opened sp -> "open " ^ sp.Span.sp_name
+    | Span.Closed sp -> "close " ^ sp.Span.sp_name
+    | Span.Instant i -> "instant " ^ i.Span.in_what
   in
-  check tint "observer saw the opens" 2 (List.length opens);
-  check tint "observer saw the closes" 2 (List.length closes);
+  let recorded =
+    [ "open op"; "open pod_ckpt"; "instant meta_sent"; "close pod_ckpt";
+      "close op" ]
+  in
+  check (Alcotest.list Alcotest.string) "both subscribers, recording order"
+    (List.concat_map (fun l -> [ "1 " ^ l; "2 " ^ l ]) recorded)
+    (List.rev_map (fun (n, e) -> string_of_int n ^ " " ^ label e) !log);
   check tbool "close carries the end time" true
     (List.for_all
-       (function Span.Closed sp -> sp.Span.sp_end <> None | _ -> true)
-       closes);
-  Span.set_observer r None;
+       (function _, Span.Closed sp -> sp.Span.sp_end <> None | _ -> true)
+       !log);
+  Span.unsubscribe_all r;
   ignore (Span.begin_span r ~time:(ms 6) ~pod:0 "quiet");
-  check tint "observer detached" 4 (List.length !events)
+  check tint "subscribers detached" 10 (List.length !log)
 
 (* --- chrome exporter --- *)
 
@@ -457,21 +466,42 @@ let test_stats_percentile () =
   check tfloat "p100 = max" 40.0 (Stats.percentile s 1.0);
   check tfloat "p50 interpolates" 25.0 (Stats.percentile s 0.5)
 
-(* --- Trace observer lifecycle --- *)
+(* --- recorder lifecycle: subscriptions, clear, off --- *)
 
 let test_trace_observers () =
-  let tr = Zapc.Trace.create () in
+  let r = Span.create () in
   let fired = ref 0 in
-  Zapc.Trace.on_record tr (fun _ -> Stdlib.incr fired);
-  Zapc.Trace.record tr ~time:(ms 1) ~pod:0 "a";
-  check tint "observer fires" 1 !fired;
-  Zapc.Trace.clear tr;
-  check tint "clear forgets events" 0 (List.length (Zapc.Trace.events tr));
-  Zapc.Trace.record tr ~time:(ms 2) ~pod:0 "b";
-  check tint "observers survive clear" 2 !fired;
-  Zapc.Trace.clear_observers tr;
-  Zapc.Trace.record tr ~time:(ms 3) ~pod:0 "c";
-  check tint "clear_observers detaches" 2 !fired
+  Span.subscribe r (fun _ -> Stdlib.incr fired);
+  Span.instant r ~time:(ms 1) ~pod:0 "a";
+  check tint "subscriber fires" 1 !fired;
+  Span.clear r;
+  check tint "clear forgets instants" 0 (List.length (Span.instants r));
+  Span.instant r ~time:(ms 2) ~pod:0 "b";
+  check tint "subscriptions survive clear" 2 !fired;
+  (* an off recorder records nothing, notifies no one, hands out id -1 *)
+  Span.set_enabled r false;
+  let sp = Span.begin_span r ~time:(ms 3) ~pod:0 "dark" in
+  check tint "off span id" (-1) sp.Span.sp_id;
+  Span.instant r ~time:(ms 3) ~pod:0 "c";
+  Span.end_span r ~time:(ms 4) sp;
+  check tbool "off end_named finds nothing" false
+    (Span.end_named r ~time:(ms 4) ~pod:0 "dark");
+  check tint "off: no span recorded" 0 (List.length (Span.spans r));
+  check tbool "off: no instant recorded" true
+    (List.map (fun i -> i.Span.in_what) (Span.instants r) = [ "b" ]);
+  check tint "off: nobody notified" 2 !fired;
+  Span.set_enabled r true;
+  Span.unsubscribe_all r;
+  Span.instant r ~time:(ms 5) ~pod:0 "d";
+  check tint "unsubscribe_all detaches" 2 !fired;
+  (* a cluster's recorder exists from make, but reads as a trace only once
+     switched on *)
+  let c = Zapc.Cluster.make ~params:Zapc.Params.default ~node_count:1 () in
+  check tbool "no trace before enable_trace" true (Zapc.Cluster.trace c = None);
+  let tr = Zapc.Cluster.enable_trace c in
+  check tbool "trace after enable_trace" true
+    (match Zapc.Cluster.trace c with Some t -> t == tr | None -> false);
+  check tbool "enable_trace is idempotent" true (Zapc.Cluster.enable_trace c == tr)
 
 let () =
   Alcotest.run "obs"

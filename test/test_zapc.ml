@@ -20,6 +20,7 @@ module Manager = Zapc.Manager
 module Protocol = Zapc.Protocol
 module Params = Zapc.Params
 module Launch = Zapc_msg.Launch
+module Span = Zapc_obs.Span
 module Mpi = Zapc_msg.Mpi
 
 let check = Alcotest.check
@@ -879,12 +880,12 @@ let stream_source_lost () =
     stream_bt
       ~before:(fun cluster app ->
         let src = List.combine (Launch.pod_ids app) [ 0; 1 ] in
-        Zapc.Trace.on_record (Cluster.enable_trace cluster) (fun ev ->
-            if (not !lost) && String.equal ev.Zapc.Trace.ev_what "destroyed" then begin
-              lost := true;
-              Manager.break_channel (Cluster.manager cluster)
-                ~node:(List.assoc ev.Zapc.Trace.ev_pod src)
-            end))
+        Span.subscribe (Cluster.enable_trace cluster) (function
+          | Span.Instant i when (not !lost) && String.equal i.in_what "destroyed" ->
+            lost := true;
+            Manager.break_channel (Cluster.manager cluster)
+              ~node:(List.assoc i.in_pod src)
+          | _ -> ()))
       ()
   in
   let m = Cluster.metrics cluster in
@@ -1521,8 +1522,12 @@ let test_figure2_timeline () =
   let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"fig2" in
   check tbool "ok" true r.Manager.r_ok;
   let time pod what =
-    match Zapc.Trace.find tr ~pod what with
-    | Some e -> e.Zapc.Trace.ev_time
+    match
+      List.find_opt
+        (fun (i : Span.instant) -> i.in_pod = pod && String.equal i.in_what what)
+        (Span.instants tr)
+    with
+    | Some i -> i.in_time
     | None -> Alcotest.failf "missing trace event %s for pod %d" what pod
   in
   List.iter
@@ -1738,8 +1743,8 @@ let migrate_cap0 () =
   check tbool "no mig_round trace event" true
     (not
        (List.exists
-          (fun (e : Zapc.Trace.event) -> String.equal e.Zapc.Trace.ev_what "mig_round")
-          (Zapc.Trace.events tr)));
+          (fun (i : Span.instant) -> String.equal i.in_what "mig_round")
+          (Span.instants tr)));
   check tbool "commit reported zero rounds" true
     (Zapc_obs.Metrics.hist_count m "mig.rounds" = 1
      && Zapc_obs.Metrics.hist_sum m "mig.rounds" = 0.0);
@@ -1813,11 +1818,11 @@ let migrate_failures () =
   let tr = Cluster.enable_trace cluster in
   let break_at what node =
     let armed = ref true in
-    Zapc.Trace.on_record tr (fun ev ->
-        if !armed && String.equal ev.Zapc.Trace.ev_what what then begin
-          armed := false;
-          Manager.break_channel (Cluster.manager cluster) ~node
-        end)
+    Span.subscribe tr (function
+      | Span.Instant i when !armed && String.equal i.in_what what ->
+        armed := false;
+        Manager.break_channel (Cluster.manager cluster) ~node
+      | _ -> ())
   in
   let pod =
     launch_hog cluster ~node_idx:0
@@ -1906,7 +1911,7 @@ let exercise_storage ~backend ~compress =
   let module Delta = Zapc_ckpt.Delta in
   let metrics = Zapc_obs.Metrics.create () in
   let st =
-    Storage.create ~metrics ~backend ~compress ~nodes:3 (Engine.create ~seed:5 ())
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ~backend ~compress ~nodes:3 (Engine.create ~seed:5 ())
   in
   let base = catalogue_image ~procs:[ (1, 1); (2, 2) ] in
   let full = catalogue_image ~procs:[ (1, 1); (2, 3) ] in
@@ -2003,6 +2008,87 @@ let test_periodic_epoch_mid_migration () =
   check tint "exactly one image per post-handoff epoch" 1 (List.length keys);
   Zapc.Supervisor.stop sup;
   Zapc.Periodic.stop svc
+
+(* --- supervisor ----------------------------------------------------- *)
+
+(* Fast heartbeats and a short phase timeout, so a detect-recover cycle
+   (or a run of failed attempts) takes tens of virtual milliseconds. *)
+let sup_params =
+  { Params.default with
+    phase_timeout = Simtime.ms 400;
+    heartbeat_period = Simtime.ms 20;
+    heartbeat_misses = 3;
+    recover_backoff = Simtime.ms 40;
+    recover_backoff_max = Simtime.ms 400;
+    recover_retries = 2 }
+
+(* bt on nodes 0 and 1 under a periodic service and a supervisor started
+   with no [?trace], on a cluster with the flight recorder on.  Node 1
+   crashes while an epoch has its pods suspended, so that epoch fails;
+   with [hang], node 2 — the dead pod's recovery target — stalls for good
+   at the death declaration, so every recovery attempt times out and the
+   supervisor backs off, then gives up. *)
+let supervised_crash ~hang =
+  let module Faultsim = Zapc_faultsim.Faultsim in
+  let cluster = make_cluster ~params:sup_params ~nodes:3 () in
+  let fl = Cluster.enable_flight cluster in
+  let fs = Faultsim.create cluster in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 400) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let svc =
+    Zapc.Periodic.start cluster ~pods:app.Launch.pods ~prefix:"sup"
+      ~period:(Simtime.ms 50) ~keep:2 ()
+  in
+  let sup = Zapc.Supervisor.start cluster svc in
+  Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () ->
+      Zapc.Periodic.last_good svc >= 1
+      && not (Manager.busy (Cluster.manager cluster)));
+  if hang then
+    Faultsim.install fs
+      { fault = Hang_agent { node = 2; duration = None };
+        trigger = On_phase { phase = "sup_detect:node1"; pod = None; skip = 0 } };
+  Faultsim.install fs
+    { fault = Crash_node { node = 1 };
+      trigger = On_phase { phase = "suspended"; pod = None; skip = 0 } };
+  Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
+      Zapc.Supervisor.recoveries sup >= 1 || Zapc.Supervisor.gave_up sup);
+  (cluster, sup, fl)
+
+(* Regression: a supervisor started without [?trace] records into the
+   cluster's recorder, so its death declaration trips the flight recorder
+   and its recovery episode is a [sup_recover] span. *)
+let test_supervisor_default_trace () =
+  let cluster, sup, fl = supervised_crash ~hang:false in
+  check tint "recovered" 1 (Zapc.Supervisor.recoveries sup);
+  let module Json = Zapc_obs.Json in
+  check (Alcotest.option Alcotest.string) "flight dump tripped by the detection"
+    (Some "sup_detect:node1")
+    (Option.bind (Zapc_obs.Flight.last_dump fl) (fun dump ->
+         match Json.parse dump with
+         | Ok j -> Option.bind (Json.member "reason" j) Json.to_string_opt
+         | Error _ -> None));
+  check tbool "closed sup_recover span" true
+    (List.exists
+       (fun (sp : Span.span) ->
+         String.equal sp.sp_name "sup_recover" && sp.sp_end <> None)
+       (Span.spans (Cluster.recorder cluster)));
+  Zapc.Supervisor.stop sup
+
+(* Every sup.* and periodic.* instrument a supervised run registers — one
+   that detects and recovers, one that backs off and gives up — is in the
+   catalogue, and vice versa. *)
+let test_supervisor_metric_catalogue () =
+  let registry ~hang =
+    let cluster, sup, _ = supervised_crash ~hang in
+    check tbool "recovered xor gave up" hang (Zapc.Supervisor.gave_up sup);
+    Zapc.Supervisor.stop sup;
+    Cluster.metrics cluster
+  in
+  check_catalogue ~prefixes:[ "sup."; "periodic." ]
+    [ registry ~hang:false; registry ~hang:true ]
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical coordination (Params.tree_fanout > 0): the control plane
@@ -2226,7 +2312,11 @@ let () =
           Alcotest.test_case "restart rebinds every namespace" `Quick
             test_restart_rebinds_every_namespace;
           Alcotest.test_case "storage metric catalogue" `Quick
-            test_storage_metric_catalogue ] );
+            test_storage_metric_catalogue;
+          Alcotest.test_case "supervisor: default trace" `Quick
+            test_supervisor_default_trace;
+          Alcotest.test_case "supervisor metric catalogue" `Quick
+            test_supervisor_metric_catalogue ] );
       ( "protocol",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "timing structure" `Quick test_checkpoint_timing_structure;
