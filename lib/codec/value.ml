@@ -117,10 +117,13 @@ let rec pp ppf = function
     Format.fprintf ppf "{@[%a@]}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_kv) kvs
   | Tag (name, v) -> Format.fprintf ppf "%s(%a)" name pp v
 
+(* An upper bound on [Wire.encoded_size]: one tag byte plus at most a
+   5-byte length varint per node (lengths below 2^28), and an int's 9-byte
+   LEB128 zigzag word. *)
 let rec size_estimate = function
   | Unit -> 1
   | Bool _ -> 2
-  | Int _ -> 5
+  | Int _ -> 10
   | Float _ -> 9
   | Str s -> 5 + String.length s
   | F64s a -> 5 + (8 * Array.length a)

@@ -62,5 +62,5 @@ val field_opt : string -> t -> t option
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val size_estimate : t -> int
-(** Approximate encoded size in bytes (used for image-size accounting
-    before serialization). *)
+(** An upper bound on the encoded size in bytes, without the wire header
+    ({!Wire.encoded_size} never exceeds it for lengths below 2{^28}). *)

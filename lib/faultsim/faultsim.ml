@@ -17,7 +17,6 @@ module Pod = Zapc_pod.Pod
 module Cluster = Zapc.Cluster
 module Manager = Zapc.Manager
 module Agent = Zapc.Agent
-module Control = Zapc.Control
 module Storage = Zapc.Storage
 module Trace = Zapc.Trace
 module Span = Zapc_obs.Span
@@ -88,7 +87,7 @@ type t = {
   cluster : Cluster.t;
   tr : Trace.t;
   base_cfg : Fabric.config;  (* fabric config before any injection *)
-  mutable hung : (int * Zapc.Protocol.channel) list;
+  mutable hung : int list;
   mutable crashed : int list;
   mutable log : (Simtime.t * string) list;  (* newest first *)
   mutable installed : armed_injection list;
@@ -150,29 +149,28 @@ let apply_crash t node =
   end
 
 let resume_agent t node =
-  match List.assoc_opt node t.hung with
-  | None -> ()
-  | Some ch ->
-    t.hung <- List.filter (fun (n, _) -> n <> node) t.hung;
-    Control.resume_up ch;
-    Control.resume_down ch
+  if List.mem node t.hung then begin
+    t.hung <- List.filter (fun n -> n <> node) t.hung;
+    Cluster.set_hung t.cluster node false
+  end
 
+(* The hang belongs to the node, not to the channel it has now: a tree
+   re-formed meanwhile keeps it hung, and the heal resumes its current
+   uplink. *)
 let apply_hang t node duration =
-  match Manager.agent_channel (Cluster.manager t.cluster) ~node with
-  | None -> ()
-  | Some ch ->
+  if Manager.agent_channel (Cluster.manager t.cluster) ~node <> None then begin
     note t (fault_to_string (Hang_agent { node; duration }));
-    Control.pause_up ch;
-    Control.pause_down ch;
-    t.hung <- (node, ch) :: t.hung;
-    (match duration with
-     | Some d ->
-       after t d (fun () ->
-           if List.mem_assoc node t.hung then begin
-             note t (Printf.sprintf "heal: hang-agent(node %d)" node);
-             resume_agent t node
-           end)
-     | None -> ())
+    Cluster.set_hung t.cluster node true;
+    t.hung <- node :: t.hung;
+    match duration with
+    | Some d ->
+      after t d (fun () ->
+          if List.mem node t.hung then begin
+            note t (Printf.sprintf "heal: hang-agent(node %d)" node);
+            resume_agent t node
+          end)
+    | None -> ()
+  end
 
 let apply_loss t prob duration =
   note t (fault_to_string (Loss_burst { prob; duration }));
@@ -271,7 +269,7 @@ let heal_all t =
   Fabric.set_config (fabric t) t.base_cfg;
   Storage.set_fail_writes (Cluster.storage t.cluster) None;
   Storage.heal_replicas (Cluster.storage t.cluster);
-  List.iter (fun (node, _) -> resume_agent t node) t.hung
+  List.iter (resume_agent t) t.hung
 
 (* --- seeded random scenarios --- *)
 

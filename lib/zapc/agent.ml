@@ -1240,8 +1240,8 @@ and restore_standalone t op =
 let rec handle_command t (msg : Protocol.to_agent) =
   match msg with
   | Protocol.A_batch items ->
-    (* tree mode puts a relay in front of the agent which unwraps bundles;
-       a bundle reaching the agent directly carries only local items *)
+    (* bundles go to relays, which unwrap them; one reaching the agent
+       directly carries only local items *)
     List.iter (fun (_, m) -> handle_command t m) items
   | Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx } ->
     start_checkpoint ~incremental ?precopy ?ctx t ~pod_id ~dest ~resume
@@ -1267,7 +1267,10 @@ let rec handle_command t (msg : Protocol.to_agent) =
 
 let attach_channel t (ch : Protocol.channel) =
   t.chan <- Some ch;
-  Control.set_down_handler ch (fun msg -> handle_command t msg);
+  (* a re-formed tree leaves old edges behind: traffic still in flight on
+     one of them is stale and must not reach this agent *)
+  Control.set_down_handler ch (fun msg ->
+      match t.chan with Some cur when cur == ch -> handle_command t msg | _ -> ());
   (* a broken Manager connection aborts every in-flight operation and lets
      the application resume (paper section 4) *)
   Control.on_break ch (fun () -> abort_all t)

@@ -29,8 +29,10 @@ val create :
     boundaries and spans of this Agent's operations (Figure 2). *)
 
 val attach_channel : t -> Protocol.channel -> unit
-(** Wire the Manager connection; a broken channel aborts every in-flight
-    operation and lets the applications resume (paper section 4). *)
+(** Wire the node's uplink; a broken channel aborts every in-flight
+    operation and lets the applications resume (paper section 4).  A
+    re-formed tree attaches a fresh uplink: commands still arriving on an
+    earlier one are dropped. *)
 
 val deliver : t -> Protocol.to_agent -> unit
 (** Hand one command to this agent directly.  Hierarchical coordination

@@ -35,8 +35,9 @@ type t = {
   mutable next_vip_seq : int;
   trace : Trace.t;  (* the cluster-wide recorder, off until enable_trace *)
   mutable flight : Zapc_obs.Flight.t option;
-  mutable relays : Relay.t list;  (* tree mode: one sub-coordinator per node *)
+  mutable relays : Relay.t list;  (* one per node in a tree deeper than one level *)
   mutable tree_sig : int list;  (* alive set the current tree was formed over *)
+  hung : bool array;  (* per node: its uplink is paused (fault injection) *)
 }
 
 (* --- node liveness (supervisor bookkeeping) --- *)
@@ -57,76 +58,84 @@ let alive_nodes t =
   Array.to_list t.nodes
   |> List.filter_map (fun n -> if n.n_alive then Some n.n_idx else None)
 
-(* --- hierarchical coordination (Params.tree_fanout > 0) ---
+(* --- the control tree ---
 
-   The control plane becomes a k-rooted k-ary forest laid over the sorted
-   alive-node list by position: positions 0..k-1 hang directly off the
-   Manager, position p >= k hangs off position (p-k)/k.  Every node gets a
-   fresh uplink channel; its Agent attaches first (keeping the on-break
-   abort), then a Relay claims the downward dispatch.  Re-forming closes
-   the old relays — stale traffic on abandoned edges is dropped, the
-   Manager's generation guards absorb any late reports. *)
+   A k-rooted k-ary forest over the sorted alive-node list: positions
+   0..k-1 hang off the Manager, position p >= k off position (p-k)/k.
+   Fanout 0, or at least the alive count, is the paper's flat star (no
+   relays); a deeper tree runs a Relay on every node.  Each node gets a
+   fresh uplink (paused while the node is hung); the Manager, then the
+   Agent, then the Relay register on it.  Re-forming closes the old relays
+   and Agents ignore old edges; generation guards absorb late reports. *)
 
 let form_tree t =
+  let alive = Array.of_list (alive_nodes t) in
+  let n = Array.length alive in
   let k = t.params.Params.tree_fanout in
-  if k > 0 then begin
-    let alive = Array.of_list (alive_nodes t) in
-    let n = Array.length alive in
-    List.iter Relay.close t.relays;
-    t.relays <- [];
-    t.tree_sig <- Array.to_list alive;
-    let edges =
-      Array.map
-        (fun _ ->
+  let k = if k <= 0 || k >= n then n else k in
+  let relayed = k < n in
+  List.iter Relay.close t.relays;
+  t.relays <- [];
+  t.tree_sig <- Array.to_list alive;
+  let edges =
+    Array.map
+      (fun i ->
+        let ch =
           Control.create ~engine:t.engine ~latency:t.params.Params.ctrl_latency
-            ~bps:t.params.Params.ctrl_bps)
-        alive
-    in
-    (* agents first: the Relay overrides the down handler afterwards *)
-    Array.iteri
-      (fun p _ -> Agent.attach_channel t.nodes.(alive.(p)).n_agent edges.(p))
-      alive;
-    (* direct children per coordinator position *)
-    let children_r = Array.make (max n 1) [] in
-    for q = n - 1 downto k do
-      let pr = (q - k) / k in
-      children_r.(pr) <- (alive.(q), edges.(q)) :: children_r.(pr)
+            ~bps:t.params.Params.ctrl_bps
+        in
+        if t.hung.(i) then Control.pause ch;
+        ch)
+      alive
+  in
+  (* direct children per coordinator position *)
+  let children_r = Array.make (max n 1) [] in
+  for q = n - 1 downto k do
+    let pr = (q - k) / k in
+    children_r.(pr) <- (alive.(q), edges.(q)) :: children_r.(pr)
+  done;
+  (* routing tables: walk each node up to its forest root, recording at
+     every coordinator on the path which child subtree holds it *)
+  let routes_m = ref [] in
+  let routes_r = Array.make (max n 1) [] in
+  for r = n - 1 downto 0 do
+    let p = ref r in
+    while !p >= k do
+      let pr = (!p - k) / k in
+      routes_r.(pr) <- (alive.(r), alive.(!p)) :: routes_r.(pr);
+      p := pr
     done;
-    (* routing tables: walk each node up to its forest root, recording at
-       every coordinator on the path which child subtree holds it *)
-    let routes_m = ref [] in
-    let routes_r = Array.make (max n 1) [] in
-    for r = n - 1 downto 0 do
-      let p = ref r in
-      while !p >= k do
-        let pr = (!p - k) / k in
-        routes_r.(pr) <- (alive.(r), alive.(!p)) :: routes_r.(pr);
-        p := pr
-      done;
-      routes_m := (alive.(r), alive.(!p)) :: !routes_m
-    done;
-    let mgr_children =
-      List.init (min k n) (fun p -> (alive.(p), edges.(p)))
-    in
-    let edge_list = List.init n (fun p -> (alive.(p), edges.(p))) in
-    Manager.set_tree t.manager ~children:mgr_children ~routes:!routes_m
-      ~edges:edge_list;
+    routes_m := (alive.(r), alive.(!p)) :: !routes_m
+  done;
+  Manager.set_tree t.manager
+    ~children:(List.init k (fun p -> (alive.(p), edges.(p))))
+    ~routes:!routes_m
+    ~edges:(List.init n (fun p -> (alive.(p), edges.(p))));
+  (* agents before relays: a Relay overrides its uplink's down handler *)
+  Array.iteri
+    (fun p _ -> Agent.attach_channel t.nodes.(alive.(p)).n_agent edges.(p))
+    alive;
+  if relayed then
     t.relays <-
       List.init n (fun p ->
           Relay.create ~engine:t.engine ~params:t.params ~metrics:t.metrics
             ~agent:t.nodes.(alive.(p)).n_agent ~node:alive.(p)
             ~parent:edges.(p) ~children:children_r.(p) ~routes:routes_r.(p));
-    let rec depth p = if p < k then 1 else 1 + depth ((p - k) / k) in
-    Metrics.set_gauge t.metrics "mgr.tree.depth"
-      (float_of_int (if n = 0 then 0 else depth (n - 1)));
-    Metrics.set_gauge t.metrics "mgr.tree.nodes" (float_of_int n)
-  end
+  (* relays on the longest root-to-leaf path *)
+  let rec depth p = if p < k then 1 else 1 + depth ((p - k) / k) in
+  Metrics.set_gauge t.metrics "mgr.tree.depth"
+    (float_of_int (if relayed then depth (n - 1) else 0));
+  Metrics.set_gauge t.metrics "mgr.tree.nodes" (float_of_int n)
 
-let reform_tree t =
-  if t.params.Params.tree_fanout > 0 then begin
-    let alive = alive_nodes t in
-    if alive <> t.tree_sig then form_tree t
-  end
+let reform_tree t = if alive_nodes t <> t.tree_sig then form_tree t
+
+(* The hang belongs to the node: a re-formed tree pauses its fresh uplink
+   too, and the heal resumes whichever uplink is current. *)
+let set_hung t i hung =
+  t.hung.(i) <- hung;
+  Option.iter
+    (if hung then Control.pause else Control.resume)
+    (Manager.agent_channel t.manager ~node:i)
 
 let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let engine = Engine.create ~seed () in
@@ -171,7 +180,7 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let t =
     { engine; fabric; storage; params; nodes; manager; metrics;
       next_pod_id = 1; next_vip_seq = 0; trace; flight = None;
-      relays = []; tree_sig = [] }
+      relays = []; tree_sig = []; hung = Array.make node_count false }
   in
   (* the engine profiler is opt-in (Params knob): the default hot path
      schedules closures unwrapped *)
@@ -179,17 +188,9 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   Array.iter
     (fun n ->
       Agent.set_peer_resolver n.n_agent (fun idx ->
-          if idx >= 0 && idx < Array.length nodes then Some nodes.(idx).n_agent else None);
-      if params.Params.tree_fanout = 0 then begin
-        (* flat topology: one direct channel per node *)
-        let ch =
-          Control.create ~engine ~latency:params.Params.ctrl_latency ~bps:params.Params.ctrl_bps
-        in
-        Manager.attach_agent manager ~node:n.n_idx ch;
-        Agent.attach_channel n.n_agent ch
-      end)
+          if idx >= 0 && idx < Array.length nodes then Some nodes.(idx).n_agent else None))
     nodes;
-  if params.Params.tree_fanout > 0 then form_tree t;
+  form_tree t;
   (* network-layer gauges, sampled at snapshot time (collect style) *)
   Metrics.gauge_fn metrics "net.fabric.packets_delivered" (fun () ->
       float_of_int (Fabric.packets_delivered fabric));

@@ -53,13 +53,20 @@ val alive_nodes : t -> int list
 (** Indices of nodes still believed alive, ascending. *)
 
 val reform_tree : t -> unit
-(** Re-form the hierarchical control tree over the currently alive nodes:
-    fresh uplink channels, new {!Relay}s (old ones retired), the Manager's
-    children/routes replaced ({!Manager.set_tree}).  A no-op in flat mode
-    ([Params.tree_fanout] = 0) or when the alive set is unchanged since the
-    last formation.  The supervisor calls this the moment it declares a
-    node dead — {e before} recovery — so restart commands never route
-    through the dead hop. *)
+(** Re-form the control tree over the currently alive nodes: fresh uplink
+    channels, new {!Relay}s (old ones retired), the Manager's
+    children/routes replaced ({!Manager.set_tree}).  The tree has the shape
+    of [Params.tree_fanout]; a fanout of 0, or of at least the alive count,
+    forms the flat star (every node a direct child, no relays).  A no-op
+    when the alive set is unchanged since the last formation.  The
+    supervisor calls this the moment it declares a node dead — {e before}
+    recovery — so restart commands never route through the dead hop. *)
+
+val set_hung : t -> int -> bool -> unit
+(** Fault injection: [set_hung t node true] stops the node's uplink from
+    delivering in either direction (a hung Agent whose connection stays
+    healthy) and [false] drains it.  The hang belongs to the node, so a
+    re-formed tree pauses the node's fresh uplink too. *)
 
 val alloc_vip : t -> Addr.ip
 (** Fresh virtual address (10.77.0.0/16 pool, disjoint from real subnets). *)

@@ -7,8 +7,8 @@
    registered failure callbacks on both sides so either party can abort
    gracefully (paper section 4).
 
-   Each direction can additionally be [pause]d: messages still arrive but
-   queue up un-delivered until [resume] — a hung or badly overloaded peer
+   A channel can additionally be [pause]d: messages still arrive but queue
+   up un-delivered, in both directions, until [resume] — a hung peer
    process whose TCP connection stays healthy.  This is the failure mode a
    broken-channel abort does NOT cover, and the one the Manager's per-phase
    timeouts exist for. *)
@@ -23,9 +23,8 @@ type ('up, 'down) t = {
   mutable up_handler : 'up -> unit;  (* messages arriving at the Manager *)
   mutable down_handler : 'down -> unit;  (* messages arriving at the Agent *)
   mutable broken : bool;
-  mutable up_paused : bool;
-  mutable down_paused : bool;
-  up_buf : 'up Queue.t;  (* delivery arrived while the direction was paused *)
+  mutable paused : bool;
+  up_buf : 'up Queue.t;  (* deliveries that arrived while paused *)
   down_buf : 'down Queue.t;
   mutable on_break : (unit -> unit) list;
   mutable up_count : int;
@@ -40,8 +39,7 @@ let create ~engine ~latency ~bps =
     up_handler = (fun _ -> ());
     down_handler = (fun _ -> ());
     broken = false;
-    up_paused = false;
-    down_paused = false;
+    paused = false;
     up_buf = Queue.create ();
     down_buf = Queue.create ();
     on_break = [];
@@ -62,7 +60,7 @@ let send_up t ~bytes msg =
     Engine.schedule t.engine ~label:"ctrl.up" ~delay:(transfer_delay t bytes)
       (fun () ->
         if not t.broken then
-          if t.up_paused then Queue.add msg t.up_buf else t.up_handler msg)
+          if t.paused then Queue.add msg t.up_buf else t.up_handler msg)
   end
 
 let send_down t ~bytes msg =
@@ -71,21 +69,18 @@ let send_down t ~bytes msg =
     Engine.schedule t.engine ~label:"ctrl.down" ~delay:(transfer_delay t bytes)
       (fun () ->
         if not t.broken then
-          if t.down_paused then Queue.add msg t.down_buf else t.down_handler msg)
+          if t.paused then Queue.add msg t.down_buf else t.down_handler msg)
   end
 
-let pause_up t = t.up_paused <- true
-let pause_down t = t.down_paused <- true
+let pause t = t.paused <- true
 
-let resume_up t =
-  t.up_paused <- false;
-  while (not t.broken) && (not t.up_paused) && not (Queue.is_empty t.up_buf) do
+(* drain the Manager-bound queue first, then the Agent-bound one *)
+let resume t =
+  t.paused <- false;
+  while (not t.broken) && (not t.paused) && not (Queue.is_empty t.up_buf) do
     t.up_handler (Queue.pop t.up_buf)
-  done
-
-let resume_down t =
-  t.down_paused <- false;
-  while (not t.broken) && (not t.down_paused) && not (Queue.is_empty t.down_buf) do
+  done;
+  while (not t.broken) && (not t.paused) && not (Queue.is_empty t.down_buf) do
     t.down_handler (Queue.pop t.down_buf)
   done
 

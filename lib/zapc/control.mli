@@ -25,15 +25,14 @@ val send_down : ('up, 'down) t -> bytes:int -> 'down -> unit
 val break : ('up, 'down) t -> unit
 val is_broken : ('up, 'down) t -> bool
 
-(** {1 Failure injection: hung / slow endpoints}
+(** {1 Failure injection: a hung endpoint}
 
-    Pausing a direction models a hung or overloaded peer whose TCP
-    connection stays healthy: messages keep arriving but queue up
-    un-delivered until the direction is resumed (then they drain in order).
-    Unlike {!break}, no failure callback fires — detecting this condition is
-    the job of the Manager's per-phase timeouts. *)
+    Pausing models a hung or overloaded peer whose TCP connection stays
+    healthy: messages keep arriving but queue up un-delivered, in both
+    directions, until {!resume} (then they drain in order, Manager-bound
+    first).  Unlike {!break}, no failure callback fires — detecting this
+    condition is the job of the Manager's per-phase timeouts and the
+    supervisor's heartbeats. *)
 
-val pause_up : ('up, 'down) t -> unit
-val pause_down : ('up, 'down) t -> unit
-val resume_up : ('up, 'down) t -> unit
-val resume_down : ('up, 'down) t -> unit
+val pause : ('up, 'down) t -> unit
+val resume : ('up, 'down) t -> unit

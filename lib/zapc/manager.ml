@@ -78,25 +78,14 @@ type t = {
   engine : Engine.t;
   params : Params.t;
   storage : Storage.t;
-  channels : (int, Protocol.channel) Hashtbl.t;
-  (* node -> direct channel: every node in the flat topology, only the
-     manager's direct children once a tree is installed *)
+  fan : Fanout.t;
+  (* the root's direct children, command bundles and serial CPU server *)
   routes : (int, int) Hashtbl.t;
-  (* hierarchical coordination: node -> the direct child whose subtree
-     contains it (every tree node appears, children map to themselves);
-     empty in the flat topology, where sends go straight to [channels] *)
+  (* node -> the direct child whose subtree contains it (children map to
+     themselves) *)
   edges : (int, Protocol.channel) Hashtbl.t;
-  (* tree mode: node -> the channel its PARENT uses to reach it, for every
-     node — lets fault injection sever (or hang) any node's uplink even
-     when the manager is not that parent *)
-  out_buf : (int, (int * Protocol.to_agent) list) Hashtbl.t;
-  (* per-first-hop command bundle under assembly (items reversed); drained
-     by a same-instant flush so one broadcast loop becomes one A_batch per
-     direct child *)
-  mutable out_flush : bool;  (* a flush event is already scheduled *)
-  mutable proc_free : Simtime.t;
-  (* serial control-plane CPU: the instant the manager finishes processing
-     its current message backlog (Params.ctrl_proc per message) *)
+  (* node -> the channel its parent reaches it by, for every node: fault
+     injection severs (or hangs) any node's uplink through it *)
   alloc_rip : int -> Addr.ip;
   infos : (int, pod_info) Hashtbl.t;
   metrics : Metrics.t;
@@ -115,9 +104,12 @@ let create ?metrics ~engine ~params ~storage ~trace ~alloc_rip () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  { engine; params; storage; channels = Hashtbl.create 8;
+  { engine; params; storage;
+    fan =
+      Fanout.create ~engine ~params ~metrics ~proc_label:"mgr.proc"
+        ~flush_label:"mgr.fanout" ~batches:"mgr.tree.down_batches"
+        ~items:"mgr.tree.down_msgs" ();
     routes = Hashtbl.create 8; edges = Hashtbl.create 8;
-    out_buf = Hashtbl.create 8; out_flush = false; proc_free = Simtime.zero;
     alloc_rip;
     infos = Hashtbl.create 16; metrics; trace; current = None;
     gen = 0; last_critpath = None;
@@ -148,80 +140,14 @@ let ctx_for t span_id =
 let span_end t name =
   ignore (Span.end_named t.trace ~time:(Engine.now t.engine) ~pod:(-1) name)
 
-let channel_to t node =
-  match Hashtbl.find_opt t.channels node with
-  | Some ch -> ch
-  | None -> invalid_arg (Printf.sprintf "Manager: no agent channel for node %d" node)
-
-(* Serial control-plane CPU: every message the manager sends or receives
-   costs [ctrl_proc] of a single server — the per-message overhead that
-   turns N direct channels into a root bottleneck at cluster scale (a tree
-   batch counts as one message).  Zero cost (the default) runs [fn] inline,
-   keeping the flat topology bit-identical to the uncosted behaviour. *)
-let proc t fn =
-  if t.params.Params.ctrl_proc = Simtime.zero then fn ()
-  else begin
-    let now = Engine.now t.engine in
-    let start = if Simtime.compare t.proc_free now > 0 then t.proc_free else now in
-    let fin = Simtime.add start t.params.Params.ctrl_proc in
-    t.proc_free <- fin;
-    Engine.schedule_at t.engine ~label:"mgr.proc" ~at:fin fn
-  end
-
-let send_direct t ch msg =
-  proc t (fun () ->
-      Control.send_down ch ~bytes:(Protocol.to_agent_bytes msg) msg)
-
-(* Drain the per-hop command bundles: each direct child gets its subtree's
-   commands as ONE [A_batch] message (one proc slot, one frame), fanned out
-   further by the relays.  Hops are flushed in node order so seeded runs
-   stay deterministic. *)
-let flush_out t =
-  t.out_flush <- false;
-  let hops =
-    Hashtbl.fold (fun hop items acc -> (hop, List.rev items) :: acc) t.out_buf []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  Hashtbl.reset t.out_buf;
-  List.iter
-    (fun (hop, items) ->
-      match Hashtbl.find_opt t.channels hop with
-      | Some ch when not (Control.is_broken ch) ->
-        Metrics.incr t.metrics "mgr.tree.down_batches";
-        Metrics.add t.metrics "mgr.tree.down_msgs" (List.length items);
-        send_direct t ch (Protocol.A_batch items)
-      | Some _ | None -> ())
-    hops
-
-let enqueue_routed t hop node msg =
-  let prev =
-    match Hashtbl.find_opt t.out_buf hop with Some l -> l | None -> []
-  in
-  Hashtbl.replace t.out_buf hop ((node, msg) :: prev);
-  if not t.out_flush then begin
-    t.out_flush <- true;
-    (* same-instant flush: every send of the current broadcast loop lands
-       in this bundle *)
-    Engine.schedule t.engine ~label:"mgr.fanout" ~delay:Simtime.zero (fun () ->
-        flush_out t)
-  end
-
-(* [strict] raises on a missing channel (operation sends assume the wiring
-   exists); non-strict sends vanish silently, which is what the abort and
-   heartbeat paths want when a node is already gone. *)
+(* [strict] raises on a node outside the tree (operation sends assume the
+   wiring exists); non-strict sends vanish silently, which is what the
+   abort and heartbeat paths want when a node is already gone. *)
 let send_via t ~strict node msg =
   match Hashtbl.find_opt t.routes node with
-  | Some hop ->
-    (match Hashtbl.find_opt t.channels hop with
-     | Some ch when not (Control.is_broken ch) -> enqueue_routed t hop node msg
-     | Some _ -> ()
-     | None -> if strict then ignore (channel_to t hop))
+  | Some hop -> Fanout.send t.fan ~hop ~dst:node msg
   | None ->
-    if strict then send_direct t (channel_to t node) msg
-    else (
-      match Hashtbl.find_opt t.channels node with
-      | Some ch when not (Control.is_broken ch) -> send_direct t ch msg
-      | Some _ | None -> ())
+    if strict then invalid_arg (Printf.sprintf "Manager: no route to node %d" node)
 
 let send t node msg = send_via t ~strict:true node msg
 let send_opt t node msg = send_via t ~strict:false node msg
@@ -361,9 +287,8 @@ let succeed t p =
    source is NOT a failure.  The break and the landing report race on
    independent channels, so when the broken node is only the source of
    stream items, wait a few control latencies for an in-flight report
-   before deciding.  In tree mode the same logic serves breaks the manager
-   hears about second-hand ([M_subtree_down] from a relay whose child edge
-   severed). *)
+   before deciding.  The same logic serves breaks the manager hears about
+   second-hand ([M_subtree_down] from a relay whose child edge severed). *)
 let channel_broke t ~node =
   (* the node's pods, when each is a [U_node] item and the node holds no
      item's destination copy *)
@@ -484,44 +409,33 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
          if p.p_wait_done = [] && p.p_wait_meta = [] then succeed t p
        end)
 
-let attach_agent t ~node (ch : Protocol.channel) =
-  Hashtbl.replace t.channels node ch;
-  (* receiving costs one proc slot per channel message (a batch is one) *)
-  Control.set_up_handler ch (fun msg -> proc t (fun () -> on_agent_message t msg));
-  Control.on_break ch (fun () -> channel_broke t ~node)
-
-(* (Re)install the hierarchical topology: [children] are the manager's
-   direct sub-coordinators with their edges, [routes] maps every tree node
-   to its first-hop child, and [edges] maps every node to the channel its
-   parent reaches it by.  Replaces whatever topology was installed before —
-   the Cluster re-forms the tree over the surviving nodes after a
-   recovery. *)
+(* (Re)install the control tree: [children] are the manager's direct
+   children with their edges, [routes] maps every tree node to its
+   first-hop child, and [edges] maps every node to the channel its parent
+   reaches it by.  Replaces whatever tree was installed before.  A child
+   that routes for no other node is a plain Agent and gets its commands
+   unwrapped; otherwise every child is a relay and gets bundles. *)
 let set_tree t ~children ~routes ~edges =
-  Hashtbl.reset t.channels;
   Hashtbl.reset t.routes;
   Hashtbl.reset t.edges;
-  Hashtbl.reset t.out_buf;
-  List.iter (fun (node, ch) -> attach_agent t ~node ch) children;
+  Fanout.set_children t.fan children
+    ~bundle:(List.exists (fun (node, hop) -> node <> hop) routes);
+  List.iter
+    (fun (node, ch) ->
+      (* receiving costs one proc slot per channel message (a batch is one) *)
+      Control.set_up_handler ch (fun msg ->
+          Fanout.proc t.fan (fun () -> on_agent_message t msg));
+      Control.on_break ch (fun () -> channel_broke t ~node))
+    children;
   List.iter (fun (node, hop) -> Hashtbl.replace t.routes node hop) routes;
   List.iter (fun (node, ch) -> Hashtbl.replace t.edges node ch) edges;
   Metrics.set_gauge t.metrics "mgr.tree.children"
     (float_of_int (List.length children))
 
-(* failure injection for tests and demos: sever the control connection to
-   one Agent (both sides then abort, per section 4).  In tree mode the
-   severed link is the node's uplink from its parent, wherever that is. *)
-let break_channel t ~node =
-  match Hashtbl.find_opt t.edges node with
-  | Some ch -> Control.break ch
-  | None ->
-    (match Hashtbl.find_opt t.channels node with
-     | Some ch -> Control.break ch
-     | None -> ())
-
-let agent_channel t ~node =
-  match Hashtbl.find_opt t.edges node with
-  | Some _ as ch -> ch
-  | None -> Hashtbl.find_opt t.channels node
+(* failure injection for tests and demos: sever one node's uplink,
+   wherever its parent is (both sides then abort, per section 4) *)
+let break_channel t ~node = Option.iter Control.break (Hashtbl.find_opt t.edges node)
+let agent_channel t ~node = Hashtbl.find_opt t.edges node
 
 (* --- heartbeats --- *)
 

@@ -56,24 +56,23 @@ val create :
 
 val metrics : t -> Zapc_obs.Metrics.t
 
-val attach_agent : t -> node:int -> Protocol.channel -> unit
-(** Wire one node's control channel directly to the manager (the flat
-    topology, and the manager's own children of a tree). *)
-
 val set_tree : t ->
   children:(int * Protocol.channel) list ->
   routes:(int * int) list ->
   edges:(int * Protocol.channel) list ->
   unit
-(** (Re)install a hierarchical topology: [children] are the manager's
-    direct sub-coordinators, [routes] maps every deeper node to the direct
-    child whose subtree contains it (children map to themselves), and
-    [edges] maps every node to the channel its parent reaches it by (fault
-    injection severs uplinks through it).  Replaces any topology installed
-    before — {!Cluster.reform_tree} calls this over the surviving nodes
-    after a recovery.  Commands to routed nodes are bundled per direct
-    child ({!Protocol.to_agent.A_batch}) and fanned out by the {!Relay}s;
-    subtree reports arrive aggregated ({!Protocol.to_manager.M_batch}). *)
+(** (Re)install the control tree, the one topology every cluster has:
+    [children] are the manager's direct children, [routes] maps every node
+    to the direct child whose subtree contains it (children map to
+    themselves), and [edges] maps every node to the channel its parent
+    reaches it by ({!break_channel} and {!agent_channel} read it).
+    Replaces any tree installed before; {!Cluster.reform_tree} calls this
+    over the surviving nodes when one dies.  In a depth-1 tree (every route
+    its own child: the paper's flat star) each command leaves unwrapped on
+    its node's channel.  Otherwise every child is a {!Relay}: commands
+    leave bundled per child ({!Protocol.to_agent.A_batch}) in one
+    same-instant flush, and subtree reports arrive aggregated
+    ({!Protocol.to_manager.M_batch}). *)
 
 val remember_pod : t -> pod_id:int -> name:string -> vip:Addr.ip -> Meta.pod_meta -> unit
 (** Seed the per-pod fact cache (updated by checkpoint meta reports); this
@@ -161,11 +160,13 @@ val last_critpath : t -> (string * Zapc_obs.Critpath.report) option
     operation succeeds. *)
 
 val break_channel : t -> node:int -> unit
-(** Failure injection (tests/demos): sever the control connection to one
-    Agent; both sides abort gracefully per paper section 4. *)
+(** Failure injection (tests/demos): sever one node's uplink, wherever its
+    parent is; both sides abort gracefully per paper section 4. *)
 
 val agent_channel : t -> node:int -> Protocol.channel option
-(** The control channel to one node's Agent (fault injection hooks in). *)
+(** One node's uplink: the channel its parent (the Manager or a relay)
+    reaches it by, [None] outside the current tree (fault injection hooks
+    in). *)
 
 (** {1 Heartbeats (supervisor support)} *)
 

@@ -35,14 +35,13 @@ type t = {
      the syscall/wakeup.  This is the per-message overhead that makes N
      direct channels converge into a root bottleneck at cluster scale; a
      batch forwarded through the tree counts as ONE message.  Zero (the
-     default) disables the cost model entirely — handlers run inline and
-     the flat configuration is bit-identical to earlier behaviour. *)
+     default) disables the cost model entirely: handlers run inline. *)
   tree_fanout : int;
-  (* hierarchical coordination: fan-out of the sub-coordinator tree the
-     control plane is organized into (the manager talks to [tree_fanout]
+  (* fan-out of the control tree (the manager talks to [tree_fanout]
      direct children; each relays for a k-ary subtree, aggregating acks
-     upward and fanning commands out downward).  0 (the default) keeps the
-     flat topology: one direct channel per node. *)
+     upward and fanning commands out downward).  0 (the default), or a
+     fanout of at least the alive node count, forms the depth-1 tree: the
+     paper's flat star, every node a direct child, no relays. *)
   (* checkpoint-restart cost model *)
   per_proc_ckpt : Simtime.t;  (* fixed kernel work to save one process *)
   per_proc_restore : Simtime.t;

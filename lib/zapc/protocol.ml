@@ -116,7 +116,7 @@ type to_agent =
     }
   | A_ping of { seq : int }  (* supervisor heartbeat probe *)
   | A_batch of (int * to_agent) list
-      (* hierarchical coordination: a bundle of addressed commands sent as
+      (* a bundle of addressed commands sent as
          ONE control message down a tree edge.  Each (node, msg) item is
          delivered locally when [node] is the receiver, else forwarded
          toward it (re-bundled per next hop).  Never nested: coordinators
@@ -138,7 +138,7 @@ type to_manager =
       forced : bool;  (* round cap hit without converging *)
     }
   | M_batch of to_manager list
-      (* hierarchical coordination: reports from one subtree aggregated into
+      (* reports from one subtree aggregated into
          ONE control message up a tree edge (flattened, never nested) *)
   | M_subtree_down of { node : int }
       (* a sub-coordinator's edge to child [node] broke: that whole subtree
@@ -158,7 +158,7 @@ let rec to_agent_bytes = function
     + List.fold_left (fun acc (_, d) -> acc + String.length d) 0 r.extra_altq
   | A_batch items ->
     (* one frame: per-item routing header + payload, amortizing the
-       per-message framing the flat topology pays N times *)
+       per-message framing a depth-1 tree pays once per command *)
     List.fold_left (fun acc (_, m) -> acc + 8 + to_agent_bytes m) 16 items
 
 let rec to_manager_bytes = function

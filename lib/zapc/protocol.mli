@@ -112,7 +112,7 @@ type to_agent =
     }
   | A_ping of { seq : int }  (** supervisor heartbeat probe *)
   | A_batch of (int * to_agent) list
-      (** hierarchical coordination: a bundle of addressed commands carried
+      (** a bundle of addressed commands carried
           as one control message down a tree edge.  Each [(node, msg)] item
           is delivered locally when [node] is the receiver, else re-bundled
           per next hop and forwarded.  Never nested. *)
@@ -135,7 +135,7 @@ type to_manager =
       forced : bool;  (** round cap hit without converging *)
     }
   | M_batch of to_manager list
-      (** hierarchical coordination: reports from one subtree aggregated
+      (** reports from one subtree aggregated
           into one control message up a tree edge (flattened, never
           nested) *)
   | M_subtree_down of { node : int }

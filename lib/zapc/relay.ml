@@ -1,25 +1,10 @@
-(* Tree sub-coordinator (hierarchical coordination at cluster scale).
-
-   With [Params.tree_fanout] > 0 the control plane is organized as a k-ary
-   tree: the Manager talks to [tree_fanout] direct children and every node
-   runs one of these relays next to its Agent.  Downward, a relay unpacks
-   the [A_batch] bundle arriving on its uplink, delivers locally-addressed
-   commands to its Agent and re-bundles the rest per child edge; upward, it
-   aggregates the reports of its whole subtree — whatever lands in the same
-   engine instant — into one [M_batch] per flush.  The manager then pays
-   its per-message cost ([Params.ctrl_proc]) per *subtree*, not per node,
-   which is the whole point: N control channels no longer converge on one
-   root.
-
-   Failure semantics mirror the flat topology's (paper section 4):
-   - a broken child edge is reported up as [M_subtree_down], so the root
-     aborts exactly as if its own channel to that node had broken;
-   - a broken uplink cascades: the relay severs its child edges, so every
-     agent below aborts its in-flight work and resumes its pods — an
-     orphaned subtree never holds pods frozen.
-
-   Trace contexts ride inside the bundled commands untouched, so the
-   cross-node causal tree still parents every agent span under the
+(* Tree sub-coordinator (see relay.mli).  Downward it unpacks bundles and
+   re-bundles per child edge through the same {!Fanout} the Manager runs at
+   the root; upward it aggregates whatever its subtree reports in one engine
+   instant into one [M_batch].  A broken child edge is reported up as
+   [M_subtree_down]; a broken uplink severs the child edges, so an orphaned
+   subtree aborts and never holds pods frozen.  Trace contexts ride inside
+   the bundled commands untouched, so agent spans still parent under the
    manager's operation span across the extra hop. *)
 
 module Simtime = Zapc_sim.Simtime
@@ -29,82 +14,33 @@ module Metrics = Zapc_obs.Metrics
 type t = {
   node : int;
   engine : Engine.t;
-  params : Params.t;
   metrics : Metrics.t;
   agent : Agent.t;
   parent : Protocol.channel;  (* uplink toward the Manager *)
-  children : (int, Protocol.channel) Hashtbl.t;  (* direct child -> edge *)
+  fan : Fanout.t;
+  (* child edges, per-child bundles and this relay's serial CPU server;
+     closed when a re-formed tree retires the relay, so stale in-flight
+     traffic on the old edges cannot reach agents twice *)
   routes : (int, int) Hashtbl.t;  (* descendant -> direct child *)
-  down_buf : (int, (int * Protocol.to_agent) list) Hashtbl.t;
-  (* per-child command bundle under assembly (items reversed) *)
-  mutable down_flush : bool;
   mutable up_buf : Protocol.to_manager list;  (* reversed *)
   mutable up_flush : bool;
-  mutable proc_free : Simtime.t;  (* serial per-message CPU, as the Manager's *)
-  mutable closed : bool;
-  (* a re-formed topology retired this relay: drop everything (stale
-     in-flight traffic on the old edges must not reach agents twice) *)
 }
 
-(* Same serial cost model as the Manager's: [ctrl_proc] per message sent or
-   received at this coordinator, zero cost running inline. *)
-let proc t fn =
-  if t.params.Params.ctrl_proc = Simtime.zero then fn ()
-  else begin
-    let now = Engine.now t.engine in
-    let start = if Simtime.compare t.proc_free now > 0 then t.proc_free else now in
-    let fin = Simtime.add start t.params.Params.ctrl_proc in
-    t.proc_free <- fin;
-    Engine.schedule_at t.engine ~label:"relay.proc" ~at:fin fn
-  end
+let live t = not (Fanout.closed t.fan)
 
 (* --- downward: unpack, deliver local, re-bundle per child edge --- *)
-
-let flush_down t =
-  t.down_flush <- false;
-  if not t.closed then begin
-    let hops =
-      Hashtbl.fold (fun hop items acc -> (hop, List.rev items) :: acc) t.down_buf []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    Hashtbl.reset t.down_buf;
-    List.iter
-      (fun (hop, items) ->
-        match Hashtbl.find_opt t.children hop with
-        | Some ch when not (Control.is_broken ch) ->
-          Metrics.incr t.metrics "relay.down_batches";
-          let msg = Protocol.A_batch items in
-          proc t (fun () ->
-              Control.send_down ch ~bytes:(Protocol.to_agent_bytes msg) msg)
-        | Some _ | None ->
-          (* the edge is gone; the loss is already reported upward by the
-             break handler, the commands just vanish with it *)
-          ())
-      hops
-  end
-
-let enqueue_down t hop dst msg =
-  let prev =
-    match Hashtbl.find_opt t.down_buf hop with Some l -> l | None -> []
-  in
-  Hashtbl.replace t.down_buf hop ((dst, msg) :: prev);
-  if not t.down_flush then begin
-    t.down_flush <- true;
-    Engine.schedule t.engine ~label:"relay.fanout" ~delay:Simtime.zero (fun () ->
-        flush_down t)
-  end
 
 let route t dst msg =
   if dst = t.node then Agent.deliver t.agent msg
   else
     match Hashtbl.find_opt t.routes dst with
-    | Some hop -> enqueue_down t hop dst msg
+    | Some hop -> Fanout.send t.fan ~hop ~dst msg
     | None ->
       (* no route: the topology changed under an in-flight command *)
       Metrics.incr t.metrics "relay.misroutes"
 
 let dispatch t msg =
-  if not t.closed then begin
+  if live t then begin
     Metrics.incr t.metrics "relay.forwards";
     match msg with
     | Protocol.A_batch items -> List.iter (fun (dst, m) -> route t dst m) items
@@ -115,19 +51,19 @@ let dispatch t msg =
 
 let flush_up t =
   t.up_flush <- false;
-  if not t.closed then begin
+  if live t then begin
     match List.rev t.up_buf with
     | [] -> ()
     | items ->
       t.up_buf <- [];
       Metrics.incr t.metrics "relay.up_batches";
       let msg = Protocol.M_batch items in
-      proc t (fun () ->
+      Fanout.proc t.fan (fun () ->
           Control.send_up t.parent ~bytes:(Protocol.to_manager_bytes msg) msg)
   end
 
 let on_child_up t msg =
-  if not t.closed then begin
+  if live t then begin
     let items = match msg with Protocol.M_batch l -> l | m -> [ m ] in
     t.up_buf <- List.rev_append items t.up_buf;
     if not t.up_flush then begin
@@ -142,7 +78,7 @@ let on_child_up t msg =
 (* --- failure propagation --- *)
 
 let child_edge_broke t ~child =
-  if not t.closed then begin
+  if live t then begin
     Metrics.incr t.metrics "relay.subtree_down";
     let msg = Protocol.M_subtree_down { node = child } in
     Control.send_up t.parent ~bytes:(Protocol.to_manager_bytes msg) msg
@@ -153,30 +89,31 @@ let child_edge_broke t ~child =
    local agent's own on-break abort is registered by [Agent.attach_channel]
    on the same uplink). *)
 let uplink_broke t =
-  if not t.closed then
-    Hashtbl.iter (fun _ ch -> Control.break ch) t.children
+  if live t then Fanout.iter_children t.fan (fun _ ch -> Control.break ch)
 
 let create ~engine ~params ~metrics ~agent ~node ~parent ~children ~routes =
-  let t =
-    { node; engine; params; metrics; agent; parent;
-      children = Hashtbl.create 8; routes = Hashtbl.create 16;
-      down_buf = Hashtbl.create 8; down_flush = false;
-      up_buf = []; up_flush = false; proc_free = Simtime.zero; closed = false }
+  let fan =
+    Fanout.create ~engine ~params ~metrics ~proc_label:"relay.proc"
+      ~flush_label:"relay.fanout" ~batches:"relay.down_batches" ()
   in
-  List.iter (fun (child, ch) -> Hashtbl.replace t.children child ch) children;
+  Fanout.set_children fan ~bundle:true children;
+  let t =
+    { node; engine; metrics; agent; parent; fan; routes = Hashtbl.create 16;
+      up_buf = []; up_flush = false }
+  in
   List.iter (fun (dst, hop) -> Hashtbl.replace t.routes dst hop) routes;
   (* claim the uplink's down handler (the Agent attached first and keeps
      its on-break abort; locally-addressed commands are handed back to it
      through [Agent.deliver]) *)
-  Control.set_down_handler parent (fun msg -> proc t (fun () -> dispatch t msg));
+  Control.set_down_handler parent (fun msg ->
+      Fanout.proc t.fan (fun () -> dispatch t msg));
   Control.on_break parent (fun () -> uplink_broke t);
   List.iter
     (fun (child, ch) ->
-      Control.set_up_handler ch (fun msg -> proc t (fun () -> on_child_up t msg));
+      Control.set_up_handler ch (fun msg ->
+          Fanout.proc t.fan (fun () -> on_child_up t msg));
       Control.on_break ch (fun () -> child_edge_broke t ~child))
     children;
   t
 
-let close t = t.closed <- true
-let node t = t.node
-let child_count t = Hashtbl.length t.children
+let close t = Fanout.close t.fan

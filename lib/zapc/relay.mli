@@ -1,12 +1,13 @@
-(** Tree sub-coordinator: one per node when [Params.tree_fanout] > 0.
+(** Tree sub-coordinator: one per node in a control tree deeper than one
+    level (a depth-1 tree, the paper's flat star, has none).
 
     Downward it unpacks the {!Protocol.to_agent.A_batch} arriving on its
     uplink, hands locally-addressed commands to its {!Agent} and re-bundles
-    the rest into one batch per child edge; upward it aggregates its
-    subtree's reports — everything landing in the same engine instant —
-    into one {!Protocol.to_manager.M_batch}.  The Manager thus pays its
-    per-message cost ([Params.ctrl_proc]) per direct subtree instead of per
-    node.
+    the rest into one batch per child edge, through the same {!Fanout} the
+    Manager runs at the root; upward it aggregates its subtree's reports —
+    everything landing in the same engine instant — into one
+    {!Protocol.to_manager.M_batch}.  The Manager thus pays its per-message
+    cost ([Params.ctrl_proc]) per direct subtree instead of per node.
 
     Failure semantics: a broken child edge is reported up as
     {!Protocol.to_manager.M_subtree_down} (the root aborts as if its own
@@ -38,7 +39,3 @@ val create :
 val close : t -> unit
 (** Retire the relay (topology re-formed): it drops all subsequent traffic
     so stale in-flight frames on old edges cannot reach agents twice. *)
-
-val node : t -> int
-
-val child_count : t -> int

@@ -101,7 +101,11 @@ let miss_count t node = try Hashtbl.find t.misses node with Not_found -> 0
    pods alone would silently drop the very node being detected. *)
 let refresh_watched t =
   let fresh = nodes_of_group t in
-  let suspected = List.filter (fun n -> miss_count t n > 0) t.watched in
+  let suspected =
+    List.filter
+      (fun n -> miss_count t n > 0 && Cluster.node_alive t.cluster n)
+      t.watched
+  in
   t.watched <- List.sort_uniq Int.compare (fresh @ suspected)
 
 (* Capped exponential backoff with deterministic jitter: attempt k waits
@@ -172,9 +176,9 @@ and beat t =
          dead;
        t.last_detect <- Some (now t);
        Metrics.set_gauge (reg t) "sup.last_detect_ms" (Simtime.to_ms (now t));
-       (* tree mode: re-form the control hierarchy over the survivors NOW,
-          before any recovery traffic — restart commands routed through a
-          dead relay hop would vanish and every attempt would time out *)
+       (* re-form the control tree over the survivors NOW, before any
+          recovery traffic — restart commands routed through a dead relay
+          hop would vanish and every attempt would time out *)
        Cluster.reform_tree t.cluster;
        t.state <- Recovering;
        t.attempts <- 0;
@@ -249,11 +253,13 @@ and recovered t =
   note t "sup_recovered";
   recover_span_end t;
   t.attempts <- 0;
+  (* the group may live on different nodes now: refresh the watch set
+     before the misses are forgotten, so a survivor still under suspicion
+     stays watched *)
+  refresh_watched t;
   Hashtbl.reset t.misses;
   Hashtbl.reset t.awaiting;
   Hashtbl.reset t.first_miss;
-  (* the group may live on different nodes now: refresh the watch set *)
-  refresh_watched t;
   t.state <- Monitoring;
   Periodic.resume t.service
 

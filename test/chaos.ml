@@ -1000,6 +1000,53 @@ let test_tree_subcoordinator_crash () =
   check tbool "watch set moved off the dead node" true
     (not (List.mem 1 (Supervisor.watched sup)))
 
+(* A hang belongs to its node, not to the channel it has at the time.
+   Node 5 hangs 150 ms after node 2 crashed, before the crash is detected
+   (100 ms heartbeats, 3 misses); the detection re-forms the tree, and the
+   re-formed tree must keep node 5 hung: its pings stall on the fresh edge
+   and it is declared dead before its 1 s hang ends.  Fanout 2 over 6
+   nodes keeps both leaves off each other's path, and the recovery
+   targets (nodes 0 and 1) off node 5. *)
+let test_hang_survives_reform () =
+  let params =
+    { avail_params with Params.tree_fanout = 2; heartbeat_period = Simtime.ms 100 }
+  in
+  let cluster = make_cluster ~params ~nodes:6 () in
+  let fs = Faultsim.create cluster in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 5; 2 ]
+      ~app_args:(bt_args 96 400) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let svc =
+    Periodic.start cluster ~pods:app.Launch.pods ~prefix:"hang"
+      ~period:(Simtime.ms 50) ~keep:2 ()
+  in
+  let sup = Supervisor.start cluster svc in
+  Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () ->
+      Periodic.last_good svc >= 1 && not (Manager.busy (Cluster.manager cluster)));
+  let hang_end = Simtime.add (Cluster.now cluster) (Simtime.ms 1150) in
+  Faultsim.install fs { fault = Crash_node { node = 2 }; trigger = Now };
+  Faultsim.install fs
+    { fault = Hang_agent { node = 5; duration = Some (Simtime.sec 1.0) };
+      trigger = After (Simtime.ms 150) };
+  let detected node =
+    List.find_map
+      (fun (t, w) -> if w = Printf.sprintf "sup_detect:node%d" node then Some t else None)
+      (Supervisor.events sup)
+  in
+  Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () ->
+      detected 5 <> None || Simtime.compare (Cluster.now cluster) hang_end >= 0);
+  check tbool "the crashed node was declared dead" true (detected 2 <> None);
+  check tbool "the hang began before the crash was detected" true
+    (match (detected 2, Faultsim.fired fs) with
+     | Some d, _ :: (h, _) :: _ -> Simtime.compare h d < 0
+     | _ -> false);
+  check tbool "the hung node was declared dead before its hang ended" true
+    (match detected 5 with Some t -> Simtime.compare t hang_end < 0 | None -> false);
+  Supervisor.stop sup;
+  Periodic.stop svc
+
 (* determinism: the same seed yields the same injected-fault log *)
 let test_scenario_determinism () =
   let fired_of seed =
@@ -1267,7 +1314,9 @@ let () =
           Alcotest.test_case "failed epoch GC'd from storage" `Quick
             test_failed_epoch_gc;
           Alcotest.test_case "mid-tree sub-coordinator crash" `Quick
-            test_tree_subcoordinator_crash ] );
+            test_tree_subcoordinator_crash;
+          Alcotest.test_case "hang survives a tree re-form" `Quick
+            test_hang_survives_reform ] );
       ( "random",
         [ Alcotest.test_case "seeded scenarios" `Quick test_random_scenarios;
           Alcotest.test_case "scenario determinism" `Quick test_scenario_determinism ] );

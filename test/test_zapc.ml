@@ -2028,9 +2028,9 @@ let sup_params =
    with [hang], node 2 — the dead pod's recovery target — stalls for good
    at the death declaration, so every recovery attempt times out and the
    supervisor backs off, then gives up. *)
-let supervised_crash ~hang =
+let supervised_crash ?(params = sup_params) ~hang () =
   let module Faultsim = Zapc_faultsim.Faultsim in
-  let cluster = make_cluster ~params:sup_params ~nodes:3 () in
+  let cluster = make_cluster ~params ~nodes:3 () in
   let fl = Cluster.enable_flight cluster in
   let fs = Faultsim.create cluster in
   let app =
@@ -2061,7 +2061,7 @@ let supervised_crash ~hang =
    cluster's recorder, so its death declaration trips the flight recorder
    and its recovery episode is a [sup_recover] span. *)
 let test_supervisor_default_trace () =
-  let cluster, sup, fl = supervised_crash ~hang:false in
+  let cluster, sup, fl = supervised_crash ~hang:false () in
   check tint "recovered" 1 (Zapc.Supervisor.recoveries sup);
   let module Json = Zapc_obs.Json in
   check (Alcotest.option Alcotest.string) "flight dump tripped by the detection"
@@ -2082,7 +2082,7 @@ let test_supervisor_default_trace () =
    catalogue, and vice versa. *)
 let test_supervisor_metric_catalogue () =
   let registry ~hang =
-    let cluster, sup, _ = supervised_crash ~hang in
+    let cluster, sup, _ = supervised_crash ~hang () in
     check tbool "recovered xor gave up" hang (Zapc.Supervisor.gave_up sup);
     Zapc.Supervisor.stop sup;
     Cluster.metrics cluster
@@ -2136,7 +2136,7 @@ let test_tree_snapshot_byte_identical () =
    per-message cost model on: snapshot over the tree, restart on different
    nodes, bit-identical result — and the traffic demonstrably flowed as
    batches through the relays. *)
-let test_tree_checkpoint_restart () =
+let run_tree_checkpoint_restart () =
   let params =
     { Params.default with
       Params.tree_fanout = 2; ctrl_proc = Simtime.us 5; cost_jitter = 0.0 }
@@ -2168,13 +2168,16 @@ let test_tree_checkpoint_restart () =
   let ranks = restarted_ranks (Launch.pod_ids app) "bt_nas" in
   check tint "all ranks restored" 4 (List.length ranks);
   Cluster.run_until cluster ~timeout:(Simtime.sec 1200.0) (fun () -> exited ranks);
-  check tbool "same checksum" true (List.mem reference !logged)
+  check tbool "same checksum" true (List.mem reference !logged);
+  m
+
+let test_tree_checkpoint_restart () = ignore (run_tree_checkpoint_restart ())
 
 (* Severing a mid-tree relay's uplink during a checkpoint orphans its whole
    subtree: the cascade must abort the deep agents too (their pods resume),
    the root sees the failure, and the application completes untouched.
    Fanout 2 over 7 nodes puts nodes 4 and 5 two hops down under node 1. *)
-let test_tree_subtree_break_aborts () =
+let run_tree_subtree_break () =
   let params =
     { Params.default with
       Params.tree_fanout = 2; phase_timeout = Simtime.ms 200; cost_jitter = 0.0 }
@@ -2204,7 +2207,73 @@ let test_tree_subtree_break_aborts () =
   check tbool "operation failed" true (not (Option.get !result).Manager.r_ok);
   (* no orphaned frozen pods: everything below the severed hop resumed *)
   ignore (Launch.wait_done cluster app);
-  check tbool "app completed after subtree abort" true (has_log "bt_nas: checksum")
+  check tbool "app completed after subtree abort" true (has_log "bt_nas: checksum");
+  Cluster.metrics cluster
+
+let test_tree_subtree_break_aborts () = ignore (run_tree_subtree_break ())
+
+(* The flat star re-forms after a death like any tree: survivors get fresh
+   uplinks, and a command still in flight on an abandoned uplink never
+   reaches its Agent. *)
+let test_flat_reform_drops_stale_edge () =
+  let cluster = make_cluster ~nodes:3 () in
+  let mgr = Cluster.manager cluster in
+  let pongs = ref [] in
+  Manager.set_on_pong mgr (fun ~node ~seq -> pongs := (node, seq) :: !pongs);
+  let old_edge = Option.get (Manager.agent_channel mgr ~node:2) in
+  Cluster.mark_node_dead cluster 1;
+  Cluster.reform_tree cluster;
+  check tbool "node 2 has a fresh uplink" true
+    (Manager.agent_channel mgr ~node:2 != Some old_edge);
+  check tbool "the dead node left the tree" true (Manager.agent_channel mgr ~node:1 = None);
+  Zapc.Control.send_down old_edge ~bytes:16 (Protocol.A_ping { seq = 1 });
+  Manager.ping mgr ~node:2 ~seq:2;
+  Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 1)) ();
+  check (Alcotest.list (Alcotest.pair tint tint)) "only the current uplink answers"
+    [ (2, 2) ] !pongs;
+  check tbool "still a depth-1 tree" true
+    (Zapc_obs.Metrics.gauge (Cluster.metrics cluster) "mgr.tree.depth" = 0.0
+     && Zapc_obs.Metrics.gauge (Cluster.metrics cluster) "mgr.tree.nodes" = 2.0)
+
+(* A relay handed a command for a node outside its subtree counts a
+   misroute and drops it. *)
+let relay_misroute () =
+  let cluster = make_cluster ~nodes:2 () in
+  let m = Cluster.metrics cluster in
+  let params = Cluster.params cluster in
+  let uplink =
+    Zapc.Control.create ~engine:(Cluster.engine cluster)
+      ~latency:params.Params.ctrl_latency ~bps:params.Params.ctrl_bps
+  in
+  ignore
+    (Zapc.Relay.create ~engine:(Cluster.engine cluster) ~params ~metrics:m
+       ~agent:(Cluster.node cluster 1).Cluster.n_agent ~node:1 ~parent:uplink
+       ~children:[] ~routes:[]);
+  Zapc.Control.send_down uplink ~bytes:32
+    (Protocol.A_batch [ (7, Protocol.A_ping { seq = 1 }) ]);
+  Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 1)) ();
+  check tint "one misroute" 1 (Zapc_obs.Metrics.counter m "relay.misroutes");
+  m
+
+(* A chain (fanout 1 over 3 nodes): node 1 crashes under node 0's relay,
+   which reports the broken edge up; the supervisor re-forms the tree
+   over nodes 0 and 2 before recovering. *)
+let tree_supervised_reform () =
+  let cluster, sup, _ =
+    supervised_crash ~params:{ sup_params with Params.tree_fanout = 1 } ~hang:false ()
+  in
+  check tint "recovered" 1 (Zapc.Supervisor.recoveries sup);
+  check tbool "re-formed over the survivors" true
+    (Zapc_obs.Metrics.gauge (Cluster.metrics cluster) "mgr.tree.nodes" = 2.0);
+  Zapc.Supervisor.stop sup;
+  Cluster.metrics cluster
+
+(* Every mgr.tree.* and relay.* instrument the tree runs register is in
+   doc/OBSERVABILITY.md, and vice versa. *)
+let test_tree_metric_catalogue () =
+  check_catalogue ~prefixes:[ "mgr.tree."; "relay." ]
+    [ run_tree_checkpoint_restart (); run_tree_subtree_break ();
+      tree_supervised_reform (); relay_misroute () ]
 
 (* Gratuitous ARP at fleet scale: 32 linked pods plus a client pod that is
    not restored.  After the 32 restart one node over, every live
@@ -2337,4 +2406,7 @@ let () =
           Alcotest.test_case "checkpoint + restart through the tree" `Quick
             test_tree_checkpoint_restart;
           Alcotest.test_case "mid-tree break aborts the subtree" `Quick
-            test_tree_subtree_break_aborts ] ) ]
+            test_tree_subtree_break_aborts;
+          Alcotest.test_case "flat re-form drops stale-edge commands" `Quick
+            test_flat_reform_drops_stale_edge;
+          Alcotest.test_case "tree metric catalogue" `Quick test_tree_metric_catalogue ] ) ]
