@@ -346,29 +346,8 @@ let ablations () =
   ablation_peek ()
 
 (* ------------------------------------------------------------------ *)
-(* Figure-2 timeline and storage-flush methodology                     *)
+(* Storage-flush methodology                                          *)
 (* ------------------------------------------------------------------ *)
-
-let timeline () =
-  section
-    "FIG-2  Coordinated checkpoint timeline (BT/NAS on 4 nodes): the single\n\
-    \       synchronization point — 'continue' lands DURING the standalone\n\
-    \       checkpoints; network stays blocked only until both conditions hold";
-  let env = launch_app Bt 4 in
-  let tr = Cluster.enable_trace env.cluster in
-  Cluster.run env.cluster ~until:(Simtime.sec 2.0) ();
-  let r =
-    Cluster.checkpoint_sync env.cluster ~items:(items_for env.cluster env.app ~prefix:"tl")
-      ~resume:true
-  in
-  if r.Manager.r_ok then begin
-    print_string (Zapc.Trace.render_checkpoint tr);
-    (* same timeline as Chrome trace_event JSON: load in chrome://tracing or
-       https://ui.perfetto.dev and the per-pod standalone tracks visibly
-       straddle the manager's mgr_sync track (doc/OBSERVABILITY.md) *)
-    Zapc.Trace.dump_chrome tr "BENCH_timeline_trace.json";
-    Printf.printf "\nwrote BENCH_timeline_trace.json\n"
-  end
 
 let storage_flush () =
   section
@@ -790,9 +769,10 @@ let availability () =
         s.av_repair_ms s.av_attempts)
     samples;
   if List.length samples < List.length seeds then
-    row "(!) %d/%d runs did not recover\n"
-      (List.length seeds - List.length samples)
-      (List.length seeds);
+    failwith
+      (Printf.sprintf "availability: %d/%d runs did not recover"
+         (List.length seeds - List.length samples)
+         (List.length seeds));
   row "%6s %14.1f %12.1f\n" "mean" (Stats.mean detect) (Stats.mean mttr);
   let path = "BENCH_availability.json" in
   avail_json path samples detect mttr;
@@ -976,19 +956,25 @@ let incremental () =
             (avg (fun e -> e.ie_full_cost))
             (delta_ratio r) r.ir_restart_ms;
           if not r.ir_restart_ok then
-            row "(!) %s/%s: restart from the newest epoch FAILED\n" label mode
+            failwith
+              (Printf.sprintf "incremental: %s/%s: restart from the newest epoch failed"
+                 label mode)
         in
         report "full" full;
         report "incremental" inc;
         if not inc.ir_chained then
-          row "(!) %s: newest incremental epoch was not a delta\n" label;
+          failwith
+            (Printf.sprintf "incremental: %s: newest incremental epoch was not a delta"
+               label);
         (label, full, inc))
       inc_workloads
   in
   (match List.assoc_opt "bt_nas" (List.map (fun (l, _, i) -> (l, i)) results) with
    | Some inc when delta_ratio inc > 0.5 ->
-     row "(!) bt_nas delta epochs cost %.0f%%%% of full images (expected <= 50%%%%)\n"
-       (delta_ratio inc *. 100.0)
+     failwith
+       (Printf.sprintf
+          "incremental: bt_nas delta epochs cost %.0f%% of full images (expected <= 50%%)"
+          (delta_ratio inc *. 100.0))
    | _ -> ());
   (* one traced delta checkpoint for the @incr alias: obs_check validates the
      Figure-2 overlap holds on the delta path too, plus the metrics dump *)

@@ -8,7 +8,7 @@
 
 let usage () =
   print_endline
-    "usage: main.exe [fig5|fig6a|fig6b|fig6c|netstate|variance|ablation|timeline|flush|storage|micro|availability|incremental|migration|serve|profile|scale|all|quick]"
+    "usage: main.exe [fig5|fig6a|fig6b|fig6c|netstate|variance|ablation|flush|storage|micro|availability|incremental|migration|serve|profile|scale|all|quick]"
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -21,7 +21,6 @@ let () =
   | "fig6c" -> Experiments.fig6c ()
   | "netstate" -> Experiments.netstate ()
   | "ablation" -> Experiments.ablations ()
-  | "timeline" -> Experiments.timeline ()
   | "flush" -> Experiments.storage_flush ()
   | "storage" -> Experiments.storage_backends ()
   | "micro" -> Micro.run ()
@@ -39,7 +38,6 @@ let () =
     Experiments.netstate ();
     Experiments.fig5_variance ();
     Experiments.ablations ();
-    Experiments.timeline ();
     Experiments.storage_flush ();
     Experiments.storage_backends ();
     Experiments.availability ();

@@ -9,6 +9,7 @@ module Value = Zapc_codec.Value
 module Wire = Zapc_codec.Wire
 module Sockbuf = Zapc_simnet.Sockbuf
 module Pheap = Zapc_sim.Pheap
+module Calq = Zapc_sim.Calq
 
 let sample_value =
   Value.assoc
@@ -270,16 +271,17 @@ let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
     t_ns_lookup; t_poll_block; t_poll_scan; t_fdtable_find; t_sockopt_get ]
 
-(* --- engine hot-path throughput (events/s), heap vs calendar ----------
+(* --- event-queue throughput (events/s), heap vs calendar -------------
 
    Steady-state churn, not build-then-drain: a standing population of
-   events where every fire re-schedules itself at a mixed horizon — the
-   shape of a big cluster's event queue (per-connection TCP timers plus
-   heartbeats plus phase timeouts).  The population depth is what
-   separates the backends: the binary heap pays a sift per operation,
-   the calendar queue appends in O(1) and sorts each fine bucket once.
-   Deterministic event count, wall-clock rate — these numbers are host
-   facts and must stay under "host" keys in any gated artifact. *)
+   events where every pop re-pushes one at a mixed horizon past the popped
+   key — the shape of a big cluster's event queue (per-connection TCP
+   timers plus heartbeats plus phase timeouts).  The population depth is
+   what separates the two queues: the binary heap ([Pheap]) pays a sift
+   per operation, the calendar queue ([Calq], the engine's queue) appends
+   in O(1) and sorts each fine bucket once.  Deterministic event count,
+   wall-clock rate — these numbers are host facts and must stay under
+   "host" keys in any gated artifact. *)
 
 let churn_events = 1_000_000
 let churn_standing = 300_000
@@ -295,23 +297,36 @@ let churn_delay i =
 
 let churn_delays = lazy (Array.init churn_events churn_delay)
 
-let engine_events_per_sec kind =
+let churn_events_per_sec ~push ~pop =
   let delays = Lazy.force churn_delays in
   (* whatever ran before this (the scale sweep allocates a thousand
      simulated nodes) must not bleed into the rate via GC state *)
   Gc.compact ();
-  let e = Engine.create ~queue:kind () in
-  let i = ref 0 in
-  let rec fn () =
-    i := if !i = churn_events - 1 then 0 else !i + 1;
-    Engine.schedule e ~delay:(Array.unsafe_get delays !i) fn
-  in
   let t0 = Unix.gettimeofday () in
   for j = 0 to churn_standing - 1 do
-    Engine.schedule e ~delay:(Array.unsafe_get delays j) fn
+    push (Array.unsafe_get delays j)
   done;
-  Engine.run ~max_events:churn_events e;
+  let i = ref 0 in
+  for _ = 1 to churn_events do
+    match pop () with
+    | Some (now, ()) ->
+      i := if !i = churn_events - 1 then 0 else !i + 1;
+      push (Simtime.add now (Array.unsafe_get delays !i))
+    | None -> ()
+  done;
   float_of_int churn_events /. (Unix.gettimeofday () -. t0)
+
+let heap_events_per_sec () =
+  let q = Pheap.create () in
+  churn_events_per_sec
+    ~push:(fun key -> Pheap.push q ~key ())
+    ~pop:(fun () -> Pheap.pop q)
+
+let calendar_events_per_sec () =
+  let q = Calq.create ~dummy:() () in
+  churn_events_per_sec
+    ~push:(fun key -> Calq.push q ~key ())
+    ~pop:(fun () -> Calq.pop q)
 
 let median l =
   let a = Array.of_list l in
@@ -319,7 +334,7 @@ let median l =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-(* Host speed drifts on a shared machine, so the two backends are timed in
+(* Host speed drifts on a shared machine, so the two queues are timed in
    five alternating heap/calendar pairs and each pair yields one ratio.
    Returns the median heap and calendar rates and the per-pair ratios —
    the scale experiment embeds these in BENCH_scale.json and enforces its
@@ -327,8 +342,8 @@ let median l =
 let engine_throughput () =
   let runs =
     List.init 5 (fun _ ->
-        let h = engine_events_per_sec Engine.Heap in
-        let c = engine_events_per_sec Engine.Calendar in
+        let h = heap_events_per_sec () in
+        let c = calendar_events_per_sec () in
         (h, c))
   in
   ( median (List.map fst runs),

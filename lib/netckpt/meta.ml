@@ -110,27 +110,6 @@ type restart_entry = {
   ri_orphan : bool;  (* peer endpoint no longer exists: restore detached *)
 }
 
-let restart_entry_to_value e =
-  Value.assoc
-    [ ("local", Addr.to_value e.ri_local);
-      ("remote", Addr.to_value e.ri_remote);
-      ("role", Value.str (role_to_string e.ri_role));
-      ("state", Value.str (conn_state_to_string e.ri_state));
-      ("sock_ref", Value.int e.ri_sock_ref);
-      ("peer_recv", Value.int e.ri_peer_recv);
-      ("orphan", Value.bool e.ri_orphan) ]
-
-let restart_entry_of_value v =
-  {
-    ri_local = Addr.of_value (Value.field "local" v);
-    ri_remote = Addr.of_value (Value.field "remote" v);
-    ri_role = role_of_string (Value.to_str (Value.field "role" v));
-    ri_state = conn_state_of_string (Value.to_str (Value.field "state" v));
-    ri_sock_ref = Value.to_int (Value.field "sock_ref" v);
-    ri_peer_recv = Value.to_int (Value.field "peer_recv" v);
-    ri_orphan = Value.to_bool (Value.field "orphan" v);
-  }
-
 (* Merge the per-pod tables and derive the restart schedule.
 
    Pairing: entries match when (local, remote) of one equals (remote, local)

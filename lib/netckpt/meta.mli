@@ -40,8 +40,6 @@ type entry = {
 
 type pod_meta = { pm_pod : int; pm_vip : Addr.ip; pm_entries : entry list }
 
-val entry_to_value : entry -> Value.t
-val entry_of_value : Value.t -> entry
 val to_value : pod_meta -> Value.t
 val of_value : Value.t -> pod_meta
 val size_bytes : pod_meta -> int
@@ -57,9 +55,6 @@ type restart_entry = {
           peer's receive queue and must be discarded (Figure 4 overlap) *)
   ri_orphan : bool;  (** peer endpoint no longer exists: restore detached *)
 }
-
-val restart_entry_to_value : restart_entry -> Value.t
-val restart_entry_of_value : Value.t -> restart_entry
 
 val build_schedule : pod_meta list -> (int * restart_entry list) list
 (** Merge the per-pod tables and derive the restart schedule, keyed by pod.

@@ -2,15 +2,9 @@ exception Deadlock of string
 
 type prof = { mutable p_count : int; mutable p_host : float }
 
-type queue_kind = Heap | Calendar
-
-type queue =
-  | Q_heap of (unit -> unit) Pheap.t
-  | Q_cal of (unit -> unit) Calq.t
-
 type t = {
   mutable clock : Simtime.t;
-  queue : queue;
+  queue : (unit -> unit) Calq.t;
   rng : Rng.t;
   mutable processed : int;
   mutable profile : (string, prof) Hashtbl.t option;
@@ -18,13 +12,8 @@ type t = {
 
 let nop () = ()
 
-let create ?(seed = 42) ?(queue = Calendar) () =
-  let queue =
-    match queue with
-    | Heap -> Q_heap (Pheap.create ())
-    | Calendar -> Q_cal (Calq.create ~dummy:nop ())
-  in
-  { clock = Simtime.zero; queue; rng = Rng.create ~seed;
+let create ?(seed = 42) () =
+  { clock = Simtime.zero; queue = Calq.create ~dummy:nop (); rng = Rng.create ~seed;
     processed = 0; profile = None }
 
 let now t = t.clock
@@ -57,17 +46,14 @@ let instrument t label fn =
   | Some tbl ->
     let p = prof_for tbl (match label with Some l -> l | None -> "unlabeled") in
     fun () ->
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       fn ();
       p.p_count <- p.p_count + 1;
-      p.p_host <- p.p_host +. (Sys.time () -. t0)
+      p.p_host <- p.p_host +. (Unix.gettimeofday () -. t0)
 
 let schedule_at t ?label ~at fn =
   let at = if Simtime.compare at t.clock < 0 then t.clock else at in
-  let fn = instrument t label fn in
-  match t.queue with
-  | Q_heap q -> Pheap.push q ~key:at fn
-  | Q_cal q -> Calq.push q ~key:at fn
+  Calq.push t.queue ~key:at (instrument t label fn)
 
 let schedule t ?label ~delay fn =
   schedule_at t ?label ~at:(Simtime.add t.clock delay) fn
@@ -80,8 +66,7 @@ let profile t =
     |> List.sort (fun (la, ca, _) (lb, cb, _) ->
            match compare cb ca with 0 -> compare la lb | c -> c)
 
-let pending t =
-  match t.queue with Q_heap q -> Pheap.length q | Q_cal q -> Calq.length q
+let pending t = Calq.length t.queue
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
@@ -89,11 +74,9 @@ let run ?until ?max_events t =
   while !continue && !budget > 0 do
     let next =
       (* a single root access per event: pop-if-due instead of peek+pop *)
-      match t.queue, until with
-      | Q_heap q, None -> Pheap.pop q
-      | Q_heap q, Some limit -> Pheap.pop_if_le q ~limit
-      | Q_cal q, None -> Calq.pop q
-      | Q_cal q, Some limit -> Calq.pop_if_le q ~limit
+      match until with
+      | None -> Calq.pop t.queue
+      | Some limit -> Calq.pop_if_le t.queue ~limit
     in
     match next with
     | Some (at, fn) ->

@@ -3,19 +3,12 @@
     A single engine drives an entire simulated cluster: the virtual clock
     advances to the timestamp of each scheduled event in turn and the event's
     callback runs to completion (callbacks may schedule further events).
-    Determinism: ties in timestamps fire in scheduling order. *)
+    Determinism: ties in timestamps fire in scheduling order.  The event
+    queue is a calendar queue ({!Calq}). *)
 
 type t
 
-type queue_kind =
-  | Heap      (** plain binary heap ({!Pheap}) *)
-  | Calendar  (** bucketed calendar queue with heap overflow ({!Calq}) *)
-
-val create : ?seed:int -> ?queue:queue_kind -> unit -> t
-(** [queue] selects the event-queue backend (default [Calendar]).  Both
-    backends implement the same [(time, sequence)] total order, so a seeded
-    run is bit-identical under either; [Heap] is kept as the reference
-    implementation and throughput baseline. *)
+val create : ?seed:int -> unit -> t
 
 val now : t -> Simtime.t
 val rng : t -> Rng.t
@@ -68,8 +61,8 @@ val timer_active : timer -> bool
 (** {1 Profiler}
 
     Off by default; when enabled, each scheduled callback is wrapped at
-    schedule time to count executions and accumulate host CPU time per
-    label.  The run loop itself is untouched, so the default hot path pays
+    schedule time to count executions and accumulate host wall-clock time
+    per label.  The run loop itself is untouched, so the default hot path pays
     nothing.  Event counts are deterministic for a seeded run; host times
     are wall-clock measurements and are not (keep them out of regression
     gates). *)

@@ -41,7 +41,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    the destination; only the final stop-and-copy suspends it. *)
 type precopy = {
   pc_dest : int;
-  pc_cap : Protocol.precopy;  (* round cap and convergence threshold *)
+  pc_cap : int;  (* round cap *)
   mutable pc_running : bool;  (* rounds in flight: the pod was never suspended *)
   mutable pc_round : int;  (* next round number; 0 ships the full image *)
   mutable pc_last : Value.t option;  (* newest full capture shipped (delta base) *)
@@ -257,6 +257,10 @@ let ship t ~dest ?(prep = Simtime.zero) ~bytes ~live arrive =
    applies them onto its staged image immediately. *)
 let mig_base_key pod_id = Printf.sprintf "mig:pod%d" pod_id
 
+(* Pre-copy has converged once a round's dirty residue falls to this
+   fraction of the pod's full image. *)
+let mig_dirty_threshold = 0.05
+
 (* ------------------------------------------------------------------ *)
 (* Abort paths (Manager failure / explicit abort / timeouts)           *)
 (* ------------------------------------------------------------------ *)
@@ -337,7 +341,7 @@ let rec start_checkpoint ?(incremental = false) ?precopy ?ctx t ~pod_id ~dest ~r
       match precopy, dest with
       | Some cap, Protocol.U_node n ->
         Some
-          { pc_dest = n; pc_cap = cap; pc_running = cap.max_rounds > 0; pc_round = 0;
+          { pc_dest = n; pc_cap = cap; pc_running = cap > 0; pc_round = 0;
             pc_last = None; pc_full_bytes = 0; pc_bytes = 0; pc_forced = false;
             pc_suspend = Simtime.zero }
       | Some _, Protocol.U_storage _ | None, _ -> None
@@ -413,10 +417,9 @@ and precopy_round t op pc =
                    mg_duration = Simtime.sub (Engine.now t.engine) t0 } });
         if op.co_aborted then ()  (* the trace can inject faults *)
         else if
-          float_of_int dirty_now
-          <= pc.pc_cap.dirty_threshold *. float_of_int pc.pc_full_bytes
+          float_of_int dirty_now <= mig_dirty_threshold *. float_of_int pc.pc_full_bytes
         then stop_precopy t op pc "mig_converged"
-        else if pc.pc_round >= pc.pc_cap.max_rounds then begin
+        else if pc.pc_round >= pc.pc_cap then begin
           pc.pc_forced <- true;
           stop_precopy t op pc "mig_forced"
         end
@@ -799,7 +802,6 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
     after t t.params.pod_create_cost (fun () ->
         (* step 1: create a new (empty) pod *)
         let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
-        pod.virtualize_time <- t.params.virtualize_time;
         (* [vip_map] covers only the restored set; saved connections may
            also reference application pods outside it, so extend with the
            rest of the world (first match wins, new bindings shadow) *)

@@ -64,8 +64,8 @@ val handle_command : t -> Protocol.to_agent -> unit
     [precopy] (a live migration's item) the checkpoint first runs pre-copy
     rounds while the pod keeps running — round 0 ships the full image, each
     later round a delta of the regions dirtied under the previous one —
-    until the dirty residue falls to [dirty_threshold] x the full image or
-    [max_rounds] have run; the suspend then ships only the residue, and the
+    until the dirty residue falls to 5% of the full image or [precopy]
+    rounds have run; the suspend then ships only the residue, and the
     destination activates a prestaged skeleton.  A command's [ctx] is the
     Manager's causal trace context: the Agent's local spans parent under
     [ctx.tc_parent] and carry operation id [ctx.tc_op].  Stream images

@@ -147,7 +147,6 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let fabric = Fabric.create ~config:params.Params.fabric engine in
   let storage =
     Storage.create ~metrics ~trace ~bps:params.Params.storage_bps
-      ~replicas:params.Params.storage_replicas
       ~backend:params.Params.storage_backend
       ~compress:params.Params.compress ~buddy_bps:params.Params.buddy_bps
       ~nodes:node_count engine
@@ -244,7 +243,6 @@ let create_pod t ~node_idx ~name =
   let rip = alloc_rip t node_idx in
   let n = t.nodes.(node_idx) in
   let pod = Pod.create ~pod_id ~name ~vip ~rip n.n_kernel in
-  pod.Pod.virtualize_time <- t.params.virtualize_time;
   Agent.register_pod n.n_agent pod;
   Manager.remember_pod t.manager ~pod_id ~name ~vip
     { Zapc_netckpt.Meta.pm_pod = pod_id; pm_vip = vip; pm_entries = [] };
@@ -390,12 +388,12 @@ let restart_app_async ?parent t ~pod_ids ~target_nodes ~key_prefix ~on_done =
 
 (* Live-migrate one pod between nodes; the source node is looked up from the
    pod's real address so callers only name the destination. *)
-let migrate_sync ?max_rounds ?dirty_threshold t ~(pod : Pod.t) ~dest_node =
+let migrate_sync ?max_rounds t ~(pod : Pod.t) ~dest_node =
   let src_node =
     match Fabric.node_of_ip t.fabric pod.Pod.rip with Some n -> n | None -> -1
   in
   let result = ref None in
-  Manager.migrate ?max_rounds ?dirty_threshold t.manager ~pod:pod.Pod.pod_id
+  Manager.migrate ?max_rounds t.manager ~pod:pod.Pod.pod_id
     ~src_node ~dest_node ~on_done:(fun r -> result := Some r);
   run_until t (fun () -> !result <> None);
   Option.get !result

@@ -159,7 +159,6 @@ val restart_app_async :
 
 val migrate_sync :
   ?max_rounds:int ->
-  ?dirty_threshold:float ->
   t -> pod:Pod.t -> dest_node:int -> Manager.op_result
 (** Live-migrate one pod to [dest_node] (iterative pre-copy; see
     {!Manager.migrate}).  The source node is derived from the pod's real

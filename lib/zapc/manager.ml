@@ -462,8 +462,8 @@ let open_pending t ~kind ~items ~dests ~gather_meta ~metas ~on_done =
   p
 
 (* One coordinated checkpoint; [kind] only picks the observability labels
-   (a migration's copy phase is [`Mig_copy]).  [precopy] rides on every
-   [U_node] item. *)
+   (a migration's copy phase is [`Mig_copy]).  [precopy], the pre-copy
+   round cap, rides on every [U_node] item. *)
 let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
     ~(items : ckpt_item list) ~(resume : bool) ~(on_done : op_result -> unit) =
   if t.current <> None then invalid_arg "Manager: operation already in progress";
@@ -632,7 +632,7 @@ let set_on_migrated t fn = t.on_migrated <- fn
    images and activates their prestaged skeletons.  Its two phases report
    under mgr.mig.copy.* and mgr.mig.restore.*, both inside one "migrate"
    span; the migration itself keeps no state. *)
-let migrate_items ?max_rounds ?dirty_threshold ?parent t ~(items : ckpt_item list)
+let migrate_items ?(max_rounds = 8) ?parent t ~(items : ckpt_item list)
     ~(on_done : op_result -> unit) =
   if t.current <> None then invalid_arg "Manager: operation already in progress";
   let dest_of i =
@@ -642,10 +642,6 @@ let migrate_items ?max_rounds ?dirty_threshold ?parent t ~(items : ckpt_item lis
   in
   let restarts =
     List.map (fun i -> { ri_node = dest_of i; ri_pod = i.ci_pod; ri_uri = i.ci_dest }) items
-  in
-  let precopy =
-    { Protocol.max_rounds = Option.value max_rounds ~default:t.params.mig_max_rounds;
-      dirty_threshold = Option.value dirty_threshold ~default:t.params.mig_dirty_threshold }
   in
   let started = Engine.now t.engine in
   Metrics.incr t.metrics "mgr.mig.started";
@@ -667,8 +663,8 @@ let migrate_items ?max_rounds ?dirty_threshold ?parent t ~(items : ckpt_item lis
       List.iter (fun i -> t.on_migrated ~pod:i.ci_pod ~src:i.ci_node ~dest:(dest_of i)) items;
     on_done r
   in
-  start_checkpoint ~precopy ?parent:(Trace.parent_arg mig_span) ~kind:`Mig_copy t ~items
-    ~resume:false ~on_done:(fun (copy : op_result) ->
+  start_checkpoint ~precopy:max_rounds ?parent:(Trace.parent_arg mig_span)
+    ~kind:`Mig_copy t ~items ~resume:false ~on_done:(fun (copy : op_result) ->
       if not copy.r_ok then finish_mig copy
       else begin
         trace t "mig_copy_done";
@@ -680,9 +676,9 @@ let migrate_items ?max_rounds ?dirty_threshold ?parent t ~(items : ckpt_item lis
                 r_metas = (match res.r_metas with [] -> copy.r_metas | ms -> ms) })
       end)
 
-let migrate ?max_rounds ?dirty_threshold ?parent t ~(pod : int) ~(src_node : int)
+let migrate ?max_rounds ?parent t ~(pod : int) ~(src_node : int)
     ~(dest_node : int) ~(on_done : op_result -> unit) =
-  migrate_items ?max_rounds ?dirty_threshold ?parent t
+  migrate_items ?max_rounds ?parent t
     ~items:[ { ci_node = src_node; ci_pod = pod; ci_dest = Protocol.U_node dest_node } ]
     ~on_done
 

@@ -108,7 +108,6 @@ val restart :
 
 val migrate_items :
   ?max_rounds:int ->
-  ?dirty_threshold:float ->
   ?parent:int ->
   t -> items:ckpt_item list -> on_done:(op_result -> unit) -> unit
 (** Live-migrate a pod set under one synchronization point.  A migration
@@ -121,18 +120,18 @@ val migrate_items :
     phase each pod keeps running while pre-copy rounds stream to its
     destination Agent; the suspend then ships only the dirty residue plus
     process/socket/netfilter state (the blackout), and the restart
-    activates the prestaged copies.  [max_rounds]/[dirty_threshold]
-    default to the {!Params} knobs; [max_rounds = 0] is exactly a
-    whole-application [U_node] checkpoint followed by its restart.  Every
-    [U_node] item commits when its destination reports the image landed:
-    a failure before that aborts cleanly and the pod resumes at its source;
-    after it the destination copy wins even if the source is lost.
+    activates the prestaged copies.  Rounds stop once a round's dirty
+    residue falls to 5% of the pod's full image, or after [max_rounds]
+    (default 8); [max_rounds = 0] is exactly a whole-application [U_node]
+    checkpoint followed by its restart.  Every [U_node] item commits when
+    its destination reports the image landed: a failure before that aborts
+    cleanly and the pod resumes at its source; after it the destination
+    copy wins even if the source is lost.
     @raise Invalid_argument if an operation is already in progress or a
     destination is not [U_node]. *)
 
 val migrate :
   ?max_rounds:int ->
-  ?dirty_threshold:float ->
   ?parent:int ->
   t ->
   pod:int ->

@@ -85,18 +85,11 @@ type t = {
   recover_backoff : Simtime.t;  (* base delay before a recovery retry *)
   recover_backoff_max : Simtime.t;  (* cap on the exponential backoff *)
   recover_retries : int;  (* recovery attempts before giving up *)
-  storage_replicas : int;  (* independent copies of every stored image *)
   max_delta_chain : int;
   (* incremental checkpointing: how many consecutive delta images may chain
      off one full image before the Agent forces a full checkpoint again
      (bounds restart materialization work and lets old epochs be pruned) *)
   (* live migration (iterative pre-copy) *)
-  mig_max_rounds : int;
-  (* pre-copy rounds before the source gives up and stop-and-copies the
-     residue anyway (0 degenerates to plain stop-and-copy migration) *)
-  mig_dirty_threshold : float;
-  (* convergence: stop pre-copying once a round's dirty residue falls to
-     this fraction of the pod's full image *)
   mig_resume_fixed : Simtime.t;
   (* destination-side activation cost when the pod skeleton and memory were
      prestaged by the pre-copy rounds (replaces [restore_fixed]) *)
@@ -108,7 +101,6 @@ type t = {
   redirect_sendq : bool;  (* merge send queues into the peer's ckpt stream *)
   serial_ckpt : bool;  (* barrier before the standalone checkpoint (OFF in ZapC) *)
   peek_mode : bool;  (* Cruz-style receive-queue capture (flawed baseline) *)
-  virtualize_time : bool;
   profile_engine : bool;
   (* per-callsite engine profiling (Engine.set_profiling); off by default so
      the scheduler hot path stays unlabeled and unwrapped *)
@@ -146,16 +138,12 @@ let default =
     recover_backoff = Simtime.ms 50;
     recover_backoff_max = Simtime.sec 2.0;
     recover_retries = 5;
-    storage_replicas = 2;
     max_delta_chain = 4;
-    mig_max_rounds = 8;
-    mig_dirty_threshold = 0.05;
     mig_resume_fixed = Simtime.ms 12;
     mig_stop_fixed = Simtime.ms 8;
     redirect_sendq = false;
     serial_ckpt = false;
     peek_mode = false;
-    virtualize_time = true;
     profile_engine = false;
   }
 

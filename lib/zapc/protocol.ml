@@ -5,18 +5,12 @@
    receiving Agent (direct migration streaming, paper section 4). *)
 
 module Simtime = Zapc_sim.Simtime
-module Value = Zapc_codec.Value
 module Addr = Zapc_simnet.Addr
 module Meta = Zapc_netckpt.Meta
-module Image = Zapc_ckpt.Image
 
 type uri =
   | U_storage of string  (* key in the shared storage *)
   | U_node of int  (* stream directly to the Agent on this node *)
-
-let uri_to_string = function
-  | U_storage k -> "file://" ^ k
-  | U_node n -> Printf.sprintf "agent://node%d" n
 
 (* --- structured failure reasons --- *)
 
@@ -80,24 +74,21 @@ type mig_round_stats = {
    operation-starting commands with its operation id and the span id of the
    operation's manager-side span, and the Agent parents its local spans
    under it — stitching every node's phases into one cross-node tree (the
-   span recorder is shared cluster-wide, so ids resolve globally).  The
-   field is optional on the wire: frames encoded before the field existed
-   (or by a non-tracing Manager) decode to [None]. *)
+   span recorder is shared cluster-wide, so ids resolve globally).  A
+   non-tracing Manager sends [None]. *)
 
 type trace_ctx = {
   tc_op : int;  (* manager operation id (generation counter) *)
   tc_parent : int;  (* span id of the manager-side operation span *)
 }
 
-(* Live pre-copy as a pre-phase of a checkpoint to [U_node]: rounds ship
-   the running pod until its dirty residue falls to [dirty_threshold] x the
-   full image, or [max_rounds] have run (0 = plain stop-and-copy). *)
-type precopy = { max_rounds : int; dirty_threshold : float }
-
 type to_agent =
   | A_checkpoint of {
       pod_id : int; dest : uri; resume : bool; incremental : bool;
-      precopy : precopy option;  (* Some: a live migration (U_node only) *)
+      precopy : int option;
+      (* Some max_rounds: a live migration (U_node only) whose pre-copy
+         rounds ship the running pod until its dirty residue converges or
+         max_rounds have run (0 = plain stop-and-copy) *)
       ctx : trace_ctx option;
     }
   | A_continue of { pod_id : int }
@@ -170,207 +161,5 @@ let rec to_manager_bytes = function
   | M_batch items ->
     List.fold_left (fun acc m -> acc + 4 + to_manager_bytes m) 16 items
   | M_subtree_down _ -> 16
-
-(* --- Value codecs ---
-
-   Control messages share the checkpoint images' portable intermediate
-   format, so a Manager and an Agent built from different kernels (or a
-   message relayed through storage) agree on the bytes.  Round-tripping is
-   property-tested in test/test_codec.ml. *)
-
-let uri_to_value = function
-  | U_storage k -> Value.tag "storage" (Value.str k)
-  | U_node n -> Value.tag "node" (Value.int n)
-
-let uri_of_value v =
-  match Value.to_tag v with
-  | "storage", k -> U_storage (Value.to_str k)
-  | "node", n -> U_node (Value.to_int n)
-  | tag, _ -> Value.decode_error "bad uri tag %s" tag
-
-let stats_to_value st =
-  Value.assoc
-    [ ("net_time", Value.int st.st_net_time);
-      ("local_time", Value.int st.st_local_time);
-      ("conn_time", Value.int st.st_conn_time);
-      ("image_bytes", Value.int st.st_image_bytes);
-      ("full_bytes", Value.int st.st_full_bytes);
-      ("net_bytes", Value.int st.st_net_bytes);
-      ("sockets", Value.int st.st_sockets);
-      ("procs", Value.int st.st_procs) ]
-
-let stats_of_value v =
-  let i k = Value.to_int (Value.field k v) in
-  { st_net_time = i "net_time"; st_local_time = i "local_time";
-    st_conn_time = i "conn_time"; st_image_bytes = i "image_bytes";
-    st_full_bytes = i "full_bytes"; st_net_bytes = i "net_bytes";
-    st_sockets = i "sockets"; st_procs = i "procs" }
-
-let mig_round_stats_to_value st =
-  Value.assoc
-    [ ("round", Value.int st.mg_round);
-      ("bytes", Value.int st.mg_bytes);
-      ("dirty", Value.int st.mg_dirty);
-      ("duration", Value.int st.mg_duration) ]
-
-let mig_round_stats_of_value v =
-  let i k = Value.to_int (Value.field k v) in
-  { mg_round = i "round"; mg_bytes = i "bytes"; mg_dirty = i "dirty";
-    mg_duration = i "duration" }
-
-(* The trace context rides as an optional trailing assoc entry, so frames
-   encoded without it (older encoders, tracing off) stay decodable — the
-   backward-compatibility property test_codec.ml exercises. *)
-let ctx_entries = function
-  | None -> []
-  | Some c ->
-    [ ( "ctx",
-        Value.assoc
-          [ ("op", Value.int c.tc_op); ("parent", Value.int c.tc_parent) ] ) ]
-
-let ctx_of_body b =
-  match Value.field_opt "ctx" b with
-  | None -> None
-  | Some cv ->
-    Some
-      { tc_op = Value.to_int (Value.field "op" cv);
-        tc_parent = Value.to_int (Value.field "parent" cv) }
-
-(* Pre-copy arguments ride as an optional assoc entry too: absent means a
-   plain checkpoint. *)
-let precopy_entries = function
-  | None -> []
-  | Some p ->
-    [ ("precopy", Value.pair Value.int (fun f -> Value.Float f) (p.max_rounds, p.dirty_threshold)) ]
-
-let precopy_of_body b =
-  Option.map
-    (fun v ->
-      let max_rounds, dirty_threshold = Value.to_pair Value.to_int Value.to_float v in
-      { max_rounds; dirty_threshold })
-    (Value.field_opt "precopy" b)
-
-let rec to_agent_to_value = function
-  | A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx } ->
-    Value.tag "checkpoint"
-      (Value.assoc
-         ([ ("pod", Value.int pod_id); ("dest", uri_to_value dest);
-            ("resume", Value.bool resume); ("incremental", Value.bool incremental) ]
-          @ precopy_entries precopy @ ctx_entries ctx))
-  | A_continue { pod_id } -> Value.tag "continue" (Value.int pod_id)
-  | A_abort { pod_id } -> Value.tag "abort" (Value.int pod_id)
-  | A_restart
-      { pod_id; name; vip; rip; uri; entries; vip_map; extra_altq; skip_sendq;
-        ctx } ->
-    Value.tag "restart"
-      (Value.assoc
-         ([ ("pod", Value.int pod_id); ("name", Value.str name);
-            ("vip", Value.int vip); ("rip", Value.int rip);
-            ("uri", uri_to_value uri);
-            ("entries", Value.list Meta.restart_entry_to_value entries);
-            ("vip_map", Value.list (Value.pair Value.int Value.int) vip_map);
-            ("extra_altq", Value.list (Value.pair Value.int Value.str) extra_altq);
-            ("skip_sendq", Value.bool skip_sendq) ]
-          @ ctx_entries ctx))
-  | A_ping { seq } -> Value.tag "ping" (Value.int seq)
-  | A_batch items ->
-    Value.tag "batch"
-      (Value.list (Value.pair Value.int to_agent_to_value) items)
-
-let rec to_agent_of_value v =
-  match Value.to_tag v with
-  | "checkpoint", b ->
-    A_checkpoint
-      { pod_id = Value.to_int (Value.field "pod" b);
-        dest = uri_of_value (Value.field "dest" b);
-        resume = Value.to_bool (Value.field "resume" b);
-        incremental = Value.to_bool (Value.field "incremental" b);
-        precopy = precopy_of_body b;
-        ctx = ctx_of_body b }
-  | "continue", b -> A_continue { pod_id = Value.to_int b }
-  | "abort", b -> A_abort { pod_id = Value.to_int b }
-  | "restart", b ->
-    A_restart
-      { pod_id = Value.to_int (Value.field "pod" b);
-        name = Value.to_str (Value.field "name" b);
-        vip = Value.to_int (Value.field "vip" b);
-        rip = Value.to_int (Value.field "rip" b);
-        uri = uri_of_value (Value.field "uri" b);
-        entries = Value.to_list Meta.restart_entry_of_value (Value.field "entries" b);
-        vip_map =
-          Value.to_list (Value.to_pair Value.to_int Value.to_int) (Value.field "vip_map" b);
-        extra_altq =
-          Value.to_list (Value.to_pair Value.to_int Value.to_str)
-            (Value.field "extra_altq" b);
-        skip_sendq = Value.to_bool (Value.field "skip_sendq" b);
-        ctx = ctx_of_body b }
-  | "ping", b -> A_ping { seq = Value.to_int b }
-  | "batch", b ->
-    A_batch (Value.to_list (Value.to_pair Value.to_int to_agent_of_value) b)
-  | tag, _ -> Value.decode_error "bad to_agent tag %s" tag
-
-let rec to_manager_to_value = function
-  | M_meta { node; pod_id; meta; meta_bytes } ->
-    Value.tag "meta"
-      (Value.assoc
-         [ ("node", Value.int node); ("pod", Value.int pod_id);
-           ("meta", Meta.to_value meta); ("meta_bytes", Value.int meta_bytes) ])
-  | M_done { node; pod_id; ok; detail; stats } ->
-    Value.tag "done"
-      (Value.assoc
-         [ ("node", Value.int node); ("pod", Value.int pod_id);
-           ("ok", Value.bool ok); ("detail", Value.str detail);
-           ("stats", stats_to_value stats) ])
-  | M_pong { node; seq } ->
-    Value.tag "pong" (Value.assoc [ ("node", Value.int node); ("seq", Value.int seq) ])
-  | M_migrate_round { node; pod_id; stats } ->
-    Value.tag "mig_round"
-      (Value.assoc
-         [ ("node", Value.int node); ("pod", Value.int pod_id);
-           ("stats", mig_round_stats_to_value stats) ])
-  | M_migrate_done { node; pod_id; rounds; precopy_bytes; forced } ->
-    Value.tag "mig_done"
-      (Value.assoc
-         [ ("node", Value.int node); ("pod", Value.int pod_id);
-           ("rounds", Value.int rounds);
-           ("precopy_bytes", Value.int precopy_bytes);
-           ("forced", Value.bool forced) ])
-  | M_batch items -> Value.tag "batch" (Value.list to_manager_to_value items)
-  | M_subtree_down { node } -> Value.tag "subtree_down" (Value.int node)
-
-let rec to_manager_of_value v =
-  match Value.to_tag v with
-  | "meta", b ->
-    M_meta
-      { node = Value.to_int (Value.field "node" b);
-        pod_id = Value.to_int (Value.field "pod" b);
-        meta = Meta.of_value (Value.field "meta" b);
-        meta_bytes = Value.to_int (Value.field "meta_bytes" b) }
-  | "done", b ->
-    M_done
-      { node = Value.to_int (Value.field "node" b);
-        pod_id = Value.to_int (Value.field "pod" b);
-        ok = Value.to_bool (Value.field "ok" b);
-        detail = Value.to_str (Value.field "detail" b);
-        stats = stats_of_value (Value.field "stats" b) }
-  | "pong", b ->
-    M_pong
-      { node = Value.to_int (Value.field "node" b);
-        seq = Value.to_int (Value.field "seq" b) }
-  | "mig_round", b ->
-    M_migrate_round
-      { node = Value.to_int (Value.field "node" b);
-        pod_id = Value.to_int (Value.field "pod" b);
-        stats = mig_round_stats_of_value (Value.field "stats" b) }
-  | "mig_done", b ->
-    M_migrate_done
-      { node = Value.to_int (Value.field "node" b);
-        pod_id = Value.to_int (Value.field "pod" b);
-        rounds = Value.to_int (Value.field "rounds" b);
-        precopy_bytes = Value.to_int (Value.field "precopy_bytes" b);
-        forced = Value.to_bool (Value.field "forced" b) }
-  | "batch", b -> M_batch (Value.to_list to_manager_of_value b)
-  | "subtree_down", b -> M_subtree_down { node = Value.to_int b }
-  | tag, _ -> Value.decode_error "bad to_manager tag %s" tag
 
 type channel = (to_manager, to_agent) Control.t

@@ -5,15 +5,12 @@
     receiving Agent (direct migration streaming, paper section 4). *)
 
 module Simtime = Zapc_sim.Simtime
-module Value = Zapc_codec.Value
 module Addr = Zapc_simnet.Addr
 module Meta = Zapc_netckpt.Meta
 
 type uri =
   | U_storage of string  (** key in the shared storage *)
   | U_node of int  (** stream directly to the Agent on this node *)
-
-val uri_to_string : uri -> string
 
 (** {1 Structured failure reasons}
 
@@ -67,17 +64,8 @@ type trace_ctx = {
 (** Causal trace context: the Manager stamps operation-starting commands
     with its operation id and operation-span id; the receiving Agent
     parents its local spans under [tc_parent], stitching every node's
-    phases into one cross-node tree.  Optional on the wire — frames
-    encoded without the field (older encoders, tracing off) decode to
-    [None] (see [test/test_codec.ml]). *)
-
-type precopy = {
-  max_rounds : int;  (** pre-copy round cap; 0 = plain stop-and-copy *)
-  dirty_threshold : float;
-      (** converged once a round's dirty residue falls to this fraction of
-          the pod's full image *)
-}
-(** Live pre-copy, the optional pre-phase of a checkpoint to [U_node]. *)
+    phases into one cross-node tree.  A non-tracing Manager sends
+    [None]. *)
 
 type to_agent =
   | A_checkpoint of {
@@ -88,10 +76,12 @@ type to_agent =
           (** the Agent may write a delta against its last stored image for
               this pod (it falls back to a full image when no usable base
               exists or the chain cap is reached) *)
-      precopy : precopy option;
-          (** [Some] only for a live migration's items, with a [U_node]
-              destination: the pod keeps running while rounds stream to
-              the destination, and only the residue rides the suspend *)
+      precopy : int option;
+          (** [Some max_rounds] only for a live migration's items, with a
+              [U_node] destination: the pod keeps running while up to
+              [max_rounds] pre-copy rounds stream to the destination
+              (0 = plain stop-and-copy), and only the residue rides the
+              suspend *)
       ctx : trace_ctx option;
     }
   | A_continue of { pod_id : int }  (** the single synchronization point *)
@@ -147,22 +137,5 @@ val to_agent_bytes : to_agent -> int
 (** Approximate message size for the control-plane cost model. *)
 
 val to_manager_bytes : to_manager -> int
-
-(** {1 Value codecs}
-
-    Control messages share the checkpoint images' portable intermediate
-    format ({!Zapc_codec.Value}); round-tripping is property-tested in
-    [test/test_codec.ml]. *)
-
-val uri_to_value : uri -> Value.t
-val uri_of_value : Value.t -> uri
-val stats_to_value : agent_stats -> Value.t
-val stats_of_value : Value.t -> agent_stats
-val mig_round_stats_to_value : mig_round_stats -> Value.t
-val mig_round_stats_of_value : Value.t -> mig_round_stats
-val to_agent_to_value : to_agent -> Value.t
-val to_agent_of_value : Value.t -> to_agent
-val to_manager_to_value : to_manager -> Value.t
-val to_manager_of_value : Value.t -> to_manager
 
 type channel = (to_manager, to_agent) Control.t

@@ -133,13 +133,13 @@ let next_alive ~nodes ~dead after =
   go 1
 
 let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
-    ?(replicas = 2) ?(backend = Params.Sb_plain) ?(compress = false)
+    ?(backend = Params.Sb_plain) ?(compress = false)
     ?(buddy_bps = 1e9) ?(nodes = 2) engine =
-  let replicas = Stdlib.max 1 replicas in
   let nodes = Stdlib.max 1 nodes in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let dead = Hashtbl.create 4 in
-  let san = Array.make replicas San in
+  (* Plain and dedup: two independent SAN replicas. *)
+  let san = [| San; San |] in
   (* Buddy: slot 0 is the writer's own RAM, slot 1 the next live node's. *)
   let buddy node =
     let owner = ((node mod nodes) + nodes) mod nodes in

@@ -42,15 +42,14 @@ val create :
   trace:Trace.t ->
   ?bps:float ->
   ?latency:Simtime.t ->
-  ?replicas:int ->
   ?backend:Params.storage_backend ->
   ?compress:bool ->
   ?buddy_bps:float ->
   ?nodes:int ->
   Engine.t -> t
 (** [backend] (default [Sb_plain]) picks the slot locations and the
-    chunking: [replicas] (default 2, clamped to at least 1) SAN slots for
-    [Sb_plain]/[Sb_dedup], two RAM slots for [Sb_buddy]; only [Sb_dedup]
+    chunking: two SAN replica slots for [Sb_plain]/[Sb_dedup], two RAM
+    slots (owner and buddy) for [Sb_buddy]; only [Sb_dedup]
     chunks into the pool.  [nodes] (default 2) is the cluster size buddy
     partners are drawn from.  [metrics] receives the [storage.*]
     instruments listed in doc/OBSERVABILITY.md.  [trace] records each

@@ -829,7 +829,7 @@ let test_replica_fallback_counters () =
   let engine = Engine.create ~seed:1 () in
   let metrics = Metrics.create () in
   let storage =
-    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ~replicas:2 engine
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics engine
   in
   let img =
     Zapc_ckpt.Image.of_pod_image

@@ -755,7 +755,7 @@ module Chunk = Zapc_ckpt.Chunk
 module Compress = Zapc_ckpt.Compress
 
 (* delta_env with a readable metrics registry and a configurable backend. *)
-let delta_env_m ?backend ?compress ?replicas ?nodes () =
+let delta_env_m ?backend ?compress ?nodes () =
   let engine = Engine.create ~seed:13 () in
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
@@ -767,7 +767,7 @@ let delta_env_m ?backend ?compress ?replicas ?nodes () =
   let metrics = Metrics.create () in
   let storage =
     Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ?backend ?compress
-      ?replicas ?nodes engine
+      ?nodes engine
   in
   let snap at =
     Engine.run ~until:at ~max_events:100_000 engine;

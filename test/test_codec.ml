@@ -95,10 +95,7 @@ let test_smallint_boundary () =
 
 (* --- properties --- *)
 
-module Protocol = Zapc.Protocol
-module Meta = Zapc_netckpt.Meta
 module Image = Zapc_ckpt.Image
-module Addr = Zapc_simnet.Addr
 module Kv_wire = Zapc_apps.Kv_wire
 
 let value_gen =
@@ -181,205 +178,10 @@ let prop_bitflip_safe =
       | _ -> true
       | exception Value.Decode_error _ -> true)
 
-(* --- protocol message and image-section roundtrips ---------------------
-   The wire protocol between Manager and Agents, and the pod-image sections
-   the checkpointer stores, must survive encode/decode for arbitrary
-   (seeded-random) contents — these are the bytes a restart on a different
-   node has to make sense of. *)
-
-let ip_gen =
-  QCheck.Gen.map
-    (fun n -> Addr.make_ip 10 77 ((n lsr 8) land 0xff) (n land 0xff))
-    (QCheck.Gen.int_bound 65535)
-
-let addr_gen =
-  QCheck.Gen.map2 (fun ip port -> { Addr.ip; port }) ip_gen (QCheck.Gen.int_range 1 65535)
-
-let conn_state_gen =
-  QCheck.Gen.oneofl
-    [ Meta.Full; Meta.Half_out; Meta.Half_in; Meta.Closed_data; Meta.Connecting ]
-
-let role_gen = QCheck.Gen.oneofl [ Meta.Accept; Meta.Connect ]
-
-let entry_gen =
-  let open QCheck.Gen in
-  map
-    (fun (((local, remote), (state, role)), ((sent, recv), (acked, sock_ref))) ->
-      { Meta.local; remote; state; role; sent; recv; acked; sock_ref })
-    (pair
-       (pair (pair addr_gen addr_gen) (pair conn_state_gen role_gen))
-       (pair (pair nat nat) (pair nat (int_bound 32))))
-
-let pod_meta_gen =
-  let open QCheck.Gen in
-  map
-    (fun ((pm_pod, pm_vip), pm_entries) -> { Meta.pm_pod; pm_vip; pm_entries })
-    (pair (pair (int_bound 1000) ip_gen) (list_size (int_bound 5) entry_gen))
-
-let restart_entry_gen =
-  let open QCheck.Gen in
-  map
-    (fun (((ri_local, ri_remote), (ri_role, ri_state)),
-          ((ri_sock_ref, ri_peer_recv), ri_orphan)) ->
-      { Meta.ri_local; ri_remote; ri_role; ri_state; ri_sock_ref; ri_peer_recv;
-        ri_orphan })
-    (pair
-       (pair (pair addr_gen addr_gen) (pair role_gen conn_state_gen))
-       (pair (pair (int_bound 32) nat) bool))
-
-let uri_gen =
-  let open QCheck.Gen in
-  oneof
-    [ map (fun s -> Protocol.U_storage s) string_small;
-      map (fun n -> Protocol.U_node n) (int_bound 16) ]
-
-let stats_gen =
-  let open QCheck.Gen in
-  map
-    (fun ((st_net_time, st_local_time), (st_conn_time, st_image_bytes),
-          ((st_full_bytes, st_net_bytes), (st_sockets, st_procs))) ->
-      { Protocol.st_net_time; st_local_time; st_conn_time; st_image_bytes;
-        st_full_bytes; st_net_bytes; st_sockets; st_procs })
-    (triple (pair nat nat) (pair nat nat) (pair (pair nat nat) (pair nat nat)))
-
-let ctx_gen =
-  let open QCheck.Gen in
-  oneof
-    [ return None;
-      map
-        (fun (tc_op, tc_parent) -> Some { Protocol.tc_op; tc_parent })
-        (pair nat nat) ]
-
-let precopy_gen =
-  let open QCheck.Gen in
-  oneof
-    [ return None;
-      map
-        (fun (max_rounds, dirty_threshold) ->
-          Some { Protocol.max_rounds; dirty_threshold })
-        (pair (int_bound 32)
-           (* exact binary fractions so float equality is trustworthy *)
-           (map (fun n -> float_of_int n /. 256.0) (int_bound 256))) ]
-
-let to_agent_gen =
-  let open QCheck.Gen in
-  oneof
-    [ map
-        (fun ((((pod_id, dest), (resume, incremental)), precopy), ctx) ->
-          Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx })
-        (pair
-           (pair (pair (pair nat uri_gen) (pair bool bool)) precopy_gen)
-           ctx_gen);
-      map (fun pod_id -> Protocol.A_continue { pod_id }) nat;
-      map (fun pod_id -> Protocol.A_abort { pod_id }) nat;
-      map
-        (fun ((((pod_id, name), (vip, rip)),
-               ((uri, entries), (vip_map, (extra_altq, skip_sendq)))), ctx) ->
-          Protocol.A_restart
-            { pod_id; name; vip; rip; uri; entries; vip_map; extra_altq; skip_sendq;
-              ctx })
-        (pair
-           (pair
-              (pair (pair nat string_small) (pair ip_gen ip_gen))
-              (pair
-                 (pair uri_gen (list_size (int_bound 4) restart_entry_gen))
-                 (pair
-                    (list_size (int_bound 4) (pair ip_gen ip_gen))
-                    (pair (list_size (int_bound 3) (pair (int_bound 32) string_small))
-                       bool))))
-           ctx_gen);
-      map (fun seq -> Protocol.A_ping { seq }) nat ]
-
-let mig_round_stats_gen =
-  let open QCheck.Gen in
-  map
-    (fun ((mg_round, mg_bytes), (mg_dirty, mg_duration)) ->
-      { Protocol.mg_round; mg_bytes; mg_dirty; mg_duration })
-    (pair (pair (int_bound 32) nat) (pair nat nat))
-
-let to_manager_gen =
-  let open QCheck.Gen in
-  oneof
-    [ map
-        (fun ((node, pod_id), (meta, meta_bytes)) ->
-          Protocol.M_meta { node; pod_id; meta; meta_bytes })
-        (pair (pair nat nat) (pair pod_meta_gen nat));
-      map
-        (fun ((node, pod_id), ((ok, detail), stats)) ->
-          Protocol.M_done { node; pod_id; ok; detail; stats })
-        (pair (pair nat nat) (pair (pair bool string_small) stats_gen));
-      map (fun (node, seq) -> Protocol.M_pong { node; seq }) (pair nat nat);
-      map
-        (fun ((node, pod_id), stats) ->
-          Protocol.M_migrate_round { node; pod_id; stats })
-        (pair (pair nat nat) mig_round_stats_gen);
-      map
-        (fun ((node, pod_id), ((rounds, precopy_bytes), forced)) ->
-          Protocol.M_migrate_done { node; pod_id; rounds; precopy_bytes; forced })
-        (pair (pair nat nat) (pair (pair (int_bound 32) nat) bool)) ]
-
-let prop_protocol_agent_roundtrip =
-  QCheck.Test.make ~name:"Manager->Agent messages roundtrip" ~count:300
-    (QCheck.make to_agent_gen) (fun m ->
-      Protocol.to_agent_of_value (roundtrip (Protocol.to_agent_to_value m)) = m)
-
-(* backward compatibility: frames from encoders that predate the trace
-   context (or were written with tracing off) carry no "ctx" entry at all;
-   they must decode to the same message with [ctx = None], not fail *)
-let strip_ctx v =
-  match v with
-  | Value.Tag (tag, Value.Assoc fields) ->
-    Value.Tag (tag, Value.Assoc (List.filter (fun (k, _) -> k <> "ctx") fields))
-  | v -> v
-
-let drop_ctx (m : Protocol.to_agent) =
-  match m with
-  | Protocol.A_checkpoint r -> Protocol.A_checkpoint { r with ctx = None }
-  | Protocol.A_restart r -> Protocol.A_restart { r with ctx = None }
-  | (Protocol.A_continue _ | Protocol.A_abort _ | Protocol.A_ping _) as m -> m
-  | Protocol.A_batch _ as m -> m  (* generator never nests batches *)
-
-let prop_protocol_agent_no_ctx_decodes =
-  QCheck.Test.make ~name:"frames without trace ctx decode to None" ~count:300
-    (QCheck.make to_agent_gen) (fun m ->
-      Protocol.to_agent_of_value (roundtrip (strip_ctx (Protocol.to_agent_to_value m)))
-      = drop_ctx m)
-
-let prop_protocol_manager_roundtrip =
-  QCheck.Test.make ~name:"Agent->Manager messages roundtrip" ~count:300
-    (QCheck.make to_manager_gen) (fun m ->
-      Protocol.to_manager_of_value (roundtrip (Protocol.to_manager_to_value m)) = m)
-
-(* the tree-coordination bundles: an addressed command batch down an edge
-   and an aggregated report batch (plus the subtree-loss notice) up one *)
-let agent_batch_gen =
-  let open QCheck.Gen in
-  map (fun items -> Protocol.A_batch items)
-    (list_size (int_bound 5) (pair nat to_agent_gen))
-
-let manager_batch_gen =
-  let open QCheck.Gen in
-  oneof
-    [ map (fun items -> Protocol.M_batch items)
-        (list_size (int_bound 5) to_manager_gen);
-      map (fun node -> Protocol.M_subtree_down { node }) nat ]
-
-let prop_agent_batch_roundtrip =
-  QCheck.Test.make ~name:"command batches roundtrip" ~count:300
-    (QCheck.make agent_batch_gen) (fun m ->
-      Protocol.to_agent_of_value (roundtrip (Protocol.to_agent_to_value m)) = m)
-
-let prop_manager_batch_roundtrip =
-  QCheck.Test.make ~name:"report batches + subtree_down roundtrip" ~count:300
-    (QCheck.make manager_batch_gen) (fun m ->
-      Protocol.to_manager_of_value (roundtrip (Protocol.to_manager_to_value m)) = m)
-
-let prop_mig_round_stats_roundtrip =
-  QCheck.Test.make ~name:"migration round stats roundtrip" ~count:300
-    (QCheck.make mig_round_stats_gen) (fun s ->
-      Protocol.mig_round_stats_of_value
-        (roundtrip (Protocol.mig_round_stats_to_value s))
-      = s)
+(* --- pod-image section roundtrips ------------------------------------
+   The pod-image sections the checkpointer stores must survive
+   encode/decode for arbitrary (seeded-random) contents: these are the
+   bytes a restart on a different node has to make sense of. *)
 
 (* a pod image: the three required header fields plus arbitrary extra
    sections; Image serialization must preserve every section verbatim *)
@@ -508,11 +310,7 @@ let () =
             prop_bitflip_safe ] );
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_protocol_agent_roundtrip; prop_protocol_agent_no_ctx_decodes;
-            prop_protocol_manager_roundtrip;
-            prop_agent_batch_roundtrip; prop_manager_batch_roundtrip;
-            prop_mig_round_stats_roundtrip; prop_image_sections_roundtrip;
-            prop_image_checksum_detects_bitflips ] );
+          [ prop_image_sections_roundtrip; prop_image_checksum_detects_bitflips ] );
       ( "kv wire",
         List.map QCheck_alcotest.to_alcotest
           [ prop_kv_msg_roundtrip; prop_kv_frame_split; prop_kv_owner_stable ] ) ]

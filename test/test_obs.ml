@@ -103,7 +103,7 @@ let test_storage_mem_metric_neutral () =
   let module Value = Zapc_codec.Value in
   let engine = Engine.create ~seed:3 () in
   let m = Metrics.create () in
-  let storage = Storage.create ~trace:(Zapc.Trace.create ()) ~metrics:m ~replicas:2 engine in
+  let storage = Storage.create ~trace:(Zapc.Trace.create ()) ~metrics:m engine in
   let img =
     Zapc_ckpt.Image.of_pod_image
       (Value.assoc

@@ -1948,6 +1948,28 @@ let test_storage_metric_catalogue () =
          List.map (fun compress -> exercise_storage ~backend ~compress) [ false; true ])
        [ Params.Sb_plain; Params.Sb_dedup; Params.Sb_buddy ])
 
+(* Every ckpt.* and netckpt.* instrument that one full and one delta
+   checkpoint register is in doc/OBSERVABILITY.md, and vice versa. *)
+let test_ckpt_metric_catalogue () =
+  let cluster = make_cluster () in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 30) ()
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let full = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"cat-full" in
+  check tbool "full checkpoint ok" true full.Manager.r_ok;
+  Cluster.run cluster ~until:(Simtime.ms 10) ();
+  let delta =
+    Cluster.snapshot ~incremental:true cluster ~pods:app.Launch.pods
+      ~key_prefix:"cat-delta"
+  in
+  check tbool "delta checkpoint ok" true delta.Manager.r_ok;
+  List.iter
+    (fun (_, st) -> check tbool "delta write" true (st.Protocol.st_full_bytes > 0))
+    delta.Manager.r_stats;
+  check_catalogue ~prefixes:[ "ckpt."; "netckpt." ] [ Cluster.metrics cluster ]
+
 (* Regression: Periodic and the Supervisor observe a migrated pod's new
    home atomically at the handoff.  An epoch that fires mid-migration is
    skipped (manager busy), the first epoch after the handoff checkpoints
@@ -2382,6 +2404,8 @@ let () =
             test_restart_rebinds_every_namespace;
           Alcotest.test_case "storage metric catalogue" `Quick
             test_storage_metric_catalogue;
+          Alcotest.test_case "checkpoint metric catalogue" `Quick
+            test_ckpt_metric_catalogue;
           Alcotest.test_case "supervisor: default trace" `Quick
             test_supervisor_default_trace;
           Alcotest.test_case "supervisor metric catalogue" `Quick
