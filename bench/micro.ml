@@ -274,17 +274,23 @@ let tests =
 (* --- event-queue throughput (events/s), heap vs calendar -------------
 
    Steady-state churn, not build-then-drain: a standing population of
-   events where every pop re-pushes one at a mixed horizon past the popped
-   key — the shape of a big cluster's event queue (per-connection TCP
-   timers plus heartbeats plus phase timeouts).  The population depth is
-   what separates the two queues: the binary heap ([Pheap]) pays a sift
-   per operation, the calendar queue ([Calq], the engine's queue) appends
-   in O(1) and sorts each fine bucket once.  Deterministic event count,
-   wall-clock rate — these numbers are host facts and must stay under
-   "host" keys in any gated artifact. *)
+   events where every pop re-pushes one at a horizon past the popped key.
+   Two shapes.  Dense: a deep population at mixed horizons — the shape of
+   a big cluster's event queue (per-connection TCP timers plus heartbeats
+   plus phase timeouts).  The depth is what separates the two queues: the
+   binary heap ([Pheap]) pays a sift per operation, the calendar queue
+   ([Calq], the engine's queue) appends in O(1) and sorts each fine
+   bucket once.  Sparse: a handful of timers rescheduling themselves
+   0.8us-5ms out, the shape of the paper's section-6 runs, where a heap of
+   sixteen is cheap and the calendar must cross hundreds of empty fine
+   buckets per pop without stepping through them.  Deterministic event
+   counts, wall-clock rates — these numbers are host facts and must stay
+   under "host" keys in any gated artifact. *)
 
-let churn_events = 1_000_000
-let churn_standing = 300_000
+type churn = { events : int; standing : int; delays : int array Lazy.t }
+
+let churn ~events ~standing delay =
+  { events; standing; delays = lazy (Array.init events delay) }
 
 (* mixed horizons: mostly sub-60us, a band of sub-60ms, a tail out to
    ~20 virtual seconds (coarse ring + overflow territory) *)
@@ -295,36 +301,42 @@ let churn_delay i =
   | 6 -> Simtime.ms (i mod 500)
   | _ -> Simtime.sec (float_of_int (i mod 20))
 
-let churn_delays = lazy (Array.init churn_events churn_delay)
+let dense = churn ~events:1_000_000 ~standing:300_000 churn_delay
 
-let churn_events_per_sec ~push ~pop =
-  let delays = Lazy.force churn_delays in
+(* 0.8us-5ms, scattered by a multiplicative hash so consecutive delays
+   are unrelated *)
+let sparse_delay i = Simtime.ns (800 + (i * 2_654_435_761 mod 4_999_200))
+
+let sparse = churn ~events:2_000_000 ~standing:16 sparse_delay
+
+let churn_events_per_sec c ~push ~pop =
+  let delays = Lazy.force c.delays in
   (* whatever ran before this (the scale sweep allocates a thousand
      simulated nodes) must not bleed into the rate via GC state *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  for j = 0 to churn_standing - 1 do
+  for j = 0 to c.standing - 1 do
     push (Array.unsafe_get delays j)
   done;
   let i = ref 0 in
-  for _ = 1 to churn_events do
+  for _ = 1 to c.events do
     match pop () with
     | Some (now, ()) ->
-      i := if !i = churn_events - 1 then 0 else !i + 1;
+      i := if !i = c.events - 1 then 0 else !i + 1;
       push (Simtime.add now (Array.unsafe_get delays !i))
     | None -> ()
   done;
-  float_of_int churn_events /. (Unix.gettimeofday () -. t0)
+  float_of_int c.events /. (Unix.gettimeofday () -. t0)
 
-let heap_events_per_sec () =
+let heap_events_per_sec c =
   let q = Pheap.create () in
-  churn_events_per_sec
+  churn_events_per_sec c
     ~push:(fun key -> Pheap.push q ~key ())
     ~pop:(fun () -> Pheap.pop q)
 
-let calendar_events_per_sec () =
+let calendar_events_per_sec c =
   let q = Calq.create ~dummy:() () in
-  churn_events_per_sec
+  churn_events_per_sec c
     ~push:(fun key -> Calq.push q ~key ())
     ~pop:(fun () -> Calq.pop q)
 
@@ -338,17 +350,17 @@ let median l =
    five alternating heap/calendar pairs and each pair yields one ratio.
    Returns the median heap and calendar rates and the per-pair ratios —
    the scale experiment embeds these in BENCH_scale.json and enforces its
-   floor on the median ratio. *)
-let engine_throughput () =
+   floors on the median ratio. *)
+let engine_throughput c =
   let runs =
     List.init 5 (fun _ ->
-        let h = heap_events_per_sec () in
-        let c = calendar_events_per_sec () in
-        (h, c))
+        let h = heap_events_per_sec c in
+        let cal = calendar_events_per_sec c in
+        (h, cal))
   in
   ( median (List.map fst runs),
     median (List.map snd runs),
-    List.map (fun (h, c) -> c /. h) runs )
+    List.map (fun (h, cal) -> cal /. h) runs )
 
 let run () =
   Driver.section "MICRO  Wall-clock microbenchmarks of core operations (Bechamel)";

@@ -12,9 +12,20 @@
    plain [Pheap] and migrate into level 2 as its horizon slides.
    Latecomers — events scheduled at or before the current bucket, e.g.
    zero-delay follow-ups — go through a small binary heap whose size
-   tracks live same-bucket stragglers, not total pending events.  When
-   both rings are empty the calendar jumps straight to the next occupied
-   coarse bucket instead of scanning empty slots.
+   tracks live same-bucket stragglers, not total pending events.
+
+   An occupancy bitmap over the level-1 ring (one bit per slot, 32 slots
+   per word, plus one summary bit per bitmap word) lets a refill jump to
+   the next occupied slot instead of stepping through empty ones: a bit is
+   set when its slot turns non-empty and cleared when the slot is stolen
+   as the run, so a refill costs O(occupied words), not O(empty slots).
+   The search starts just past the current bucket and stops at the end of
+   the current coarse bucket (which spans exactly the ring, so it never
+   wraps); finding nothing there, the refill spills the next coarse
+   bucket and searches again from slot 0.  When both rings are empty the
+   calendar jumps straight to the next occupied coarse bucket.  The
+   bitmap decides only how fast a refill finds its bucket, never which
+   entry pops next.
 
    Every slot provably holds entries of a single (virtual) bucket index,
    so a ring entry only needs its key offset within the bucket plus its
@@ -26,8 +37,7 @@
    barriers).
 
    The observable order is (key, seq) with one global sequence counter —
-   exactly [Pheap]'s order — so swapping queue backends cannot reorder a
-   seeded simulation: equal-key events still fire in scheduling order.
+   exactly [Pheap]'s order, so equal-key events fire in scheduling order.
    Keys must be non-negative; keys behind the current bucket still pop
    correctly (they land in the latecomer heap) but forfeit the O(1)
    path. *)
@@ -55,6 +65,8 @@ type 'a t = {
   r1p : int array array;
   r1v : 'a array array;
   r1n : int array;
+  occ : int array;       (* bit (s land 31) of word (s lsr 5): slot s non-empty *)
+  occ_sum : int array;   (* bit (w land 31) of word (w lsr 5): occ.(w) <> 0 *)
   mutable count1 : int;
   mutable cur_vb : int;  (* virtual L1 bucket index the clock is in *)
   (* level-2 ring *)
@@ -90,6 +102,7 @@ let create ?(shift = default_shift) ?(b1 = default_b1)
   if buckets2 <= 0 || buckets2 land (buckets2 - 1) <> 0 then
     invalid_arg "Calq.create: buckets2 must be a power of two";
   let n1 = 1 lsl b1 in
+  let words = (n1 + 31) lsr 5 in
   let sb1 = 62 - shift and sb2 = 62 - shift - b1 in
   {
     dummy;
@@ -112,6 +125,8 @@ let create ?(shift = default_shift) ?(b1 = default_b1)
     r1p = Array.make n1 [||];
     r1v = Array.make n1 [||];
     r1n = Array.make n1 0;
+    occ = Array.make words 0;
+    occ_sum = Array.make ((words + 31) lsr 5) 0;
     count1 = 0;
     cur_vb = 0;
     r2p = Array.make buckets2 [||];
@@ -233,9 +248,67 @@ let slot_add dummy rp rv rn s packed v =
   end;
   Array.unsafe_set rn s (n + 1)
 
+(* ---- level-1 occupancy bitmap ---- *)
+
+(* Count trailing zeros of a non-zero 32-bit word: isolate the lowest set
+   bit and hash it through a de Bruijn sequence. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 x =
+  Array.unsafe_get debruijn32
+    ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+let occ_set h s =
+  let w = s lsr 5 in
+  let o = Array.unsafe_get h.occ w in
+  if o = 0 then begin
+    let sw = w lsr 5 in
+    Array.unsafe_set h.occ_sum sw
+      (Array.unsafe_get h.occ_sum sw lor (1 lsl (w land 31)))
+  end;
+  Array.unsafe_set h.occ w (o lor (1 lsl (s land 31)))
+
+let occ_clear h s =
+  let w = s lsr 5 in
+  let o = Array.unsafe_get h.occ w land lnot (1 lsl (s land 31)) in
+  Array.unsafe_set h.occ w o;
+  if o = 0 then begin
+    let sw = w lsr 5 in
+    Array.unsafe_set h.occ_sum sw
+      (Array.unsafe_get h.occ_sum sw land lnot (1 lsl (w land 31)))
+  end
+
+(* First occupied level-1 slot at or after [s], or -1 if none. *)
+let find_next h s =
+  let w = s lsr 5 in
+  let o = Array.unsafe_get h.occ w land (-1 lsl (s land 31)) in
+  if o <> 0 then (w lsl 5) lor ctz32 o
+  else begin
+    let w = w + 1 in
+    let nsum = Array.length h.occ_sum in
+    let sw = ref (w lsr 5) in
+    let m =
+      ref (if !sw < nsum then Array.unsafe_get h.occ_sum !sw land (-1 lsl (w land 31))
+           else 0)
+    in
+    while !m = 0 && !sw + 1 < nsum do
+      incr sw;
+      m := Array.unsafe_get h.occ_sum !sw
+    done;
+    if !m = 0 then -1
+    else begin
+      let w = (!sw lsl 5) lor ctz32 !m in
+      (w lsl 5) lor ctz32 (Array.unsafe_get h.occ w)
+    end
+  end
+
 let add1 h key seq v =
   let packed = ((key land h.wmask1) lsl h.sb1) lor seq in
-  slot_add h.dummy h.r1p h.r1v h.r1n ((key asr h.shift) land h.mask1) packed v;
+  let s = (key asr h.shift) land h.mask1 in
+  if Array.unsafe_get h.r1n s = 0 then occ_set h s;
+  slot_add h.dummy h.r1p h.r1v h.r1n s packed v;
   h.count1 <- h.count1 + 1
 
 let add2 h key seq v =
@@ -363,39 +436,47 @@ let advance h =
   let found = ref false in
   while not !found do
     if h.count1 > 0 then begin
-      (* walk to the next occupied L1 slot; crossing into a new coarse
-         bucket first spills it (and slides the overflow horizon), so
-         spilled entries are always ahead of the walk *)
-      let continue = ref true in
-      while !continue do
-        let nxt = h.cur_vb + 1 in
-        if nxt land h.mask1 = 0 then begin
-          let vb2 = nxt asr h.b1 in
-          migrate_far h vb2;
-          spill2 h vb2
-        end;
-        h.cur_vb <- nxt;
-        let s = nxt land h.mask1 in
+      (* jump to the next occupied L1 slot of the current coarse bucket;
+         crossing into a new coarse bucket first spills it (and slides the
+         overflow horizon), so spilled entries are always ahead of the
+         search *)
+      let nxt = h.cur_vb + 1 in
+      let first = nxt land h.mask1 in
+      if first = 0 then begin
+        let vb2 = nxt asr h.b1 in
+        migrate_far h vb2;
+        spill2 h vb2
+      end;
+      let s = find_next h first in
+      if s < 0 then begin
+        (* the rest of this coarse bucket is empty: the occupied slots
+           belong to the next one (a fresh spill covers the whole ring,
+           so it cannot come up empty) *)
+        assert (first > 0);
+        h.cur_vb <- nxt lor h.mask1
+      end
+      else begin
+        (* steal the slot's arrays as the new run; the previous run's
+           arrays (fully consumed, values dummied) go back to the slot *)
         let n = h.r1n.(s) in
-        if n > 0 then begin
-          (* steal the slot's arrays as the new run; the previous run's
-             arrays (fully consumed, values dummied) go back to the slot *)
-          let p = h.r1p.(s) and v = h.r1v.(s) in
-          h.r1p.(s) <- h.rp;
-          h.r1v.(s) <- h.rv;
-          h.r1n.(s) <- 0;
-          h.count1 <- h.count1 - n;
-          if Array.length h.ridx < Array.length p then
-            h.ridx <- Array.make (Array.length p) 0;
-          sort_bucket h p h.ridx n;
-          h.rp <- p;
-          h.rv <- v;
-          h.rbase <- nxt lsl h.shift;
-          h.rlen <- n;
-          continue := false;
-          found := true
-        end
-      done
+        assert (n > 0);  (* a set bit always names a non-empty slot *)
+        let p = h.r1p.(s) and v = h.r1v.(s) in
+        h.r1p.(s) <- h.rp;
+        h.r1v.(s) <- h.rv;
+        h.r1n.(s) <- 0;
+        occ_clear h s;
+        h.count1 <- h.count1 - n;
+        if Array.length h.ridx < Array.length p then
+          h.ridx <- Array.make (Array.length p) 0;
+        sort_bucket h p h.ridx n;
+        let vb = nxt - first + s in
+        h.cur_vb <- vb;
+        h.rp <- p;
+        h.rv <- v;
+        h.rbase <- vb lsl h.shift;
+        h.rlen <- n;
+        found := true
+      end
     end
     else if h.count2 > 0 then begin
       (* L1 empty: walk L2 to its next occupied slot and spill it *)
@@ -475,76 +556,3 @@ let pop_if_le h ~limit =
     in
     if k > limit then None else Some (take h head)
   end
-
-let peek_key h =
-  if h.size = 0 then None
-  else begin
-    let head = ready_head h in
-    Some (if head = 0 then h.rbase lor (h.rp.(h.rpos) asr h.sb1) else h.nk.(0))
-  end
-
-let iter h f =
-  for i = h.rpos to h.rlen - 1 do
-    f (h.rbase lor (h.rp.(i) asr h.sb1)) h.rv.(h.ridx.(i))
-  done;
-  for i = 0 to h.nsize - 1 do
-    f h.nk.(i) h.nv.(i)
-  done;
-  (* ring entries: recover each absolute key from its slot's virtual
-     bucket, which is unique per slot (single-occupancy invariant) but not
-     directly recorded — scan relative to the current bucket *)
-  for d = 1 to h.mask1 + 1 do
-    let vb = h.cur_vb + d in
-    let s = vb land h.mask1 in
-    if h.r1n.(s) > 0 then begin
-      let p = h.r1p.(s) and v = h.r1v.(s) in
-      (* entries in a slot share their virtual bucket only if it matches
-         the offset check; recompute the base from the packed offset *)
-      let base = vb lsl h.shift in
-      for j = 0 to h.r1n.(s) - 1 do
-        f (base lor (p.(j) asr h.sb1)) v.(j)
-      done
-    end
-  done;
-  let cur2 = h.cur_vb asr h.b1 in
-  for d = 1 to h.mask2 + 1 do
-    let vb2 = cur2 + d in
-    let s = vb2 land h.mask2 in
-    if h.r2n.(s) > 0 then begin
-      let p = h.r2p.(s) and v = h.r2v.(s) in
-      let base = vb2 lsl h.shift2 in
-      for j = 0 to h.r2n.(s) - 1 do
-        f (base lor (p.(j) asr h.sb2)) v.(j)
-      done
-    end
-  done;
-  Pheap.iter h.far (fun k (_, v) -> f k v)
-
-let clear h =
-  h.nk <- [||];
-  h.ns <- [||];
-  h.nv <- [||];
-  h.nsize <- 0;
-  for s = 0 to h.mask1 do
-    h.r1p.(s) <- [||];
-    h.r1v.(s) <- [||];
-    h.r1n.(s) <- 0
-  done;
-  for s = 0 to h.mask2 do
-    h.r2p.(s) <- [||];
-    h.r2v.(s) <- [||];
-    h.r2n.(s) <- 0
-  done;
-  h.count1 <- 0;
-  h.count2 <- 0;
-  h.rp <- [||];
-  h.ridx <- [||];
-  h.rv <- [||];
-  h.rbase <- 0;
-  h.rpos <- 0;
-  h.rlen <- 0;
-  h.scp <- [||];
-  h.sci <- [||];
-  Pheap.clear h.far;
-  h.size <- 0;
-  h.next_seq <- 0

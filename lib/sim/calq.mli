@@ -7,7 +7,10 @@
     among equal keys under one global sequence counter — but scheduling
     within the horizons is an O(1) unsorted append, each bucket is sorted
     once when the clock enters it, and pops consume the sorted run by
-    bumping an index.  Keys must be non-negative. *)
+    bumping an index.  An occupancy bitmap over the fine ring (a bit per
+    slot, a summary bit per 32-slot word) takes a refill straight to the
+    next occupied bucket, so crossing a quiet stretch costs O(occupied
+    words), not one step per empty bucket.  Keys must be non-negative. *)
 
 type 'a t
 
@@ -32,11 +35,3 @@ val pop : 'a t -> (int * 'a) option
 
 val pop_if_le : 'a t -> limit:int -> (int * 'a) option
 (** [pop] only if the minimum key is [<= limit]. *)
-
-val peek_key : 'a t -> int option
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-(** Visit every [(key, value)] in unspecified order. *)
-
-val clear : 'a t -> unit
-(** Empty the queue and release bucket and heap storage. *)

@@ -85,15 +85,3 @@ let pop_if_le h ~limit =
   end
 
 let peek_key h = if h.size = 0 then None else Some h.arr.(0).key
-
-let iter h f =
-  for i = 0 to h.size - 1 do
-    let e = h.arr.(i) in
-    f e.key e.value
-  done
-
-let clear h =
-  (* drop the backing array so a cleared heap releases its entries *)
-  h.arr <- [||];
-  h.size <- 0;
-  h.next_seq <- 0

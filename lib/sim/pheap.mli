@@ -18,9 +18,3 @@ val pop_if_le : 'a t -> limit:int -> (int * 'a) option
     instead of the [peek_key]-then-[pop] double traversal. *)
 
 val peek_key : 'a t -> int option
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-(** Visit every [(key, value)] in unspecified (heap) order. *)
-
-val clear : 'a t -> unit
-(** Empty the heap and release the backing array. *)

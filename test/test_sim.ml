@@ -72,6 +72,52 @@ let model_take_min model =
     in
     go [] model
 
+(* One step of a queue script; offsets count from the largest key popped
+   so far, so pushes never land before the clock. *)
+type calq_op = Push of int | Pop | Pop_le of int
+
+let calq_agrees_with_model q ops =
+  let model = ref [] in
+  let seq = ref 0 in
+  let clock = ref 0 in
+  let ok = ref true in
+  let popped k v = function
+    | Some ((k', v'), rest) ->
+      if k <> k' || v <> v' then ok := false;
+      model := rest;
+      clock := max !clock k
+    | None -> ok := false
+  in
+  List.iter
+    (function
+      | Push d ->
+        let v = !seq in
+        incr seq;
+        Calq.push q ~key:(!clock + d) v;
+        model := !model @ [ (!clock + d, v) ]
+      | Pop ->
+        (match Calq.pop q with
+         | Some (k, v) -> popped k v (model_take_min !model)
+         | None -> if !model <> [] then ok := false)
+      | Pop_le d ->
+        let limit = !clock + d in
+        (match (Calq.pop_if_le q ~limit, model_take_min !model) with
+         | Some (k, v), (Some ((k', _), _) as m) when k' <= limit -> popped k v m
+         | None, Some ((k', _), _) when k' > limit -> ()
+         | None, None -> ()
+         | _ -> ok := false))
+    ops;
+  (* drain: the remainder must come out in model order too *)
+  let rec drain () =
+    match Calq.pop q with
+    | Some (k, v) ->
+      popped k v (model_take_min !model);
+      drain ()
+    | None -> if !model <> [] then ok := false
+  in
+  drain ();
+  !ok && Calq.is_empty q
+
 (* Tiny geometry (fine width 16, fine horizon 256, coarse horizon 2048) so
    a short random op sequence crosses every layer: fine ring, coarse ring,
    the latecomer heap, and the overflow pheap. *)
@@ -80,52 +126,36 @@ let prop_calq_vs_model =
     QCheck.(list (pair (int_bound 3) (int_bound 5_000)))
     (fun ops ->
       let q = Calq.create ~shift:4 ~b1:4 ~buckets2:8 ~dummy:(-1) () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let clock = ref 0 in  (* pushes never land before the last pop *)
-      let ok = ref true in
-      let push k =
-        let v = !seq in
-        incr seq;
-        Calq.push q ~key:k v;
-        model := !model @ [ (k, v) ]
-      in
-      List.iter
-        (fun (kind, n) ->
-          match kind with
-          | 0 -> push (!clock + (n mod 300))  (* fine/coarse horizons *)
-          | 1 -> push (!clock + n)  (* up to overflow *)
-          | 2 ->
-            (match (Calq.pop q, model_take_min !model) with
-             | Some (k, v), Some ((k', v'), rest) ->
-               if k <> k' || v <> v' then ok := false;
-               model := rest;
-               clock := max !clock k
-             | None, None -> ()
-             | _ -> ok := false)
-          | _ ->
-            let limit = !clock + (n mod 500) in
-            (match (Calq.pop_if_le q ~limit, model_take_min !model) with
-             | Some (k, v), Some ((k', v'), rest) when k' <= limit ->
-               if k <> k' || v <> v' then ok := false;
-               model := rest;
-               clock := max !clock k
-             | None, Some ((k', _), _) when k' > limit -> ()
-             | None, None -> ()
-             | _ -> ok := false))
-        ops;
-      (* drain: the remainder must come out in model order too *)
-      let rec drain () =
-        match (Calq.pop q, model_take_min !model) with
-        | Some (k, v), Some ((k', v'), rest) ->
-          if k <> k' || v <> v' then ok := false;
-          model := rest;
-          drain ()
-        | None, None -> ()
-        | _ -> ok := false
-      in
-      drain ();
-      !ok && Calq.is_empty q)
+      calq_agrees_with_model q
+        (List.map
+           (fun (kind, n) ->
+             match kind with
+             | 0 -> Push (n mod 300)  (* fine/coarse horizons *)
+             | 1 -> Push n  (* up to overflow *)
+             | 2 -> Pop
+             | _ -> Pop_le (n mod 500))
+           ops))
+
+(* A 2048-slot fine ring (fine width 2, fine horizon 4096, coarse horizon
+   32768): its occupancy bitmap is 64 words under a two-word summary, so
+   a refill's search skips whole words and crosses summary words.  Few
+   standing entries and wide gaps, the shape of a quiet simulation. *)
+let prop_calq_sparse_vs_model =
+  QCheck.Test.make ~name:"sparse calendar queue matches sorted-list model"
+    ~count:300
+    QCheck.(list (pair (int_bound 5) (int_bound 70_000)))
+    (fun ops ->
+      let q = Calq.create ~shift:1 ~b1:11 ~buckets2:8 ~dummy:(-1) () in
+      calq_agrees_with_model q
+        (List.map
+           (fun (kind, n) ->
+             match kind with
+             | 0 -> Push (n mod 8)  (* ties and latecomers *)
+             | 1 -> Push (n mod 4_096)  (* anywhere in the fine ring *)
+             | 2 -> Push n  (* coarse ring and overflow *)
+             | 3 | 4 -> Pop
+             | _ -> Pop_le (n mod 8_192))
+           ops))
 
 (* Keys sitting exactly on fine-bucket, fine-horizon and coarse-horizon
    boundaries, with FIFO ties straddling the layers. *)
@@ -148,17 +178,41 @@ let test_calq_bucket_boundaries () =
   Alcotest.(check (list (pair int int))) "boundary order + fifo ties" expected out;
   check tbool "empty" true (Calq.is_empty q)
 
-let test_calq_clear_iter () =
-  let q = Calq.create ~shift:2 ~b1:2 ~buckets2:4 ~dummy:(-1) () in
-  List.iteri (fun i k -> Calq.push q ~key:k i) [ 1; 40; 9_999 ];
-  let seen = ref [] in
-  Calq.iter q (fun k v -> seen := (k, v) :: !seen);
-  check tint "iter visits all" 3 (List.length !seen);
-  Calq.clear q;
-  check tbool "cleared" true (Calq.is_empty q);
-  check tint "cleared length" 0 (Calq.length q);
-  Calq.push q ~key:5 7;
-  check tint "usable after clear" 1 (Calq.length q)
+(* Early slots of a coarse bucket are reused once the fine ring wraps:
+   after the clock has consumed slots 1 and 3 of coarse bucket 0 and
+   nothing is left in the rest of it, the next refill spills coarse bucket
+   1 and must find its entries in slots 2 and 5 and beyond, in (key, seq)
+   order, with a tie whose halves came through the coarse ring and
+   straight into the fine ring. *)
+let test_calq_wrap_to_next_coarse () =
+  let q = Calq.create ~shift:1 ~b1:11 ~buckets2:8 ~dummy:(-1) () in
+  (* fine width 2, fine horizon 4096 = one coarse bucket *)
+  let drain () =
+    let rec go acc =
+      match Calq.pop q with Some kv -> go (kv :: acc) | None -> List.rev acc
+    in
+    go []
+  in
+  List.iter (fun (k, v) -> Calq.push q ~key:k v) [ (0, 0); (2, 1); (6, 2) ];
+  Alcotest.(check (list (pair int int)))
+    "first coarse bucket" [ (0, 0); (2, 1); (6, 2) ] (drain ());
+  (* clock in slot 3: 4100 and 4106 wrap the fine ring into slots 2 and 5,
+     6096 is beyond the fine horizon and waits in the coarse ring *)
+  List.iter
+    (fun (k, v) -> Calq.push q ~key:k v)
+    [ (6096, 3); (4106, 4); (4000, 5); (4100, 6) ];
+  (match Calq.pop q with
+   | Some kv -> Alcotest.(check (pair int int)) "last of bucket 0" (4000, 5) kv
+   | None -> Alcotest.fail "queue empty before 4000");
+  (* clock in slot 2000: a second 6096 now fits the fine ring and must
+     still follow the one spilled from the coarse ring *)
+  Calq.push q ~key:6096 7;
+  Calq.push q ~key:4100 8;
+  Alcotest.(check (list (pair int int)))
+    "after the spill"
+    [ (4100, 6); (4100, 8); (4106, 4); (6096, 3); (6096, 7) ]
+    (drain ());
+  check tbool "empty" true (Calq.is_empty q)
 
 (* --- engine --- *)
 
@@ -325,9 +379,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorted ] );
       ( "calq",
         [ QCheck_alcotest.to_alcotest prop_calq_vs_model;
+          QCheck_alcotest.to_alcotest prop_calq_sparse_vs_model;
           Alcotest.test_case "bucket boundaries + fifo ties" `Quick
             test_calq_bucket_boundaries;
-          Alcotest.test_case "clear + iter" `Quick test_calq_clear_iter ] );
+          Alcotest.test_case "wrap into the next coarse bucket" `Quick
+            test_calq_wrap_to_next_coarse ] );
       ( "engine",
         [ Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "until" `Quick test_engine_until;

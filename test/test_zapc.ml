@@ -1970,6 +1970,35 @@ let test_ckpt_metric_catalogue () =
     delta.Manager.r_stats;
   check_catalogue ~prefixes:[ "ckpt."; "netckpt." ] [ Cluster.metrics cluster ]
 
+(* Every net.* instrument is in doc/OBSERVABILITY.md, and vice versa: the
+   per-cluster fabric, netfilter and TCP gauges plus the counters a
+   restore registers.  A fat fabric latency holds the connect storm's
+   half-open children on the kv listeners' SYN queues at the suspend, so
+   the restore rebuilds them, and re-announces each restored vip. *)
+let test_net_metric_catalogue () =
+  let module Serve = Zapc_apps.Serve in
+  let cfg = { Serve.default_cfg with n_conns = 64; reqs_per_conn = 1 } in
+  let t = Serve.setup ~nodes:4 ~seed:16 ~cfg () in
+  let cluster = t.Serve.cluster in
+  Zapc_simnet.Fabric.set_latency (Cluster.fabric cluster) (Simtime.ms 10);
+  Cluster.run cluster ~until:(Simtime.ms 20) ();
+  let r =
+    Cluster.checkpoint_sync cluster ~items:(Serve.ckpt_items t ~prefix:"netcat")
+      ~resume:false
+  in
+  check tbool "suspend checkpoint ok" true r.Manager.r_ok;
+  let r =
+    Cluster.restart_app cluster
+      ~pod_ids:(List.map (fun (p : Pod.t) -> p.pod_id) t.Serve.servers)
+      ~target_nodes:[ 2; 3 ] ~key_prefix:"netcat"
+  in
+  check tbool "restart ok" true r.Manager.r_ok;
+  let m = Cluster.metrics cluster in
+  let counter = Zapc_obs.Metrics.counter m in
+  check tbool "a SYN-queued child restored" true (counter "net.synq_restored" > 0);
+  check tbool "a vip re-announced" true (counter "net.vip_rebound" > 0);
+  check_catalogue ~prefixes:[ "net." ] [ m ]
+
 (* Regression: Periodic and the Supervisor observe a migrated pod's new
    home atomically at the handoff.  An epoch that fires mid-migration is
    skipped (manager busy), the first epoch after the handoff checkpoints
@@ -2406,6 +2435,8 @@ let () =
             test_storage_metric_catalogue;
           Alcotest.test_case "checkpoint metric catalogue" `Quick
             test_ckpt_metric_catalogue;
+          Alcotest.test_case "net metric catalogue" `Quick
+            test_net_metric_catalogue;
           Alcotest.test_case "supervisor: default trace" `Quick
             test_supervisor_default_trace;
           Alcotest.test_case "supervisor metric catalogue" `Quick
