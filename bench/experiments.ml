@@ -445,7 +445,7 @@ let st_case ?traced (label, sbackend, scompress) =
         (fun (p : Pod.t) ->
           let key = Printf.sprintf "%s.pod%d" prefix p.Pod.pod_id in
           match Zapc.Storage.get storage key with
-          | Some img -> (key, Zapc_ckpt.Image.checksum img)
+          | Some v -> (key, Zapc_ckpt.Image.(checksum (of_pod_image v)))
           | None ->
             failwith
               (Printf.sprintf "storage: %s lost %s right after writing it"
@@ -517,7 +517,7 @@ let st_kv_case (label, sbackend, scompress) =
       (fun (p : Pod.t) ->
         let key = Printf.sprintf "kv.pod%d" p.Pod.pod_id in
         match Zapc.Storage.get storage key with
-        | Some img -> (key, Zapc_ckpt.Image.checksum img)
+        | Some v -> (key, Zapc_ckpt.Image.(checksum (of_pod_image v)))
         | None -> failwith ("storage/kv: " ^ label ^ " lost " ^ key))
       t.Serve.servers
   in

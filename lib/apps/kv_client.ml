@@ -64,7 +64,8 @@ type state = {
   mutable rng : int;
   mutable now : int;
   mutable started : bool;
-  mutable todo : work list;
+  mutable todo : work list;  (* runnable work, oldest first... *)
+  mutable todo_rev : work list;  (* ...then these, newest first *)
   mutable last : work option;
   mutable polling : bool;
   mutable clk_pending : bool;
@@ -135,6 +136,7 @@ let start args =
     now = 0;
     started = false;
     todo = [];
+    todo_rev = [];
     last = None;
     polling = false;
     clk_pending = true;
@@ -150,7 +152,22 @@ let start args =
     eofs = 0;
   }
 
-let push s w = s.todo <- s.todo @ [ w ]
+(* A FIFO of two lists: [push] conses onto the reversed tail, and the head
+   takes the tail over, reversed once, when it runs dry. *)
+let push s w = s.todo_rev <- w :: s.todo_rev
+
+let pop s =
+  match s.todo with
+  | w :: rest ->
+    s.todo <- rest;
+    Some w
+  | [] ->
+    (match List.rev s.todo_rev with
+     | [] -> None
+     | w :: rest ->
+       s.todo <- rest;
+       s.todo_rev <- [];
+       Some w)
 
 let rand s bound =
   s.rng <- ((s.rng * 25214903917) + 11) land 0xFFFFFFFFFFFF;
@@ -358,15 +375,14 @@ let poll_timeout s =
   if !next = max_int then None else Some (Stdlib.max 1 (!next - s.now))
 
 let rec next_action s =
-  match s.todo with
-  | w :: rest ->
-    s.todo <- rest;
+  match pop s with
+  | Some w ->
     (match syscall_of s w with
      | Some sc ->
        s.last <- Some w;
        Program.Sys sc
      | None -> next_action s)
-  | [] ->
+  | None ->
     if s.clk_pending then begin
       s.last <- None;
       Program.Sys Syscall.Clock_gettime
@@ -491,7 +507,7 @@ let to_value s =
       ("rng", Value.int s.rng);
       ("now", Value.int s.now);
       ("started", Value.bool s.started);
-      ("todo", Value.list work_to_value s.todo);
+      ("todo", Value.list work_to_value (s.todo @ List.rev s.todo_rev));
       ("last", Value.option work_to_value s.last);
       ("polling", Value.bool s.polling);
       ("clk_pending", Value.bool s.clk_pending);
@@ -529,6 +545,7 @@ let of_value v =
     now = Value.to_int (Value.field "now" v);
     started = Value.to_bool (Value.field "started" v);
     todo = Value.to_list work_of_value (Value.field "todo" v);
+    todo_rev = [];
     last = Value.to_option work_of_value (Value.field "last" v);
     polling = Value.to_bool (Value.field "polling" v);
     clk_pending = Value.to_bool (Value.field "clk_pending" v);

@@ -55,7 +55,8 @@ type state = {
   mutable log_seq : int;
   mutable lfd : int;
   mutable ph : int;  (* 0 socket, 1 setnb, 2 bind, 3 listen, 4 loop *)
-  mutable todo : work list;
+  mutable todo : work list;  (* runnable work, oldest first... *)
+  mutable todo_rev : work list;  (* ...then these, newest first *)
   mutable last : work option;  (* work whose syscall outcome we will receive *)
   mutable polling : bool;
   (* replication-link client state *)
@@ -95,6 +96,7 @@ let start args =
     lfd = -1;
     ph = 0;
     todo = [];
+    todo_rev = [];
     last = None;
     polling = false;
     r_fd = -1;
@@ -111,7 +113,22 @@ let start args =
     repl_applied = 0;
   }
 
-let push s w = s.todo <- s.todo @ [ w ]
+(* A FIFO of two lists: [push] conses onto the reversed tail, and the head
+   takes the tail over, reversed once, when it runs dry. *)
+let push s w = s.todo_rev <- w :: s.todo_rev
+
+let pop s =
+  match s.todo with
+  | w :: rest ->
+    s.todo <- rest;
+    Some w
+  | [] ->
+    (match List.rev s.todo_rev with
+     | [] -> None
+     | w :: rest ->
+       s.todo <- rest;
+       s.todo_rev <- [];
+       Some w)
 
 let key_of = function Kv_wire.Set (k, _) | Kv_wire.Get k | Kv_wire.Del k -> k
 
@@ -278,15 +295,14 @@ let syscall_of s (w : work) : Syscall.t option =
 
 (* Pull the next runnable work item; fall back to Poll over everything. *)
 let rec next_action s =
-  match s.todo with
-  | w :: rest ->
-    s.todo <- rest;
+  match pop s with
+  | Some w ->
     (match syscall_of s w with
      | Some sc ->
        s.last <- Some w;
        Program.Sys sc
      | None -> next_action s)
-  | [] ->
+  | None ->
     (* (re)establish the replication link lazily, rate-limited by poll wakes *)
     if s.mirror_addr <> None && s.r_st = 0 && s.r_out <> "" && s.r_cool = 0 then begin
       push s W_rsock;
@@ -452,7 +468,7 @@ let to_value s =
       ("log_seq", Value.int s.log_seq);
       ("lfd", Value.int s.lfd);
       ("ph", Value.int s.ph);
-      ("todo", Value.list work_to_value s.todo);
+      ("todo", Value.list work_to_value (s.todo @ List.rev s.todo_rev));
       ("last", Value.option work_to_value s.last);
       ("polling", Value.bool s.polling);
       ("r_fd", Value.int s.r_fd);
@@ -496,6 +512,7 @@ let of_value v =
     lfd = Value.to_int (Value.field "lfd" v);
     ph = Value.to_int (Value.field "ph" v);
     todo = Value.to_list work_of_value (Value.field "todo" v);
+    todo_rev = [];
     last = Value.to_option work_of_value (Value.field "last" v);
     polling = Value.to_bool (Value.field "polling" v);
     r_fd = Value.to_int (Value.field "r_fd" v);

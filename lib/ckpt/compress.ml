@@ -20,13 +20,22 @@
 
 module Value = Zapc_codec.Value
 
-(* FNV-1a over a string, 62-bit (land max_int keeps it a positive OCaml
-   int); shared by the entropy tags and the content-addressed chunker. *)
-let fnv (s : string) =
-  let prime = 0x100000001b3 in
-  let h = ref 0xcb29ce484222325 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * prime land max_int) s;
+(* FNV-1a, 62-bit ([land max_int] keeps the state a positive OCaml int):
+   one mix step and one string fold, shared by the entropy tags, the
+   content-addressed chunker, the region-chunk addresses and the image
+   checksum. *)
+let fnv_basis = 0xcb29ce484222325
+
+let fnv_mix h byte = (h lxor byte) * 0x100000001b3 land max_int
+
+let fnv_fold h (s : string) =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_mix !h (Char.code (String.unsafe_get s i))
+  done;
   !h
+
+let fnv s = fnv_fold fnv_basis s
 
 (* Deterministic per-region compressibility: the fraction of the region's
    bytes that survive compression, in [0.15, 0.90). *)
@@ -41,7 +50,10 @@ let encoded_ratio (s : string) =
   if n = 0 then 1.0
   else begin
     let counts = Array.make 256 0 in
-    String.iter (fun c -> counts.(Char.code c) <- counts.(Char.code c) + 1) s;
+    for i = 0 to n - 1 do
+      let c = Char.code (String.unsafe_get s i) in
+      Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+    done;
     let total = float_of_int n in
     let bits =
       Array.fold_left

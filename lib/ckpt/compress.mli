@@ -6,8 +6,18 @@
     transformed (restart stays byte-identical); only the storage/flush
     accounting and the virtual-CPU compression cost use this size. *)
 
+val fnv_basis : int
+(** The FNV-1a offset basis every hash below starts from. *)
+
+val fnv_mix : int -> int -> int
+(** [fnv_mix h byte] is one FNV-1a step (xor, multiply by the prime),
+    folded positive (62-bit). *)
+
+val fnv_fold : int -> string -> int
+(** [fnv_fold h s] mixes every byte of [s] into the state [h]. *)
+
 val fnv : string -> int
-(** FNV-1a hash of a string, folded positive (62-bit). *)
+(** FNV-1a hash of a string: [fnv_fold fnv_basis]. *)
 
 val entropy_of_tag : string -> float
 (** Deterministic compressed fraction of a memory region, drawn from the

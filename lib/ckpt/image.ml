@@ -58,20 +58,12 @@ let to_pod_image (t : t) : Value.t = Wire.decode t.encoded
    every read and falls back to a replica on mismatch).  The base_key of a
    delta participates so a damaged chain link cannot go unnoticed. *)
 let checksum (t : t) =
-  let prime = 0x100000001b3 in
-  let h = ref 0xcb29ce484222325 in
-  let mix byte = h := (!h lxor byte) * prime land max_int in
-  String.iter (fun c -> mix (Char.code c)) t.encoded;
-  String.iter (fun c -> mix (Char.code c)) t.name;
-  (match t.base_key with
-   | None -> ()
-   | Some k ->
-     mix 0x01;
-     String.iter (fun c -> mix (Char.code c)) k);
-  mix (t.pod_id land 0xff);
-  mix (t.logical_size land 0xff);
-  mix ((t.logical_size lsr 8) land 0xff);
-  !h
+  let mix = Compress.fnv_mix and fold = Compress.fnv_fold in
+  let h = fold (fold Compress.fnv_basis t.encoded) t.name in
+  let h = match t.base_key with None -> h | Some k -> fold (mix h 0x01) k in
+  let h = mix h (t.pod_id land 0xff) in
+  let h = mix h (t.logical_size land 0xff) in
+  mix h ((t.logical_size lsr 8) land 0xff)
 
 let pp ppf t =
   Format.fprintf ppf "image(%s#%d, %d bytes logical, %d encoded%s)" t.name t.pod_id

@@ -15,154 +15,184 @@ let t_assoc = 0x08
 let t_tag = 0x09
 let t_smallint = 0x80 (* 0x80 + n for n in [0,0x7f) *)
 
-let put_varint buf n =
-  (* LEB128 on the zigzag encoding so negative ints stay short.  The zigzag
-     pattern is treated as a raw 63-bit word: [lsr] shifts in zeros, so the
-     loop terminates even for patterns with the top bit set (e.g. min_int). *)
-  let z = (n lsl 1) lxor (n asr 62) in
-  let rec go z =
-    if z land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr (z land 0x7f))
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (z land 0x7f)));
-      go (z lsr 7)
-    end
-  in
-  go z
+(* LEB128 on the zigzag encoding so negative ints stay short.  The zigzag
+   pattern is treated as a raw 63-bit word: [lsr] shifts in zeros, so the
+   loops terminate even for patterns with the top bit set (e.g. min_int). *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
 
-let get_varint s off =
-  let rec go acc shift off =
-    if off >= String.length s then Value.decode_error "truncated varint";
-    let b = Char.code s.[off] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, off + 1) else go acc (shift + 7) (off + 1)
-  in
-  let z, off = go 0 0 off in
-  let n = (z lsr 1) lxor (-(z land 1)) in
-  (n, off)
+(* Bytes [put_varint] writes for [n]. *)
+let varint_size n =
+  let rec go z k = if z land lnot 0x7f = 0 then k else go (z lsr 7) (k + 1) in
+  go (zigzag n) 1
 
-let rec encode_raw buf (v : Value.t) =
+let str_size s = varint_size (String.length s) + String.length s
+
+(* The encoding's length, added up node by node. *)
+let rec encoded_size (v : Value.t) =
   match v with
-  | Unit -> Buffer.add_char buf (Char.chr t_unit)
-  | Bool false -> Buffer.add_char buf (Char.chr t_false)
-  | Bool true -> Buffer.add_char buf (Char.chr t_true)
-  | Int n ->
-    if n >= 0 && n < 0x7f then Buffer.add_char buf (Char.chr (t_smallint + n))
-    else begin
-      Buffer.add_char buf (Char.chr t_int);
-      put_varint buf n
-    end
-  | Float f ->
-    Buffer.add_char buf (Char.chr t_float);
-    Buffer.add_int64_le buf (Int64.bits_of_float f)
-  | Str s ->
-    Buffer.add_char buf (Char.chr t_str);
-    put_varint buf (String.length s);
-    Buffer.add_string buf s
-  | F64s a ->
-    Buffer.add_char buf (Char.chr t_f64s);
-    put_varint buf (Array.length a);
-    Array.iter (fun f -> Buffer.add_int64_le buf (Int64.bits_of_float f)) a
+  | Unit | Bool _ -> 1
+  | Int n -> if n >= 0 && n < 0x7f then 1 else 1 + varint_size n
+  | Float _ -> 9
+  | Str s -> 1 + str_size s
+  | F64s a -> 1 + varint_size (Array.length a) + (8 * Array.length a)
   | List xs ->
-    Buffer.add_char buf (Char.chr t_list);
-    put_varint buf (List.length xs);
-    List.iter (encode_raw buf) xs
+    let rec sum acc = function [] -> acc | x :: rest -> sum (acc + encoded_size x) rest in
+    sum (1 + varint_size (List.length xs)) xs
   | Assoc kvs ->
-    Buffer.add_char buf (Char.chr t_assoc);
-    put_varint buf (List.length kvs);
-    List.iter
-      (fun (k, v) ->
-        put_varint buf (String.length k);
-        Buffer.add_string buf k;
-        encode_raw buf v)
-      kvs
-  | Tag (name, v) ->
-    Buffer.add_char buf (Char.chr t_tag);
-    put_varint buf (String.length name);
-    Buffer.add_string buf name;
-    encode_raw buf v
+    let rec sum acc = function
+      | [] -> acc
+      | (k, x) :: rest -> sum (acc + str_size k + encoded_size x) rest
+    in
+    sum (1 + varint_size (List.length kvs)) kvs
+  | Tag (name, x) -> 1 + str_size name + encoded_size x
 
-let need s off n =
-  if off + n > String.length s then Value.decode_error "truncated stream at %d" off
+(* The writers fill a buffer [encoded_size] sized, each returning the
+   offset just past what it wrote. *)
+let put_byte b pos x =
+  Bytes.set b pos (Char.unsafe_chr x);
+  pos + 1
 
-let get_f64 s off =
-  need s off 8;
-  let bits = String.get_int64_le s off in
-  (Int64.float_of_bits bits, off + 8)
+let put_varint b pos n =
+  let rec go z pos =
+    if z land lnot 0x7f = 0 then put_byte b pos z
+    else go (z lsr 7) (put_byte b pos (0x80 lor (z land 0x7f)))
+  in
+  go (zigzag n) pos
 
-let get_str s off =
-  let n, off = get_varint s off in
-  if n < 0 then Value.decode_error "negative length";
-  need s off n;
-  (String.sub s off n, off + n)
+let put_f64 b pos f =
+  Bytes.set_int64_le b pos (Int64.bits_of_float f);
+  pos + 8
 
-let rec decode_raw s off : Value.t * int =
-  need s off 1;
-  let tag = Char.code s.[off] in
-  let off = off + 1 in
-  if tag >= t_smallint then (Value.Int (tag - t_smallint), off)
-  else if tag = t_unit then (Value.Unit, off)
-  else if tag = t_false then (Value.Bool false, off)
-  else if tag = t_true then (Value.Bool true, off)
-  else if tag = t_int then
-    let n, off = get_varint s off in
-    (Value.Int n, off)
-  else if tag = t_float then
-    let f, off = get_f64 s off in
-    (Value.Float f, off)
-  else if tag = t_str then
-    let str, off = get_str s off in
-    (Value.Str str, off)
-  else if tag = t_f64s then begin
-    let n, off = get_varint s off in
-    if n < 0 then Value.decode_error "negative f64s length";
-    need s off (8 * n);
-    let a = Array.make n 0.0 in
-    let off = ref off in
-    for i = 0 to n - 1 do
-      let f, o = get_f64 s !off in
-      a.(i) <- f;
-      off := o
+let put_str b pos s =
+  let pos = put_varint b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let rec put_value b pos (v : Value.t) =
+  match v with
+  | Unit -> put_byte b pos t_unit
+  | Bool false -> put_byte b pos t_false
+  | Bool true -> put_byte b pos t_true
+  | Int n ->
+    if n >= 0 && n < 0x7f then put_byte b pos (t_smallint + n)
+    else put_varint b (put_byte b pos t_int) n
+  | Float f -> put_f64 b (put_byte b pos t_float) f
+  | Str s -> put_str b (put_byte b pos t_str) s
+  | F64s a ->
+    let pos = put_varint b (put_byte b pos t_f64s) (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      Bytes.set_int64_le b (pos + (8 * i)) (Int64.bits_of_float a.(i))
     done;
-    (Value.F64s a, !off)
+    pos + (8 * Array.length a)
+  | List xs ->
+    List.fold_left (put_value b) (put_varint b (put_byte b pos t_list) (List.length xs)) xs
+  | Assoc kvs ->
+    List.fold_left
+      (fun pos (k, x) -> put_value b (put_str b pos k) x)
+      (put_varint b (put_byte b pos t_assoc) (List.length kvs))
+      kvs
+  | Tag (name, x) -> put_value b (put_str b (put_byte b pos t_tag) name) x
+
+(* [v] encoded after [header], written straight into a string of the exact
+   size. *)
+let encode_after header v =
+  let h = String.length header in
+  let b = Bytes.create (h + encoded_size v) in
+  Bytes.blit_string header 0 b 0 h;
+  let fin = put_value b h v in
+  assert (fin = Bytes.length b);
+  Bytes.unsafe_to_string b
+
+let encode_raw buf v = Buffer.add_string buf (encode_after "" v)
+
+(* Decoding reads through one cursor over the stream: [pos] is the offset
+   of the next unread byte. *)
+type cursor = { s : string; mutable pos : int }
+
+let need c n =
+  if n > String.length c.s - c.pos then Value.decode_error "truncated stream at %d" c.pos
+
+let get_varint c =
+  let rec go acc shift =
+    if c.pos >= String.length c.s then Value.decode_error "truncated varint";
+    let b = Char.code (String.unsafe_get c.s c.pos) in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go acc (shift + 7)
+  in
+  let z = go 0 0 in
+  (z lsr 1) lxor (-(z land 1))
+
+(* A length prefix: a varint that must be non-negative. *)
+let get_len c what =
+  let n = get_varint c in
+  if n < 0 then Value.decode_error "negative %s length" what;
+  n
+
+let get_f64 c =
+  need c 8;
+  let f = Int64.float_of_bits (String.get_int64_le c.s c.pos) in
+  c.pos <- c.pos + 8;
+  f
+
+let get_str c =
+  let n = get_len c "string" in
+  need c n;
+  let str = String.sub c.s c.pos n in
+  c.pos <- c.pos + n;
+  str
+
+let rec decode_node c : Value.t =
+  need c 1;
+  let tag = Char.code (String.unsafe_get c.s c.pos) in
+  c.pos <- c.pos + 1;
+  if tag >= t_smallint then Value.Int (tag - t_smallint)
+  else if tag = t_unit then Value.Unit
+  else if tag = t_false then Value.Bool false
+  else if tag = t_true then Value.Bool true
+  else if tag = t_int then Value.Int (get_varint c)
+  else if tag = t_float then Value.Float (get_f64 c)
+  else if tag = t_str then Value.Str (get_str c)
+  else if tag = t_f64s then begin
+    let n = get_len c "f64s" in
+    if n > (String.length c.s - c.pos) / 8 then
+      Value.decode_error "truncated stream at %d" c.pos;
+    let a = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      a.(i) <- Int64.float_of_bits (String.get_int64_le c.s (c.pos + (8 * i)))
+    done;
+    c.pos <- c.pos + (8 * n);
+    Value.F64s a
   end
   else if tag = t_list then begin
-    let n, off = get_varint s off in
-    if n < 0 then Value.decode_error "negative list length";
-    let rec go acc off i =
-      if i = 0 then (List.rev acc, off)
-      else
-        let v, off = decode_raw s off in
-        go (v :: acc) off (i - 1)
-    in
-    let xs, off = go [] off n in
-    (Value.List xs, off)
+    let n = get_len c "list" in
+    let rec go acc i = if i = 0 then List.rev acc else go (decode_node c :: acc) (i - 1) in
+    Value.List (go [] n)
   end
   else if tag = t_assoc then begin
-    let n, off = get_varint s off in
-    if n < 0 then Value.decode_error "negative assoc length";
-    let rec go acc off i =
-      if i = 0 then (List.rev acc, off)
+    let n = get_len c "assoc" in
+    let rec go acc i =
+      if i = 0 then List.rev acc
       else
-        let k, off = get_str s off in
-        let v, off = decode_raw s off in
-        go ((k, v) :: acc) off (i - 1)
+        let k = get_str c in
+        go ((k, decode_node c) :: acc) (i - 1)
     in
-    let kvs, off = go [] off n in
-    (Value.Assoc kvs, off)
+    Value.Assoc (go [] n)
   end
   else if tag = t_tag then begin
-    let name, off = get_str s off in
-    let v, off = decode_raw s off in
-    (Value.Tag (name, v), off)
+    let name = get_str c in
+    Value.Tag (name, decode_node c)
   end
-  else Value.decode_error "unknown wire tag 0x%02x at %d" tag (off - 1)
+  else Value.decode_error "unknown wire tag 0x%02x at %d" tag (c.pos - 1)
 
-let encode v =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr format_version);
-  encode_raw buf v;
-  Buffer.contents buf
+let decode_raw s off =
+  let c = { s; pos = off } in
+  let v = decode_node c in
+  (v, c.pos)
+
+let header = magic ^ String.make 1 (Char.chr format_version)
+
+let encode v = encode_after header v
 
 let decode s =
   if String.length s < 5 then Value.decode_error "stream too short";
@@ -173,8 +203,3 @@ let decode s =
   let v, off = decode_raw s 5 in
   if off <> String.length s then Value.decode_error "trailing garbage at %d" off;
   v
-
-let encoded_size v =
-  let buf = Buffer.create 256 in
-  encode_raw buf v;
-  Buffer.length buf

@@ -8,7 +8,8 @@
 val format_version : int
 
 val encode : Value.t -> string
-(** Serialize with magic + version header. *)
+(** Serialize with magic + version header, written in place into a string
+    of exactly the encoded size. *)
 
 val decode : string -> Value.t
 (** @raise Value.Decode_error on corrupt input, bad magic, or version
@@ -22,4 +23,5 @@ val decode_raw : string -> int -> Value.t * int
     value and the offset just past it. *)
 
 val encoded_size : Value.t -> int
-(** Exact encoded size in bytes (without header). *)
+(** Exact encoded size in bytes (without header), added up node by node
+    without encoding. *)

@@ -786,7 +786,7 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
     match uri with
     | Protocol.U_storage key ->
       Option.to_result ~none:("no image at " ^ key)
-        (Option.map (fun i -> (Image.to_pod_image i, None)) (Storage.get t.storage key))
+        (Option.map (fun v -> (v, None)) (Storage.get t.storage key))
     | Protocol.U_node _ ->
       (match Hashtbl.find_opt t.landings pod_id with
        | Some ({ ld_final = true; ld_image = Some v; _ } as ld) -> Ok (v, Some ld)

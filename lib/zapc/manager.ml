@@ -19,7 +19,6 @@ module Critpath = Zapc_obs.Critpath
 module Addr = Zapc_simnet.Addr
 module Meta = Zapc_netckpt.Meta
 module Sock_state = Zapc_netckpt.Sock_state
-module Image = Zapc_ckpt.Image
 module Pod_ckpt = Zapc_ckpt.Pod_ckpt
 
 type ckpt_item = {
@@ -506,8 +505,7 @@ let pod_facts t (item : restart_item) =
   | Protocol.U_storage key ->
     (match Storage.get t.storage key with
      | None -> Error (Printf.sprintf "no image at %s" key)
-     | Some image ->
-       let v = Image.to_pod_image image in
+     | Some v ->
        Ok
          ( Pod_ckpt.meta_of_image v,
            Pod_ckpt.vip_of_image v,

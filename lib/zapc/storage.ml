@@ -462,10 +462,13 @@ let raw_get t p =
    chains are bounded by Params.max_delta_chain, far below this. *)
 let max_resolve_depth = 64
 
-(* Materialize a public key: fetch the chain link (checksum-verified, with
-   copy fallback), recurse to the recorded base *version*, apply the delta.
-   Callers always see a full image, byte-identical to the full checkpoint
-   taken at the same instant — on every backend. *)
+(* Resolve a public key to its pod image: fetch the chain link
+   (checksum-verified, with copy fallback), recurse to the recorded base
+   *version*, apply the decoded delta to the decoded base.  Each link is
+   materialized and decoded once and nothing is re-encoded: callers get
+   the value the full checkpoint taken at the same instant encodes, on
+   every backend.  A link that fails to decode or to apply breaks the
+   chain above it. *)
 let get t key =
   Metrics.incr t.metrics "storage.gets";
   let miss () =
@@ -482,7 +485,7 @@ let get t key =
         | None -> None
         | Some image ->
           (match image.Image.base_key with
-           | None -> Some image
+           | None -> Some (Image.to_pod_image image)
            | Some bkey ->
              let bp =
                match Hashtbl.find_opt t.bases p with
@@ -494,21 +497,22 @@ let get t key =
                   | Some bp -> bp
                   | None -> pname bkey 0)
              in
-             (match resolve bp (depth + 1) with
+             (match
+                Option.map
+                  (fun base -> Delta.apply ~base (Image.to_pod_image image))
+                  (resolve bp (depth + 1))
+              with
               | None -> None
-              | Some base ->
-                (match
-                   Delta.apply ~base:(Image.to_pod_image base)
-                     (Image.to_pod_image image)
-                 with
-                 | full ->
-                   Metrics.incr t.metrics "storage.delta_resolved";
-                   Some (Image.of_pod_image full)
-                 | exception _ ->
-                   Metrics.incr t.metrics "storage.chain_broken";
-                   None)))
+              | Some full ->
+                Metrics.incr t.metrics "storage.delta_resolved";
+                Some full
+              | exception _ ->
+                Metrics.incr t.metrics "storage.chain_broken";
+                None))
     in
-    (match resolve p0 0 with None -> miss () | Some image -> Some image)
+    (match resolve p0 0 with
+     | Some v -> Some v
+     | None | (exception Zapc_codec.Value.Decode_error _) -> miss ())
 
 (* Cheap, side-effect-free existence check: the key's current version is
    present in some usable slot.  No chain walk, no metrics, no

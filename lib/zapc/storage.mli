@@ -70,12 +70,14 @@ val put :
     next live node's.  Fails, storing nothing, during a global write outage
     or when no copy location is available. *)
 
-val get : t -> string -> Image.t option
-(** First healthy, checksum-verified copy; [None] if every location is
-    unavailable, missing the key, or corrupt.  A delta image is
-    materialized transparently against the exact base version its chain
-    was written over — byte-identical to the full checkpoint taken at the
-    same instant, on every backend. *)
+val get : t -> string -> Zapc_codec.Value.t option
+(** The key's pod image, decoded: the first healthy, checksum-verified copy
+    of each chain link, decoded once; [None] if every location is
+    unavailable, missing the key, or corrupt, or if the image does not
+    decode.  A delta chain resolves against the exact base version it was
+    written over by applying each delta to the decoded base, without
+    re-encoding: the value Wire-encodes byte-identically to the full
+    checkpoint taken at the same instant, on every backend. *)
 
 val base_key : t -> string -> string option
 (** The stored chain link's base reference, without materializing: [Some k]

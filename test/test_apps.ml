@@ -348,6 +348,38 @@ let test_serve_smoke () =
    holds more wakers than its node has live processes.  Sampled every 5
    virtual ms over 300 ms of 64-connection traffic with a checkpoint of the
    servers at 100 ms. *)
+(* The kv programs' work queues are FIFO, and their image lists the queue
+   in that order whatever part of it has been pushed since the last pop. *)
+let test_kv_work_queue_fifo () =
+  let module Serve = Zapc_apps.Serve in
+  let module C = Zapc_apps.Kv_client in
+  let module S = Zapc_apps.Kvstore in
+  let cfg = Serve.default_cfg in
+  let vips = Array.make cfg.Serve.nshards (Zapc_simnet.Addr.make_ip 10 0 0 1) in
+  let c = C.start (Serve.client_args cfg vips ~n:1 ~base:0 ~seed:1) in
+  let client_todo s = Value.to_list C.work_of_value (Value.field "todo" (C.to_value s)) in
+  List.iter (C.push c) [ C.K_send 1; C.K_send 2; C.K_send 3 ];
+  check tbool "client pops the oldest" true (C.pop c = Some (C.K_send 1));
+  List.iter (C.push c) [ C.K_send 4; C.K_close 4 ];
+  check tbool "client image in queue order" true
+    (client_todo c = [ C.K_send 2; C.K_send 3; C.K_send 4; C.K_close 4 ]);
+  let c = C.of_value (C.to_value c) in
+  C.push c (C.K_recv 5);
+  let rec drain pop s acc = match pop s with Some w -> drain pop s (w :: acc) | None -> List.rev acc in
+  check tbool "restored client drains in order" true
+    (drain C.pop c [] = [ C.K_send 2; C.K_send 3; C.K_send 4; C.K_close 4; C.K_recv 5 ]);
+  let s = S.start (Serve.server_args cfg vips 0) in
+  let server_todo s = Value.to_list S.work_of_value (Value.field "todo" (S.to_value s)) in
+  List.iter (S.push s) [ S.W_accept; S.W_recv 1; S.W_send 1 ];
+  check tbool "server pops the oldest" true (S.pop s = Some S.W_accept);
+  List.iter (S.push s) [ S.W_close 1; S.W_rsend ];
+  check tbool "server image in queue order" true
+    (server_todo s = [ S.W_recv 1; S.W_send 1; S.W_close 1; S.W_rsend ]);
+  let s = S.of_value (S.to_value s) in
+  S.push s S.W_rsock;
+  check tbool "restored server drains in order" true
+    (drain S.pop s [] = [ S.W_recv 1; S.W_send 1; S.W_close 1; S.W_rsend; S.W_rsock ])
+
 let test_serve_waiters_bounded () =
   let module Fdtable = Zapc_simos.Fdtable in
   let module Waitq = Zapc_simnet.Waitq in
@@ -432,5 +464,7 @@ let () =
       ( "serve",
         [ Alcotest.test_case "checkpoint under live clients" `Quick test_serve_smoke;
           Alcotest.test_case "wait queues bounded by live processes" `Quick
-            test_serve_waiters_bounded ] );
+            test_serve_waiters_bounded;
+          Alcotest.test_case "kv work queues are FIFO across an image" `Quick
+            test_kv_work_queue_fifo ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_restart_any_time ]) ]

@@ -5,6 +5,7 @@
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Value = Zapc_codec.Value
+module Wire = Zapc_codec.Wire
 module Addr = Zapc_simnet.Addr
 module Fabric = Zapc_simnet.Fabric
 module Netstack = Zapc_simnet.Netstack
@@ -553,11 +554,11 @@ let test_delta_chain_byte_identity () =
   (* materialization is byte-identical to the full image at the same instant *)
   (match Storage.get storage "d1" with
    | None -> Alcotest.fail "delta did not materialize"
-   | Some img ->
-     check tbool "value identical" true
-       (Value.equal (Image.to_pod_image img) r2.Pod_ckpt.image);
-     check tstr "wire bytes identical" full2.Image.encoded img.Image.encoded;
-     check tint "logical size identical" full2.Image.logical_size img.Image.logical_size);
+   | Some v ->
+     check tbool "value identical" true (Value.equal v r2.Pod_ckpt.image);
+     check tstr "wire bytes identical" full2.Image.encoded (Wire.encode v);
+     check tint "logical size identical" full2.Image.logical_size
+       (Image.of_pod_image v).Image.logical_size);
   (* chain one more link and check the whole chain still materializes *)
   Pod_ckpt.clear_memory_dirty pod;
   let r3 = snap (Simtime.ms 15) in
@@ -570,9 +571,9 @@ let test_delta_chain_byte_identity () =
   check tbool "chain structure visible" true (Storage.base_key storage "d2" = Some "d1");
   (match Storage.get storage "d2" with
    | None -> Alcotest.fail "two-link chain did not materialize"
-   | Some img ->
+   | Some v ->
      check tstr "two-link chain byte-identical"
-       (Image.of_pod_image r3.Pod_ckpt.image).Image.encoded img.Image.encoded)
+       (Image.of_pod_image r3.Pod_ckpt.image).Image.encoded (Wire.encode v))
 
 let test_delta_chain_corruption_and_gc () =
   let _, pod, storage, snap = delta_env () in
@@ -598,7 +599,7 @@ let test_delta_chain_corruption_and_gc () =
   check tbool "corrupt middle link primary" true (Storage.corrupt storage ~replica:0 "d1");
   (match Storage.get storage "d2" with
    | None -> Alcotest.fail "chain must survive a corrupt primary"
-   | Some img -> check tstr "replica fallback byte-identical" want img.Image.encoded);
+   | Some v -> check tstr "replica fallback byte-identical" want (Wire.encode v));
   check tbool "corruption was detected" true (Storage.corruption_detected storage > 0);
   (* kill the last healthy copy of the middle link: the chain is broken *)
   check tbool "corrupt middle link replica" true (Storage.corrupt storage ~replica:1 "d1");
@@ -623,9 +624,9 @@ let test_delta_chain_corruption_and_gc () =
   check tbool "condemned base no longer gettable" true (Storage.get storage2 "base" = None);
   (match Storage.get storage2 "d1" with
    | None -> Alcotest.fail "chain over a condemned base must stay readable"
-   | Some img ->
+   | Some v ->
      check tstr "still byte-identical" (Image.of_pod_image s2.Pod_ckpt.image).Image.encoded
-       img.Image.encoded);
+       (Wire.encode v));
   (* deleting the last referencing delta reclaims the base's bytes *)
   Storage.remove storage2 "d1";
   check tbool "cascade reclaimed everything" true (Storage.keys storage2 = [])
@@ -803,17 +804,16 @@ let test_overwrite_pinned_base_cow () =
     (Metrics.counter metrics "storage.cow_preserved" = 1);
   (match Storage.get storage "d1" with
    | None -> Alcotest.fail "chain must survive its base being overwritten"
-   | Some img ->
-     check tstr "delta still materializes the ORIGINAL bytes" want
-       img.Image.encoded);
+   | Some v ->
+     check tstr "delta still materializes the ORIGINAL bytes" want (Wire.encode v));
   (match Storage.get storage "base" with
    | None -> Alcotest.fail "overwritten base must be readable"
-   | Some img -> check tstr "public key serves the new bytes" r3_bytes img.Image.encoded);
+   | Some v -> check tstr "public key serves the new bytes" r3_bytes (Wire.encode v));
   (* dropping the last referencing delta reclaims the shadow *)
   Storage.remove storage "d1";
   check tbool "namespace: only base remains" true (Storage.keys storage = [ "base" ]);
   (match Storage.get storage "base" with
-   | Some img -> check tstr "base unaffected by shadow GC" r3_bytes img.Image.encoded
+   | Some v -> check tstr "base unaffected by shadow GC" r3_bytes (Wire.encode v)
    | None -> Alcotest.fail "base lost by shadow GC")
 
 (* Regression (storage bugfix 3): a copy skipped by a per-replica outage
@@ -843,7 +843,7 @@ let test_heal_rereplicates () =
   Storage.set_replica_fail storage ~replica:0 (Some "down");
   (match Storage.get storage "k1" with
    | None -> Alcotest.fail "backfilled replica must serve the read"
-   | Some got -> check tstr "byte-identical from the backfill" want got.Image.encoded)
+   | Some got -> check tstr "byte-identical from the backfill" want (Wire.encode got))
 
 (* Hand-rolled full image with explicit region tags, for dedup tests:
    sibling ranks declare the same regions, so their chunks share
@@ -892,7 +892,7 @@ let test_dedup_sibling_gc () =
   (* pod1's own encoded chunks may go, the shared region chunks must not *)
   (match Storage.get storage "e0.pod2" with
    | None -> Alcotest.fail "sibling read broken by the other's GC"
-   | Some got -> check tstr "sibling bytes intact" b.Image.encoded got.Image.encoded);
+   | Some got -> check tstr "sibling bytes intact" b.Image.encoded (Wire.encode got));
   Storage.remove storage "e0.pod2";
   check tbool "last reference frees the shared chunks" true
     (Metrics.counter metrics "storage.dedup_chunks_freed" > freed_before);
@@ -920,7 +920,9 @@ let test_backend_restart_byte_identity () =
      | Error e -> Alcotest.failf "put d1: %s" e);
     match Storage.get storage "d1" with
     | None -> Alcotest.fail "chain must materialize"
-    | Some img -> (img.Image.encoded, Image.checksum img)
+    | Some v ->
+      let img = Image.of_pod_image v in
+      (img.Image.encoded, Image.checksum img)
   in
   let ref_bytes, ref_sum = run ZParams.Sb_plain false in
   List.iter
@@ -955,7 +957,7 @@ let test_buddy_reassign_on_death () =
     (Metrics.counter metrics "storage.buddy_reassigned" = 1);
   (match Storage.get storage "b.pod3" with
    | None -> Alcotest.fail "buddy data must survive the owner's death"
-   | Some got -> check tstr "bytes intact after re-buddy" img.Image.encoded got.Image.encoded);
+   | Some got -> check tstr "bytes intact after re-buddy" img.Image.encoded (Wire.encode got));
   check tbool "still two live copies" true
     (Storage.replica_has storage ~replica:0 "b.pod3"
      && Storage.replica_has storage ~replica:1 "b.pod3");
@@ -992,7 +994,7 @@ let test_buddy_heal_backfills () =
   Storage.set_replica_fail storage ~replica:0 (Some "down");
   match Storage.get storage "b.pod3" with
   | None -> Alcotest.fail "the backfilled partner must serve the read"
-  | Some got -> check tstr "bytes from the backfill" img.Image.encoded got.Image.encoded
+  | Some got -> check tstr "bytes from the backfill" img.Image.encoded (Wire.encode got)
 
 (* Regression: [mem] honours slot outages on the buddy backend, as it does
    on the SAN.  Pre-fix it answered true with both copies outaged. *)
@@ -1008,6 +1010,59 @@ let test_buddy_mem_outage () =
   Storage.set_replica_fail storage ~replica:1 (Some "down");
   check tbool "both slots outaged" false (Storage.mem storage "k");
   check tbool "get agrees" true (Storage.get storage "k" = None)
+
+(* [get] resolves each chain link once: a depth-3 chain is one get and
+   three delta applications, and its value encodes to the full checkpoint
+   of the same instant.  A delta naming a vpid its base lacks breaks the
+   chain: one chain_broken, one miss, no image. *)
+let test_get_chain_counters () =
+  let _, pod, storage, metrics, snap = delta_env_m () in
+  let counter = Metrics.counter metrics in
+  let put key img =
+    match Storage.put storage key img with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "put %s: %s" key e
+  in
+  let r0 = snap (Simtime.ms 5) in
+  put "base" (Image.of_pod_image r0.Pod_ckpt.image);
+  let last =
+    List.fold_left
+      (fun (base_key, base) (key, at) ->
+        Pod_ckpt.clear_memory_dirty pod;
+        let r = snap (Simtime.ms at) in
+        put key
+          (Image.of_pod_image
+             (Delta.make ~base_key ~base ~full:r.Pod_ckpt.image
+                ~dirty_bytes:(Pod_ckpt.dirty_memory_bytes pod)));
+        (key, r.Pod_ckpt.image))
+      ("base", r0.Pod_ckpt.image)
+      [ ("d1", 10); ("d2", 15); ("d3", 20) ]
+    |> snd
+  in
+  let gets = counter "storage.gets" and resolved = counter "storage.delta_resolved" in
+  (match Storage.get storage "d3" with
+   | None -> Alcotest.fail "depth-3 chain did not resolve"
+   | Some v ->
+     check tstr "value encodes to the full checkpoint"
+       (Image.of_pod_image last).Image.encoded (Wire.encode v));
+  check tint "one get" (gets + 1) (counter "storage.gets");
+  check tint "three links applied" (resolved + 3) (counter "storage.delta_resolved");
+  (* a base without processes: the delta's procs_order names a vpid that
+     neither the base nor the delta carries *)
+  let hollow =
+    match r0.Pod_ckpt.image with
+    | Value.Assoc kvs ->
+      Value.Assoc (List.map (fun (k, x) -> if k = "procs" then (k, Value.List []) else (k, x)) kvs)
+    | v -> v
+  in
+  put "hollow" (Image.of_pod_image hollow);
+  put "broken"
+    (Image.of_pod_image
+       (Delta.make ~base_key:"hollow" ~base:last ~full:last ~dirty_bytes:0));
+  let broken = counter "storage.chain_broken" and misses = counter "storage.get_misses" in
+  check tbool "broken chain yields no image" true (Storage.get storage "broken" = None);
+  check tint "one chain_broken" (broken + 1) (counter "storage.chain_broken");
+  check tint "one miss" (misses + 1) (counter "storage.get_misses")
 
 (* --- qcheck: the storage model ------------------------------------------- *)
 
@@ -1076,7 +1131,7 @@ let run_store_model (config, ops) =
   let reads_back k =
     match Storage.get storage keys.(k), model.(k) with
     | None, _ -> true
-    | Some got, Some i -> String.equal got.Image.encoded bytes.(i)
+    | Some got, Some i -> String.equal (Wire.encode got) bytes.(i)
     | Some _, None -> false
   in
   let put k i node img =
@@ -1111,7 +1166,7 @@ let run_store_model (config, ops) =
                   if not (Storage.replica_has storage ~replica:slot keys.(k)) then ok := false
                 done;
                 (match Storage.get storage keys.(k) with
-                 | Some got when String.equal got.Image.encoded bytes.(i) -> ()
+                 | Some got when String.equal (Wire.encode got) bytes.(i) -> ()
                  | Some _ | None -> ok := false))
             model
       | S_corrupt (slot, k) ->
@@ -1136,6 +1191,44 @@ let prop_storage_model =
     run_store_model
 
 (* --- qcheck: chunking and compression ----------------------------------- *)
+
+(* Region-chunk addresses: the printed-tag formula, kept here as the model
+   [Chunk.region_chunks] must reproduce address for address. *)
+let model_region_chunks ~name ~size ~gen =
+  let rec go off idx acc =
+    if off >= size then List.rev acc
+    else
+      let csize = min Chunk.region_chunk_bytes (size - off) in
+      let addr =
+        Compress.fnv (Printf.sprintf "R\x00%s\x00%d\x00%d\x00%d" name gen idx csize)
+      in
+      go (off + csize) (idx + 1) ((addr, csize) :: acc)
+  in
+  if size <= 0 then [] else go 0 0 []
+
+let prop_region_chunks_model =
+  let open QCheck.Gen in
+  let byte = frequency [ (4, printable); (1, return '\x00'); (2, map Char.chr (int_range 128 255)) ] in
+  let name = string_size ~gen:byte (int_bound 12) in
+  let cb = Chunk.region_chunk_bytes in
+  let size =
+    frequency
+      [ (1, return 0); (1, int_range (-3) (-1)); (3, int_range 1 (cb - 1));
+        (3, map (fun k -> k * cb) (int_range 1 64));
+        (2, map (fun k -> (k * cb) + 1) (int_range 1 64));
+        (1, int_range 10_000_000 40_000_000) ]
+  in
+  let gen =
+    frequency
+      [ (1, return min_int); (1, return max_int); (1, return (-1)); (2, int_range 0 9);
+        (2, int_range 10 10_000_000); (2, int_range (-10_000_000) (-2)); (2, int) ]
+  in
+  QCheck.Test.make ~name:"region chunk addresses match the printed-tag model" ~count:300
+    (QCheck.make
+       ~print:(fun (n, s, g) -> Printf.sprintf "name=%S size=%d gen=%d" n s g)
+       (triple name size gen))
+    (fun (name, size, gen) ->
+      Chunk.region_chunks ~name ~size ~gen = model_region_chunks ~name ~size ~gen)
 
 let prop_chunk_roundtrip =
   QCheck.Test.make ~name:"chunk split/reassemble is byte-identical" ~count:200
@@ -1173,7 +1266,8 @@ let prop_compress_roundtrip =
       && img.Image.comp_size >= 1
       && img.Image.comp_size <= img.Image.logical_size
       && (match Storage.get st "k" with
-          | Some got ->
+          | Some v ->
+            let got = Image.of_pod_image v in
             String.equal got.Image.encoded img.Image.encoded
             && Image.checksum got = Image.checksum img
           | None -> false))
@@ -1218,8 +1312,10 @@ let () =
             test_buddy_heal_backfills;
           Alcotest.test_case "buddy mem honours slot outages" `Quick
             test_buddy_mem_outage;
+          Alcotest.test_case "get counts a chain's links once" `Quick
+            test_get_chain_counters;
           QCheck_alcotest.to_alcotest prop_storage_model ] );
       ( "migration properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_precopy_composition_identity; prop_precopy_residue_monotone;
-            prop_chunk_roundtrip; prop_compress_roundtrip ] ) ]
+            prop_chunk_roundtrip; prop_region_chunks_model; prop_compress_roundtrip ] ) ]

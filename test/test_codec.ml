@@ -84,6 +84,31 @@ let test_encoded_size () =
   let sz = Wire.encoded_size v in
   check tint "encoded size" (String.length (Wire.encode v) - 5) sz
 
+(* [encoded_size] adds sizes up without encoding, so the varint widths it
+   predicts are checked where they step.  Lengths are zigzag-encoded like
+   ints, so a length's width steps at 63/64 and 8191/8192; 127/128 and
+   16383/16384 are the raw LEB128 steps.  Ints run around the inline form
+   and out to the extremes.  The qcheck generator never draws a length of
+   128 or more. *)
+let test_encoded_size_varint_boundaries () =
+  let agrees label v =
+    check tint label (String.length (Wire.encode v) - 5) (Wire.encoded_size v)
+  in
+  List.iter
+    (fun n ->
+      let s = String.make n 'k' in
+      agrees (Printf.sprintf "str %d" n) (Value.Str s);
+      agrees (Printf.sprintf "f64s %d" n) (Value.F64s (Array.make n 0.5));
+      agrees (Printf.sprintf "list %d" n) (Value.List (List.init n (fun _ -> Value.Unit)));
+      agrees (Printf.sprintf "assoc key %d" n) (Value.Assoc [ (s, Value.Int 1) ]);
+      agrees (Printf.sprintf "assoc of %d" n)
+        (Value.Assoc (List.init n (fun i -> (string_of_int i, Value.Unit))));
+      agrees (Printf.sprintf "tag name %d" n) (Value.Tag (s, Value.Unit)))
+    [ 63; 64; 127; 128; 8191; 8192; 16383; 16384 ];
+  List.iter
+    (fun n -> agrees (Printf.sprintf "int %d" n) (Value.Int n))
+    [ 0x7e; 0x7f; -1; 63; 64; -64; -65; max_int; min_int ]
+
 let test_smallint_boundary () =
   (* 0..126 use the inline encoding; make sure the boundary is exact *)
   List.iter
@@ -303,6 +328,8 @@ let () =
         [ Alcotest.test_case "field access" `Quick test_field_access;
           Alcotest.test_case "option/pair" `Quick test_option_pair;
           Alcotest.test_case "encoded size" `Quick test_encoded_size;
+          Alcotest.test_case "encoded size at varint boundaries" `Quick
+            test_encoded_size_varint_boundaries;
           Alcotest.test_case "estimate bounds wide ints" `Quick test_estimate_wide_ints ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

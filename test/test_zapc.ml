@@ -2166,12 +2166,10 @@ let test_tree_snapshot_byte_identical () =
     check tbool "snapshot ok" true r.Manager.r_ok;
     List.map
       (fun id ->
-        let img =
-          Option.get
-            (Zapc.Storage.get (Cluster.storage cluster)
-               (Printf.sprintf "tf.pod%d" id))
-        in
-        img.Zapc_ckpt.Image.encoded)
+        Zapc_codec.Wire.encode
+          (Option.get
+             (Zapc.Storage.get (Cluster.storage cluster)
+                (Printf.sprintf "tf.pod%d" id))))
       (Launch.pod_ids app)
   in
   let flat = run 0 in
