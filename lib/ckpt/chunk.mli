@@ -8,7 +8,8 @@ val chunk_bytes : int
 (** Size of an encoded-bytes chunk (last chunk of an image may be short). *)
 
 val region_chunk_bytes : int
-(** Size of a virtual modelled-memory chunk. *)
+(** Size of a virtual modelled-memory chunk.  Exported for [test_ckpt],
+    which rebuilds the expected region chunk list from it. *)
 
 val hash : string -> int
 (** Content hash used for chunk addresses (FNV-1a, folded positive). *)

@@ -19,13 +19,10 @@ val fnv_fold : int -> string -> int
 val fnv : string -> int
 (** FNV-1a hash of a string: [fnv_fold fnv_basis]. *)
 
-val entropy_of_tag : string -> float
-(** Deterministic compressed fraction of a memory region, drawn from the
-    region name's hash; in [0.15, 0.90). *)
-
 val encoded_ratio : string -> float
 (** Shannon-entropy estimate (bits-per-byte / 8) of a string, clamped to
-    [0.12, 0.98]: the modelled compressed fraction of the Wire bytes. *)
+    [0.12, 0.98]: the modelled compressed fraction of the Wire bytes.
+    Exported for [test_ckpt], which checks its bounds and determinism. *)
 
 val regions_of_image : Zapc_codec.Value.t -> (string * int * int) list
 (** (name, size, generation) of every modelled memory region a full or

@@ -68,7 +68,6 @@ let base_key v = Value.to_str (Value.field "base_key" (body v))
 let dirty_bytes v = field_int (body v) "dirty_bytes"
 let pod_id v = field_int (body v) "pod_id"
 let name v = Value.to_str (Value.field "name" (body v))
-let changed_count v = List.length (Value.to_list (fun x -> x) (Value.field "procs_changed" (body v)))
 
 (* Rebuild the full pod image from a materialized base and one delta.  The
    Assoc field order below must match Pod_ckpt.checkpoint exactly. *)

@@ -28,6 +28,3 @@ val base_key : Value.t -> string
 val dirty_bytes : Value.t -> int
 val pod_id : Value.t -> int
 val name : Value.t -> string
-
-val changed_count : Value.t -> int
-(** Number of per-process records the delta carries. *)

@@ -63,5 +63,7 @@ val meta_of_image : Value.t -> Meta.pod_meta
 val sockets_of_image : Value.t -> Sock_state.image array
 val memory_bytes_of_image : Value.t -> int
 val pod_id_of_image : Value.t -> int
+(** Exported for [test_ckpt], which checks that an image records its pod. *)
+
 val vip_of_image : Value.t -> int
 val name_of_image : Value.t -> string

@@ -37,7 +37,6 @@ let kind = function
   | Assoc _ -> "assoc"
   | Tag _ -> "tag"
 
-let to_unit = function Unit -> () | v -> decode_error "expected unit, got %s" (kind v)
 let to_bool = function Bool b -> b | v -> decode_error "expected bool, got %s" (kind v)
 let to_int = function Int n -> n | v -> decode_error "expected int, got %s" (kind v)
 

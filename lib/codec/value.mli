@@ -42,7 +42,6 @@ val pair : ('a -> t) -> ('b -> t) -> 'a * 'b -> t
 
     All raise {!Decode_error} on shape mismatch. *)
 
-val to_unit : t -> unit
 val to_bool : t -> bool
 val to_int : t -> int
 val to_float : t -> float
@@ -63,4 +62,5 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val size_estimate : t -> int
 (** An upper bound on the encoded size in bytes, without the wire header
-    ({!Wire.encoded_size} never exceeds it for lengths below 2{^28}). *)
+    ({!Wire.encoded_size} never exceeds it for lengths below 2{^28}).
+    Exported for [test_codec], whose property holds the two together. *)

@@ -5,8 +5,6 @@
     4-byte magic and a format version so that images written by one "kernel"
     can be validated by another (the paper's portability requirement). *)
 
-val format_version : int
-
 val encode : Value.t -> string
 (** Serialize with magic + version header, written in place into a string
     of exactly the encoded size. *)

@@ -287,6 +287,10 @@ let random_trigger rng ~horizon =
         pod = None;
         skip = Rng.int rng 3 }
 
+(* One random injection: a uniformly chosen fault kind on a random node,
+   triggered at a uniform instant within [horizon] or at a random protocol
+   phase boundary.  Durations are fractions of [horizon], so transient
+   faults both start and end inside a scenario. *)
 let random_injection rng ~node_count ~horizon =
   let node = Rng.int rng (Stdlib.max 1 node_count) in
   let frac lo hi =

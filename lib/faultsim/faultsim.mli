@@ -58,9 +58,8 @@ type injection = {
   trigger : trigger;
 }
 
-val fault_to_string : fault -> string
-val trigger_to_string : trigger -> string
 val injection_to_string : injection -> string
+(** Exported for [chaos], which prints a failing seed's plan. *)
 
 type t
 
@@ -77,6 +76,7 @@ val install : t -> injection -> unit
     fire (they count as unfired, not as errors). *)
 
 val install_all : t -> injection list -> unit
+(** Exported for [chaos] and [golden], which install seeded random plans. *)
 
 val fired : t -> (Simtime.t * string) list
 (** Chronological log of faults actually injected. *)
@@ -88,21 +88,17 @@ val heal_all : t -> unit
 (** Undo every *ongoing* environmental fault: restore the fabric config,
     heal storage (global and per-replica outages), resume hung Agents.
     Crashed nodes, broken channels, and already-corrupted image bytes stay
-    down — those are permanent by design. *)
+    down — those are permanent by design.  Exported for [chaos] and
+    [golden], which heal a scenario before checking it recovers. *)
 
 val crashed_nodes : t -> int list
+(** Exported for [chaos], whose cleanliness audit skips crashed nodes. *)
 
 (** {1 Seeded random scenario generation}
 
     The generator draws from the injector's own RNG stream (split off the
     cluster engine's), so a scenario is a pure function of the seed. *)
 
-val random_injection :
-  Rng.t -> node_count:int -> horizon:Simtime.t -> injection
-(** One random injection: a uniformly chosen fault kind on a random node,
-    triggered at a uniform instant within [horizon] or at a random
-    protocol phase boundary.  Durations are sized to fractions of
-    [horizon] so transient faults both start and end inside a scenario. *)
-
 val random_plan :
   Rng.t -> node_count:int -> horizon:Simtime.t -> count:int -> injection list
+(** Exported for [chaos] and [golden], whose random scenarios it draws. *)

@@ -3,8 +3,5 @@
 val pack : float array -> string
 val unpack : string -> float array
 
-val add_into : acc:float array -> float array -> unit
-(** Elementwise [acc.(i) <- acc.(i) +. other.(i)] over the common prefix. *)
-
 val sum_packed : string -> string -> string
 (** Elementwise sum of two packed arrays (reduction combiner). *)

@@ -22,8 +22,7 @@ type app = {
 
 let default_port = 5000
 
-let launch cluster ~name ~program ~placement ~app_args ?(port = default_port)
-    ?(daemon = true) () =
+let launch cluster ~name ~program ~placement ~app_args ?(port = default_port) () =
   Daemon.register ();
   let size = List.length placement in
   let pods =
@@ -34,10 +33,7 @@ let launch cluster ~name ~program ~placement ~app_args ?(port = default_port)
   in
   Cluster.link_pods pods;
   let vips = Array.of_list (List.map (fun (p : Pod.t) -> p.vip) pods) in
-  let daemons =
-    if daemon then List.map (fun pod -> Pod.spawn pod ~program:"mpd" ~args:Value.unit) pods
-    else []
-  in
+  let daemons = List.map (fun pod -> Pod.spawn pod ~program:"mpd" ~args:Value.unit) pods in
   let ranks =
     List.mapi
       (fun rank pod ->
@@ -62,16 +58,6 @@ let wait_done cluster ?(timeout = Simtime.sec 36000.0) app =
   completion_time app
 
 let pod_ids app = List.map (fun (p : Pod.t) -> p.pod_id) app.pods
-
-(* Where each pod currently lives (nodes change under migration).  A pod's
-   current node is whichever node its real address is attached to. *)
-let current_placement cluster app =
-  List.map
-    (fun (p : Pod.t) ->
-      match Zapc_simnet.Fabric.node_of_ip (Cluster.fabric cluster) p.rip with
-      | Some n -> n
-      | None -> -1)
-    app.pods
 
 let checkpoint_items app ~key_prefix ~node_of_pod =
   List.map

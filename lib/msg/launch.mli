@@ -18,8 +18,6 @@ type app = {
   placement : int list;  (** node index per rank at launch *)
 }
 
-val default_port : int
-
 val launch :
   Cluster.t ->
   name:string ->
@@ -27,12 +25,11 @@ val launch :
   placement:int list ->
   app_args:Zapc_codec.Value.t ->
   ?port:int ->
-  ?daemon:bool ->
   unit ->
   app
 (** Create one pod per rank on the given nodes, install the shared virtual
-    address map, spawn the per-pod daemon (unless [daemon:false]) and the
-    rank processes with {!Mpi.std_args}. *)
+    address map, spawn the per-pod daemon and the rank processes with
+    {!Mpi.std_args}. *)
 
 val is_done : app -> bool
 
@@ -43,7 +40,8 @@ val completion_time : app -> Simtime.t
 val wait_done : Cluster.t -> ?timeout:Simtime.t -> app -> Simtime.t
 
 val pod_ids : app -> int list
-val current_placement : Cluster.t -> app -> int list
 
 val checkpoint_items :
   app -> key_prefix:string -> node_of_pod:(Pod.t -> int) -> Manager.ckpt_item list
+(** One [U_storage] item per pod, keyed [<key_prefix>.pod<id>].  Exported
+    for [chaos] and [golden], which drive the Manager directly. *)

@@ -58,18 +58,22 @@ val recv : comm -> src:int -> tag:int -> pending * Program.action
 
 val barrier : comm -> pending * Program.action
 val reduce_sum : comm -> root:int -> float array -> pending * Program.action
+(** No paper application reduces to one root; [test_msg] covers it. *)
+
 val allreduce_sum : comm -> float array -> pending * Program.action
 
 val bcast : comm -> root:int -> string -> pending * Program.action
 (** The payload argument is meaningful at the root only; completes with
-    [R_msg] carrying the broadcast data on every rank. *)
+    [R_msg] carrying the broadcast data on every rank.  No paper
+    application broadcasts; [test_msg] covers it. *)
 
 val gather : comm -> root:int -> string -> pending * Program.action
 (** Completes with [R_gather] at the root, [R_ok] elsewhere. *)
 
 val scatter : comm -> root:int -> string list -> pending * Program.action
 (** The root hands piece [i] to rank [i]; completes with [R_msg] carrying
-    the local piece everywhere ([pieces] is meaningful at the root only). *)
+    the local piece everywhere ([pieces] is meaningful at the root only).
+    No paper application scatters; [test_msg] covers it. *)
 
 val step :
   comm ->

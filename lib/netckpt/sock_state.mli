@@ -47,6 +47,7 @@ val to_value : image -> Value.t
 val of_value : Value.t -> image
 
 val classify : Socket.t -> [ `Conn of Meta.conn_state | `Listener of int | `Plain ]
+(** Exported for [test_ckpt], which checks each socket's classification. *)
 
 val save : ?mode:mode -> ns:Namespace.t -> Socket.t -> image
 (** Must run while the owning pod is suspended and its network blocked. *)

@@ -6,22 +6,6 @@
 
 module Simtime = Zapc_sim.Simtime
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us t = Printf.sprintf "%.3f" (Simtime.to_us t)
 
 let to_string rec_ =
@@ -81,7 +65,7 @@ let to_string rec_ =
            "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"zapc\",\"pid\":%d,\"tid\":%d,\
             \"ts\":%s,\"dur\":%s,\"args\":{\"op\":%d,\"pod\":%d,\"node\":%d,\
             \"sid\":%d%s%s}}"
-           (esc sp.sp_name) (sp.sp_node + 1) (sp.sp_pod + 1)
+           (Json.escape sp.sp_name) (sp.sp_node + 1) (sp.sp_pod + 1)
            (us sp.sp_begin) (us dur) sp.sp_op sp.sp_pod sp.sp_node sp.sp_id
            (match sp.sp_parent with
             | Some p -> Printf.sprintf ",\"parent\":%d" p
@@ -118,7 +102,7 @@ let to_string rec_ =
            "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"zapc\",\"s\":\"t\",\
             \"pid\":%d,\"tid\":%d,\"ts\":%s,\
             \"args\":{\"pod\":%d,\"node\":%d}}"
-           (esc i.in_what) (i.in_node + 1) (i.in_pod + 1) (us i.in_time)
+           (Json.escape i.in_what) (i.in_node + 1) (i.in_pod + 1) (us i.in_time)
            i.in_pod i.in_node))
     instants;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";

@@ -85,28 +85,6 @@ let clear t =
 (* JSON rendering — same conventions as Metrics.to_json (deterministic,
    sorted nodes, no inf/nan). *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fnum v =
-  if Float.is_nan v || v = infinity || v = neg_infinity then "0"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let entry_json b e =
   match e with
   | Span_open { f_time; f_id; f_name; f_op; f_pod; f_parent } ->
@@ -114,7 +92,7 @@ let entry_json b e =
       (Printf.sprintf
          "{\"kind\":\"span_open\",\"time\":%d,\"id\":%d,\"name\":\"%s\",\
           \"op\":%d,\"pod\":%d,\"parent\":%s}"
-         f_time f_id (esc f_name) f_op f_pod
+         f_time f_id (Json.escape f_name) f_op f_pod
          (match f_parent with Some p -> string_of_int p | None -> "null"))
   | Span_close { f_time; f_id } ->
     Buffer.add_string b
@@ -124,18 +102,18 @@ let entry_json b e =
     Buffer.add_string b
       (Printf.sprintf
          "{\"kind\":\"instant\",\"time\":%d,\"pod\":%d,\"what\":\"%s\"}"
-         f_time f_pod (esc f_what))
+         f_time f_pod (Json.escape f_what))
   | Metric { f_time; f_name; f_value } ->
     Buffer.add_string b
       (Printf.sprintf
          "{\"kind\":\"metric\",\"time\":%d,\"name\":\"%s\",\"value\":%s}"
-         f_time (esc f_name) (fnum f_value))
+         f_time (Json.escape f_name) (Json.number f_value))
 
 let to_string t ~time ~reason =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf "{\"reason\":\"%s\",\"time\":%d,\"seq\":%d,\"nodes\":["
-       (esc reason) time t.trips);
+       (Json.escape reason) time t.trips);
   let first = ref true in
   List.iter
     (fun node ->

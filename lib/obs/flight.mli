@@ -55,6 +55,7 @@ val to_string : t -> time:Zapc_sim.Simtime.t -> reason:string -> string
 
 val entries_of_json : Json.t -> (int * entry) list option
 (** Decode a parsed dump back into [(node, entry)] pairs in dump order;
-    [None] on any malformed entry (the round-trip the tests assert). *)
+    [None] on any malformed entry.  Exported for [test_obs] and [chaos],
+    which assert the dump round-trips. *)
 
 val clear : t -> unit

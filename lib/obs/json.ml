@@ -167,3 +167,28 @@ let member k = function
 let to_list = function List l -> Some l | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
+
+(* --- writing: the escaper and number format of every exporter here --- *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* JSON has no inf/nan: they print as 0 (an empty histogram's min/max). *)
+let number v =
+  if Float.is_nan v || v = infinity || v = neg_infinity then "0"
+  else if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v

@@ -155,29 +155,6 @@ let p99 t name = quantile t name 0.99
 
 (* Snapshot *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fnum v =
-  (* JSON has no inf/nan; empty-histogram min/max fall back to 0 *)
-  if Float.is_nan v || v = infinity || v = neg_infinity then "0"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
@@ -194,14 +171,14 @@ let to_json t =
     (fun k ->
       comma first;
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":%d" (esc k) (counter t k)))
+        (Printf.sprintf "\"%s\":%d" (Json.escape k) (counter t k)))
     (sorted_keys t.counters);
   Buffer.add_string b "},\"gauges\":{";
   let first = ref true in
   List.iter
     (fun k ->
       comma first;
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (esc k) (fnum (gauge t k))))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Json.escape k) (Json.number (gauge t k))))
     (sorted_keys t.gauges);
   Buffer.add_string b "},\"histograms\":{";
   let first = ref true in
@@ -209,22 +186,22 @@ let to_json t =
     (fun k ->
       comma first;
       let h = Hashtbl.find t.hists k in
-      Buffer.add_string b (Printf.sprintf "\"%s\":{" (esc k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":{" (Json.escape k));
       Buffer.add_string b
         (Printf.sprintf "\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,"
-           h.h_count (fnum h.h_sum) (fnum h.h_min) (fnum h.h_max));
+           h.h_count (Json.number h.h_sum) (Json.number h.h_min) (Json.number h.h_max));
       Buffer.add_string b
         (Printf.sprintf "\"p50\":%s,\"p90\":%s,\"p99\":%s,\"buckets\":["
-           (fnum (hist_quantile h 0.5))
-           (fnum (hist_quantile h 0.9))
-           (fnum (hist_quantile h 0.99)));
+           (Json.number (hist_quantile h 0.5))
+           (Json.number (hist_quantile h 0.9))
+           (Json.number (hist_quantile h 0.99)));
       let nfirst = ref true in
       Array.iteri
         (fun i n ->
           if n > 0 then begin
             comma nfirst;
             let ub =
-              if i < Array.length h.h_bounds then fnum h.h_bounds.(i)
+              if i < Array.length h.h_bounds then Json.number h.h_bounds.(i)
               else "\"+inf\""
             in
             Buffer.add_string b (Printf.sprintf "[%s,%d]" ub n)

@@ -51,28 +51,24 @@ val gauge : t -> string -> float
     estimated by linear interpolation inside the owning bucket and clamped
     to the observed [min..max]. *)
 
-(** Default latency-oriented bounds, in milliseconds: 0.1 .. 10_000. *)
-val default_ms_buckets : float array
-
 (** Byte-size-oriented bounds: 1 KiB .. 4 GiB, factor-4 geometric. *)
 val default_bytes_buckets : float array
 
 (** [exp_buckets ~start ~factor ~n] builds [n] geometric bounds
     [start, start*factor, ...].  Raises [Invalid_argument] unless
-    [start > 0.], [factor > 1.] and [n >= 1]. *)
+    [start > 0.], [factor > 1.] and [n >= 1].  No caller needs custom
+    bounds yet; [test_obs] checks the constructor. *)
 val exp_buckets : start:float -> factor:float -> n:int -> float array
 
 (** [observe t ?buckets name v] records [v] into histogram [name], creating
-    it with [buckets] (default {!default_ms_buckets}) on first use. *)
+    it with [buckets] (default: latency bounds of 0.1 .. 10_000 ms) on first
+    use. *)
 val observe : t -> ?buckets:float array -> string -> float -> unit
 
 val hist_count : t -> string -> int
 val hist_sum : t -> string -> float
 
-(** [quantile t name q] with [q] in [0,1]; [0.] for an absent or empty
-    histogram. *)
-val quantile : t -> string -> float -> float
-
+(** Interpolated quantiles; [0.] for an absent or empty histogram. *)
 val p50 : t -> string -> float
 val p90 : t -> string -> float
 val p99 : t -> string -> float

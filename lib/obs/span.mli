@@ -61,7 +61,8 @@ val subscribe : t -> (event -> unit) -> unit
 
 val unsubscribe_all : t -> unit
 (** Drop every subscription (a harness that reuses nothing between runs
-    keeps stale callbacks from firing into dead state). *)
+    keeps stale callbacks from firing into dead state).  Exported for
+    [chaos], [golden] and [test_obs], which reuse recorders across runs. *)
 
 val begin_span :
   t -> time:Zapc_sim.Simtime.t -> ?op:int -> ?node:int -> ?parent:int ->
@@ -88,13 +89,15 @@ val spans : t -> span list
 (** Chronological order. *)
 val instants : t -> instant list
 
-(** Still-open spans, ascending id (= opening order). *)
+(** Still-open spans, ascending id (= opening order).  Exported for
+    [test_obs], which checks what [end_all_for_pod] leaves open. *)
 val open_spans : t -> span list
 
 val open_count : t -> int
 
 val find_span : t -> int -> span option
-(** Lookup by id over all recorded spans (O(spans); tooling only). *)
+(** Lookup by id over all recorded spans (O(spans)).  Exported for
+    [test_obs], which follows parent links. *)
 
 (** Latest timestamp seen by any begin/end/instant, [Simtime.zero] when
     empty.  Exporters use it to close unfinished spans. *)

@@ -23,6 +23,8 @@ val bind_vpid : t -> vpid:int -> rpid:int -> unit
 val rpid_of_vpid : t -> int -> int option
 val vpid_of_rpid : t -> int -> int option
 val forget_rpid : t -> int -> unit
+(** Exported for [test_pod], which checks a forgotten pid stops resolving. *)
+
 val vpids : t -> int list
 
 val next_vpid : t -> int

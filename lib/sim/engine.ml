@@ -132,6 +132,8 @@ let timer ?label fn =
   { tm_deadline = Simtime.ns (-1); tm_queued = Simtime.ns (-1);
     tm_fn = fn; tm_label = label }
 
+(* (Re-)arm to fire at [at] (clamped to now).  Arming an active timer moves
+   its deadline; the callback fires once per arm..fire cycle. *)
 let timer_arm t tm ~at =
   let at = if Simtime.compare at t.clock < 0 then t.clock else at in
   tm.tm_deadline <- at;

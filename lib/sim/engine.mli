@@ -47,16 +47,13 @@ val timer : ?label:string -> (unit -> unit) -> timer
 (** Create an inactive timer around [fn]; [label] tags its queue entries
     for the profiler. *)
 
-val timer_arm : t -> timer -> at:Simtime.t -> unit
-(** (Re-)arm to fire at [at] (clamped to now).  Arming an active timer
-    moves its deadline; the callback fires once per arm..fire cycle. *)
-
 val timer_arm_in : t -> timer -> delay:Simtime.t -> unit
 
 val timer_cancel : timer -> unit
 (** Deactivate; a queued trampoline, if any, becomes a no-op. *)
 
 val timer_active : timer -> bool
+(** Exported for [test_sim], which checks the arm, fire and cancel cycle. *)
 
 (** {1 Profiler}
 

@@ -30,9 +30,3 @@ let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
-
-let gaussian t ~mu ~sigma =
-  (* Box-Muller *)
-  let u1 = Stdlib.max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

@@ -19,4 +19,3 @@ val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)
 
 val exponential : t -> mean:float -> float
-val gaussian : t -> mu:float -> sigma:float -> float

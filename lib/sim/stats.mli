@@ -18,4 +18,5 @@ val percentile : t -> float -> float
 
 val pp_ms : Format.formatter -> t -> unit
 (** Render as "mean ± stddev ms [min..max]" where samples are milliseconds;
-    "n=0" for an empty accumulator. *)
+    "n=0" for an empty accumulator.  Exported for [test_obs], which checks
+    both renderings. *)

@@ -12,9 +12,14 @@ type t = { ip : ip; port : int }
 val v : ip -> int -> t
 val any : ip
 val ip_of_string : string -> ip
-(** Parse dotted-quad notation. @raise Invalid_argument on bad input. *)
+(** Parse dotted-quad notation.  Exported for [test_simnet], which
+    round-trips it with {!ip_to_string}.
+    @raise Invalid_argument on bad input. *)
 
 val ip_to_string : ip -> string
+(** Dotted-quad notation.  Exported for [test_pod], whose programs log
+    addresses, and [test_simnet]. *)
+
 val make_ip : int -> int -> int -> int -> ip
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -28,9 +28,6 @@ val set_latency : t -> Zapc_sim.Simtime.t -> unit
 
 val set_config : t -> config -> unit
 
-val ips_of_node : t -> int -> Addr.ip list
-(** All addresses currently attached on a node, sorted. *)
-
 val detach_node : t -> int -> unit
 (** Failure injection: detach every address of a node at once (NIC detach /
     power loss); packets in flight to them are dropped on delivery. *)

@@ -152,5 +152,4 @@ let reinstate_port t (v : Value.t) ~real : (port, Errno.t) result =
       (Value.to_list (fun x -> x) (Value.field "msgs" v));
     Ok p
 
-let port_count t = Hashtbl.length t.ports
 let drop_count t = t.drops

@@ -61,5 +61,4 @@ val extract_port : port -> virt:(Addr.t -> Addr.t) -> Value.t
 val reinstate_port : t -> Value.t -> real:(Addr.t -> Addr.t) -> (port, Errno.t) result
 (** Recreate the port (and its queued messages) on this node's device. *)
 
-val port_count : t -> int
 val drop_count : t -> int

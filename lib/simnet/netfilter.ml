@@ -17,7 +17,6 @@ let block t ip = Hashtbl.replace t.blocked ip ()
 let unblock t ip = Hashtbl.remove t.blocked ip
 let is_blocked t ip = Hashtbl.mem t.blocked ip
 let blocked_count t = Hashtbl.length t.blocked
-let blocked_ips t = Hashtbl.fold (fun ip () acc -> ip :: acc) t.blocked [] |> List.sort Int.compare
 
 let permits t (p : Packet.t) =
   let ok = not (is_blocked t p.src.ip || is_blocked t p.dst.ip) in

@@ -10,14 +10,11 @@ type t
 val create : unit -> t
 val block : t -> Addr.ip -> unit
 val unblock : t -> Addr.ip -> unit
-val is_blocked : t -> Addr.ip -> bool
 
 val blocked_count : t -> int
 (** Number of block rules currently installed.  A quiescent cluster must
     have zero — any leftover rule is a leak of an aborted operation (the
     chaos harness asserts this after every scenario). *)
-
-val blocked_ips : t -> Addr.ip list
 
 val permits : t -> Packet.t -> bool
 (** Consulted by the fabric on both egress and ingress. *)

@@ -345,7 +345,6 @@ let set_gm_handler t h = t.gm <- Some h
 let send_packet t p = Fabric.send t.fabric p
 
 let socket_count t = Hashtbl.length t.socks
-let established_count t = Hashtbl.length t.estab
 
 let net_stats t = (netctx t).Socket.nc_stats
 let retransmit_count t = (net_stats t).Socket.ns_retransmits

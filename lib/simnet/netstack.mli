@@ -10,8 +10,6 @@ type t
 
 val create : node:int -> Fabric.t -> t
 val new_socket : t -> Socket.kind -> Socket.t
-val register_estab : t -> Socket.t -> unit
-val unregister : t -> Socket.t -> unit
 val on_packet : t -> Packet.t -> unit
 
 (** {1 Addresses} *)
@@ -21,8 +19,6 @@ val add_ip : t -> Addr.ip -> unit
 
 val remove_ip : t -> Addr.ip -> unit
 val default_ip : t -> Addr.ip option
-val has_ip : t -> Addr.ip -> bool
-val alloc_port : t -> int -> Addr.ip -> int
 
 (** {1 Socket operations (system-call back-ends)} *)
 
@@ -31,7 +27,6 @@ val bind : t -> Socket.t -> Addr.t -> (unit, Errno.t) result
     existing binding yields [EADDRINUSE] (unless SO_REUSEADDR). *)
 
 val listen : t -> Socket.t -> int -> (unit, Errno.t) result
-val auto_bind : t -> Socket.t -> (unit, Errno.t) result
 
 val connect_start : t -> Socket.t -> Addr.t -> (unit, Errno.t) result
 (** Stream: auto-bind (honouring [src_hint]), register for demux, begin the
@@ -63,7 +58,6 @@ val send_packet : t -> Packet.t -> unit
 (** Raw transmit onto the fabric (used by the GM device). *)
 
 val socket_count : t -> int
-val established_count : t -> int
 
 val net_stats : t -> Socket.net_stats
 (** Aggregate transport counters for this stack (shared with every socket

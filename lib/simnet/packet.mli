@@ -29,7 +29,6 @@ type body =
 type t = { src : Addr.t; dst : Addr.t; body : body }
 
 val header_bytes : body -> int
-val payload_bytes : body -> int
 val size : t -> int
 (** Wire size including modelled IP/transport headers. *)
 

@@ -400,8 +400,6 @@ let append_altqueue s data =
 
 let recv_queue_contents s = Sockbuf.contents s.recvq
 
-let alt_queue_contents s = Sockbuf.contents s.altq
-
 let unsent_data s = Sockbuf.contents s.sendq
 
 let unacked_data s =

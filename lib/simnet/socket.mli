@@ -32,8 +32,6 @@ type tcp_state =
   | St_last_ack
   | St_time_wait
 
-val tcp_state_to_string : tcp_state -> string
-
 (** One unacknowledged transmission unit: the retransmission queue holds
     exactly the acked..sent bytes the checkpoint extracts as the in-kernel
     send queue. *)
@@ -168,13 +166,14 @@ val create : id:int -> kind:kind -> netctx:netctx -> t
 (** {1 Derived properties} *)
 
 val rcvbuf : t -> int
-val sndbuf : t -> int
 val mss : t -> int
 val nonblocking : t -> bool
 val oob_inline : t -> bool
 val advertised_window : t -> int
 val sendq_space : t -> int
 val tcp_state : t -> tcp_state
+(** Exported for [test_simnet], which checks connection state changes. *)
+
 val is_listening : t -> bool
 
 val poll_relevant : t -> want_read:bool -> want_write:bool -> bool
@@ -213,12 +212,9 @@ val append_altqueue : t -> string -> unit
 (** Send-queue redirection: concatenate redirected peer data behind the
     already-restored receive data. *)
 
-val uninstall_interposition : t -> unit
-
 (** {1 Checkpoint-side accessors (used by Zapc_netckpt)} *)
 
 val recv_queue_contents : t -> string
-val alt_queue_contents : t -> string
 val unsent_data : t -> string
 
 val unacked_data : t -> string

@@ -12,11 +12,6 @@
     exactly the acked..sent bytes, and [rcv_nxt] advancing only over
     delivered (or OOB-extracted) sequence space. *)
 
-module Simtime = Zapc_sim.Simtime
-
-val initial_rto : Simtime.t
-val max_rto : Simtime.t
-
 (** {1 Connection lifecycle} *)
 
 val connect : Socket.t -> unit

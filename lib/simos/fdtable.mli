@@ -34,6 +34,7 @@ val socket : t -> int -> Socket.t option
 val fold : t -> (int -> entry -> 'a -> 'a) -> 'a -> 'a
 val iter : t -> (int -> entry -> unit) -> unit
 val cardinal : t -> int
+(** Exported for [test_simos], which compares the table with its model. *)
 
 val copy : t -> t
 (** Share the underlying objects and bump pipe-end reference counts (socket

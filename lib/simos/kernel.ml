@@ -668,8 +668,6 @@ let signal k pid sg =
 let alive_count k =
   Hashtbl.fold (fun _ p acc -> if Proc.is_alive p then acc + 1 else acc) k.procs 0
 
-let remove_proc k pid = Hashtbl.remove k.procs pid
-
 (* Failure injection: node power loss.  Every live process dies as if
    SIGKILLed; nothing gets a chance to clean up. *)
 let crash k =

@@ -45,7 +45,7 @@ val now : t -> Simtime.t
 val find_proc : t -> int -> Proc.t option
 val processes : t -> Proc.t list
 val alive_count : t -> int
-val remove_proc : t -> int -> unit
+(** Exported for [test_apps], which bounds each wait queue by it. *)
 
 val crash : t -> unit
 (** Failure injection: node power loss.  Every live process terminates as
@@ -73,7 +73,6 @@ val alloc_pipe_id : t -> int
     that installs descriptors directly must take references too. *)
 
 val ref_socket : t -> Socket.t -> unit
-val unref_socket : t -> Socket.t -> unit
 
 (** {1 Processes} *)
 

@@ -104,12 +104,6 @@ let epochs t = t.epochs
 let gen t name =
   match Hashtbl.find_opt t.gens name with Some g -> g | None -> 0
 
-(* (name, size, generation) of every live region, sorted by name — the
-   content tags the dedup chunker addresses regions by. *)
-let region_tags t =
-  Hashtbl.fold (fun name size acc -> (name, size, gen t name) :: acc) t.regions []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
 (* Each region encodes as [size; gen] so the content tag survives a
    checkpoint-restart cycle (dedup addresses stay stable across restarts). *)
 let to_value t =

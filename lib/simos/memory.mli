@@ -38,7 +38,8 @@ val dirty_bytes : t -> int
     {!clear_dirty} (a freed region contributes nothing). *)
 
 val dirty_regions : t -> string list
-(** Names of the dirty regions, sorted. *)
+(** Names of the dirty regions, sorted.  Exported for [test_ckpt], which
+    checks that allocs, touches and frees mark a region dirty. *)
 
 val snapshot_dirty : t -> (string * int) list
 (** Atomically capture-and-clear the dirty set: returns the still-present
@@ -55,9 +56,6 @@ val gen : t -> string -> int
     contents, so (name, size, gen) models a region's bytes — two regions
     agreeing on all three hold identical modelled content (the
     content-addressed dedup tag).  0 for unknown names. *)
-
-val region_tags : t -> (string * int * int) list
-(** Every live region as (name, size, generation), sorted by name. *)
 
 val to_value : t -> Zapc_codec.Value.t
 (** Regions encode as name -> [size; generation] so dedup content tags

@@ -14,8 +14,6 @@ module Simtime = Zapc_sim.Simtime
 
 type run_state = Ready | Running | Blocked | Stopped | Zombie
 
-val run_state_to_string : run_state -> string
-
 type t = {
   pid : int;
   mutable rstate : run_state;

@@ -55,8 +55,6 @@ let list t prefix =
     t.files []
   |> List.sort String.compare
 
-let total_bytes t = t.bytes
-
 (* Copy a subtree (used by the optional pre-reactivation snapshot); returns
    the number of bytes copied so the caller can charge storage time. *)
 let snapshot_subtree t ~src_prefix ~dst_prefix =

@@ -20,7 +20,5 @@ val exists : t -> string -> bool
 val list : t -> string -> string list
 (** Paths under a prefix, sorted. *)
 
-val total_bytes : t -> int
-
 val snapshot_subtree : t -> src_prefix:string -> dst_prefix:string -> int
 (** Copy a subtree; returns bytes copied (for storage-time accounting). *)

@@ -289,6 +289,9 @@ let abort_checkpoint t pod_id =
     span_end_all t ~pod:pod_id;
     Hashtbl.remove t.ckpts pod_id
 
+(* A [U_node] restart never waits for its image (the stream lands before
+   its checkpoint completes, and a restart that finds no image fails at
+   once), so there is nothing to drop but the half-restored pod. *)
 let abort_restart t pod_id =
   match Hashtbl.find_opt t.restores pod_id with
   | None -> ()

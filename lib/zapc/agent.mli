@@ -9,14 +9,12 @@
     topology can deadlock), restore the network state, run the standalone
     restart, and let the pod resume without further delay.
 
-    Commands normally arrive over the attached control channel; the direct
-    entry points below exist for tests. *)
+    Commands arrive over the attached control channel, or directly through
+    {!deliver}. *)
 
 module Kernel = Zapc_simos.Kernel
 module Fabric = Zapc_simnet.Fabric
 module Pod = Zapc_pod.Pod
-module Meta = Zapc_netckpt.Meta
-module Addr = Zapc_simnet.Addr
 
 type t
 
@@ -37,22 +35,9 @@ val attach_channel : t -> Protocol.channel -> unit
 val deliver : t -> Protocol.to_agent -> unit
 (** Hand one command to this agent directly.  Hierarchical coordination
     wires the channel's down handler to a {!Relay}, which dispatches
-    locally-addressed commands here after routing the rest. *)
+    locally-addressed commands here after routing the rest.
 
-val set_peer_resolver : t -> (int -> t option) -> unit
-(** How to reach other Agents.  Every image sent to another Agent — the
-    announce and pre-copy rounds of a live migration and the final image
-    of every [Protocol.U_node] item — travels through one peer transfer:
-    control latency plus the bytes at fabric bandwidth, then a check that
-    the destination Agent is up and connected.  An unreachable destination
-    fails the checkpoint and the pod resumes on the source. *)
-
-val register_pod : t -> Pod.t -> unit
-val forget_pod : t -> int -> unit
-val find_pod : t -> int -> Pod.t option
-
-val handle_command : t -> Protocol.to_agent -> unit
-(** An [A_checkpoint] runs one pipeline: capture, choose the image, hand it
+    An [A_checkpoint] runs one pipeline: capture, choose the image, hand it
     to its sink, complete.  With [incremental] the image is a delta against
     the last image this Agent durably stored for the pod, when one is still
     resident in storage and the chain is shorter than
@@ -69,32 +54,23 @@ val handle_command : t -> Protocol.to_agent -> unit
     destination activates a prestaged skeleton.  A command's [ctx] is the
     Manager's causal trace context: the Agent's local spans parent under
     [ctx.tc_parent] and carry operation id [ctx.tc_op].  Stream images
-    skip the compressor on both sides: only Storage compresses. *)
+    skip the compressor on both sides: only Storage compresses.
 
-val start_restart :
-  ?ctx:Protocol.trace_ctx ->
-  t ->
-  pod_id:int ->
-  name:string ->
-  vip:Addr.ip ->
-  rip:Addr.ip ->
-  uri:Protocol.uri ->
-  entries:Meta.restart_entry list ->
-  vip_map:(Addr.ip * Addr.ip) list ->
-  extra_altq:(int * string) list ->
-  skip_sendq:bool ->
-  unit
+    An abort is idempotent: an aborted checkpoint unblocks the pod's
+    network, resumes it and drops the op (one still in its pre-copy rounds
+    never suspended the pod: the rounds stop and the pod keeps running); an
+    aborted restart destroys the half-restored pod. *)
 
-val abort_checkpoint : t -> int -> unit
-(** Idempotent: unblocks the pod's network, resumes it, drops the op.  A
-    checkpoint still in its pre-copy rounds never suspended the pod: the
-    rounds stop and the pod keeps running. *)
+val set_peer_resolver : t -> (int -> t option) -> unit
+(** How to reach other Agents.  Every image sent to another Agent — the
+    announce and pre-copy rounds of a live migration and the final image
+    of every [Protocol.U_node] item — travels through one peer transfer:
+    control latency plus the bytes at fabric bandwidth, then a check that
+    the destination Agent is up and connected.  An unreachable destination
+    fails the checkpoint and the pod resumes on the source. *)
 
-val abort_restart : t -> int -> unit
-(** Idempotent: destroys the half-restored pod.  A [U_node] restart never
-    waits for its image — the stream lands before its checkpoint completes,
-    and a restart that finds no image fails at once — so there is nothing
-    else to drop. *)
+val register_pod : t -> Pod.t -> unit
+val forget_pod : t -> int -> unit
 
 val abort_all : t -> unit
 (** Abort every checkpoint and restart in flight here, and drop every

@@ -43,15 +43,12 @@ type t = {
 (* --- node liveness (supervisor bookkeeping) --- *)
 
 (* Node liveness feeds the buddy storage backend: a declared-dead node's
-   RAM copies are gone and get re-buddied; a recovered node rejoins with an
-   empty buddy store (no-ops on the other backends). *)
+   RAM copies are gone and get re-buddied (a no-op on the other backends).
+   A declared-dead node stays dead. *)
 let mark_node_dead t i =
   t.nodes.(i).n_alive <- false;
   Storage.node_died t.storage i
 
-let mark_node_alive t i =
-  t.nodes.(i).n_alive <- true;
-  Storage.node_healed t.storage i
 let node_alive t i = t.nodes.(i).n_alive
 
 let alive_nodes t =

@@ -46,7 +46,6 @@ val now : t -> Simtime.t
     therefore valid targets for an automatic recovery. *)
 
 val mark_node_dead : t -> int -> unit
-val mark_node_alive : t -> int -> unit
 val node_alive : t -> int -> bool
 
 val alive_nodes : t -> int list
@@ -67,9 +66,6 @@ val set_hung : t -> int -> bool -> unit
     delivering in either direction (a hung Agent whose connection stays
     healthy) and [false] drains it.  The hang belongs to the node, so a
     re-formed tree pauses the node's fresh uplink too. *)
-
-val alloc_vip : t -> Addr.ip
-(** Fresh virtual address (10.77.0.0/16 pool, disjoint from real subnets). *)
 
 val alloc_rip : t -> int -> Addr.ip
 (** Fresh real address on the given node (172.16.<node>.0/24). *)

@@ -127,6 +127,8 @@ val migrate_items :
     its destination reports the image landed: a failure before that aborts
     cleanly and the pod resumes at its source; after it the destination
     copy wins even if the source is lost.
+    Only [test_zapc] migrates several pods at once; the other callers use
+    {!migrate}.
     @raise Invalid_argument if an operation is already in progress or a
     destination is not [U_node]. *)
 

@@ -8,7 +8,7 @@ module Kconfig = Zapc_simos.Kconfig
 
 (* Where checkpoint images live (see DESIGN.md §14):
    - [Sb_plain]: every image verbatim on every replica of the shared store
-     (the pre-PR-10 behaviour, and the default).
+     (the default).
    - [Sb_dedup]: content-addressed chunk store — encoded bytes and modelled
      memory regions split into FNV-addressed chunks stored once, refcounted
      against the pin/condemn GC.

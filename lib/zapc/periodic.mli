@@ -46,7 +46,8 @@ val skipped : t -> int
 
 val last_skip_reason : t -> string option
 (** Why the most recent epoch was skipped (manager busy, unresolvable
-    pod, ...); [None] if none was ever skipped. *)
+    pod, ...); [None] if none was ever skipped.  Exported for [test_zapc],
+    which checks the reason a busy Manager gives. *)
 
 val pod_ids : t -> int list
 val set_on_epoch : t -> (int -> Manager.op_result -> unit) -> unit

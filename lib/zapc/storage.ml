@@ -108,8 +108,6 @@ type t = {
   metrics : Metrics.t;
   mutable bytes_written : int;
   mutable fail_writes : string option;
-  mutable write_failures : int;
-  mutable corruption_detected : int;
   trace : Span.t;  (* successful writes become [storage_put] spans *)
   (* contention: each link (the shared SAN, each buddy owner's own link)
      serializes its own flushes; distinct links run in parallel *)
@@ -159,15 +157,13 @@ let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
     entries = Hashtbl.create 16;
     bases = Hashtbl.create 16; pins = Hashtbl.create 16; condemned = Hashtbl.create 8;
     metrics;
-    bytes_written = 0; fail_writes = None; write_failures = 0; corruption_detected = 0;
+    bytes_written = 0; fail_writes = None;
     trace; links_free = Hashtbl.create 8;
     dd_logical = 0; dd_unique = 0; comp_in = 0; comp_out = 0 }
 
 let replica_count t = Array.length t.fails
 
 let set_fail_writes t reason = t.fail_writes <- reason
-let write_failures t = t.write_failures
-let corruption_detected t = t.corruption_detected
 
 let set_replica_fail t ~replica reason =
   if replica >= 0 && replica < Array.length t.fails then t.fails.(replica) <- reason
@@ -347,7 +343,6 @@ let intern_chunks t (image : Image.t) =
   ({ skel = { image with Image.encoded = "" }; chs; vrefs }, !new_bytes)
 
 let fail_put t reason =
-  t.write_failures <- t.write_failures + 1;
   Metrics.incr t.metrics "storage.write_failures";
   Error reason
 
@@ -451,7 +446,6 @@ let raw_get t p =
              if i > 0 then Metrics.incr t.metrics "storage.replica_fallbacks";
              Some img
            | Some _ | None ->
-             t.corruption_detected <- t.corruption_detected + 1;
              Metrics.incr t.metrics "storage.corruption_detected";
              go (i + 1))
         | Some _ | None -> go (i + 1)
@@ -602,10 +596,6 @@ let node_died t node =
         end)
       t.entries
   end
-
-(* A dead node came back: it rejoins with an empty RAM (its buddy copies
-   died with it; surviving data was already re-buddied). *)
-let node_healed t node = Hashtbl.remove t.dead node
 
 (* --- corruption injection ------------------------------------------------ *)
 

@@ -57,7 +57,8 @@ val create :
     Agent's operation span via {!put}'s [op]/[parent]). *)
 
 val replica_count : t -> int
-(** Copy slots per key. *)
+(** Copy slots per key.  Exported for [test_ckpt] and [chaos], which
+    check every slot of a key. *)
 
 val put :
   ?op:int -> ?parent:int -> ?node:int ->
@@ -85,10 +86,8 @@ val base_key : t -> string -> string option
 
 val set_fail_writes : t -> string option -> unit
 (** Failure injection: while [Some reason], every {!put} fails with that
-    reason (a SAN outage / full volume).  [None] heals the outage. *)
-
-val write_failures : t -> int
-(** Number of writes rejected by injected outages so far. *)
+    reason (a SAN outage / full volume), counted in
+    [storage.write_failures].  [None] heals the outage. *)
 
 val set_replica_fail : t -> replica:int -> string option -> unit
 (** Per-slot outage injection: while set, {!put} skips slot [replica],
@@ -110,19 +109,13 @@ val node_died : t -> int -> unit
     node is alive); entries that lost both copies are gone
     ([storage.buddy_lost]).  SAN slots are unaffected. *)
 
-val node_healed : t -> int -> unit
-(** The node rejoined (with an empty RAM — its buddy copies died with it). *)
-
 val corrupt : t -> replica:int -> string -> bool
 (** Corruption injection: flip a byte of one slot's copy of the image while
-    keeping its stale checksum, so only a verifying read notices.  The
+    keeping its stale checksum, so only a verifying read notices (it counts
+    [storage.corruption_detected] and tries the next slot).  The
     damage shadows the copy's first chunk without touching the shared pool
     or any other slot.  Returns [false] if that slot has no (non-empty)
     copy of the key. *)
-
-val corruption_detected : t -> int
-(** Number of reads that found a copy failing verification (each such copy
-    is skipped and the next location tried). *)
 
 val mem : t -> string -> bool
 (** Cheap, side-effect-free existence check: the key's current version is
@@ -138,13 +131,8 @@ val remove : t -> string -> unit
 
 val replica_has : t -> replica:int -> string -> bool
 (** Does this slot (buddy: 0 = owner, 1 = partner) physically hold the
-    key's current version?  Ignores outage flags — tests observe the
-    replication factor directly with this. *)
-
-val flush_bytes : t -> string -> int option
-(** Bytes that travel when flushing the key's current version: a delta's
-    delta bytes, a dedup put's distinct-new bytes only, shrunk by
-    compression when enabled. *)
+    key's current version?  Ignores outage flags.  Exported for [test_ckpt]
+    and [chaos], which observe the replication factor directly with it. *)
 
 val flush_time : t -> string -> Simtime.t
 (** Uncontended single-transfer flush time at the key's link bandwidth

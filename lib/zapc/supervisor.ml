@@ -33,13 +33,6 @@ module Pod = Zapc_pod.Pod
 
 type state = Monitoring | Suspected | Recovering | Gave_up | Stopped
 
-let state_to_string = function
-  | Monitoring -> "monitoring"
-  | Suspected -> "suspected"
-  | Recovering -> "recovering"
-  | Gave_up -> "gave-up"
-  | Stopped -> "stopped"
-
 type t = {
   cluster : Cluster.t;
   service : Periodic.t;
@@ -53,11 +46,9 @@ type t = {
   mutable seq : int;
   mutable state : state;
   mutable attempts : int;  (* attempts of the recovery in progress *)
-  mutable total_attempts : int;
   mutable recoveries : int;
   mutable gave_up : int;  (* recoveries abandoned after the retry budget *)
   mutable last_detect : Simtime.t option;
-  mutable last_recovered : Simtime.t option;
   mutable recover_span : int;  (* open [sup_recover] span id, -1 when none *)
   mutable log : (Simtime.t * string) list;  (* newest first *)
   mutable beat_tm : Engine.timer option;  (* cancellable heartbeat timer *)
@@ -205,7 +196,6 @@ and attempt_recovery t =
   else if t.attempts >= t.params.Params.recover_retries then give_up t
   else begin
     t.attempts <- t.attempts + 1;
-    t.total_attempts <- t.total_attempts + 1;
     Metrics.incr (reg t) "sup.attempts";
     note t (Printf.sprintf "sup_attempt:%d" t.attempts);
     let alive = Cluster.alive_nodes t.cluster in
@@ -241,7 +231,6 @@ and retry_later t =
 
 and recovered t =
   t.recoveries <- t.recoveries + 1;
-  t.last_recovered <- Some (now t);
   Metrics.incr (reg t) "sup.recoveries";
   Metrics.set_gauge (reg t) "sup.last_recovered_ms" (Simtime.to_ms (now t));
   (* MTTR: declaration of death -> service restored *)
@@ -285,11 +274,9 @@ let start ?trace cluster service =
       seq = 0;
       state = Monitoring;
       attempts = 0;
-      total_attempts = 0;
       recoveries = 0;
       gave_up = 0;
       last_detect = None;
-      last_recovered = None;
       recover_span = -1;
       log = [];
       beat_tm = None;
@@ -323,8 +310,5 @@ let stop t =
 let state t = t.state
 let watched t = t.watched
 let recoveries t = t.recoveries
-let total_attempts t = t.total_attempts
 let gave_up t = t.gave_up > 0
-let last_detect t = t.last_detect
-let last_recovered t = t.last_recovered
 let events t = List.rev t.log

@@ -21,8 +21,6 @@ module Simtime = Zapc_sim.Simtime
 
 type state = Monitoring | Suspected | Recovering | Gave_up | Stopped
 
-val state_to_string : state -> string
-
 type t
 
 val start : ?trace:Trace.t -> Cluster.t -> Periodic.t -> t
@@ -35,19 +33,13 @@ val stop : t -> unit
 
 val state : t -> state
 val watched : t -> int list
-(** The sticky node set currently under heartbeat watch. *)
+(** The sticky node set currently under heartbeat watch.  Exported for
+    [chaos] and [test_zapc], which check a dead node leaves it. *)
 
 val recoveries : t -> int
 (** Completed automatic recoveries. *)
 
-val total_attempts : t -> int
 val gave_up : t -> bool
-
-val last_detect : t -> Simtime.t option
-(** Instant the most recent node death was declared. *)
-
-val last_recovered : t -> Simtime.t option
-(** Instant the most recent recovery completed (restart reported ok). *)
 
 val events : t -> (Simtime.t * string) list
 (** Chronological supervisor event log (detect/attempt/backoff/...). *)

@@ -243,7 +243,8 @@ let test_storage_outage_aborts_cleanly () =
      check tbool "failure mentions storage" true
        (String.length detail >= 7 && String.sub detail 0 7 = "storage")
    | _ -> Alcotest.fail "expected F_agent from the storage write");
-  check tbool "a write was rejected" true (Storage.write_failures (Cluster.storage cluster) > 0);
+  check tbool "a write was rejected" true
+    (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "storage.write_failures" > 0);
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 300)) ();
   assert_clean "storage-outage" cluster fs;
   (* heal and retry: full recovery *)
@@ -707,16 +708,15 @@ let run_crash_autorecovery seed =
       Supervisor.recoveries sup >= 1 || Supervisor.gave_up sup);
   check tbool "supervisor recovered (did not give up)" true
     (Supervisor.recoveries sup = 1);
-  let detect = Option.get (Supervisor.last_detect sup) in
-  let mttr_end = Option.get (Supervisor.last_recovered sup) in
-  let detect_latency = Simtime.sub detect crash_time in
-  let mttr = Simtime.sub mttr_end crash_time in
+  let reg = Cluster.metrics cluster in
+  let since_crash gauge = Zapc_obs.Metrics.gauge reg gauge -. Simtime.to_ms crash_time in
+  let detect_latency = since_crash "sup.last_detect_ms" in
+  let mttr = since_crash "sup.last_recovered_ms" in
   (* detection needs heartbeat_misses consecutive silent beats, no more *)
-  check tbool "detection latency positive" true (detect_latency > Simtime.zero);
-  check tbool "detection within 10 heartbeats" true
-    (detect_latency <= Simtime.ms 200);
-  check tbool "recovery after detection" true (Simtime.compare mttr detect_latency > 0);
-  check tbool "MTTR under a virtual second" true (mttr <= Simtime.sec 1.0);
+  check tbool "detection latency positive" true (detect_latency > 0.0);
+  check tbool "detection within 10 heartbeats" true (detect_latency <= 200.0);
+  check tbool "recovery after detection" true (mttr > detect_latency);
+  check tbool "MTTR under a virtual second" true (mttr <= 1000.0);
   (* the recovered app must run to its correct result *)
   Cluster.run_until cluster ~timeout:(Simtime.sec 2400.0) (fun () ->
       has_log "bt_nas: checksum");
@@ -755,7 +755,7 @@ let test_backoff_retry_after_second_fault () =
   check tbool "recovered despite the second fault" true
     (Supervisor.recoveries sup = 1);
   check tbool "first attempt failed, retried with backoff" true
-    (Supervisor.total_attempts sup >= 2);
+    (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "sup.attempts" >= 2);
   check tbool "backoff event traced" true
     (List.exists
        (fun (_, w) ->
@@ -782,18 +782,13 @@ let test_corrupt_primary_recovers_from_replica () =
   Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
       Supervisor.recoveries sup >= 1 || Supervisor.gave_up sup);
   check tbool "recovered from the replica" true (Supervisor.recoveries sup = 1);
-  check tbool "corruption was detected on the primary" true
-    (Storage.corruption_detected storage > 0);
-  (* the same facts through the metrics registry: fallbacks and detections
-     are first-class instruments, not derived from trace strings *)
+  (* fallbacks and detections are first-class instruments, not derived
+     from trace strings *)
   let reg = Cluster.metrics cluster in
-  check tbool "registry counted corruption detections" true
+  check tbool "corruption was detected on the primary" true
     (Zapc_obs.Metrics.counter reg "storage.corruption_detected" > 0);
   check tbool "registry counted replica fallbacks" true
     (Zapc_obs.Metrics.counter reg "storage.replica_fallbacks" > 0);
-  check tbool "registry agrees with the storage counter" true
-    (Zapc_obs.Metrics.counter reg "storage.corruption_detected"
-     = Storage.corruption_detected storage);
   Cluster.run_until cluster ~timeout:(Simtime.sec 2400.0) (fun () ->
       has_log "bt_nas: checksum");
   (* Extension (storage bugfix 3): take the second replica out while the

@@ -169,7 +169,8 @@ let supervised name ?(params = avail_params) ?(nodes = 4) ?(placement = [ 0; 1 ]
   run_for cluster 200;
   report name cluster fs ~sup
     (Printf.sprintf "recoveries=%d attempts=%d good=%d t=%d"
-       (Supervisor.recoveries sup) (Supervisor.total_attempts sup)
+       (Supervisor.recoveries sup)
+       (Metrics.counter (Cluster.metrics cluster) "sup.attempts")
        (Periodic.last_good svc) (Cluster.now cluster))
 
 let crash node = { Faultsim.fault = Crash_node { node }; trigger = Now }

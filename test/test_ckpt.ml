@@ -513,7 +513,7 @@ let test_memory_dirty_tracking () =
 (* --- delta chains in storage --- *)
 
 (* One pod checkpointed at three instants; full at t1, deltas at t2/t3. *)
-let delta_env () =
+let delta_env ?metrics () =
   let engine = Engine.create ~seed:13 () in
   let fabric = Fabric.create engine in
   let k = Kernel.create ~node_id:0 fabric in
@@ -522,7 +522,7 @@ let delta_env () =
       ~rip:(Addr.make_ip 172 16 0 14) k
   in
   ignore (Pod.spawn pod ~program:"ckpttest.memhog" ~args:Value.Unit);
-  let storage = Storage.create ~trace:(Zapc.Trace.create ()) engine in
+  let storage = Storage.create ?metrics ~trace:(Zapc.Trace.create ()) engine in
   let snap at =
     Engine.run ~until:at ~max_events:100_000 engine;
     Pod.suspend pod;
@@ -576,7 +576,8 @@ let test_delta_chain_byte_identity () =
        (Image.of_pod_image r3.Pod_ckpt.image).Image.encoded (Wire.encode v))
 
 let test_delta_chain_corruption_and_gc () =
-  let _, pod, storage, snap = delta_env () in
+  let metrics = Zapc_obs.Metrics.create () in
+  let _, pod, storage, snap = delta_env ~metrics () in
   let r1 = snap (Simtime.ms 5) in
   ignore (Storage.put storage "base" (Image.of_pod_image r1.Pod_ckpt.image));
   Pod_ckpt.clear_memory_dirty pod;
@@ -600,7 +601,8 @@ let test_delta_chain_corruption_and_gc () =
   (match Storage.get storage "d2" with
    | None -> Alcotest.fail "chain must survive a corrupt primary"
    | Some v -> check tstr "replica fallback byte-identical" want (Wire.encode v));
-  check tbool "corruption was detected" true (Storage.corruption_detected storage > 0);
+  check tbool "corruption was detected" true
+    (Zapc_obs.Metrics.counter metrics "storage.corruption_detected" > 0);
   (* kill the last healthy copy of the middle link: the chain is broken *)
   check tbool "corrupt middle link replica" true (Storage.corrupt storage ~replica:1 "d1");
   check tbool "broken chain yields no image" true (Storage.get storage "d2" = None);

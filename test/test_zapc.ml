@@ -1842,15 +1842,11 @@ let migrate_failures () =
 (* The metric catalogue contract: the instruments of one family that a set
    of registries holds equal the names the table rows of
    doc/OBSERVABILITY.md write whole between backquotes, in both
-   directions. *)
-let check_catalogue ~prefixes registries =
-  let ours name =
-    List.exists
-      (fun p ->
-        String.length name >= String.length p
-        && String.equal (String.sub name 0 (String.length p)) p)
-      prefixes
-  in
+   directions.  A family is the names under [prefixes] and under none of
+   [except] (the rows other tests hold). *)
+let check_catalogue ?(except = []) ~prefixes registries =
+  let under ps name = List.exists (fun p -> String.starts_with ~prefix:p name) ps in
+  let ours name = under prefixes name && not (under except name) in
   let registered =
     List.concat_map (fun m -> List.filter ours (Zapc_obs.Metrics.names m)) registries
     |> List.sort_uniq compare
@@ -1969,6 +1965,72 @@ let test_ckpt_metric_catalogue () =
     (fun (_, st) -> check tbool "delta write" true (st.Protocol.st_full_bytes > 0))
     delta.Manager.r_stats;
   check_catalogue ~prefixes:[ "ckpt."; "netckpt." ] [ Cluster.metrics cluster ]
+
+(* The Manager's and the Agents' own instruments, the non-migration
+   [mgr.*] and [agent.*] rows, on a traced cluster so that every
+   successful operation publishes its critical path.  A full and a delta
+   checkpoint, then a checkpoint whose pod on node 1 hangs at the continue
+   broadcast: that Agent gives up waiting and the Manager's done phase
+   times out.  The hang lifts inside the next checkpoint (of the node-0 pod
+   alone), so node 1's late failure report lands on an operation that is
+   not waiting for it.  Last, a restart that succeeds and one whose target
+   node hangs until the Manager aborts it. *)
+let mgr_agent_registry () =
+  let params = { Params.default with phase_timeout = Simtime.sec 1.0 } in
+  let cluster = make_cluster ~params () in
+  let tr = Cluster.enable_trace cluster in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 400) ()
+  in
+  let pod0, pod1 =
+    match app.Launch.pods with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  let hang_at what node hung =
+    let armed = ref true in
+    Span.subscribe tr (function
+      | Span.Instant i when !armed && String.equal i.in_what what ->
+        armed := false;
+        Cluster.set_hung cluster node hung
+      | _ -> ())
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let ok what (r : Manager.op_result) = check tbool what true r.Manager.r_ok in
+  ok "full checkpoint" (Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"mgr-full");
+  Cluster.run cluster ~until:(Simtime.ms 10) ();
+  ok "delta checkpoint"
+    (Cluster.snapshot ~incremental:true cluster ~pods:app.Launch.pods ~key_prefix:"mgr-delta");
+  hang_at "continue_broadcast" 1 true;
+  let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"mgr-hung" in
+  check tbool "hung checkpoint times out" true
+    (match r.Manager.r_failure with Some (Protocol.F_timeout _) -> true | _ -> false);
+  hang_at "continue_broadcast" 1 false;
+  ok "checkpoint of the other pod" (Cluster.snapshot cluster ~pods:[ pod0 ] ~key_prefix:"mgr-one");
+  let reg = Cluster.metrics cluster in
+  check tbool "the late report counted stale" true
+    (Zapc_obs.Metrics.counter reg "mgr.stale_done" > 0);
+  (* checkpoint and destroy both pods, living on nodes [n0] and [n1] *)
+  let stop key_prefix n0 n1 =
+    ok "stopping checkpoint"
+      (Cluster.checkpoint_sync cluster ~resume:false
+         ~items:(Launch.checkpoint_items app ~key_prefix
+                   ~node_of_pod:(fun p -> if p == pod0 then n0 else n1)))
+  in
+  stop "mgr-stop" 0 1;
+  let pod_ids = [ pod0.Pod.pod_id; pod1.Pod.pod_id ] in
+  ok "restart" (Cluster.restart_app cluster ~pod_ids ~target_nodes:[ 2; 3 ] ~key_prefix:"mgr-stop");
+  stop "mgr-again" 2 3;
+  Cluster.set_hung cluster 1 true;
+  let r = Cluster.restart_app cluster ~pod_ids ~target_nodes:[ 0; 1 ] ~key_prefix:"mgr-again" in
+  check tbool "hung restart fails" false r.Manager.r_ok;
+  Cluster.set_hung cluster 1 false;
+  Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 50)) ();
+  reg
+
+let test_mgr_agent_metric_catalogue () =
+  check_catalogue ~prefixes:[ "mgr."; "agent." ]
+    ~except:[ "mgr.tree."; "mgr.mig."; "agent.mig" ]
+    [ mgr_agent_registry () ]
 
 (* Every net.* instrument is in doc/OBSERVABILITY.md, and vice versa: the
    per-cluster fabric, netfilter and TCP gauges plus the counters a
@@ -2438,7 +2500,9 @@ let () =
           Alcotest.test_case "supervisor: default trace" `Quick
             test_supervisor_default_trace;
           Alcotest.test_case "supervisor metric catalogue" `Quick
-            test_supervisor_metric_catalogue ] );
+            test_supervisor_metric_catalogue;
+          Alcotest.test_case "manager and agent metric catalogue" `Quick
+            test_mgr_agent_metric_catalogue ] );
       ( "protocol",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "timing structure" `Quick test_checkpoint_timing_structure;
