@@ -148,12 +148,14 @@ let t_ns_lookup =
 
 (* A process polling 400 TCP sockets, with its request list built once in
    its state.  poll.block-400: all idle, so it blocks; each run fires one
-   of them without data (rotating), so the process wakes, scans all 400 in
-   a fresh poll and blocks again — what a server holding many idle client
-   connections does per request.  Blocking queues the process's waker on
-   every socket it polls; a waker already queued is not queued again.
-   poll.scan-400: one socket holds unread data, so every poll returns at
-   once; each run is one poll (dispatch, scan, syscall return). *)
+   of them without data (rotating), so the process wakes, polls again and
+   blocks again — what a server holding many idle client connections does
+   per request.  Its poll set re-checks only the socket that fired, and
+   the block re-queues the waker only on that socket.  poll.scan-400: one
+   socket holds unread data, so every poll returns at once and never
+   blocks; a poll set that never blocked knows no queue holds the waker,
+   so each run is one poll over all 400 (dispatch, scan, syscall
+   return). *)
 module Kernel = Zapc_simos.Kernel
 module Program = Zapc_simos.Program
 module Syscall = Zapc_simos.Syscall

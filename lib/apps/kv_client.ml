@@ -44,6 +44,10 @@ type conn = {
   mutable next_send : int;  (* open-loop schedule *)
   mutable issued : int;
   mutable done_ : int;
+  (* derived, never imaged: [req_key] as of the kept request list, and
+     whether the connection is on [touched] *)
+  mutable polled : int;
+  mutable touched : bool;
 }
 
 type work = K_sock of int | K_setnb of int | K_conn of int | K_send of int | K_recv of int | K_close of int
@@ -68,6 +72,10 @@ type state = {
   mutable todo_rev : work list;  (* ...then these, newest first *)
   mutable last : work option;
   mutable polling : bool;
+  mutable poll_reqs : Syscall.poll_req list option;
+      (* derived, never imaged: the last poll's request list, kept while
+         every connection's [req_key] stays what it was when it was built *)
+  mutable touched : conn list;  (* derived: connections set since the last poll *)
   mutable clk_pending : bool;
   mutable to_stamp : int list;  (* first_sent of completions awaiting a clock *)
   mutable samples_t : float list;  (* completion timestamps, ns, newest first *)
@@ -130,6 +138,8 @@ let start args =
             next_send = -1;
             issued = 0;
             done_ = 0;
+            polled = -1;
+            touched = false;
           });
     fd_map = Hashtbl.create 2048;
     rng = Value.to_int (Value.field "seed" args);
@@ -139,6 +149,8 @@ let start args =
     todo_rev = [];
     last = None;
     polling = false;
+    poll_reqs = None;
+    touched = [];
     clk_pending = true;
     to_stamp = [];
     samples_t = [];
@@ -198,21 +210,46 @@ let next_req s (c : conn) : Kv_wire.req =
   in
   { Kv_wire.rq_client = s.base + c.ix; rq_id = c.rq_id; rq_op = op }
 
+(* What a connection contributes to a poll: no request without an fd,
+   else its fd and whether it wants to write. *)
+let req_key (c : conn) =
+  if c.fd < 0 then -1 else (2 * c.fd) + if c.cst = 1 || c.outbuf <> "" then 1 else 0
+
+(* The writers of [req_key]'s inputs: each puts the connection on
+   [touched], the only ones the next poll compares. *)
+let touch s (c : conn) =
+  if not c.touched then begin
+    c.touched <- true;
+    s.touched <- c :: s.touched
+  end
+
+let set_fd s (c : conn) fd =
+  touch s c;
+  c.fd <- fd
+
+let set_cst s (c : conn) cst =
+  touch s c;
+  c.cst <- cst
+
+let set_outbuf s (c : conn) b =
+  touch s c;
+  c.outbuf <- b
+
 let close_fd s (c : conn) =
   if c.fd >= 0 then begin
     Hashtbl.remove s.fd_map c.fd;
     push s (K_close c.fd);
-    c.fd <- -1
+    set_fd s c (-1)
   end;
   c.inbuf <- "";
-  c.outbuf <- ""
+  set_outbuf s c ""
 
 (* the request (if any) will be retried after a backoff *)
 let fail_conn s (c : conn) =
   close_fd s c;
   c.attempts <- c.attempts + 1;
   c.wait_until <- s.now + backoff_ns s c.attempts;
-  c.cst <- 4
+  set_cst s c 4
 
 let on_connected s (c : conn) =
   s.reconnects <- s.reconnects + 1;
@@ -220,11 +257,11 @@ let on_connected s (c : conn) =
   | Some r ->
     (* resend the in-flight request (same id: the server dedups) *)
     if c.attempts > 0 then s.retries <- s.retries + 1;
-    c.outbuf <- Kv_wire.frame (Kv_wire.Req r);
+    set_outbuf s c (Kv_wire.frame (Kv_wire.Req r));
     c.deadline <- s.now + s.timeout_ns;
-    c.cst <- 3;
+    set_cst s c 3;
     push s (K_send c.ix)
-  | None -> c.cst <- 2
+  | None -> set_cst s c 2
 
 let complete s (c : conn) =
   c.pending <- None;
@@ -232,7 +269,7 @@ let complete s (c : conn) =
   c.done_ <- c.done_ + 1;
   s.completed <- s.completed + 1;
   s.to_stamp <- c.first_sent :: s.to_stamp;
-  c.cst <- (if c.done_ >= s.reqs_per_conn then 5 else 2)
+  set_cst s c (if c.done_ >= s.reqs_per_conn then 5 else 2)
 
 let handle_resp s (c : conn) (r : Kv_wire.resp) =
   match c.pending with
@@ -243,7 +280,7 @@ let handle_resp s (c : conn) (r : Kv_wire.resp) =
       s.redirects <- s.redirects + 1;
       c.target <- o;
       close_fd s c;
-      c.cst <- 0
+      set_cst s c 0
     | Kv_wire.S_ok | Kv_wire.S_not_found -> complete s c)
   | Some _ | None ->
     (* stale or repeated response for an id already completed *)
@@ -256,7 +293,7 @@ let handle_recv s (c : conn) (outcome : Syscall.outcome) =
     if c.pending <> None then fail_conn s c
     else begin
       close_fd s c;
-      c.cst <- (if c.done_ >= s.reqs_per_conn then 5 else 0)
+      set_cst s c (if c.done_ >= s.reqs_per_conn then 5 else 0)
     end
   | Syscall.Ret (Syscall.Rdata d) ->
     let msgs, rest = Kv_wire.split (c.inbuf ^ d) in
@@ -266,7 +303,7 @@ let handle_recv s (c : conn) (outcome : Syscall.outcome) =
       msgs;
     if c.fd >= 0 then push s (K_recv c.ix)
   | Syscall.Err Errno.EAGAIN -> ()
-  | _ -> if c.pending <> None then fail_conn s c else (close_fd s c; c.cst <- 0)
+  | _ -> if c.pending <> None then fail_conn s c else (close_fd s c; set_cst s c 0)
 
 let apply_result s (w : work) (outcome : Syscall.outcome) =
   match w with
@@ -274,9 +311,9 @@ let apply_result s (w : work) (outcome : Syscall.outcome) =
     let c = s.conns.(i) in
     match outcome with
     | Syscall.Ret (Syscall.Rint fd) ->
-      c.fd <- fd;
+      set_fd s c fd;
       Hashtbl.replace s.fd_map fd i;
-      c.cst <- 1;
+      set_cst s c 1;
       (* a SYN sent into a crashed node vanishes without an error: the
          handshake needs its own deadline, not just the request *)
       c.deadline <- s.now + s.timeout_ns;
@@ -296,10 +333,10 @@ let apply_result s (w : work) (outcome : Syscall.outcome) =
     let c = s.conns.(i) in
     match outcome with
     | Syscall.Ret (Syscall.Rint nb) ->
-      c.outbuf <- String.sub c.outbuf nb (String.length c.outbuf - nb);
+      set_outbuf s c (String.sub c.outbuf nb (String.length c.outbuf - nb));
       if c.outbuf <> "" then push s (K_send i)
     | Syscall.Err Errno.EAGAIN -> ()
-    | Syscall.Err _ -> if c.pending <> None then fail_conn s c else (close_fd s c; c.cst <- 0)
+    | Syscall.Err _ -> if c.pending <> None then fail_conn s c else (close_fd s c; set_cst s c 0)
     | _ -> ())
   | K_close _ -> ()
 
@@ -341,7 +378,7 @@ let run_timers s =
     (fun (c : conn) ->
       match c.cst with
       | 0 -> if c.done_ < s.reqs_per_conn || c.pending <> None then push s (K_sock c.ix)
-      | 4 -> if s.now >= c.wait_until then begin c.cst <- 0; push s (K_sock c.ix) end
+      | 4 -> if s.now >= c.wait_until then begin set_cst s c 0; push s (K_sock c.ix) end
       | 2 ->
         if c.issued < s.reqs_per_conn && s.now >= c.next_send then begin
           let r = next_req s c in
@@ -350,8 +387,8 @@ let run_timers s =
           c.first_sent <- s.now;
           c.deadline <- s.now + s.timeout_ns;
           c.next_send <- c.next_send + s.period;
-          c.outbuf <- c.outbuf ^ Kv_wire.frame (Kv_wire.Req r);
-          c.cst <- 3;
+          set_outbuf s c (c.outbuf ^ Kv_wire.frame (Kv_wire.Req r));
+          set_cst s c 3;
           push s (K_send c.ix)
         end
       | 1 | 3 ->
@@ -374,6 +411,35 @@ let poll_timeout s =
     s.conns;
   if !next = max_int then None else Some (Stdlib.max 1 (!next - s.now))
 
+(* One request per open connection, the last connection first. *)
+let build_poll_reqs s =
+  Array.fold_left
+    (fun acc (c : conn) ->
+      if c.fd >= 0 then
+        { Syscall.pfd = c.fd; want_read = true; want_write = c.cst = 1 || c.outbuf <> "" } :: acc
+      else acc)
+    [] s.conns
+
+(* The list to poll: the kernel keys its poll set on the very list, so the
+   last one is kept while no touched connection's [req_key] moved, which
+   makes it equal to a fresh build. *)
+let poll_reqs s =
+  let unchanged =
+    List.fold_left
+      (fun same (c : conn) ->
+        c.touched <- false;
+        same && req_key c = c.polled)
+      true s.touched
+  in
+  s.touched <- [];
+  match s.poll_reqs with
+  | Some reqs when unchanged -> reqs
+  | Some _ | None ->
+    let reqs = build_poll_reqs s in
+    Array.iter (fun (c : conn) -> c.polled <- req_key c) s.conns;
+    s.poll_reqs <- Some reqs;
+    reqs
+
 let rec next_action s =
   match pop s with
   | Some w ->
@@ -391,18 +457,7 @@ let rec next_action s =
       s.last <- None;
       s.polling <- true;
       s.clk_pending <- true;  (* every poll wake is followed by a clock tick *)
-      let reqs =
-        Array.fold_left
-          (fun acc (c : conn) ->
-            if c.fd >= 0 then
-              { Syscall.pfd = c.fd;
-                want_read = true;
-                want_write = c.cst = 1 || c.outbuf <> "" }
-              :: acc
-            else acc)
-          [] s.conns
-      in
-      Program.Sys (Syscall.Poll (reqs, poll_timeout s))
+      Program.Sys (Syscall.Poll (poll_reqs s, poll_timeout s))
     end
 
 let on_poll s evs =
@@ -471,6 +526,8 @@ let conn_of_value ~nshards ix v =
       next_send = Value.to_int next_send;
       issued = Value.to_int issued;
       done_ = Value.to_int done_;
+      polled = -1;
+      touched = false;
     }
   | _ -> Value.decode_error "kv_client conn"
 
@@ -548,6 +605,8 @@ let of_value v =
     todo_rev = [];
     last = Value.to_option work_of_value (Value.field "last" v);
     polling = Value.to_bool (Value.field "polling" v);
+    poll_reqs = None;
+    touched = [];
     clk_pending = Value.to_bool (Value.field "clk_pending" v);
     to_stamp = Value.to_list Value.to_int (Value.field "to_stamp" v);
     samples_t = List.rev (Array.to_list (Value.to_f64s (Value.field "samples_t" v)));

@@ -27,7 +27,16 @@ module Sockopt = Zapc_simnet.Sockopt
 module Addr = Zapc_simnet.Addr
 module Errno = Zapc_simnet.Errno
 
-type conn = { mutable inbuf : string; mutable outbuf : string }
+type conn = {
+  mutable inbuf : string;
+  mutable outbuf : string;
+  (* derived, never imaged: whether it wanted to write as of the kept
+     request list, and whether it is on [touched] *)
+  mutable polled_ww : bool;
+  mutable touched : bool;
+}
+
+let new_conn ~inbuf ~outbuf = { inbuf; outbuf; polled_ww = false; touched = false }
 
 type work =
   | W_accept
@@ -59,6 +68,12 @@ type state = {
   mutable todo_rev : work list;  (* ...then these, newest first *)
   mutable last : work option;  (* work whose syscall outcome we will receive *)
   mutable polling : bool;
+  mutable poll_reqs : Syscall.poll_req list option;
+      (* derived, never imaged: the last poll's request list, kept while
+         [conns] and [lfd] stay the same and no touched connection's
+         outbuf emptiness nor the replication link's [link_key] moved *)
+  mutable touched : conn list;  (* derived: connections set since the last poll *)
+  mutable polled_link : int;  (* derived: [link_key] as of the kept list *)
   (* replication-link client state *)
   mutable r_fd : int;
   mutable r_st : int;  (* 0 closed, 1 connecting, 2 up *)
@@ -99,6 +114,9 @@ let start args =
     todo_rev = [];
     last = None;
     polling = false;
+    poll_reqs = None;
+    touched = [];
+    polled_link = -1;
     r_fd = -1;
     r_st = 0;
     r_out = "";
@@ -129,6 +147,15 @@ let pop s =
        s.todo <- rest;
        s.todo_rev <- [];
        Some w)
+
+(* The writer of a connection's outbuf puts it on [touched], the only
+   connections the next poll compares. *)
+let set_outbuf s (c : conn) b =
+  if not c.touched then begin
+    c.touched <- true;
+    s.touched <- c :: s.touched
+  end;
+  c.outbuf <- b
 
 let key_of = function Kv_wire.Set (k, _) | Kv_wire.Get k | Kv_wire.Del k -> k
 
@@ -185,7 +212,7 @@ let handle_req s (r : Kv_wire.req) : Kv_wire.resp =
 let handle_msg s (c : conn) fd = function
   | Kv_wire.Req r ->
     let was_empty = c.outbuf = "" in
-    c.outbuf <- c.outbuf ^ Kv_wire.frame (Kv_wire.Resp (handle_req s r));
+    set_outbuf s c (c.outbuf ^ Kv_wire.frame (Kv_wire.Resp (handle_req s r)));
     if was_empty then push s (W_send fd)
   | Kv_wire.Repl r ->
     (* mirror side of the replication stream: apply idempotently, ack *)
@@ -198,7 +225,7 @@ let handle_msg s (c : conn) fd = function
       s.repl_applied <- s.repl_applied + 1
     end;
     let was_empty = c.outbuf = "" in
-    c.outbuf <- c.outbuf ^ Kv_wire.frame (Kv_wire.Repl_ack r.rp_seq);
+    set_outbuf s c (c.outbuf ^ Kv_wire.frame (Kv_wire.Repl_ack r.rp_seq));
     if was_empty then push s (W_send fd)
   | Kv_wire.Repl_ack _ | Kv_wire.Resp _ -> ()
 
@@ -210,6 +237,7 @@ let handle_rmsg s = function
 let close_conn s fd =
   if Hashtbl.mem s.conns fd then begin
     Hashtbl.remove s.conns fd;
+    s.poll_reqs <- None;
     push s (W_close fd)
   end
 
@@ -223,7 +251,8 @@ let drop_repl_link s =
 let apply_result s (w : work) (outcome : Syscall.outcome) =
   match (w, outcome) with
   | W_accept, Syscall.Ret (Syscall.Raccept (fd, _)) ->
-    Hashtbl.replace s.conns fd { inbuf = ""; outbuf = "" };
+    Hashtbl.replace s.conns fd (new_conn ~inbuf:"" ~outbuf:"");
+    s.poll_reqs <- None;
     s.accepted <- s.accepted + 1;
     push s (W_setnb fd);
     push s (W_recv fd);
@@ -245,7 +274,7 @@ let apply_result s (w : work) (outcome : Syscall.outcome) =
     (match Hashtbl.find_opt s.conns fd with
      | None -> ()
      | Some c ->
-       c.outbuf <- String.sub c.outbuf n (String.length c.outbuf - n);
+       set_outbuf s c (String.sub c.outbuf n (String.length c.outbuf - n));
        if c.outbuf <> "" then push s (W_send fd))
   | W_send _, Syscall.Err Errno.EAGAIN -> ()
   | W_send fd, Syscall.Err _ -> close_conn s fd
@@ -293,6 +322,45 @@ let syscall_of s (w : work) : Syscall.t option =
     else None
   | W_rclose fd -> Some (Syscall.Close fd)
 
+(* What the replication link contributes to a poll: no request without an
+   fd, else its fd and whether it wants to write. *)
+let link_key s =
+  if s.r_fd < 0 then -1 else (2 * s.r_fd) + if s.r_st = 1 || s.r_out <> "" then 1 else 0
+
+(* The listener, every client connection in [conns]' fold order, then the
+   replication link. *)
+let build_poll_reqs s =
+  { Syscall.pfd = s.lfd; want_read = true; want_write = false }
+  :: Hashtbl.fold
+       (fun fd (c : conn) acc ->
+         { Syscall.pfd = fd; want_read = true; want_write = c.outbuf <> "" } :: acc)
+       s.conns
+       (if s.r_fd >= 0 then
+          [ { Syscall.pfd = s.r_fd; want_read = true; want_write = s.r_st = 1 || s.r_out <> "" } ]
+        else [])
+
+(* The list to poll: the kernel keys its poll set on the very list, so the
+   last one is kept while [conns] and [lfd] are unchanged (a change drops
+   it) and no touched connection nor the link moved, which makes it equal
+   to a fresh build. *)
+let poll_reqs s =
+  let unchanged =
+    List.fold_left
+      (fun same (c : conn) ->
+        c.touched <- false;
+        same && (c.outbuf <> "") = c.polled_ww)
+      true s.touched
+  in
+  s.touched <- [];
+  match s.poll_reqs with
+  | Some reqs when unchanged && link_key s = s.polled_link -> reqs
+  | Some _ | None ->
+    let reqs = build_poll_reqs s in
+    Hashtbl.iter (fun _ (c : conn) -> c.polled_ww <- c.outbuf <> "") s.conns;
+    s.polled_link <- link_key s;
+    s.poll_reqs <- Some reqs;
+    reqs
+
 (* Pull the next runnable work item; fall back to Poll over everything. *)
 let rec next_action s =
   match pop s with
@@ -312,19 +380,7 @@ let rec next_action s =
       if s.r_cool > 0 then s.r_cool <- s.r_cool - 1;
       s.last <- None;
       s.polling <- true;
-      let reqs =
-        { Syscall.pfd = s.lfd; want_read = true; want_write = false }
-        :: Hashtbl.fold
-             (fun fd (c : conn) acc ->
-               { Syscall.pfd = fd; want_read = true; want_write = c.outbuf <> "" } :: acc)
-             s.conns
-             (if s.r_fd >= 0 then
-                [ { Syscall.pfd = s.r_fd;
-                    want_read = true;
-                    want_write = s.r_st = 1 || s.r_out <> "" } ]
-              else [])
-      in
-      Program.Sys (Syscall.Poll (reqs, None))
+      Program.Sys (Syscall.Poll (poll_reqs s, None))
     end
 
 let on_poll s evs =
@@ -368,7 +424,9 @@ let step s (outcome : Syscall.outcome) =
     (s, Program.Sys (Syscall.Sock_create Socket.Stream))
   | 1 ->
     (match outcome with
-     | Syscall.Ret (Syscall.Rint fd) -> s.lfd <- fd
+     | Syscall.Ret (Syscall.Rint fd) ->
+       s.lfd <- fd;
+       s.poll_reqs <- None
      | _ -> ());
     s.ph <- 2;
     (s, Program.Sys (Syscall.Setsockopt (s.lfd, Sockopt.SO_NONBLOCK, 1)))
@@ -488,7 +546,7 @@ let of_value v =
       match Value.to_list Fun.id e with
       | [ fd; ib; ob ] ->
         Hashtbl.replace conns (Value.to_int fd)
-          { inbuf = Value.to_str ib; outbuf = Value.to_str ob }
+          (new_conn ~inbuf:(Value.to_str ib) ~outbuf:(Value.to_str ob))
       | _ -> Value.decode_error "kvstore conn entry")
     (Value.to_list Fun.id (Value.field "conns" v));
   let mirror_applied = Hashtbl.create 1024 in
@@ -515,6 +573,9 @@ let of_value v =
     todo_rev = [];
     last = Value.to_option work_of_value (Value.field "last" v);
     polling = Value.to_bool (Value.field "polling" v);
+    poll_reqs = None;
+    touched = [];
+    polled_link = -1;
     r_fd = Value.to_int (Value.field "r_fd" v);
     r_st = Value.to_int (Value.field "r_st" v);
     r_out = Value.to_str (Value.field "r_out" v);

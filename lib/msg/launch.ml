@@ -22,7 +22,8 @@ type app = {
 
 let default_port = 5000
 
-let launch cluster ~name ~program ~placement ~app_args ?(port = default_port) () =
+let launch cluster ~name ~program ~placement ~app_args () =
+  let port = default_port in
   Daemon.register ();
   let size = List.length placement in
   let pods =

@@ -14,7 +14,7 @@ type app = {
   ranks : Proc.t list;
   daemons : Proc.t list;
   vips : int array;
-  port : int;
+  port : int;  (** the ranks' listening port, the same for every app *)
   placement : int list;  (** node index per rank at launch *)
 }
 
@@ -24,7 +24,6 @@ val launch :
   program:string ->
   placement:int list ->
   app_args:Zapc_codec.Value.t ->
-  ?port:int ->
   unit ->
   app
 (** Create one pod per rank on the given nodes, install the shared virtual

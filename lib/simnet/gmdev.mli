@@ -43,7 +43,7 @@ val send : t -> port -> Addr.t -> string -> (unit, Errno.t) result
 type rres = Gdata of Addr.t * string | Gblock | Gclosed
 
 val recv : port -> rres
-val wait_readable : port -> (unit -> unit) -> unit
+val wait_readable : port -> (int -> unit) -> unit
 (** Queue a waiter for the next arrival (or close) on the port.  A waiter
     already queued is not added again; the wake runs waiters in
     first-registration order ({!Waitq}). *)

@@ -193,8 +193,8 @@ val poll_relevant : t -> want_read:bool -> want_write:bool -> bool
 val wake_readers : t -> unit
 val wake_writers : t -> unit
 val wake_all : t -> unit
-val wait_readable : t -> (unit -> unit) -> unit
-val wait_writable : t -> (unit -> unit) -> unit
+val wait_readable : t -> (int -> unit) -> unit
+val wait_writable : t -> (int -> unit) -> unit
 
 (** {1 SYN-queue maintenance (listener half-open children)} *)
 

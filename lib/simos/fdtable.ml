@@ -12,14 +12,16 @@ type entry =
 
 (* [index] answers lookups (slot [fd] holds what [entries] maps [fd] to);
    [entries] alone gives the fold/iter order that images and exit-close
-   follow. *)
+   follow.  [gen] counts the changes, so a cached resolution of fds (a
+   process's poll set) knows when it is stale. *)
 type t = {
   entries : (int, entry) Hashtbl.t;
   mutable index : entry option array;
   mutable next_fd : int;
+  mutable gen : int;
 }
 
-let create () = { entries = Hashtbl.create 8; index = [||]; next_fd = 3 }
+let create () = { entries = Hashtbl.create 8; index = [||]; next_fd = 3; gen = 0 }
 
 let add_at t fd entry =
   let n = Array.length t.index in
@@ -30,6 +32,7 @@ let add_at t fd entry =
   end;
   t.index.(fd) <- Some entry;
   Hashtbl.replace t.entries fd entry;
+  t.gen <- t.gen + 1;
   if fd >= t.next_fd then t.next_fd <- fd + 1
 
 let add t entry =
@@ -41,6 +44,7 @@ let find t fd = if fd >= 0 && fd < Array.length t.index then Array.unsafe_get t.
 
 let remove t fd =
   Hashtbl.remove t.entries fd;
+  t.gen <- t.gen + 1;
   if fd >= 0 && fd < Array.length t.index then t.index.(fd) <- None
 
 let socket t fd =
@@ -51,12 +55,15 @@ let socket t fd =
 let fold t f acc = Hashtbl.fold f t.entries acc
 let iter t f = Hashtbl.iter f t.entries
 let cardinal t = Hashtbl.length t.entries
+let generation t = t.gen
 
 (* Copy for spawn: shares the underlying objects and bumps pipe end
    refcounts.  Socket sharing needs no per-object count here because the
    kernel tracks socket fd references itself. *)
 let copy t =
-  let t' = { entries = Hashtbl.copy t.entries; index = Array.copy t.index; next_fd = t.next_fd } in
+  let t' =
+    { entries = Hashtbl.copy t.entries; index = Array.copy t.index; next_fd = t.next_fd; gen = 0 }
+  in
   Hashtbl.iter
     (fun _ e ->
       match e with

@@ -36,6 +36,11 @@ val iter : t -> (int -> entry -> unit) -> unit
 val cardinal : t -> int
 (** Exported for [test_simos], which compares the table with its model. *)
 
+val generation : t -> int
+(** Bumped by every {!add_at} (so every {!add}) and {!remove}: while it and
+    the table are the same, every fd resolves to the same entry.  A
+    process's poll set ([Pollset]) is keyed on it. *)
+
 val copy : t -> t
 (** Share the underlying objects and bump pipe-end reference counts (socket
     sharing is counted by the kernel).  The copy has its own index, so

@@ -242,6 +242,7 @@ and terminate k (p : Proc.t) code =
         | Fdtable.Fpipe_w pi -> Pipe.close_write pi
         | Fdtable.Fgm port -> Zapc_simnet.Gmdev.close_port k.gm port)
       entries;
+    p.pollset <- None;  (* it would keep the closed sockets alive *)
     p.exit_code <- Some code;
     p.exit_time <- Some (now k);
     p.rstate <- Proc.Zombie;
@@ -260,7 +261,10 @@ and alloc_pid k =
 
 and create_proc k inst =
   let p = Proc.create ~pid:(alloc_pid k) inst in
-  p.waker <- (fun () -> wake_proc k p);
+  p.waker <-
+    (fun qid ->
+      (match p.pollset with Some ps -> Pollset.note ps qid | None -> ());
+      wake_proc k p);
   Hashtbl.replace k.procs p.pid p;
   p
 
@@ -272,7 +276,7 @@ and spawn k ~program ~args =
 (* --- the system-call executor --- *)
 
 and exec k (p : Proc.t) (sc : Syscall.t) :
-  [ `Complete of Syscall.outcome | `Block of (unit -> unit) -> unit ] * Simtime.t =
+  [ `Complete of Syscall.outcome | `Block of (int -> unit) -> unit ] * Simtime.t =
   let ok r = (`Complete (Syscall.Ret r), Simtime.zero) in
   let err e = (`Complete (Syscall.Err e), Simtime.zero) in
   let block register = (`Block register, Simtime.zero) in
@@ -342,7 +346,7 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
      | Some deadline ->
        block (fun waiter ->
            Engine.schedule_at k.engine ~label:"os.sleep" ~at:deadline
-             (fun () -> waiter ()))
+             (fun () -> waiter Zapc_simnet.Waitq.no_id))
      | None ->
        if Simtime.compare d Simtime.zero <= 0 then ok Syscall.Rnone
        else begin
@@ -350,7 +354,7 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
          p.block_deadline <- Some deadline;
          block (fun waiter ->
              Engine.schedule_at k.engine ~label:"os.sleep" ~at:deadline
-             (fun () -> waiter ()))
+             (fun () -> waiter Zapc_simnet.Waitq.no_id))
        end)
   | Syscall.Alarm_set d ->
     p.alarm_deadline <- Some (Simtime.add (now k) d);
@@ -397,7 +401,8 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
           ok (Syscall.Rint code)
         | None ->
           block (fun waiter ->
-              target.exit_watchers <- (fun _ -> waiter ()) :: target.exit_watchers)))
+              target.exit_watchers <-
+                (fun _ -> waiter Zapc_simnet.Waitq.no_id) :: target.exit_watchers)))
   | Syscall.Pipe ->
     let pi = Pipe.create ~id:(alloc_pipe_id k) in
     let rfd = Fdtable.add p.fds (Fdtable.Fpipe_r pi) in
@@ -529,6 +534,10 @@ and exec k (p : Proc.t) (sc : Syscall.t) :
   | Syscall.Setsockopt (fd, key, v) ->
     with_sock fd (fun s ->
         Sockopt.set s.opts key v;
+        (* a larger send buffer can make a full socket writable, and no
+           wait queue fires for that: every poll set that may list the
+           socket is dropped, so the next poll scans it again *)
+        if key = Sockopt.SO_SNDBUF then Hashtbl.iter (fun _ (q : Proc.t) -> q.pollset <- None) k.procs;
         ok Syscall.Rnone)
   | Syscall.Getsockname fd ->
     with_sock fd (fun s ->
@@ -582,44 +591,24 @@ and exec_send k (s : Socket.t) data ~ok ~err ~block =
         | Ok n -> ok (Syscall.Rint n)
         | Error e -> err e))
 
-(* Poll scans every requested fd, usually hundreds of idle sockets with
-   one or two ready, so the per-fd test must not allocate: [Fdtable.find]
-   reads the fd index and [Socket.poll_relevant] reads socket fields; the
-   [d_poll] record is built only for the fds reported. *)
+(* Poll answers from the process's poll set (Pollset), which re-checks
+   only the entries that can have become ready since the process last
+   blocked: those with a wait queue that fired since or never got the
+   waker, and those not asking to read.  The answer is the full scan's,
+   in request order; see pollset.mli for why.  Blocking queues the waker
+   only on the queues that lack it, which leaves it on exactly the queues
+   a re-registration on every entry would. *)
 and exec_poll k (p : Proc.t) reqs timeout =
   let ok r = (`Complete (Syscall.Ret r), Simtime.zero) in
-  let events =
-    List.filter_map
-      (fun (r : Syscall.poll_req) ->
-        match Fdtable.find p.fds r.pfd with
-        | None ->
-          Some (r.pfd, { Socket.readable = false; writable = false; pollerr = true; hangup = false })
-        | Some (Fdtable.Fsock s) ->
-          if Socket.poll_relevant s ~want_read:r.want_read ~want_write:r.want_write then
-            Some (r.pfd, s.dispatch.d_poll s)
-          else None
-        | Some (Fdtable.Fpipe_r pi) ->
-          let readable =
-            (not (Zapc_simnet.Sockbuf.is_empty pi.buf)) || pi.wr_refs = 0
-          in
-          if readable && r.want_read then
-            Some
-              (r.pfd, { Socket.readable = true; writable = false; pollerr = false; hangup = pi.wr_refs = 0 })
-          else None
-        | Some (Fdtable.Fpipe_w pi) ->
-          let writable = Pipe.space pi > 0 || pi.rd_refs = 0 in
-          if writable && r.want_write then
-            Some
-              (r.pfd, { Socket.readable = false; writable = true; pollerr = pi.rd_refs = 0; hangup = false })
-          else None
-        | Some (Fdtable.Fgm port) ->
-          let readable = not (Queue.is_empty port.Zapc_simnet.Gmdev.rxq) in
-          if (readable && r.want_read) || port.Zapc_simnet.Gmdev.closed then
-            Some
-              (r.pfd, { Socket.readable; writable = true; pollerr = port.Zapc_simnet.Gmdev.closed; hangup = false })
-          else None)
-      reqs
+  let ps =
+    match p.pollset with
+    | Some ps -> ps
+    | None ->
+      let ps = Pollset.create () in
+      p.pollset <- Some ps;
+      ps
   in
+  let events = Pollset.poll ps p.fds reqs in
   if events <> [] then ok (Syscall.Rpoll events)
   else begin
     let deadline =
@@ -636,22 +625,11 @@ and exec_poll k (p : Proc.t) reqs timeout =
     | _ ->
       ( `Block
           (fun waiter ->
-            List.iter
-              (fun (r : Syscall.poll_req) ->
-                match Fdtable.find p.fds r.pfd with
-                | Some (Fdtable.Fsock s) ->
-                  if r.want_read then Socket.wait_readable s waiter;
-                  if r.want_write then Socket.wait_writable s waiter
-                | Some (Fdtable.Fpipe_r pi) -> Pipe.wait_readable pi waiter
-                | Some (Fdtable.Fpipe_w pi) -> Pipe.wait_writable pi waiter
-                | Some (Fdtable.Fgm port) ->
-                  if r.want_read then Zapc_simnet.Gmdev.wait_readable port waiter
-                | None -> ())
-              reqs;
+            Pollset.arm ps waiter;
             match deadline with
             | Some d ->
               Engine.schedule_at k.engine ~label:"os.sleep" ~at:d
-                (fun () -> waiter ())
+                (fun () -> waiter Zapc_simnet.Waitq.no_id)
             | None -> ()),
         Simtime.zero )
   end

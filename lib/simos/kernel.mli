@@ -7,7 +7,11 @@
     waker ([Proc.t.waker], made by {!create_proc}) queued at most once on
     each resource it waits for, and its pending system call is re-executed
     on wakeup (restartable-syscall semantics — also how restored processes
-    resume after a restart). *)
+    resume after a restart).  The waker takes the id of the wait queue
+    that ran it and records it in the process's poll set
+    ([Proc.t.pollset], see {!Pollset}, made at its first poll), so a poll
+    re-checks only what can have changed; the poll set is derived, never
+    imaged. *)
 
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine

@@ -38,5 +38,5 @@ val close_write : t -> unit
 
 val wake_readers : t -> unit
 val wake_writers : t -> unit
-val wait_readable : t -> (unit -> unit) -> unit
-val wait_writable : t -> (unit -> unit) -> unit
+val wait_readable : t -> (int -> unit) -> unit
+val wait_writable : t -> (int -> unit) -> unit

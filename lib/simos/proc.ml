@@ -39,7 +39,8 @@ type t = {
   mutable pod : int option;                   (* pod membership tag *)
   mutable filter : filter option;             (* pod syscall interposition *)
   mutable exit_watchers : (int -> unit) list;
-  mutable waker : unit -> unit;               (* the one closure it blocks with *)
+  mutable waker : int -> unit;                (* the one closure it blocks with *)
+  mutable pollset : Pollset.t option;         (* from its first poll; never imaged *)
 }
 
 (* System-call interposition, the pod virtualization hook: [f_pre] rewrites a
@@ -74,6 +75,7 @@ let create ~pid inst =
     filter = None;
     exit_watchers = [];
     waker = ignore;
+    pollset = None;
   }
 
 let is_alive p = match p.rstate with Zombie -> false | _ -> true

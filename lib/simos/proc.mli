@@ -34,10 +34,16 @@ type t = {
   mutable pod : int option;  (** pod membership tag *)
   mutable filter : filter option;  (** pod syscall interposition *)
   mutable exit_watchers : (int -> unit) list;
-  mutable waker : unit -> unit;
+  mutable waker : int -> unit;
       (** the process's one wakeup closure, set once by
           [Kernel.create_proc]: every blocking system call queues this same
-          closure, so a wait queue holds it at most once *)
+          closure, so a wait queue holds it at most once.  Its argument is
+          the id of the queue that ran it ([Waitq.no_id] from a timer or a
+          child's exit), which it records in {!field-pollset}. *)
+  mutable pollset : Pollset.t option;
+      (** the cache behind [Syscall.Poll], made at the process's first
+          poll and dropped when it exits: derived from the fd table and the
+          wakeups, never imaged (a restored process starts without one) *)
 }
 
 (** System-call interposition — the pod virtualization hook: [f_pre]

@@ -57,7 +57,7 @@ type ckpt_op = {
   co_resume : bool;
   co_incremental : bool;
   co_precopy : precopy option;  (* Some: a live migration's item *)
-  co_op : int;  (* manager operation id (trace_ctx), 0 when untraced *)
+  co_op : int;  (* manager operation id, echoed in the done report *)
   mutable co_parent : int option;
   (* parent of this op's pod_ckpt and blackout spans: the manager's span,
      or the mig_precopy span once pre-copy rounds run *)
@@ -104,7 +104,7 @@ type restore_op = {
   ro_sock_imgs : Sock_state.image array;
   ro_my_meta : Meta.pod_meta;
   ro_sockets : (int, Socket.t) Hashtbl.t;  (* sock_ref -> live socket *)
-  ro_op : int;  (* manager operation id (trace_ctx), 0 when untraced *)
+  ro_op : int;  (* manager operation id, echoed in the done report *)
   ro_span : int;  (* id of this op's "pod_restart" span, -1 when untraced *)
   ro_started : Simtime.t;
   mutable ro_conn_started : Simtime.t;
@@ -166,8 +166,8 @@ let trace t ~pod what =
 (* Typed phase spans on this agent's (node, pod) track; the standalone
    span overlapping the manager's sync span is the Figure-2 picture.
    [op]/[parent] stitch the span into the cross-node causal tree: the
-   operation id and parent span id arrive in the command's
-   [Protocol.trace_ctx] and are threaded through the op records below. *)
+   operation id and parent span id arrive in the command's [op] and
+   [parent] and are threaded through the op records below. *)
 let span_begin_id t ?op ?parent ~pod name =
   if Span.enabled t.trace then
     (Span.begin_span t.trace ~time:(Engine.now t.engine) ?op ~node:t.node
@@ -194,19 +194,13 @@ let send_to_manager t msg =
   | Some ch -> Control.send_up ch ~bytes:(Protocol.to_manager_bytes msg) msg
   | None -> ()
 
-let report_failure t pod_id detail =
+let report_failure t ~op pod_id detail =
   send_to_manager t
     (Protocol.M_done
-       { node = t.node; pod_id; ok = false; detail; stats = Protocol.zero_stats })
+       { node = t.node; pod_id; op; ok = false; detail; stats = Protocol.zero_stats })
 
 let after t delay fn = Engine.schedule t.engine ~label:"agent.after" ~delay fn
 let nf t = Fabric.netfilter t.fabric
-
-(* Unpack a wire trace context into (operation id, parent span id). *)
-let ctx_args (ctx : Protocol.trace_ctx option) =
-  match ctx with
-  | Some c -> (c.Protocol.tc_op, Some c.Protocol.tc_parent)
-  | None -> (0, None)
 
 (* Agent-side costs carry uniform jitter (background load, cache state);
    the paper's checkpoint-time std-devs are 10-60% of the average. *)
@@ -219,7 +213,7 @@ let jittered t cost =
 
 (* The success report of one finished operation: its agent-side timing,
    measured from [started], and the sizes it moved. *)
-let report_done t pod_id ~started ~net_time ?(conn_time = Simtime.zero)
+let report_done t ~op pod_id ~started ~net_time ?(conn_time = Simtime.zero)
     ~image_bytes ?(full_bytes = 0) ?(net_bytes = 0) ~sockets ~procs () =
   let stats =
     { Protocol.st_net_time = net_time;
@@ -232,7 +226,7 @@ let report_done t pod_id ~started ~net_time ?(conn_time = Simtime.zero)
       st_procs = procs }
   in
   send_to_manager t
-    (Protocol.M_done { node = t.node; pod_id; ok = true; detail = ""; stats })
+    (Protocol.M_done { node = t.node; pod_id; op; ok = true; detail = ""; stats })
 
 (* The Agent on [node] when it can take image bytes: a crashed Agent, or
    one cut off from the Manager, receives nothing. *)
@@ -328,18 +322,18 @@ let abort_all t =
 (* Checkpoint (Figure 1, Agent side)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec start_checkpoint ?(incremental = false) ?precopy ?ctx t ~pod_id ~dest ~resume =
+let rec start_checkpoint ?(incremental = false) ?precopy ?parent t ~op:op_id ~pod_id ~dest
+    ~resume =
   match find_pod t pod_id, dest with
-  | None, _ -> report_failure t pod_id "no such pod"
+  | None, _ -> report_failure t ~op:op_id pod_id "no such pod"
   | Some pod, _ when Pod.member_count pod = 0 ->
     (* a pod whose processes have all died has nothing consistent to save;
        refusing keeps a coordinated checkpoint from recording a partially
        dead application as a good recovery point *)
-    report_failure t pod_id "pod has no live processes"
+    report_failure t ~op:op_id pod_id "pod has no live processes"
   | Some _, Protocol.U_node n when t.peer_agents n = None ->
-    report_failure t pod_id (Printf.sprintf "no agent on node %d" n)
+    report_failure t ~op:op_id pod_id (Printf.sprintf "no agent on node %d" n)
   | Some pod, _ ->
-    let op_id, parent = ctx_args ctx in
     let precopy =
       match precopy, dest with
       | Some cap, Protocol.U_node n ->
@@ -511,7 +505,7 @@ and arm_continue_timeout t op =
         match Hashtbl.find_opt t.ckpts op.co_pod.pod_id with
         | Some op' when op' == op && (not op.co_continue) && not op.co_aborted ->
           abort_checkpoint t op.co_pod.pod_id;
-          report_failure t op.co_pod.pod_id "timed out waiting for continue"
+          report_failure t ~op:op.co_op op.co_pod.pod_id "timed out waiting for continue"
         | Some _ | None -> ())
 
 and wait_continue_then t op fn =
@@ -672,7 +666,7 @@ and complete_ckpt t op res image outcome =
     trace t ~pod:pod.pod_id "resumed";
     span_end_all t ~pod:pod.pod_id;
     Hashtbl.remove t.ckpts pod.pod_id;
-    report_failure t pod.pod_id reason
+    report_failure t ~op:op.co_op pod.pod_id reason
   | Ok () ->
     (* remember the durably stored image as the base for the next delta,
        and reset dirty tracking — everything written so far is now safe *)
@@ -701,7 +695,7 @@ and complete_ckpt t op res image outcome =
     span_end t ~pod:pod.pod_id "pod_ckpt";
     Hashtbl.remove t.ckpts pod.pod_id;
     if op.co_precopy <> None then trace t ~pod:pod.pod_id "mig_handoff";
-    report_done t pod.pod_id ~started:op.co_started ~net_time:op.co_net_time
+    report_done t ~op:op.co_op pod.pod_id ~started:op.co_started ~net_time:op.co_net_time
       ~image_bytes:image.Image.logical_size
       ?full_bytes:(Option.map (fun _ -> Pod_ckpt.logical_size res) op.co_delta)
       ~net_bytes:res.net_result.image_bytes ~sockets:res.net_result.socket_count
@@ -781,8 +775,8 @@ and land_image t ~pod_id ~(image : Image.t) precopy =
 (* Restart (Figure 3, Agent side)                                      *)
 (* ------------------------------------------------------------------ *)
 
-and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
-    ~skip_sendq =
+and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map
+    ~extra_altq ~skip_sendq =
   (* a streamed image lands before its source reports done, so a restart
      that finds none here has nothing to wait for *)
   let image =
@@ -796,9 +790,8 @@ and start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_a
        | Some _ | None -> Error "no streamed image landed on this node")
   in
   match image with
-  | Error detail -> report_failure t pod_id detail
+  | Error detail -> report_failure t ~op:op_id pod_id detail
   | Ok (image_v, landing) ->
-    let op_id, parent = ctx_args ctx in
     let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
     span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
       "pod_create";
@@ -928,7 +921,8 @@ and run_acceptor_task t op accepts =
             s
         in
         let expected = ref entries in
-        let rec pump () =
+        (* the argument is the id of the wait queue that ran it *)
+        let rec pump (_ : int) =
           if (not op.ro_aborted) && !expected <> [] then
             match Netstack.accept_take listener with
             | Some child ->
@@ -947,10 +941,10 @@ and run_acceptor_task t op accepts =
                | [], _ ->
                  (* unexpected connection during recovery: drop it *)
                  Netstack.close net child);
-              pump ()
+              pump Zapc_simnet.Waitq.no_id
             | None -> Socket.wait_readable listener pump
         in
-        pump ())
+        pump Zapc_simnet.Waitq.no_id)
       by_port
   end
 
@@ -974,7 +968,7 @@ and run_connector_task t op connects =
           (match Netstack.connect_start net s dst with
            | Error _ -> after t (Simtime.ms 5) (fun () -> attempt (tries + 1))
            | Ok () ->
-             let rec check () =
+             let rec check (_ : int) =
                if not op.ro_aborted then
                  match s.tcb with
                  | Some tcb ->
@@ -992,11 +986,11 @@ and run_connector_task t op connects =
                     | Socket.St_time_wait -> Socket.wait_writable s check)
                  | None -> ()
              in
-             check ())
+             check Zapc_simnet.Waitq.no_id)
       end
       else if not op.ro_aborted then begin
         op.ro_aborted <- true;
-        report_failure t pod.Pod.pod_id "connection recovery failed"
+        report_failure t ~op:op.ro_op pod.Pod.pod_id "connection recovery failed"
       end
     in
     attempt 0
@@ -1231,7 +1225,7 @@ and restore_standalone t op =
             | None -> ())
          | None -> ());
         Hashtbl.remove t.restores pod.pod_id;
-        report_done t pod.pod_id ~started:op.ro_started
+        report_done t ~op:op.ro_op pod.pod_id ~started:op.ro_started
           ~net_time:(Simtime.sub op.ro_net_done op.ro_conn_done)
           ~conn_time:(Simtime.sub op.ro_conn_done op.ro_conn_started)
           ~image_bytes ~sockets:(Array.length op.ro_sock_imgs)
@@ -1248,8 +1242,8 @@ let rec handle_command t (msg : Protocol.to_agent) =
     (* bundles go to relays, which unwrap them; one reaching the agent
        directly carries only local items *)
     List.iter (fun (_, m) -> handle_command t m) items
-  | Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; ctx } ->
-    start_checkpoint ~incremental ?precopy ?ctx t ~pod_id ~dest ~resume
+  | Protocol.A_checkpoint { pod_id; dest; resume; incremental; precopy; op; parent } ->
+    start_checkpoint ~incremental ?precopy ?parent t ~op ~pod_id ~dest ~resume
   | Protocol.A_continue { pod_id } ->
     (match Hashtbl.find_opt t.ckpts pod_id with
      | Some op ->
@@ -1262,8 +1256,8 @@ let rec handle_command t (msg : Protocol.to_agent) =
     drop_staged t pod_id;
     abort_restart t pod_id
   | Protocol.A_restart { pod_id; name; vip; rip; uri; entries; vip_map; extra_altq;
-                         skip_sendq; ctx } ->
-    start_restart ?ctx t ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
+                         skip_sendq; op; parent } ->
+    start_restart ?parent t ~op ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map ~extra_altq
       ~skip_sendq
   | Protocol.A_ping { seq } ->
     (* heartbeat: answer immediately, even mid-operation — only a dead,

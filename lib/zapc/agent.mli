@@ -51,9 +51,10 @@ val deliver : t -> Protocol.to_agent -> unit
     later round a delta of the regions dirtied under the previous one —
     until the dirty residue falls to 5% of the full image or [precopy]
     rounds have run; the suspend then ships only the residue, and the
-    destination activates a prestaged skeleton.  A command's [ctx] is the
-    Manager's causal trace context: the Agent's local spans parent under
-    [ctx.tc_parent] and carry operation id [ctx.tc_op].  Stream images
+    destination activates a prestaged skeleton.  A command's [op] is the
+    Manager's operation id: the done report echoes it and the Agent's
+    local spans carry it; when tracing they parent under the command's
+    [parent] span.  Stream images
     skip the compressor on both sides: only Storage compresses.
 
     An abort is idempotent: an aborted checkpoint unblocks the pod's

@@ -69,7 +69,7 @@ type pending = {
   p_kind : kind;
   (* observability labels only: a migration's copy and restore phases are
      a checkpoint and a restart reported under mgr.mig.* *)
-  p_gen : int;  (* guards stale timeout closures *)
+  p_gen : int;  (* the operation id: guards stale timeouts and done reports *)
   p_done : op_result -> unit;
 }
 
@@ -127,14 +127,10 @@ let span_begin_id t ?op ?parent name =
   (Span.begin_span t.trace ~time:(Engine.now t.engine) ?op ?parent ~pod:(-1) name)
     .Span.sp_id
 
-(* The span id (-1 while the recorder is off) rides as
-   [Protocol.trace_ctx.tc_parent] and parents the agents' spans; most
-   callers only open the span. *)
+(* The span id (-1 while the recorder is off) rides as the commands'
+   [parent] and parents the agents' spans; most callers only open the
+   span. *)
 let span_begin t ?op ?parent name = ignore (span_begin_id t ?op ?parent name)
-
-let ctx_for t span_id =
-  if span_id >= 0 then Some { Protocol.tc_op = t.gen; tc_parent = span_id }
-  else None
 
 let span_end t name =
   ignore (Span.end_named t.trace ~time:(Engine.now t.engine) ~pod:(-1) name)
@@ -388,10 +384,10 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
            p.p_items;
          arm_phase_timeout t p Protocol.Ph_done
        end
-     | Protocol.M_done { pod_id; ok; detail; stats; _ } ->
-       if not (List.mem pod_id p.p_wait_done) then begin
+     | Protocol.M_done { pod_id; op; ok; detail; stats; _ } ->
+       if op <> p.p_gen || not (List.mem pod_id p.p_wait_done) then begin
          (* a duplicate or stale done-report (late abort fallout from an
-            earlier generation, or a re-delivered message) must not touch —
+            earlier operation, or a re-delivered message) must not touch —
             let alone abort — an operation that is not waiting on it *)
          Metrics.incr t.metrics "mgr.stale_done";
          trace t (Printf.sprintf "stale_done:pod%d" pod_id)
@@ -481,7 +477,7 @@ let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
   Metrics.incr t.metrics (prefix ^ ".started");
   let op_span = span_begin_id t ~op:t.gen ?parent opname in
   span_begin t ~op:t.gen ?parent:(Trace.parent_arg op_span) "mgr_sync";
-  let ctx = ctx_for t op_span in
+  let span = Trace.parent_arg op_span in
   if kind = `Checkpoint then trace t "ckpt_broadcast";
   List.iter
     (fun i ->
@@ -490,7 +486,8 @@ let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
       in
       send t i.ci_node
         (Protocol.A_checkpoint
-           { pod_id = i.ci_pod; dest = i.ci_dest; resume; incremental; precopy; ctx }))
+           { pod_id = i.ci_pod; dest = i.ci_dest; resume; incremental; precopy; op = t.gen;
+             parent = span }))
     items;
   arm_phase_timeout t p Protocol.Ph_meta
 
@@ -599,7 +596,7 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
         ~items:(List.map (fun i -> (i.ri_pod, i.ri_node)) items)
     in
     let op_span = span_begin_id t ~op:t.gen ?parent opname in
-    let ctx = ctx_for t op_span in
+    let span = Trace.parent_arg op_span in
     arm_phase_timeout t p Protocol.Ph_done;
     List.iter2
       (fun item (i, (_, vip, name, _)) ->
@@ -616,7 +613,7 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
         send t item.ri_node
           (Protocol.A_restart
              { pod_id = item.ri_pod; name; vip; rip; uri = item.ri_uri; entries; vip_map;
-               extra_altq; skip_sendq = redirect; ctx }))
+               extra_altq; skip_sendq = redirect; op = t.gen; parent = span }))
       items facts
 
 (* --- live migration --- *)

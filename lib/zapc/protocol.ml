@@ -68,19 +68,16 @@ type mig_round_stats = {
   mg_duration : Simtime.t;
 }
 
-(* --- trace context ---
+(* --- operation id and trace parent ---
 
-   Causal propagation across the control plane: the Manager stamps the
-   operation-starting commands with its operation id and the span id of the
-   operation's manager-side span, and the Agent parents its local spans
-   under it — stitching every node's phases into one cross-node tree (the
-   span recorder is shared cluster-wide, so ids resolve globally).  A
-   non-tracing Manager sends [None]. *)
-
-type trace_ctx = {
-  tc_op : int;  (* manager operation id (generation counter) *)
-  tc_parent : int;  (* span id of the manager-side operation span *)
-}
+   The Manager stamps the operation-starting commands with its operation id
+   (its generation counter), which the Agent echoes in its done report, so
+   a report from an earlier operation is told apart from the current one's.
+   When tracing, they also carry the span id of the operation's
+   manager-side span, and the Agent parents its local spans under it —
+   stitching every node's phases into one cross-node tree (the span
+   recorder is shared cluster-wide, so ids resolve globally).  A
+   non-tracing Manager sends [parent = None]. *)
 
 type to_agent =
   | A_checkpoint of {
@@ -89,7 +86,8 @@ type to_agent =
       (* Some max_rounds: a live migration (U_node only) whose pre-copy
          rounds ship the running pod until its dirty residue converges or
          max_rounds have run (0 = plain stop-and-copy) *)
-      ctx : trace_ctx option;
+      op : int;  (* manager operation id *)
+      parent : int option;  (* the manager-side operation span, when tracing *)
     }
   | A_continue of { pod_id : int }
   | A_abort of { pod_id : int }
@@ -103,7 +101,8 @@ type to_agent =
       vip_map : (Addr.ip * Addr.ip) list;
       extra_altq : (int * string) list;  (* sock_ref -> redirected peer data *)
       skip_sendq : bool;  (* send queues were redirected; do not resend *)
-      ctx : trace_ctx option;
+      op : int;
+      parent : int option;
     }
   | A_ping of { seq : int }  (* supervisor heartbeat probe *)
   | A_batch of (int * to_agent) list
@@ -115,7 +114,8 @@ type to_agent =
 
 type to_manager =
   | M_meta of { node : int; pod_id : int; meta : Meta.pod_meta; meta_bytes : int }
-  | M_done of { node : int; pod_id : int; ok : bool; detail : string; stats : agent_stats }
+  | M_done of {
+      node : int; pod_id : int; op : int; ok : bool; detail : string; stats : agent_stats }
   | M_pong of { node : int; seq : int }  (* heartbeat reply *)
   | M_migrate_round of { node : int; pod_id : int; stats : mig_round_stats }
       (* the source: one pre-copy round's stream has landed at the dest *)

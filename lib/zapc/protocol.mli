@@ -57,15 +57,16 @@ type mig_round_stats = {
 }
 (** One iterative pre-copy round as the source Agent reports it. *)
 
-type trace_ctx = {
-  tc_op : int;  (** manager operation id (generation counter) *)
-  tc_parent : int;  (** span id of the manager-side operation span *)
-}
-(** Causal trace context: the Manager stamps operation-starting commands
-    with its operation id and operation-span id; the receiving Agent
-    parents its local spans under [tc_parent], stitching every node's
-    phases into one cross-node tree.  A non-tracing Manager sends
-    [None]. *)
+(** {1 Messages}
+
+    The operation-starting commands ([A_checkpoint], [A_restart]) carry
+    the Manager's operation id [op] (its generation counter), which the
+    Agent echoes in its [M_done], so the Manager tells a late report of an
+    earlier operation from the current one's.  When tracing they also
+    carry [parent], the span id of the Manager's operation span: the
+    receiving Agent parents its local spans under it, stitching every
+    node's phases into one cross-node tree.  A non-tracing Manager sends
+    [parent = None]. *)
 
 type to_agent =
   | A_checkpoint of {
@@ -82,7 +83,8 @@ type to_agent =
               [max_rounds] pre-copy rounds stream to the destination
               (0 = plain stop-and-copy), and only the residue rides the
               suspend *)
-      ctx : trace_ctx option;
+      op : int;  (** the Manager's operation id, echoed in [M_done] *)
+      parent : int option;  (** the Manager's operation span, when tracing *)
     }
   | A_continue of { pod_id : int }  (** the single synchronization point *)
   | A_abort of { pod_id : int }
@@ -98,7 +100,8 @@ type to_agent =
           (** sock_ref -> redirected peer send-queue data (section 5
               optimization) *)
       skip_sendq : bool;  (** send queues were redirected; do not resend *)
-      ctx : trace_ctx option;
+      op : int;
+      parent : int option;
     }
   | A_ping of { seq : int }  (** supervisor heartbeat probe *)
   | A_batch of (int * to_agent) list
@@ -109,7 +112,14 @@ type to_agent =
 
 type to_manager =
   | M_meta of { node : int; pod_id : int; meta : Meta.pod_meta; meta_bytes : int }
-  | M_done of { node : int; pod_id : int; ok : bool; detail : string; stats : agent_stats }
+  | M_done of {
+      node : int;
+      pod_id : int;
+      op : int;  (** the [op] of the command this reports on *)
+      ok : bool;
+      detail : string;
+      stats : agent_stats;
+    }
   | M_pong of { node : int; seq : int }  (** heartbeat reply *)
   | M_migrate_round of { node : int; pod_id : int; stats : mig_round_stats }
       (** from the source: one pre-copy round's stream landed at the dest;

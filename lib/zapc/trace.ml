@@ -10,8 +10,8 @@ type t = Span.t
 let create () = Span.create ()
 let recorder t = t
 
-(* Span ids travel as plain ints (in op records and [Protocol.trace_ctx]);
-   -1 means the recorder was off, so there is no parent to link to. *)
+(* Span ids travel as plain ints in op records; -1 means the recorder was
+   off, so there is no parent to link to. *)
 let parent_arg id = if id >= 0 then Some id else None
 
 let dump_chrome t path = Zapc_obs.Chrome.dump t path

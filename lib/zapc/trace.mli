@@ -18,7 +18,7 @@ val recorder : t -> Zapc_obs.Span.t
 
 val parent_arg : int -> int option
 (** [Some id] when [id >= 0], else [None] — normalizes a span id carried
-    as an int (an off recorder's [-1], a wire [tc_parent]) into a
+    as an int (an off recorder's [-1]) into a
     [?parent] argument. *)
 
 val dump_chrome : t -> string -> unit

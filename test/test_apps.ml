@@ -345,9 +345,9 @@ let test_serve_smoke () =
 
 (* Every blocking system call queues the caller's one waker, so however
    often a process re-blocks on a socket that has not fired, no wait queue
-   holds more wakers than its node has live processes.  Sampled every 5
-   virtual ms over 300 ms of 64-connection traffic with a checkpoint of the
-   servers at 100 ms. *)
+   holds more wakers than its node has live processes, and none holds one
+   process's waker twice.  Sampled every 5 virtual ms over 300 ms of
+   64-connection traffic with a checkpoint of the servers at 100 ms. *)
 (* The kv programs' work queues are FIFO, and their image lists the queue
    in that order whatever part of it has been pushed since the last pop. *)
 let test_kv_work_queue_fifo () =
@@ -407,6 +407,19 @@ let test_serve_waiters_bounded () =
                   | Fdtable.Fpipe_w pi -> Waitq.length pi.Zapc_simos.Pipe.wr_waiters
                   | Fdtable.Fgm port -> Waitq.length port.Zapc_simnet.Gmdev.rd_waiters
                 in
+                let twice =
+                  let twice q = Waitq.count q p.Proc.waker > 1 in
+                  match e with
+                  | Fdtable.Fsock s ->
+                    twice s.Zapc_simnet.Socket.rd_waiters || twice s.Zapc_simnet.Socket.wr_waiters
+                  | Fdtable.Fpipe_r pi -> twice pi.Zapc_simos.Pipe.rd_waiters
+                  | Fdtable.Fpipe_w pi -> twice pi.Zapc_simos.Pipe.wr_waiters
+                  | Fdtable.Fgm port -> twice port.Zapc_simnet.Gmdev.rd_waiters
+                in
+                if twice then
+                  violations :=
+                    Printf.sprintf "node %d pid %d fd %d: its waker queued twice" i p.Proc.pid fd
+                    :: !violations;
                 worst := Stdlib.max !worst n;
                 if n > live then
                   violations :=
@@ -433,9 +446,134 @@ let test_serve_waiters_bounded () =
   (match List.rev !violations with
    | [] -> ()
    | v :: _ as vs ->
-     Alcotest.failf "%d samples with more wakers than live processes, worst %d; first: %s"
+     Alcotest.failf
+       "%d samples with a waker queued twice or more wakers than live processes, worst %d; \
+        first: %s"
        (List.length vs) !worst v);
   check tbool "some process was blocked on a socket" true (!worst >= 1)
+
+(* The kv programs keep their poll request list between polls, rebuilding
+   it only when an input of it changes.  Wrapped under test names, both
+   programs serve 300 virtual ms of 64-connection traffic with a
+   checkpoint-and-restart of the servers at 100 ms.  Every poll's list
+   must equal a fresh build from the same state, also after an image round
+   trip (the restart, and one in place every 97 steps); after every step,
+   every connection whose request moved since the list was kept must be on
+   the program's touched list (the only ones a poll compares); and most
+   polls must reuse the previous poll's very list. *)
+module Kept_reqs (P : sig
+  include Program.S
+
+  val build_poll_reqs : state -> Zapc_simos.Syscall.poll_req list
+
+  val untouched_unmoved : state -> bool
+  (* every request input that moved since the kept list was built is on
+     the program's touched list *)
+end) =
+struct
+  type state = {
+    mutable s : P.state;
+    mutable steps : int;
+    mutable last : Zapc_simos.Syscall.poll_req list;  (* the previous poll's *)
+  }
+
+  let polls = ref 0
+  let kept = ref 0
+  let stale = ref 0
+  let name = "test.kept." ^ P.name
+  let start v = { s = P.start v; steps = 0; last = [] }
+  let to_value t = P.to_value t.s
+  let of_value v = { s = P.of_value v; steps = 0; last = [] }
+
+  let step t outcome =
+    t.steps <- t.steps + 1;
+    if t.steps mod 97 = 0 then t.s <- P.of_value (P.to_value t.s);
+    let s, action = P.step t.s outcome in
+    t.s <- s;
+    (match action with
+     | Program.Sys (Zapc_simos.Syscall.Poll (reqs, _)) ->
+       incr polls;
+       if reqs == t.last then incr kept;
+       if reqs <> P.build_poll_reqs s then incr stale;
+       t.last <- reqs
+     | Program.Sys _ | Program.Compute _ | Program.Exit _ -> ());
+    if not (P.untouched_unmoved s) then incr stale;
+    (t, action)
+end
+
+module Kept_client = Kept_reqs (struct
+  include Zapc_apps.Kv_client
+
+  type state = Zapc_apps.Kv_client.state
+
+  let untouched_unmoved (s : state) =
+    s.poll_reqs = None
+    || Array.for_all
+         (fun (c : Zapc_apps.Kv_client.conn) -> c.touched || req_key c = c.polled)
+         s.conns
+end)
+
+module Kept_server = Kept_reqs (struct
+  include Zapc_apps.Kvstore
+
+  type state = Zapc_apps.Kvstore.state
+
+  let untouched_unmoved (s : state) =
+    s.poll_reqs = None
+    || Hashtbl.fold
+         (fun _ (c : Zapc_apps.Kvstore.conn) ok ->
+           ok && (c.touched || (c.outbuf <> "") = c.polled_ww))
+         s.conns true
+end)
+
+let test_kv_kept_poll_reqs () =
+  let module Serve = Zapc_apps.Serve in
+  Program.register_if_absent (module Kept_client : Program.S);
+  Program.register_if_absent (module Kept_server : Program.S);
+  Zapc_apps.Registry.register_all ();
+  let cfg = { Serve.default_cfg with n_conns = 64; reqs_per_conn = 20; period = Simtime.ms 20 } in
+  let cluster = Cluster.make ~seed:7 ~params:Serve.serve_params ~node_count:4 () in
+  let servers =
+    List.init cfg.nshards (fun i ->
+        Cluster.create_pod cluster ~node_idx:i ~name:(Printf.sprintf "kv%d" i))
+  in
+  let cpod = Cluster.create_pod cluster ~node_idx:cfg.nshards ~name:"kvc" in
+  Cluster.link_pods (servers @ [ cpod ]);
+  let vips = Array.of_list (List.map (fun (p : Pod.t) -> p.vip) servers) in
+  List.iteri
+    (fun i pod ->
+      ignore (Pod.spawn pod ~program:Kept_server.name ~args:(Serve.server_args cfg vips i)))
+    servers;
+  Cluster.run cluster ~until:(Simtime.ms 1) ();
+  ignore
+    (Pod.spawn cpod ~program:Kept_client.name
+       ~args:(Serve.client_args cfg vips ~n:cfg.n_conns ~base:0 ~seed:7));
+  Cluster.run cluster ~until:(Simtime.ms 100) ();
+  let pod_ids = List.map (fun (p : Pod.t) -> p.pod_id) servers in
+  let r =
+    Cluster.checkpoint_sync cluster ~resume:false
+      ~items:
+        (List.mapi
+           (fun i (p : Pod.t) ->
+             { Manager.ci_pod = p.pod_id;
+               ci_node = i;
+               ci_dest = Zapc.Protocol.U_storage (Printf.sprintf "kept.pod%d" p.pod_id) })
+           servers)
+  in
+  check tbool "servers checkpointed" true r.Manager.r_ok;
+  let r =
+    Cluster.restart_app cluster ~pod_ids ~target_nodes:(List.init cfg.nshards Fun.id)
+      ~key_prefix:"kept"
+  in
+  check tbool "servers restarted" true r.Manager.r_ok;
+  Cluster.run cluster ~until:(Simtime.ms 300) ();
+  List.iter
+    (fun (name, polls, kept, stale) ->
+      check tint (name ^ ": kept lists equal a fresh build") 0 stale;
+      Printf.printf "%s: %d polls, %d reuse the previous list\n" name polls kept;
+      check tbool (name ^ ": most polls reuse the list") true (polls > 100 && 2 * kept > polls))
+    [ ("kv_client", !Kept_client.polls, !Kept_client.kept, !Kept_client.stale);
+      ("kvstore", !Kept_server.polls, !Kept_server.kept, !Kept_server.stale) ]
 
 let () =
   Alcotest.run "apps"
@@ -466,5 +604,7 @@ let () =
           Alcotest.test_case "wait queues bounded by live processes" `Quick
             test_serve_waiters_bounded;
           Alcotest.test_case "kv work queues are FIFO across an image" `Quick
-            test_kv_work_queue_fifo ] );
+            test_kv_work_queue_fifo;
+          Alcotest.test_case "kv poll lists kept equal a fresh build" `Quick
+            test_kv_kept_poll_reqs ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_restart_any_time ]) ]

@@ -568,7 +568,7 @@ let test_waitq_dedupe () =
   let env = setup () in
   let s = Netstack.new_socket env.ns0 Socket.Stream in
   let ran = ref [] in
-  let w1 () = ran := "w1" :: !ran and w2 () = ran := "w2" :: !ran in
+  let w1 _ = ran := "w1" :: !ran and w2 _ = ran := "w2" :: !ran in
   Socket.wait_readable s w1;
   Socket.wait_readable s w2;
   Socket.wait_readable s w1;
@@ -590,19 +590,21 @@ let test_waitq_dedupe () =
 let test_waitq_add_during_wake () =
   let q = Waitq.create () in
   let ran = ref [] in
-  let rec w1 () =
-    ran := "w1" :: !ran;
+  let rec w1 qid =
+    ran := Printf.sprintf "w1 from %b" (qid = Waitq.id q) :: !ran;
     Waitq.add q w1;
     Waitq.add q w3
-  and w3 () = ran := "w3" :: !ran in
+  and w3 _ = ran := "w3" :: !ran in
   Waitq.add q w1;
   Waitq.wake q;
-  check (Alcotest.list tstr) "first batch: w1 only" [ "w1" ] (List.rev !ran);
+  check (Alcotest.list tstr) "first batch: w1 only, given the queue's id" [ "w1 from true" ]
+    (List.rev !ran);
   check tint "re-queued for the next batch" 2 (Waitq.length q);
   ran := [];
   Waitq.add q w3;
   Waitq.wake q;
-  check (Alcotest.list tstr) "next batch in registration order" [ "w1"; "w3" ] (List.rev !ran)
+  check (Alcotest.list tstr) "next batch in registration order" [ "w1 from true"; "w3" ]
+    (List.rev !ran)
 
 let test_ephemeral_ports_distinct () =
   let env = setup () in

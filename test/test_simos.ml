@@ -210,6 +210,30 @@ module Req_poller = struct
     else ((n - 1, reqs), Program.Sys (Syscall.Poll (reqs, None)))
 end
 
+(* model poller: polls whatever list [model_reqs] holds when it starts a
+   poll, cycling a non-blocking poll and blocking ones with 1 and 3 ms
+   timeouts (so a changed list is soon picked up), and sleeps 300 us
+   after an answer that reports something *)
+let model_reqs : Syscall.poll_req list ref = ref []
+
+module Model_poller = struct
+  type state = int  (* polls started *)
+
+  let name = "test.model_poller"
+  let to_value n = Value.Int n
+  let of_value = function Value.Int n -> n | _ -> failwith "bad"
+  let start = of_value
+
+  let step n (outcome : Syscall.outcome) =
+    match outcome with
+    | Syscall.Ret (Syscall.Rpoll (_ :: _)) -> (n, Program.Sys (Syscall.Nanosleep (Simtime.us 300)))
+    | _ ->
+      let timeout =
+        match n mod 3 with 0 -> Simtime.ms 3 | 1 -> Simtime.zero | _ -> Simtime.ms 1
+      in
+      (n + 1, Program.Sys (Syscall.Poll (!model_reqs, Some timeout)))
+end
+
 let registered = ref false
 
 let register_test_programs () =
@@ -221,7 +245,8 @@ let register_test_programs () =
     Program.register_if_absent (module Pipe_child : Program.S);
     Program.register_if_absent (module Clock_prog : Program.S);
     Program.register_if_absent (module Sock_poller : Program.S);
-    Program.register_if_absent (module Req_poller : Program.S)
+    Program.register_if_absent (module Req_poller : Program.S);
+    Program.register_if_absent (module Model_poller : Program.S)
   end
 
 (* --- tests --- *)
@@ -624,10 +649,10 @@ let test_poll_mixed_kinds () =
     (List.map show (List.concat !polled))
 
 (* A process blocked in Poll over 400 idle TCP sockets, woken by one of
-   them with nothing to read, rescans all 400 and blocks again.  That
-   round must not allocate per polled fd: no lookup result, no event
-   record.  (Re-queueing the waker on the one socket that fired, and the
-   engine's own events, are the only allocations.) *)
+   them with nothing to read, polls the same list again and blocks again.
+   That round must not allocate per polled fd: its poll set re-checks only
+   the socket that fired, and re-queueing the waker on that socket and the
+   engine's own events are the only allocations. *)
 let test_poll_rescan_allocation () =
   register_test_programs ();
   let module Netstack = Zapc_simnet.Netstack in
@@ -683,6 +708,319 @@ let test_poll_rescan_allocation () =
   if words >= 2.0 *. float_of_int n then
     Alcotest.failf "rescan of %d fds allocated %.0f words (limit %d)" n words (2 * n)
 
+(* --- the poll set against a full scan ---
+
+   A process polls one list of requests over sockets, pipes and GM ports
+   while the test acts on them from outside: the peer side sends, reads,
+   closes, resets; the process's side is read, written, shut down, closed;
+   and the list flips a request's wants, gains a new descriptor, or drops
+   a closed one.  After every operation and every engine event the
+   process's poll set must answer exactly what a scan of every request
+   answers, records included. *)
+
+type pop =
+  | Open_tcp of bool  (* connect to the peer's listener, or to a closed port *)
+  | Open_listen
+  | Open_udp
+  | Open_pipe of bool  (* the process holds the read end, else the write end *)
+  | Open_gm
+  | Peer_connect of int  (* to the process's listener in this slot *)
+  | Accept of int
+  | Peer_send of int
+  | Send of int
+  | Recv of int
+  | Peer_recv of int
+  | Peer_close of int  (* the peer's FIN; the other pipe end's close; the GM port's close *)
+  | Rst of int
+  | Shutdown of int * Syscall.shut_how
+  | Close of int
+  | Flip_write of int
+  | Flip_read of int
+
+let show_pop = function
+  | Open_tcp b -> Printf.sprintf "open_tcp %b" b
+  | Open_listen -> "open_listen"
+  | Open_udp -> "open_udp"
+  | Open_pipe b -> Printf.sprintf "open_pipe %b" b
+  | Open_gm -> "open_gm"
+  | Peer_connect i -> Printf.sprintf "peer_connect %d" i
+  | Accept i -> Printf.sprintf "accept %d" i
+  | Peer_send i -> Printf.sprintf "peer_send %d" i
+  | Send i -> Printf.sprintf "send %d" i
+  | Recv i -> Printf.sprintf "recv %d" i
+  | Peer_recv i -> Printf.sprintf "peer_recv %d" i
+  | Peer_close i -> Printf.sprintf "peer_close %d" i
+  | Rst i -> Printf.sprintf "rst %d" i
+  | Shutdown (i, h) ->
+    Printf.sprintf "shutdown %d %s" i
+      (match h with Syscall.Shut_rd -> "rd" | Syscall.Shut_wr -> "wr" | Syscall.Shut_rdwr -> "rdwr")
+  | Close i -> Printf.sprintf "close %d" i
+  | Flip_write i -> Printf.sprintf "flip_write %d" i
+  | Flip_read i -> Printf.sprintf "flip_read %d" i
+
+let gen_pop =
+  let open QCheck.Gen in
+  let slot = int_bound 7 in
+  frequency
+    [ (3, map (fun b -> Open_tcp b) (frequency [ (4, return true); (1, return false) ]));
+      (1, return Open_listen); (1, return Open_udp);
+      (1, map (fun b -> Open_pipe b) bool); (2, return Open_gm);
+      (2, map (fun i -> Peer_connect i) slot); (2, map (fun i -> Accept i) slot);
+      (5, map (fun i -> Peer_send i) slot); (4, map (fun i -> Send i) slot);
+      (4, map (fun i -> Recv i) slot); (3, map (fun i -> Peer_recv i) slot);
+      (2, map (fun i -> Peer_close i) slot); (1, map (fun i -> Rst i) slot);
+      (1, map2 (fun i h -> Shutdown (i, h)) slot
+            (oneofl [ Syscall.Shut_rd; Syscall.Shut_wr; Syscall.Shut_rdwr ]));
+      (3, map (fun i -> Close i) slot);
+      (3, map (fun i -> Flip_write i) slot); (3, map (fun i -> Flip_read i) slot) ]
+
+type pobj =
+  | Ptcp of Socket.t
+  | Plisten of Socket.t
+  | Pudp of Socket.t
+  | Ppipe_r of Zapc_simos.Pipe.t
+  | Ppipe_w of Zapc_simos.Pipe.t
+  | Pgm of Zapc_simnet.Gmdev.port
+
+type pslot = { ps_fd : int; ps_obj : pobj; mutable rd : bool; mutable wr : bool }
+
+(* Run the operations against a model poller; false (or a QCheck failure
+   report) at the first disagreement. *)
+let pollset_model ops =
+  register_test_programs ();
+  let module Netstack = Zapc_simnet.Netstack in
+  let module Addr = Zapc_simnet.Addr in
+  let module Gmdev = Zapc_simnet.Gmdev in
+  let module Pipe = Zapc_simos.Pipe in
+  let module Sockopt = Zapc_simnet.Sockopt in
+  let engine = Engine.create ~seed:5 () in
+  let fabric = Fabric.create engine in
+  let k = Kernel.create ~node_id:0 fabric in
+  let net = Kernel.netstack k and peer = Netstack.create ~node:1 fabric in
+  let ip0 = Addr.make_ip 10 0 0 1 and ip1 = Addr.make_ip 10 0 0 2 in
+  Netstack.add_ip net ip0;
+  Netstack.add_ip peer ip1;
+  (* small buffers, so a few sends fill a socket's send queue *)
+  let small (s : Socket.t) =
+    Sockopt.set s.opts Sockopt.SO_SNDBUF 256;
+    Sockopt.set s.opts Sockopt.SO_RCVBUF 512
+  in
+  let listener = Netstack.new_socket peer Socket.Stream in
+  small listener;
+  ignore (Netstack.bind peer listener { Addr.ip = ip1; port = 80 });
+  ignore (Netstack.listen peer listener 64);
+  let peer_udp = Netstack.new_socket peer Socket.Dgram in
+  ignore (Netstack.bind peer peer_udp { Addr.ip = ip1; port = 9000 });
+  let gm = Kernel.gm k in
+  let gm_peer = Result.get_ok (Gmdev.open_port gm ~ip:ip0 ~port:40) in
+  let fds = Fdtable.create () in
+  let slots = ref [||] in
+  (* a closed slot stays listed (reporting pollerr) until the list is
+     next rebuilt *)
+  let rebuild () =
+    slots :=
+      Array.of_list
+        (List.filter (fun sl -> Option.is_some (Fdtable.find fds sl.ps_fd)) (Array.to_list !slots));
+    model_reqs :=
+      Array.to_list
+        (Array.map (fun sl -> { Syscall.pfd = sl.ps_fd; want_read = sl.rd; want_write = sl.wr })
+           !slots)
+  in
+  rebuild ();
+  let next_port = ref 7000 in
+  let port () = incr next_port; !next_port in
+  let add obj =
+    if Array.length !slots < 8 then begin
+      let entry =
+        match obj with
+        | Ptcp s | Plisten s | Pudp s -> Fdtable.Fsock s
+        | Ppipe_r pi -> Fdtable.Fpipe_r pi
+        | Ppipe_w pi -> Fdtable.Fpipe_w pi
+        | Pgm port -> Fdtable.Fgm port
+      in
+      let sl = { ps_fd = Fdtable.add fds entry; ps_obj = obj; rd = true; wr = false } in
+      slots := Array.append !slots [| sl |];
+      rebuild ()
+    end
+  in
+  (* the peer's side of a connection: accepted from its listener, or
+     connected by it *)
+  let peer_eps = ref [] in
+  let take_accepted () =
+    let rec go () =
+      match Netstack.accept_take listener with
+      | Some c -> peer_eps := c :: !peer_eps; go ()
+      | None -> ()
+    in
+    go ()
+  in
+  let peer_of (s : Socket.t) =
+    take_accepted ();
+    List.find_opt
+      (fun (e : Socket.t) -> e.local = s.remote && e.remote = s.local && s.remote <> None)
+      !peer_eps
+  in
+  let drain (s : Socket.t) =
+    match s.dispatch.d_recvmsg s Socket.plain_recv 100_000 with
+    | Socket.Rv_data _ -> if s.kind = Socket.Stream then Zapc_simnet.Tcp.after_app_read s
+    | Socket.Rv_from _ | Socket.Rv_eof | Socket.Rv_err _ | Socket.Rv_block -> ()
+  in
+  let read_pipe pi =
+    match Pipe.read pi 100_000 with
+    | Pipe.Pdata _ -> Pipe.after_read pi
+    | Pipe.Peof | Pipe.Pblock -> ()
+  in
+  let data = String.make 300 'x' in
+  let slot i f = let a = !slots in if a <> [||] then f a.(i mod Array.length a) in
+  let apply = function
+    | Open_tcp to_listener ->
+      let s = Netstack.new_socket net Socket.Stream in
+      small s;
+      let port = if to_listener then 80 else 81 in
+      ignore (Netstack.connect_start net s { Addr.ip = ip1; port });
+      add (Ptcp s)
+    | Open_listen ->
+      let s = Netstack.new_socket net Socket.Stream in
+      small s;
+      ignore (Netstack.bind net s { Addr.ip = ip0; port = port () });
+      ignore (Netstack.listen net s 8);
+      add (Plisten s)
+    | Open_udp ->
+      let s = Netstack.new_socket net Socket.Dgram in
+      ignore (Netstack.bind net s { Addr.ip = ip0; port = port () });
+      add (Pudp s)
+    | Open_pipe reader ->
+      let pi = Pipe.create ~id:(Kernel.alloc_pipe_id k) in
+      add (if reader then Ppipe_r pi else Ppipe_w pi)
+    | Open_gm -> add (Pgm (Result.get_ok (Gmdev.open_port gm ~ip:ip0 ~port:(port ()))))
+    | Peer_connect i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Plisten s ->
+            let c = Netstack.new_socket peer Socket.Stream in
+            small c;
+            ignore (Netstack.connect_start peer c (Option.get s.local));
+            peer_eps := c :: !peer_eps
+          | _ -> ())
+    | Accept i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Plisten s -> (match Netstack.accept_take s with Some c -> add (Ptcp c) | None -> ())
+          | _ -> ())
+    | Peer_send i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s -> Option.iter (fun e -> ignore (Zapc_simnet.Tcp.send_data e data)) (peer_of s)
+          | Pudp s -> ignore (Netstack.sendto peer peer_udp (Option.get s.local) data)
+          | Ppipe_r pi -> ignore (Pipe.write pi data)
+          | Pgm port -> ignore (Gmdev.send gm gm_peer port.Gmdev.gp_addr data)
+          | Plisten _ | Ppipe_w _ -> ())
+    | Send i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s -> ignore (Zapc_simnet.Tcp.send_data s data)
+          | Pudp s -> ignore (Netstack.sendto net s { Addr.ip = ip1; port = 9000 } data)
+          | Ppipe_w pi -> ignore (Pipe.write pi data)
+          | Pgm port -> ignore (Gmdev.send gm port gm_peer.Gmdev.gp_addr data)
+          | Plisten _ | Ppipe_r _ -> ())
+    | Recv i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s | Pudp s -> drain s
+          | Ppipe_r pi -> read_pipe pi
+          | Pgm port -> ignore (Gmdev.recv port)
+          | Plisten _ | Ppipe_w _ -> ())
+    | Peer_recv i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s -> Option.iter drain (peer_of s)
+          | Ppipe_w pi -> read_pipe pi
+          | Pgm _ -> ignore (Gmdev.recv gm_peer)
+          | Pudp _ -> drain peer_udp
+          | Plisten _ | Ppipe_r _ -> ())
+    | Peer_close i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s -> Option.iter Zapc_simnet.Tcp.shutdown_write (peer_of s)
+          | Ppipe_r pi -> Pipe.close_write pi
+          | Ppipe_w pi -> Pipe.close_read pi
+          | Pgm port -> Gmdev.close_port gm port
+          | Plisten _ | Pudp _ -> ())
+    | Rst i ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp ({ local = Some l; remote = Some r; _ } : Socket.t) ->
+            Netstack.send_packet peer
+              { Zapc_simnet.Packet.src = r; dst = l;
+                body =
+                  Zapc_simnet.Packet.Tcp_seg
+                    { seq = 0; ack_no = 0; window = 0; urg_ptr = 0; payload = "";
+                      flags = { Zapc_simnet.Packet.no_flags with rst = true } } }
+          | _ -> ())
+    | Shutdown (i, how) ->
+      slot i (fun sl ->
+          match sl.ps_obj with
+          | Ptcp s ->
+            if how <> Syscall.Shut_wr then begin
+              s.shut_rd <- true;
+              Socket.wake_readers s
+            end;
+            if how <> Syscall.Shut_rd then Zapc_simnet.Tcp.shutdown_write s
+          | _ -> ())
+    | Close i ->
+      slot i (fun sl ->
+          if Option.is_some (Fdtable.find fds sl.ps_fd) then begin
+            Fdtable.remove fds sl.ps_fd;
+            match sl.ps_obj with
+            | Ptcp s | Plisten s | Pudp s -> Netstack.close net s
+            | Ppipe_r pi -> Pipe.close_read pi
+            | Ppipe_w pi -> Pipe.close_write pi
+            | Pgm port -> Gmdev.close_port gm port
+          end)
+    | Flip_write i -> slot i (fun sl -> sl.wr <- not sl.wr; rebuild ())
+    | Flip_read i -> slot i (fun sl -> sl.rd <- not sl.rd; rebuild ())
+  in
+  let p = Kernel.create_proc k (Program.spawn "test.model_poller" (Value.Int 0)) in
+  p.Proc.fds <- fds;
+  Kernel.enqueue k p;
+  let agree () =
+    let reqs =
+      match p.Proc.pending_sys with
+      | Some (Syscall.Poll (reqs, _)) -> reqs
+      | Some _ | None -> !model_reqs
+    in
+    let full = Zapc_simos.Pollset.scan fds reqs in
+    let cached =
+      match p.Proc.pollset with Some ps -> Zapc_simos.Pollset.poll ps fds reqs | None -> full
+    in
+    cached = full
+    || QCheck.Test.fail_reportf "at %d ns: poll set reports %d fds, the scan %d"
+         (Engine.now engine) (List.length cached) (List.length full)
+  in
+  let rec events n =
+    n = 0 || Engine.pending engine = 0
+    || (Engine.run ~max_events:1 engine;
+        agree () && events (n - 1))
+  in
+  List.for_all (fun op -> apply op; agree () && events 200) ops
+
+let prop_pollset_matches_scan =
+  QCheck.Test.make ~name:"poll set answers what a full scan answers" ~count:150
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_pop ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_pop))
+    pollset_model
+
+(* The read queue carries hangups, so a request that does not ask to read
+   is re-checked at every poll: a GM port closed under it, and the peer's
+   FIN on a connection polled for neither reading nor writing, must both
+   show although no queue the poll registers on fires. *)
+let test_pollset_hangup_without_read () =
+  check tbool "gm port closed under a poll that does not read" true
+    (pollset_model [ Open_gm; Flip_read 0; Peer_close 0 ]);
+  check tbool "FIN on a connection polled for nothing" true
+    (pollset_model [ Open_tcp true; Flip_read 0; Peer_close 0 ])
+
 let () =
   Alcotest.run "simos"
     [ ( "scheduler",
@@ -712,4 +1050,7 @@ let () =
         [ Alcotest.test_case "mixed kinds: ready ones in request order" `Quick
             test_poll_mixed_kinds;
           Alcotest.test_case "rescan allocates nothing per fd" `Quick
-            test_poll_rescan_allocation ] ) ]
+            test_poll_rescan_allocation;
+          QCheck_alcotest.to_alcotest prop_pollset_matches_scan;
+          Alcotest.test_case "hangups reach a poll that does not read" `Quick
+            test_pollset_hangup_without_read ] ) ]

@@ -2032,6 +2032,43 @@ let test_mgr_agent_metric_catalogue () =
     ~except:[ "mgr.tree."; "mgr.mig."; "agent.mig" ]
     [ mgr_agent_registry () ]
 
+(* A checkpoint whose pod on node 1 hangs at the continue broadcast times
+   out, and node 1's Agent queues its own "timed out waiting for continue"
+   failure behind the hang.  The hang lifts as the next checkpoint of both
+   pods broadcasts, so that report reaches the Manager while the new
+   operation waits on the same pod: it names the earlier operation, so it
+   is counted stale and the new checkpoint succeeds. *)
+let test_late_done_of_aborted_checkpoint () =
+  let params = { Params.default with phase_timeout = Simtime.sec 1.0 } in
+  let cluster = make_cluster ~params () in
+  let tr = Cluster.enable_trace cluster in
+  let app =
+    Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+      ~app_args:(bt_args 96 400) ()
+  in
+  let hang_at what hung =
+    let armed = ref true in
+    Span.subscribe tr (function
+      | Span.Instant i when !armed && String.equal i.in_what what ->
+        armed := false;
+        Cluster.set_hung cluster 1 hung
+      | _ -> ())
+  in
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  hang_at "continue_broadcast" true;
+  let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"late-hung" in
+  check tbool "hung checkpoint times out" true
+    (match r.Manager.r_failure with Some (Protocol.F_timeout _) -> true | _ -> false);
+  hang_at "ckpt_broadcast" false;
+  let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"late-next" in
+  check tbool
+    (match r.Manager.r_failure with
+     | Some f -> "next checkpoint ok, not " ^ Protocol.failure_to_string f
+     | None -> "next checkpoint ok")
+    true r.Manager.r_ok;
+  check tint "the late report counted stale" 1
+    (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "mgr.stale_done")
+
 (* Every net.* instrument is in doc/OBSERVABILITY.md, and vice versa: the
    per-cluster fabric, netfilter and TCP gauges plus the counters a
    restore registers.  A fat fabric latency holds the connect storm's
@@ -2516,7 +2553,9 @@ let () =
             test_checkpoint_completes_without_failure;
           Alcotest.test_case "control channel break" `Quick test_agent_channel_break;
           Alcotest.test_case "missing image fails cleanly" `Quick
-            test_restart_missing_image_fails_cleanly ] );
+            test_restart_missing_image_fails_cleanly;
+          Alcotest.test_case "late done of an aborted checkpoint is stale" `Quick
+            test_late_done_of_aborted_checkpoint ] );
       ( "tree",
         [ Alcotest.test_case "tree vs flat: byte-identical snapshot" `Quick
             test_tree_snapshot_byte_identical;
