@@ -269,9 +269,38 @@ let t_sockopt_get =
               (Sockopt.get t Sockopt.SO_SNDBUF + Sockopt.get t Sockopt.TCP_MAXSEG
               + Sockopt.get t Sockopt.SO_RCVBUF + Sockopt.get t Sockopt.SO_NONBLOCK))))
 
+(* The paper applications' kernels, one unit of paper-fig6 work each: a
+   480x6 block of the fixed scene, a BT sweep of a nine-rank rank's 96x11
+   slab, a Bratu sweep of the whole 64x64 grid.  Divide by 2880, 1056 and
+   4096 for ns per pixel or cell. *)
+let t_render_block =
+  Test.make ~name:"scene.render_block-480x6"
+    (Staged.stage (fun () ->
+         ignore
+           (Zapc_apps.Scene.render_block Zapc_apps.Scene.default ~width:480 ~height:360
+              ~y0:180 ~rows:6)))
+
+let t_bt_sweep =
+  let g = 96 and rows = 11 in
+  let init = Array.init ((rows + 2) * g) (fun i -> sin (float_of_int i /. 31.0)) in
+  let u = Array.copy init in
+  Test.make ~name:"bt.sweep-96x11"
+    (Staged.stage (fun () ->
+         (* from the same grid each run: repeated sweeps decay to subnormals *)
+         Array.blit init 0 u 0 (Array.length init);
+         Zapc_apps.Bt_nas.sweep ~g ~rows u))
+
+let t_bratu_sweep =
+  let g = 64 and rows = 64 in
+  let src = Array.init ((rows + 2) * g) (fun i -> 0.1 *. sin (float_of_int i /. 17.0)) in
+  let dst = Array.make (Array.length src) 0.0 in
+  Test.make ~name:"bratu.sweep-64x64"
+    (Staged.stage (fun () -> ignore (Zapc_apps.Bratu.sweep ~g ~rows ~lambda:6.0 ~src ~dst)))
+
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
-    t_ns_lookup; t_poll_block; t_poll_scan; t_fdtable_find; t_sockopt_get ]
+    t_ns_lookup; t_poll_block; t_poll_scan; t_fdtable_find; t_sockopt_get; t_render_block;
+    t_bt_sweep; t_bratu_sweep ]
 
 (* --- event-queue throughput (events/s), heap vs calendar -------------
 

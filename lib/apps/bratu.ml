@@ -58,6 +58,32 @@ type phase =
   | Residual of int
   | Done_phase
 
+(* One damped nonlinear Jacobi sweep from the (rows + 2) x g grid [src]
+   (rows 0 and rows + 1 are ghosts) into [dst]: [dst] gets [src]'s ghost
+   rows and the relaxed interior.  Returns the local residual norm of the
+   Bratu operator.  Dirichlet zero boundary on the domain edge (missing
+   halos stay zero). *)
+let sweep ~g ~rows ~lambda ~src:u ~dst:next =
+  let h = 1.0 /. float_of_int (g + 1) in
+  let h2l = h *. h *. lambda in
+  Array.blit u 0 next 0 g;
+  Array.blit u ((rows + 1) * g) next ((rows + 1) * g) g;
+  let res = ref 0.0 in
+  for r = 1 to rows do
+    let base = r * g in
+    for i = 0 to g - 1 do
+      let left = if i > 0 then u.(base + i - 1) else 0.0 in
+      let right = if i < g - 1 then u.(base + i + 1) else 0.0 in
+      let up = u.(base - g + i) in
+      let down = u.(base + g + i) in
+      let uij = u.(base + i) in
+      let f = left +. right +. up +. down -. (4.0 *. uij) +. (h2l *. exp uij) in
+      res := !res +. (f *. f);
+      next.(base + i) <- uij +. (0.22 *. f)
+    done
+  done;
+  !res
+
 module P = struct
   type state = {
     comm : Mpi.comm;
@@ -65,6 +91,7 @@ module P = struct
     mutable phase : phase;
     mutable mpi : Mpi.pending option;
     mutable u : float array;  (* (rows+2) * g with ghosts *)
+    mutable spare : float array;  (* the sweep's output grid; derived, never imaged *)
     rows : int;
     row0 : int;  (* global index of first interior row *)
     mutable local_res : float;
@@ -85,40 +112,22 @@ module P = struct
     let params = params_of_value app in
     let rows, row0 = partition ~g:params.g ~size ~rank in
     let u = Array.make ((rows + 2) * params.g) 0.0 in
-    { comm; params; phase = Boot; mpi = None; u; rows; row0; local_res = infinity;
-      final_res = infinity }
+    { comm; params; phase = Boot; mpi = None; u; spare = Array.make (Array.length u) 0.0;
+      rows; row0; local_res = infinity; final_res = infinity }
 
   let g s = s.params.g
-  let row s r = Array.sub s.u (r * g s) (g s)
-  let set_row s r data = Array.blit data 0 s.u (r * g s) (g s)
+  let pack_row s r = Floats.pack_sub s.u ~pos:(r * g s) ~len:(g s)
+  let unpack_row s r data = Floats.unpack_into data s.u ~pos:(r * g s)
   let has_up s = s.comm.rank > 0
   let has_down s = s.comm.rank < s.comm.size - 1
 
-  (* One damped nonlinear Jacobi sweep; also accumulates the local residual
-     norm of the Bratu operator.  Dirichlet zero boundary on the domain
-     edge (missing halos stay zero). *)
-  let sweep s =
-    let gg = g s in
-    let h = 1.0 /. float_of_int (gg + 1) in
-    let h2l = h *. h *. s.params.lambda in
-    let next = Array.copy s.u in
-    let res = ref 0.0 in
-    for r = 1 to s.rows do
-      let base = r * gg in
-      for i = 0 to gg - 1 do
-        let left = if i > 0 then s.u.(base + i - 1) else 0.0 in
-        let right = if i < gg - 1 then s.u.(base + i + 1) else 0.0 in
-        let up = s.u.(base - gg + i) in
-        let down = s.u.(base + gg + i) in
-        let uij = s.u.(base + i) in
-        let f = left +. right +. up +. down -. (4.0 *. uij) +. (h2l *. exp uij) in
-        res := !res +. (f *. f);
-        next.(base + i) <- uij +. (0.22 *. f)
-      done
-    done;
-    s.u <- next;
-    s.local_res <- !res;
-    Program.Compute (Simtime.ns (Stdlib.max 1 (s.rows * gg * s.params.ns_per_cell)))
+  (* One sweep into the spare grid, which then becomes the grid. *)
+  let compute_sweep s =
+    s.local_res <- sweep ~g:(g s) ~rows:s.rows ~lambda:s.params.lambda ~src:s.u ~dst:s.spare;
+    let u = s.u in
+    s.u <- s.spare;
+    s.spare <- u;
+    Program.Compute (Simtime.ns (Stdlib.max 1 (s.rows * g s * s.params.ns_per_cell)))
 
   let enter_mpi s (pending, act) =
     s.mpi <- Some pending;
@@ -130,13 +139,13 @@ module P = struct
     | Send_up ->
       if has_up s then
         enter_mpi s
-          (Mpi.send s.comm ~peer:(s.comm.rank - 1) ~tag:tag_halo (Floats.pack (row s 1)))
+          (Mpi.send s.comm ~peer:(s.comm.rank - 1) ~tag:tag_halo (pack_row s 1))
       else exchange s it Send_down
     | Send_down ->
       if has_down s then
         enter_mpi s
           (Mpi.send s.comm ~peer:(s.comm.rank + 1) ~tag:tag_halo
-             (Floats.pack (row s s.rows)))
+             (pack_row s s.rows))
       else exchange s it Recv_up
     | Recv_up ->
       if has_up s then enter_mpi s (Mpi.recv s.comm ~src:(s.comm.rank - 1) ~tag:tag_halo)
@@ -145,7 +154,7 @@ module P = struct
       if has_down s then enter_mpi s (Mpi.recv s.comm ~src:(s.comm.rank + 1) ~tag:tag_halo)
       else begin
         s.phase <- Computing it;
-        sweep s
+        compute_sweep s
       end
 
   let finish s =
@@ -165,12 +174,12 @@ module P = struct
     | Exchange (it, Send_up), _ -> exchange s it Send_down
     | Exchange (it, Send_down), _ -> exchange s it Recv_up
     | Exchange (it, Recv_up), Mpi.R_msg { data; _ } ->
-      set_row s 0 (Floats.unpack data);
+      unpack_row s 0 data;
       exchange s it Recv_down
     | Exchange (it, Recv_down), Mpi.R_msg { data; _ } ->
-      set_row s (s.rows + 1) (Floats.unpack data);
+      unpack_row s (s.rows + 1) data;
       s.phase <- Computing it;
-      sweep s
+      compute_sweep s
     | Residual it, Mpi.R_floats totals ->
       let res = sqrt totals.(0) in
       s.final_res <- res;
@@ -239,19 +248,21 @@ module P = struct
         ("params", params_to_value s.params);
         ("phase", phase_to_value s.phase);
         ("mpi", Value.option Mpi.pending_to_value s.mpi);
-        ("u", Value.f64s s.u);
+        ("u", Value.f64s (Array.copy s.u));
         ("rows", Value.int s.rows);
         ("row0", Value.int s.row0);
         ("local_res", Value.float s.local_res);
         ("final_res", Value.float s.final_res) ]
 
   let of_value v =
+    let u = Value.to_f64s (Value.field "u" v) in
     {
       comm = Mpi.comm_of_value (Value.field "comm" v);
       params = params_of_value (Value.field "params" v);
       phase = phase_of_value (Value.field "phase" v);
       mpi = Value.to_option Mpi.pending_of_value (Value.field "mpi" v);
-      u = Value.to_f64s (Value.field "u" v);
+      u;
+      spare = Array.make (Array.length u) 0.0;
       rows = Value.to_int (Value.field "rows" v);
       row0 = Value.to_int (Value.field "row0" v);
       local_res = Value.to_float (Value.field "local_res" v);

@@ -20,5 +20,15 @@ val default_params : params
 val params_to_value : params -> Zapc_codec.Value.t
 val params_of_value : Zapc_codec.Value.t -> params
 
+val sweep :
+  g:int -> rows:int -> lambda:float -> src:float array -> dst:float array -> float
+(** [sweep ~g ~rows ~lambda ~src ~dst] is one damped nonlinear Jacobi sweep
+    of the [(rows + 2) * g] grid [src] (first and last rows are the halo
+    ghosts) into [dst], which gets [src]'s ghost rows and the new interior;
+    it returns the local squared residual.  The program keeps [dst] as a
+    spare grid and swaps the two after each sweep.  Exported for
+    [test_apps], which holds grid and residual to the copying sweep bit for
+    bit, and for the micro benchmark. *)
+
 val register : unit -> unit
 (** Register program ["bratu"]. *)

@@ -53,6 +53,73 @@ type phase =
   | Reducing
   | Done_phase
 
+(* The Thomas solve of tri(-1, 4, -1) x = row, in place, on the row of
+   [u] (length [g]) that starts at [b].  [cp] and the pivots [m] depend
+   only on [g].  Each chain carries its last value in a register rather
+   than through the array. *)
+let thomas1 (u : float array) ~g ~(cp : float array) ~(m : float array) ~b =
+  let a = -1.0 in
+  let p = ref (Array.unsafe_get u b /. m.(0)) in
+  Array.unsafe_set u b !p;
+  for i = 1 to g - 1 do
+    p := (Array.unsafe_get u (b + i) -. (a *. !p)) /. Array.unsafe_get m i;
+    Array.unsafe_set u (b + i) !p
+  done;
+  for i = g - 2 downto 0 do
+    p := Array.unsafe_get u (b + i) -. (Array.unsafe_get cp i *. !p);
+    Array.unsafe_set u (b + i) !p
+  done
+
+(* [thomas1] on the rows at [b1] and [b2] in one loop, so that their
+   independent division chains overlap; each row sees exactly the
+   operations of a solve on its own. *)
+let thomas2 (u : float array) ~g ~(cp : float array) ~(m : float array) ~b1 ~b2 =
+  let a = -1.0 in
+  let p1 = ref (Array.unsafe_get u b1 /. m.(0)) in
+  let p2 = ref (Array.unsafe_get u b2 /. m.(0)) in
+  Array.unsafe_set u b1 !p1;
+  Array.unsafe_set u b2 !p2;
+  for i = 1 to g - 1 do
+    let mi = Array.unsafe_get m i in
+    p1 := (Array.unsafe_get u (b1 + i) -. (a *. !p1)) /. mi;
+    Array.unsafe_set u (b1 + i) !p1;
+    p2 := (Array.unsafe_get u (b2 + i) -. (a *. !p2)) /. mi;
+    Array.unsafe_set u (b2 + i) !p2
+  done;
+  for i = g - 2 downto 0 do
+    let ci = Array.unsafe_get cp i in
+    p1 := Array.unsafe_get u (b1 + i) -. (ci *. !p1);
+    Array.unsafe_set u (b1 + i) !p1;
+    p2 := Array.unsafe_get u (b2 + i) -. (ci *. !p2);
+    Array.unsafe_set u (b2 + i) !p2
+  done
+
+(* One sweep over the (rows + 2) x g grid [u], whose rows 0 and rows + 1
+   are ghosts: a Thomas solve along every interior row, then a vertical
+   relaxation against the neighbour rows.  The relaxation updates in place,
+   row after row, so each row sees its upper neighbour already relaxed;
+   that order is part of the result. *)
+let sweep ~g ~rows u =
+  if Array.length u < (rows + 2) * g then invalid_arg "Bt_nas.sweep";
+  let a = -1.0 and b = 4.0 and c = -1.0 in
+  let cp = Array.make g 0.0 and m = Array.make g b in
+  cp.(0) <- c /. b;
+  for i = 1 to g - 1 do
+    m.(i) <- b -. (a *. cp.(i - 1));
+    cp.(i) <- c /. m.(i)
+  done;
+  for k = 0 to (rows / 2) - 1 do
+    thomas2 u ~g ~cp ~m ~b1:(((2 * k) + 1) * g) ~b2:(((2 * k) + 2) * g)
+  done;
+  if rows land 1 = 1 then thomas1 u ~g ~cp ~m ~b:(rows * g);
+  for r = 1 to rows do
+    let base = r * g in
+    let up = (r - 1) * g and dn = (r + 1) * g in
+    for i = 0 to g - 1 do
+      u.(base + i) <- (0.5 *. u.(base + i)) +. (0.25 *. (u.(up + i) +. u.(dn + i)))
+    done
+  done
+
 module P = struct
   type state = {
     comm : Mpi.comm;
@@ -87,42 +154,17 @@ module P = struct
     { comm; params; phase = Boot; mpi = None; u; rows; checksum = 0.0 }
 
   let g s = s.params.g
-  let row s r = Array.sub s.u (r * g s) (g s)
-  let set_row s r data = Array.blit data 0 s.u (r * g s) (g s)
+  let pack_row s r = Floats.pack_sub s.u ~pos:(r * g s) ~len:(g s)
+  let unpack_row s r data = Floats.unpack_into data s.u ~pos:(r * g s)
   let has_up s = s.comm.rank > 0
   let has_down s = s.comm.rank < s.comm.size - 1
 
-  (* One sweep of real numeric work: Thomas solves along x, then vertical
-     relaxation.  Returns the compute action that charges virtual time. *)
+  (* One sweep of real numeric work; returns the compute action that
+     charges virtual time. *)
   let compute_sweep s =
-    let gg = g s in
-    let a = -1.0 and b = 4.0 and c = -1.0 in
-    let cp = Array.make gg 0.0 and dp = Array.make gg 0.0 in
-    for r = 1 to s.rows do
-      let base = r * gg in
-      (* Thomas algorithm: solve tri(a,b,c) x = u_row *)
-      cp.(0) <- c /. b;
-      dp.(0) <- s.u.(base) /. b;
-      for i = 1 to gg - 1 do
-        let m = b -. (a *. cp.(i - 1)) in
-        cp.(i) <- c /. m;
-        dp.(i) <- (s.u.(base + i) -. (a *. dp.(i - 1))) /. m
-      done;
-      s.u.(base + gg - 1) <- dp.(gg - 1);
-      for i = gg - 2 downto 0 do
-        s.u.(base + i) <- dp.(i) -. (cp.(i) *. s.u.(base + i + 1))
-      done
-    done;
-    (* vertical relaxation against neighbour rows (uses the halos) *)
-    for r = 1 to s.rows do
-      let base = r * gg in
-      let up = (r - 1) * gg and dn = (r + 1) * gg in
-      for i = 0 to gg - 1 do
-        s.u.(base + i) <- (0.5 *. s.u.(base + i)) +. (0.25 *. (s.u.(up + i) +. s.u.(dn + i)))
-      done
-    done;
+    sweep ~g:(g s) ~rows:s.rows s.u;
     Program.Compute
-      (Simtime.ns (Stdlib.max 1 (s.rows * gg * s.params.ns_per_cell)))
+      (Simtime.ns (Stdlib.max 1 (s.rows * g s * s.params.ns_per_cell)))
 
   let enter_mpi s (pending, act) =
     s.mpi <- Some pending;
@@ -137,13 +179,13 @@ module P = struct
       if has_up s then
         enter_mpi s
           (Mpi.send s.comm ~peer:(s.comm.rank - 1) ~tag:tag_halo
-             (Floats.pack (row s 1)))
+             (pack_row s 1))
       else exchange s it Send_down
     | Send_down ->
       if has_down s then
         enter_mpi s
           (Mpi.send s.comm ~peer:(s.comm.rank + 1) ~tag:tag_halo
-             (Floats.pack (row s s.rows)))
+             (pack_row s s.rows))
       else exchange s it Recv_up
     | Recv_up ->
       if has_up s then
@@ -176,10 +218,10 @@ module P = struct
     | Exchange (it, Send_up), _ -> exchange s it Send_down
     | Exchange (it, Send_down), _ -> exchange s it Recv_up
     | Exchange (it, Recv_up), Mpi.R_msg { data; _ } ->
-      set_row s 0 (Floats.unpack data);
+      unpack_row s 0 data;
       exchange s it Recv_down
     | Exchange (it, Recv_down), Mpi.R_msg { data; _ } ->
-      set_row s (s.rows + 1) (Floats.unpack data);
+      unpack_row s (s.rows + 1) data;
       s.phase <- Computing it;
       compute_sweep s
     | Reducing, Mpi.R_floats totals ->
@@ -257,7 +299,7 @@ module P = struct
         ("params", params_to_value s.params);
         ("phase", phase_to_value s.phase);
         ("mpi", Value.option Mpi.pending_to_value s.mpi);
-        ("u", Value.f64s s.u);
+        ("u", Value.f64s (Array.copy s.u));
         ("rows", Value.int s.rows);
         ("checksum", Value.float s.checksum) ]
 

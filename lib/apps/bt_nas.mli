@@ -17,5 +17,15 @@ val default_params : params
 val params_to_value : params -> Zapc_codec.Value.t
 val params_of_value : Zapc_codec.Value.t -> params
 
+val sweep : g:int -> rows:int -> float array -> unit
+(** [sweep ~g ~rows u] is one iteration's numeric work, in place, on the
+    [(rows + 2) * g] grid [u] whose first and last rows are the halo
+    ghosts: a Thomas solve along every interior row, then a vertical
+    relaxation.  The elimination coefficients are computed once per sweep
+    and rows are solved two at a time; every grid value is bit-identical to
+    a row-by-row solve.  Exported for [test_apps], which holds it to that
+    row-by-row solve, and for the micro benchmark.
+    @raise Invalid_argument if [u] is shorter than [(rows + 2) * g]. *)
+
 val register : unit -> unit
 (** Register program ["bt_nas"]; the paper runs it on square node counts. *)

@@ -73,7 +73,7 @@ module P = struct
     params : params;
     mutable phase : phase;
     mutable mpi : Mpi.pending option;
-    mutable fb : string;  (* master framebuffer, width*height grayscale *)
+    fb : Bytes.t;  (* master framebuffer, width*height grayscale, written in place *)
     mutable next_block : int;
     mutable results : int;
     mutable dones_sent : int;
@@ -91,7 +91,7 @@ module P = struct
       params;
       phase = (if rank = 0 then M_boot else W_boot);
       mpi = None;
-      fb = (if rank = 0 then String.make (params.width * params.height) '\000' else "");
+      fb = (if rank = 0 then Bytes.make (params.width * params.height) '\000' else Bytes.empty);
       next_block = 0;
       results = 0;
       dones_sent = 0;
@@ -113,13 +113,14 @@ module P = struct
     Program.Compute
       (Simtime.ns (Stdlib.max 1 (s.params.width * rows * s.params.ns_per_pixel)))
 
+  (* copy a block's pixels into the framebuffer at its first row *)
+  let blit_block s b pixels ~off =
+    Bytes.blit_string pixels off s.fb (b * s.params.block_rows * s.params.width)
+      (String.length pixels - off)
+
+  (* a RES message is the block number, then the block's pixels *)
   let blit_result s data =
-    let b = read_u32 data in
-    let pixels = String.sub data 4 (String.length data - 4) in
-    let y0 = b * s.params.block_rows in
-    let fb = Bytes.of_string s.fb in
-    Bytes.blit_string pixels 0 fb (y0 * s.params.width) (String.length pixels);
-    s.fb <- Bytes.unsafe_to_string fb;
+    blit_block s (read_u32 data) data ~off:4;
     s.results <- s.results + 1
 
   let enter_mpi s (pending, act) =
@@ -128,7 +129,7 @@ module P = struct
 
   let checksum s =
     let acc = ref 0 in
-    String.iter (fun c -> acc := (!acc + Char.code c) land 0xFFFFFF) s.fb;
+    Bytes.iter (fun c -> acc := (!acc + Char.code c) land 0xFFFFFF) s.fb;
     !acc
 
   let master_finished s =
@@ -137,7 +138,9 @@ module P = struct
   (* the master writes the finished image (a real PGM) into its pod's file
      namespace on the shared store, then logs the checksum *)
   let pgm s =
-    Printf.sprintf "P5\n%d %d\n255\n" s.params.width s.params.height ^ s.fb
+    (* [^] copies the framebuffer at once *)
+    Printf.sprintf "P5\n%d %d\n255\n" s.params.width s.params.height
+    ^ Bytes.unsafe_to_string s.fb
 
   let master_finish_action s =
     s.phase <- Fin_write;
@@ -232,13 +235,7 @@ module P = struct
             (s, enter_mpi s (Mpi.init s.comm)))
        | M_self b ->
          (* single-rank: block rendered; keep going *)
-         s.fb <- begin
-           let y0 = b * s.params.block_rows in
-           let fb = Bytes.of_string s.fb in
-           Bytes.blit_string s.block_buf 0 fb (y0 * s.params.width)
-             (String.length s.block_buf);
-           Bytes.unsafe_to_string fb
-         end;
+         blit_block s b s.block_buf ~off:0;
          s.results <- s.results + 1;
          let b' = b + 1 in
          if b' < blocks s then begin
@@ -295,7 +292,7 @@ module P = struct
         ("params", params_to_value s.params);
         ("phase", phase_to_value s.phase);
         ("mpi", Value.option Mpi.pending_to_value s.mpi);
-        ("fb", Value.str s.fb);
+        ("fb", Value.str (Bytes.to_string s.fb));
         ("next_block", Value.int s.next_block);
         ("results", Value.int s.results);
         ("dones_sent", Value.int s.dones_sent);
@@ -307,7 +304,7 @@ module P = struct
       params = params_of_value (Value.field "params" v);
       phase = phase_of_value (Value.field "phase" v);
       mpi = Value.to_option Mpi.pending_of_value (Value.field "mpi" v);
-      fb = Value.to_str (Value.field "fb" v);
+      fb = Bytes.of_string (Value.to_str (Value.field "fb" v));
       next_block = Value.to_int (Value.field "next_block" v);
       results = Value.to_int (Value.field "results" v);
       dones_sent = Value.to_int (Value.field "dones_sent" v);

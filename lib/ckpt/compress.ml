@@ -85,11 +85,6 @@ let regions_of_procs (procs : Value.t) =
       | None -> [])
     (Value.to_list (fun v -> v) procs)
 
-(* Hand-rolled test images may omit standard fields; an absent field just
-   contributes nothing to the model. *)
-let int_field name v =
-  match Value.field_opt name v with Some x -> Value.to_int x | None -> 0
-
 (* All modelled memory regions of a full or delta pod image, in document
    order (a full image lists every live region; a delta only the regions of
    processes that changed). *)
@@ -132,15 +127,8 @@ let region_weighted ~bytes regions =
    their measured entropy plus the charged address-space bytes at their
    region-tag entropy.  Always <= the logical size and deterministic for a
    given image. *)
-let modelled_size (v : Value.t) ~(encoded : string) =
+let modelled_size ~(encoded : string) ~mem_bytes regions =
   let enc_out =
     int_of_float (float_of_int (String.length encoded) *. encoded_ratio encoded)
   in
-  let mem_bytes =
-    if Delta.is_delta v then
-      let b = match v with Value.Tag (_, b) -> b | _ -> v in
-      int_field "dirty_bytes" b
-    else int_field "memory_bytes" v
-  in
-  let mem_out = region_weighted ~bytes:mem_bytes (regions_of_image v) in
-  Stdlib.max 1 (enc_out + mem_out)
+  Stdlib.max 1 (enc_out + region_weighted ~bytes:mem_bytes regions)

@@ -29,7 +29,8 @@ val regions_of_image : Zapc_codec.Value.t -> (string * int * int) list
     delta pod image describes (full: all live regions; delta: the regions
     of changed processes only). *)
 
-val modelled_size : Zapc_codec.Value.t -> encoded:string -> int
-(** [modelled_size v ~encoded] is the modelled compressed byte count of the
-    full or delta pod image whose decoded Value is [v] and whose Wire
-    encoding is [encoded].  Deterministic; at least 1. *)
+val modelled_size : encoded:string -> mem_bytes:int -> (string * int * int) list -> int
+(** [modelled_size ~encoded ~mem_bytes regions] is the modelled compressed
+    byte count of a full or delta pod image whose Wire encoding is
+    [encoded], which charges [mem_bytes] of address space described by
+    [regions] ({!regions_of_image}).  Deterministic; at least 1. *)

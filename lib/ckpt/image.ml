@@ -17,7 +17,6 @@ type t = {
   name : string;
   encoded : string;  (* Wire-encoded pod image (full or delta) *)
   logical_size : int;
-  comp_size : int;  (* modelled compressed size (Compress.modelled_size) *)
   regions : (string * int * int) list;
       (* modelled memory region tags (name, size, gen) — the content
          addresses the dedup backend chunks virtual memory by *)
@@ -26,7 +25,6 @@ type t = {
 
 let of_pod_image (image : Value.t) =
   let encoded = Wire.encode image in
-  let comp_size = Compress.modelled_size image ~encoded in
   let regions = Compress.regions_of_image image in
   if Delta.is_delta image then
     {
@@ -34,7 +32,6 @@ let of_pod_image (image : Value.t) =
       name = Delta.name image;
       encoded;
       logical_size = String.length encoded + Delta.dirty_bytes image;
-      comp_size;
       regions;
       base_key = Some (Delta.base_key image);
     }
@@ -45,12 +42,17 @@ let of_pod_image (image : Value.t) =
       name = Value.to_str (Value.field "name" image);
       encoded;
       logical_size = String.length encoded + memory_bytes;
-      comp_size;
       regions;
       base_key = None;
     }
 
 let to_pod_image (t : t) : Value.t = Wire.decode t.encoded
+
+(* The address-space bytes an image charges are its logical size beyond
+   the Wire bytes: memory_bytes for a full image, dirty_bytes for a delta. *)
+let comp_size (t : t) =
+  Compress.modelled_size ~encoded:t.encoded
+    ~mem_bytes:(t.logical_size - String.length t.encoded) t.regions
 
 (* FNV-1a over the identifying fields and the encoded bytes.  Cheap,
    deterministic, and sensitive to any single-byte mutation — enough to model

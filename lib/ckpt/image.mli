@@ -15,9 +15,6 @@ type t = {
   name : string;
   encoded : string;  (** Wire-encoded pod image (full or delta) *)
   logical_size : int;
-  comp_size : int;
-      (** modelled compressed size ({!Compress.modelled_size}); what a
-          compressing storage backend accounts/flushes for this image *)
   regions : (string * int * int) list;
       (** modelled memory region tags (name, size, generation) — the
           content addresses the dedup backend chunks virtual memory by *)
@@ -26,6 +23,11 @@ type t = {
 
 val of_pod_image : Value.t -> t
 val to_pod_image : t -> Value.t
+
+val comp_size : t -> int
+(** Modelled compressed size ({!Compress.modelled_size}); what a
+    compressing storage backend accounts and flushes for this image.
+    Computed on each call: only a compressing backend needs it. *)
 
 val checksum : t -> int
 (** Deterministic content checksum (FNV-1a over the encoded bytes and the

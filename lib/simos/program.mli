@@ -27,6 +27,11 @@ module type S = sig
   val start : Value.t -> state
   val step : state -> Syscall.outcome -> state * action
   val to_value : state -> Value.t
+  (** The state's image.  It must share no mutable buffer with [state]:
+      copy every array or [Bytes.t] that [step] updates in place.  The
+      Agent keeps an image (the base of the next delta or pre-copy round)
+      while the program runs on. *)
+
   val of_value : Value.t -> state
 end
 

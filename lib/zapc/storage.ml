@@ -361,7 +361,7 @@ let put ?op ?parent ?(node = 0) t key image =
     else begin
       let sum = Image.checksum image in
       let logical_bytes = image.Image.logical_size in
-      let asize = if t.compress then image.Image.comp_size else logical_bytes in
+      let asize = if t.compress then Image.comp_size image else logical_bytes in
       (* The recipe and its accounted bytes: an inline image is written
          whole ([asize]) to every copy; a chunked one grows the shared pool
          once, by this put's distinct-new bytes (compressed at the image's
@@ -385,11 +385,10 @@ let put ?op ?parent ?(node = 0) t key image =
       in
       if t.compress then begin
         t.comp_in <- t.comp_in + logical_bytes;
-        t.comp_out <- t.comp_out + image.Image.comp_size;
+        t.comp_out <- t.comp_out + asize;
         Metrics.add t.metrics "storage.compress_in_bytes" logical_bytes;
-        Metrics.add t.metrics "storage.compress_out_bytes" image.Image.comp_size;
-        Metrics.add t.metrics "storage.compress_saved_bytes"
-          (logical_bytes - image.Image.comp_size);
+        Metrics.add t.metrics "storage.compress_out_bytes" asize;
+        Metrics.add t.metrics "storage.compress_saved_bytes" (logical_bytes - asize);
         Metrics.set_gauge t.metrics "storage.compress_ratio"
           (float_of_int t.comp_out /. float_of_int (Stdlib.max 1 t.comp_in))
       end;

@@ -575,6 +575,334 @@ let test_kv_kept_poll_reqs () =
     [ ("kv_client", !Kept_client.polls, !Kept_client.kept, !Kept_client.stale);
       ("kvstore", !Kept_server.polls, !Kept_server.kept, !Kept_server.stale) ]
 
+(* --- the application kernels, bit for bit ---
+
+   The kernels were rewritten to cut host work (no per-pixel allocation,
+   precomputed Thomas coefficients, a double-buffered Bratu grid) with the
+   promise that they compute the same bits.  The straightforward versions
+   they replaced are kept here as reference models, and every pixel, grid
+   value and residual must match them exactly. *)
+
+(* The vector-record ray tracer, one [hit option] per candidate. *)
+module Ref_scene = struct
+  type vec = Zapc_apps.Scene.vec = { x : float; y : float; z : float }
+
+  type sphere = Zapc_apps.Scene.sphere = {
+    center : vec; radius : float; albedo : float; reflect : float }
+
+  type t = Zapc_apps.Scene.t = {
+    spheres : sphere list; light : vec; eye : vec; plane_y : float }
+
+  let v3 x y z = { x; y; z }
+  let ( +| ) a b = v3 (a.x +. b.x) (a.y +. b.y) (a.z +. b.z)
+  let ( -| ) a b = v3 (a.x -. b.x) (a.y -. b.y) (a.z -. b.z)
+  let ( *| ) s a = v3 (s *. a.x) (s *. a.y) (s *. a.z)
+  let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
+  let norm a = sqrt (dot a a)
+
+  let unit a =
+    let n = norm a in
+    if n = 0.0 then a else (1.0 /. n) *| a
+
+  type hit = { t : float; point : vec; normal : vec; albedo : float; reflect : float }
+
+  let hit_sphere ~orig ~dir (s : sphere) : hit option =
+    let oc = orig -| s.center in
+    let b = dot oc dir in
+    let c = dot oc oc -. (s.radius *. s.radius) in
+    let disc = (b *. b) -. c in
+    if disc < 0.0 then None
+    else
+      let sq = sqrt disc in
+      let t = if -.b -. sq > 1e-4 then -.b -. sq else -.b +. sq in
+      if t < 1e-4 then None
+      else
+        let point = orig +| (t *| dir) in
+        Some { t; point; normal = unit (point -| s.center); albedo = s.albedo;
+               reflect = s.reflect }
+
+  let hit_plane scene ~orig ~dir : hit option =
+    if Float.abs dir.y < 1e-9 then None
+    else
+      let t = (scene.plane_y -. orig.y) /. dir.y in
+      if t < 1e-4 then None
+      else
+        let point = orig +| (t *| dir) in
+        let check =
+          let u = int_of_float (Float.round (point.x *. 2.0)) in
+          let w = int_of_float (Float.round (point.z *. 2.0)) in
+          if (u + w) land 1 = 0 then 0.85 else 0.25
+        in
+        Some { t; point; normal = v3 0.0 1.0 0.0; albedo = check; reflect = 0.05 }
+
+  let closest_hit scene ~orig ~dir : hit option =
+    let candidates =
+      hit_plane scene ~orig ~dir :: List.map (hit_sphere ~orig ~dir) scene.spheres
+    in
+    List.fold_left
+      (fun best h ->
+        match (best, h) with
+        | None, h -> h
+        | Some b, Some h' when h'.t < b.t -> Some h'
+        | Some _, _ -> best)
+      None candidates
+
+  let in_shadow scene point light_dir dist =
+    List.exists
+      (fun s ->
+        match hit_sphere ~orig:point ~dir:light_dir s with
+        | Some h -> h.t < dist
+        | None -> false)
+      scene.spheres
+
+  let rec shade scene ~orig ~dir depth : float =
+    match closest_hit scene ~orig ~dir with
+    | None -> 0.08 +. (0.12 *. Float.abs dir.y)
+    | Some h ->
+      let to_light = scene.light -| h.point in
+      let dist = norm to_light in
+      let ldir = unit to_light in
+      let shadowed = in_shadow scene h.point ldir dist in
+      let diffuse = if shadowed then 0.0 else Float.max 0.0 (dot h.normal ldir) in
+      let spec =
+        if shadowed then 0.0
+        else
+          let refl = (2.0 *. dot h.normal ldir *| h.normal) -| ldir in
+          Float.max 0.0 (dot refl (unit (orig -| h.point))) ** 24.0
+      in
+      let base = (h.albedo *. ((0.15 +. (0.75 *. diffuse)) +. (0.4 *. spec))) in
+      if depth > 0 && h.reflect > 0.01 then
+        let rdir = unit (dir -| (2.0 *. dot dir h.normal *| h.normal)) in
+        ((1.0 -. h.reflect) *. base)
+        +. (h.reflect *. shade scene ~orig:h.point ~dir:rdir (depth - 1))
+      else base
+
+  let pixel_lum scene ~width ~height px py =
+    let fw = float_of_int width and fh = float_of_int height in
+    let u = ((float_of_int px +. 0.5) /. fw *. 2.0) -. 1.0 in
+    let v = 1.0 -. (2.0 *. (float_of_int py +. 0.5) /. fh) in
+    let aspect = fw /. fh in
+    let dir = unit (v3 (u *. aspect) v 1.4) in
+    shade scene ~orig:scene.eye ~dir 1
+
+  let trace_pixel scene ~width ~height px py : int =
+    let lum = pixel_lum scene ~width ~height px py in
+    int_of_float (255.0 *. Float.min 1.0 (Float.max 0.0 lum))
+
+  let render_block scene ~width ~height ~y0 ~rows : string =
+    let b = Bytes.create (width * rows) in
+    for dy = 0 to rows - 1 do
+      for x = 0 to width - 1 do
+        Bytes.set b ((dy * width) + x)
+          (Char.chr (trace_pixel scene ~width ~height x (y0 + dy)))
+      done
+    done;
+    Bytes.unsafe_to_string b
+end
+
+(* The default scene's first 0 to 4 of four spheres (its three and one
+   more), each with a new radius, albedo and reflectance, and every sphere,
+   the light, the eye and the plane moved by up to 0.8 on each axis. *)
+let scene_gen =
+  let open QCheck.Gen in
+  let d x = map (fun e -> x +. e) (float_range (-0.8) 0.8) in
+  let vec (v : Ref_scene.vec) = map3 (fun x y z -> Ref_scene.v3 x y z) (d v.x) (d v.y) (d v.z) in
+  let sphere (s : Ref_scene.sphere) =
+    map3
+      (fun center radius (albedo, reflect) -> { Ref_scene.center; radius; albedo; reflect })
+      (vec s.center)
+      (float_range 0.2 1.3)
+      (pair (float_range 0.1 1.0) (float_range 0.0 0.6))
+  in
+  let base = Zapc_apps.Scene.default in
+  let extra = { (List.hd base.spheres) with Ref_scene.center = Ref_scene.v3 0.4 (-0.2) 1.2 } in
+  map3
+    (fun spheres (light, eye) plane_y -> { Ref_scene.spheres; light; eye; plane_y })
+    (int_range 0 4 >>= fun n ->
+     flatten_l (List.filteri (fun i _ -> i < n) (List.map sphere (base.spheres @ [ extra ]))))
+    (pair (vec base.light) (vec base.eye))
+    (d base.plane_y)
+
+let prop_tracer_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 48 >>= fun width ->
+    int_range 1 48 >>= fun height ->
+    int_range 0 (height - 1) >>= fun y0 ->
+    int_range 1 (height - y0) >>= fun rows ->
+    frequency [ (1, return Zapc_apps.Scene.default); (3, scene_gen) ] >>= fun scene ->
+    return (scene, width, height, y0, rows)
+  in
+  QCheck.Test.make ~name:"ray tracer matches the vector tracer" ~count:150
+    (QCheck.make gen)
+    (fun (scene, width, height, y0, rows) ->
+      let module S = Zapc_apps.Scene in
+      (* a pixel is 8 bits of a luminance: compare the luminance too *)
+      let ctx = S.make_ctx scene in
+      let lum_equal = ref true in
+      for py = y0 to y0 + rows - 1 do
+        for px = 0 to width - 1 do
+          S.aim ctx ~width ~height px py;
+          S.shade ctx S.depth;
+          let want = Ref_scene.pixel_lum scene ~width ~height px py in
+          if Int64.bits_of_float ctx.S.hits.(S.depth).S.lum <> Int64.bits_of_float want then
+            lum_equal := false
+        done
+      done;
+      !lum_equal
+      && String.equal
+           (S.render_block scene ~width ~height ~y0 ~rows)
+           (Ref_scene.render_block scene ~width ~height ~y0 ~rows))
+
+(* The row-by-row Thomas solve, with [cp] and the pivots recomputed for
+   every row, then the in-place vertical relaxation. *)
+let ref_bt_sweep ~g:gg ~rows (u : float array) =
+  let a = -1.0 and b = 4.0 and c = -1.0 in
+  let cp = Array.make gg 0.0 and dp = Array.make gg 0.0 in
+  for r = 1 to rows do
+    let base = r * gg in
+    cp.(0) <- c /. b;
+    dp.(0) <- u.(base) /. b;
+    for i = 1 to gg - 1 do
+      let m = b -. (a *. cp.(i - 1)) in
+      cp.(i) <- c /. m;
+      dp.(i) <- (u.(base + i) -. (a *. dp.(i - 1))) /. m
+    done;
+    u.(base + gg - 1) <- dp.(gg - 1);
+    for i = gg - 2 downto 0 do
+      u.(base + i) <- dp.(i) -. (cp.(i) *. u.(base + i + 1))
+    done
+  done;
+  for r = 1 to rows do
+    let base = r * gg in
+    let up = (r - 1) * gg and dn = (r + 1) * gg in
+    for i = 0 to gg - 1 do
+      u.(base + i) <- (0.5 *. u.(base + i)) +. (0.25 *. (u.(up + i) +. u.(dn + i)))
+    done
+  done
+
+(* The Jacobi sweep into a fresh copy of the whole grid. *)
+let ref_bratu_sweep ~g:gg ~rows ~lambda (u : float array) =
+  let h = 1.0 /. float_of_int (gg + 1) in
+  let h2l = h *. h *. lambda in
+  let next = Array.copy u in
+  let res = ref 0.0 in
+  for r = 1 to rows do
+    let base = r * gg in
+    for i = 0 to gg - 1 do
+      let left = if i > 0 then u.(base + i - 1) else 0.0 in
+      let right = if i < gg - 1 then u.(base + i + 1) else 0.0 in
+      let up = u.(base - gg + i) in
+      let down = u.(base + gg + i) in
+      let uij = u.(base + i) in
+      let f = left +. right +. up +. down -. (4.0 *. uij) +. (h2l *. exp uij) in
+      res := !res +. (f *. f);
+      next.(base + i) <- uij +. (0.22 *. f)
+    done
+  done;
+  (next, !res)
+
+let bits (a : float array) = Array.map Int64.bits_of_float a
+
+(* A halo as a neighbour would send it in sweep [k]: nonzero, varying. *)
+let halo ~g k side = Array.init g (fun i -> sin (float_of_int ((k * 7) + (i * 3) + side)) *. 0.3)
+
+let set_ghosts u ~g ~rows k =
+  Array.blit (halo ~g k 0) 0 u 0 g;
+  Array.blit (halo ~g k 1) 0 u ((rows + 1) * g) g
+
+(* Nine-rank paper-fig6 ranks own 10 or 11 rows of 96; the odd counts
+   leave a tail row for the one-row solve. *)
+let test_bt_sweep_matches_reference () =
+  List.iter
+    (fun (g, rows) ->
+      let init = Array.init ((rows + 2) * g) (fun i -> sin (3.0 *. float_of_int i /. 97.0)) in
+      let u = Array.copy init and r = Array.copy init in
+      for k = 1 to 30 do
+        set_ghosts u ~g ~rows k;
+        set_ghosts r ~g ~rows k;
+        Zapc_apps.Bt_nas.sweep ~g ~rows u;
+        ref_bt_sweep ~g ~rows r
+      done;
+      check tbool (Printf.sprintf "g=%d rows=%d: grids bit-identical" g rows) true
+        (bits u = bits r))
+    [ (96, 1); (96, 2); (96, 3); (96, 10); (96, 11); (96, 96); (1, 3); (7, 5) ]
+
+(* 250 sweeps, as paper-fig6 runs, with the grid passed through its image
+   encoding halfway: the restored program starts with a zeroed spare grid,
+   which must not matter. *)
+let test_bratu_sweep_matches_reference () =
+  List.iter
+    (fun (g, rows) ->
+      let n = (rows + 2) * g in
+      let u = ref (Array.make n 0.0) and spare = ref (Array.make n 0.0) in
+      let r = ref (Array.make n 0.0) in
+      for k = 1 to 250 do
+        if k = 125 then begin
+          let wire = Zapc_codec.Wire.encode (Value.f64s (Array.copy !u)) in
+          u := Value.to_f64s (Zapc_codec.Wire.decode wire);
+          spare := Array.make n 0.0
+        end;
+        set_ghosts !u ~g ~rows k;
+        set_ghosts !r ~g ~rows k;
+        let res = Zapc_apps.Bratu.sweep ~g ~rows ~lambda:6.0 ~src:!u ~dst:!spare in
+        let next, res' = ref_bratu_sweep ~g ~rows ~lambda:6.0 !r in
+        let grid = !spare in
+        spare := !u;
+        u := grid;
+        r := next;
+        if Int64.bits_of_float res <> Int64.bits_of_float res' || bits !u <> bits !r then
+          Alcotest.failf "g=%d rows=%d: sweep %d differs from the copying sweep" g rows k
+      done)
+    [ (64, 64); (64, 21); (64, 22); (5, 3) ]
+
+(* Framebuffer checksums of the fixed scene, computed with the vector
+   tracer and a copying framebuffer: 480x360 in 6-row blocks rendered by
+   two workers (every block arrives as a message), 320x200 in 8-row blocks
+   rendered by a lone master (every block is blitted locally). *)
+let test_povray_checksums_pinned () =
+  List.iter
+    (fun (width, height, block_rows, placement, want) ->
+      let app_args =
+        Zapc_apps.Povray.params_to_value
+          { Zapc_apps.Povray.default_params with width; height; block_rows }
+      in
+      ignore (run_app ~result_prefix:"povray: rendered" ~program:"povray" ~app_args ~placement ());
+      match find_log "povray: rendered" with
+      | Some line ->
+        let got = Scanf.sscanf line "povray: rendered %_dx%_d in %_d blocks, checksum %x" Fun.id in
+        check tint (Printf.sprintf "%dx%d checksum" width height) want got
+      | None -> Alcotest.fail "no povray result")
+    [ (480, 360, 6, [ 0; 1; 2 ], 0x9b57ad); (320, 200, 8, [ 0 ], 0x38039e) ]
+
+(* A program's snapshot must not share mutable buffers with its state:
+   the Agent keeps the last image as the base of the next delta and of a
+   pre-copy round while the pod runs on.  Capture each grid program's
+   state mid-run, let it compute for a while, and re-encode the captured
+   value. *)
+let test_snapshot_not_aliased () =
+  List.iter
+    (fun (program, app_args, placement, at, later) ->
+      let cluster = make_cluster () in
+      let app = Launch.launch cluster ~name:program ~program ~placement ~app_args () in
+      Cluster.run cluster ~until:(Simtime.ms at) ();
+      let k = (Cluster.node cluster 0).Cluster.n_kernel in
+      let proc =
+        List.find
+          (fun (p : Proc.t) -> String.equal (Program.name_of p.Proc.inst) program)
+          (Kernel.processes k)
+      in
+      let _, captured = Program.snapshot proc.Proc.inst in
+      let before = Zapc_codec.Wire.encode captured in
+      Cluster.run cluster ~until:(Simtime.ms later) ();
+      check tbool (program ^ ": still running") false (Launch.is_done app);
+      check tbool (program ^ ": state moved on") false
+        (String.equal before (Zapc_codec.Wire.encode (snd (Program.snapshot proc.Proc.inst))));
+      check tbool (program ^ ": captured image unchanged") true
+        (String.equal before (Zapc_codec.Wire.encode captured)))
+    [ ("bt_nas", bt_args, [ 0 ], 4, 9); ("bratu", bratu_args, [ 0 ], 2, 4);
+      ("povray", pov_args, [ 0; 1 ], 4, 9) ]
+
 let () =
   Alcotest.run "apps"
     [ ( "cpi",
@@ -607,4 +935,14 @@ let () =
             test_kv_work_queue_fifo;
           Alcotest.test_case "kv poll lists kept equal a fresh build" `Quick
             test_kv_kept_poll_reqs ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_restart_any_time ]) ]
+      ("properties", [ QCheck_alcotest.to_alcotest prop_restart_any_time ]);
+      ( "kernels",
+        [ QCheck_alcotest.to_alcotest prop_tracer_matches_reference;
+          Alcotest.test_case "bt sweep matches the row-by-row solve" `Quick
+            test_bt_sweep_matches_reference;
+          Alcotest.test_case "bratu sweep matches the copying sweep" `Quick
+            test_bratu_sweep_matches_reference;
+          Alcotest.test_case "povray framebuffer checksums pinned" `Quick
+            test_povray_checksums_pinned;
+          Alcotest.test_case "snapshots share no mutable buffer" `Quick
+            test_snapshot_not_aliased ] ) ]

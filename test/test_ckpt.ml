@@ -1265,8 +1265,8 @@ let prop_compress_roundtrip =
       ignore (Storage.put st "k" img);
       ratio >= 0.12 && ratio <= 0.98
       && Float.equal (Compress.encoded_ratio blob) ratio
-      && img.Image.comp_size >= 1
-      && img.Image.comp_size <= img.Image.logical_size
+      && Image.comp_size img >= 1
+      && Image.comp_size img <= img.Image.logical_size
       && (match Storage.get st "k" with
           | Some v ->
             let got = Image.of_pod_image v in

@@ -64,12 +64,29 @@ let prop_frame_stream =
 
 let prop_floats_roundtrip =
   QCheck.Test.make ~name:"float packing roundtrip" ~count:200
-    QCheck.(list float)
-    (fun fs ->
+    QCheck.(triple (list float) small_nat small_nat)
+    (fun (fs, p, l) ->
       let a = Array.of_list fs in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
       let a' = Floats.unpack (Floats.pack a) in
+      (* a sub-range [pos, pos + len) packs as the copied-out row did, and
+         unpacks into place as a blit of the unpacked row would *)
+      let n = Array.length a in
+      let pos = if n = 0 then 0 else p mod (n + 1) in
+      let len = if n - pos = 0 then 0 else l mod (n - pos + 1) in
+      let sub = Floats.pack_sub a ~pos ~len in
+      let into = Array.make (n + 3) 1.5 in
+      Floats.unpack_into sub into ~pos:(pos + 1);
+      let want = Array.make (n + 3) 1.5 in
+      Array.blit (Floats.unpack sub) 0 want (pos + 1) len;
       Array.length a = Array.length a'
-      && Array.for_all2 (fun x y -> Float.equal x y || (Float.is_nan x && Float.is_nan y)) a a')
+      && Array.for_all2 same a a'
+      && String.equal sub (Floats.pack (Array.sub a pos len))
+      && Array.for_all2 same into want
+      && (try ignore (Floats.pack_sub a ~pos ~len:(n - pos + 1)); false
+          with Invalid_argument _ -> true)
+      && (try Floats.unpack_into sub into ~pos:(n + 4 - len); false
+          with Invalid_argument _ -> true))
 
 (* --- collective machinery over the real stack --- *)
 
