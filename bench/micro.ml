@@ -297,10 +297,42 @@ let t_bratu_sweep =
   Test.make ~name:"bratu.sweep-64x64"
     (Staged.stage (fun () -> ignore (Zapc_apps.Bratu.sweep ~g ~rows ~lambda:6.0 ~src ~dst)))
 
+(* The registry-wide rebind a restored pod announces (gratuitous ARP),
+   with [n] registered pods that each hold the full map and never
+   translate: what an idle fleet pays per restored pod.  The rebind is
+   logged once, not applied to [n] namespaces, so the two rows must read
+   the same.  Each run announces 256 rebinds, so that the log's
+   compactions are sampled and the cold caches after Bechamel's
+   collection between samples are not: divide by 256 for ns per rebind. *)
+module Pod = Zapc_pod.Pod
+
+let t_pod_rebind n =
+  let allocate () =
+    let k = Kernel.create ~node_id:0 (Zapc_simnet.Fabric.create (Engine.create ())) in
+    let pods =
+      Array.init n (fun i ->
+          Pod.create ~pod_id:(1_000_000 + i) ~name:"rebind"
+            ~vip:(Addr.make_ip 10 1 (i lsr 8) (i land 255))
+            ~rip:(Addr.make_ip 172 16 (i land 255) (11 + (i lsr 8)))
+            k)
+    in
+    let map = Array.to_list (Array.map (fun (p : Pod.t) -> (p.vip, p.rip)) pods) in
+    Array.iter (fun p -> Pod.set_vip_map p map) pods;
+    (Array.map (fun (p : Pod.t) -> p.vip) pods, ref 0, pods)
+  in
+  Test.make_with_resource ~name:(Printf.sprintf "pod.rebind-%d" n) Test.uniq ~allocate
+    ~free:(fun (_, _, pods) -> Array.iter Pod.destroy pods)
+    (Staged.stage (fun (vips, k, _) ->
+         for _ = 1 to 256 do
+           (* each vip alternates between two fresh rips *)
+           k := (!k + 1) land ((2 * n) - 1);
+           Pod.rebind_vip ~vip:vips.(!k land (n - 1)) ~rip:(Addr.make_ip 192 168 0 0 + !k)
+         done))
+
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
-    t_ns_lookup; t_poll_block; t_poll_scan; t_fdtable_find; t_sockopt_get; t_render_block;
-    t_bt_sweep; t_bratu_sweep ]
+    t_ns_lookup; t_pod_rebind 64; t_pod_rebind 1024; t_poll_block; t_poll_scan; t_fdtable_find;
+    t_sockopt_get; t_render_block; t_bt_sweep; t_bratu_sweep ]
 
 (* --- event-queue throughput (events/s), heap vs calendar -------------
 

@@ -115,17 +115,3 @@ let rec pp ppf = function
     let pp_kv ppf (k, v) = Format.fprintf ppf "%s=%a" k pp v in
     Format.fprintf ppf "{@[%a@]}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_kv) kvs
   | Tag (name, v) -> Format.fprintf ppf "%s(%a)" name pp v
-
-(* An upper bound on [Wire.encoded_size]: one tag byte plus at most a
-   5-byte length varint per node (lengths below 2^28), and an int's 9-byte
-   LEB128 zigzag word. *)
-let rec size_estimate = function
-  | Unit -> 1
-  | Bool _ -> 2
-  | Int _ -> 10
-  | Float _ -> 9
-  | Str s -> 5 + String.length s
-  | F64s a -> 5 + (8 * Array.length a)
-  | List xs -> List.fold_left (fun acc v -> acc + size_estimate v) 5 xs
-  | Assoc kvs -> List.fold_left (fun acc (k, v) -> acc + 5 + String.length k + size_estimate v) 5 kvs
-  | Tag (name, v) -> 5 + String.length name + size_estimate v

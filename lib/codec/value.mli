@@ -60,7 +60,3 @@ val field_opt : string -> t -> t option
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val size_estimate : t -> int
-(** An upper bound on the encoded size in bytes, without the wire header
-    ({!Wire.encoded_size} never exceeds it for lengths below 2{^28}).
-    Exported for [test_codec], whose property holds the two together. *)

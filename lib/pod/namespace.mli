@@ -42,20 +42,81 @@ val set_next_vpid : t -> int -> unit
     the restored set's fresh bindings in front of a stale
     [(vip, old_rip)], which then still answers [vip_of_rip old_rip].
 
-    Costs: installing a map is O(1); the first lookup or rebind after it
-    indexes the map in O(n); after that each lookup is O(1) and a rebind
-    is O(entries of that vip and of the rips involved), O(1) for a map
-    without duplicates. *)
+    Costs: installing a map is O(1); the first lookup after it indexes the
+    map in O(n); after that each lookup is O(1) plus the log entries it
+    has not yet applied (below), and a rebind is O(entries of that vip and
+    of the rips involved), O(1) for a map without duplicates. *)
 
 val set_vip_map : ?own:Addr.ip * Addr.ip -> t -> (Addr.ip * Addr.ip) list -> unit
 (** Install a new map, replacing the old one.  [own], the owning pod's
     binding, goes in front of the map when the map has no entry for its
     vip.  O(1): the map is indexed (and [own] checked) lazily, so one list
-    may be handed to every pod of an application. *)
+    may be handed to every pod of an application.  The new map supersedes
+    every rebind logged so far: the namespace's cursor moves to the log's
+    end. *)
 
 val rebind_vip : t -> vip:Addr.ip -> rip:Addr.ip -> unit
 (** Gratuitous-ARP-style update: repoint every entry of [vip] at [rip].
-    Namespaces without the entry are left untouched. *)
+    Namespaces without the entry are left untouched.  A namespace that
+    follows a log applies the entries it has not seen first. *)
+
+(** {1 The rebind log}
+
+    Gratuitous ARP without the broadcast.  A rebind that every registered
+    namespace must see is appended once to a {!log}
+    ({!Zapc_pod.Pod.rebind_vip} keeps one next to the pod registry), and no
+    namespace is touched.  A namespace that follows the log keeps a cursor
+    [seen] into it and an end [until], open while it is registered and
+    fixed at the log's length when it leaves.  Its next {!rip_of_vip} or
+    {!vip_of_rip} (and with them both [translate_addr_*]) first applies
+    the entries in [\[seen, until)] with {!rebind_vip}'s index code.
+
+    Why deferring is exact: a namespace's address state is observable only
+    through those two lookups ({!to_value} images pids only), so applying
+    the same rebinds, in the same order, just before the first lookup that
+    can see them gives the same answers.  The replay also skips an entry
+    whose vip is rebound again before [until]: a rebind leaves its vip's
+    entries in a state that depends only on its own rip, so rebinds of
+    different vips commute and the later one of the same vip wins.
+
+    Costs: appending is O(1) amortized, whatever the number of followers,
+    and joining or leaving is O(1) with no replay.  When the log's
+    storage is full it is compacted: it keeps only the entries at or after
+    the earliest registered cursor that no later entry shadows, and a
+    registered follower whose pending entries outnumber its map applies
+    them first.  What is kept is therefore at most the largest map of a
+    lagging follower, and the new storage holds four times that or four
+    times the number of followers (at least 64 entries), which bounds the
+    log over any run.  A departed namespace keeps the storage generation
+    it left in, shared with every namespace that left in the same one,
+    until it next translates or is collected. *)
+
+type log
+
+val log : unit -> log
+(** An empty log with no followers. *)
+
+val announce : log -> vip:Addr.ip -> rip:Addr.ip -> unit
+(** Append a rebind for every follower to apply when it next translates. *)
+
+val follow : log -> t -> unit
+(** Start following the log from its current end: the namespace sees
+    every later {!announce}, and none before.  The namespace must follow
+    no log yet ({!Zapc_pod.Pod.create} passes a fresh one). *)
+
+val leave : t -> unit
+(** Stop following: the namespace still applies what was announced
+    before this call, and nothing after.  O(1).  No-op if it follows no
+    log. *)
+
+val log_length : log -> int
+(** Entries the log holds.  Exported for [test_pod], which checks that the
+    log stays bounded across compactions. *)
+
+val indexed : t -> bool
+(** Whether the address map has been indexed.  Exported for [test_pod],
+    which checks that rebinds never index a namespace that never
+    translates. *)
 
 val rip_of_vip : t -> Addr.ip -> Addr.ip
 (** Unknown addresses pass through unchanged (out-of-cluster traffic is out

@@ -47,7 +47,17 @@ let registry : (int, t) Hashtbl.t = Hashtbl.create 16
 (* pod_id -> live pod instance; a pod appears here on exactly one node at a
    time (it is re-created at the destination on migration). *)
 
+(* Gratuitous ARP, logged once: every registered pod's namespace follows
+   this log and applies its rebinds when it next translates. *)
+let rebind_log = Namespace.log ()
+
 let find pod_id = Hashtbl.find_opt registry pod_id
+
+(* Leaving the registry closes the namespace's view of the log: it still
+   applies the rebinds logged while it was registered, and no later one. *)
+let unregister pod =
+  Hashtbl.remove registry pod.pod_id;
+  Namespace.leave pod.ns
 
 (* --- the system-call filter (virtual <-> real translation) --- *)
 
@@ -144,7 +154,9 @@ let create ~pod_id ~name ~vip ~rip kernel =
   in
   Namespace.set_vip_map pod.ns [ (vip, rip) ];
   Zapc_simnet.Netstack.add_ip (Kernel.netstack kernel) rip;
+  Option.iter unregister (find pod_id);
   Hashtbl.replace registry pod_id pod;
+  Namespace.follow rebind_log pod.ns;
   pod
 
 (* Install the application-wide virtual->real address map (the Manager
@@ -162,9 +174,11 @@ let current_vip_map () =
    address (restart on another node, live migration).  Every live pod that
    knows the vip — including ones outside the restored application, e.g. a
    client population talking to a restored server — repoints its namespace
-   entry, exactly like hosts updating their ARP caches. *)
-let rebind_vip ~vip ~rip =
-  Hashtbl.iter (fun _ (p : t) -> Namespace.rebind_vip p.ns ~vip ~rip) registry
+   entry, exactly like hosts updating their ARP caches.  The rebind is
+   logged once; each namespace applies it when it next translates. *)
+let rebind_vip ~vip ~rip = Namespace.announce rebind_log ~vip ~rip
+
+let rebind_log_length () = Namespace.log_length rebind_log
 
 let spawn pod ~program ~args =
   let proc = Kernel.create_proc pod.kernel (Zapc_simos.Program.spawn program args) in
@@ -221,9 +235,9 @@ let resume pod =
 let destroy pod =
   List.iter (fun (_, p) -> Kernel.signal_proc pod.kernel p Signal.Sigkill) (members pod);
   Zapc_simnet.Netstack.remove_ip (Kernel.netstack pod.kernel) pod.rip;
-  (match Hashtbl.find_opt registry pod.pod_id with
-   | Some live when live == pod -> Hashtbl.remove registry pod.pod_id
-   | Some _ | None -> ())
+  match find pod.pod_id with
+  | Some live when live == pod -> unregister pod
+  | Some _ | None -> ()
 
 (* Time virtualization (paper section 5): after a restart, bias reported
    clocks by checkpoint-time minus restart-time so application-level timeout

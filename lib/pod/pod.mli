@@ -31,7 +31,9 @@ type t = {
 
 val create : pod_id:int -> name:string -> vip:Addr.ip -> rip:Addr.ip -> Kernel.t -> t
 (** Create an empty pod: attaches [rip] to the node's network stack and
-    registers the pod in the global live-pod registry. *)
+    registers the pod in the global live-pod registry, where its namespace
+    follows the rebind log (see {!rebind_vip}).  A live pod with the same
+    id leaves the registry. *)
 
 val find : int -> t option
 (** Look up a live pod by id (a pod lives on exactly one node at a time). *)
@@ -40,8 +42,8 @@ val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
 (** Install the application-wide virtual->real address map; the pod's own
     entry is prepended when the map lacks it.  Lookups are
     first-entry-wins in both directions ({!Namespace}).  O(1): the
-    namespace checks the own entry and indexes the map on its first lookup
-    or rebind. *)
+    namespace checks the own entry and indexes the map on its first
+    lookup. *)
 
 val current_vip_map : unit -> (Addr.ip * Addr.ip) list
 (** The (vip, rip) binding of every live pod, for extending a restored
@@ -52,8 +54,22 @@ val rebind_vip : vip:Addr.ip -> rip:Addr.ip -> unit
     pod that has an entry for it.  Called when a restored or migrated pod
     re-acquires its virtual address at a new real address, so pods outside
     the restored set (e.g. clients of a restored server) keep resolving.
-    O(1) per live pod once its namespace is indexed, so restoring N pods
-    costs O(N²) in all. *)
+
+    O(1) amortized, and it touches no namespace: the rebind is appended to
+    a log kept next to the registry ({!Namespace.announce}).  Each
+    registered pod's namespace keeps a cursor into the log and applies the
+    entries it has not seen when it next translates an address, so
+    restoring N pods costs O(N) rebinds, and a namespace pays for them
+    only if it translates.  Installing a map ({!set_vip_map}) moves the
+    cursor to the log's end, as a new map supersedes earlier rebinds.  A
+    pod that leaves the registry ({!destroy}, or replacement by a
+    {!create} with its id) keeps the rebinds logged before it left and
+    sees none after — as when every live namespace was rewritten eagerly,
+    which is what the answers equal ({!Namespace} gives the argument). *)
+
+val rebind_log_length : unit -> int
+(** Entries the rebind log holds.  Exported for [test_pod], which checks
+    that the log stays bounded across compactions. *)
 
 val adopt : t -> Proc.t -> unit
 (** Bring a process into the pod: assign the next vpid, install the
@@ -83,7 +99,8 @@ val resume : t -> unit
 
 val destroy : t -> unit
 (** Kill members, release the real address, drop from the registry (after
-    migration, or on abort). *)
+    migration, or on abort).  Dropping is O(1): the namespace keeps the
+    rebinds logged so far and applies them only if it translates again. *)
 
 val apply_time_bias : t -> saved_clock:Simtime.t -> current_clock:Simtime.t -> unit
 (** Time virtualization (paper section 5): bias reported clocks by

@@ -113,7 +113,10 @@ val run : t -> ?until:Simtime.t -> ?max_events:int -> unit -> unit
 exception Timeout of string
 
 val run_until : t -> ?timeout:Simtime.t -> (unit -> bool) -> unit
-(** Advance until the predicate holds.
+(** Advance until the predicate holds.  The predicate is checked only
+    every 64 engine events, so the instant this returns can be up to 63
+    events past the one at which it first held, and it moves whenever a
+    change alters the event count before that point.
     @raise Timeout if the deadline passes or the simulation goes quiescent
     with the predicate still false. *)
 

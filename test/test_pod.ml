@@ -382,6 +382,197 @@ let test_namespace_stale_duplicate () =
     (Namespace.vip_of_rip ns moved = vip
      && Namespace.rip_of_vip ns (Addr.make_ip 10 9 9 9) = Addr.make_ip 10 9 9 9)
 
+(* --- the registry's rebind log --- *)
+
+(* The reference for the registry is the eager broadcast: one list model
+   per pod, and a rebind applied at once to the model of every pod still
+   registered.  The pods follow the rebind log instead and apply it only
+   when they translate; every lookup must answer as the model does, on
+   live pods and on pods that left the registry. *)
+type reg_op =
+  | Create of int * int * int  (* slot (its pod id), vip, rip *)
+  | Destroy of int  (* a pod created so far, by creation order *)
+  | Set_map of int * (int * int) list
+  | Rebinds of (int * int) list
+  | Look_rip of int * int
+  | Look_vip of int * int
+  | Look_out of int * int
+  | Look_in of int * int
+  | Look_all of int
+
+let pp_reg_op = function
+  | Create (s, v, r) -> Printf.sprintf "create #%d %d->%d" s v r
+  | Destroy k -> Printf.sprintf "destroy %d" k
+  | Set_map (k, m) ->
+    Printf.sprintf "set %d [%s]" k
+      (String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d->%d" v r) m))
+  | Rebinds rs ->
+    Printf.sprintf "rebind [%s]"
+      (String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d->%d" v r) rs))
+  | Look_rip (k, v) -> Printf.sprintf "rip_of %d %d" k v
+  | Look_vip (k, r) -> Printf.sprintf "vip_of %d %d" k r
+  | Look_out (k, x) -> Printf.sprintf "out %d %d" k x
+  | Look_in (k, x) -> Printf.sprintf "in %d %d" k x
+  | Look_all k -> Printf.sprintf "all %d" k
+
+(* Four slots, so a create often replaces a live pod of the same id; the
+   long rebind runs carry the shared log across its compactions. *)
+let gen_reg_ops =
+  let open QCheck.Gen in
+  let a = int_bound (Array.length addr_pool - 1) in
+  let k = int_bound 15 in
+  let op =
+    frequency
+      [ (3, map3 (fun s v r -> Create (s, v, r)) (int_bound 3) a a);
+        (2, map (fun k -> Destroy k) k);
+        (2, map2 (fun k m -> Set_map (k, m)) k (list_size (int_bound 8) (pair a a)));
+        (4, map (fun rs -> Rebinds rs) (list_size (int_range 1 3) (pair a a)));
+        (1, map (fun rs -> Rebinds rs) (list_size (int_range 20 90) (pair a a)));
+        (1, map2 (fun k v -> Look_rip (k, v)) k a);
+        (1, map2 (fun k r -> Look_vip (k, r)) k a);
+        (1, map2 (fun k x -> Look_out (k, x)) k a);
+        (1, map2 (fun k x -> Look_in (k, x)) k a);
+        (1, map (fun k -> Look_all k) k) ]
+  in
+  list_size (int_range 1 60) op
+
+type reg_pod = { pod : Pod.t; model : List_model.t; mutable registered : bool }
+
+let reg_base_id = 70_000
+
+let prop_registry_matches_broadcast =
+  QCheck.Test.make ~name:"logged rebinds match the eager broadcast" ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat ", " (List.map pp_reg_op ops))
+       gen_reg_ops)
+    (fun ops ->
+      let env = make_env () in
+      let ip i = addr_pool.(i) in
+      let pods = ref [||] in
+      let nth k = !pods.(k mod Array.length !pods) in
+      let agrees e x =
+        Addr.equal_ip (Namespace.rip_of_vip e.pod.Pod.ns x) (List_model.rip_of_vip e.model x)
+        && Addr.equal_ip (Namespace.vip_of_rip e.pod.Pod.ns x) (List_model.vip_of_rip e.model x)
+      in
+      let look k f = Array.length !pods = 0 || f (nth k) in
+      let step = function
+        | Create (slot, v, r) ->
+          let pod_id = reg_base_id + slot in
+          Array.iter (fun e -> if e.pod.Pod.pod_id = pod_id then e.registered <- false) !pods;
+          let pod =
+            Pod.create ~pod_id ~name:"reg" ~vip:(ip v) ~rip:(ip r) env.k0
+          in
+          let model = List_model.create () in
+          List_model.set_vip_map model [ (ip v, ip r) ];
+          pods := Array.append !pods [| { pod; model; registered = true } |];
+          true
+        | Destroy k ->
+          look k (fun e ->
+              Pod.destroy e.pod;
+              e.registered <- false;
+              true)
+        | Set_map (k, map) ->
+          look k (fun e ->
+              let map = List.map (fun (v, r) -> (ip v, ip r)) map in
+              Pod.set_vip_map e.pod map;
+              List_model.set_vip_map ~own:(e.pod.Pod.vip, e.pod.Pod.rip) e.model map;
+              true)
+        | Rebinds rs ->
+          List.iter
+            (fun (v, r) ->
+              Pod.rebind_vip ~vip:(ip v) ~rip:(ip r);
+              Array.iter
+                (fun e -> if e.registered then List_model.rebind_vip e.model ~vip:(ip v) ~rip:(ip r))
+                !pods)
+            rs;
+          true
+        | Look_rip (k, v) ->
+          look k (fun e ->
+              Addr.equal_ip (Namespace.rip_of_vip e.pod.Pod.ns (ip v)) (List_model.rip_of_vip e.model (ip v)))
+        | Look_vip (k, r) ->
+          look k (fun e ->
+              Addr.equal_ip (Namespace.vip_of_rip e.pod.Pod.ns (ip r)) (List_model.vip_of_rip e.model (ip r)))
+        | Look_out (k, x) ->
+          look k (fun e ->
+              let a = { Addr.ip = ip x; port = 7 } in
+              Addr.equal (Namespace.translate_addr_out e.pod.Pod.ns a) (List_model.translate_addr_out e.model a))
+        | Look_in (k, x) ->
+          look k (fun e ->
+              let a = { Addr.ip = ip x; port = 7 } in
+              Addr.equal (Namespace.translate_addr_in e.pod.Pod.ns a) (List_model.translate_addr_in e.model a))
+        | Look_all k -> look k (fun e -> Array.for_all (agrees e) addr_pool)
+      in
+      Fun.protect
+        ~finally:(fun () -> Array.iter (fun e -> if e.registered then Pod.destroy e.pod) !pods)
+        (fun () ->
+          List.for_all step ops
+          && Array.for_all (fun e -> Array.for_all (agrees e) addr_pool) !pods))
+
+(* The migration-abort shape: the destination's copy replaces the source
+   in the registry and is then destroyed, and the source resumes.  The
+   source keeps the bindings it had when it left, however many rebinds
+   and log compactions come after. *)
+let test_departed_keeps_bindings () =
+  let env = make_env () in
+  let src = fresh_pod env ~vip_last:1 ~rip_last:1 () in
+  let peer = Addr.make_ip 10 1 0 2 in
+  Pod.set_vip_map src [ (peer, Addr.make_ip 172 16 0 2) ];
+  let r1 = Addr.make_ip 172 16 1 2 in
+  Pod.rebind_vip ~vip:peer ~rip:r1;
+  let dst =
+    Pod.create ~pod_id:src.Pod.pod_id ~name:src.Pod.name ~vip:src.Pod.vip
+      ~rip:(Addr.make_ip 172 16 1 1) env.k1
+  in
+  check tbool "destination replaced the source" true
+    (match Pod.find src.Pod.pod_id with Some p -> p == dst | None -> false);
+  Pod.rebind_vip ~vip:peer ~rip:(Addr.make_ip 172 16 2 2);
+  Pod.destroy dst;
+  for i = 0 to 999 do
+    Pod.rebind_vip ~vip:peer ~rip:(Addr.make_ip 172 16 3 (i land 255))
+  done;
+  check tbool "source sees the rebind from before it left" true
+    (Addr.equal_ip (Namespace.rip_of_vip src.Pod.ns peer) r1);
+  check tbool "and maps it back" true (Addr.equal_ip (Namespace.vip_of_rip src.Pod.ns r1) peer)
+
+(* A map installed after a rebind supersedes it. *)
+let test_map_after_rebind () =
+  let env = make_env () in
+  let pod = fresh_pod env ~vip_last:1 ~rip_last:1 () in
+  let peer = Addr.make_ip 10 1 0 2 and r0 = Addr.make_ip 172 16 0 2 in
+  Pod.rebind_vip ~vip:peer ~rip:(Addr.make_ip 172 16 1 2);
+  Pod.set_vip_map pod [ (peer, r0) ];
+  check tbool "the new map answers" true (Addr.equal_ip (Namespace.rip_of_vip pod.Pod.ns peer) r0);
+  let r2 = Addr.make_ip 172 16 2 2 in
+  Pod.rebind_vip ~vip:peer ~rip:r2;
+  check tbool "a later rebind applies" true (Addr.equal_ip (Namespace.rip_of_vip pod.Pod.ns peer) r2);
+  Pod.destroy pod
+
+(* Eight pods with the full map, as an idle fleet after a restart: rebinds
+   run the log through many compactions without indexing one of them.
+   The log stays within its floor or four times the registered pods (the
+   pods other cases left registered count too), as no follower lags by
+   more than its eight-entry map. *)
+let test_rebinds_leave_idle_namespaces () =
+  let env = make_env () in
+  let pods = List.init 8 (fun i -> fresh_pod env ~vip_last:(20 + i) ~rip_last:(20 + i) ()) in
+  let map = List.map (fun (p : Pod.t) -> (p.vip, p.rip)) pods in
+  List.iter (fun p -> Pod.set_vip_map p map) pods;
+  let longest = ref 0 in
+  for i = 0 to 1999 do
+    let p = List.nth pods (i mod 8) in
+    Pod.rebind_vip ~vip:p.Pod.vip ~rip:(Addr.make_ip 192 168 (i lsr 8) (i land 255));
+    longest := max !longest (Pod.rebind_log_length ())
+  done;
+  check tbool "no namespace indexed" true
+    (List.for_all (fun (p : Pod.t) -> not (Namespace.indexed p.ns)) pods);
+  check tbool "log bounded" true (!longest <= 256);
+  let first = List.hd pods and last = List.nth pods 7 in
+  check tbool "a lookup applies the log" true
+    (Addr.equal_ip (Namespace.rip_of_vip first.ns last.vip) (Addr.make_ip 192 168 7 207));
+  check tbool "only the pod that translated is indexed" true
+    (Namespace.indexed first.ns && not (Namespace.indexed last.ns));
+  List.iter Pod.destroy pods
+
 (* --- pod behaviour --- *)
 
 let test_getpid_virtualized () =
@@ -540,6 +731,28 @@ let test_members_ordering () =
      check tbool "procs match" true (p1 == a && p2 == b)
    | _ -> Alcotest.fail "bad members")
 
+(* A pod that never translates while thousands of distinct vips are
+   rebound: rather than hold every rebind for it, the log has it apply
+   them once they outnumber its map, and stays bounded. *)
+let test_lagging_pod_bounds_log () =
+  let env = make_env () in
+  let pod = fresh_pod env ~vip_last:1 ~rip_last:1 () in
+  let peer = Addr.make_ip 10 1 0 2 in
+  Pod.set_vip_map pod [ (peer, Addr.make_ip 172 16 0 2) ];
+  let moved = Addr.make_ip 172 16 5 2 in
+  Pod.rebind_vip ~vip:peer ~rip:moved;
+  let longest = ref 0 in
+  for i = 0 to 2999 do
+    Pod.rebind_vip ~vip:(Addr.make_ip 10 2 (i lsr 8) (i land 255)) ~rip:moved;
+    longest := max !longest (Pod.rebind_log_length ())
+  done;
+  check tbool "log bounded" true (!longest <= 256);
+  check tbool "the pod applied what it lagged by" true (Namespace.indexed pod.Pod.ns);
+  check tbool "and answers with it" true
+    (Addr.equal_ip (Namespace.rip_of_vip pod.Pod.ns peer) moved
+     && Addr.equal_ip (Namespace.vip_of_rip pod.Pod.ns moved) peer);
+  Pod.destroy pod
+
 let () =
   Alcotest.run "pod"
     [ ( "namespace",
@@ -548,6 +761,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_namespace_matches_list_model;
           Alcotest.test_case "stale duplicate shadowed" `Quick
             test_namespace_stale_duplicate ] );
+      ( "rebind log",
+        [ QCheck_alcotest.to_alcotest prop_registry_matches_broadcast;
+          Alcotest.test_case "departed pod keeps its bindings" `Quick
+            test_departed_keeps_bindings;
+          Alcotest.test_case "map installed after a rebind" `Quick test_map_after_rebind;
+          Alcotest.test_case "rebinds leave idle namespaces alone" `Quick
+            test_rebinds_leave_idle_namespaces;
+          Alcotest.test_case "a lagging pod keeps the log bounded" `Quick
+            test_lagging_pod_bounds_log ] );
       ( "virtualization",
         [ Alcotest.test_case "getpid" `Quick test_getpid_virtualized;
           Alcotest.test_case "kill by vpid" `Quick test_kill_by_vpid;
