@@ -302,8 +302,7 @@ let t_bratu_sweep =
    translate: what an idle fleet pays per restored pod.  The rebind is
    logged once, not applied to [n] namespaces, so the two rows must read
    the same.  Each run announces 256 rebinds, so that the log's
-   compactions are sampled and the cold caches after Bechamel's
-   collection between samples are not: divide by 256 for ns per rebind. *)
+   compactions are sampled: divide by 256 for ns per rebind. *)
 module Pod = Zapc_pod.Pod
 
 let t_pod_rebind n =
@@ -329,10 +328,84 @@ let t_pod_rebind n =
            Pod.rebind_vip ~vip:vips.(!k land (n - 1)) ~rip:(Addr.make_ip 192 168 0 0 + !k)
          done))
 
+(* Storage's per-image work on the dedup backend, over images shaped like
+   one rank of a 16-rank BT/NAS: a 192x14 grid of state and a 40 MB
+   "bt.rss" region (611 region chunks).  put-dedup-bt: the rank's next
+   epoch, whose region is already interned, overwrites its key — the
+   steady state of a periodic run, where a repeated region tag costs one
+   table hit.  restart-reads: the three reads of one restart key (the
+   pre-flight check, the Manager's facts, the restoring Agent's [take])
+   over a base and four deltas; the first resolves the chain, the other
+   two are served from the read memo. *)
+module Storage = Zapc.Storage
+module Image = Zapc_ckpt.Image
+module Delta = Zapc_ckpt.Delta
+
+let bt_image step =
+  let g = 192 and rows = 12 and mem = 20_000_000 + (320_000_000 / 16) in
+  Value.assoc
+    [ ("pod_id", Value.int 1); ("name", Value.str "bt.rank0"); ("vip", Value.int 0);
+      ("clock", Value.int step); ("next_vpid", Value.int 2); ("memory_bytes", Value.int mem);
+      ("sockets", Value.List []); ("meta", Value.Unit); ("pipes", Value.List []);
+      ("gm_ports", Value.List []);
+      ( "procs",
+        Value.List
+          [ Value.assoc
+              [ ("vpid", Value.int 1);
+                ("mem", Value.assoc [ ("bt.rss", Value.List [ Value.Int mem; Value.Int 1 ]) ]);
+                ( "u",
+                  Value.F64s
+                    (Array.init ((rows + 2) * g) (fun i -> sin (float_of_int (i + step))))
+                ) ] ] ) ]
+
+let dedup_storage () =
+  Storage.create ~trace:(Zapc.Trace.create ()) ~backend:Zapc.Params.Sb_dedup ~compress:true
+    (Engine.create ())
+
+let put_exn st key v =
+  match Storage.put st key (Image.of_pod_image v) with
+  | Ok () -> ()
+  | Error e -> failwith e
+
+let t_put_dedup =
+  let fixture =
+    lazy
+      (let st = dedup_storage () in
+       let images = Array.init 2 (fun i -> Image.of_pod_image (bt_image i)) in
+       ignore (Storage.put st "bt.pod1" images.(1));
+       (st, images))
+  in
+  let k = ref 0 in
+  Test.make ~name:"storage.put-dedup-bt"
+    (Staged.stage (fun () ->
+         let st, images = Lazy.force fixture in
+         k := 1 - !k;
+         ignore (Storage.put st "bt.pod1" images.(!k))))
+
+let t_restart_reads =
+  let fixture =
+    lazy
+      (let st = dedup_storage () in
+       put_exn st "e0" (bt_image 0);
+       for e = 1 to 4 do
+         put_exn st (Printf.sprintf "e%d" e)
+           (Delta.make ~base_key:(Printf.sprintf "e%d" (e - 1)) ~base:(bt_image (e - 1))
+              ~full:(bt_image e) ~dirty_bytes:65536)
+       done;
+       assert (Storage.get st "e4" <> None);
+       st)
+  in
+  Test.make ~name:"storage.restart-reads"
+    (Staged.stage (fun () ->
+         let st = Lazy.force fixture in
+         ignore (Sys.opaque_identity (Storage.get st "e4"));
+         ignore (Sys.opaque_identity (Storage.get st "e4"));
+         ignore (Sys.opaque_identity (Storage.take st "e4"))))
+
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
     t_ns_lookup; t_pod_rebind 64; t_pod_rebind 1024; t_poll_block; t_poll_scan; t_fdtable_find;
-    t_sockopt_get; t_render_block; t_bt_sweep; t_bratu_sweep ]
+    t_sockopt_get; t_render_block; t_bt_sweep; t_bratu_sweep; t_put_dedup; t_restart_reads ]
 
 (* --- event-queue throughput (events/s), heap vs calendar -------------
 
@@ -431,8 +504,11 @@ let run () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
   let instances = Instance.[ monotonic_clock ] in
+  (* no collection before every sample: after a [Gc.compact] a fixture with
+     a large heap runs cold, and the few runs a sample then holds measure
+     the cache refill instead of the operation *)
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ~stabilize:false ()
   in
   Printf.printf "%-24s %16s\n" "benchmark" "ns/run";
   List.iter

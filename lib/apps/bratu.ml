@@ -255,7 +255,9 @@ module P = struct
         ("final_res", Value.float s.final_res) ]
 
   let of_value v =
-    let u = Value.to_f64s (Value.field "u" v) in
+    (* the grids swap and are swept in place, and an image is never
+       mutated *)
+    let u = Array.copy (Value.to_f64s (Value.field "u" v)) in
     {
       comm = Mpi.comm_of_value (Value.field "comm" v);
       params = params_of_value (Value.field "params" v);

@@ -309,7 +309,8 @@ module P = struct
       params = params_of_value (Value.field "params" v);
       phase = phase_of_value (Value.field "phase" v);
       mpi = Value.to_option Mpi.pending_of_value (Value.field "mpi" v);
-      u = Value.to_f64s (Value.field "u" v);
+      (* the sweep runs in place, and an image is never mutated *)
+      u = Array.copy (Value.to_f64s (Value.field "u" v));
       rows = Value.to_int (Value.field "rows" v);
       checksum = Value.to_float (Value.field "checksum" v);
     }

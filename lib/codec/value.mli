@@ -6,7 +6,11 @@
     different kernels".  [Value.t] is that format: a small self-describing
     algebraic value.  Everything that goes into a checkpoint image — process
     state, socket state, queue contents, namespace tables — is first lowered
-    to a [Value.t] and only then serialized by {!Wire}. *)
+    to a [Value.t] and only then serialized by {!Wire}.
+
+    A [Value.t] is never mutated after it is built, [F64s] arrays included:
+    storage shares one decoded image among all its readers, so a program
+    restored from a value copies any array it goes on to change. *)
 
 type t =
   | Unit

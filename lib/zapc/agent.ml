@@ -778,12 +778,13 @@ and land_image t ~pod_id ~(image : Image.t) precopy =
 and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip_map
     ~extra_altq ~skip_sendq =
   (* a streamed image lands before its source reports done, so a restart
-     that finds none here has nothing to wait for *)
+     that finds none here has nothing to wait for; the restoring Agent is
+     a stored image's last reader, so it takes the key's memoized read *)
   let image =
     match uri with
     | Protocol.U_storage key ->
       Option.to_result ~none:("no image at " ^ key)
-        (Option.map (fun v -> (v, None)) (Storage.get t.storage key))
+        (Option.map (fun v -> (v, None)) (Storage.take t.storage key))
     | Protocol.U_node _ ->
       (match Hashtbl.find_opt t.landings pod_id with
        | Some ({ ld_final = true; ld_image = Some v; _ } as ld) -> Ok (v, Some ld)

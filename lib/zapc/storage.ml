@@ -21,7 +21,18 @@
    pool.  Identical text/data across epochs, replicas and sibling pods (the
    16 BT ranks all declare the same regions) collapses to one stored copy,
    and the savings multiply with delta chains: an unchanged region dedupes
-   even inside a full checkpoint.
+   even inside a full checkpoint.  A modelled region is interned once per
+   distinct (name, size, generation) tag: the first recipe that lists the
+   tag interns its chunks one by one, and every later one takes a
+   reference on the tag's region entry, whose chunk references go when its
+   last listing recipe does.
+
+   Reads are memoized per store generation: every call that changes what a
+   read can see moves [gen], and until it moves a key's resolved image is
+   served again, replaying the counters its resolving read bumped.  A
+   restart key is read by whoever checks it before the restart, by the
+   Manager and by the restoring Agent, whose [take] is the last read and
+   drops the key's memo entry.
 
    Compression ([compress]) composes with every backend: the stored/flushed
    byte accounting shrinks to the image's modelled compressed size
@@ -63,11 +74,20 @@ type chunk = {
    collision from corrupting images), or a corrupted copy's shadow. *)
 type ch = Cref of int | Cinline of string
 
+(* One distinct modelled region tag: its virtual chunk addresses, each
+   holding one pool reference for the whole entry, and the number of
+   region listings in stored recipes that point here. *)
+type region = {
+  r_tag : string * int * int;  (* (name, size, generation) *)
+  addrs : int array;
+  mutable refs : int;
+}
+
 (* Every stored image is a recipe. *)
 type stored = {
   skel : Image.t;  (* the image minus its encoded bytes *)
   chs : ch array;  (* encoded bytes, in chunk order *)
-  vrefs : int array;  (* virtual region-chunk addresses (accounting) *)
+  vrefs : region array;  (* modelled regions, one per listing (accounting) *)
 }
 
 (* Where a copy slot lives: a SAN replica, a node's RAM, or nowhere (a buddy
@@ -97,6 +117,7 @@ type t = {
   fails : string option array;  (* injected per-slot outages *)
   dead : (int, unit) Hashtbl.t;
   chunks : (int, chunk) Hashtbl.t;  (* content-addressed chunk pool *)
+  regions : (string * int * int, region) Hashtbl.t;  (* interned region tags *)
   (* versioned keyspace *)
   versions : (string, int) Hashtbl.t;  (* public key -> current version *)
   vseq : (string, int) Hashtbl.t;  (* public key -> last version ever issued *)
@@ -117,6 +138,11 @@ type t = {
   mutable dd_unique : int;
   mutable comp_in : int;
   mutable comp_out : int;
+  (* read memo: a key's resolved image and the counters its resolving read
+     bumped, in order; valid while [memo_gen = gen] *)
+  mutable gen : int;
+  mutable memo_gen : int;
+  memo : (string, Zapc_codec.Value.t option * string list) Hashtbl.t;
 }
 
 (* Next live node after [after] (never [after] itself); None if no other
@@ -152,21 +178,29 @@ let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
   in
   { engine; compress; chunked; place; bps; buddy_bps; latency; nodes;
     fails = Array.make (Array.length (place 0)) None;
-    dead; chunks = Hashtbl.create 64;
+    dead; chunks = Hashtbl.create 64; regions = Hashtbl.create 16;
     versions = Hashtbl.create 16; vseq = Hashtbl.create 16;
     entries = Hashtbl.create 16;
     bases = Hashtbl.create 16; pins = Hashtbl.create 16; condemned = Hashtbl.create 8;
     metrics;
     bytes_written = 0; fail_writes = None;
     trace; links_free = Hashtbl.create 8;
-    dd_logical = 0; dd_unique = 0; comp_in = 0; comp_out = 0 }
+    dd_logical = 0; dd_unique = 0; comp_in = 0; comp_out = 0;
+    gen = 0; memo_gen = 0; memo = Hashtbl.create 16 }
+
+(* Every call that changes what a read can see moves the generation, which
+   makes the whole read memo stale. *)
+let changed t = t.gen <- t.gen + 1
 
 let replica_count t = Array.length t.fails
 
 let set_fail_writes t reason = t.fail_writes <- reason
 
 let set_replica_fail t ~replica reason =
-  if replica >= 0 && replica < Array.length t.fails then t.fails.(replica) <- reason
+  if replica >= 0 && replica < Array.length t.fails then begin
+    t.fails.(replica) <- reason;
+    changed t
+  end
 
 let alive t = function
   | San -> true
@@ -203,9 +237,17 @@ let unref_chunk t h =
       Metrics.incr t.metrics "storage.dedup_chunks_freed"
     end
 
+(* A region entry's chunks go with its last listing. *)
+let unref_region t r =
+  r.refs <- r.refs - 1;
+  if r.refs = 0 then begin
+    Hashtbl.remove t.regions r.r_tag;
+    Array.iter (unref_chunk t) r.addrs
+  end
+
 let unref_stored t r =
   Array.iter (function Cref h -> unref_chunk t h | Cinline _ -> ()) r.chs;
-  Array.iter (unref_chunk t) r.vrefs
+  Array.iter (unref_region t) r.vrefs
 
 (* A chunk's bytes; raises [Exit] if a referenced chunk vanished from the
    pool. *)
@@ -281,7 +323,8 @@ let remove t key =
   | None -> ()
   | Some v ->
     Hashtbl.remove t.versions key;
-    retire t (pname key v) ~why:"storage.gc_deferred"
+    retire t (pname key v) ~why:"storage.gc_deferred";
+    changed t
 
 (* Bind a fresh pname's chain link to the base version current right now;
    later overwrites of the base key cannot retarget this chain. *)
@@ -300,10 +343,12 @@ let record_link t p (image : Image.t) =
 (* --- writes -------------------------------------------------------------- *)
 
 (* Split the image into pool chunks, interning new ones (refs counted per
-   occurrence).  Returns the recipe plus this put's distinct-new byte
-   count — the only bytes the store actually grows by. *)
+   occurrence; a region tag's chunks once per distinct tag, the tag's entry
+   per listing).  Returns the recipe plus this put's distinct-new byte
+   count — the only bytes the store actually grows by.  A repeated region
+   tag counts a hit for each of its chunks, as interning them again would. *)
 let intern_chunks t (image : Image.t) =
-  let new_bytes = ref 0 in
+  let new_bytes = ref 0 and hits = ref 0 and fresh = ref 0 in
   let intern h size bytes =
     match Hashtbl.find_opt t.chunks h with
     | Some c ->
@@ -311,11 +356,11 @@ let intern_chunks t (image : Image.t) =
        | Some b, Some b' when not (String.equal b b') -> `Collision
        | _ ->
          c.c_refs <- c.c_refs + 1;
-         Metrics.incr t.metrics "storage.dedup_chunk_hits";
+         incr hits;
          `Ref)
     | None ->
       Hashtbl.add t.chunks h { c_size = size; c_bytes = bytes; c_refs = 1 };
-      Metrics.incr t.metrics "storage.dedup_chunks_new";
+      incr fresh;
       new_bytes := !new_bytes + size;
       `Ref
   in
@@ -330,16 +375,28 @@ let intern_chunks t (image : Image.t) =
       (Chunk.split image.Image.encoded)
     |> Array.of_list
   in
-  let vrefs =
-    List.concat_map
-      (fun (name, size, gen) ->
-        List.filter_map
+  let region ((name, size, gen) as tag) =
+    match Hashtbl.find_opt t.regions tag with
+    | Some r ->
+      r.refs <- r.refs + 1;
+      hits := !hits + Array.length r.addrs;
+      r
+    | None ->
+      let addrs =
+        List.map
           (fun (addr, csize) ->
-            match intern addr csize None with `Ref | `Collision -> Some addr)
-          (Chunk.region_chunks ~name ~size ~gen))
-      image.Image.regions
-    |> Array.of_list
+            ignore (intern addr csize None);
+            addr)
+          (Chunk.region_chunks ~name ~size ~gen)
+        |> Array.of_list
+      in
+      let r = { r_tag = tag; addrs; refs = 1 } in
+      Hashtbl.add t.regions tag r;
+      r
   in
+  let vrefs = Array.of_list (List.map region image.Image.regions) in
+  if !hits > 0 then Metrics.add t.metrics "storage.dedup_chunk_hits" !hits;
+  if !fresh > 0 then Metrics.add t.metrics "storage.dedup_chunks_new" !fresh;
   ({ skel = { image with Image.encoded = "" }; chs; vrefs }, !new_bytes)
 
 let fail_put t reason =
@@ -412,6 +469,7 @@ let put ?op ?parent ?(node = 0) t key image =
        | Some vold -> retire t (pname key vold) ~why:"storage.cow_preserved"
        | None -> ());
       Hashtbl.replace t.versions key v;
+      changed t;
       t.bytes_written <- t.bytes_written + written;
       Metrics.incr t.metrics "storage.puts";
       Metrics.add t.metrics "storage.bytes_written" written;
@@ -429,8 +487,8 @@ let put ?op ?parent ?(node = 0) t key image =
 
 (* One stored link by physical name, exactly as written: walk the copy slots
    in order, skipping unusable slots and copies that fail to materialize
-   byte-identically. *)
-let raw_get t p =
+   byte-identically.  [bump] counts a storage.* event of the read. *)
+let raw_get t ~bump p =
   match Hashtbl.find_opt t.entries p with
   | None -> None
   | Some e ->
@@ -442,10 +500,10 @@ let raw_get t p =
         | Some (st, sum) when usable t i s.loc ->
           (match materialize t st with
            | Some img when Image.checksum img = sum ->
-             if i > 0 then Metrics.incr t.metrics "storage.replica_fallbacks";
+             if i > 0 then bump "storage.replica_fallbacks";
              Some img
            | Some _ | None ->
-             Metrics.incr t.metrics "storage.corruption_detected";
+             bump "storage.corruption_detected";
              go (i + 1))
         | Some _ | None -> go (i + 1)
     in
@@ -462,10 +520,10 @@ let max_resolve_depth = 64
    the value the full checkpoint taken at the same instant encodes, on
    every backend.  A link that fails to decode or to apply breaks the
    chain above it. *)
-let get t key =
-  Metrics.incr t.metrics "storage.gets";
+let resolve_key t ~bump key =
+  bump "storage.gets";
   let miss () =
-    Metrics.incr t.metrics "storage.get_misses";
+    bump "storage.get_misses";
     None
   in
   match current t key with
@@ -474,7 +532,7 @@ let get t key =
     let rec resolve p depth =
       if depth > max_resolve_depth then None
       else
-        match raw_get t p with
+        match raw_get t ~bump p with
         | None -> None
         | Some image ->
           (match image.Image.base_key with
@@ -497,37 +555,69 @@ let get t key =
               with
               | None -> None
               | Some full ->
-                Metrics.incr t.metrics "storage.delta_resolved";
+                bump "storage.delta_resolved";
                 Some full
               | exception _ ->
-                Metrics.incr t.metrics "storage.chain_broken";
+                bump "storage.chain_broken";
                 None))
     in
     (match resolve p0 0 with
      | Some v -> Some v
      | None | (exception Zapc_codec.Value.Decode_error _) -> miss ())
 
+(* A read through the memo: a key resolved since the store last changed is
+   served again, replaying the counters its resolving read bumped, in
+   order; [keep] leaves it memoized. *)
+let read ~keep t key =
+  if t.memo_gen <> t.gen then begin
+    Hashtbl.reset t.memo;
+    t.memo_gen <- t.gen
+  end;
+  match Hashtbl.find_opt t.memo key with
+  | Some (image, bumped) ->
+    List.iter (Metrics.incr t.metrics) bumped;
+    if not keep then Hashtbl.remove t.memo key;
+    image
+  | None ->
+    let bumped = ref [] in
+    let bump name =
+      Metrics.incr t.metrics name;
+      bumped := name :: !bumped
+    in
+    let image = resolve_key t ~bump key in
+    if keep then Hashtbl.replace t.memo key (image, List.rev !bumped);
+    image
+
+let get t key = read ~keep:true t key
+let take t key = read ~keep:false t key
+
+(* The current version's first copy a read may use, unverified. *)
+let first_usable t key =
+  match current_entry t key with
+  | None -> None
+  | Some e ->
+    let rec go i =
+      if i >= Array.length e.copies then None
+      else
+        match e.copies.(i) with
+        | { data = Some (st, _); loc } when usable t i loc -> Some st
+        | _ -> go (i + 1)
+    in
+    go 0
+
 (* Cheap, side-effect-free existence check: the key's current version is
    present in some usable slot.  No chain walk, no metrics, no
    materialization — a corrupt-everywhere key still answers true (only a
    verifying [get] can tell). *)
-let mem t key =
-  match current_entry t key with
-  | None -> false
-  | Some e ->
-    let rec go i =
-      i < Array.length e.copies
-      && ((e.copies.(i).data <> None && usable t i e.copies.(i).loc) || go (i + 1))
-    in
-    go 0
+let mem t key = Option.is_some (first_usable t key)
 
+(* The chain link's base reference, read from the same unverified copy
+   [mem] finds: a copy's recipe shares its skeleton with the pristine one
+   (corruption only shadows chunk bytes), so no materialization is needed. *)
 let base_key t key =
-  match current t key with
+  match first_usable t key with
+  | Some st -> st.skel.Image.base_key
   | None -> None
-  | Some p ->
-    (match raw_get t p with
-     | None -> None
-     | Some image -> image.Image.base_key)
 
 (* The key's current version's copy slot [replica], if in range. *)
 let slot t ~replica key =
@@ -549,6 +639,7 @@ let replica_has t ~replica key =
    backfill a key written during an outage silently runs below its
    replication factor forever. *)
 let heal_replicas t =
+  changed t;
   Array.fill t.fails 0 (Array.length t.fails) None;
   Hashtbl.iter
     (fun _ e ->
@@ -569,6 +660,7 @@ let heal_replicas t =
    slot, so nothing else changes. *)
 let node_died t node =
   if not (Hashtbl.mem t.dead node) then begin
+    changed t;
     Hashtbl.replace t.dead node ();
     Hashtbl.iter
       (fun _ e ->
@@ -616,6 +708,7 @@ let corrupt t ~replica key =
        let chs = Array.copy r.chs in
        chs.(0) <- Cinline (Bytes.to_string b);
        s.data <- Some ({ r with chs }, sum);
+       changed t;
        true)
   | Some _ | None -> false
 

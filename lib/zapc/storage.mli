@@ -16,9 +16,14 @@
     splits the encoded bytes and the modelled memory regions into
     FNV-addressed chunks interned once in a refcounted pool — identical
     text/data across epochs, replicas and sibling pods collapses to one
-    stored copy.  Compression composes with every backend: stored/flushed
-    byte accounting shrinks to the image's modelled compressed size while
-    the Agent charges the virtual-CPU compressor cost.
+    stored copy.  A modelled region is interned once per distinct
+    (name, size, generation) tag: the first listing interns the tag's
+    chunks one by one, every later listing takes a reference on the tag's
+    region entry (counting a [storage.dedup_chunk_hits] per chunk), and the
+    entry drops its chunk references with its last listing.  Compression
+    composes with every backend: stored/flushed byte accounting shrinks to
+    the image's modelled compressed size while the Agent charges the
+    virtual-CPU compressor cost.
 
     Keys are versioned internally: {!put} retires the previous version of
     the key, preserving its bytes under a shadow name while live delta
@@ -78,11 +83,31 @@ val get : t -> string -> Zapc_codec.Value.t option
     decode.  A delta chain resolves against the exact base version it was
     written over by applying each delta to the decoded base, without
     re-encoding: the value Wire-encodes byte-identically to the full
-    checkpoint taken at the same instant, on every backend. *)
+    checkpoint taken at the same instant, on every backend.
+
+    Reads are memoized per store generation.  The generation moves on every
+    call that changes what a read can see: a successful {!put}, {!remove},
+    a successful {!corrupt}, {!set_replica_fail}, {!heal_replicas} and
+    {!node_died}; a moved generation drops the whole memo.  Until then a
+    repeated [get] of the key returns the same (physically equal) value, or
+    [None] again, and replays the [storage.*] counter increments its
+    resolving read made ([storage.gets], [storage.get_misses],
+    [storage.delta_resolved], [storage.chain_broken],
+    [storage.replica_fallbacks], [storage.corruption_detected]), so every
+    counter reads as if each call had resolved the chain.  The returned
+    value is shared: like every {!Zapc_codec.Value.t}, it must not be
+    mutated. *)
+
+val take : t -> string -> Zapc_codec.Value.t option
+(** {!get}, which also drops the key's memo entry: the read of the key's
+    last reader (the restoring Agent), so a restored image does not stay
+    pinned in the memo. *)
 
 val base_key : t -> string -> string option
 (** The stored chain link's base reference, without materializing: [Some k]
-    iff the key currently holds a delta based on public key [k]. *)
+    iff the key currently holds a delta based on public key [k].  Reads the
+    first copy {!mem} finds, unverified, so it counts nothing and a delta
+    corrupt in every slot still answers its base. *)
 
 val set_fail_writes : t -> string option -> unit
 (** Failure injection: while [Some reason], every {!put} fails with that

@@ -903,6 +903,34 @@ let test_snapshot_not_aliased () =
     [ ("bt_nas", bt_args, [ 0 ], 4, 9); ("bratu", bratu_args, [ 0 ], 2, 4);
       ("povray", pov_args, [ 0; 1 ], 4, 9) ]
 
+(* The converse: a program restored from an image value works on arrays
+   of its own.  Storage hands one decoded image to all its readers, so the
+   value must come out of a restore and several compute steps unchanged
+   (Bratu sweeps into its spare grid and swaps, so only the second sweep
+   would write into an adopted array). *)
+let test_restore_not_aliased () =
+  List.iter
+    (fun (program, app_args, at) ->
+      let cluster = make_cluster () in
+      ignore (Launch.launch cluster ~name:program ~program ~placement:[ 0 ] ~app_args ());
+      Cluster.run cluster ~until:(Simtime.ms at) ();
+      let proc =
+        List.find
+          (fun (p : Proc.t) -> String.equal (Program.name_of p.Proc.inst) program)
+          (Kernel.processes (Cluster.node cluster 0).Cluster.n_kernel)
+      in
+      let _, image = Program.snapshot proc.Proc.inst in
+      let before = Zapc_codec.Wire.encode image in
+      let restored = Program.restore program image in
+      for _ = 1 to 4 do
+        ignore (Program.step_instance restored Zapc_simos.Syscall.Done_compute)
+      done;
+      check tbool (program ^ ": restored state moved on") false
+        (String.equal before (Zapc_codec.Wire.encode (snd (Program.snapshot restored))));
+      check tbool (program ^ ": image unchanged") true
+        (String.equal before (Zapc_codec.Wire.encode image)))
+    [ ("bt_nas", bt_args, 4); ("bratu", bratu_args, 2) ]
+
 let () =
   Alcotest.run "apps"
     [ ( "cpi",
@@ -945,4 +973,6 @@ let () =
           Alcotest.test_case "povray framebuffer checksums pinned" `Quick
             test_povray_checksums_pinned;
           Alcotest.test_case "snapshots share no mutable buffer" `Quick
-            test_snapshot_not_aliased ] ) ]
+            test_snapshot_not_aliased;
+          Alcotest.test_case "restores adopt no image array" `Quick
+            test_restore_not_aliased ] ) ]

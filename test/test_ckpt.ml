@@ -1013,34 +1013,42 @@ let test_buddy_mem_outage () =
   check tbool "both slots outaged" false (Storage.mem storage "k");
   check tbool "get agrees" true (Storage.get storage "k" = None)
 
-(* [get] resolves each chain link once: a depth-3 chain is one get and
-   three delta applications, and its value encodes to the full checkpoint
-   of the same instant.  A delta naming a vpid its base lacks breaks the
-   chain: one chain_broken, one miss, no image. *)
-let test_get_chain_counters () =
-  let _, pod, storage, metrics, snap = delta_env_m () in
-  let counter = Metrics.counter metrics in
-  let put key img =
-    match Storage.put storage key img with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "put %s: %s" key e
-  in
+let put_ok ?node storage key img =
+  match Storage.put ?node storage key img with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "put %s: %s" key e
+
+(* A full image under "base" at 5 ms, then a delta d1..dN every 5 ms, each
+   on the one before.  Returns the first and the last full image. *)
+let put_chain ?node (_, pod, storage, _, snap) depth =
   let r0 = snap (Simtime.ms 5) in
-  put "base" (Image.of_pod_image r0.Pod_ckpt.image);
+  put_ok ?node storage "base" (Image.of_pod_image r0.Pod_ckpt.image);
   let last =
     List.fold_left
-      (fun (base_key, base) (key, at) ->
+      (fun (base_key, base) i ->
         Pod_ckpt.clear_memory_dirty pod;
-        let r = snap (Simtime.ms at) in
-        put key
+        let r = snap (Simtime.ms (5 * (i + 1))) in
+        let key = Printf.sprintf "d%d" i in
+        put_ok ?node storage key
           (Image.of_pod_image
              (Delta.make ~base_key ~base ~full:r.Pod_ckpt.image
                 ~dirty_bytes:(Pod_ckpt.dirty_memory_bytes pod)));
         (key, r.Pod_ckpt.image))
       ("base", r0.Pod_ckpt.image)
-      [ ("d1", 10); ("d2", 15); ("d3", 20) ]
+      (List.init depth (fun i -> i + 1))
     |> snd
   in
+  (r0.Pod_ckpt.image, last)
+
+(* [get] resolves each chain link once: a depth-3 chain is one get and
+   three delta applications, and its value encodes to the full checkpoint
+   of the same instant.  A delta naming a vpid its base lacks breaks the
+   chain: one chain_broken, one miss, no image. *)
+let test_get_chain_counters () =
+  let ((_, _, storage, metrics, _) as env) = delta_env_m () in
+  let counter = Metrics.counter metrics in
+  let put = put_ok storage in
+  let r0, last = put_chain env 3 in
   let gets = counter "storage.gets" and resolved = counter "storage.delta_resolved" in
   (match Storage.get storage "d3" with
    | None -> Alcotest.fail "depth-3 chain did not resolve"
@@ -1052,7 +1060,7 @@ let test_get_chain_counters () =
   (* a base without processes: the delta's procs_order names a vpid that
      neither the base nor the delta carries *)
   let hollow =
-    match r0.Pod_ckpt.image with
+    match r0 with
     | Value.Assoc kvs ->
       Value.Assoc (List.map (fun (k, x) -> if k = "procs" then (k, Value.List []) else (k, x)) kvs)
     | v -> v
@@ -1065,6 +1073,119 @@ let test_get_chain_counters () =
   check tbool "broken chain yields no image" true (Storage.get storage "broken" = None);
   check tint "one chain_broken" (broken + 1) (counter "storage.chain_broken");
   check tint "one miss" (misses + 1) (counter "storage.get_misses")
+
+(* Every storage.* counter, by name. *)
+let storage_counters metrics =
+  List.filter_map
+    (fun n ->
+      if String.starts_with ~prefix:"storage." n then Some (n, Metrics.counter metrics n)
+      else None)
+    (Metrics.names metrics)
+
+(* [base_key] reads the chain structure without verifying: a delta whose
+   every copy is corrupt still names its base, counting nothing, while a
+   verifying [get] misses. *)
+let test_base_key_unverified () =
+  let ((_, _, storage, metrics, _) as env) = delta_env_m () in
+  ignore (put_chain env 1);
+  check tbool "corrupt slot 0" true (Storage.corrupt storage ~replica:0 "d1");
+  check tbool "corrupt slot 1" true (Storage.corrupt storage ~replica:1 "d1");
+  let before = storage_counters metrics in
+  check (Alcotest.option tstr) "base answered" (Some "base") (Storage.base_key storage "d1");
+  check (Alcotest.option tstr) "a full image has no base" None (Storage.base_key storage "base");
+  check (Alcotest.option tstr) "an absent key has no base" None (Storage.base_key storage "nope");
+  check tbool "base_key counts nothing" true (storage_counters metrics = before);
+  check tbool "get misses" true (Storage.get storage "d1" = None);
+  check tbool "get detected the corruption" true
+    (Metrics.counter metrics "storage.corruption_detected"
+     > Option.value ~default:0 (List.assoc_opt "storage.corruption_detected" before))
+
+(* The counter increments between two snapshots, zeros left out. *)
+let counter_growth before after =
+  List.filter_map
+    (fun (n, v) ->
+      let d = v - Option.value ~default:0 (List.assoc_opt n before) in
+      if d <> 0 then Some (n, d) else None)
+    after
+
+(* Two reads served the same answer: the same value, or both nothing. *)
+let same_read a b =
+  match a, b with
+  | Some x, Some y -> x == y
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+(* A repeated [get] in one store generation returns the physically equal
+   value and grows the storage counters by exactly what the resolving read
+   grew them by: a depth-4 chain, a fallback past an outaged slot 0, and an
+   absent key. *)
+let test_get_memo_replays () =
+  let ((_, _, storage, metrics, _) as env) = delta_env_m () in
+  let _, last = put_chain env 4 in
+  let twice what key ~expect =
+    let c0 = storage_counters metrics in
+    let first = Storage.get storage key in
+    let c1 = storage_counters metrics in
+    let second = Storage.get storage key in
+    let c2 = storage_counters metrics in
+    check tbool (what ^ ": same value") true (same_read first second);
+    check tbool (what ^ ": counters replayed") true
+      (counter_growth c0 c1 = counter_growth c1 c2);
+    check (Alcotest.list (Alcotest.pair tstr tint)) (what ^ ": resolving read") expect
+      (List.sort compare (counter_growth c0 c1));
+    first
+  in
+  (match
+     twice "depth-4 chain" "d4"
+       ~expect:[ ("storage.delta_resolved", 4); ("storage.gets", 1) ]
+   with
+   | Some v ->
+     check tstr "chain value" (Image.of_pod_image last).Image.encoded (Wire.encode v)
+   | None -> Alcotest.fail "depth-4 chain did not resolve");
+  Storage.set_replica_fail storage ~replica:0 (Some "down");
+  ignore
+    (twice "slot 0 outaged" "d2"
+       ~expect:
+         [ ("storage.delta_resolved", 2); ("storage.gets", 1);
+           ("storage.replica_fallbacks", 3) ]);
+  ignore
+    (twice "absent key" "nope" ~expect:[ ("storage.get_misses", 1); ("storage.gets", 1) ])
+
+(* Each call that changes what a read can see forces a fresh resolve, and
+   [take] drops its key's memo entry. *)
+let test_get_memo_invalidation () =
+  let fresh_after what ?(backend = ZParams.Sb_plain) mutate =
+    let ((_, _, storage, metrics, _) as env) = delta_env_m ~backend ~nodes:4 () in
+    ignore (put_chain ~node:1 env 2);
+    let first = Storage.get storage "d2" in
+    check tbool (what ^ ": memoized") true (same_read first (Storage.get storage "d2"));
+    mutate storage;
+    let gets = Metrics.counter metrics "storage.gets" in
+    let again = Storage.get storage "d2" in
+    check tbool (what ^ ": resolved again") false (same_read first again);
+    check tint (what ^ ": one get counted") (gets + 1) (Metrics.counter metrics "storage.gets");
+    (storage, metrics, again)
+  in
+  let img = mk_img ~pod_id:9 ~name:"other" ~mem:4096 () in
+  ignore (fresh_after "put to another key" (fun st -> put_ok st "other" img));
+  ignore (fresh_after "remove" (fun st -> Storage.remove st "d1"));
+  ignore (fresh_after "set_replica_fail" (fun st -> Storage.set_replica_fail st ~replica:1 (Some "x")));
+  ignore (fresh_after "heal_replicas" Storage.heal_replicas);
+  ignore (fresh_after "node_died" ~backend:ZParams.Sb_buddy (fun st -> Storage.node_died st 1));
+  let _, metrics, again =
+    fresh_after "corrupt" (fun st -> check tbool "corrupted" true (Storage.corrupt st ~replica:0 "d2"))
+  in
+  check tbool "corrupt: still served" true (again <> None);
+  check tbool "corrupt: detected" true (Metrics.counter metrics "storage.corruption_detected" >= 1);
+  ignore
+    (fresh_after "take" (fun st ->
+         check tbool "take serves the memoized value" true
+           (Storage.take st "d2" <> None)));
+  (* a take of a key never read resolves it and keeps nothing *)
+  let _, _, storage, _, _ = delta_env_m () in
+  put_ok storage "k" img;
+  let taken = Storage.take storage "k" in
+  check tbool "take then get resolves again" false (same_read taken (Storage.get storage "k"))
 
 (* --- qcheck: the storage model ------------------------------------------- *)
 
@@ -1085,7 +1206,8 @@ type store_op =
   | S_heal
   | S_corrupt of int * int  (* slot, key *)
   | S_node_died of int
-  | S_get of int
+  | S_get of int  (* two gets in a row *)
+  | S_take of int
 
 let show_store_op = function
   | S_put (k, i, n) -> Printf.sprintf "put k%d img%d @%d" k i n
@@ -1096,6 +1218,7 @@ let show_store_op = function
   | S_corrupt (s, k) -> Printf.sprintf "corrupt slot%d k%d" s k
   | S_node_died n -> Printf.sprintf "node_died %d" n
   | S_get k -> Printf.sprintf "get k%d" k
+  | S_take k -> Printf.sprintf "take k%d" k
 
 let store_configs =
   [| (ZParams.Sb_plain, false); (ZParams.Sb_plain, true); (ZParams.Sb_dedup, false);
@@ -1112,12 +1235,14 @@ let gen_store_op =
       (2, return S_heal);
       (1, map2 (fun s k -> S_corrupt (s, k)) (int_bound 1) key);
       (1, map (fun n -> S_node_died n) node);
-      (4, map (fun k -> S_get k) key) ]
+      (4, map (fun k -> S_get k) key);
+      (2, map (fun k -> S_take k) key) ]
 
 (* Run one op sequence against a model of what each key must read back.
    [get] may return the bytes last put under the key or [None] — never any
-   other bytes.  After a heal with no corruption and no node death so far,
-   every live key must sit in every slot and read back. *)
+   other bytes, and a second get with nothing changed in between returns
+   the same value.  After a heal with no corruption and no node death so
+   far, every live key must sit in every slot and read back. *)
 let run_store_model (config, ops) =
   let backend, compress = store_configs.(config) in
   let imgs = Lazy.force model_images in
@@ -1130,12 +1255,13 @@ let run_store_model (config, ops) =
   let model = Array.make 3 None in
   let damaged = ref false in
   let ok = ref true in
-  let reads_back k =
-    match Storage.get storage keys.(k), model.(k) with
+  let served k read =
+    match read, model.(k) with
     | None, _ -> true
     | Some got, Some i -> String.equal (Wire.encode got) bytes.(i)
     | Some _, None -> false
   in
+  let reads_back k = served k (Storage.get storage keys.(k)) in
   let put k i node img =
     match Storage.put ~node storage keys.(k) (Image.of_pod_image img) with
     | Ok () -> model.(k) <- Some i
@@ -1176,7 +1302,11 @@ let run_store_model (config, ops) =
       | S_node_died n ->
         Storage.node_died storage n;
         damaged := true
-      | S_get k -> if not (reads_back k) then ok := false)
+      | S_get k ->
+        let first = Storage.get storage keys.(k) in
+        let second = Storage.get storage keys.(k) in
+        if not (served k first && same_read first second) then ok := false
+      | S_take k -> if not (served k (Storage.take storage keys.(k))) then ok := false)
     ops;
   !ok && Array.for_all Fun.id (Array.init 3 reads_back)
 
@@ -1191,6 +1321,213 @@ let prop_storage_model =
            (String.concat "; " (List.map show_store_op ops)))
        QCheck.Gen.(pair (int_bound 5) (list_size (int_range 1 40) gen_store_op)))
     run_store_model
+
+(* --- qcheck: region interning against a per-chunk model ------------------ *)
+
+(* The dedup accounting as it reads when every listing of a region interns
+   each of its chunks one by one: the pool counts references per chunk
+   occurrence, and a stored version frees its occurrences when it goes.
+   The keyspace (versions, delta pins, condemned shadows) is modelled as
+   [Storage] keeps it, so a pinned base frees its chunks only with its
+   last delta. *)
+type dd_model = {
+  pool : (int, string option * int ref) Hashtbl.t;  (* bytes, refs *)
+  stored : (string, int list * int) Hashtbl.t;  (* pname -> chunk refs, flushed bytes *)
+  mversions : (string, int) Hashtbl.t;
+  mvseq : (string, int) Hashtbl.t;
+  mbases : (string, string) Hashtbl.t;
+  mpins : (string, int) Hashtbl.t;
+  mcondemned : (string, unit) Hashtbl.t;
+  mutable hits : int;
+  mutable fresh : int;
+  mutable freed : int;
+  mutable unique : int;
+  mutable logical : int;
+}
+
+let dd_model () =
+  { pool = Hashtbl.create 16; stored = Hashtbl.create 16; mversions = Hashtbl.create 4;
+    mvseq = Hashtbl.create 4; mbases = Hashtbl.create 4; mpins = Hashtbl.create 4;
+    mcondemned = Hashtbl.create 4; hits = 0; fresh = 0; freed = 0; unique = 0; logical = 0 }
+
+let dd_pname key v = key ^ "\x00" ^ string_of_int v
+
+let rec dd_unpin m p =
+  match Hashtbl.find_opt m.mpins p with
+  | None -> ()
+  | Some 1 ->
+    Hashtbl.remove m.mpins p;
+    if Hashtbl.mem m.mcondemned p then dd_really_remove m p
+  | Some n -> Hashtbl.replace m.mpins p (n - 1)
+
+and dd_really_remove m p =
+  Hashtbl.remove m.mcondemned p;
+  (match Hashtbl.find_opt m.stored p with
+   | Some (refs, _) ->
+     List.iter
+       (fun h ->
+         match Hashtbl.find_opt m.pool h with
+         | Some (_, r) ->
+           decr r;
+           if !r <= 0 then begin
+             Hashtbl.remove m.pool h;
+             m.freed <- m.freed + 1
+           end
+         | None -> ())
+       refs;
+     Hashtbl.remove m.stored p
+   | None -> ());
+  match Hashtbl.find_opt m.mbases p with
+  | Some b ->
+    Hashtbl.remove m.mbases p;
+    dd_unpin m b
+  | None -> ()
+
+let dd_retire m p =
+  if Option.value ~default:0 (Hashtbl.find_opt m.mpins p) > 0 then
+    Hashtbl.replace m.mcondemned p ()
+  else dd_really_remove m p
+
+let dd_put m ~compress key (image : Image.t) =
+  let uniq = ref 0 and refs = ref [] in
+  let intern h size bytes =
+    match Hashtbl.find_opt m.pool h with
+    | Some (Some b', _) when (match bytes with Some b -> not (String.equal b b') | None -> false)
+      ->
+      uniq := !uniq + size
+    | Some (_, r) ->
+      incr r;
+      m.hits <- m.hits + 1;
+      refs := h :: !refs
+    | None ->
+      Hashtbl.add m.pool h (bytes, ref 1);
+      m.fresh <- m.fresh + 1;
+      uniq := !uniq + size;
+      refs := h :: !refs
+  in
+  List.iter (fun (h, b) -> intern h (String.length b) (Some b)) (Chunk.split image.Image.encoded);
+  List.iter
+    (fun (name, size, gen) ->
+      List.iter (fun (h, csize) -> intern h csize None) (Chunk.region_chunks ~name ~size ~gen))
+    image.Image.regions;
+  let logical = image.Image.logical_size in
+  m.logical <- m.logical + logical;
+  m.unique <- m.unique + !uniq;
+  let asize = if compress then Image.comp_size image else logical in
+  let ratio = float_of_int asize /. float_of_int (max 1 logical) in
+  let v = 1 + Option.value ~default:0 (Hashtbl.find_opt m.mvseq key) in
+  Hashtbl.replace m.mvseq key v;
+  let p = dd_pname key v in
+  Hashtbl.replace m.stored p (!refs, int_of_float (ratio *. float_of_int !uniq));
+  (match image.Image.base_key with
+   | Some bkey ->
+     let bp = dd_pname bkey (Option.value ~default:0 (Hashtbl.find_opt m.mversions bkey)) in
+     Hashtbl.replace m.mbases p bp;
+     Hashtbl.replace m.mpins bp (1 + Option.value ~default:0 (Hashtbl.find_opt m.mpins bp))
+   | None -> ());
+  (match Hashtbl.find_opt m.mversions key with
+   | Some old -> dd_retire m (dd_pname key old)
+   | None -> ());
+  Hashtbl.replace m.mversions key v
+
+let dd_remove m key =
+  match Hashtbl.find_opt m.mversions key with
+  | None -> ()
+  | Some v ->
+    Hashtbl.remove m.mversions key;
+    dd_retire m (dd_pname key v)
+
+type dd_op =
+  | D_put of int * int * int list  (* key, payload, region tags *)
+  | D_delta of int * int * int * int list  (* key, base key, payload, region tags *)
+  | D_remove of int
+
+(* Region tags: the "heap" ones share (name, gen) at four sizes, so their
+   leading chunk addresses coincide across tags. *)
+let dd_tags =
+  let cb = Chunk.region_chunk_bytes in
+  [| ("heap", 3 * cb, 1); ("heap", (3 * cb) + 100, 1); ("heap", 2 * cb, 1);
+     ("heap", cb - 7, 1); ("heap", 3 * cb, 2); ("text", cb + 1, 0); ("stack", 4096, 5) |]
+
+(* Encoded payloads: the longer ones share their leading 4 KiB chunks. *)
+let dd_payloads =
+  [| String.make 9000 'a'; String.make 9000 'a' ^ "tail"; String.make 5000 'a';
+     "small" |]
+
+let dd_image ?base_key payload tags =
+  let regions = List.map (fun i -> dd_tags.(i)) tags in
+  let encoded = dd_payloads.(payload) ^ String.concat "," (List.map string_of_int tags) in
+  { Image.pod_id = 1; name = "p"; encoded;
+    logical_size =
+      String.length encoded + List.fold_left (fun n (_, size, _) -> n + size) 0 regions;
+    regions; base_key }
+
+let show_dd_op = function
+  | D_put (k, p, t) ->
+    Printf.sprintf "put k%d p%d [%s]" k p (String.concat "," (List.map string_of_int t))
+  | D_delta (k, b, p, t) ->
+    Printf.sprintf "delta k%d on k%d p%d [%s]" k b p
+      (String.concat "," (List.map string_of_int t))
+  | D_remove k -> Printf.sprintf "remove k%d" k
+
+let gen_dd_op =
+  let open QCheck.Gen in
+  let key = int_bound 3 and payload = int_bound (Array.length dd_payloads - 1) in
+  (* up to four listings, repeats allowed: one tag can appear twice *)
+  let tags = list_size (int_bound 4) (int_bound (Array.length dd_tags - 1)) in
+  frequency
+    [ (5, map3 (fun k p t -> D_put (k, p, t)) key payload tags);
+      (4, map (fun (k, b, p, t) -> D_delta (k, b, p, t)) (quad key key payload tags));
+      (3, map (fun k -> D_remove k) key) ]
+
+let prop_region_interning_model =
+  let latency = Simtime.us 500 and bps = 180e6 in
+  QCheck.Test.make ~name:"region interning matches the per-chunk model" ~count:300
+    (QCheck.make
+       ~print:(fun (compress, ops) ->
+         Printf.sprintf "compress=%b: %s" compress
+           (String.concat "; " (List.map show_dd_op ops)))
+       QCheck.Gen.(pair bool (list_size (int_range 1 30) gen_dd_op)))
+    (fun (compress, ops) ->
+      let metrics = Metrics.create () in
+      let storage =
+        Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ~backend:ZParams.Sb_dedup
+          ~compress ~latency ~bps (Engine.create ~seed:1 ())
+      in
+      let m = dd_model () in
+      let keys = [| "a"; "b"; "c"; "d" |] in
+      let flush_time key =
+        match Hashtbl.find_opt m.mversions key with
+        | None -> Simtime.zero
+        | Some v ->
+          let bytes = snd (Hashtbl.find m.stored (dd_pname key v)) in
+          Simtime.add latency (Simtime.ns (int_of_float (float_of_int bytes /. bps *. 1e9)))
+      in
+      let agrees () =
+        Metrics.counter metrics "storage.dedup_chunk_hits" = m.hits
+        && Metrics.counter metrics "storage.dedup_chunks_new" = m.fresh
+        && Metrics.counter metrics "storage.dedup_chunks_freed" = m.freed
+        && Metrics.counter metrics "storage.dedup_bytes_unique" = m.unique
+        && Float.equal
+             (Metrics.gauge metrics "storage.dedup_factor")
+             (if m.logical = 0 then 0.0
+              else float_of_int m.logical /. float_of_int (max 1 m.unique))
+        && Array.for_all (fun k -> Storage.flush_time storage k = flush_time k) keys
+      in
+      let put k image =
+        put_ok storage keys.(k) image;
+        dd_put m ~compress keys.(k) image
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | D_put (k, p, t) -> put k (dd_image p t)
+           | D_delta (k, b, p, t) -> put k (dd_image ~base_key:keys.(b) p t)
+           | D_remove k ->
+             Storage.remove storage keys.(k);
+             dd_remove m keys.(k));
+          agrees ())
+        ops)
 
 (* --- qcheck: chunking and compression ----------------------------------- *)
 
@@ -1316,7 +1653,14 @@ let () =
             test_buddy_mem_outage;
           Alcotest.test_case "get counts a chain's links once" `Quick
             test_get_chain_counters;
-          QCheck_alcotest.to_alcotest prop_storage_model ] );
+          Alcotest.test_case "base_key reads an unverified copy" `Quick
+            test_base_key_unverified;
+          Alcotest.test_case "repeated get replays its counters" `Quick
+            test_get_memo_replays;
+          Alcotest.test_case "every mutator and take drop the memo" `Quick
+            test_get_memo_invalidation;
+          QCheck_alcotest.to_alcotest prop_storage_model;
+          QCheck_alcotest.to_alcotest prop_region_interning_model ] );
       ( "migration properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_precopy_composition_identity; prop_precopy_residue_monotone;
