@@ -19,68 +19,55 @@ end)
 
 (* The address map is an ordered list of (vip, rip) entries where the
    first entry wins in both directions.  It is kept as installed until the
-   first lookup or applied rebind, then replaced by an index over its entry
-   positions: installing a map stays O(1) ([Cluster.link_pods] hands one
-   shared list to every pod of an application) and a namespace that never
-   translates never pays for the tables. *)
+   first lookup, then replaced by an index over its entry positions, which
+   is never mutated: installing a map stays O(1) ([Cluster.link_pods]
+   hands one shared list to every pod of an application) and a namespace
+   that never translates never pays for the tables. *)
 type index = {
-  vips : Addr.ip array;  (* entry position -> vip *)
-  rips : Addr.ip array;  (* entry position -> current rip *)
-  by_vip : int list Iptbl.t;  (* vip -> its live positions, ascending *)
-  by_rip : int list Iptbl.t;  (* rip -> its live positions, ascending *)
+  entries : (Addr.ip * Addr.ip) array;
+  by_vip : int Iptbl.t;  (* vip -> its first position *)
+  by_rip : int list Iptbl.t;  (* rip -> its positions, ascending *)
 }
 
 type addrs =
-  | Installed of {
-      own : (Addr.ip * Addr.ip) option;
-      map : (Addr.ip * Addr.ip) list;
-      mutable length : int;  (* of [map], -1 until a compaction counts it *)
-    }
+  | Installed of (Addr.ip * Addr.ip) option * (Addr.ip * Addr.ip) list
   | Indexed of index
 
-(* The rebind log: every gratuitous-ARP announcement [(vip, rip)] in
-   order, kept once for all namespaces instead of pushed into each.  A
-   generation is the log's storage between two compactions.  Below the
-   log's length its entries are written once; [shadow.(p)] is set once,
-   when a later entry for the same vip arrives at that position.  A
-   compaction starts a new generation instead of rewriting this one, so a
-   namespace that left the registry keeps reading the generation it left
-   in. *)
-type gen = {
-  g_vips : Addr.ip array;
-  g_rips : Addr.ip array;
-  shadow : int array;  (* position of the next entry for the same vip, max_int while none *)
+module Ipmap = Map.Make (Int)
+
+(* (vip, rip) bindings with distinct vips and distinct rips, both ways. *)
+type bindings = { rip_of : Addr.ip Ipmap.t; vip_of : Addr.ip Ipmap.t }
+
+(* The rebind table: the last rebind of each vip, kept once for all
+   namespaces instead of pushed into each.  Persistent, so a namespace
+   that stops reading it keeps the value it stopped at. *)
+type rebinds = {
+  last : (Addr.ip * int) Ipmap.t;  (* vip -> rip and stamp of its last rebind *)
+  onto : Addr.ip list Ipmap.t;  (* rip -> the vips whose last rebind points at it *)
+  stamp : int;  (* rebinds so far *)
 }
 
-type log = {
-  mutable gen : gen;
-  mutable len : int;
-  latest : int Iptbl.t;  (* vip -> position of its last entry *)
-  followers : (int, t) Hashtbl.t;  (* the registered namespaces, by key *)
-  mutable next_key : int;
-}
+type table = { mutable now : rebinds }
 
-(* A registered namespace follows the log to its end; one that left the
-   registry follows it up to [until], the log's length when it left. *)
-and follow =
-  | Alone
-  | Registered of log * int  (* its key in [followers] *)
-  | Departed of gen * int  (* the generation it left in, until *)
-
-and t = {
+type t = {
   vpid_to_rpid : (int, int) Hashtbl.t;
   rpid_to_vpid : (int, int) Hashtbl.t;
   mutable next_vpid : int;
   (* vip -> rip for every pod of the application (installed by the Agent,
      rewritten on migration); and the reverse map. *)
   mutable addrs : addrs;
-  mutable follow : follow;
-  mutable seen : int;  (* log entries before this one are applied or superseded *)
+  mutable rest : bindings;  (* consulted after the map (a restore's live pods) *)
+  mutable table : table;
+  mutable installed : int;  (* the table's stamp when the map was installed *)
 }
 
-let create () =
+let no_bindings = { rip_of = Ipmap.empty; vip_of = Ipmap.empty }
+let no_rebinds = { last = Ipmap.empty; onto = Ipmap.empty; stamp = 0 }
+let table () = { now = no_rebinds }
+
+let create ?(table = table ()) () =
   { vpid_to_rpid = Hashtbl.create 8; rpid_to_vpid = Hashtbl.create 8; next_vpid = 1;
-    addrs = Installed { own = None; map = []; length = 0 }; follow = Alone; seen = 0 }
+    addrs = Installed (None, []); rest = no_bindings; table; installed = table.now.stamp }
 
 (* --- PIDs --- *)
 
@@ -114,197 +101,129 @@ let set_next_vpid t n = t.next_vpid <- n
 
 (* --- network addresses --- *)
 
-let positions tbl ip = match Iptbl.find_opt tbl ip with Some ps -> ps | None -> []
+let positions tbl ip = match Iptbl.find tbl ip with ps -> ps | exception Not_found -> []
 
-let rec insert i = function
-  | j :: rest when j < i -> j :: insert i rest
-  | ps -> i :: ps
-
-let link tbl ip i = Iptbl.replace tbl ip (insert i (positions tbl ip))
-
-let unlink tbl ip i =
-  match List.filter (fun j -> j <> i) (positions tbl ip) with
-  | [] -> Iptbl.remove tbl ip
-  | ps -> Iptbl.replace tbl ip ps
-
-(* An entry equal to an earlier one is dropped: the two always move
-   together (only a rebind of their common vip moves either), so the
-   earlier one answers every lookup the later one could. *)
 let build map =
-  let n = List.length map in
-  let ix =
-    { vips = Array.make n 0; rips = Array.make n 0; by_vip = Iptbl.create n;
-      by_rip = Iptbl.create n }
-  in
-  let next = ref 0 in
-  List.iter
-    (fun (vip, rip) ->
-      let same_vip = positions ix.by_vip vip in
-      if not (List.exists (fun j -> Addr.equal_ip ix.rips.(j) rip) same_vip) then begin
-        let i = !next in
-        incr next;
-        ix.vips.(i) <- vip;
-        ix.rips.(i) <- rip;
-        link ix.by_vip vip i;
-        link ix.by_rip rip i
-      end)
-    map;
+  let entries = Array.of_list map in
+  let n = Array.length entries in
+  let ix = { entries; by_vip = Iptbl.create n; by_rip = Iptbl.create n } in
+  for i = n - 1 downto 0 do
+    let vip, rip = entries.(i) in
+    Iptbl.replace ix.by_vip vip i;
+    Iptbl.replace ix.by_rip rip (i :: positions ix.by_rip rip)
+  done;
   ix
 
 let index t =
   match t.addrs with
   | Indexed ix -> ix
-  | Installed { own; map; length = _ } ->
-    let map =
-      match own with
-      | Some ((vip, _) as entry) when not (List.exists (fun (v, _) -> Addr.equal_ip v vip) map) ->
-        entry :: map
-      | Some _ | None -> map
+  | Installed (own, map) ->
+    let known vip =
+      List.exists (fun (v, _) -> Addr.equal_ip v vip) map || Ipmap.mem vip t.rest.rip_of
     in
+    let map = match own with Some ((vip, _) as e) when not (known vip) -> e :: map | _ -> map in
     let ix = build map in
     t.addrs <- Indexed ix;
     ix
 
-(* Gratuitous-ARP-style update: a pod re-acquired its virtual address on a
-   new node.  Namespaces that never knew the vip are left untouched, like
-   an ARP cache without the entry.  Every entry of the vip moves to the new
-   rip; from then on the first of them shadows the rest in both directions,
-   so only the first stays indexed. *)
-let apply_rebind t ~vip ~rip =
-  let ix = index t in
-  match positions ix.by_vip vip with
-  | [] -> ()
-  | first :: _ as ps ->
-    List.iter (fun i -> unlink ix.by_rip ix.rips.(i) i) ps;
-    ix.rips.(first) <- rip;
-    link ix.by_rip rip first;
-    Iptbl.replace ix.by_vip vip [ first ]
+let set_vip_map ?own ?(rest = no_bindings) t map =
+  t.addrs <- Installed (own, map);
+  t.rest <- rest;
+  t.installed <- t.table.now.stamp
 
-(* --- the rebind log --- *)
+let bind b ~vip ~rip = { rip_of = Ipmap.add vip rip b.rip_of; vip_of = Ipmap.add rip vip b.vip_of }
 
-(* A rebind touches only the entries of its vip and leaves them in a state
-   that depends on nothing but its rip, so rebinds of different vips
-   commute and a later rebind of a vip overrides an earlier one.  Replaying
-   [seen, until) therefore skips an entry whose vip comes again before
-   [until]: the answers are those of applying every entry in order. *)
-let replay t g ~until =
-  for p = t.seen to until - 1 do
-    if g.shadow.(p) >= until then apply_rebind t ~vip:g.g_vips.(p) ~rip:g.g_rips.(p)
-  done;
-  t.seen <- until
-
-let catch_up t =
-  match t.follow with
-  | Alone -> ()
-  | Registered (log, _) -> if t.seen < log.len then replay t log.gen ~until:log.len
-  | Departed (g, until) ->
-    replay t g ~until;
-    t.follow <- Alone
-
-let min_capacity = 64
-
-let new_gen cap =
-  { g_vips = Array.make cap 0; g_rips = Array.make cap 0; shadow = Array.make cap max_int }
-
-let log () =
-  { gen = new_gen min_capacity; len = 0; latest = Iptbl.create 64;
-    followers = Hashtbl.create 64; next_key = 0 }
-
-let log_length log = log.len
-
-let leave t =
-  match t.follow with
-  | Registered (log, key) ->
-    Hashtbl.remove log.followers key;
-    t.follow <- (if t.seen < log.len then Departed (log.gen, log.len) else Alone)
-  | Departed _ | Alone -> ()
-
-let follow log t =
-  Hashtbl.replace log.followers log.next_key t;
-  t.follow <- Registered (log, log.next_key);
-  log.next_key <- log.next_key + 1;
-  t.seen <- log.len
-
-(* Whether [k] pending entries outnumber the namespace's map. *)
-let outnumbered t k =
-  match t.addrs with
-  | Indexed ix -> k > Array.length ix.vips
-  | Installed m ->
-    if m.length < 0 then m.length <- List.length m.map;
-    k > m.length
-
-(* The log is full.  Keep only what a registered namespace may still need:
-   the entries at or after the earliest cursor that no later entry
-   shadows.  A follower whose pending entries outnumber its map applies
-   them first, so what is kept never exceeds the largest map of a lagging
-   follower.  The new storage leaves room for four times what is kept or
-   the number of followers, so the walk over the followers costs O(1) per
-   announcement.  Departed namespaces are not visited: they hold on to the
-   generation they left in, which this leaves as it is. *)
-let compact log =
-  let g = log.gen and n = log.len in
-  (* live.(p): the entries at positions >= p that no later entry shadows *)
-  let live = Array.make (n + 1) 0 in
-  for p = n - 1 downto 0 do
-    live.(p) <- (if g.shadow.(p) >= n then live.(p + 1) + 1 else live.(p + 1))
-  done;
-  let start =
-    Hashtbl.fold
-      (fun _ t m ->
-        if t.seen < n && outnumbered t live.(t.seen) then catch_up t;
-        min t.seen m)
-      log.followers n
+let unbind b ~vip ~rip =
+  let drop k v m =
+    match Ipmap.find_opt k m with Some v' when Addr.equal_ip v' v -> Ipmap.remove k m | _ -> m
   in
-  let keep = live.(start) in
-  let g' = new_gen (max min_capacity (4 * max keep (Hashtbl.length log.followers))) in
-  let q = ref 0 in
-  for p = start to n - 1 do
-    if g.shadow.(p) >= n then begin
-      g'.g_vips.(!q) <- g.g_vips.(p);
-      g'.g_rips.(!q) <- g.g_rips.(p);
-      incr q
-    end
-  done;
-  (* an unshadowed entry at [p >= start] moves to [keep - live.(p)] *)
-  Iptbl.filter_map_inplace (fun _ p -> if p < start then None else Some (keep - live.(p))) log.latest;
-  Hashtbl.iter (fun _ t -> t.seen <- keep - live.(t.seen)) log.followers;
-  log.gen <- g';
-  log.len <- keep
+  { rip_of = drop vip rip b.rip_of; vip_of = drop rip vip b.vip_of }
 
-let announce log ~vip ~rip =
-  if log.len = Array.length log.gen.g_vips then compact log;
-  let g = log.gen and p = log.len in
-  g.g_vips.(p) <- vip;
-  g.g_rips.(p) <- rip;
-  (match Iptbl.find_opt log.latest vip with Some q -> g.shadow.(q) <- p | None -> ());
-  Iptbl.replace log.latest vip p;
-  log.len <- p + 1
+(* --- the rebind table --- *)
+
+let rebind table ~vip ~rip =
+  let rb = table.now in
+  let onto =
+    match Ipmap.find_opt vip rb.last with
+    | Some (old, _) ->
+      (match List.filter (fun v -> not (Addr.equal_ip v vip)) (Ipmap.find old rb.onto) with
+       | [] -> Ipmap.remove old rb.onto
+       | vs -> Ipmap.add old vs rb.onto)
+    | None -> rb.onto
+  in
+  let stamp = rb.stamp + 1 in
+  table.now <-
+    { last = Ipmap.add vip (rip, stamp) rb.last;
+      onto = Ipmap.add rip (vip :: Option.value ~default:[] (Ipmap.find_opt rip onto)) onto;
+      stamp }
+
+let detach t = t.table <- { now = t.table.now }
+let rebound table = Ipmap.cardinal table.now.last
 
 (* --- lookups --- *)
 
-let set_vip_map ?own t map =
-  t.addrs <- Installed { own; map; length = -1 };
-  (* the new map supersedes every rebind announced so far *)
-  match t.follow with
-  | Registered (log, _) -> t.seen <- log.len
-  | Departed _ -> t.follow <- Alone
-  | Alone -> ()
+(* A rebind touches only the entries of its vip and leaves them in a state
+   that depends on nothing but its rip, so a later rebind of a vip
+   overrides an earlier one and rebinds of different vips commute: the
+   last rebind of each known vip since the map was installed is all a
+   lookup needs. *)
+let moved t rb vip =
+  match Ipmap.find vip rb.last with
+  | _, stamp -> stamp > t.installed
+  | exception Not_found -> false
 
-let rebind_vip t ~vip ~rip =
-  catch_up t;
-  apply_rebind t ~vip ~rip
+(* [rip], the installed rip of a known [vip], or the rip it moved to. *)
+let current t vip rip =
+  let rb = t.table.now in
+  if rb.stamp <= t.installed then rip
+  else
+    match Ipmap.find vip rb.last with
+    | moved_to, stamp when stamp > t.installed -> moved_to
+    | _ -> rip
+    | exception Not_found -> rip
 
 let indexed t = match t.addrs with Indexed _ -> true | Installed _ -> false
 
 let rip_of_vip t vip =
-  catch_up t;
   let ix = index t in
-  match positions ix.by_vip vip with i :: _ -> ix.rips.(i) | [] -> vip
+  match Iptbl.find ix.by_vip vip with
+  | i -> current t vip (snd ix.entries.(i))
+  | exception Not_found ->
+    (match Ipmap.find vip t.rest.rip_of with
+     | rip -> current t vip rip
+     | exception Not_found -> vip)
 
+(* The entries that now hold [rip] are those installed with it whose vip
+   has not moved, plus the first entry of each known vip that moved onto
+   it.  The map's entries come first, in order; the rest's follow in vip
+   order. *)
 let vip_of_rip t rip =
-  catch_up t;
-  let ix = index t in
-  match positions ix.by_rip rip with i :: _ -> ix.vips.(i) | [] -> rip
+  let ix = index t and rb = t.table.now in
+  if rb.stamp <= t.installed then
+    match positions ix.by_rip rip with
+    | i :: _ -> fst ix.entries.(i)
+    | [] -> (match Ipmap.find rip t.rest.vip_of with v -> v | exception Not_found -> rip)
+  else begin
+    let stayed i = not (moved t rb (fst ix.entries.(i))) in
+    let onto = List.filter (moved t rb) (Option.value ~default:[] (Ipmap.find_opt rip rb.onto)) in
+    let first =
+      List.fold_left
+        (fun best v ->
+          match Iptbl.find ix.by_vip v with i -> min i best | exception Not_found -> best)
+        (match List.find_opt stayed (positions ix.by_rip rip) with Some i -> i | None -> max_int)
+        onto
+    in
+    if first < max_int then fst ix.entries.(first)
+    else
+      (* no vip of the map holds [rip], so a vip that moved onto it is the rest's *)
+      let vips = List.filter (fun v -> Ipmap.mem v t.rest.rip_of) onto in
+      let vips =
+        match Ipmap.find rip t.rest.vip_of with
+        | v when not (moved t rb v) -> v :: vips
+        | _ | (exception Not_found) -> vips
+      in
+      match vips with [] -> rip | v :: vs -> List.fold_left min v vs
+  end
 
 let translate_addr_out t (a : Addr.t) = { a with Addr.ip = rip_of_vip t a.ip }
 let translate_addr_in t (a : Addr.t) = { a with Addr.ip = vip_of_rip t a.ip }

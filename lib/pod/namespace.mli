@@ -10,7 +10,11 @@ module Addr = Zapc_simnet.Addr
 
 type t
 
-val create : unit -> t
+type table
+(** The rebind table: the last rebind of each vip (below). *)
+
+val create : ?table:table -> unit -> t
+(** A namespace that reads [table] (by default a private one). *)
 
 (** {1 PIDs} *)
 
@@ -39,79 +43,77 @@ val set_next_vpid : t -> int -> unit
     are first-entry-wins in both directions: {!rip_of_vip} answers the rip
     of the first entry for the vip, {!vip_of_rip} the vip of the first
     entry for the rip.  Duplicates are legal — a restored pod's map puts
-    the restored set's fresh bindings in front of a stale
-    [(vip, old_rip)], which then still answers [vip_of_rip old_rip].
+    the restored set's fresh bindings in front of the live pods' (the
+    [rest] of {!set_vip_map}), where a stale [(vip, old_rip)] then still
+    answers [vip_of_rip old_rip].
 
     Costs: installing a map is O(1); the first lookup after it indexes the
-    map in O(n); after that each lookup is O(1) plus the log entries it
-    has not yet applied (below), and a rebind is O(entries of that vip and
-    of the rips involved), O(1) for a map without duplicates. *)
+    map in O(n), and the index is never mutated.  After that a lookup
+    costs O(1) from the map and O(log n) from [rest]; once the table holds
+    a rebind newer than the map, add O(log rebound vips) and, for
+    {!vip_of_rip}, the entries of the address. *)
 
-val set_vip_map : ?own:Addr.ip * Addr.ip -> t -> (Addr.ip * Addr.ip) list -> unit
-(** Install a new map, replacing the old one.  [own], the owning pod's
-    binding, goes in front of the map when the map has no entry for its
-    vip.  O(1): the map is indexed (and [own] checked) lazily, so one list
-    may be handed to every pod of an application.  The new map supersedes
-    every rebind logged so far: the namespace's cursor moves to the log's
-    end. *)
+type bindings
+(** A persistent set of [(vip, rip)] bindings, such as the registry's live
+    pods, indexed both ways.  Meant for distinct vips and distinct rips: a
+    binding replaces one with the same vip or rip. *)
 
-val rebind_vip : t -> vip:Addr.ip -> rip:Addr.ip -> unit
-(** Gratuitous-ARP-style update: repoint every entry of [vip] at [rip].
-    Namespaces without the entry are left untouched.  A namespace that
-    follows a log applies the entries it has not seen first. *)
+val no_bindings : bindings
 
-(** {1 The rebind log}
+val bind : bindings -> vip:Addr.ip -> rip:Addr.ip -> bindings
+(** O(log n). *)
+
+val unbind : bindings -> vip:Addr.ip -> rip:Addr.ip -> bindings
+(** Forget the binding where it still holds.  O(log n). *)
+
+val set_vip_map :
+  ?own:Addr.ip * Addr.ip -> ?rest:bindings -> t -> (Addr.ip * Addr.ip) list -> unit
+(** Install a new map, replacing the old one.  [rest] (default none) is
+    consulted after the map, as if its bindings followed it in ascending
+    vip order.  [own], the owning pod's binding, goes in front of the map
+    when neither the map nor [rest] has an entry for its vip.  O(1): the
+    map is indexed (and [own] checked) lazily, so one list may be handed
+    to every pod of an application.  The new map supersedes every rebind
+    in the table so far. *)
+
+(** {1 The rebind table}
 
     Gratuitous ARP without the broadcast.  A rebind that every registered
-    namespace must see is appended once to a {!log}
-    ({!Zapc_pod.Pod.rebind_vip} keeps one next to the pod registry), and no
-    namespace is touched.  A namespace that follows the log keeps a cursor
-    [seen] into it and an end [until], open while it is registered and
-    fixed at the log's length when it leaves.  Its next {!rip_of_vip} or
-    {!vip_of_rip} (and with them both [translate_addr_*]) first applies
-    the entries in [\[seen, until)] with {!rebind_vip}'s index code.
+    namespace must see is recorded once in a {!table}
+    ({!Zapc_pod.Pod.rebind_vip} keeps one next to the pod registry), and
+    no namespace is touched.  The table holds, for each vip, the rip and
+    the stamp of its last rebind, and the same keyed by rip.  A namespace
+    reads it through the stamp at which its map was installed: a lookup
+    of a vip the namespace knows (an entry of its map or of its [rest])
+    whose last rebind is newer answers with that rebind, and any other
+    lookup answers from the installed map.
 
-    Why deferring is exact: a namespace's address state is observable only
-    through those two lookups ({!to_value} images pids only), so applying
-    the same rebinds, in the same order, just before the first lookup that
-    can see them gives the same answers.  The replay also skips an entry
-    whose vip is rebound again before [until]: a rebind leaves its vip's
-    entries in a state that depends only on its own rip, so rebinds of
-    different vips commute and the later one of the same vip wins.
+    Why this is exact: applying every rebind in order to every reading
+    namespace, as the eager broadcast did, repoints every entry of a
+    known vip at the rebind's rip, after which the vip's first entry
+    answers for all of them in both directions.  That state depends on
+    nothing but the rebind's rip, so rebinds of different vips commute
+    and the later rebind of a vip overrides the earlier one: the last
+    rebind of each vip is all a lookup needs.
 
-    Costs: appending is O(1) amortized, whatever the number of followers,
-    and joining or leaving is O(1) with no replay.  When the log's
-    storage is full it is compacted: it keeps only the entries at or after
-    the earliest registered cursor that no later entry shadows, and a
-    registered follower whose pending entries outnumber its map applies
-    them first.  What is kept is therefore at most the largest map of a
-    lagging follower, and the new storage holds four times that or four
-    times the number of followers (at least 64 entries), which bounds the
-    log over any run.  A departed namespace keeps the storage generation
-    it left in, shared with every namespace that left in the same one,
-    until it next translates or is collected. *)
+    Costs: a rebind is O(log rebound vips); the table holds one entry per
+    distinct rebound vip, however many rebinds it takes.  Both sides are
+    persistent maps, so {!detach} is O(1). *)
 
-type log
+val table : unit -> table
+(** An empty table. *)
 
-val log : unit -> log
-(** An empty log with no followers. *)
+val rebind : table -> vip:Addr.ip -> rip:Addr.ip -> unit
+(** Record that [vip] now lives at [rip], for every namespace that reads
+    the table and knows [vip]. *)
 
-val announce : log -> vip:Addr.ip -> rip:Addr.ip -> unit
-(** Append a rebind for every follower to apply when it next translates. *)
+val detach : t -> unit
+(** Stop reading the table: the namespace keeps the rebinds recorded so
+    far, and sees no later one.  O(1). *)
 
-val follow : log -> t -> unit
-(** Start following the log from its current end: the namespace sees
-    every later {!announce}, and none before.  The namespace must follow
-    no log yet ({!Zapc_pod.Pod.create} passes a fresh one). *)
-
-val leave : t -> unit
-(** Stop following: the namespace still applies what was announced
-    before this call, and nothing after.  O(1).  No-op if it follows no
-    log. *)
-
-val log_length : log -> int
-(** Entries the log holds.  Exported for [test_pod], which checks that the
-    log stays bounded across compactions. *)
+val rebound : table -> int
+(** The vips the table holds a rebind for.  Exported for [test_pod],
+    which checks that it holds one entry per distinct rebound vip. *)
 
 val indexed : t -> bool
 (** Whether the address map has been indexed.  Exported for [test_pod],

@@ -19,7 +19,7 @@ type t = {
   pod_id : int;  (* global, stable across migrations *)
   name : string;
   vip : Addr.ip;  (* the address applications see; never changes *)
-  mutable rip : Addr.ip;  (* the real address on the current node *)
+  rip : Addr.ip;  (* the real address on the current node *)
   mutable kernel : Kernel.t;
   ns : Namespace.t;
   mutable time_bias : Simtime.t;  (* added to reported clocks after restart *)
@@ -47,17 +47,22 @@ let registry : (int, t) Hashtbl.t = Hashtbl.create 16
 (* pod_id -> live pod instance; a pod appears here on exactly one node at a
    time (it is re-created at the destination on migration). *)
 
-(* Gratuitous ARP, logged once: every registered pod's namespace follows
-   this log and applies its rebinds when it next translates. *)
-let rebind_log = Namespace.log ()
+(* The live pods' (vip, rip) bindings, which a restored namespace reads
+   after its own map. *)
+let live = ref Namespace.no_bindings
+
+(* Gratuitous ARP, recorded once: every registered pod's namespace reads
+   the last rebind of each vip it knows from this table. *)
+let rebinds = Namespace.table ()
 
 let find pod_id = Hashtbl.find_opt registry pod_id
 
-(* Leaving the registry closes the namespace's view of the log: it still
-   applies the rebinds logged while it was registered, and no later one. *)
+(* Leaving the registry, the namespace keeps the rebinds recorded while it
+   was registered, and sees no later one. *)
 let unregister pod =
   Hashtbl.remove registry pod.pod_id;
-  Namespace.leave pod.ns
+  live := Namespace.unbind !live ~vip:pod.vip ~rip:pod.rip;
+  Namespace.detach pod.ns
 
 (* --- the system-call filter (virtual <-> real translation) --- *)
 
@@ -149,14 +154,14 @@ let adopt_with_vpid pod (proc : Proc.t) ~vpid =
 
 let create ~pod_id ~name ~vip ~rip kernel =
   let pod =
-    { pod_id; name; vip; rip; kernel; ns = Namespace.create (); time_bias = Simtime.zero;
-      virtualize_time = true; frozen = false }
+    { pod_id; name; vip; rip; kernel; ns = Namespace.create ~table:rebinds ();
+      time_bias = Simtime.zero; virtualize_time = true; frozen = false }
   in
   Namespace.set_vip_map pod.ns [ (vip, rip) ];
   Zapc_simnet.Netstack.add_ip (Kernel.netstack kernel) rip;
   Option.iter unregister (find pod_id);
   Hashtbl.replace registry pod_id pod;
-  Namespace.follow rebind_log pod.ns;
+  live := Namespace.bind !live ~vip ~rip;
   pod
 
 (* Install the application-wide virtual->real address map (the Manager
@@ -164,9 +169,12 @@ let create ~pod_id ~name ~vip ~rip kernel =
    entry.  O(1): [Cluster.link_pods] hands one list to every pod. *)
 let set_vip_map pod map = Namespace.set_vip_map ~own:(pod.vip, pod.rip) pod.ns map
 
-(* The current (vip, rip) binding of every live pod.  The restore path
-   extends its partial map with this so a restored pod can still reach
-   application pods outside the restored set. *)
+(* A restored pod's map covers its restored set; the live pods' bindings,
+   as they stand, follow it so it can still reach application pods outside
+   that set. *)
+let restore_vip_map pod map =
+  Namespace.set_vip_map ~own:(pod.vip, pod.rip) ~rest:!live pod.ns map
+
 let current_vip_map () =
   Hashtbl.fold (fun _ (p : t) acc -> (p.vip, p.rip) :: acc) registry []
 
@@ -175,10 +183,8 @@ let current_vip_map () =
    knows the vip — including ones outside the restored application, e.g. a
    client population talking to a restored server — repoints its namespace
    entry, exactly like hosts updating their ARP caches.  The rebind is
-   logged once; each namespace applies it when it next translates. *)
-let rebind_vip ~vip ~rip = Namespace.announce rebind_log ~vip ~rip
-
-let rebind_log_length () = Namespace.log_length rebind_log
+   recorded once; each namespace reads it when it next translates. *)
+let rebind_vip ~vip ~rip = Namespace.rebind rebinds ~vip ~rip
 
 let spawn pod ~program ~args =
   let proc = Kernel.create_proc pod.kernel (Zapc_simos.Program.spawn program args) in

@@ -21,7 +21,7 @@ type t = {
   pod_id : int;  (** global, stable across migrations *)
   name : string;
   vip : Addr.ip;  (** the address applications see; never changes *)
-  mutable rip : Addr.ip;  (** the real address on the current node *)
+  rip : Addr.ip;  (** the real address on the current node *)
   mutable kernel : Kernel.t;
   ns : Namespace.t;
   mutable time_bias : Simtime.t;  (** added to reported clocks after restart *)
@@ -32,7 +32,7 @@ type t = {
 val create : pod_id:int -> name:string -> vip:Addr.ip -> rip:Addr.ip -> Kernel.t -> t
 (** Create an empty pod: attaches [rip] to the node's network stack and
     registers the pod in the global live-pod registry, where its namespace
-    follows the rebind log (see {!rebind_vip}).  A live pod with the same
+    reads the rebind table (see {!rebind_vip}).  A live pod with the same
     id leaves the registry. *)
 
 val find : int -> t option
@@ -45,9 +45,21 @@ val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
     namespace checks the own entry and indexes the map on its first
     lookup. *)
 
+val restore_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
+(** Install a restored pod's map: [map] covers the restored set, and the
+    live pods' bindings as they stand now follow it, first match winning,
+    so the pod still reaches application pods outside that set.  It knows
+    exactly the vips live at this call, plus their later rebinds.  O(1):
+    the live bindings are a persistent snapshot, and only [map] is ever
+    indexed.
+
+    This answers as installing [map @ current_vip_map ()] would, provided
+    the live pods have distinct vips and distinct rips and no two vips are
+    later rebound to one rip ([Cluster] allocates every rip once); beyond
+    that the live bindings count in ascending vip order. *)
+
 val current_vip_map : unit -> (Addr.ip * Addr.ip) list
-(** The (vip, rip) binding of every live pod, for extending a restored
-    pod's partial map with the rest of the world.  O(live pods). *)
+(** The (vip, rip) binding of every live pod.  O(live pods). *)
 
 val rebind_vip : vip:Addr.ip -> rip:Addr.ip -> unit
 (** Gratuitous ARP: repoint [vip] at [rip] in the namespace of every live
@@ -55,21 +67,17 @@ val rebind_vip : vip:Addr.ip -> rip:Addr.ip -> unit
     re-acquires its virtual address at a new real address, so pods outside
     the restored set (e.g. clients of a restored server) keep resolving.
 
-    O(1) amortized, and it touches no namespace: the rebind is appended to
-    a log kept next to the registry ({!Namespace.announce}).  Each
-    registered pod's namespace keeps a cursor into the log and applies the
-    entries it has not seen when it next translates an address, so
-    restoring N pods costs O(N) rebinds, and a namespace pays for them
-    only if it translates.  Installing a map ({!set_vip_map}) moves the
-    cursor to the log's end, as a new map supersedes earlier rebinds.  A
-    pod that leaves the registry ({!destroy}, or replacement by a
-    {!create} with its id) keeps the rebinds logged before it left and
-    sees none after — as when every live namespace was rewritten eagerly,
-    which is what the answers equal ({!Namespace} gives the argument). *)
-
-val rebind_log_length : unit -> int
-(** Entries the rebind log holds.  Exported for [test_pod], which checks
-    that the log stays bounded across compactions. *)
+    O(log rebound vips), and it touches no namespace: the rebind is
+    recorded in a table kept next to the registry ({!Namespace.rebind}),
+    which holds the last rebind of each vip.  Each registered pod's
+    namespace reads it on a lookup of a vip it knows, so restoring N pods
+    costs O(N) table updates and a namespace pays only if it translates.
+    A map installed later ({!set_vip_map}, {!restore_vip_map}) supersedes
+    the rebinds before it.  A pod that leaves the registry ({!destroy}, or
+    replacement by a {!create} with its id) keeps the rebinds recorded
+    before it left and sees none after — as when every live namespace was
+    rewritten eagerly, which is what the answers equal ({!Namespace} gives
+    the argument). *)
 
 val adopt : t -> Proc.t -> unit
 (** Bring a process into the pod: assign the next vpid, install the
@@ -99,8 +107,8 @@ val resume : t -> unit
 
 val destroy : t -> unit
 (** Kill members, release the real address, drop from the registry (after
-    migration, or on abort).  Dropping is O(1): the namespace keeps the
-    rebinds logged so far and applies them only if it translates again. *)
+    migration, or on abort).  Dropping is O(log live pods): the namespace
+    keeps the rebinds recorded so far. *)
 
 val apply_time_bias : t -> saved_clock:Simtime.t -> current_clock:Simtime.t -> unit
 (** Time virtualization (paper section 5): bias reported clocks by

@@ -800,9 +800,9 @@ and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip
         (* step 1: create a new (empty) pod *)
         let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
         (* [vip_map] covers only the restored set; saved connections may
-           also reference application pods outside it, so extend with the
-           rest of the world (first match wins, new bindings shadow) *)
-        Pod.set_vip_map pod (vip_map @ Pod.current_vip_map ());
+           also reference application pods outside it, so the live pods'
+           bindings follow it (first match wins, new bindings shadow) *)
+        Pod.restore_vip_map pod vip_map;
         register_pod t pod;
         let op =
           {

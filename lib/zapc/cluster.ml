@@ -134,6 +134,14 @@ let set_hung t i hung =
     (if hung then Control.pause else Control.resume)
     (Manager.agent_channel t.manager ~node:i)
 
+(* A fresh real address on the node: 172.16.<node>.11 up to .255.  A
+   246th would spill into the next node's subnet, so it is refused. *)
+let alloc_rip n =
+  if n.n_rip_seq >= 245 then
+    invalid_arg (Printf.sprintf "Cluster: node %d has no real address left" n.n_idx);
+  n.n_rip_seq <- n.n_rip_seq + 1;
+  Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
+
 let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let engine = Engine.create ~seed () in
   (* one registry shared by every layer of this cluster; always on *)
@@ -165,13 +173,9 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
         { n_idx = i; n_kernel = kernel; n_agent = agent; n_host_ip = host_ip;
           n_rip_seq = 0; n_alive = true })
   in
-  let alloc_rip node_idx =
-    let n = nodes.(node_idx) in
-    n.n_rip_seq <- n.n_rip_seq + 1;
-    Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
-  in
   let manager =
-    Manager.create ~metrics ~engine ~params ~storage ~trace ~alloc_rip ()
+    Manager.create ~metrics ~engine ~params ~storage ~trace
+      ~alloc_rip:(fun i -> alloc_rip nodes.(i)) ()
   in
   let t =
     { engine; fabric; storage; params; nodes; manager; metrics;
@@ -226,19 +230,14 @@ let alloc_vip t =
   t.next_vip_seq <- t.next_vip_seq + 1;
   Addr.make_ip 10 77 (t.next_vip_seq / 250) (1 + (t.next_vip_seq mod 250))
 
-let alloc_rip t node_idx =
-  let n = t.nodes.(node_idx) in
-  n.n_rip_seq <- n.n_rip_seq + 1;
-  Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
-
 (* Create an (empty) pod on a node and register it with the node's Agent and
    with the Manager's pod-info cache. *)
 let create_pod t ~node_idx ~name =
   let pod_id = t.next_pod_id in
   t.next_pod_id <- t.next_pod_id + 1;
   let vip = alloc_vip t in
-  let rip = alloc_rip t node_idx in
   let n = t.nodes.(node_idx) in
+  let rip = alloc_rip n in
   let pod = Pod.create ~pod_id ~name ~vip ~rip n.n_kernel in
   Agent.register_pod n.n_agent pod;
   Manager.remember_pod t.manager ~pod_id ~name ~vip

@@ -67,12 +67,11 @@ val set_hung : t -> int -> bool -> unit
     healthy) and [false] drains it.  The hang belongs to the node, so a
     re-formed tree pauses the node's fresh uplink too. *)
 
-val alloc_rip : t -> int -> Addr.ip
-(** Fresh real address on the given node (172.16.<node>.0/24). *)
-
 val create_pod : t -> node_idx:int -> name:string -> Pod.t
 (** Create an empty pod on a node, registered with its Agent and the
-    Manager's pod-info cache. *)
+    Manager's pod-info cache.  Its real address is fresh: a node hands
+    out 172.16.<node>.11 to .255, each once (restarts take them too).
+    @raise Invalid_argument when the node has none left. *)
 
 val link_pods : Pod.t list -> unit
 (** Install the application-wide virtual address map on a pod group. *)

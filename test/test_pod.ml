@@ -316,14 +316,17 @@ let gen_ns_ops =
   list_size (int_range 1 30) op
 
 (* Lookups are only checked where the sequence asks for them, so rebinds
-   also hit namespaces that have not indexed their map yet. *)
+   also hit namespaces that have not indexed their map yet.  The rebinds go
+   through a table the namespace reads; the model applies them to its
+   list. *)
 let prop_namespace_matches_list_model =
   QCheck.Test.make ~name:"indexed address map matches the list model" ~count:2000
     (QCheck.make ~shrink:QCheck.Shrink.list
        ~print:(fun ops -> String.concat ", " (List.map pp_ns_op ops))
        gen_ns_ops)
     (fun ops ->
-      let ns = Namespace.create () and m = List_model.create () in
+      let table = Namespace.table () in
+      let ns = Namespace.create ~table () and m = List_model.create () in
       let ip i = addr_pool.(i) in
       let all_agree () =
         Array.for_all
@@ -340,7 +343,7 @@ let prop_namespace_matches_list_model =
           List_model.set_vip_map ?own m map;
           true
         | Rebind (v, r) ->
-          Namespace.rebind_vip ns ~vip:(ip v) ~rip:(ip r);
+          Namespace.rebind table ~vip:(ip v) ~rip:(ip r);
           List_model.rebind_vip m ~vip:(ip v) ~rip:(ip r);
           true
         | Rip_of v ->
@@ -362,7 +365,8 @@ let prop_namespace_matches_list_model =
    the fresh (vip, new_rip): the fresh entry answers for the vip, the
    stale one still answers for the old rip until the vip is rebound. *)
 let test_namespace_stale_duplicate () =
-  let ns = Namespace.create () in
+  let table = Namespace.table () in
+  let ns = Namespace.create ~table () in
   let vip = Addr.make_ip 10 1 0 1 and other = Addr.make_ip 10 1 0 2 in
   let fresh = Addr.make_ip 172 16 2 11 and stale = Addr.make_ip 172 16 1 11 in
   let other_rip = Addr.make_ip 172 16 3 11 in
@@ -371,26 +375,29 @@ let test_namespace_stale_duplicate () =
   check tbool "fresh rip maps back" true (Namespace.vip_of_rip ns fresh = vip);
   check tbool "stale rip still maps back" true (Namespace.vip_of_rip ns stale = vip);
   let moved = Addr.make_ip 172 16 4 11 in
-  Namespace.rebind_vip ns ~vip ~rip:moved;
+  Namespace.rebind table ~vip ~rip:moved;
   check tbool "rebind moves the vip" true (Namespace.rip_of_vip ns vip = moved);
   check tbool "new rip maps back" true (Namespace.vip_of_rip ns moved = vip);
   check tbool "stale rip forgotten" true (Namespace.vip_of_rip ns stale = stale);
   check tbool "fresh rip forgotten" true (Namespace.vip_of_rip ns fresh = fresh);
   check tbool "other vip untouched" true (Namespace.rip_of_vip ns other = other_rip);
-  Namespace.rebind_vip ns ~vip:(Addr.make_ip 10 9 9 9) ~rip:moved;
+  Namespace.rebind table ~vip:(Addr.make_ip 10 9 9 9) ~rip:moved;
   check tbool "rebinding an unknown vip is a no-op" true
     (Namespace.vip_of_rip ns moved = vip
      && Namespace.rip_of_vip ns (Addr.make_ip 10 9 9 9) = Addr.make_ip 10 9 9 9)
 
-(* --- the registry's rebind log --- *)
+(* --- the registry's rebind table --- *)
 
 (* The reference for the registry is the eager broadcast: one list model
    per pod, and a rebind applied at once to the model of every pod still
-   registered.  The pods follow the rebind log instead and apply it only
-   when they translate; every lookup must answer as the model does, on
-   live pods and on pods that left the registry. *)
+   registered.  The pods read the rebind table instead, and only when they
+   translate; every lookup must answer as the model does, on live pods
+   and on pods that left the registry.  A restored pod's reference is the
+   copy its snapshot stands for: its partial map followed by every live
+   pod's binding. *)
 type reg_op =
   | Create of int * int * int  (* slot (its pod id), vip, rip *)
+  | Restore of int * int * int * (int * int) list  (* a create, then a restored map *)
   | Destroy of int  (* a pod created so far, by creation order *)
   | Set_map of int * (int * int) list
   | Rebinds of (int * int) list
@@ -402,6 +409,9 @@ type reg_op =
 
 let pp_reg_op = function
   | Create (s, v, r) -> Printf.sprintf "create #%d %d->%d" s v r
+  | Restore (s, v, r, m) ->
+    Printf.sprintf "restore #%d %d->%d [%s]" s v r
+      (String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d->%d" v r) m))
   | Destroy k -> Printf.sprintf "destroy %d" k
   | Set_map (k, m) ->
     Printf.sprintf "set %d [%s]" k
@@ -415,26 +425,43 @@ let pp_reg_op = function
   | Look_in (k, x) -> Printf.sprintf "in %d %d" k x
   | Look_all k -> Printf.sprintf "all %d" k
 
-(* Four slots, so a create often replaces a live pod of the same id; the
-   long rebind runs carry the shared log across its compactions. *)
+(* Slots are pod ids, so a create often replaces a live pod of the same
+   id; the long rebind runs rebind most vips several times.  Half the
+   sequences draw any address for a create.  The other half restore pods
+   too, and there every create gives slot [s] the vip [2s] and the rip
+   [2s] or [2s + 1], so the live pods' vips and rips stay distinct, the
+   invariant [Cluster] keeps and under which a restored namespace answers
+   as the copy would.  Their rebinds still draw any address, so two vips
+   may move onto one rip; the copy then lists the live bindings in
+   ascending vip order, as [Pod.restore_vip_map] specifies. *)
 let gen_reg_ops =
   let open QCheck.Gen in
   let a = int_bound (Array.length addr_pool - 1) in
   let k = int_bound 15 in
-  let op =
-    frequency
-      [ (3, map3 (fun s v r -> Create (s, v, r)) (int_bound 3) a a);
-        (2, map (fun k -> Destroy k) k);
-        (2, map2 (fun k m -> Set_map (k, m)) k (list_size (int_bound 8) (pair a a)));
-        (4, map (fun rs -> Rebinds rs) (list_size (int_range 1 3) (pair a a)));
-        (1, map (fun rs -> Rebinds rs) (list_size (int_range 20 90) (pair a a)));
-        (1, map2 (fun k v -> Look_rip (k, v)) k a);
-        (1, map2 (fun k r -> Look_vip (k, r)) k a);
-        (1, map2 (fun k x -> Look_out (k, x)) k a);
-        (1, map2 (fun k x -> Look_in (k, x)) k a);
-        (1, map (fun k -> Look_all k) k) ]
+  let distinct = map2 (fun s c -> (s, 2 * s, (2 * s) + c)) (int_bound 2) (int_bound 1) in
+  let ops creates =
+    let op =
+      frequency
+        (creates
+        @ [ (2, map (fun k -> Destroy k) k);
+            (2, map2 (fun k m -> Set_map (k, m)) k (list_size (int_bound 8) (pair a a)));
+            (4, map (fun rs -> Rebinds rs) (list_size (int_range 1 3) (pair a a)));
+            (1, map (fun rs -> Rebinds rs) (list_size (int_range 20 90) (pair a a)));
+            (1, map2 (fun k v -> Look_rip (k, v)) k a);
+            (1, map2 (fun k r -> Look_vip (k, r)) k a);
+            (1, map2 (fun k x -> Look_out (k, x)) k a);
+            (1, map2 (fun k x -> Look_in (k, x)) k a);
+            (1, map (fun k -> Look_all k) k) ])
+    in
+    list_size (int_range 1 60) op
   in
-  list_size (int_range 1 60) op
+  oneof
+    [ ops [ (3, map3 (fun s v r -> Create (s, v, r)) (int_bound 3) a a) ];
+      ops
+        [ (2, map (fun (s, v, r) -> Create (s, v, r)) distinct);
+          ( 2,
+            map2 (fun (s, v, r) m -> Restore (s, v, r, m)) distinct
+              (list_size (int_bound 4) (pair a a)) ) ] ]
 
 type reg_pod = { pod : Pod.t; model : List_model.t; mutable registered : bool }
 
@@ -455,16 +482,31 @@ let prop_registry_matches_broadcast =
         && Addr.equal_ip (Namespace.vip_of_rip e.pod.Pod.ns x) (List_model.vip_of_rip e.model x)
       in
       let look k f = Array.length !pods = 0 || f (nth k) in
+      let create slot v r =
+        let pod_id = reg_base_id + slot in
+        Array.iter (fun e -> if e.pod.Pod.pod_id = pod_id then e.registered <- false) !pods;
+        let pod = Pod.create ~pod_id ~name:"reg" ~vip:(ip v) ~rip:(ip r) env.k0 in
+        let model = List_model.create () in
+        List_model.set_vip_map model [ (ip v, ip r) ];
+        let e = { pod; model; registered = true } in
+        pods := Array.append !pods [| e |];
+        e
+      in
       let step = function
         | Create (slot, v, r) ->
-          let pod_id = reg_base_id + slot in
-          Array.iter (fun e -> if e.pod.Pod.pod_id = pod_id then e.registered <- false) !pods;
-          let pod =
-            Pod.create ~pod_id ~name:"reg" ~vip:(ip v) ~rip:(ip r) env.k0
+          ignore (create slot v r);
+          true
+        | Restore (slot, v, r, map) ->
+          let e = create slot v r in
+          let map = List.map (fun (v, r) -> (ip v, ip r)) map in
+          let live =
+            Array.to_list !pods
+            |> List.filter_map (fun e ->
+                   if e.registered then Some (e.pod.Pod.vip, e.pod.Pod.rip) else None)
+            |> List.sort compare
           in
-          let model = List_model.create () in
-          List_model.set_vip_map model [ (ip v, ip r) ];
-          pods := Array.append !pods [| { pod; model; registered = true } |];
+          Pod.restore_vip_map e.pod map;
+          List_model.set_vip_map ~own:(e.pod.Pod.vip, e.pod.Pod.rip) e.model (map @ live);
           true
         | Destroy k ->
           look k (fun e ->
@@ -511,7 +553,7 @@ let prop_registry_matches_broadcast =
 (* The migration-abort shape: the destination's copy replaces the source
    in the registry and is then destroyed, and the source resumes.  The
    source keeps the bindings it had when it left, however many rebinds
-   and log compactions come after. *)
+   come after. *)
 let test_departed_keeps_bindings () =
   let env = make_env () in
   let src = fresh_pod env ~vip_last:1 ~rip_last:1 () in
@@ -548,26 +590,20 @@ let test_map_after_rebind () =
   Pod.destroy pod
 
 (* Eight pods with the full map, as an idle fleet after a restart: rebinds
-   run the log through many compactions without indexing one of them.
-   The log stays within its floor or four times the registered pods (the
-   pods other cases left registered count too), as no follower lags by
-   more than its eight-entry map. *)
+   index none of them, and a lookup indexes only its own namespace. *)
 let test_rebinds_leave_idle_namespaces () =
   let env = make_env () in
   let pods = List.init 8 (fun i -> fresh_pod env ~vip_last:(20 + i) ~rip_last:(20 + i) ()) in
   let map = List.map (fun (p : Pod.t) -> (p.vip, p.rip)) pods in
   List.iter (fun p -> Pod.set_vip_map p map) pods;
-  let longest = ref 0 in
   for i = 0 to 1999 do
     let p = List.nth pods (i mod 8) in
-    Pod.rebind_vip ~vip:p.Pod.vip ~rip:(Addr.make_ip 192 168 (i lsr 8) (i land 255));
-    longest := max !longest (Pod.rebind_log_length ())
+    Pod.rebind_vip ~vip:p.Pod.vip ~rip:(Addr.make_ip 192 168 (i lsr 8) (i land 255))
   done;
   check tbool "no namespace indexed" true
     (List.for_all (fun (p : Pod.t) -> not (Namespace.indexed p.ns)) pods);
-  check tbool "log bounded" true (!longest <= 256);
   let first = List.hd pods and last = List.nth pods 7 in
-  check tbool "a lookup applies the log" true
+  check tbool "a lookup reads the latest rebind" true
     (Addr.equal_ip (Namespace.rip_of_vip first.ns last.vip) (Addr.make_ip 192 168 7 207));
   check tbool "only the pod that translated is indexed" true
     (Namespace.indexed first.ns && not (Namespace.indexed last.ns));
@@ -609,12 +645,12 @@ let test_virtual_addresses_end_to_end () =
   register_programs ();
   let env = make_env () in
   let pa = fresh_pod env ~kernel:env.k0 ~vip_last:1 ~rip_last:1 () in
-  let pb = fresh_pod env ~kernel:env.k1 ~vip_last:2 ~rip_last:2 () in
-  (* the rip of pb lives on node 1 even though both pods share subnet 172.16.0 *)
-  pb.Pod.rip <- Addr.make_ip 172 16 1 2;
-  (* recreate registration under the corrected rip *)
-  Zapc_simnet.Netstack.remove_ip (Kernel.netstack env.k1) (Addr.make_ip 172 16 0 2);
-  Zapc_simnet.Netstack.add_ip (Kernel.netstack env.k1) pb.Pod.rip;
+  (* the rip of pb lives on node 1's subnet *)
+  incr next_pod_id;
+  let pb =
+    Pod.create ~pod_id:!next_pod_id ~name:"pb" ~vip:(Addr.make_ip 10 1 0 2)
+      ~rip:(Addr.make_ip 172 16 1 2) env.k1
+  in
   let map = [ (pa.Pod.vip, pa.Pod.rip); (pb.Pod.vip, pb.Pod.rip) ] in
   Pod.set_vip_map pa map;
   Pod.set_vip_map pb map;
@@ -731,27 +767,26 @@ let test_members_ordering () =
      check tbool "procs match" true (p1 == a && p2 == b)
    | _ -> Alcotest.fail "bad members")
 
-(* A pod that never translates while thousands of distinct vips are
-   rebound: rather than hold every rebind for it, the log has it apply
-   them once they outnumber its map, and stays bounded. *)
-let test_lagging_pod_bounds_log () =
-  let env = make_env () in
-  let pod = fresh_pod env ~vip_last:1 ~rip_last:1 () in
+(* A namespace that never translates while thousands of rebinds go by:
+   the table keeps one entry per distinct rebound vip, however many
+   rebinds each takes, and the namespace answers with the latest. *)
+let test_one_entry_per_vip () =
+  let table = Namespace.table () in
+  let ns = Namespace.create ~table () in
   let peer = Addr.make_ip 10 1 0 2 in
-  Pod.set_vip_map pod [ (peer, Addr.make_ip 172 16 0 2) ];
-  let moved = Addr.make_ip 172 16 5 2 in
-  Pod.rebind_vip ~vip:peer ~rip:moved;
-  let longest = ref 0 in
+  Namespace.set_vip_map ns [ (peer, Addr.make_ip 172 16 0 2) ];
   for i = 0 to 2999 do
-    Pod.rebind_vip ~vip:(Addr.make_ip 10 2 (i lsr 8) (i land 255)) ~rip:moved;
-    longest := max !longest (Pod.rebind_log_length ())
+    Namespace.rebind table ~vip:peer ~rip:(Addr.make_ip 172 16 5 (i land 255));
+    Namespace.rebind table ~vip:(Addr.make_ip 10 2 0 (i land 63))
+      ~rip:(Addr.make_ip 172 17 (i lsr 8) (i land 255))
   done;
-  check tbool "log bounded" true (!longest <= 256);
-  check tbool "the pod applied what it lagged by" true (Namespace.indexed pod.Pod.ns);
-  check tbool "and answers with it" true
-    (Addr.equal_ip (Namespace.rip_of_vip pod.Pod.ns peer) moved
-     && Addr.equal_ip (Namespace.vip_of_rip pod.Pod.ns moved) peer);
-  Pod.destroy pod
+  check tint "one entry per rebound vip" 65 (Namespace.rebound table);
+  check tbool "the namespace never translated" false (Namespace.indexed ns);
+  let latest = Addr.make_ip 172 16 5 (2999 land 255) in
+  check tbool "and answers with the latest rebind" true
+    (Addr.equal_ip (Namespace.rip_of_vip ns peer) latest
+     && Addr.equal_ip (Namespace.vip_of_rip ns latest) peer
+     && Addr.equal_ip (Namespace.vip_of_rip ns (Addr.make_ip 172 16 5 0)) (Addr.make_ip 172 16 5 0))
 
 let () =
   Alcotest.run "pod"
@@ -768,8 +803,8 @@ let () =
           Alcotest.test_case "map installed after a rebind" `Quick test_map_after_rebind;
           Alcotest.test_case "rebinds leave idle namespaces alone" `Quick
             test_rebinds_leave_idle_namespaces;
-          Alcotest.test_case "a lagging pod keeps the log bounded" `Quick
-            test_lagging_pod_bounds_log ] );
+          Alcotest.test_case "one entry per rebound vip" `Quick
+            test_one_entry_per_vip ] );
       ( "virtualization",
         [ Alcotest.test_case "getpid" `Quick test_getpid_virtualized;
           Alcotest.test_case "kill by vpid" `Quick test_kill_by_vpid;

@@ -2423,6 +2423,21 @@ let test_tree_metric_catalogue () =
     [ run_tree_checkpoint_restart (); run_tree_subtree_break ();
       tree_supervised_reform (); relay_misroute () ]
 
+(* A node hands out 245 real addresses, 172.16.<node>.11 to .255, each
+   once; a 246th would land in the next node's subnet, so it raises. *)
+let test_rip_exhaustion () =
+  let cluster = make_cluster ~nodes:2 () in
+  let pods = List.init 245 (fun _ -> Cluster.create_pod cluster ~node_idx:0 ~name:"rip") in
+  let rips = List.sort_uniq compare (List.map (fun (p : Pod.t) -> p.rip) pods) in
+  check tint "245 distinct rips" 245 (List.length rips);
+  check tbool "all on node 0's subnet" true
+    (List.for_all (fun r -> r land lnot 0xff = Addr.make_ip 172 16 0 0) rips);
+  check tbool "the next one raises" true
+    (match Cluster.create_pod cluster ~node_idx:0 ~name:"rip" with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  List.iter Pod.destroy pods
+
 (* Gratuitous ARP at fleet scale: 32 linked pods plus a client pod that is
    not restored.  After the 32 restart one node over, every live
    namespace — the client's included — resolves each restored vip to its
@@ -2528,6 +2543,7 @@ let () =
             test_stream_source_lost;
           Alcotest.test_case "restart rebinds every namespace" `Quick
             test_restart_rebinds_every_namespace;
+          Alcotest.test_case "a node's real addresses run out" `Quick test_rip_exhaustion;
           Alcotest.test_case "storage metric catalogue" `Quick
             test_storage_metric_catalogue;
           Alcotest.test_case "checkpoint metric catalogue" `Quick
