@@ -4,8 +4,8 @@
    checkpoint cost; this module brings the same stage to the simulated
    pipeline as a *cost model*: the stored/flushed byte count shrinks by a
    deterministic per-image ratio while the compressor charges virtual CPU
-   time (Params.compress_bps) to the checkpoint.  The bytes that must stay
-   byte-identical for restart (the Wire encoding) are never transformed —
+   time (the Agent's compress_bps) to the checkpoint.  The bytes that must
+   stay byte-identical for restart (the Wire encoding) are never transformed —
    only the accounting changes, matching how the simulation models
    address-space pages as region descriptors rather than real contents.
 
@@ -67,14 +67,12 @@ let encoded_ratio (s : string) =
     Float.min 0.98 (Float.max 0.12 (bits /. 8.0))
   end
 
-(* (name, size, generation) list out of one process's "mem" field (both the
-   tagged [size; gen] shape and the legacy bare-size shape). *)
+(* (name, size, generation) list out of one process's "mem" field. *)
 let regions_of_mem (mem : Value.t) =
   List.map
     (fun (name, rv) ->
-      match rv with
-      | Value.List [ s; g ] -> (name, Value.to_int s, Value.to_int g)
-      | _ -> (name, Value.to_int rv, 1))
+      let size, gen = Zapc_simos.Memory.region_of_value rv in
+      (name, size, gen))
     (Value.to_assoc mem)
 
 let regions_of_procs (procs : Value.t) =

@@ -64,6 +64,13 @@ let unregister pod =
   live := Namespace.unbind !live ~vip:pod.vip ~rip:pod.rip;
   Namespace.detach pod.ns
 
+(* A new cluster starts with no pods: the pods of an earlier one leave the
+   registry, their namespaces keeping the rebinds recorded so far. *)
+let clear_registry () =
+  Hashtbl.iter (fun _ pod -> Namespace.detach pod.ns) registry;
+  Hashtbl.reset registry;
+  live := Namespace.no_bindings
+
 (* --- the system-call filter (virtual <-> real translation) --- *)
 
 let rec filter_of pod : Proc.filter =

@@ -38,6 +38,13 @@ val create : pod_id:int -> name:string -> vip:Addr.ip -> rip:Addr.ip -> Kernel.t
 val find : int -> t option
 (** Look up a live pod by id (a pod lives on exactly one node at a time). *)
 
+val clear_registry : unit -> unit
+(** Empty the live-pod registry: every registered pod leaves it as
+    {!destroy} would have it leave (its namespace keeps the rebinds
+    recorded so far), without killing members or releasing addresses.
+    [Zapc.Cluster.make] calls it first, since pod ids and real addresses
+    restart in every cluster. *)
+
 val set_vip_map : t -> (Addr.ip * Addr.ip) list -> unit
 (** Install the application-wide virtual->real address map; the pod's own
     entry is prepended when the map lacks it.  Lookups are

@@ -115,15 +115,15 @@ let to_value t =
   let kvs = List.sort (fun (a, _) (b, _) -> String.compare a b) kvs in
   Value.Assoc kvs
 
+let region_of_value = function
+  | Value.List [ s; g ] -> (Value.to_int s, Value.to_int g)
+  | _ -> Value.decode_error "memory region: expected [size; gen]"
+
 let of_value v =
   let t = create () in
   List.iter
     (fun (k, rv) ->
-      let size, g =
-        match rv with
-        | Value.List [ s; g ] -> (Value.to_int s, Value.to_int g)
-        | _ -> (Value.to_int rv, 1)  (* legacy shape: plain size *)
-      in
+      let size, g = region_of_value rv in
       Hashtbl.replace t.regions k size;
       Hashtbl.replace t.gens k g;
       (* restored regions start dirty: the first post-restart delta must

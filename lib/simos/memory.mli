@@ -61,7 +61,10 @@ val to_value : t -> Zapc_codec.Value.t
 (** Regions encode as name -> [size; generation] so dedup content tags
     survive a checkpoint-restart cycle. *)
 
+val region_of_value : Zapc_codec.Value.t -> int * int
+(** One region's [size; generation] pair as {!to_value} encodes it; raises
+    {!Zapc_codec.Value.Decode_error} on any other shape. *)
+
 val of_value : Zapc_codec.Value.t -> t
-(** Inverse of {!to_value} (a bare name -> size assoc is also accepted,
-    with generation 1).  Every restored region starts dirty: the first
+(** Inverse of {!to_value}.  Every restored region starts dirty: the first
     post-restart delta must write it. *)

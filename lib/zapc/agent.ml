@@ -255,6 +255,15 @@ let mig_base_key pod_id = Printf.sprintf "mig:pod%d" pod_id
    fraction of the pod's full image. *)
 let mig_dirty_threshold = 0.05
 
+(* Suspending a pod installs its netfilter block rules in this time. *)
+let netfilter_cost = Simtime.us 30
+
+(* Creating the empty pod a restart fills. *)
+let pod_create_cost = Simtime.ms 2
+
+(* Virtual-CPU (de)compression throughput, bytes/s. *)
+let compress_bps = 450e6
+
 (* ------------------------------------------------------------------ *)
 (* Abort paths (Manager failure / explicit abort / timeouts)           *)
 (* ------------------------------------------------------------------ *)
@@ -441,7 +450,7 @@ and suspend t op =
   let suspend_cost =
     Simtime.add
       (Params.scale t.params.kconfig.signal_cost (Pod.member_count pod))
-      t.params.netfilter_cost
+      netfilter_cost
   in
   after t suspend_cost (fun () ->
       if not op.co_aborted then begin
@@ -562,7 +571,7 @@ and ckpt_standalone t op net =
   let compress_cost =
     match op.co_dest with
     | Protocol.U_storage _ when t.params.compress ->
-      Params.copy_time ~bps:t.params.compress_bps write_bytes
+      Params.copy_time ~bps:compress_bps write_bytes
     | Protocol.U_storage _ | Protocol.U_node _ -> Simtime.zero
   in
   let cost =
@@ -796,7 +805,7 @@ and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip
     let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
     span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
       "pod_create";
-    after t t.params.pod_create_cost (fun () ->
+    after t pod_create_cost (fun () ->
         (* step 1: create a new (empty) pod *)
         let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
         (* [vip_map] covers only the restored set; saved connections may
@@ -1191,7 +1200,7 @@ and restore_standalone t op =
          (streams travel uncompressed and skip it) *)
       let decompress_cost =
         if t.params.compress && op.ro_landing = None then
-          Params.copy_time ~bps:t.params.compress_bps image_bytes
+          Params.copy_time ~bps:compress_bps image_bytes
         else Simtime.zero
       in
       jittered t

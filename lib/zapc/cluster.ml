@@ -143,6 +143,9 @@ let alloc_rip n =
   Addr.make_ip 172 16 n.n_idx (10 + n.n_rip_seq)
 
 let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
+  (* pod ids and real addresses restart in every cluster, so no pod of an
+     earlier one may still answer for them *)
+  Pod.clear_registry ();
   let engine = Engine.create ~seed () in
   (* one registry shared by every layer of this cluster; always on *)
   let metrics = Metrics.create () in
@@ -153,7 +156,7 @@ let make ?(seed = 42) ?(cpus = 1) ~params ~node_count () =
   let storage =
     Storage.create ~metrics ~trace ~bps:params.Params.storage_bps
       ~backend:params.Params.storage_backend
-      ~compress:params.Params.compress ~buddy_bps:params.Params.buddy_bps
+      ~compress:params.Params.compress
       ~nodes:node_count engine
   in
   (* one SAN-backed file system mounted by every node *)

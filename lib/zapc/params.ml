@@ -10,8 +10,8 @@ module Kconfig = Zapc_simos.Kconfig
    - [Sb_plain]: every image verbatim on every replica of the shared store
      (the default).
    - [Sb_dedup]: content-addressed chunk store — encoded bytes and modelled
-     memory regions split into FNV-addressed chunks stored once, refcounted
-     against the pin/condemn GC.
+     memory regions split into FNV-addressed chunks stored once and freed
+     with the last stored image that references them.
    - [Sb_buddy]: peer-memory backend — each image lands in the owner node's
      RAM plus a partner ("buddy") node's RAM over the per-node links,
      bypassing the shared SAN entirely; the Supervisor re-buddies surviving
@@ -49,22 +49,15 @@ type t = {
   per_socket_restore : Simtime.t;
   net_ckpt_fixed : Simtime.t;  (* walk socket tables, sync with netfilter *)
   net_restore_fixed : Simtime.t;
-  netfilter_cost : Simtime.t;  (* install/remove the block rules *)
   ckpt_fixed : Simtime.t;  (* per-pod quiesce + kernel-object enumeration *)
   restore_fixed : Simtime.t;  (* per-pod image validation + object re-creation *)
-  pod_create_cost : Simtime.t;
   mem_bw : float;  (* image write/read bandwidth to memory, bytes/s *)
   storage_bps : float;  (* SAN flush bandwidth (not in checkpoint time) *)
   storage_backend : storage_backend;
   compress : bool;
   (* compress images before storing: stored/flushed bytes shrink to the
      image's modelled compressed size while checkpoint (and storage-path
-     restore) pay the virtual-CPU compressor cost below *)
-  compress_bps : float;  (* virtual-CPU (de)compression throughput, bytes/s *)
-  buddy_bps : float;
-  (* per-node link bandwidth of the buddy backend's peer-memory transfers;
-     flushes ride each owner's own link, in parallel across nodes, instead
-     of serializing on the shared SAN *)
+     restore) pay the Agent's virtual-CPU compressor cost *)
   cost_jitter : float;
   (* relative uniform jitter on agent-side costs, modelling background
      activity and cache effects (the paper reports checkpoint-time std-devs
@@ -120,16 +113,12 @@ let default =
     per_socket_restore = Simtime.ms 3;
     net_ckpt_fixed = Simtime.us 2500;
     net_restore_fixed = Simtime.ms 8;
-    netfilter_cost = Simtime.us 30;
     ckpt_fixed = Simtime.ms 85;
     restore_fixed = Simtime.ms 160;
-    pod_create_cost = Simtime.ms 2;
     mem_bw = 1.5e9;
     storage_bps = 180e6;
     storage_backend = Sb_plain;
     compress = false;
-    compress_bps = 450e6;
-    buddy_bps = 1e9;
     cost_jitter = 0.35;
     phase_timeout = Simtime.sec 60.0;
     fs_snapshot = false;

@@ -40,15 +40,17 @@
    the Agent.  The bytes that restart must reproduce are never transformed,
    so restart stays checksum-identical across every backend combination.
 
-   Keys are *versioned* internally: each [put key] allocates a fresh
-   physical name (key, version) and retires the previous version.  If live
-   deltas still pin the previous version its bytes are preserved under the
-   shadow name (copy-on-write) until the last referencing delta goes —
-   without this, overwriting a delta's base silently swaps the bytes the
-   chain resolves against and [get] materializes a wrong image with a valid
-   per-link checksum.  Chain links recorded at [put] bind to the base
-   *version* current at write time, so later overwrites of the base key
-   cannot retarget existing chains. *)
+   A key names its current entry, and a delta's entry holds the entry its
+   base key named when the delta was put.  An entry is reference-counted
+   like a chunk or a region: the key that names it and each live delta
+   based on it hold one reference.  [put key] binds the new entry and
+   retires the key's old one; [remove key] retires it too.  A retired
+   entry that live deltas still reference keeps its bytes (copy-on-write)
+   until the last of them goes, and then releases its own base in turn —
+   without this, overwriting a delta's base would swap the bytes the chain
+   resolves against and [get] would materialize a wrong image with a valid
+   per-link checksum.  Since a chain holds entries, not key names, a later
+   put or remove of the base key cannot retarget it. *)
 
 module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
@@ -99,11 +101,21 @@ type slot = {
   mutable data : (stored * int) option;  (* the copy and its checksum *)
 }
 
-(* One stored physical name: the pristine recipe, its checksum, its
-   accounted (flush/backfill) byte size, and its copy slots.  The pristine
-   recipe is the source of truth for chunk refcounts and heal-time
-   backfill; corruption injection only ever touches a slot's copy. *)
-type entry = { e_stored : stored; e_sum : int; e_bytes : int; copies : slot array }
+(* One stored image: the pristine recipe, its checksum, its accounted
+   (flush/backfill) byte size, and its copy slots.  The pristine recipe is
+   the source of truth for chunk refcounts and heal-time backfill;
+   corruption injection only ever touches a slot's copy.  A delta's
+   [e_base] is the entry its base key named at put time ([None] for a full
+   image, or a delta whose base key held nothing then). *)
+type entry = {
+  e_stored : stored;
+  e_sum : int;
+  e_bytes : int;
+  copies : slot array;
+  e_base : entry option;
+  e_serial : int;  (* the put that made it: its key in [live] *)
+  mutable e_refs : int;  (* the key naming it + each live delta based on it *)
+}
 
 type t = {
   engine : Engine.t;
@@ -111,21 +123,14 @@ type t = {
   chunked : bool;  (* split images into the content-addressed pool *)
   place : int -> loc array;  (* writer's node -> one location per slot *)
   bps : float;  (* shared SAN flush bandwidth *)
-  buddy_bps : float;  (* per-node link bandwidth (buddy transfers) *)
-  latency : Simtime.t;
   nodes : int;  (* cluster size buddy partners are drawn from *)
   fails : string option array;  (* injected per-slot outages *)
   dead : (int, unit) Hashtbl.t;
   chunks : (int, chunk) Hashtbl.t;  (* content-addressed chunk pool *)
   regions : (string * int * int, region) Hashtbl.t;  (* interned region tags *)
-  (* versioned keyspace *)
-  versions : (string, int) Hashtbl.t;  (* public key -> current version *)
-  vseq : (string, int) Hashtbl.t;  (* public key -> last version ever issued *)
-  entries : (string, entry) Hashtbl.t;  (* pname -> entry *)
-  (* delta-chain bookkeeping, keyed by physical name *)
-  bases : (string, string) Hashtbl.t;  (* delta pname -> its base pname *)
-  pins : (string, int) Hashtbl.t;  (* pname -> # of live deltas based on it *)
-  condemned : (string, unit) Hashtbl.t;  (* retired/removed while pinned *)
+  heads : (string, entry) Hashtbl.t;  (* public key -> its current entry *)
+  live : (int, entry) Hashtbl.t;  (* put serial -> every entry not yet freed *)
+  mutable serial : int;
   metrics : Metrics.t;
   mutable bytes_written : int;
   mutable fail_writes : string option;
@@ -156,9 +161,8 @@ let next_alive ~nodes ~dead after =
   in
   go 1
 
-let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
-    ?(backend = Params.Sb_plain) ?(compress = false)
-    ?(buddy_bps = 1e9) ?(nodes = 2) engine =
+let create ?metrics ~trace ?(bps = 180e6) ?(backend = Params.Sb_plain)
+    ?(compress = false) ?(nodes = 2) engine =
   let nodes = Stdlib.max 1 nodes in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let dead = Hashtbl.create 4 in
@@ -176,12 +180,10 @@ let create ?metrics ~trace ?(bps = 180e6) ?(latency = Simtime.us 500)
     | Params.Sb_dedup -> ((fun _ -> san), true)
     | Params.Sb_buddy -> (buddy, false)
   in
-  { engine; compress; chunked; place; bps; buddy_bps; latency; nodes;
+  { engine; compress; chunked; place; bps; nodes;
     fails = Array.make (Array.length (place 0)) None;
     dead; chunks = Hashtbl.create 64; regions = Hashtbl.create 16;
-    versions = Hashtbl.create 16; vseq = Hashtbl.create 16;
-    entries = Hashtbl.create 16;
-    bases = Hashtbl.create 16; pins = Hashtbl.create 16; condemned = Hashtbl.create 8;
+    heads = Hashtbl.create 16; live = Hashtbl.create 16; serial = 0;
     metrics;
     bytes_written = 0; fail_writes = None;
     trace; links_free = Hashtbl.create 8;
@@ -209,21 +211,6 @@ let alive t = function
 
 (* A slot a read may use or a write may land in: not outaged, location up. *)
 let usable t i loc = t.fails.(i) = None && alive t loc
-
-(* --- versioned keyspace ------------------------------------------------ *)
-
-(* Physical name of (key, version); '\x00' cannot appear in user keys. *)
-let pname key v = key ^ "\x00" ^ string_of_int v
-
-let current t key =
-  match Hashtbl.find_opt t.versions key with
-  | Some v -> Some (pname key v)
-  | None -> None
-
-let current_entry t key =
-  match current t key with
-  | Some p -> Hashtbl.find_opt t.entries p
-  | None -> None
 
 (* --- chunk pool --------------------------------------------------------- *)
 
@@ -274,71 +261,34 @@ let inline (image : Image.t) =
   { skel = { image with Image.encoded = "" }; chs = [| Cinline image.Image.encoded |];
     vrefs = [||] }
 
-(* --- delta-chain GC (pnames) --------------------------------------------
+(* --- entry lifetime --------------------------------------------------------
 
-   A delta pins the exact base *version* it was written against.  A pinned
-   pname that gets retired (overwritten or removed) is only condemned — its
-   bytes stay until the last referencing delta is itself deleted, then the
-   physical delete cascades (dropping chunk refs on the way). *)
+   An entry lives while the key names it or a live delta is based on it.
+   Its last reference frees its chunks and then drops its own reference on
+   its base, which may free that in turn. *)
 
-let pin_count t p = match Hashtbl.find_opt t.pins p with Some n -> n | None -> 0
-
-let pin t p = Hashtbl.replace t.pins p (pin_count t p + 1)
-
-let rec unpin t p =
-  match Hashtbl.find_opt t.pins p with
-  | None -> ()
-  | Some 1 ->
-    Hashtbl.remove t.pins p;
-    if Hashtbl.mem t.condemned p then really_remove t p
-  | Some n -> Hashtbl.replace t.pins p (n - 1)
-
-and really_remove t p =
-  Hashtbl.remove t.condemned p;
-  (match Hashtbl.find_opt t.entries p with
-   | Some e ->
-     unref_stored t e.e_stored;
-     Hashtbl.remove t.entries p
-   | None -> ());
-  match Hashtbl.find_opt t.bases p with
-  | Some base ->
-    Hashtbl.remove t.bases p;
-    unpin t base
-  | None -> ()
-
-(* Retire a superseded or removed version: free it now, or — when live
-   deltas still resolve against it — keep the bytes under the shadow name.
-   [why] distinguishes the copy-on-write preserve at overwrite
-   (storage.cow_preserved) from the deferred delete at remove
-   (storage.gc_deferred). *)
-let retire t p ~why =
-  if pin_count t p > 0 then begin
-    Hashtbl.replace t.condemned p ();
-    Metrics.incr t.metrics why
+let rec release t e =
+  e.e_refs <- e.e_refs - 1;
+  if e.e_refs = 0 then begin
+    Hashtbl.remove t.live e.e_serial;
+    unref_stored t e.e_stored;
+    Option.iter (release t) e.e_base
   end
-  else really_remove t p
+
+(* The key lets go of its entry: overwritten ([why] =
+   storage.cow_preserved) or removed (storage.gc_deferred), counted when
+   live deltas keep the entry's bytes. *)
+let retire t e ~why =
+  if e.e_refs > 1 then Metrics.incr t.metrics why;
+  release t e
 
 let remove t key =
-  match Hashtbl.find_opt t.versions key with
+  match Hashtbl.find_opt t.heads key with
   | None -> ()
-  | Some v ->
-    Hashtbl.remove t.versions key;
-    retire t (pname key v) ~why:"storage.gc_deferred";
+  | Some e ->
+    Hashtbl.remove t.heads key;
+    retire t e ~why:"storage.gc_deferred";
     changed t
-
-(* Bind a fresh pname's chain link to the base version current right now;
-   later overwrites of the base key cannot retarget this chain. *)
-let record_link t p (image : Image.t) =
-  match image.Image.base_key with
-  | Some bkey ->
-    let bp =
-      match Hashtbl.find_opt t.versions bkey with
-      | Some bv -> pname bkey bv
-      | None -> pname bkey 0  (* base never stored: chain is already broken *)
-    in
-    Hashtbl.replace t.bases p bp;
-    pin t bp
-  | None -> ()
 
 (* --- writes -------------------------------------------------------------- *)
 
@@ -453,22 +403,28 @@ let put ?op ?parent ?(node = 0) t key image =
         Metrics.incr t.metrics "storage.buddy_puts";
         if Array.mem Nowhere locs then Metrics.incr t.metrics "storage.buddy_degraded"
       end;
-      (* Allocate the fresh version and install the copies. *)
-      let v = 1 + (match Hashtbl.find_opt t.vseq key with Some n -> n | None -> 0) in
-      Hashtbl.replace t.vseq key v;
-      let p = pname key v in
+      (* A delta holds the entry its base key names now, taken before the
+         key's old entry is retired: a delta put over its own key keeps
+         its base. *)
+      let e_base =
+        match image.Image.base_key with
+        | Some bkey -> Hashtbl.find_opt t.heads bkey
+        | None -> None
+      in
+      Option.iter (fun b -> b.e_refs <- b.e_refs + 1) e_base;
       let copies =
         Array.mapi
           (fun i loc -> { loc; data = (if landed.(i) then Some (stored, sum) else None) })
           locs
       in
-      Hashtbl.replace t.entries p { e_stored = stored; e_sum = sum; e_bytes; copies };
-      record_link t p image;
-      (* Retire the previous version: copy-on-write if chains pin it. *)
-      (match Hashtbl.find_opt t.versions key with
-       | Some vold -> retire t (pname key vold) ~why:"storage.cow_preserved"
-       | None -> ());
-      Hashtbl.replace t.versions key v;
+      let e =
+        { e_stored = stored; e_sum = sum; e_bytes; copies; e_base; e_serial = t.serial;
+          e_refs = 1 }
+      in
+      t.serial <- t.serial + 1;
+      Hashtbl.replace t.live e.e_serial e;
+      Option.iter (retire t ~why:"storage.cow_preserved") (Hashtbl.find_opt t.heads key);
+      Hashtbl.replace t.heads key e;
       changed t;
       t.bytes_written <- t.bytes_written + written;
       Metrics.incr t.metrics "storage.puts";
@@ -485,73 +441,61 @@ let put ?op ?parent ?(node = 0) t key image =
 
 (* --- reads --------------------------------------------------------------- *)
 
-(* One stored link by physical name, exactly as written: walk the copy slots
-   in order, skipping unusable slots and copies that fail to materialize
+(* One stored link, exactly as written: walk the entry's copy slots in
+   order, skipping unusable slots and copies that fail to materialize
    byte-identically.  [bump] counts a storage.* event of the read. *)
-let raw_get t ~bump p =
-  match Hashtbl.find_opt t.entries p with
-  | None -> None
-  | Some e ->
-    let rec go i =
-      if i >= Array.length e.copies then None
-      else
-        let s = e.copies.(i) in
-        match s.data with
-        | Some (st, sum) when usable t i s.loc ->
-          (match materialize t st with
-           | Some img when Image.checksum img = sum ->
-             if i > 0 then bump "storage.replica_fallbacks";
-             Some img
-           | Some _ | None ->
-             bump "storage.corruption_detected";
-             go (i + 1))
-        | Some _ | None -> go (i + 1)
-    in
-    go 0
+let raw_get t ~bump e =
+  let rec go i =
+    if i >= Array.length e.copies then None
+    else
+      let s = e.copies.(i) in
+      match s.data with
+      | Some (st, sum) when usable t i s.loc ->
+        (match materialize t st with
+         | Some img when Image.checksum img = sum ->
+           if i > 0 then bump "storage.replica_fallbacks";
+           Some img
+         | Some _ | None ->
+           bump "storage.corruption_detected";
+           go (i + 1))
+      | Some _ | None -> go (i + 1)
+  in
+  go 0
 
-(* Safety valve against reference cycles among hand-written keys; real
-   chains are bounded by Params.max_delta_chain, far below this. *)
+(* The longest chain a read follows: the Agent's chains stop at
+   Params.max_delta_chain, far below this, so only a longer chain of
+   hand-written deltas misses. *)
 let max_resolve_depth = 64
 
 (* Resolve a public key to its pod image: fetch the chain link
-   (checksum-verified, with copy fallback), recurse to the recorded base
-   *version*, apply the decoded delta to the decoded base.  Each link is
+   (checksum-verified, with copy fallback), recurse to the base entry bound
+   at put, apply the decoded delta to the decoded base.  Each link is
    materialized and decoded once and nothing is re-encoded: callers get
    the value the full checkpoint taken at the same instant encodes, on
-   every backend.  A link that fails to decode or to apply breaks the
-   chain above it. *)
+   every backend.  A delta with no base entry misses; a link that fails to
+   decode or to apply breaks the chain above it. *)
 let resolve_key t ~bump key =
   bump "storage.gets";
   let miss () =
     bump "storage.get_misses";
     None
   in
-  match current t key with
+  match Hashtbl.find_opt t.heads key with
   | None -> miss ()
-  | Some p0 ->
-    let rec resolve p depth =
+  | Some e0 ->
+    let rec resolve e depth =
       if depth > max_resolve_depth then None
       else
-        match raw_get t ~bump p with
+        match raw_get t ~bump e with
         | None -> None
         | Some image ->
           (match image.Image.base_key with
            | None -> Some (Image.to_pod_image image)
-           | Some bkey ->
-             let bp =
-               match Hashtbl.find_opt t.bases p with
-               | Some bp -> bp
-               | None ->
-                 (* pre-versioning stored state cannot exist in one process
-                    lifetime; resolve against the current base version *)
-                 (match current t bkey with
-                  | Some bp -> bp
-                  | None -> pname bkey 0)
-             in
+           | Some _ ->
              (match
                 Option.map
                   (fun base -> Delta.apply ~base (Image.to_pod_image image))
-                  (resolve bp (depth + 1))
+                  (Option.bind e.e_base (fun b -> resolve b (depth + 1)))
               with
               | None -> None
               | Some full ->
@@ -561,7 +505,7 @@ let resolve_key t ~bump key =
                 bump "storage.chain_broken";
                 None))
     in
-    (match resolve p0 0 with
+    (match resolve e0 0 with
      | Some v -> Some v
      | None | (exception Zapc_codec.Value.Decode_error _) -> miss ())
 
@@ -591,9 +535,9 @@ let read ~keep t key =
 let get t key = read ~keep:true t key
 let take t key = read ~keep:false t key
 
-(* The current version's first copy a read may use, unverified. *)
+(* The key's entry's first copy a read may use, unverified. *)
 let first_usable t key =
-  match current_entry t key with
+  match Hashtbl.find_opt t.heads key with
   | None -> None
   | Some e ->
     let rec go i =
@@ -605,10 +549,10 @@ let first_usable t key =
     in
     go 0
 
-(* Cheap, side-effect-free existence check: the key's current version is
-   present in some usable slot.  No chain walk, no metrics, no
-   materialization — a corrupt-everywhere key still answers true (only a
-   verifying [get] can tell). *)
+(* Cheap, side-effect-free existence check: the key's entry is present in
+   some usable slot.  No chain walk, no metrics, no materialization — a
+   corrupt-everywhere key still answers true (only a verifying [get] can
+   tell). *)
 let mem t key = Option.is_some (first_usable t key)
 
 (* The chain link's base reference, read from the same unverified copy
@@ -619,15 +563,14 @@ let base_key t key =
   | Some st -> st.skel.Image.base_key
   | None -> None
 
-(* The key's current version's copy slot [replica], if in range. *)
+(* The key's entry's copy slot [replica], if in range. *)
 let slot t ~replica key =
-  match current_entry t key with
+  match Hashtbl.find_opt t.heads key with
   | Some e when replica >= 0 && replica < Array.length e.copies -> Some e.copies.(replica)
   | Some _ | None -> None
 
-(* Does this slot physically hold the key's current version?  Ignores
-   outage flags — tests use this to observe the replication factor
-   directly. *)
+(* Does this slot physically hold the key's entry?  Ignores outage flags —
+   tests use this to observe the replication factor directly. *)
 let replica_has t ~replica key =
   match slot t ~replica key with Some { data = Some _; _ } -> true | _ -> false
 
@@ -651,7 +594,7 @@ let heal_replicas t =
             Metrics.add t.metrics "storage.rereplicated_bytes" e.e_bytes
           end)
         e.copies)
-    t.entries
+    t.live
 
 (* A node died: its RAM (and every buddy copy in it) is gone.  Every entry
    that kept a copy there is re-buddied from its surviving copy onto the
@@ -685,13 +628,13 @@ let node_died t node =
             Array.iteri (fun i _ -> e.copies.(i) <- { loc = Nowhere; data = None }) e.copies;
             Metrics.incr t.metrics "storage.buddy_lost"
         end)
-      t.entries
+      t.live
   end
 
 (* --- corruption injection ------------------------------------------------ *)
 
-(* Flip a byte of one slot's copy of the key's current version while
-   keeping its stale checksum, so only a verifying read notices.  The
+(* Flip a byte of one slot's copy of the key's entry while keeping its
+   stale checksum, so only a verifying read notices.  The
    mutation shadows the copy's first chunk inline in that copy only — the
    shared pool (and the other slots' recipes) stays pristine, exactly like
    flipping one replica's disk block. *)
@@ -714,16 +657,21 @@ let corrupt t ~replica key =
 
 (* --- flushing ------------------------------------------------------------ *)
 
-(* Per-key flush size: what actually travels for the key's current version
-   (a delta flushes its delta bytes; a dedup put flushes only its
-   distinct-new bytes; compression shrinks both). *)
+(* Per-key flush size: what actually travels for the key's entry (a delta
+   flushes its delta bytes; a dedup put flushes only its distinct-new
+   bytes; compression shrinks both). *)
 let flush_bytes t key =
-  match current_entry t key with None -> None | Some e -> Some e.e_bytes
+  match Hashtbl.find_opt t.heads key with None -> None | Some e -> Some e.e_bytes
 
 (* The link a key's flush rides: its first slot's location — the shared SAN,
    or the buddy owner's own link. *)
 let link t key =
-  match current_entry t key with Some e -> e.copies.(0).loc | None -> Nowhere
+  match Hashtbl.find_opt t.heads key with Some e -> e.copies.(0).loc | None -> Nowhere
+
+(* A flush's fixed latency, and the per-node link bandwidth of the buddy
+   backend's peer-memory transfers. *)
+let flush_latency = Simtime.us 500
+let buddy_bps = 1e9
 
 (* Uncontended single-transfer time (latency + bytes at the link's
    bandwidth) — what one flush costs with the fabric to itself. *)
@@ -731,8 +679,8 @@ let flush_time t key =
   match flush_bytes t key with
   | None -> Simtime.zero
   | Some bytes ->
-    let bps = match link t key with Ram _ -> t.buddy_bps | San | Nowhere -> t.bps in
-    Simtime.add t.latency (Simtime.ns (int_of_float (float_of_int bytes /. bps *. 1e9)))
+    let bps = match link t key with Ram _ -> buddy_bps | San | Nowhere -> t.bps in
+    Simtime.add flush_latency (Simtime.ns (int_of_float (float_of_int bytes /. bps *. 1e9)))
 
 (* Contended flush: each link serializes its flushes behind one queue — the
    shared SAN is one link for the whole cluster, each buddy owner has its
@@ -749,5 +697,45 @@ let flush t key ~on_done =
   Engine.schedule t.engine ~label:"storage.flush" ~delay:(Simtime.sub fin now) on_done
 
 let keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.versions []
+  Hashtbl.fold (fun k _ acc -> k :: acc) t.heads []
   |> List.sort String.compare
+
+(* --- reference-count audit ----------------------------------------------- *)
+
+(* Recount every reference from the heads and the live entries, and list
+   each stored count that differs from its recount.  A live entry with no
+   reference left outlived its last one; a referenced entry, region or
+   chunk that is gone was freed early. *)
+let check_refs t =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let got tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let tally tbl k = Hashtbl.replace tbl k (got tbl k + 1) in
+  let erefs = Hashtbl.create 16 and rrefs = Hashtbl.create 16 and crefs = Hashtbl.create 64 in
+  let hold who e =
+    match Hashtbl.find_opt t.live e.e_serial with
+    | Some e' when e' == e -> tally erefs e.e_serial
+    | Some _ | None -> err "%s holds freed entry %d" who e.e_serial
+  in
+  Hashtbl.iter (fun key e -> hold ("key " ^ key) e) t.heads;
+  Hashtbl.iter
+    (fun _ e ->
+      Option.iter (hold (Printf.sprintf "entry %d" e.e_serial)) e.e_base;
+      Array.iter (function Cref h -> tally crefs h | Cinline _ -> ()) e.e_stored.chs;
+      Array.iter (fun r -> tally rrefs r.r_tag) e.e_stored.vrefs)
+    t.live;
+  Hashtbl.iter (fun _ r -> Array.iter (tally crefs) r.addrs) t.regions;
+  let against what show stored count recount =
+    Hashtbl.iter
+      (fun k v ->
+        if count v <> got recount k then
+          err "%s %s: count %d, recount %d" what (show k) (count v) (got recount k))
+      stored;
+    Hashtbl.iter
+      (fun k _ -> if not (Hashtbl.mem stored k) then err "%s %s freed early" what (show k))
+      recount
+  in
+  against "entry" string_of_int t.live (fun e -> e.e_refs) erefs;
+  against "region" (fun (name, _, _) -> name) t.regions (fun r -> r.refs) rrefs;
+  against "chunk" (Printf.sprintf "%x") t.chunks (fun c -> c.c_refs) crefs;
+  List.sort String.compare !errs

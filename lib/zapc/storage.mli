@@ -25,11 +25,13 @@
     the image's modelled compressed size while the Agent charges the
     virtual-CPU compressor cost.
 
-    Keys are versioned internally: {!put} retires the previous version of
-    the key, preserving its bytes under a shadow name while live delta
-    chains still pin it (copy-on-write), and chain links bind to the base
-    {e version} current at write time — overwriting a delta's base can
-    never retarget or corrupt an existing chain.
+    {b Lifetime.}  A key names its current entry, and a delta's entry
+    holds the entry its base key named when the delta was put.  An entry
+    is freed by reference count, like a pool chunk: the key that names it
+    and each live delta based on it hold one reference.  {!put} and
+    {!remove} let go of the key's old entry; while live deltas still hold
+    it, its bytes stay (copy-on-write), so overwriting or removing a
+    delta's base can never retarget or corrupt an existing chain.
 
     Flushing is deliberately {e not} part of checkpoint latency (the
     paper's methodology).  {!flush} models contention: each link serializes
@@ -46,10 +48,8 @@ val create :
   ?metrics:Zapc_obs.Metrics.t ->
   trace:Trace.t ->
   ?bps:float ->
-  ?latency:Simtime.t ->
   ?backend:Params.storage_backend ->
   ?compress:bool ->
-  ?buddy_bps:float ->
   ?nodes:int ->
   Engine.t -> t
 (** [backend] (default [Sb_plain]) picks the slot locations and the
@@ -68,9 +68,9 @@ val replica_count : t -> int
 val put :
   ?op:int -> ?parent:int -> ?node:int ->
   t -> string -> Image.t -> (unit, string) result
-(** Store the image (with its {!Image.checksum}) under the key's fresh
-    internal version; the previous version is freed, or kept as a
-    copy-on-write shadow while live deltas still chain to it
+(** Store the image (with its {!Image.checksum}) as the key's new entry.
+    A delta's entry holds the entry its base key names at this call.  The
+    key's old entry is freed, or kept while live deltas still chain to it
     ([storage.cow_preserved]).  [node] is the writing Agent's node — the
     buddy backend's owner copy lands in its RAM, the partner copy in the
     next live node's.  Fails, storing nothing, during a global write outage
@@ -80,7 +80,7 @@ val get : t -> string -> Zapc_codec.Value.t option
 (** The key's pod image, decoded: the first healthy, checksum-verified copy
     of each chain link, decoded once; [None] if every location is
     unavailable, missing the key, or corrupt, or if the image does not
-    decode.  A delta chain resolves against the exact base version it was
+    decode.  A delta chain resolves against the exact base entry it was
     written over by applying each delta to the decoded base, without
     re-encoding: the value Wire-encodes byte-identically to the full
     checkpoint taken at the same instant, on every backend.
@@ -143,20 +143,20 @@ val corrupt : t -> replica:int -> string -> bool
     copy of the key. *)
 
 val mem : t -> string -> bool
-(** Cheap, side-effect-free existence check: the key's current version is
-    present in some non-outaged slot whose location is alive.  No chain walk, no metric
-    traffic, no materialization — a copy that would fail verification
+(** Cheap, side-effect-free existence check: the key's entry is present
+    in some non-outaged slot whose location is alive.  No chain walk, no
+    metric traffic, no materialization — a copy that would fail verification
     still answers [true]; only a full {!get} can tell. *)
 
 val remove : t -> string -> unit
-(** Drop the key.  If live deltas still chain to its current version the
-    key only vanishes from the public namespace ({!get}/{!mem}/{!keys});
-    the bytes (and their chunk references) are reclaimed once the last
-    referencing delta is removed. *)
+(** Drop the key.  If live deltas still chain to its entry the key only
+    vanishes from the public namespace ({!get}/{!mem}/{!keys}); the bytes
+    (and their chunk references) are reclaimed once the last referencing
+    delta is removed. *)
 
 val replica_has : t -> replica:int -> string -> bool
 (** Does this slot (buddy: 0 = owner, 1 = partner) physically hold the
-    key's current version?  Ignores outage flags.  Exported for [test_ckpt]
+    key's entry?  Ignores outage flags.  Exported for [test_ckpt]
     and [chaos], which observe the replication factor directly with it. *)
 
 val flush_time : t -> string -> Simtime.t
@@ -170,3 +170,12 @@ val flush : t -> string -> on_done:(unit -> unit) -> unit
 
 val keys : t -> string list
 (** Sorted public keys currently stored. *)
+
+val check_refs : t -> string list
+(** Every mismatch between the stored reference counts and a recount from
+    the keys and the live entries: an entry's count against the key naming
+    it plus the live deltas based on it, a region entry's against its
+    listings in live recipes, a pool chunk's against its occurrences in
+    live recipes and region entries, and any entry freed while referenced
+    or kept after its last reference.  Exported for [test_ckpt], which
+    checks that it is empty after every operation of the storage models. *)

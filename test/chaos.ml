@@ -852,10 +852,11 @@ let test_replica_fallback_counters () =
      && Metrics.counter metrics "storage.replica_fallbacks" = 1)
 
 (* Satellite: replica outage mid-delta-chain.  Incremental epochs chain
-   images across epochs (and prune condemns chained bases, exercising the
-   deferred-GC path); the whole primary replica then goes dark and a node
-   crashes.  The automatic recovery must fetch EVERY link of the last-good
-   chain from the surviving replica to materialize the restart image. *)
+   images across epochs (and prune removes bases that live deltas still
+   hold, exercising the deferred-GC path); the whole primary replica then
+   goes dark and a node crashes.  The automatic recovery must fetch EVERY
+   link of the last-good chain from the surviving replica to materialize
+   the restart image. *)
 let test_replica_outage_mid_delta_chain () =
   let cluster, fs, app, svc, sup = start_supervised ~epochs:3 ~incremental:true () in
   ignore app;

@@ -866,7 +866,7 @@ let mk_img ?(regions = []) ~pod_id ~name ~mem () =
                           (n, Value.List [ Value.Int s; Value.Int g ]))
                         regions)) ] ]) ])
 
-(* Dedup-aware pin/condemn GC: removing one sibling's epoch must not free
+(* Dedup-aware entry GC: removing one sibling's epoch must not free
    chunks shared with another sibling. *)
 let test_dedup_sibling_gc () =
   let engine = Engine.create ~seed:7 () in
@@ -1017,6 +1017,39 @@ let put_ok ?node storage key img =
   match Storage.put ?node storage key img with
   | Ok () -> ()
   | Error e -> Alcotest.failf "put %s: %s" key e
+
+(* An overwrite counts storage.cow_preserved, and a remove
+   storage.gc_deferred, only when a live delta still holds the key's entry;
+   the last delta to go frees the entry it held. *)
+let test_retire_counts_held_entries () =
+  let metrics = Metrics.create () in
+  let storage =
+    Storage.create ~trace:(Zapc.Trace.create ()) ~metrics (Engine.create ~seed:1 ())
+  in
+  let img = mk_img ~pod_id:1 ~name:"p" ~mem:4096 () in
+  let delta = { img with Image.base_key = Some "base" } in
+  let counts () =
+    (Metrics.counter metrics "storage.cow_preserved", Metrics.counter metrics "storage.gc_deferred")
+  in
+  let tcounts = Alcotest.(pair int int) in
+  put_ok storage "base" img;
+  put_ok storage "base" img;
+  Storage.remove storage "base";
+  check tcounts "nothing held, nothing counted" (0, 0) (counts ());
+  put_ok storage "base" img;
+  put_ok storage "d1" delta;
+  put_ok storage "base" img;
+  check tcounts "an overwrite of a held entry" (1, 0) (counts ());
+  Storage.remove storage "base";
+  check tcounts "the new entry is not held" (1, 0) (counts ());
+  put_ok storage "base" img;
+  put_ok storage "d2" delta;
+  Storage.remove storage "base";
+  check tcounts "a remove of a held entry" (1, 1) (counts ());
+  Storage.remove storage "d1";
+  Storage.remove storage "d2";
+  check (Alcotest.list tstr) "counts recount" [] (Storage.check_refs storage);
+  check (Alcotest.list tstr) "store empty" [] (Storage.keys storage)
 
 (* A full image under "base" at 5 ms, then a delta d1..dN every 5 ms, each
    on the one before.  Returns the first and the last full image. *)
@@ -1242,7 +1275,8 @@ let gen_store_op =
    [get] may return the bytes last put under the key or [None] — never any
    other bytes, and a second get with nothing changed in between returns
    the same value.  After a heal with no corruption and no node death so
-   far, every live key must sit in every slot and read back. *)
+   far, every live key must sit in every slot and read back.  After every
+   op the store's reference counts must match their recount. *)
 let run_store_model (config, ops) =
   let backend, compress = store_configs.(config) in
   let imgs = Lazy.force model_images in
@@ -1268,45 +1302,51 @@ let run_store_model (config, ops) =
     | Error _ -> ()
   in
   List.iter
-    (function
-      | S_put (k, i, node) -> put k i node imgs.(i)
-      | S_delta (k, b, i, node) ->
-        (match model.(b) with
-         | None -> ()
-         | Some j ->
-           put k i node
-             (Delta.make ~base_key:keys.(b) ~base:imgs.(j) ~full:imgs.(i)
-                ~dirty_bytes:4096))
-      | S_remove k ->
-        Storage.remove storage keys.(k);
-        model.(k) <- None
-      | S_outage (slot, on) ->
-        Storage.set_replica_fail storage ~replica:slot (if on then Some "outage" else None)
-      | S_heal ->
-        Storage.heal_replicas storage;
-        if not !damaged then
-          Array.iteri
-            (fun k m ->
-              match m with
-              | None -> ()
-              | Some i ->
-                for slot = 0 to Storage.replica_count storage - 1 do
-                  if not (Storage.replica_has storage ~replica:slot keys.(k)) then ok := false
-                done;
-                (match Storage.get storage keys.(k) with
-                 | Some got when String.equal (Wire.encode got) bytes.(i) -> ()
-                 | Some _ | None -> ok := false))
-            model
-      | S_corrupt (slot, k) ->
-        if Storage.corrupt storage ~replica:slot keys.(k) then damaged := true
-      | S_node_died n ->
-        Storage.node_died storage n;
-        damaged := true
-      | S_get k ->
-        let first = Storage.get storage keys.(k) in
-        let second = Storage.get storage keys.(k) in
-        if not (served k first && same_read first second) then ok := false
-      | S_take k -> if not (served k (Storage.take storage keys.(k))) then ok := false)
+    (fun op ->
+      (match op with
+       | S_put (k, i, node) -> put k i node imgs.(i)
+       | S_delta (k, b, i, node) ->
+         (match model.(b) with
+          | None -> ()
+          | Some j ->
+            put k i node
+              (Delta.make ~base_key:keys.(b) ~base:imgs.(j) ~full:imgs.(i)
+                 ~dirty_bytes:4096))
+       | S_remove k ->
+         Storage.remove storage keys.(k);
+         model.(k) <- None
+       | S_outage (slot, on) ->
+         Storage.set_replica_fail storage ~replica:slot (if on then Some "outage" else None)
+       | S_heal ->
+         Storage.heal_replicas storage;
+         if not !damaged then
+           Array.iteri
+             (fun k m ->
+               match m with
+               | None -> ()
+               | Some i ->
+                 for slot = 0 to Storage.replica_count storage - 1 do
+                   if not (Storage.replica_has storage ~replica:slot keys.(k)) then ok := false
+                 done;
+                 (match Storage.get storage keys.(k) with
+                  | Some got when String.equal (Wire.encode got) bytes.(i) -> ()
+                  | Some _ | None -> ok := false))
+             model
+       | S_corrupt (slot, k) ->
+         if Storage.corrupt storage ~replica:slot keys.(k) then damaged := true
+       | S_node_died n ->
+         Storage.node_died storage n;
+         damaged := true
+       | S_get k ->
+         let first = Storage.get storage keys.(k) in
+         let second = Storage.get storage keys.(k) in
+         if not (served k first && same_read first second) then ok := false
+       | S_take k -> if not (served k (Storage.take storage keys.(k))) then ok := false);
+      match Storage.check_refs storage with
+      | [] -> ()
+      | errs ->
+        List.iter (Printf.eprintf "after %s: %s\n" (show_store_op op)) errs;
+        ok := false)
     ops;
   !ok && Array.for_all Fun.id (Array.init 3 reads_back)
 
@@ -1327,9 +1367,9 @@ let prop_storage_model =
 (* The dedup accounting as it reads when every listing of a region interns
    each of its chunks one by one: the pool counts references per chunk
    occurrence, and a stored version frees its occurrences when it goes.
-   The keyspace (versions, delta pins, condemned shadows) is modelled as
-   [Storage] keeps it, so a pinned base frees its chunks only with its
-   last delta. *)
+   The keyspace is modelled apart from [Storage]'s reference-counted
+   entries, with versions, delta pins and condemned shadows, so a pinned
+   base frees its chunks only with its last delta. *)
 type dd_model = {
   pool : (int, string option * int ref) Hashtbl.t;  (* bytes, refs *)
   stored : (string, int list * int) Hashtbl.t;  (* pname -> chunk refs, flushed bytes *)
@@ -1492,7 +1532,7 @@ let prop_region_interning_model =
       let metrics = Metrics.create () in
       let storage =
         Storage.create ~trace:(Zapc.Trace.create ()) ~metrics ~backend:ZParams.Sb_dedup
-          ~compress ~latency ~bps (Engine.create ~seed:1 ())
+          ~compress ~bps (Engine.create ~seed:1 ())
       in
       let m = dd_model () in
       let keys = [| "a"; "b"; "c"; "d" |] in
@@ -1526,7 +1566,7 @@ let prop_region_interning_model =
            | D_remove k ->
              Storage.remove storage keys.(k);
              dd_remove m keys.(k));
-          agrees ())
+          agrees () && Storage.check_refs storage = [])
         ops)
 
 (* --- qcheck: chunking and compression ----------------------------------- *)
@@ -1641,6 +1681,8 @@ let () =
       ( "storage backends",
         [ Alcotest.test_case "COW shadow on pinned overwrite" `Quick
             test_overwrite_pinned_base_cow;
+          Alcotest.test_case "retire counts only held entries" `Quick
+            test_retire_counts_held_entries;
           Alcotest.test_case "heal re-replicates" `Quick test_heal_rereplicates;
           Alcotest.test_case "dedup sibling GC" `Quick test_dedup_sibling_gc;
           Alcotest.test_case "restart byte-identity across backends" `Quick

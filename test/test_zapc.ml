@@ -832,6 +832,46 @@ let test_restart_queued_orphan () =
     (has_log (Format.asprintf "accepted %a:" Addr.pp_ip client.vip));
   check tbool "saved data, then EOF" true (has_log "read \"hello\" then eof")
 
+(* Pod ids and real addresses restart in every cluster, so a new cluster
+   must not see the pods of an earlier one: a restore in a cluster of two
+   pods translates neither the vip nor the rip of a third pod that only an
+   earlier cluster of four had. *)
+let test_new_cluster_empty_registry () =
+  let first = make_cluster () in
+  let old =
+    List.init 4 (fun i -> Cluster.create_pod first ~node_idx:1 ~name:(Printf.sprintf "old%d" i))
+  in
+  Cluster.link_pods old;
+  let gone = List.nth old 2 in
+  let cluster = make_cluster () in
+  let pods =
+    List.init 2 (fun i -> Cluster.create_pod cluster ~node_idx:1 ~name:(Printf.sprintf "new%d" i))
+  in
+  Cluster.link_pods pods;
+  let p = List.hd pods in
+  check tbool "the earlier cluster's third pod is not found" true (Pod.find gone.pod_id = None);
+  ignore (Pod.spawn p ~program:"test.lazy_server" ~args:(Value.int 7000));
+  Cluster.run cluster ~until:(Simtime.ms 5) ();
+  let r = Cluster.snapshot cluster ~pods:[ p ] ~key_prefix:"reg" in
+  check tbool "snapshot ok" true r.Manager.r_ok;
+  Pod.destroy p;
+  let rr =
+    Cluster.restart_app cluster ~pod_ids:[ p.pod_id ] ~target_nodes:[ 2 ] ~key_prefix:"reg"
+  in
+  check tbool "restart ok" true rr.Manager.r_ok;
+  match Pod.find p.pod_id with
+  | None -> Alcotest.fail "restored pod not registered"
+  | Some restored ->
+    check tbool "an earlier cluster's vip passes through" true
+      (Addr.equal_ip (Namespace.rip_of_vip restored.ns gone.vip) gone.vip);
+    check tbool "an earlier cluster's rip passes through" true
+      (Addr.equal_ip (Namespace.vip_of_rip restored.ns gone.rip) gone.rip);
+    check tbool "the live sibling still resolves" true
+      (let q = List.nth pods 1 in
+       Addr.equal_ip (Namespace.rip_of_vip restored.ns q.vip) q.rip);
+    check tbool "the earlier cluster's third pod is still not found" true
+      (Pod.find gone.pod_id = None)
+
 (* Stream a running 2-rank BT/NAS from nodes 0 and 1 straight to the
    Agents of nodes 2 and 3, and restart it there. *)
 let stream_bt ?params ?(before = fun _ _ -> ()) () =
@@ -2537,6 +2577,8 @@ let () =
             test_restart_without_streamed_image;
           Alcotest.test_case "restart with a queued orphan" `Quick
             test_restart_queued_orphan;
+          Alcotest.test_case "a new cluster starts with an empty registry" `Quick
+            test_new_cluster_empty_registry;
           Alcotest.test_case "stream skips compression" `Quick
             test_stream_skips_compression;
           Alcotest.test_case "stream source lost after commit" `Quick
