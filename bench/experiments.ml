@@ -1236,7 +1236,7 @@ type mig_sample = {
    run into the Chrome-trace artifact for the @mig observability check. *)
 let mig_run ?(trace = false) ~stride ~period_us ~max_rounds () =
   let module Metrics = Zapc_obs.Metrics in
-  Zapc_simos.Program.register_if_absent (module Mighog : Zapc_simos.Program.S);
+  Zapc_simos.Program.register_if_absent (module Mighog);
   let cluster = Cluster.make ~seed:42 ~params:Params.default ~node_count:2 () in
   let ready = ref false in
   Kernel.set_logger (Cluster.node cluster 0).Cluster.n_kernel (fun _ _ m ->

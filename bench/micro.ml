@@ -214,7 +214,7 @@ let socket_fixture ~ready n =
   (k, engine, socks, fds, fd_list)
 
 let poll_fixture ~ready n =
-  Program.register_if_absent (module Poller : Program.S);
+  Program.register_if_absent (module Poller);
   let k, engine, socks, fds, fd_list = socket_fixture ~ready n in
   let p = Kernel.create_proc k (Program.spawn "bench.poller" (Value.list Value.int fd_list)) in
   p.Zapc_simos.Proc.fds <- fds;
@@ -406,10 +406,55 @@ let t_restart_reads =
          ignore (Sys.opaque_identity (Storage.get st "e4"));
          ignore (Sys.opaque_identity (Storage.take st "e4"))))
 
+(* A 400-connection kv client between requests: every connection open
+   and idle, its next send far off.  One run is a poll wake and the clock
+   tick after it, which acts on no connection and polls again with the
+   kept request list: the tick's timer pass and the poll's timeout. *)
+module Kv_client = Zapc_apps.Kv_client
+
+let t_kv_tick =
+  let fixture =
+    lazy
+      (let cfg = Zapc_apps.Serve.default_cfg in
+       let vips = Array.make cfg.nshards (Addr.make_ip 10 0 0 1) in
+       let s = Kv_client.start (Zapc_apps.Serve.client_args cfg vips ~n:400 ~base:0 ~seed:1) in
+       s.started <- true;
+       s.polling <- true;
+       Array.iter
+         (fun (c : Kv_client.conn) ->
+           c.fd <- 3 + c.ix;
+           c.cst <- 2;
+           c.next_send <- Simtime.sec 100.0 + c.ix)
+         s.conns;
+       (* the derived state, rebuilt from the edited fields *)
+       Kv_client.of_value (Kv_client.to_value s))
+  in
+  Test.make ~name:"kv.tick+poll-400"
+    (Staged.stage (fun () ->
+         let s = Lazy.force fixture in
+         ignore (Kv_client.step s (Syscall.Ret (Syscall.Rpoll [])));
+         ignore (Kv_client.step s (Syscall.Ret (Syscall.Rtime (Simtime.ms 1))))))
+
+(* An ephemeral bind on a node holding 1,000 established connections,
+   then the close of the bound socket. *)
+let t_bind_ephemeral =
+  let fixture =
+    lazy
+      (let k, _, _, _, _ = socket_fixture ~ready:false 1000 in
+       Kernel.netstack k)
+  in
+  Test.make ~name:"netstack.bind-eph-1000"
+    (Staged.stage (fun () ->
+         let net = Lazy.force fixture in
+         let s = Netstack.new_socket net Socket.Stream in
+         ignore (Netstack.bind net s { Addr.ip = Addr.make_ip 10 0 0 1; port = 0 });
+         Netstack.close net s))
+
 let tests =
   [ t_encode; t_decode; t_sockbuf; t_heap; t_engine; t_tcp; t_span; t_span_named; t_ns_rebind;
     t_ns_lookup; t_pod_rebind 64; t_pod_rebind 1024; t_poll_block; t_poll_scan; t_fdtable_find;
-    t_sockopt_get; t_render_block; t_bt_sweep; t_bratu_sweep; t_put_dedup; t_restart_reads ]
+    t_sockopt_get; t_kv_tick; t_bind_ephemeral; t_render_block; t_bt_sweep; t_bratu_sweep;
+    t_put_dedup; t_restart_reads ]
 
 (* --- event-queue throughput (events/s), heap vs calendar -------------
 

@@ -295,7 +295,7 @@ module Oob_send = struct
 end
 
 let register () =
-  Program.register_if_absent (module Bulk_sink : Program.S);
-  Program.register_if_absent (module Bulk_sender : Program.S);
-  Program.register_if_absent (module Oob_recv : Program.S);
-  Program.register_if_absent (module Oob_send : Program.S)
+  Program.register_if_absent (module Bulk_sink);
+  Program.register_if_absent (module Bulk_sender);
+  Program.register_if_absent (module Oob_recv);
+  Program.register_if_absent (module Oob_send)

@@ -17,7 +17,8 @@
    deliberate and mirrors real WAN clients.
 
    Latency samples (completion time, latency) and all counters live in
-   program state and are drained host-side through Program.snapshot. *)
+   program state and are drained host-side through Program.snapshot; the
+   completion count alone is read through Program.inspect. *)
 
 module Value = Zapc_codec.Value
 module Program = Zapc_simos.Program
@@ -52,6 +53,22 @@ type conn = {
 
 type work = K_sock of int | K_setnb of int | K_conn of int | K_send of int | K_recv of int | K_close of int
 
+(* The connections' timers, by [ix]: a min-heap of the connections with
+   a timer key, the state-0 connections that want a socket, and the
+   connections whose key may have moved since the last read.  Plain int
+   arrays: the collector never follows them. *)
+type timers = {
+  heap : int array;
+  mutable hlen : int;
+  key : int array;  (* the key a connection sits in the heap with *)
+  hpos : int array;  (* its place in [heap], -1 when out *)
+  zeros : int array;
+  mutable zlen : int;
+  zpos : int array;  (* its place in [zeros], -1 when out *)
+  marked : bool array;  (* on [retime] *)
+  mutable retime : int list;
+}
+
 type state = {
   n : int;
   nshards : int;
@@ -76,6 +93,7 @@ type state = {
       (* derived, never imaged: the last poll's request list, kept while
          every connection's [req_key] stays what it was when it was built *)
   mutable touched : conn list;  (* derived: connections set since the last poll *)
+  mutable timers : timers option;  (* derived, never imaged: built at the first read *)
   mutable clk_pending : bool;
   mutable to_stamp : int list;  (* first_sent of completions awaiting a clock *)
   mutable samples_t : float list;  (* completion timestamps, ns, newest first *)
@@ -101,6 +119,150 @@ let make_keys nshards =
     by.(o) <- key :: by.(o)
   done;
   Array.map Array.of_list by
+
+(* --- timers ---
+
+   A clock tick acts on a connection whose timer is due (state 2 with a
+   request left to issue: [next_send]; 1 or 3: [deadline]; 4:
+   [wait_until]) or that sits in state 0 wanting a socket, and a poll
+   sleeps until the earliest timer.  Rather than scan every connection
+   for both, the timed connections sit in a min-heap on their key and the
+   state-0 ones in a set ([timers]).  Both are derived from the imaged
+   fields, built at the first read after [start] or [of_value].  A writer
+   of a key input marks its connection ([touch] does, and every step that
+   writes one also sets the connection's state), and [timers] re-reads
+   the marked keys before the heap is read, so a field written after the
+   state in the same step still counts. *)
+
+let no_key = max_int
+
+let timer_key s (c : conn) =
+  match c.cst with
+  | 2 -> if c.issued < s.reqs_per_conn then c.next_send else no_key
+  | 1 | 3 -> c.deadline
+  | 4 -> c.wait_until
+  | _ -> no_key
+
+let wants_sock s (c : conn) = c.cst = 0 && (c.done_ < s.reqs_per_conn || c.pending <> None)
+
+let place (t : timers) i ix =
+  t.heap.(i) <- ix;
+  t.hpos.(ix) <- i
+
+let rec sift_up t i ix =
+  let p = (i - 1) / 2 in
+  if i > 0 && t.key.(ix) < t.key.(t.heap.(p)) then begin
+    place t i t.heap.(p);
+    sift_up t p ix
+  end
+  else place t i ix
+
+let rec sift_down t i ix =
+  let l = (2 * i) + 1 in
+  if l >= t.hlen then place t i ix
+  else begin
+    let m = if l + 1 < t.hlen && t.key.(t.heap.(l + 1)) < t.key.(t.heap.(l)) then l + 1 else l in
+    if t.key.(t.heap.(m)) < t.key.(ix) then begin
+      place t i t.heap.(m);
+      sift_down t m ix
+    end
+    else place t i ix
+  end
+
+let set_key t ix key =
+  let i = t.hpos.(ix) in
+  if key = no_key then begin
+    if i >= 0 then begin
+      t.hpos.(ix) <- -1;
+      t.hlen <- t.hlen - 1;
+      if i < t.hlen then begin
+        let last = t.heap.(t.hlen) in
+        if t.key.(last) < t.key.(ix) then sift_up t i last else sift_down t i last
+      end
+    end
+  end
+  else if i < 0 then begin
+    t.key.(ix) <- key;
+    t.hlen <- t.hlen + 1;
+    sift_up t (t.hlen - 1) ix
+  end
+  else if key < t.key.(ix) then begin
+    t.key.(ix) <- key;
+    sift_up t i ix
+  end
+  else if key > t.key.(ix) then begin
+    t.key.(ix) <- key;
+    sift_down t i ix
+  end
+
+let set_zero t ix want =
+  let i = t.zpos.(ix) in
+  if want && i < 0 then begin
+    t.zeros.(t.zlen) <- ix;
+    t.zpos.(ix) <- t.zlen;
+    t.zlen <- t.zlen + 1
+  end
+  else if (not want) && i >= 0 then begin
+    t.zlen <- t.zlen - 1;
+    let last = t.zeros.(t.zlen) in
+    t.zeros.(i) <- last;
+    t.zpos.(last) <- i;
+    t.zpos.(ix) <- -1
+  end
+
+let rekey s t (c : conn) =
+  set_key t c.ix (timer_key s c);
+  set_zero t c.ix (wants_sock s c)
+
+(* Before the first read there is nothing to mark: building the timers
+   keys every connection. *)
+let retime s (c : conn) =
+  match s.timers with
+  | Some t when not t.marked.(c.ix) ->
+    t.marked.(c.ix) <- true;
+    t.retime <- c.ix :: t.retime
+  | Some _ | None -> ()
+
+(* The timers with every marked key re-read. *)
+let timers s =
+  match s.timers with
+  | Some t ->
+    List.iter
+      (fun ix ->
+        t.marked.(ix) <- false;
+        rekey s t s.conns.(ix))
+      t.retime;
+    t.retime <- [];
+    t
+  | None ->
+    let t =
+      { heap = Array.make s.n 0; hlen = 0; key = Array.make s.n 0; hpos = Array.make s.n (-1);
+        zeros = Array.make s.n 0; zlen = 0; zpos = Array.make s.n (-1);
+        marked = Array.make s.n false; retime = [] }
+    in
+    Array.iter (rekey s t) s.conns;
+    s.timers <- Some t;
+    t
+
+(* The connections the tick at [s.now] acts on, in [ix] order: the order
+   a full scan visits them in, which the jitter draws of [backoff_ns] and
+   [next_req] depend on.  A subtree of the heap whose root is not due
+   holds nothing due. *)
+let due s =
+  let t = timers s in
+  let acc = ref [] in
+  let rec walk i =
+    if i < t.hlen && t.key.(t.heap.(i)) <= s.now then begin
+      acc := t.heap.(i) :: !acc;
+      walk ((2 * i) + 1);
+      walk ((2 * i) + 2)
+    end
+  in
+  walk 0;
+  for i = 0 to t.zlen - 1 do
+    acc := t.zeros.(i) :: !acc
+  done;
+  List.map (fun ix -> s.conns.(ix)) (List.sort Int.compare !acc)
 
 let start args =
   let n = Value.to_int (Value.field "n" args) in
@@ -151,6 +313,7 @@ let start args =
     polling = false;
     poll_reqs = None;
     touched = [];
+    timers = None;
     clk_pending = true;
     to_stamp = [];
     samples_t = [];
@@ -216,8 +379,10 @@ let req_key (c : conn) =
   if c.fd < 0 then -1 else (2 * c.fd) + if c.cst = 1 || c.outbuf <> "" then 1 else 0
 
 (* The writers of [req_key]'s inputs: each puts the connection on
-   [touched], the only ones the next poll compares. *)
+   [touched], the only ones the next poll compares, and marks its timer
+   key for a re-read. *)
 let touch s (c : conn) =
+  retime s c;
   if not c.touched then begin
     c.touched <- true;
     s.touched <- c :: s.touched
@@ -358,6 +523,20 @@ let syscall_of s (w : work) : Syscall.t option =
     if c.fd >= 0 then Some (Syscall.Recv (c.fd, 65536, Socket.plain_recv)) else None
   | K_close fd -> Some (Syscall.Close fd)
 
+(* The first tick staggers the open-loop schedules across one period.
+   Every connection is still in state 0 then, whose timer does not read
+   [next_send], and the timers are built only after it, at this tick's
+   [due]; the writes mark their connections all the same. *)
+let stagger s =
+  if not s.started then begin
+    s.started <- true;
+    Array.iter
+      (fun (c : conn) ->
+        c.next_send <- s.now + (c.ix * s.period / Stdlib.max 1 s.n) + jitter s (s.period / 8);
+        retime s c)
+      s.conns
+  end
+
 (* Stamp completions, then fire every due timer.  Runs on each clock tick. *)
 let run_timers s =
   List.iter
@@ -366,15 +545,8 @@ let run_timers s =
       s.samples_lat <- float_of_int (s.now - fs) :: s.samples_lat)
     (List.rev s.to_stamp);
   s.to_stamp <- [];
-  if not s.started then begin
-    (* stagger the open-loop schedules across one period *)
-    s.started <- true;
-    Array.iter
-      (fun (c : conn) ->
-        c.next_send <- s.now + (c.ix * s.period / Stdlib.max 1 s.n) + jitter s (s.period / 8))
-      s.conns
-  end;
-  Array.iter
+  stagger s;
+  List.iter
     (fun (c : conn) ->
       match c.cst with
       | 0 -> if c.done_ < s.reqs_per_conn || c.pending <> None then push s (K_sock c.ix)
@@ -397,19 +569,11 @@ let run_timers s =
           fail_conn s c
         end
       | _ -> ())
-    s.conns
+    (due s)
 
 let poll_timeout s =
-  let next = ref max_int in
-  Array.iter
-    (fun (c : conn) ->
-      match c.cst with
-      | 2 -> if c.issued < s.reqs_per_conn then next := Stdlib.min !next c.next_send
-      | 1 | 3 -> next := Stdlib.min !next c.deadline
-      | 4 -> next := Stdlib.min !next c.wait_until
-      | _ -> ())
-    s.conns;
-  if !next = max_int then None else Some (Stdlib.max 1 (!next - s.now))
+  let t = timers s in
+  if t.hlen = 0 then None else Some (Stdlib.max 1 (t.key.(t.heap.(0)) - s.now))
 
 (* One request per open connection, the last connection first. *)
 let build_poll_reqs s =
@@ -607,6 +771,7 @@ let of_value v =
     polling = Value.to_bool (Value.field "polling" v);
     poll_reqs = None;
     touched = [];
+    timers = None;
     clk_pending = Value.to_bool (Value.field "clk_pending" v);
     to_stamp = Value.to_list Value.to_int (Value.field "to_stamp" v);
     samples_t = List.rev (Array.to_list (Value.to_f64s (Value.field "samples_t" v)));
@@ -664,7 +829,11 @@ let stats_of_snapshot v =
     st_samples = Array.init (Array.length t) (fun i -> (t.(i), lat.(i)));
   }
 
-let register () = Program.register_if_absent (module struct
+(* The state's type id: [Program.inspect] with it reads a live client's
+   counters without encoding the whole state. *)
+let id : state Type.Id.t = Type.Id.make ()
+
+let register () = Program.register_if_absent ~id (module struct
   type nonrec state = state
 
   let name = name
@@ -672,4 +841,4 @@ let register () = Program.register_if_absent (module struct
   let step = step
   let to_value = to_value
   let of_value = of_value
-end : Program.S)
+end)

@@ -618,4 +618,4 @@ let register () = Program.register_if_absent (module struct
   let step = step
   let to_value = to_value
   let of_value = of_value
-end : Program.S)
+end)

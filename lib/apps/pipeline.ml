@@ -365,7 +365,7 @@ module P = struct
 end
 
 let register () =
-  Program.register_if_absent (module Producer : Program.S);
-  Program.register_if_absent (module Filter : Program.S);
-  Program.register_if_absent (module Consumer : Program.S);
-  Program.register_if_absent (module P : Program.S)
+  Program.register_if_absent (module Producer);
+  Program.register_if_absent (module Filter);
+  Program.register_if_absent (module Consumer);
+  Program.register_if_absent (module P)

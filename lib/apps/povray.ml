@@ -312,4 +312,4 @@ module P = struct
     }
 end
 
-let register () = Program.register_if_absent (module P : Program.S)
+let register () = Program.register_if_absent (module P)

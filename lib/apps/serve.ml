@@ -192,9 +192,18 @@ let client_stats t : stats =
 
 let total_expected t = t.cfg.n_conns * t.cfg.reqs_per_conn
 
-let all_done t =
-  let s = client_stats t in
-  s.st_completed >= total_expected t
+(* Requests completed over the client population, read from the live
+   client states: [wait_done] asks after every event, where a snapshot
+   encodes each client whole. *)
+let completed t =
+  List.fold_left
+    (fun acc ((_ : Pod.t), (proc : Proc.t)) ->
+      match Program.inspect proc.Proc.inst Kv_client.id with
+      | Some s -> acc + s.Kv_client.completed
+      | None -> invalid_arg "Serve.completed: a client process is not a kv_client")
+    0 t.clients
+
+let all_done t = completed t >= total_expected t
 
 let wait_done ?(timeout = Simtime.sec 120.0) t =
   Cluster.run_until t.cluster ~timeout (fun () -> all_done t)
@@ -270,6 +279,7 @@ let feed_metrics t =
   let set name v =
     Metrics.add reg name (v - Metrics.counter reg name)
   in
+  set "client.issued" s.st_issued;
   set "client.completed" s.st_completed;
   set "client.retries" s.st_retries;
   set "client.timeouts" s.st_timeouts;

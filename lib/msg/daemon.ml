@@ -24,4 +24,4 @@ module P = struct
   let of_value v = match Value.to_int v with 0 -> Fresh | _ -> Looping
 end
 
-let register () = Program.register_if_absent (module P : Program.S)
+let register () = Program.register_if_absent (module P)

@@ -14,6 +14,10 @@ type t = {
   fabric : Fabric.t;
   socks : (int, Socket.t) Hashtbl.t;
   estab : (int * int * int * int * int, Socket.t) Hashtbl.t;
+  (* derived from [estab]'s keys, for [port_in_use]: how many keys hold
+     each local (proto, ip, port), and under [Addr.any] how many hold
+     each (proto, port) on any ip *)
+  estab_ports : (int * int * int, int) Hashtbl.t;
   listeners : (int * int * int, Socket.t) Hashtbl.t;
   mutable raws : Socket.t list;
   mutable next_id : int;
@@ -35,6 +39,7 @@ let create ~node fabric =
     fabric;
     socks = Hashtbl.create 64;
     estab = Hashtbl.create 64;
+    estab_ports = Hashtbl.create 16;
     listeners = Hashtbl.create 16;
     raws = [];
     next_id = 1;
@@ -45,16 +50,32 @@ let create ~node fabric =
     gm = None;
   }
 
+let bump t k d =
+  let n = d + Option.value ~default:0 (Hashtbl.find_opt t.estab_ports k) in
+  if n = 0 then Hashtbl.remove t.estab_ports k else Hashtbl.replace t.estab_ports k n
+
+(* Count an [estab] key in or out of the port counts.  [register_estab]
+   replaces, so only a key new to [estab] counts in. *)
+let count_key t (proto, lip, lport, _, _) d =
+  bump t (proto, lip, lport) d;
+  bump t (proto, Addr.any, lport) d
+
 let register_estab t (s : Socket.t) =
   match (s.local, s.remote) with
-  | Some l, Some r -> Hashtbl.replace t.estab (estab_key s.kind l r) s
+  | Some l, Some r ->
+    let k = estab_key s.kind l r in
+    if not (Hashtbl.mem t.estab k) then count_key t k 1;
+    Hashtbl.replace t.estab k s
   | _ -> ()
 
 let unregister t (s : Socket.t) =
   (match (s.local, s.remote) with
    | Some l, Some r ->
-     (match Hashtbl.find_opt t.estab (estab_key s.kind l r) with
-      | Some s' when s' == s -> Hashtbl.remove t.estab (estab_key s.kind l r)
+     let k = estab_key s.kind l r in
+     (match Hashtbl.find_opt t.estab k with
+      | Some s' when s' == s ->
+        count_key t k (-1);
+        Hashtbl.remove t.estab k
       | Some _ | None -> ())
    | _ -> ());
   (match s.local with
@@ -177,13 +198,19 @@ let remove_ip t ip =
 let default_ip t = match t.local_ips with ip :: _ -> Some ip | [] -> None
 let has_ip t ip = List.exists (fun i -> Addr.equal_ip i ip) t.local_ips
 
+(* A port is in use on [ip] when a listener holds it there or on any
+   address, or a connection's local end holds it on [ip] (on any ip, for
+   [Addr.any]).  The connection half reads the port counts: O(1) however
+   many connections the node holds, where a fold over [estab] made every
+   ephemeral bind walk them all. *)
 let port_in_use t proto ip port =
   Hashtbl.mem t.listeners (proto, ip, port)
   || (not (Addr.equal_ip ip Addr.any)) && Hashtbl.mem t.listeners (proto, Addr.any, port)
-  || Hashtbl.fold
-       (fun (pr, lip, lport, _, _) _ acc ->
-         acc || (pr = proto && lport = port && (Addr.equal_ip lip ip || Addr.equal_ip ip Addr.any)))
-       t.estab false
+  || Hashtbl.mem t.estab_ports (proto, ip, port)
+
+let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
+let listener_keys t = keys t.listeners
+let estab_keys t = keys t.estab
 
 let alloc_port t proto ip =
   let start = t.next_port in

@@ -26,6 +26,25 @@ val bind : t -> Socket.t -> Addr.t -> (unit, Errno.t) result
 (** Port 0 allocates an ephemeral port; a concrete port conflicting with an
     existing binding yields [EADDRINUSE] (unless SO_REUSEADDR). *)
 
+val port_in_use : t -> int -> Addr.ip -> int -> bool
+(** [port_in_use t proto ip port]: a listener holds [port] on [ip] or on
+    any address, or a connection's local end holds it on [ip] (on any ip,
+    when [ip] is {!Addr.any}).  [proto] is the IP protocol number (6 TCP,
+    17 UDP).  Reads per-port counts of the connection table, kept by its
+    two writers, so it costs O(1) whatever the connection count.
+    Exported for [test_simnet], which holds it to a scan of
+    {!listener_keys} and {!estab_keys} after every bind, connect, close
+    and unregister. *)
+
+val listener_keys : t -> (int * Addr.ip * int) list
+(** The listener table's keys, [(proto, ip, port)], in no order.
+    Exported for [test_simnet]'s [port_in_use] reference. *)
+
+val estab_keys : t -> (int * Addr.ip * int * Addr.ip * int) list
+(** The connection table's keys, [(proto, local ip, local port, remote
+    ip, remote port)], in no order.  Exported for [test_simnet]'s
+    [port_in_use] reference. *)
+
 val listen : t -> Socket.t -> int -> (unit, Errno.t) result
 
 val connect_start : t -> Socket.t -> Addr.t -> (unit, Errno.t) result

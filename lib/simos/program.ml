@@ -29,35 +29,49 @@ module type S = sig
   val of_value : Value.t -> state
 end
 
-type instance = Inst : (module S with type state = 's) * 's ref -> instance
+(* A program with the type id of its state, if it registered one. *)
+type entry = Entry : (module S with type state = 's) * 's Type.Id.t option -> entry
 
-let registry : (string, (module S)) Hashtbl.t = Hashtbl.create 32
+type instance =
+  | Inst : (module S with type state = 's) * 's ref * 's Type.Id.t option -> instance
 
-let register (module P : S) =
+let registry : (string, entry) Hashtbl.t = Hashtbl.create 32
+
+let register (type s) ?id (module P : S with type state = s) =
   if Hashtbl.mem registry P.name then
     invalid_arg ("Program.register: duplicate program " ^ P.name);
-  Hashtbl.replace registry P.name (module P : S)
+  Hashtbl.replace registry P.name (Entry ((module P), id))
 
-let register_if_absent (module P : S) =
-  if not (Hashtbl.mem registry P.name) then Hashtbl.replace registry P.name (module P : S)
+let register_if_absent (type s) ?id (module P : S with type state = s) =
+  if not (Hashtbl.mem registry P.name) then
+    Hashtbl.replace registry P.name (Entry ((module P), id))
 
-let lookup name : (module S) option = Hashtbl.find_opt registry name
+let lookup name : (module S) option =
+  match Hashtbl.find_opt registry name with
+  | Some (Entry ((module P), _)) -> Some (module P : S)
+  | None -> None
 
 let spawn name args : instance =
-  match lookup name with
+  match Hashtbl.find_opt registry name with
   | None -> invalid_arg ("Program.spawn: unknown program " ^ name)
-  | Some (module P : S) -> Inst ((module P), ref (P.start args))
+  | Some (Entry ((module P), id)) -> Inst ((module P), ref (P.start args), id)
 
 let restore name state_v : instance =
-  match lookup name with
+  match Hashtbl.find_opt registry name with
   | None -> invalid_arg ("Program.restore: unknown program " ^ name)
-  | Some (module P : S) -> Inst ((module P), ref (P.of_value state_v))
+  | Some (Entry ((module P), id)) -> Inst ((module P), ref (P.of_value state_v), id)
 
-let step_instance (Inst ((module P), st)) outcome : action =
+let step_instance (Inst ((module P), st, _)) outcome : action =
   let state', action = P.step !st outcome in
   st := state';
   action
 
-let snapshot (Inst ((module P), st)) : string * Value.t = (P.name, P.to_value !st)
+let snapshot (Inst ((module P), st, _)) : string * Value.t = (P.name, P.to_value !st)
 
-let name_of (Inst ((module P), _)) = P.name
+let inspect (type a) (Inst (_, st, id)) (want : a Type.Id.t) : a option =
+  match id with
+  | None -> None
+  | Some id ->
+    (match Type.Id.provably_equal id want with Some Type.Equal -> Some !st | None -> None)
+
+let name_of (Inst ((module P), _, _)) = P.name

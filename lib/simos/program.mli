@@ -37,10 +37,12 @@ end
 
 type instance
 
-val register : (module S) -> unit
-(** @raise Invalid_argument on duplicate names. *)
+val register : ?id:'s Type.Id.t -> (module S with type state = 's) -> unit
+(** [id], if given, names the program's state type, so that
+    {!inspect} can hand the live state of its instances back typed.
+    @raise Invalid_argument on duplicate names. *)
 
-val register_if_absent : (module S) -> unit
+val register_if_absent : ?id:'s Type.Id.t -> (module S with type state = 's) -> unit
 val lookup : string -> (module S) option
 
 val spawn : string -> Value.t -> instance
@@ -52,4 +54,14 @@ val restore : string -> Value.t -> instance
 
 val step_instance : instance -> Syscall.outcome -> action
 val snapshot : instance -> string * Value.t
+
+val inspect : instance -> 'a Type.Id.t -> 'a option
+(** [inspect inst id] is the instance's live state if its program
+    registered [id] itself (another id of the same type does not
+    match); [None] otherwise.  A
+    read-only view for host-side harnesses: where {!snapshot} encodes the
+    whole state, this costs nothing, so a predicate polled after every
+    event can read one field.  Mutating the state would bypass the
+    program's own discipline. *)
+
 val name_of : instance -> string

@@ -526,12 +526,43 @@ module Kept_server = Kept_reqs (struct
          s.conns true
 end)
 
-let test_kv_kept_poll_reqs () =
+(* [Serve.all_done] sums the clients' completion counts through
+   [Program.inspect]; at every 5 ms sample of a small run the sum equals
+   what their snapshots decode to.  [inspect] answers only with the very
+   id the program registered. *)
+let test_serve_completed_reads_live_state () =
   let module Serve = Zapc_apps.Serve in
-  Program.register_if_absent (module Kept_client : Program.S);
-  Program.register_if_absent (module Kept_server : Program.S);
+  let module C = Zapc_apps.Kv_client in
+  let cfg = { Serve.default_cfg with n_conns = 48; reqs_per_conn = 3; period = Simtime.ms 20 } in
+  let t = Serve.setup ~nodes:4 ~seed:11 ~cfg () in
+  let cluster = t.Serve.cluster in
+  let samples = ref 0 in
+  while (not (Serve.all_done t)) && Cluster.now cluster < Simtime.sec 2.0 do
+    Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 5)) ();
+    check tint "completed = the snapshots' count" (Serve.client_stats t).st_completed
+      (Serve.completed t);
+    incr samples
+  done;
+  check tbool "every request completed" true (Serve.all_done t && !samples > 10);
+  let inst (pod : Pod.t) = (snd (List.hd (Pod.members pod))).Proc.inst in
+  let client = inst (fst (List.hd t.Serve.clients)) in
+  let server = inst (List.hd t.Serve.servers) in
+  let other : C.state Type.Id.t = Type.Id.make () in
+  check tbool "a kv client answers its id" true (Program.inspect client C.id <> None);
+  check tbool "a kvstore answers none" true (Program.inspect server C.id = None);
+  check tbool "another id of the same type answers none" true (Program.inspect client other = None)
+
+(* 300 virtual ms of 64-connection kv traffic, 20 requests per
+   connection, with a checkpoint-and-restart of the servers at 100 ms;
+   the client and server programs are named, so that a test can wrap
+   either. *)
+let kv_traffic ?(req_timeout = Zapc_apps.Serve.default_cfg.req_timeout) ~client ~server
+    ~key_prefix () =
+  let module Serve = Zapc_apps.Serve in
   Zapc_apps.Registry.register_all ();
-  let cfg = { Serve.default_cfg with n_conns = 64; reqs_per_conn = 20; period = Simtime.ms 20 } in
+  let cfg =
+    { Serve.default_cfg with n_conns = 64; reqs_per_conn = 20; period = Simtime.ms 20; req_timeout }
+  in
   let cluster = Cluster.make ~seed:7 ~params:Serve.serve_params ~node_count:4 () in
   let servers =
     List.init cfg.nshards (fun i ->
@@ -541,12 +572,11 @@ let test_kv_kept_poll_reqs () =
   Cluster.link_pods (servers @ [ cpod ]);
   let vips = Array.of_list (List.map (fun (p : Pod.t) -> p.vip) servers) in
   List.iteri
-    (fun i pod ->
-      ignore (Pod.spawn pod ~program:Kept_server.name ~args:(Serve.server_args cfg vips i)))
+    (fun i pod -> ignore (Pod.spawn pod ~program:server ~args:(Serve.server_args cfg vips i)))
     servers;
   Cluster.run cluster ~until:(Simtime.ms 1) ();
   ignore
-    (Pod.spawn cpod ~program:Kept_client.name
+    (Pod.spawn cpod ~program:client
        ~args:(Serve.client_args cfg vips ~n:cfg.n_conns ~base:0 ~seed:7));
   Cluster.run cluster ~until:(Simtime.ms 100) ();
   let pod_ids = List.map (fun (p : Pod.t) -> p.pod_id) servers in
@@ -557,16 +587,20 @@ let test_kv_kept_poll_reqs () =
            (fun i (p : Pod.t) ->
              { Manager.ci_pod = p.pod_id;
                ci_node = i;
-               ci_dest = Zapc.Protocol.U_storage (Printf.sprintf "kept.pod%d" p.pod_id) })
+               ci_dest = Zapc.Protocol.U_storage (Printf.sprintf "%s.pod%d" key_prefix p.pod_id) })
            servers)
   in
   check tbool "servers checkpointed" true r.Manager.r_ok;
   let r =
-    Cluster.restart_app cluster ~pod_ids ~target_nodes:(List.init cfg.nshards Fun.id)
-      ~key_prefix:"kept"
+    Cluster.restart_app cluster ~pod_ids ~target_nodes:(List.init cfg.nshards Fun.id) ~key_prefix
   in
   check tbool "servers restarted" true r.Manager.r_ok;
-  Cluster.run cluster ~until:(Simtime.ms 300) ();
+  Cluster.run cluster ~until:(Simtime.ms 300) ()
+
+let test_kv_kept_poll_reqs () =
+  Program.register_if_absent (module Kept_client);
+  Program.register_if_absent (module Kept_server);
+  kv_traffic ~client:Kept_client.name ~server:Kept_server.name ~key_prefix:"kept" ();
   List.iter
     (fun (name, polls, kept, stale) ->
       check tint (name ^ ": kept lists equal a fresh build") 0 stale;
@@ -574,6 +608,122 @@ let test_kv_kept_poll_reqs () =
       check tbool (name ^ ": most polls reuse the list") true (polls > 100 && 2 * kept > polls))
     [ ("kv_client", !Kept_client.polls, !Kept_client.kept, !Kept_client.stale);
       ("kvstore", !Kept_server.polls, !Kept_server.kept, !Kept_server.stale) ]
+
+(* The client's timer heap answers what the scans over every connection
+   it replaced answer.  Wrapped under a test name, the client serves the
+   traffic above (its image round-tripped in place every 97 steps):
+   after every step [poll_timeout] must equal the fold, and so must the
+   timeout of a poll the step issues; before every clock tick, the
+   connections [due] hands the tick must be the ones a scan finds due,
+   in [ix] order. *)
+module Timed_client = struct
+  module C = Zapc_apps.Kv_client
+  module Syscall = Zapc_simos.Syscall
+
+  type state = { mutable s : C.state; mutable steps : int }
+
+  let ticks = ref 0
+  let acted = Array.make 6 0  (* connections a tick acted on, by state *)
+  let faults = ref []
+  let name = "test.timed.kv_client"
+  let start v = { s = C.start v; steps = 0 }
+  let to_value t = C.to_value t.s
+  let of_value v = { s = C.of_value v; steps = 0 }
+
+  let scan_timeout (s : C.state) =
+    let next = ref max_int in
+    Array.iter
+      (fun (c : C.conn) ->
+        match c.cst with
+        | 2 -> if c.issued < s.reqs_per_conn then next := Stdlib.min !next c.next_send
+        | 1 | 3 -> next := Stdlib.min !next c.deadline
+        | 4 -> next := Stdlib.min !next c.wait_until
+        | _ -> ())
+      s.conns;
+    if !next = max_int then None else Some (Stdlib.max 1 (!next - s.now))
+
+  let scan_due (s : C.state) =
+    List.filter
+      (fun (c : C.conn) ->
+        match c.cst with
+        | 0 -> c.done_ < s.reqs_per_conn || c.pending <> None
+        | 4 -> s.now >= c.wait_until
+        | 2 -> c.issued < s.reqs_per_conn && s.now >= c.next_send
+        | 1 | 3 -> s.now >= c.deadline
+        | _ -> false)
+      (Array.to_list s.conns)
+
+  let fault fmt = Printf.ksprintf (fun m -> faults := m :: !faults) fmt
+  let ixs = List.map (fun (c : C.conn) -> c.ix)
+  let show l = String.concat "," (List.map string_of_int l)
+
+  let step t outcome =
+    t.steps <- t.steps + 1;
+    if t.steps mod 97 = 0 then t.s <- C.of_value (C.to_value t.s);
+    (match outcome with
+     | Syscall.Ret (Syscall.Rtime now) when (not t.s.polling) && t.s.last = None ->
+       (* stage the tick [step] is about to run: its clock, then the
+          first tick's stagger (both idempotent) *)
+       t.s.now <- now;
+       C.stagger t.s;
+       let want = scan_due t.s in
+       let got = ixs (C.due t.s) in
+       if got <> ixs want then
+         fault "tick at %d ns acts on [%s], a scan on [%s]" now (show got) (show (ixs want));
+       incr ticks;
+       List.iter (fun (c : C.conn) -> acted.(c.cst) <- acted.(c.cst) + 1) want
+     | _ -> ());
+    let s, action = C.step t.s outcome in
+    t.s <- s;
+    let want = scan_timeout s in
+    (match action with
+     | Program.Sys (Syscall.Poll (_, timeout)) when timeout <> want ->
+       fault "step %d polls with a timeout the scan does not give" t.steps
+     | Program.Sys _ | Program.Compute _ | Program.Exit _ -> ());
+    if C.poll_timeout s <> want then fault "step %d: poll_timeout differs from the scan" t.steps;
+    (t, action)
+end
+
+let test_kv_timers_match_scan () =
+  (* a timer is due at its very instant, and a state-0 connection that
+     wants a socket at every tick *)
+  let module C = Zapc_apps.Kv_client in
+  let cfg = Zapc_apps.Serve.default_cfg in
+  let vips = Array.make cfg.nshards (Zapc_simnet.Addr.make_ip 10 0 0 1) in
+  let s = C.start (Zapc_apps.Serve.client_args cfg vips ~n:4 ~base:0 ~seed:1) in
+  let set (c : C.conn) cst at =
+    c.next_send <- at;
+    c.deadline <- at;
+    c.wait_until <- at;
+    C.set_cst s c cst
+  in
+  set s.conns.(0) 2 1000;
+  set s.conns.(1) 4 999;
+  set s.conns.(2) 3 1001;
+  s.now <- 1000;
+  check (Alcotest.list tint) "due at 1000 ns" [ 0; 1; 3 ] (Timed_client.ixs (C.due s));
+  check (Alcotest.option tint) "poll sleeps 1 ns" (Some 1) (C.poll_timeout s);
+  (* the first tick's stagger retimes what it writes, whatever the state *)
+  let s = C.start (Zapc_apps.Serve.client_args cfg vips ~n:4 ~base:0 ~seed:1) in
+  C.set_cst s s.conns.(0) 2;
+  ignore (C.due s);
+  s.now <- 5000;
+  C.stagger s;
+  check (Alcotest.option tint) "staggered next_send" (Timed_client.scan_timeout s)
+    (C.poll_timeout s);
+  Program.register_if_absent (module Timed_client);
+  (* a 2 ms request timeout: the restart's blackout is far shorter than
+     the default 150 ms, and the deadlines must fire too *)
+  kv_traffic ~req_timeout:(Simtime.ms 2) ~client:Timed_client.name ~server:"kvstore"
+    ~key_prefix:"timed" ();
+  let first l = List.filteri (fun i _ -> i < 3) (List.rev l) in
+  check (Alcotest.list Alcotest.string) "heap answers = scan answers" []
+    (first !Timed_client.faults);
+  let a = Timed_client.acted in
+  Printf.printf "%d ticks acted on %d connections in state 0, %d in 1, %d in 2, %d in 3, %d in 4\n"
+    !Timed_client.ticks a.(0) a.(1) a.(2) a.(3) a.(4);
+  check tbool "ticks acted on every timed state" true
+    (!Timed_client.ticks > 100 && a.(0) > 0 && a.(2) > 0 && a.(1) + a.(3) > 0 && a.(4) > 0)
 
 (* --- the application kernels, bit for bit ---
 
@@ -961,6 +1111,10 @@ let () =
             test_serve_waiters_bounded;
           Alcotest.test_case "kv work queues are FIFO across an image" `Quick
             test_kv_work_queue_fifo;
+          Alcotest.test_case "all_done reads the clients' live state" `Quick
+            test_serve_completed_reads_live_state;
+          Alcotest.test_case "kv client timers equal a full scan" `Quick
+            test_kv_timers_match_scan;
           Alcotest.test_case "kv poll lists kept equal a fresh build" `Quick
             test_kv_kept_poll_reqs ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_restart_any_time ]);

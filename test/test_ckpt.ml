@@ -336,9 +336,9 @@ module Piper = struct
       wfd = Value.to_int (Value.field "wfd" v) }
 end
 
-let () = Program.register_if_absent (module Memhog : Program.S)
-let () = Program.register_if_absent (module Exiter : Program.S)
-let () = Program.register_if_absent (module Piper : Program.S)
+let () = Program.register_if_absent (module Memhog)
+let () = Program.register_if_absent (module Exiter)
+let () = Program.register_if_absent (module Piper)
 
 let test_pod_checkpoint_image () =
   let engine = Engine.create ~seed:9 () in

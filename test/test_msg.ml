@@ -220,7 +220,7 @@ module Coll_tester = struct
   let of_value _ = failwith "msgtest.coll is not restorable"
 end
 
-let () = Program.register_if_absent (module Coll_tester : Program.S)
+let () = Program.register_if_absent (module Coll_tester)
 
 let logged : string list ref = ref []
 

@@ -204,11 +204,13 @@ let registered = ref false
 let register_programs () =
   if not !registered then begin
     registered := true;
-    List.iter Program.register_if_absent
-      [ (module Pid_logger : Program.S); (module Long_sleeper : Program.S);
-        (module Killer : Program.S); (module Podserver : Program.S);
-        (module Podclient : Program.S); (module Clock_logger : Program.S);
-        (module Fs_writer : Program.S) ]
+    Program.register_if_absent (module Pid_logger);
+    Program.register_if_absent (module Long_sleeper);
+    Program.register_if_absent (module Killer);
+    Program.register_if_absent (module Podserver);
+    Program.register_if_absent (module Podclient);
+    Program.register_if_absent (module Clock_logger);
+    Program.register_if_absent (module Fs_writer)
   end
 
 (* --- namespace unit tests --- *)

@@ -618,6 +618,170 @@ let test_ephemeral_ports_distinct () =
   let ports = List.init 50 (fun _ -> mk ()) in
   check tint "all distinct" 50 (List.length (List.sort_uniq Int.compare ports))
 
+(* --- port_in_use against a scan of the tables ---
+
+   [Netstack.port_in_use] answers its connection half from per-port
+   counts that [register_estab] and [unregister] keep.  The reference is
+   the scan it replaced: a listener on the ip or on any address, or a
+   connection key whose local end holds the port on the ip (on any ip,
+   for [Addr.any]).  Random binds (ephemeral and explicit, on any or one
+   ip, with and without SO_REUSEADDR), connects, closes, direct
+   unregisters and re-registrations over streams and datagrams, and
+   datagram twins that take over a connected socket's key, with the
+   engine run now and then; after every op both stacks must answer as
+   the scan for every protocol, ip and port the run can touch. *)
+
+type port_op =
+  | P_bind of bool * bool * int * bool  (* stream, on any ip, port (0: ephemeral), reuse *)
+  | P_connect of int * int  (* socket, remote port *)
+  | P_close of int
+  | P_unregister of int
+  | P_reregister of int
+  | P_twin of int  (* a datagram socket on the same 4-tuple, replacing its key *)
+  | P_run
+
+let show_port_op = function
+  | P_bind (st, any, port, reuse) ->
+    Printf.sprintf "bind %s %s:%d%s" (if st then "stream" else "dgram")
+      (if any then "any" else "ip0") port (if reuse then " reuse" else "")
+  | P_connect (i, port) -> Printf.sprintf "connect s%d :%d" i port
+  | P_close i -> Printf.sprintf "close s%d" i
+  | P_unregister i -> Printf.sprintf "unregister s%d" i
+  | P_reregister i -> Printf.sprintf "reregister s%d" i
+  | P_twin i -> Printf.sprintf "twin s%d" i
+  | P_run -> "run"
+
+(* explicit ports collide with the first ephemeral ones and each other *)
+let port_window = [ 32768; 32769; 32770; 32771; 7000; 7001 ]
+
+let gen_port_op =
+  let open QCheck.Gen in
+  let sock = int_bound 15 in
+  frequency
+    [ ( 6,
+        map3
+          (fun (st, any) port reuse -> P_bind (st, any, port, reuse))
+          (pair bool bool)
+          (frequency [ (2, return 0); (3, oneofl port_window) ])
+          (frequency [ (3, return false); (1, return true) ]) );
+      (5, map2 (fun i port -> P_connect (i, port)) sock (oneofl [ 7000; 7001; 9 ]));
+      (2, map (fun i -> P_close i) sock);
+      (1, map (fun i -> P_unregister i) sock);
+      (1, map (fun i -> P_reregister i) sock);
+      (2, map (fun i -> P_twin i) sock);
+      (2, return P_run) ]
+
+let scan_port_in_use ns proto ip port =
+  let any = Addr.equal_ip ip Addr.any in
+  List.exists
+    (fun (pr, lip, lport) ->
+      pr = proto && lport = port
+      && (Addr.equal_ip lip ip || ((not any) && Addr.equal_ip lip Addr.any)))
+    (Netstack.listener_keys ns)
+  || List.exists
+       (fun (pr, lip, lport, _, _) -> pr = proto && lport = port && (any || Addr.equal_ip lip ip))
+       (Netstack.estab_keys ns)
+
+let prop_port_in_use_matches_scan =
+  QCheck.Test.make ~name:"port_in_use matches a scan of the tables" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_port_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_port_op))
+    (fun ops ->
+      let env = setup () in
+      (* listeners on ns1 that stream connects reach; port 9 refuses *)
+      List.iter
+        (fun port ->
+          let l = Netstack.new_socket env.ns1 Socket.Stream in
+          ignore (Netstack.bind env.ns1 l { Addr.ip = env.ip1; port });
+          ignore (Netstack.listen env.ns1 l 16);
+          let u = Netstack.new_socket env.ns1 Socket.Dgram in
+          ignore (Netstack.bind env.ns1 u { Addr.ip = env.ip1; port }))
+        [ 7000; 7001 ];
+      let socks = ref [||] in
+      let sock i =
+        let n = Array.length !socks in
+        if n = 0 then None else Some !socks.(i mod n)
+      in
+      let agree () =
+        List.for_all
+          (fun (ns, ips) ->
+            let ports =
+              List.sort_uniq Int.compare
+                (port_window
+                @ List.map (fun (_, _, p, _, _) -> p) (Netstack.estab_keys ns)
+                @ List.map (fun (_, _, p) -> p) (Netstack.listener_keys ns))
+            in
+            List.for_all
+              (fun proto ->
+                List.for_all
+                  (fun ip ->
+                    List.for_all
+                      (fun port ->
+                        Netstack.port_in_use ns proto ip port = scan_port_in_use ns proto ip port)
+                      ports)
+                  (Addr.any :: ips))
+              [ 6; 17 ])
+          [ (env.ns0, [ env.ip0 ]); (env.ns1, [ env.ip1 ]) ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | P_bind (stream, any, port, reuse) ->
+             let s = Netstack.new_socket env.ns0 (if stream then Socket.Stream else Socket.Dgram) in
+             if reuse then Sockopt.set s.Socket.opts Sockopt.SO_REUSEADDR 1;
+             let ip = if any then Addr.any else env.ip0 in
+             ignore (Netstack.bind env.ns0 s { Addr.ip; port });
+             socks := Array.append !socks [| s |]
+           | P_connect (i, port) ->
+             Option.iter
+               (fun s -> ignore (Netstack.connect_start env.ns0 s { Addr.ip = env.ip1; port }))
+               (sock i)
+           | P_close i -> Option.iter (Netstack.close env.ns0) (sock i)
+           | P_unregister i -> Option.iter (fun (s : Socket.t) -> s.netctx.nc_unregister s) (sock i)
+           | P_reregister i ->
+             Option.iter (fun (s : Socket.t) -> s.netctx.nc_register_estab s) (sock i)
+           | P_twin i ->
+             (match sock i with
+              | Some ({ Socket.kind = Socket.Dgram; local = Some l; remote = Some r; _ } : Socket.t)
+                ->
+                let s = Netstack.new_socket env.ns0 Socket.Dgram in
+                Sockopt.set s.Socket.opts Sockopt.SO_REUSEADDR 1;
+                ignore (Netstack.bind env.ns0 s l);
+                ignore (Netstack.connect_start env.ns0 s r);
+                socks := Array.append !socks [| s |]
+              | Some _ | None -> ())
+           | P_run -> run_for env (Simtime.ms 50));
+          agree ())
+        ops)
+
+(* Every ephemeral port held by a connection: the next ephemeral bind
+   raises, and closing one frees exactly that port. *)
+let test_ephemeral_ports_exhausted () =
+  let env = setup () in
+  let peer = { Addr.ip = env.ip1; port = 9 } in
+  let socks =
+    Array.init (60999 - 32768 + 1) (fun i ->
+        let s = Netstack.new_socket env.ns0 Socket.Dgram in
+        (match Netstack.bind env.ns0 s { Addr.ip = env.ip0; port = 32768 + i } with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "bind %d: %s" (32768 + i) (Errno.to_string e));
+        ignore (Netstack.connect_start env.ns0 s peer);
+        s)
+  in
+  check tint "no listener left" 0 (List.length (Netstack.listener_keys env.ns0));
+  let ephemeral ip =
+    let s = Netstack.new_socket env.ns0 Socket.Dgram in
+    match Netstack.bind env.ns0 s { Addr.ip; port = 0 } with
+    | Ok () -> Some (Option.get s.Socket.local).Addr.port
+    | Error e -> Alcotest.failf "bind: %s" (Errno.to_string e)
+    | exception Invalid_argument _ -> None
+  in
+  check tbool "exhausted on the ip" true (ephemeral env.ip0 = None);
+  check tbool "exhausted on any ip" true (ephemeral Addr.any = None);
+  Netstack.close env.ns0 socks.(4321);
+  check tbool "the freed port comes back" true (ephemeral env.ip0 = Some (32768 + 4321))
+
 let test_bind_conflict () =
   let env = setup () in
   let s1 = Netstack.new_socket env.ns0 Socket.Stream in
@@ -939,6 +1103,8 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_addr_roundtrip;
           Alcotest.test_case "sockopt save/restore" `Quick test_sockopt_defaults_and_save;
           Alcotest.test_case "ephemeral ports" `Quick test_ephemeral_ports_distinct;
+          QCheck_alcotest.to_alcotest prop_port_in_use_matches_scan;
+          Alcotest.test_case "ephemeral ports exhausted" `Quick test_ephemeral_ports_exhausted;
           Alcotest.test_case "bind conflict" `Quick test_bind_conflict;
           Alcotest.test_case "raw ip" `Quick test_raw_ip;
           QCheck_alcotest.to_alcotest prop_sockopt_matches_hashtbl_model ] );

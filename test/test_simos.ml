@@ -239,14 +239,14 @@ let registered = ref false
 let register_test_programs () =
   if not !registered then begin
     registered := true;
-    Program.register_if_absent (module Sleeper2 : Program.S);
-    Program.register_if_absent (module Burner : Program.S);
-    Program.register_if_absent (module Pipe_parent : Program.S);
-    Program.register_if_absent (module Pipe_child : Program.S);
-    Program.register_if_absent (module Clock_prog : Program.S);
-    Program.register_if_absent (module Sock_poller : Program.S);
-    Program.register_if_absent (module Req_poller : Program.S);
-    Program.register_if_absent (module Model_poller : Program.S)
+    Program.register_if_absent (module Sleeper2);
+    Program.register_if_absent (module Burner);
+    Program.register_if_absent (module Pipe_parent);
+    Program.register_if_absent (module Pipe_child);
+    Program.register_if_absent (module Clock_prog);
+    Program.register_if_absent (module Sock_poller);
+    Program.register_if_absent (module Req_poller);
+    Program.register_if_absent (module Model_poller)
   end
 
 (* --- tests --- *)

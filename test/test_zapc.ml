@@ -612,14 +612,14 @@ module Hello_client = struct
 end
 
 let () =
-  Program.register_if_absent (module Lazy_server : Program.S);
-  Program.register_if_absent (module Hello_client : Program.S);
-  Program.register_if_absent (module Ring : Program.S);
-  Program.register_if_absent (module Udp_chat : Program.S);
-  Program.register_if_absent (module Alarm_prog : Program.S);
-  Program.register_if_absent (module Gm_ping : Program.S);
-  Program.register_if_absent (module Gm_pong : Program.S);
-  Program.register_if_absent (module Dirtyhog : Program.S)
+  Program.register_if_absent (module Lazy_server);
+  Program.register_if_absent (module Hello_client);
+  Program.register_if_absent (module Ring);
+  Program.register_if_absent (module Udp_chat);
+  Program.register_if_absent (module Alarm_prog);
+  Program.register_if_absent (module Gm_ping);
+  Program.register_if_absent (module Gm_pong);
+  Program.register_if_absent (module Dirtyhog)
 
 (* launch [n] pods on the given nodes running a raw (non-Mpi) program *)
 let launch_raw cluster ~name ~program ~placement ~mk_args =
@@ -2138,6 +2138,18 @@ let test_net_metric_catalogue () =
   check tbool "a vip re-announced" true (counter "net.vip_rebound" > 0);
   check_catalogue ~prefixes:[ "net." ] [ m ]
 
+(* Every client.* and serve.* instrument is in doc/OBSERVABILITY.md, and
+   vice versa: what [Serve.feed_metrics] registers after a small served
+   run. *)
+let test_serve_metric_catalogue () =
+  let module Serve = Zapc_apps.Serve in
+  let cfg = { Serve.default_cfg with n_conns = 32; reqs_per_conn = 2; period = Simtime.ms 20 } in
+  let t = Serve.setup ~nodes:4 ~seed:5 ~cfg () in
+  Serve.wait_done ~timeout:(Simtime.sec 2.0) t;
+  let s = Serve.feed_metrics t in
+  check tint "every request completed" (Serve.total_expected t) s.Serve.st_completed;
+  check_catalogue ~prefixes:[ "client."; "serve." ] [ Cluster.metrics t.Serve.cluster ]
+
 (* Regression: Periodic and the Supervisor observe a migrated pod's new
    home atomically at the handoff.  An epoch that fires mid-migration is
    skipped (manager busy), the first epoch after the handoff checkpoints
@@ -2592,6 +2604,8 @@ let () =
             test_ckpt_metric_catalogue;
           Alcotest.test_case "net metric catalogue" `Quick
             test_net_metric_catalogue;
+          Alcotest.test_case "serve metric catalogue" `Quick
+            test_serve_metric_catalogue;
           Alcotest.test_case "supervisor: default trace" `Quick
             test_supervisor_default_trace;
           Alcotest.test_case "supervisor metric catalogue" `Quick
