@@ -1102,7 +1102,7 @@ let profile () =
       Printf.sprintf
         "{\"op\": \"%s\", \"total_ms\": %.3f, \"dominant\": \"%s\",\n\
         \    \"phases\": [\n%s\n    ]}"
-        op
+        (Zapc_obs.Phase.to_string op)
         (Simtime.to_ms rep.Critpath.cp_total)
         rep.Critpath.cp_dominant
         (String.concat ",\n"
@@ -1390,10 +1390,8 @@ let serve_run () =
     Periodic.start cluster ~pods:t.Serve.servers ~prefix:"slo"
       ~period:(Simtime.ms 80) ~keep:2 ()
   in
-  (* share the span trace: Faultsim.create with no ~trace would install a
-     fresh one and orphan [tr] *)
-  let fs = Faultsim.create ~trace:tr cluster in
-  let sup = Supervisor.start ~trace:(Faultsim.trace fs) cluster per in
+  let fs = Faultsim.create cluster in
+  let sup = Supervisor.start cluster per in
   Cluster.run cluster ~until:(Simtime.ms 550) ();
   (* phase 3 — live pre-copy migration of the loaded shard-0 pod; let any
      in-flight epoch finish first (the Manager runs one op at a time) *)

@@ -77,10 +77,10 @@ let t_tcp =
          ignore (Zapc_simnet.Tcp.send_data client "ping");
          Engine.run engine))
 
-(* The recorder's open-span set is a hashtable keyed by span id: closing
-   by handle is O(1) however many spans are concurrently open (the serve
-   runs hold hundreds), and the by-name close only scans the open set, not
-   the full history.  The asserts pin the semantics the tracing layer
+(* The recorder's open spans sit in a table keyed by (pod, phase), each a
+   newest-first stack: closing by name reads one stack's head, and closing
+   by handle walks only the stack of its own (pod, phase), however many
+   spans are concurrently open (the serve runs hold hundreds).  The asserts pin the semantics the tracing layer
    depends on: every close resolves, and the set drains to empty. *)
 module Span = Zapc_obs.Span
 
@@ -91,7 +91,7 @@ let t_span =
          let handles =
            List.init 256 (fun i ->
                Span.begin_span r ~time:(Simtime.ns i) ~pod:(i mod 16) ~node:0
-                 "phase")
+                 Zapc_obs.Phase.Standalone)
          in
          List.iter (fun sp -> Span.end_span r ~time:(Simtime.ns 1000) sp) handles;
          assert (Span.open_count r = 0)))
@@ -101,10 +101,10 @@ let t_span_named =
     (Staged.stage (fun () ->
          let r = Span.create () in
          for i = 0 to 63 do
-           ignore (Span.begin_span r ~time:(Simtime.ns i) ~pod:i ~node:0 "ph")
+           ignore (Span.begin_span r ~time:(Simtime.ns i) ~pod:i ~node:0 Zapc_obs.Phase.Suspend)
          done;
          for i = 63 downto 0 do
-           assert (Span.end_named r ~time:(Simtime.ns 100) ~pod:i "ph")
+           assert (Span.end_named r ~time:(Simtime.ns 100) ~pod:i Zapc_obs.Phase.Suspend)
          done;
          assert (Span.open_count r = 0)))
 

@@ -7,12 +7,19 @@
      obs_check.exe --causal TRACE.json...
 
    The Chrome trace must parse, be non-empty, and exhibit the Figure-2
-   overlap — every pod's "standalone" span straddles the end of the
-   Manager's "mgr_sync" span (the 'continue' broadcast lands while the
+   overlap — every pod's [Standalone] span straddles the end of the
+   Manager's [Mgr_sync] span (the 'continue' broadcast lands while the
    standalone checkpoints are running).  The metrics snapshot must parse
-   and carry a successful mgr.ckpt series. *)
+   and carry a successful mgr.ckpt series.  Span names are read through
+   [Phase.to_string], so the checker follows the phase vocabulary. *)
 
 module Json = Zapc_obs.Json
+module Phase = Zapc_obs.Phase
+
+(* the X rows named [phase] *)
+let named phase xs =
+  let name = Phase.to_string phase in
+  List.filter (fun (n, _, _, _) -> String.equal n name) xs
 
 let fail fmt =
   Printf.ksprintf
@@ -53,13 +60,11 @@ let complete_events trace =
 let check_trace path =
   let count, xs = complete_events (parse_file path) in
   let sync_end =
-    match List.find_opt (fun (n, _, _, _) -> String.equal n "mgr_sync") xs with
-    | Some (_, _, _, t1) -> t1
-    | None -> fail "%s: no mgr_sync span" path
+    match named Phase.Mgr_sync xs with
+    | (_, _, _, t1) :: _ -> t1
+    | [] -> fail "%s: no mgr_sync span" path
   in
-  let standalones =
-    List.filter (fun (n, _, _, _) -> String.equal n "standalone") xs
-  in
+  let standalones = named Phase.Standalone xs in
   if standalones = [] then fail "%s: no standalone spans" path;
   List.iter
     (fun (_, tid, t0, t1) ->
@@ -92,25 +97,25 @@ let check_metrics path =
     (counter "mgr.ckpt.ok") (counter "storage.puts")
 
 (* --mig: the artifacts of `main.exe migration` (a traced pre-copy
-   migration).  The trace must hold a Manager-level "migrate" span with the
-   Agent-side "blackout" strictly inside it — the pod is only ever dark for
+   migration).  The trace must hold a Manager-level [Migrate] span with the
+   Agent-side [Blackout] strictly inside it — the pod is only ever dark for
    a proper sub-window of the operation, never from its first instant (the
    rounds run before the stop) nor to its last (the activation hands back a
    running pod).  The metrics must record the success and the blackout. *)
 let check_mig_trace path =
   let count, xs = complete_events (parse_file path) in
-  let span name =
-    match List.find_opt (fun (n, _, _, _) -> String.equal n name) xs with
-    | Some (_, _, t0, t1) -> (t0, t1)
-    | None -> fail "%s: no %s span" path name
+  let span phase =
+    match named phase xs with
+    | (_, _, t0, t1) :: _ -> (t0, t1)
+    | [] -> fail "%s: no %s span" path (Phase.to_string phase)
   in
-  let m0, m1 = span "migrate" in
-  let b0, b1 = span "blackout" in
+  let m0, m1 = span Phase.Migrate in
+  let b0, b1 = span Phase.Blackout in
   if not (m0 < b0 && b1 < m1) then
     fail
       "%s: blackout [%.1f..%.1f]us not strictly inside migrate [%.1f..%.1f]us"
       path b0 b1 m0 m1;
-  let p0, p1 = span "mig_precopy" in
+  let p0, p1 = span Phase.Mig_precopy in
   if not (p1 <= b0) then
     fail "%s: pre-copy [%.1f..%.1f]us overlaps the blackout from %.1fus" path
       p0 p1 b0;
@@ -145,9 +150,9 @@ let check_mig_metrics path =
 (* --serve: the artifacts of `main.exe serve` (the served-traffic SLO run).
    BENCH_serve.json must carry all four phase windows with samples and an
    intact exactly-once block; the trace must show the service actually went
-   dark and came back — "paused" spans for the periodic checkpoints (never
+   dark and came back — [Paused] spans for the periodic checkpoints (never
    overlapping on the same pod: a pod is suspended by at most one operation
-   at a time) and a migration "blackout"; the metrics must hold a non-empty
+   at a time) and a migration [Blackout]; the metrics must hold a non-empty
    client latency histogram and a clean duplicate counter. *)
 
 let check_serve_json path =
@@ -180,11 +185,10 @@ let check_serve_json path =
 
 let check_serve_trace path =
   let count, xs = complete_events (parse_file path) in
-  let paused = List.filter (fun (n, _, _, _) -> String.equal n "paused") xs in
+  let paused = named Phase.Paused xs in
   if paused = [] then fail "%s: no paused spans (no checkpoint ever ran)" path;
-  (match List.find_opt (fun (n, _, _, _) -> String.equal n "blackout") xs with
-   | Some _ -> ()
-   | None -> fail "%s: no blackout span (no migration ran)" path);
+  if named Phase.Blackout xs = [] then
+    fail "%s: no blackout span (no migration ran)" path;
   (* per pod (tid), the dark windows must be disjoint *)
   let by_tid = Hashtbl.create 8 in
   List.iter
@@ -282,7 +286,9 @@ let check_causal path =
   let ops =
     Hashtbl.fold
       (fun sid (name, node, _) acc ->
-        if node >= 0 && List.mem name [ "pod_ckpt"; "pod_restart"; "mig_precopy" ]
+        if node >= 0
+           && List.mem name
+                (List.map Phase.to_string Phase.[ Pod_ckpt; Pod_restart; Mig_precopy ])
         then (sid, name) :: acc
         else acc)
       spans []

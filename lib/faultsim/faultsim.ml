@@ -1,9 +1,10 @@
 (* Deterministic fault injection for the simulated ZapC cluster.
 
    Faults are scheduled on the cluster's own virtual-time engine, or fired
-   synchronously from Trace observers at protocol phase boundaries (which is
-   how a test lands a channel break exactly between a pod's meta report and
-   the Manager's 'continue').  All randomness comes from an RNG split off
+   synchronously from recorder subscribers at protocol phase instants
+   (which is how a test lands a channel break exactly between a pod's meta
+   report and the Manager's 'continue'); the recorder delivers instants
+   even when it is off.  All randomness comes from an RNG split off
    the engine's seeded stream, so a chaos scenario is a pure function of its
    seed and replays bit-identically. *)
 
@@ -20,6 +21,7 @@ module Agent = Zapc.Agent
 module Storage = Zapc.Storage
 module Trace = Zapc.Trace
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 
 type fault =
   | Break_channel of { node : int }
@@ -35,7 +37,7 @@ type trigger =
   | Now
   | At of Simtime.t
   | After of Simtime.t
-  | On_phase of { phase : string; pod : int option; skip : int }
+  | On_phase of { phase : Phase.t; pod : int option; skip : int }
 
 type injection = {
   fault : fault;
@@ -70,7 +72,7 @@ let trigger_to_string = function
   | At t -> Printf.sprintf "at %.3fms" (Simtime.to_ms t)
   | After d -> Printf.sprintf "after %.3fms" (Simtime.to_ms d)
   | On_phase { phase; pod; skip } ->
-    Printf.sprintf "on %s%s%s" phase
+    Printf.sprintf "on %s%s%s" (Phase.to_string phase)
       (match pod with Some p -> Printf.sprintf "[pod %d]" p | None -> "")
       (if skip > 0 then Printf.sprintf "+%d" skip else "")
 
@@ -94,7 +96,7 @@ type t = {
 }
 
 let create ?trace cluster =
-  let tr = match trace with Some tr -> tr | None -> Cluster.enable_trace cluster in
+  let tr = match trace with Some tr -> tr | None -> Cluster.recorder cluster in
   {
     cluster;
     tr;
@@ -237,11 +239,11 @@ let apply t fault =
 let fire t a =
   if not a.a_fired then begin
     a.a_fired <- true;
-    (* the [fault:*] instant is what trips the flight recorder into a dump
+    (* the [Fault] instant is what trips the flight recorder into a dump
        (Cluster.enable_flight) — record it before the fault mutates state so
        the rings still hold the pre-fault tail *)
-    Span.instant t.tr ~time:(now t) ~pod:(-1)
-      ("fault:" ^ fault_to_string a.a_inj.fault);
+    Span.instant t.tr ~time:(now t) ~node:(-1) ~pod:(-1)
+      (Phase.Fault (fault_to_string a.a_inj.fault));
     apply t a.a_inj.fault
   end
 
@@ -257,7 +259,7 @@ let install t inj =
   | On_phase { phase; pod; skip } ->
     Span.subscribe t.tr (function
       | Span.Instant i
-        when (not a.a_fired) && String.equal i.in_what phase
+        when (not a.a_fired) && i.in_what = phase
              && (match pod with Some p -> i.in_pod = p | None -> true) ->
         a.a_seen <- a.a_seen + 1;
         if a.a_seen > skip then fire t a
@@ -275,15 +277,15 @@ let heal_all t =
 
 (* phase boundaries worth aiming at; weighted toward the checkpoint window
    because that is where an ill-timed fault is most interesting *)
-let phases =
-  [| "ckpt_broadcast"; "suspended"; "net_ckpt_done"; "meta_sent";
-     "standalone_done"; "continue_broadcast"; "continue_received" |]
+let random_phases =
+  Phase.[| Ckpt_broadcast; Suspended; Net_ckpt_done; Meta_sent;
+           Standalone_done; Continue_broadcast; Continue_received |]
 
 let random_trigger rng ~horizon =
   if Rng.bool rng 0.5 then At (Simtime.ns (Rng.int rng (Stdlib.max 1 horizon)))
   else
     On_phase
-      { phase = phases.(Rng.int rng (Array.length phases));
+      { phase = random_phases.(Rng.int rng (Array.length random_phases));
         pod = None;
         skip = Rng.int rng 3 }
 

@@ -1,8 +1,8 @@
 (** Deterministic fault injection for the simulated ZapC cluster.
 
     An injector is bound to one {!Zapc.Cluster.t} and schedules faults at
-    precise virtual instants or at protocol phase boundaries (observed
-    through {!Zapc.Trace} events).  Everything is driven by the cluster's
+    precise virtual instants or at protocol phase instants
+    ({!Zapc_obs.Phase.t}).  Everything is driven by the cluster's
     own seeded engine and RNG, so a scenario replays bit-identically from
     the same seed — a failing chaos run is a repro, not an anecdote.
 
@@ -46,12 +46,13 @@ type trigger =
   | Now  (** install time *)
   | At of Simtime.t  (** absolute virtual instant (clamped to now) *)
   | After of Simtime.t  (** relative to install time *)
-  | On_phase of { phase : string; pod : int option; skip : int }
-      (** When the [(skip+1)]-th matching instant is recorded: [phase]
-          matches its [in_what], [pod] (if given) its [in_pod].  Each
-          trigger is one {!Zapc_obs.Span.subscribe}r of the trace; phase
-          names are the protocol instants, e.g. ["meta_sent"],
-          ["suspended"], ["continue_broadcast"]. *)
+  | On_phase of { phase : Zapc_obs.Phase.t; pod : int option; skip : int }
+      (** When the [(skip+1)]-th matching instant is delivered: [phase]
+          equals its [in_what] ([Sup_detect 1] matches node 1 only), [pod]
+          (if given) its [in_pod].  Each trigger is one
+          {!Zapc_obs.Span.subscribe}r of the trace, which delivers
+          instants even when off.  A [pod] or [skip] that never matches
+          never fires: check {!armed} after a directed scenario. *)
 
 type injection = {
   fault : fault;
@@ -65,9 +66,8 @@ type t
 
 val create : ?trace:Zapc.Trace.t -> Zapc.Cluster.t -> t
 (** Bind an injector to a cluster.  [trace] is the recorder whose instants
-    drive {!On_phase} triggers and receive the [fault:*] instants; when
-    omitted it is the cluster's, switched on with
-    {!Zapc.Cluster.enable_trace}. *)
+    drive {!On_phase} triggers and receive the [Fault] instants; when
+    omitted it is {!Zapc.Cluster.recorder}, left off or on as it is. *)
 
 val trace : t -> Zapc.Trace.t
 
@@ -98,6 +98,10 @@ val crashed_nodes : t -> int list
 
     The generator draws from the injector's own RNG stream (split off the
     cluster engine's), so a scenario is a pure function of the seed. *)
+
+val random_phases : Zapc_obs.Phase.t array
+(** The phases a random [On_phase] trigger aims at.  Exported for
+    [test_zapc], which requires each to occur in a fault-free run. *)
 
 val random_plan :
   Rng.t -> node_count:int -> horizon:Simtime.t -> count:int -> injection list

@@ -65,7 +65,7 @@ let to_string rec_ =
            "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"zapc\",\"pid\":%d,\"tid\":%d,\
             \"ts\":%s,\"dur\":%s,\"args\":{\"op\":%d,\"pod\":%d,\"node\":%d,\
             \"sid\":%d%s%s}}"
-           (Json.escape sp.sp_name) (sp.sp_node + 1) (sp.sp_pod + 1)
+           (Json.escape (Phase.to_string sp.sp_name)) (sp.sp_node + 1) (sp.sp_pod + 1)
            (us sp.sp_begin) (us dur) sp.sp_op sp.sp_pod sp.sp_node sp.sp_id
            (match sp.sp_parent with
             | Some p -> Printf.sprintf ",\"parent\":%d" p
@@ -102,7 +102,7 @@ let to_string rec_ =
            "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"zapc\",\"s\":\"t\",\
             \"pid\":%d,\"tid\":%d,\"ts\":%s,\
             \"args\":{\"pod\":%d,\"node\":%d}}"
-           (Json.escape i.in_what) (i.in_node + 1) (i.in_pod + 1) (us i.in_time)
+           (Json.escape (Phase.to_string i.in_what)) (i.in_node + 1) (i.in_pod + 1) (us i.in_time)
            i.in_pod i.in_node))
     instants;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";

@@ -3,8 +3,8 @@
    Given the closed spans recorded during one operation and its window
    [t0, t1], walk backwards from t1: at each cursor position charge the
    innermost span still covering the cursor (latest begin wins — a leaf
-   phase like "net_ckpt" beats its "pod_ckpt" container), jump the cursor
-   to that span's begin, and charge uncovered gaps to "other".  Spans that
+   phase like [Net_ckpt] beats its [Pod_ckpt] container), jump the cursor
+   to that span's begin, and charge uncovered gaps to "other" ([None]).  Spans that
    cover the whole window (the op span itself, or a container opened and
    closed with it) carry no attribution and are excluded up front.
 
@@ -31,7 +31,7 @@ let analyze ~spans ~t0 ~t1 =
           let b = s.Span.sp_begin in
           if e <= t0 || b >= t1 then None
           else if b <= t0 && e >= t1 then None
-          else Some (s.Span.sp_name, max b t0, min e t1))
+          else Some (Some s.Span.sp_name, max b t0, min e t1))
       spans
   in
   let charge = Hashtbl.create 8 in
@@ -68,11 +68,13 @@ let analyze ~spans ~t0 ~t1 =
             if e < c then max acc e else acc)
           t0 cands
       in
-      add "other" (c - prev);
+      add None (c - prev);
       cursor := prev
   done;
   let phases =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) charge []
+    Hashtbl.fold
+      (fun phase r acc -> (Option.fold ~none:"other" ~some:Phase.to_string phase, !r) :: acc)
+      charge []
     |> List.sort (fun (na, da) (nb, db) ->
            match compare db da with 0 -> compare na nb | c -> c)
   in

@@ -3,9 +3,10 @@
     latency.
 
     The walk runs backwards from [t1]; at every point the innermost span
-    covering it (latest begin) is charged, so leaf phases ("suspend",
-    "net_ckpt", "standalone", "storage_put", …) win over their containers;
-    stretches covered by no candidate span are charged to ["other"].
+    covering it (latest begin) is charged, so leaf phases ([Suspend],
+    [Net_ckpt], [Standalone], [Storage_put], …) win over their containers;
+    stretches covered by no candidate span are charged to ["other"].  The
+    report names each phase by {!Phase.to_string}.
     Spans covering the whole window (the operation span itself) attribute
     nothing and are skipped.  Every charged nanosecond is charged exactly
     once: the phase durations sum to [cp_total]. *)

@@ -14,6 +14,7 @@ module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 module Value = Zapc_codec.Value
 module Addr = Zapc_simnet.Addr
 module Socket = Zapc_simnet.Socket
@@ -61,7 +62,7 @@ type ckpt_op = {
   mutable co_parent : int option;
   (* parent of this op's pod_ckpt and blackout spans: the manager's span,
      or the mig_precopy span once pre-copy rounds run *)
-  mutable co_span : int;  (* id of this op's "pod_ckpt" span, -1 when untraced *)
+  mutable co_span : int;  (* id of this op's [Pod_ckpt] span, -1 when untraced *)
   co_started : Simtime.t;
   mutable co_continue : bool;
   mutable co_standalone_done : bool;
@@ -105,7 +106,7 @@ type restore_op = {
   ro_my_meta : Meta.pod_meta;
   ro_sockets : (int, Socket.t) Hashtbl.t;  (* sock_ref -> live socket *)
   ro_op : int;  (* manager operation id, echoed in the done report *)
-  ro_span : int;  (* id of this op's "pod_restart" span, -1 when untraced *)
+  ro_span : int;  (* id of this op's [Pod_restart] span, -1 when untraced *)
   ro_started : Simtime.t;
   mutable ro_conn_started : Simtime.t;
   mutable ro_conn_done : Simtime.t;
@@ -157,11 +158,11 @@ let create ?metrics ~node ~params ~storage ~trace ~fabric kernel =
     peer_agents = (fun _ -> None);
   }
 
-(* The [enabled] guards keep an off recorder allocation-free: passing
-   [~node] to the recorder's optional argument would box it on every call. *)
+(* An off recorder still delivers instants (to fault triggers).  The
+   [enabled] guard on spans keeps it allocation-free: passing [~node] to
+   the recorder's optional argument would box it on every call. *)
 let trace t ~pod what =
-  if Span.enabled t.trace then
-    Span.instant t.trace ~node:t.node ~time:(Engine.now t.engine) ~pod what
+  Span.instant t.trace ~node:t.node ~time:(Engine.now t.engine) ~pod what
 
 (* Typed phase spans on this agent's (node, pod) track; the standalone
    span overlapping the manager's sync span is the Figure-2 picture.
@@ -284,10 +285,10 @@ let abort_checkpoint t pod_id =
        Netfilter.unblock (nf t) op.co_pod.rip;
        Pod.resume op.co_pod;
        Metrics.incr t.metrics "agent.ckpt_aborted";
-       trace t ~pod:pod_id "ckpt_aborted");
+       trace t ~pod:pod_id Phase.Ckpt_aborted);
     if op.co_precopy <> None then begin
       Metrics.incr t.metrics "agent.mig_aborted";
-      trace t ~pod:pod_id "mig_aborted"
+      trace t ~pod:pod_id Phase.Mig_aborted
     end;
     span_end_all t ~pod:pod_id;
     Hashtbl.remove t.ckpts pod_id
@@ -303,7 +304,7 @@ let abort_restart t pod_id =
     Pod.destroy op.ro_pod;
     forget_pod t pod_id;
     Metrics.incr t.metrics "agent.restart_aborted";
-    trace t ~pod:pod_id "restart_aborted";
+    trace t ~pod:pod_id Phase.Restart_aborted;
     span_end_all t ~pod:pod_id;
     Hashtbl.remove t.restores pod_id
 
@@ -318,7 +319,7 @@ let staged t pod_id =
 let drop_staged t pod_id =
   if staged t pod_id <> None then begin
     Hashtbl.remove t.landings pod_id;
-    trace t ~pod:pod_id "mig_stage_dropped"
+    trace t ~pod:pod_id Phase.Mig_stage_dropped
   end
 
 let abort_all t =
@@ -364,10 +365,10 @@ let rec start_checkpoint ?(incremental = false) ?precopy ?parent t ~op:op_id ~po
     match precopy with
     | Some pc ->
       Metrics.incr t.metrics "agent.mig_started";
-      trace t ~pod:pod_id "mig_start";
+      trace t ~pod:pod_id Phase.Mig_start;
       if pc.pc_running then begin
         op.co_parent <-
-          Trace.parent_arg (span_begin_id t ~op:op_id ?parent ~pod:pod_id "mig_precopy");
+          Trace.parent_arg (span_begin_id t ~op:op_id ?parent ~pod:pod_id Phase.Mig_precopy);
         (* announce the migration to the destination right away: the pod
            skeleton build (the [restore_fixed] work) overlaps the rounds *)
         ship t ~dest:pc.pc_dest ~bytes:0 ~live:(fun () -> not op.co_aborted) (function
@@ -413,7 +414,7 @@ and precopy_round t op pc =
         pc.pc_bytes <- pc.pc_bytes + bytes;
         pc.pc_round <- round + 1;
         let dirty_now = Pod_ckpt.dirty_memory_bytes pod in
-        trace t ~pod:pod.pod_id "mig_round";
+        trace t ~pod:pod.pod_id Phase.Mig_round;
         send_to_manager t
           (Protocol.M_migrate_round
              { node = t.node; pod_id = pod.pod_id;
@@ -424,10 +425,10 @@ and precopy_round t op pc =
         if op.co_aborted then ()  (* the trace can inject faults *)
         else if
           float_of_int dirty_now <= mig_dirty_threshold *. float_of_int pc.pc_full_bytes
-        then stop_precopy t op pc "mig_converged"
+        then stop_precopy t op pc Phase.Mig_converged
         else if pc.pc_round >= pc.pc_cap then begin
           pc.pc_forced <- true;
-          stop_precopy t op pc "mig_forced"
+          stop_precopy t op pc Phase.Mig_forced
         end
         else precopy_round t op pc)
   end
@@ -437,16 +438,16 @@ and precopy_round t op pc =
    Manager, continue, standalone, residue stream + handoff). *)
 and stop_precopy t op pc why =
   trace t ~pod:op.co_pod.pod_id why;
-  span_end t ~pod:op.co_pod.pod_id "mig_precopy";
+  span_end t ~pod:op.co_pod.pod_id Phase.Mig_precopy;
   pc.pc_running <- false;
   suspend t op
 
 (* step 1: suspend the pod, block its network *)
 and suspend t op =
   let pod = op.co_pod in
-  op.co_span <- span_begin_id t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id "pod_ckpt";
+  op.co_span <- span_begin_id t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id Phase.Pod_ckpt;
   span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span) ~pod:pod.pod_id
-    "suspend";
+    Phase.Suspend;
   let suspend_cost =
     Simtime.add
       (Params.scale t.params.kconfig.signal_cost (Pod.member_count pod))
@@ -456,27 +457,27 @@ and suspend t op =
       if not op.co_aborted then begin
         Pod.suspend pod;
         Netfilter.block (nf t) pod.rip;
-        span_end t ~pod:pod.pod_id "suspend";
+        span_end t ~pod:pod.pod_id Phase.Suspend;
         (* the network-blocked window: the application downtime story *)
         span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
-          ~pod:pod.pod_id "paused";
+          ~pod:pod.pod_id Phase.Paused;
         (match op.co_precopy with
          | Some pc ->
            (* the migration blackout starts here and only ends when the
               destination Agent resumes the pod, which is also who closes
               the span (Trace matches open spans by name and pod) *)
            pc.pc_suspend <- Engine.now t.engine;
-           span_begin t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id "blackout";
-           trace t ~pod:pod.pod_id "mig_blackout"
+           span_begin t ~op:op.co_op ?parent:op.co_parent ~pod:pod.pod_id Phase.Blackout;
+           trace t ~pod:pod.pod_id Phase.Mig_blackout
          | None -> ());
-        trace t ~pod:pod.pod_id "suspended";
+        trace t ~pod:pod.pod_id Phase.Suspended;
         ckpt_network t op
       end)
 
 (* step 2: network-state checkpoint; 2a: report meta-data *)
 and ckpt_network t op =
   span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
-    ~pod:op.co_pod.pod_id "net_ckpt";
+    ~pod:op.co_pod.pod_id Phase.Net_ckpt;
   let t0 = Engine.now t.engine in
   let mode = if t.params.peek_mode then Sock_state.Peek else Sock_state.Read_inject in
   let net = Net_ckpt.checkpoint ~mode op.co_pod in
@@ -490,13 +491,13 @@ and ckpt_network t op =
   after t cost (fun () ->
       if not op.co_aborted then begin
         op.co_net_time <- Simtime.sub (Engine.now t.engine) t0;
-        span_end t ~pod:op.co_pod.pod_id "net_ckpt";
-        trace t ~pod:op.co_pod.pod_id "net_ckpt_done";
+        span_end t ~pod:op.co_pod.pod_id Phase.Net_ckpt;
+        trace t ~pod:op.co_pod.pod_id Phase.Net_ckpt_done;
         send_to_manager t
           (Protocol.M_meta
              { node = t.node; pod_id = op.co_pod.pod_id; meta = net.meta;
                meta_bytes = Meta.size_bytes net.meta });
-        trace t ~pod:op.co_pod.pod_id "meta_sent";
+        trace t ~pod:op.co_pod.pod_id Phase.Meta_sent;
         arm_continue_timeout t op;
         if t.params.serial_ckpt then
           (* ablation: wait for 'continue' before the standalone checkpoint *)
@@ -546,7 +547,7 @@ and choose_delta t op (res : Pod_ckpt.checkpoint_result) =
 (* step 3: standalone pod checkpoint, overlapped with the Manager sync *)
 and ckpt_standalone t op net =
   span_begin t ~op:op.co_op ?parent:(Trace.parent_arg op.co_span)
-    ~pod:op.co_pod.pod_id "standalone";
+    ~pod:op.co_pod.pod_id Phase.Standalone;
   let mode = if t.params.peek_mode then Sock_state.Peek else Sock_state.Read_inject in
   let res = Pod_ckpt.checkpoint ~mode ~net op.co_pod in
   op.co_delta <- choose_delta t op res;
@@ -586,8 +587,8 @@ and ckpt_standalone t op net =
       if not op.co_aborted then begin
         op.co_result <- Some res;
         op.co_standalone_done <- true;
-        span_end t ~pod:op.co_pod.pod_id "standalone";
-        trace t ~pod:op.co_pod.pod_id "standalone_done";
+        span_end t ~pod:op.co_pod.pod_id Phase.Standalone;
+        trace t ~pod:op.co_pod.pod_id Phase.Standalone_done;
         maybe_finalize_ckpt t op
       end)
 
@@ -645,7 +646,7 @@ and finalize_ckpt t op =
          |> Result.map_error (Printf.sprintf "storage write failed: %s"))
     | Protocol.U_node dest ->
       let live () = not op.co_aborted in
-      if op.co_precopy <> None then trace t ~pod:pod.pod_id "mig_residue";
+      if op.co_precopy <> None then trace t ~pod:pod.pod_id Phase.Mig_residue;
       if live () then  (* the trace can inject faults *)
         ship t ~dest ~bytes:image.Image.logical_size ~live (fun peer ->
             if
@@ -663,7 +664,7 @@ and finalize_ckpt t op =
 
 and release_network t pod =
   Netfilter.unblock (nf t) pod.rip;
-  span_end t ~pod:pod.pod_id "paused"
+  span_end t ~pod:pod.pod_id Phase.Paused
 
 and complete_ckpt t op res image outcome =
   let pod = op.co_pod in
@@ -672,7 +673,7 @@ and complete_ckpt t op res image outcome =
     (* the image went nowhere: the pod must survive, whatever [resume] *)
     Netfilter.unblock (nf t) pod.rip;
     Pod.resume pod;
-    trace t ~pod:pod.pod_id "resumed";
+    trace t ~pod:pod.pod_id Phase.Resumed;
     span_end_all t ~pod:pod.pod_id;
     Hashtbl.remove t.ckpts pod.pod_id;
     report_failure t ~op:op.co_op pod.pod_id reason
@@ -694,16 +695,16 @@ and complete_ckpt t op res image outcome =
      | Protocol.U_storage _ | Protocol.U_node _ -> ());
     (if op.co_resume then begin
        Pod.resume pod;
-       trace t ~pod:pod.pod_id "resumed"
+       trace t ~pod:pod.pod_id Phase.Resumed
      end
      else begin
        Pod.destroy pod;
        forget_pod t pod.pod_id;
-       if op.co_precopy = None then trace t ~pod:pod.pod_id "destroyed"
+       if op.co_precopy = None then trace t ~pod:pod.pod_id Phase.Destroyed
      end);
-    span_end t ~pod:pod.pod_id "pod_ckpt";
+    span_end t ~pod:pod.pod_id Phase.Pod_ckpt;
     Hashtbl.remove t.ckpts pod.pod_id;
-    if op.co_precopy <> None then trace t ~pod:pod.pod_id "mig_handoff";
+    if op.co_precopy <> None then trace t ~pod:pod.pod_id Phase.Mig_handoff;
     report_done t ~op:op.co_op pod.pod_id ~started:op.co_started ~net_time:op.co_net_time
       ~image_bytes:image.Image.logical_size
       ?full_bytes:(Option.map (fun _ -> Pod_ckpt.logical_size res) op.co_delta)
@@ -724,12 +725,12 @@ and receive_announce t ~pod_id =
   Hashtbl.replace t.landings pod_id
     { ld_image = None; ld_final = false; ld_residue = 0; ld_blackout = None;
       ld_skeleton = Some flag };
-  trace t ~pod:pod_id "mig_skeleton";
+  trace t ~pod:pod_id Phase.Mig_skeleton;
   after t (jittered t t.params.restore_fixed) (fun () ->
       match Hashtbl.find_opt t.landings pod_id with
       | Some { ld_skeleton = Some f; _ } when f == flag ->
         f := true;
-        trace t ~pod:pod_id "mig_prestaged"
+        trace t ~pod:pod_id Phase.Mig_prestaged
       | Some _ | None -> ())
 
 (* One pre-copy round landed.  Round 0 stages the full image; later rounds
@@ -762,7 +763,7 @@ and land_image t ~pod_id ~(image : Image.t) precopy =
   in
   match full with
   | None ->
-    trace t ~pod:pod_id "mig_residue_dropped";
+    trace t ~pod:pod_id Phase.Mig_residue_dropped;
     false
   | Some full ->
     Hashtbl.replace t.landings pod_id
@@ -772,7 +773,7 @@ and land_image t ~pod_id ~(image : Image.t) precopy =
     let rounds, precopy_bytes, forced =
       match precopy with
       | Some pc ->
-        trace t ~pod:pod_id "mig_final_staged";
+        trace t ~pod:pod_id Phase.Mig_final_staged;
         (pc.pc_round, pc.pc_bytes, pc.pc_forced)
       | None -> (0, 0, false)
     in
@@ -802,9 +803,9 @@ and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip
   match image with
   | Error detail -> report_failure t ~op:op_id pod_id detail
   | Ok (image_v, landing) ->
-    let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id "pod_restart" in
+    let top = span_begin_id t ~op:op_id ?parent ~pod:pod_id Phase.Pod_restart in
     span_begin t ~op:op_id ?parent:(Trace.parent_arg top) ~pod:pod_id
-      "pod_create";
+      Phase.Pod_create;
     after t pod_create_cost (fun () ->
         (* step 1: create a new (empty) pod *)
         let pod = Pod.create ~pod_id ~name ~vip ~rip t.kernel in
@@ -836,10 +837,10 @@ and start_restart ?parent t ~op:op_id ~pod_id ~name ~vip ~rip ~uri ~entries ~vip
           }
         in
         Hashtbl.replace t.restores pod_id op;
-        span_end t ~pod:pod_id "pod_create";
-        trace t ~pod:pod_id "pod_created";
+        span_end t ~pod:pod_id Phase.Pod_create;
+        trace t ~pod:pod_id Phase.Pod_created;
         span_begin t ~op:op.ro_op ?parent:(Trace.parent_arg op.ro_span)
-          ~pod:pod_id "conn_recovery";
+          ~pod:pod_id Phase.Conn_recovery;
         restore_connectivity t op)
 
 (* step 2: recover network connectivity — listeners first, then the two
@@ -1009,10 +1010,10 @@ and run_connector_task t op connects =
 
 and connectivity_done t op =
   op.ro_conn_done <- Engine.now t.engine;
-  span_end t ~pod:op.ro_pod.pod_id "conn_recovery";
-  trace t ~pod:op.ro_pod.pod_id "conns_recovered";
+  span_end t ~pod:op.ro_pod.pod_id Phase.Conn_recovery;
+  trace t ~pod:op.ro_pod.pod_id Phase.Conns_recovered;
   span_begin t ~op:op.ro_op ?parent:(Trace.parent_arg op.ro_span)
-    ~pod:op.ro_pod.pod_id "net_restore";
+    ~pod:op.ro_pod.pod_id Phase.Net_restore;
   (* retire temporary listeners *)
   let net = Kernel.netstack t.kernel in
   List.iter (fun s -> Netstack.close net s) op.ro_temp_listeners;
@@ -1163,10 +1164,10 @@ and restore_network_state t op =
   after t cost (fun () ->
       if not op.ro_aborted then begin
         op.ro_net_done <- Engine.now t.engine;
-        span_end t ~pod:op.ro_pod.pod_id "net_restore";
-        trace t ~pod:op.ro_pod.pod_id "net_restored";
+        span_end t ~pod:op.ro_pod.pod_id Phase.Net_restore;
+        trace t ~pod:op.ro_pod.pod_id Phase.Net_restored;
         span_begin t ~op:op.ro_op ?parent:(Trace.parent_arg op.ro_span)
-          ~pod:op.ro_pod.pod_id "standalone_restore";
+          ~pod:op.ro_pod.pod_id Phase.Standalone_restore;
         restore_standalone t op
       end)
 
@@ -1218,9 +1219,9 @@ and restore_standalone t op =
            can reach it with NEW connections, not just recovered ones *)
         Pod.rebind_vip ~vip:pod.vip ~rip:pod.rip;
         Metrics.incr t.metrics "net.vip_rebound";
-        span_end t ~pod:pod.pod_id "standalone_restore";
-        span_end t ~pod:pod.pod_id "pod_restart";
-        trace t ~pod:pod.pod_id "restart_resumed";
+        span_end t ~pod:pod.pod_id Phase.Standalone_restore;
+        span_end t ~pod:pod.pod_id Phase.Pod_restart;
+        trace t ~pod:pod.pod_id Phase.Restart_resumed;
         (match op.ro_landing with
          | Some ld ->
            Hashtbl.remove t.landings pod.pod_id;
@@ -1230,8 +1231,8 @@ and restore_standalone t op =
                  source Agent at the final suspend *)
               Metrics.observe t.metrics "mig.blackout_ms"
                 (Simtime.to_ms (Simtime.sub (Engine.now t.engine) suspend_at));
-              span_end t ~pod:pod.pod_id "blackout";
-              trace t ~pod:pod.pod_id "mig_activated"
+              span_end t ~pod:pod.pod_id Phase.Blackout;
+              trace t ~pod:pod.pod_id Phase.Mig_activated
             | None -> ())
          | None -> ());
         Hashtbl.remove t.restores pod.pod_id;
@@ -1258,7 +1259,7 @@ let rec handle_command t (msg : Protocol.to_agent) =
     (match Hashtbl.find_opt t.ckpts pod_id with
      | Some op ->
        op.co_continue <- true;
-       trace t ~pod:pod_id "continue_received";
+       trace t ~pod:pod_id Phase.Continue_received;
        maybe_finalize_ckpt t op
      | None -> ())
   | Protocol.A_abort { pod_id } ->

@@ -7,6 +7,7 @@ module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 module Addr = Zapc_simnet.Addr
 module Fabric = Zapc_simnet.Fabric
 module Netstack = Zapc_simnet.Netstack
@@ -258,12 +259,7 @@ let trace t = if Span.enabled t.trace then Some t.trace else None
 
 (* The flight recorder: bounded per-node rings fed by one subscriber to the
    span recorder (spans and instants) and by the metric stream; tripped
-   into a JSON dump by the abort/fault/death markers below. *)
-let flight_trip_reason what =
-  let has_prefix p =
-    String.length what >= String.length p && String.sub what 0 (String.length p) = p
-  in
-  has_prefix "op_failed:" || has_prefix "fault:" || has_prefix "sup_detect:"
+   into a JSON dump by the abort/fault/death instants ([Phase.trips]). *)
 
 let enable_flight ?cap ?dump_dir t =
   match t.flight with
@@ -279,7 +275,7 @@ let enable_flight ?cap ?dump_dir t =
         Flight.record fl ~node:sp.Span.sp_node
           (Flight.Span_open
              { f_time = sp.Span.sp_begin; f_id = sp.Span.sp_id;
-               f_name = sp.Span.sp_name; f_op = sp.Span.sp_op;
+               f_name = Phase.to_string sp.Span.sp_name; f_op = sp.Span.sp_op;
                f_pod = sp.Span.sp_pod; f_parent = sp.Span.sp_parent })
       | Span.Closed sp ->
         Flight.record fl ~node:sp.Span.sp_node
@@ -288,12 +284,11 @@ let enable_flight ?cap ?dump_dir t =
                  (match sp.Span.sp_end with Some e -> e | None -> sp.Span.sp_begin);
                f_id = sp.Span.sp_id })
       | Span.Instant i ->
+        let what = Phase.to_string i.Span.in_what in
         Flight.record fl ~node:(-1)
-          (Flight.Instant
-             { f_time = i.Span.in_time; f_pod = i.Span.in_pod;
-               f_what = i.Span.in_what });
-        if flight_trip_reason i.Span.in_what then
-          Flight.trip fl ~time:i.Span.in_time ~reason:i.Span.in_what);
+          (Flight.Instant { f_time = i.Span.in_time; f_pod = i.Span.in_pod; f_what = what });
+        if Phase.trips i.Span.in_what then
+          Flight.trip fl ~time:i.Span.in_time ~reason:what);
     Metrics.set_on_record t.metrics
       (Some
          (fun name value ->

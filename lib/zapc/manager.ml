@@ -16,6 +16,7 @@ module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
 module Span = Zapc_obs.Span
 module Critpath = Zapc_obs.Critpath
+module Phase = Zapc_obs.Phase
 module Addr = Zapc_simnet.Addr
 module Meta = Zapc_netckpt.Meta
 module Sock_state = Zapc_netckpt.Sock_state
@@ -46,8 +47,6 @@ type op_result = {
    streamed images (whose bytes the Manager never sees) *)
 type pod_info = { pi_vip : Addr.ip; pi_name : string; pi_meta : Meta.pod_meta }
 
-type kind = [ `Checkpoint | `Restart | `Mig_copy | `Mig_restore ]
-
 type pending = {
   mutable p_wait_meta : int list;  (* pods still to report meta *)
   mutable p_wait_done : int list;
@@ -66,7 +65,7 @@ type pending = {
   (* [U_node] items whose destination reported the image landed: each is
      committed, and losing its source no longer fails it *)
   p_started : Simtime.t;
-  p_kind : kind;
+  p_kind : Phase.op;
   (* observability labels only: a migration's copy and restore phases are
      a checkpoint and a restart reported under mgr.mig.* *)
   p_gen : int;  (* the operation id: guards stale timeouts and done reports *)
@@ -91,7 +90,7 @@ type t = {
   trace : Span.t;  (* the cluster's recorder, off until tracing is enabled *)
   mutable current : pending option;
   mutable gen : int;  (* bumped per operation *)
-  mutable last_critpath : (string * Critpath.report) option;
+  mutable last_critpath : (Phase.t * Critpath.report) option;
   (* (operation span name, analysis) of the most recent successful op *)
   mutable on_pong : node:int -> seq:int -> unit;  (* supervisor heartbeat sink *)
   mutable on_migrated : pod:int -> src:int -> dest:int -> unit;
@@ -118,7 +117,7 @@ let create ?metrics ~engine ~params ~storage ~trace ~alloc_rip () =
 let metrics t = t.metrics
 
 let trace t what =
-  Span.instant t.trace ~time:(Engine.now t.engine) ~pod:(-1) what
+  Span.instant t.trace ~time:(Engine.now t.engine) ~node:(-1) ~pod:(-1) what
 
 (* Manager-scope spans (pod -1): the whole operation plus the sync window
    (broadcast -> 'continue'), whose overlap with the agents' standalone
@@ -150,25 +149,25 @@ let send_opt t node msg = send_via t ~strict:false node msg
 let remember_pod t ~pod_id ~name ~vip meta =
   Hashtbl.replace t.infos pod_id { pi_vip = vip; pi_name = name; pi_meta = meta }
 
-(* (metric prefix, operation span, failure tag) of each operation kind *)
-let labels = function
-  | `Checkpoint -> ("mgr.ckpt", "ckpt_op", "ckpt")
-  | `Restart -> ("mgr.restart", "restart_op", "restart")
-  | `Mig_copy -> ("mgr.mig.copy", "mig_copy", "mig_copy")
-  | `Mig_restore -> ("mgr.mig.restore", "mig_restore", "mig_restore")
+(* the metric prefix of each operation kind *)
+let prefix = function
+  | Phase.Op_ckpt -> "mgr.ckpt"
+  | Phase.Op_restart -> "mgr.restart"
+  | Phase.Op_mig_copy -> "mgr.mig.copy"
+  | Phase.Op_mig_restore -> "mgr.mig.restore"
 
 let finish t result =
   match t.current with
   | None -> ()
   | Some p ->
     t.current <- None;
-    let prefix, opname, _ = labels p.p_kind in
+    let prefix = prefix p.p_kind and opname = Phase.op_span p.p_kind in
     Metrics.incr t.metrics (prefix ^ if result.r_ok then ".ok" else ".failed");
     Metrics.observe t.metrics (prefix ^ ".duration_ms")
       (Simtime.to_ms result.r_duration);
     (* bytes-written histograms (checkpoint only: restart stats report
        restored sizes, not writes) *)
-    if p.p_kind = `Checkpoint then
+    if p.p_kind = Phase.Op_ckpt then
       List.iter
         (fun ((_pod : int), (st : Protocol.agent_stats)) ->
           Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
@@ -188,7 +187,7 @@ let finish t result =
               /. float_of_int st.Protocol.st_full_bytes)
           end)
         result.r_stats;
-    span_end t "mgr_sync";
+    span_end t Phase.Mgr_sync;
     span_end t opname;
     (* Critical-path attribution: with the op span now closed, walk the
        spans of this operation (sp_op = generation — the agents' spans
@@ -225,8 +224,7 @@ let fail_op t failure =
   | None -> ()
   | Some p ->
     (* the flight recorder trips on this instant *)
-    let _, _, kind = labels p.p_kind in
-    trace t (Printf.sprintf "op_failed:%s" kind);
+    trace t (Phase.Op_failed p.p_kind);
     (* abort everyone still involved, stream destinations included; skip
        nodes whose channel (or route) is gone — the abort path must itself
        survive a broken channel *)
@@ -243,7 +241,7 @@ let fail_op t failure =
    hung-but-connected Agent would stall the protocol forever without this).
    The generation counter keeps a stale timer from touching a later
    operation that reuses pod ids. *)
-let arm_phase_timeout t (p : pending) (phase : Protocol.phase) =
+let arm_phase_timeout t (p : pending) (phase : Phase.gather) =
   if Simtime.compare t.params.phase_timeout Simtime.zero > 0 then begin
     let arm = p.p_arm in
     Engine.schedule_at t.engine ~label:"mgr.timeout"
@@ -253,18 +251,18 @@ let arm_phase_timeout t (p : pending) (phase : Protocol.phase) =
         | Some p' when p' == p && p'.p_gen = p.p_gen && p'.p_arm = arm ->
           let waiting =
             match phase with
-            | Protocol.Ph_meta -> p'.p_wait_meta
-            | Protocol.Ph_done -> p'.p_wait_done
+            | Phase.Ph_meta -> p'.p_wait_meta
+            | Phase.Ph_done -> p'.p_wait_done
           in
           (* only fire if the guarded phase is still incomplete *)
           let stuck =
             match phase with
-            | Protocol.Ph_meta -> p'.p_wait_meta <> []
-            | Protocol.Ph_done -> p'.p_wait_done <> []
+            | Phase.Ph_meta -> p'.p_wait_meta <> []
+            | Phase.Ph_done -> p'.p_wait_done <> []
           in
           if stuck then begin
             Metrics.incr t.metrics "mgr.phase_timeouts";
-            trace t (Printf.sprintf "phase_timeout:%s" (Protocol.phase_to_string phase));
+            trace t (Phase.Phase_timeout phase);
             fail_op t (Protocol.F_timeout { phase; waiting })
           end
         | Some _ | None -> ())
@@ -298,7 +296,7 @@ let channel_broke t ~node =
   | None -> fail_op t (Protocol.F_channel { node })
   | Some (p, pods) ->
     let gen = p.p_gen in
-    trace t "mig_src_break";
+    trace t Phase.Mig_src_break;
     Engine.schedule_at t.engine ~label:"mgr.mig_grace"
       ~at:(Simtime.add (Engine.now t.engine) (5 * t.params.ctrl_latency))
       (fun () ->
@@ -309,9 +307,7 @@ let channel_broke t ~node =
             List.iter
               (fun pod ->
                 Metrics.incr t.metrics "mgr.mig.src_lost_after_commit";
-                trace t
-                  (Printf.sprintf "mig_src_lost:pod%d->node%d" pod
-                     (List.assoc pod p.p_dests)))
+                trace t (Phase.Mig_src_lost { pod; node = List.assoc pod p.p_dests }))
               pods;
             let waiting l = List.filter (fun id -> not (List.mem id pods)) l in
             p.p_wait_meta <- waiting p.p_wait_meta;
@@ -332,7 +328,7 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
     List.iter (fun m -> on_agent_message t m) items
   | Protocol.M_subtree_down { node } ->
     Metrics.incr t.metrics "mgr.tree.subtree_down";
-    trace t (Printf.sprintf "subtree_down:node%d" node);
+    trace t (Phase.Subtree_down node);
     channel_broke t ~node
   | Protocol.M_pong { node; seq } -> t.on_pong ~node ~seq
   | Protocol.M_migrate_round _ | Protocol.M_migrate_done _ | Protocol.M_meta _
@@ -347,24 +343,24 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
        if List.mem_assoc pod_id p.p_dests then begin
          Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
            "mig.bytes_per_round" (float_of_int stats.Protocol.mg_bytes);
-         trace t (Printf.sprintf "mig_round_report:%d" stats.Protocol.mg_round);
+         trace t (Phase.Mig_round_report stats.Protocol.mg_round);
          (* keepalive: a converging pre-copy legitimately outlives one
             phase_timeout; every round report pushes the watchdog out *)
          p.p_arm <- p.p_arm + 1;
-         arm_phase_timeout t p Protocol.Ph_meta
+         arm_phase_timeout t p Phase.Ph_meta
        end
      | Protocol.M_migrate_done { pod_id; rounds; precopy_bytes; forced; _ } ->
        (* the destination's commit: its copy is now complete and
           authoritative even if the source is lost from here on *)
        if List.mem_assoc pod_id p.p_dests && not (List.mem pod_id p.p_landed) then begin
          p.p_landed <- pod_id :: p.p_landed;
-         if p.p_kind = `Mig_copy then begin
+         if p.p_kind = Phase.Op_mig_copy then begin
            Metrics.observe t.metrics "mig.rounds" (float_of_int rounds);
            Metrics.observe t.metrics ~buckets:Metrics.default_bytes_buckets
              "mig.precopy_bytes" (float_of_int precopy_bytes);
            if forced then Metrics.incr t.metrics "mig.forced_stops"
          end;
-         trace t "mig_committed"
+         trace t Phase.Mig_committed
        end
      | Protocol.M_meta { pod_id; meta; _ } ->
        p.p_metas <- meta :: p.p_metas;
@@ -375,14 +371,14 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
        (* step 3 of Figure 1: when every Agent has reported its meta-data,
           tell them all to continue (a migration's final stop-and-copy runs
           the same gated protocol) *)
-       if p.p_wait_meta = [] && (p.p_kind = `Checkpoint || p.p_kind = `Mig_copy)
+       if p.p_wait_meta = [] && (p.p_kind = Phase.Op_ckpt || p.p_kind = Phase.Op_mig_copy)
        then begin
-         span_end t "mgr_sync";
-         trace t "continue_broadcast";
+         span_end t Phase.Mgr_sync;
+         trace t Phase.Continue_broadcast;
          List.iter
            (fun (pod, node) -> send t node (Protocol.A_continue { pod_id = pod }))
            p.p_items;
-         arm_phase_timeout t p Protocol.Ph_done
+         arm_phase_timeout t p Phase.Ph_done
        end
      | Protocol.M_done { pod_id; op; ok; detail; stats; _ } ->
        if op <> p.p_gen || not (List.mem pod_id p.p_wait_done) then begin
@@ -390,7 +386,7 @@ let rec on_agent_message t (msg : Protocol.to_manager) =
             earlier operation, or a re-delivered message) must not touch —
             let alone abort — an operation that is not waiting on it *)
          Metrics.incr t.metrics "mgr.stale_done";
-         trace t (Printf.sprintf "stale_done:pod%d" pod_id)
+         trace t (Phase.Stale_done pod_id)
        end
        else if not ok then begin
          let node =
@@ -457,13 +453,13 @@ let open_pending t ~kind ~items ~dests ~gather_meta ~metas ~on_done =
   p
 
 (* One coordinated checkpoint; [kind] only picks the observability labels
-   (a migration's copy phase is [`Mig_copy]).  [precopy], the pre-copy
+   (a migration's copy phase is [Op_mig_copy]).  [precopy], the pre-copy
    round cap, rides on every [U_node] item. *)
 let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
     ~(items : ckpt_item list) ~(resume : bool) ~(on_done : op_result -> unit) =
   if t.current <> None then invalid_arg "Manager: operation already in progress";
   let p =
-    open_pending t ~kind:(kind :> kind) ~gather_meta:true ~metas:[] ~on_done
+    open_pending t ~kind ~gather_meta:true ~metas:[] ~on_done
       ~items:(List.map (fun i -> (i.ci_pod, i.ci_node)) items)
       ~dests:
         (List.filter_map
@@ -473,12 +469,11 @@ let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
              | Protocol.U_storage _ -> None)
            items)
   in
-  let prefix, opname, _ = labels kind in
-  Metrics.incr t.metrics (prefix ^ ".started");
-  let op_span = span_begin_id t ~op:t.gen ?parent opname in
-  span_begin t ~op:t.gen ?parent:(Trace.parent_arg op_span) "mgr_sync";
+  Metrics.incr t.metrics (prefix kind ^ ".started");
+  let op_span = span_begin_id t ~op:t.gen ?parent (Phase.op_span kind) in
+  span_begin t ~op:t.gen ?parent:(Trace.parent_arg op_span) Phase.Mgr_sync;
   let span = Trace.parent_arg op_span in
-  if kind = `Checkpoint then trace t "ckpt_broadcast";
+  if kind = Phase.Op_ckpt then trace t Phase.Ckpt_broadcast;
   List.iter
     (fun i ->
       let precopy =
@@ -489,10 +484,10 @@ let start_checkpoint ?(incremental = false) ?precopy ?parent ~kind t
            { pod_id = i.ci_pod; dest = i.ci_dest; resume; incremental; precopy; op = t.gen;
              parent = span }))
     items;
-  arm_phase_timeout t p Protocol.Ph_meta
+  arm_phase_timeout t p Phase.Ph_meta
 
 let checkpoint ?incremental ?parent t ~items ~resume ~on_done =
-  start_checkpoint ?incremental ?parent ~kind:`Checkpoint t ~items ~resume ~on_done
+  start_checkpoint ?incremental ?parent ~kind:Phase.Op_ckpt t ~items ~resume ~on_done
 
 (* --- restart --- *)
 
@@ -563,10 +558,10 @@ let redirected_altq ~metas ~images (pod_id : int) (entries : Meta.restart_entry 
            | _, _ -> None))
     entries
 
-let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
+let restart ?(kind = Phase.Op_restart) ?parent t ~(items : restart_item list)
     ~(on_done : op_result -> unit) =
   if t.current <> None then invalid_arg "Manager: operation already in progress";
-  let prefix, opname, _ = labels kind in
+  let prefix = prefix kind in
   Metrics.incr t.metrics (prefix ^ ".started");
   let facts = List.map (fun i -> (i, pod_facts t i)) items in
   match List.find_map (fun (_, f) -> Result.fold ~ok:(fun _ -> None) ~error:Option.some f) facts with
@@ -592,12 +587,12 @@ let restart ?(kind = `Restart) ?parent t ~(items : restart_item list)
       t.params.redirect_sendq && List.length images = List.length items
     in
     let p =
-      open_pending t ~kind:(kind :> kind) ~gather_meta:false ~metas ~dests:[] ~on_done
+      open_pending t ~kind ~gather_meta:false ~metas ~dests:[] ~on_done
         ~items:(List.map (fun i -> (i.ri_pod, i.ri_node)) items)
     in
-    let op_span = span_begin_id t ~op:t.gen ?parent opname in
+    let op_span = span_begin_id t ~op:t.gen ?parent (Phase.op_span kind) in
     let span = Trace.parent_arg op_span in
-    arm_phase_timeout t p Protocol.Ph_done;
+    arm_phase_timeout t p Phase.Ph_done;
     List.iter2
       (fun item (i, (_, vip, name, _)) ->
         assert (item == i);
@@ -625,7 +620,7 @@ let set_on_migrated t fn = t.on_migrated <- fn
    callback, so Periodic and the Supervisor never see a half-moved pod —
    by the ordinary restart on the destinations, which finds the staged
    images and activates their prestaged skeletons.  Its two phases report
-   under mgr.mig.copy.* and mgr.mig.restore.*, both inside one "migrate"
+   under mgr.mig.copy.* and mgr.mig.restore.*, both inside one [Migrate]
    span; the migration itself keeps no state. *)
 let migrate_items ?(max_rounds = 8) ?parent t ~(items : ckpt_item list)
     ~(on_done : op_result -> unit) =
@@ -641,17 +636,14 @@ let migrate_items ?(max_rounds = 8) ?parent t ~(items : ckpt_item list)
   let started = Engine.now t.engine in
   Metrics.incr t.metrics "mgr.mig.started";
   (* the copy checkpoint takes the next generation: the migrate span shares it *)
-  let mig_span = span_begin_id t ~op:(t.gen + 1) ?parent "migrate" in
-  trace t
-    ("migrate_start:"
-     ^ String.concat ","
-         (List.map (fun i -> Printf.sprintf "pod%d:%d->%d" i.ci_pod i.ci_node (dest_of i)) items));
+  let mig_span = span_begin_id t ~op:(t.gen + 1) ?parent Phase.Migrate in
+  trace t (Phase.Migrate_start (List.map (fun i -> (i.ci_pod, i.ci_node, dest_of i)) items));
   let finish_mig (r : op_result) =
     let r = { r with r_duration = Simtime.sub (Engine.now t.engine) started } in
     Metrics.incr t.metrics (if r.r_ok then "mgr.mig.ok" else "mgr.mig.failed");
     Metrics.observe t.metrics "mgr.mig.duration_ms" (Simtime.to_ms r.r_duration);
-    if r.r_ok then trace t "mig_done";
-    span_end t "migrate";
+    if r.r_ok then trace t Phase.Mig_done;
+    span_end t Phase.Migrate;
     (* watchers learn the new home before (and regardless of how) the
        caller reacts to completion *)
     if r.r_ok then
@@ -659,11 +651,11 @@ let migrate_items ?(max_rounds = 8) ?parent t ~(items : ckpt_item list)
     on_done r
   in
   start_checkpoint ~precopy:max_rounds ?parent:(Trace.parent_arg mig_span)
-    ~kind:`Mig_copy t ~items ~resume:false ~on_done:(fun (copy : op_result) ->
+    ~kind:Phase.Op_mig_copy t ~items ~resume:false ~on_done:(fun (copy : op_result) ->
       if not copy.r_ok then finish_mig copy
       else begin
-        trace t "mig_copy_done";
-        restart ~kind:`Mig_restore ?parent:(Trace.parent_arg mig_span) t ~items:restarts
+        trace t Phase.Mig_copy_done;
+        restart ~kind:Phase.Op_mig_restore ?parent:(Trace.parent_arg mig_span) t ~items:restarts
           ~on_done:(fun (res : op_result) ->
             finish_mig
               { res with

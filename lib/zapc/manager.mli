@@ -98,12 +98,13 @@ val checkpoint :
     @raise Invalid_argument if an operation is already in progress. *)
 
 val restart :
-  ?kind:[ `Restart | `Mig_restore ] ->
+  ?kind:Zapc_obs.Phase.op ->
   ?parent:int ->
   t -> items:restart_item list -> on_done:(op_result -> unit) -> unit
-(** [kind] (default [`Restart]) only changes observability labels: a
-    migration's phase B reports under [mgr.mig.restore.*] and the
-    [mig_restore] span instead of the plain restart names.  [parent] as in
+(** [kind] (default [Op_restart]) only changes observability labels: a
+    migration's phase B ([Op_mig_restore]) reports under
+    [mgr.mig.restore.*] and the [Mig_restore] span instead of the plain
+    restart names.  [parent] as in
     {!checkpoint}. *)
 
 val migrate_items :
@@ -153,7 +154,7 @@ val busy : t -> bool
     to its restore phase within one engine callback, so the Manager is
     busy throughout. *)
 
-val last_critpath : t -> (string * Zapc_obs.Critpath.report) option
+val last_critpath : t -> (Zapc_obs.Phase.t * Zapc_obs.Critpath.report) option
 (** The critical-path analysis of the most recent successful operation, as
     [(operation span name, report)] — also emitted per-op into the
     [mgr.critpath.*] metrics (a duration histogram per phase plus a

@@ -96,12 +96,12 @@ let skip t reason =
    user request); the Manager's op span parents under it via [?parent]. *)
 let epoch_span_begin t =
   (Span.begin_span t.trace ~time:(Engine.now (Cluster.engine t.cluster))
-     ~pod:(-1) "periodic_epoch").Span.sp_id
+     ~pod:(-1) Zapc_obs.Phase.Periodic_epoch).Span.sp_id
 
 let epoch_span_end t =
   ignore
     (Span.end_named t.trace ~time:(Engine.now (Cluster.engine t.cluster))
-       ~pod:(-1) "periodic_epoch")
+       ~pod:(-1) Zapc_obs.Phase.Periodic_epoch)
 
 let rec tick t =
   Engine.schedule (Cluster.engine t.cluster) ~label:"periodic.tick"

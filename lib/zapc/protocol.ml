@@ -14,21 +14,13 @@ type uri =
 
 (* --- structured failure reasons --- *)
 
-(* The two wait phases of a coordinated operation as the Manager sees them:
-   gathering meta-data reports, then gathering completion statuses (restart
-   only has the latter). *)
-type phase = Ph_meta | Ph_done
-
-let phase_to_string = function
-  | Ph_meta -> "meta-gather"
-  | Ph_done -> "completion-gather"
-
 type failure =
   | F_agent of { node : int; pod_id : int; detail : string }
       (* an Agent reported the operation failed on its side *)
   | F_channel of { node : int }  (* a Manager<->Agent channel broke *)
-  | F_timeout of { phase : phase; waiting : int list }
-      (* a per-phase timeout expired with these pods still unreported *)
+  | F_timeout of { phase : Zapc_obs.Phase.gather; waiting : int list }
+      (* a wait phase's timeout expired with these pods still unreported
+         (restart only has the completion gather) *)
   | F_missing_image of string  (* restart precondition failed *)
 
 let failure_to_string = function
@@ -36,7 +28,7 @@ let failure_to_string = function
     Printf.sprintf "pod %d (node %d): %s" pod_id node detail
   | F_channel { node } -> Printf.sprintf "control channel to node %d broke" node
   | F_timeout { phase; waiting } ->
-    Printf.sprintf "%s phase timed out waiting for pods [%s]" (phase_to_string phase)
+    Printf.sprintf "%s phase timed out waiting for pods [%s]" (Zapc_obs.Phase.gather_to_string phase)
       (String.concat "," (List.map string_of_int waiting))
   | F_missing_image msg -> msg
 

@@ -18,18 +18,13 @@ type uri =
     string, so callers (the chaos harness in particular) can assert on the
     precise failure mode. *)
 
-type phase = Ph_meta | Ph_done
-(** The Manager's wait phases: gathering meta-data reports, then gathering
-    completion statuses (restart only has the latter). *)
-
-val phase_to_string : phase -> string
-
 type failure =
   | F_agent of { node : int; pod_id : int; detail : string }
       (** an Agent reported the operation failed on its side *)
   | F_channel of { node : int }  (** a Manager<->Agent channel broke *)
-  | F_timeout of { phase : phase; waiting : int list }
-      (** a per-phase timeout expired with these pods still unreported *)
+  | F_timeout of { phase : Zapc_obs.Phase.gather; waiting : int list }
+      (** a wait phase's timeout expired with these pods still unreported
+          (restart only has the completion gather) *)
   | F_missing_image of string  (** restart precondition failed *)
 
 val failure_to_string : failure -> string

@@ -435,7 +435,7 @@ let put ?op ?parent ?(node = 0) t key image =
       let now = Engine.now t.engine in
       Span.end_span t.trace ~time:now
         (Span.begin_span t.trace ~time:now ?op ?parent ~pod:image.Image.pod_id
-           "storage_put");
+           Zapc_obs.Phase.Storage_put);
       Ok ()
     end
 

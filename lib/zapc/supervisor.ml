@@ -27,6 +27,7 @@ module Simtime = Zapc_sim.Simtime
 module Engine = Zapc_sim.Engine
 module Metrics = Zapc_obs.Metrics
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 module Rng = Zapc_sim.Rng
 module Fabric = Zapc_simnet.Fabric
 module Pod = Zapc_pod.Pod
@@ -50,7 +51,7 @@ type t = {
   mutable gave_up : int;  (* recoveries abandoned after the retry budget *)
   mutable last_detect : Simtime.t option;
   mutable recover_span : int;  (* open [sup_recover] span id, -1 when none *)
-  mutable log : (Simtime.t * string) list;  (* newest first *)
+  mutable log : (Simtime.t * Phase.t) list;  (* newest first *)
   mutable beat_tm : Engine.timer option;  (* cancellable heartbeat timer *)
 }
 
@@ -59,18 +60,18 @@ let reg t = Cluster.metrics t.cluster
 
 let note t what =
   t.log <- (now t, what) :: t.log;
-  Span.instant t.trace ~time:(now t) ~pod:(-1) what
+  Span.instant t.trace ~time:(now t) ~node:(-1) ~pod:(-1) what
 
 (* The whole recovery episode (declaration -> recovered/gave up) is one
    [sup_recover] span; each restart attempt's Manager op span parents under
    it through [Periodic.recover_async ?parent]. *)
 let recover_span_begin t =
   t.recover_span <-
-    (Span.begin_span t.trace ~time:(now t) ~pod:(-1) "sup_recover").Span.sp_id
+    (Span.begin_span t.trace ~time:(now t) ~pod:(-1) Phase.Sup_recover).Span.sp_id
 
 let recover_span_end t =
   if t.recover_span >= 0 then
-    ignore (Span.end_named t.trace ~time:(now t) ~pod:(-1) "sup_recover");
+    ignore (Span.end_named t.trace ~time:(now t) ~pod:(-1) Phase.Sup_recover);
   t.recover_span <- -1
 
 (* Nodes currently hosting the group's pods (for the initial watch set and
@@ -163,7 +164,7 @@ and beat t =
              Metrics.observe (reg t) "sup.detect_latency_ms"
                (Simtime.to_ms (Simtime.sub (now t) t0))
            | None -> ());
-           note t (Printf.sprintf "sup_detect:node%d" node))
+           note t (Phase.Sup_detect node))
          dead;
        t.last_detect <- Some (now t);
        Metrics.set_gauge (reg t) "sup.last_detect_ms" (Simtime.to_ms (now t));
@@ -197,7 +198,7 @@ and attempt_recovery t =
   else begin
     t.attempts <- t.attempts + 1;
     Metrics.incr (reg t) "sup.attempts";
-    note t (Printf.sprintf "sup_attempt:%d" t.attempts);
+    note t (Phase.Sup_attempt t.attempts);
     let alive = Cluster.alive_nodes t.cluster in
     if alive = [] then give_up t
     else if Manager.busy (Cluster.manager t.cluster) then
@@ -225,7 +226,7 @@ and attempt_recovery t =
 and retry_later t =
   let delay = backoff_delay t in
   Metrics.incr (reg t) "sup.backoffs";
-  note t (Printf.sprintf "sup_backoff:%.1fms" (Simtime.to_ms delay));
+  note t (Phase.Sup_backoff delay);
   Engine.schedule (Cluster.engine t.cluster) ~label:"sup.retry" ~delay (fun () ->
       attempt_recovery t)
 
@@ -239,7 +240,7 @@ and recovered t =
     Metrics.observe (reg t) "sup.mttr_ms"
       (Simtime.to_ms (Simtime.sub (now t) d))
   | None -> ());
-  note t "sup_recovered";
+  note t Phase.Sup_recovered;
   recover_span_end t;
   t.attempts <- 0;
   (* the group may live on different nodes now: refresh the watch set
@@ -255,7 +256,7 @@ and recovered t =
 and give_up t =
   t.gave_up <- t.gave_up + 1;
   Metrics.incr (reg t) "sup.gave_up";
-  note t "sup_giveup";
+  note t Phase.Sup_giveup;
   recover_span_end t;
   t.state <- Gave_up
 
@@ -297,7 +298,7 @@ let start ?trace cluster service =
      handoff, atomically with the Manager completing the operation *)
   Manager.set_on_migrated (Cluster.manager cluster)
     (fun ~pod ~src ~dest ->
-      note t (Printf.sprintf "sup_watch_refresh:pod%d:%d->%d" pod src dest);
+      note t (Phase.Sup_watch_refresh { pod; src; dest });
       refresh_watched t);
   t.watched <- nodes_of_group t;
   schedule_beat t;

@@ -8,8 +8,9 @@
     capped exponential backoff and deterministic jitter up to
     [Params.recover_retries] times before giving up.  Detection, attempts,
     recovery and surrender are all recorded as trace instants
-    ([sup_detect:node<i>], [sup_attempt:<k>], [sup_backoff:<ms>],
-    [sup_recovered], [sup_giveup]), so availability is observable and the
+    ({!Zapc_obs.Phase.Sup_detect}, [Sup_attempt], [Sup_backoff],
+    [Sup_recovered], [Sup_giveup]), delivered whether or not the recorder
+    is on, so availability is observable and the
     chaos harness can hook fault triggers onto them.
 
     The watch set is sticky: frozen at {!start} and refreshed only after a
@@ -41,5 +42,5 @@ val recoveries : t -> int
 
 val gave_up : t -> bool
 
-val events : t -> (Simtime.t * string) list
+val events : t -> (Simtime.t * Zapc_obs.Phase.t) list
 (** Chronological supervisor event log (detect/attempt/backoff/...). *)

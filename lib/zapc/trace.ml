@@ -4,6 +4,7 @@
 
 module Simtime = Zapc_sim.Simtime
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 
 type t = Span.t
 
@@ -17,8 +18,8 @@ let parent_arg id = if id >= 0 then Some id else None
 let dump_chrome t path = Zapc_obs.Chrome.dump t path
 
 let columns =
-  [ "suspended"; "net_ckpt_done"; "meta_sent"; "standalone_done";
-    "continue_received"; "resumed" ]
+  Phase.[ Suspended; Net_ckpt_done; Meta_sent; Standalone_done;
+          Continue_received; Resumed ]
 
 (* Render the coordinated-checkpoint timeline (one line per pod, phases as
    offsets from the Manager's invocation), in the spirit of Figure 2.  One
@@ -34,7 +35,7 @@ let render_checkpoint t : string =
       if i.in_pod >= 0 then pods := i.in_pod :: !pods)
     instants;
   let t0 =
-    match Hashtbl.find_opt first (-1, "ckpt_broadcast") with
+    match Hashtbl.find_opt first (-1, Phase.Ckpt_broadcast) with
     | Some time -> time
     | None -> (match instants with i :: _ -> i.in_time | [] -> Simtime.zero)
   in
@@ -57,7 +58,7 @@ let render_checkpoint t : string =
               (List.map (fun what -> fmt (Hashtbl.find_opt first (pod, what)))
                  columns))))
     (List.sort_uniq Int.compare !pods);
-  (match Hashtbl.find_opt first (-1, "continue_broadcast") with
+  (match Hashtbl.find_opt first (-1, Phase.Continue_broadcast) with
    | Some time ->
      Buffer.add_string buf
        (Printf.sprintf "manager: all meta-data received, 'continue' sent at %7.2f\n"

@@ -122,6 +122,12 @@ let assert_result_shape ctx (r : Manager.op_result) =
   | true, Some _ -> Alcotest.fail (ctx ^ ": ok result carries a failure reason")
   | false, None -> Alcotest.fail (ctx ^ ": failed result lacks a failure reason")
 
+(* A directed injection whose [pod] filter or [skip] count never matches
+   leaves its scenario fault-free: every directed case requires its
+   injections fired. *)
+let assert_fired ctx fs =
+  check Alcotest.int (ctx ^ ": every directed injection fired") 0 (Faultsim.armed fs)
+
 (* --- directed cases ---------------------------------------------------- *)
 
 (* Satellite: a channel break after the meta report but before 'continue'
@@ -148,7 +154,7 @@ let test_midckpt_channel_break () =
      pod's meta: exactly the window between report and 'continue' *)
   Faultsim.install fs
     { fault = Break_channel { node = 1 };
-      trigger = On_phase { phase = "meta_sent"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Meta_sent; pod = None; skip = 0 } };
   let result = start_checkpoint cluster (ckpt_items cluster app ~prefix:"doomed") in
   let r = wait_result cluster result in
   check tbool "operation aborted" false r.Manager.r_ok;
@@ -185,6 +191,7 @@ let test_midckpt_channel_break () =
     (Array.to_list (Sys.readdir dump_dir));
   Sys.rmdir dump_dir;
   (* both sides resumed; the application still completes correctly *)
+  assert_fired "midckpt-break" fs;
   assert_clean "midckpt-break" cluster fs;
   ignore (Launch.wait_done cluster app);
   check tbool "app made progress after abort" true (has_log "bt_nas: checksum")
@@ -206,12 +213,12 @@ let test_hung_agent_times_out () =
   let pod1 = (List.nth app.Launch.pods 1).Pod.pod_id in
   Faultsim.install fs
     { fault = Hang_agent { node = 1; duration = None };
-      trigger = On_phase { phase = "suspended"; pod = Some pod1; skip = 0 } };
+      trigger = On_phase { phase = Suspended; pod = Some pod1; skip = 0 } };
   let result = start_checkpoint cluster (ckpt_items cluster app ~prefix:"hung") in
   let r = wait_result cluster result in
   check tbool "operation aborted by timeout" false r.Manager.r_ok;
   (match r.Manager.r_failure with
-   | Some (Protocol.F_timeout { phase = Protocol.Ph_meta; waiting }) ->
+   | Some (Protocol.F_timeout { phase = Ph_meta; waiting }) ->
      check tbool "timeout names a waiting pod" true (waiting <> [])
    | _ -> Alcotest.fail "expected F_timeout in the meta-gather phase");
   (* without healing the hang, the Agent-side continue-wait timeout must
@@ -219,6 +226,7 @@ let test_hung_agent_times_out () =
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 500)) ();
   Faultsim.heal_all fs;
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 500)) ();
+  assert_fired "hung-agent" fs;
   assert_clean "hung-agent" cluster fs;
   ignore (Launch.wait_done cluster app);
   check tbool "app completed after hang" true (has_log "bt_nas: checksum")
@@ -266,11 +274,12 @@ let test_node_crash_mid_checkpoint () =
   Cluster.run cluster ~until:(Simtime.ms 5) ();
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "suspended"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Suspended; pod = None; skip = 0 } };
   let r = wait_result cluster (start_checkpoint cluster (ckpt_items cluster app ~prefix:"crash")) in
   check tbool "operation aborted" false r.Manager.r_ok;
   assert_result_shape "node-crash" r;
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 300)) ();
+  assert_fired "node-crash" fs;
   assert_clean "node-crash" cluster fs;
   (* the crashed node's pod is gone from the registry; the survivor lives *)
   let gone, alive =
@@ -417,7 +426,7 @@ let run_mig_dest_crash seed =
       Periodic.last_good svc >= 1 && not (Manager.busy (Cluster.manager cluster)));
   Faultsim.install fs
     { fault = Crash_node { node = 2 };
-      trigger = On_phase { phase = "mig_round"; pod = Some p.Pod.pod_id; skip = 0 } };
+      trigger = On_phase { phase = Mig_round; pod = Some p.Pod.pod_id; skip = 0 } };
   let r = wait_result cluster (start_migrate cluster ~pod_id:p.Pod.pod_id ~dest:2) in
   check tbool "migration aborted" false r.Manager.r_ok;
   assert_result_shape "mig-dest-crash" r;
@@ -439,6 +448,7 @@ let run_mig_dest_crash seed =
   Supervisor.stop sup;
   Periodic.stop svc;
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 200)) ();
+  assert_fired "mig-dest-crash" fs;
   assert_clean "mig-dest-crash" cluster fs;
   mig_app_intact "mig-dest-crash" cluster reference;
   mig_digest fs r p.Pod.pod_id cluster
@@ -451,7 +461,7 @@ let run_mig_src_crash seed =
   let cluster, fs, _app, p, reference = mig_setup (3200 + seed) in
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "mig_handoff"; pod = Some p.Pod.pod_id; skip = 0 } };
+      trigger = On_phase { phase = Mig_handoff; pod = Some p.Pod.pod_id; skip = 0 } };
   let r = wait_result cluster (start_migrate cluster ~pod_id:p.Pod.pod_id ~dest:2) in
   check tbool "destination copy wins" true r.Manager.r_ok;
   assert_result_shape "mig-src-crash" r;
@@ -462,6 +472,7 @@ let run_mig_src_crash seed =
   check tbool "exactly one live copy, on the destination" true
     (pod_node cluster p.Pod.pod_id = 2);
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 300)) ();
+  assert_fired "mig-src-crash" fs;
   assert_clean "mig-src-crash" cluster fs;
   mig_app_intact "mig-src-crash" cluster reference;
   mig_digest fs r p.Pod.pod_id cluster
@@ -476,12 +487,12 @@ let run_mig_residue_break seed =
   let stage_drops = ref 0 in
   Zapc_obs.Span.subscribe (Faultsim.trace fs) (function
     | Zapc_obs.Span.Instant i
-      when String.equal i.in_what "mig_stage_dropped" && i.in_pod = p.Pod.pod_id ->
+      when i.in_what = Mig_stage_dropped && i.in_pod = p.Pod.pod_id ->
       incr stage_drops
     | _ -> ());
   Faultsim.install fs
     { fault = Break_channel { node = 2 };
-      trigger = On_phase { phase = "mig_residue"; pod = Some p.Pod.pod_id; skip = 0 } };
+      trigger = On_phase { phase = Mig_residue; pod = Some p.Pod.pod_id; skip = 0 } };
   let r = wait_result cluster (start_migrate cluster ~pod_id:p.Pod.pod_id ~dest:2) in
   check tbool "migration aborted" false r.Manager.r_ok;
   assert_result_shape "mig-residue-break" r;
@@ -492,6 +503,7 @@ let run_mig_residue_break seed =
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 300)) ();
   check tbool "pod resumed on the source" true (pod_node cluster p.Pod.pod_id = 1);
   check tbool "destination dropped its staged rounds" true (!stage_drops >= 1);
+  assert_fired "mig-residue-break" fs;
   assert_clean "mig-residue-break" cluster fs;
   (* the abort left no residue in the way: a retry to a healthy node wins *)
   let r2 = wait_result cluster (start_migrate cluster ~pod_id:p.Pod.pod_id ~dest:3) in
@@ -512,7 +524,7 @@ let run_stream_src_crash seed =
   let cluster, fs, app, p, reference = mig_setup (3400 + seed) in
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "destroyed"; pod = Some p.Pod.pod_id; skip = 0 } };
+      trigger = On_phase { phase = Destroyed; pod = Some p.Pod.pod_id; skip = 0 } };
   let moves =
     List.map (fun (q : Pod.t) -> (q.pod_id, node_of_pod cluster q)) app.Launch.pods
   in
@@ -543,6 +555,7 @@ let run_stream_src_crash seed =
   List.iter
     (fun (id, src) -> check tbool "pod on its destination" true (pod_node cluster id = src + 2))
     moves;
+  assert_fired "stream-src-crash" fs;
   assert_clean "stream-src-crash" cluster fs;
   mig_app_intact "stream-src-crash" cluster reference;
   mig_digest fs r p.Pod.pod_id cluster
@@ -727,7 +740,7 @@ let run_crash_autorecovery seed =
   check tbool "watch set moved off the dead node" true
     (not (List.mem 1 (Supervisor.watched sup)));
   List.map
-    (fun (t, w) -> Printf.sprintf "%d %s" t w)
+    (fun (t, w) -> Printf.sprintf "%d %s" t (Zapc_obs.Phase.to_string w))
     (Supervisor.events sup)
 
 let test_crash_autorecovery () = ignore (run_crash_autorecovery 42)
@@ -748,7 +761,7 @@ let test_backoff_retry_after_second_fault () =
      recovery target for the dead node's pod — stalls for 600 ms *)
   Faultsim.install fs
     { fault = Hang_agent { node = 2; duration = Some (Simtime.ms 600) };
-      trigger = On_phase { phase = "sup_detect:node1"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Sup_detect 1; pod = None; skip = 0 } };
   Faultsim.install fs { fault = Crash_node { node = 1 }; trigger = Now };
   Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
       Supervisor.recoveries sup >= 1 || Supervisor.gave_up sup);
@@ -758,14 +771,14 @@ let test_backoff_retry_after_second_fault () =
     (Zapc_obs.Metrics.counter (Cluster.metrics cluster) "sup.attempts" >= 2);
   check tbool "backoff event traced" true
     (List.exists
-       (fun (_, w) ->
-         String.length w >= 11 && String.equal (String.sub w 0 11) "sup_backoff")
+       (function _, Zapc_obs.Phase.Sup_backoff _ -> true | _ -> false)
        (Supervisor.events sup));
   Cluster.run_until cluster ~timeout:(Simtime.sec 2400.0) (fun () ->
       has_log "bt_nas: checksum");
   Supervisor.stop sup;
   Periodic.stop svc;
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 200)) ();
+  assert_fired "backoff-retry" fs;
   assert_clean "backoff-retry" cluster fs
 
 (* Acceptance (sibling): every image on the primary replica rots just
@@ -919,7 +932,7 @@ let test_failed_epoch_gc () =
      after some pods may already have written their images *)
   Faultsim.install fs
     { fault = Break_channel { node = 1 };
-      trigger = On_phase { phase = "meta_sent"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Meta_sent; pod = None; skip = 0 } };
   Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () -> !failures >= 1);
   Periodic.stop svc;
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 300)) ();
@@ -939,6 +952,7 @@ let test_failed_epoch_gc () =
               app.Launch.pods)
           (List.init good (fun i -> i + 1))))
     svc_keys;
+  assert_fired "failed-epoch-gc" fs;
   assert_clean "failed-epoch-gc" cluster fs
 
 (* Tentpole scenario: hierarchical coordination under fire.  Fanout 3 over
@@ -973,7 +987,7 @@ let test_tree_subcoordinator_crash () =
     (Zapc_obs.Metrics.gauge reg "mgr.tree.nodes" = 13.0);
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "meta_sent"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Meta_sent; pod = None; skip = 0 } };
   Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
       Supervisor.recoveries sup >= 1 || Supervisor.gave_up sup);
   check tbool "supervisor recovered (did not give up)" true
@@ -992,6 +1006,7 @@ let test_tree_subcoordinator_crash () =
   (* "no orphaned paused pods": assert_clean audits every surviving node,
      including the re-attached pod-free subtree, for frozen pods and leaked
      in-flight operations *)
+  assert_fired "tree-subcoordinator-crash" fs;
   assert_clean "tree-subcoordinator-crash" cluster fs;
   check tbool "watch set moved off the dead node" true
     (not (List.mem 1 (Supervisor.watched sup)))
@@ -1028,7 +1043,7 @@ let test_hang_survives_reform () =
       trigger = After (Simtime.ms 150) };
   let detected node =
     List.find_map
-      (fun (t, w) -> if w = Printf.sprintf "sup_detect:node%d" node then Some t else None)
+      (fun (t, w) -> if w = Zapc_obs.Phase.Sup_detect node then Some t else None)
       (Supervisor.events sup)
   in
   Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () ->

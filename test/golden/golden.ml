@@ -21,6 +21,7 @@ module Supervisor = Zapc.Supervisor
 module Launch = Zapc_msg.Launch
 module Faultsim = Zapc_faultsim.Faultsim
 module Flight = Zapc_obs.Flight
+module Phase = Zapc_obs.Phase
 module Metrics = Zapc_obs.Metrics
 module Serve = Zapc_apps.Serve
 
@@ -61,13 +62,19 @@ let node_of_pod cluster (p : Pod.t) =
 let run_for cluster ms =
   Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms ms)) ()
 
-let timeline_line events =
-  String.concat "; " (List.map (fun (t, w) -> Printf.sprintf "%d %s" t w) events)
+let timeline_line show events =
+  String.concat "; " (List.map (fun (t, w) -> Printf.sprintf "%d %s" t (show w)) events)
+
+(* a directed injection that never fires leaves its scenario fault-free *)
+let all_fired name fs =
+  if Faultsim.armed fs <> 0 then failwith (name ^ ": a directed injection never fired")
 
 let report name cluster fs ?sup extra =
-  Printf.printf "%s fired %s\n" name (timeline_line (Faultsim.fired fs));
+  Printf.printf "%s fired %s\n" name (timeline_line Fun.id (Faultsim.fired fs));
   (match sup with
-   | Some sup -> Printf.printf "%s sup %s\n" name (timeline_line (Supervisor.events sup))
+   | Some sup ->
+     Printf.printf "%s sup %s\n" name
+       (timeline_line Phase.to_string (Supervisor.events sup))
    | None -> ());
   Printf.printf "%s result %s\n" name extra;
   let flight =
@@ -167,6 +174,7 @@ let supervised name ?(params = avail_params) ?(nodes = 4) ?(placement = [ 0; 1 ]
   Supervisor.stop sup;
   Periodic.stop svc;
   run_for cluster 200;
+  all_fired name fs;
   report name cluster fs ~sup
     (Printf.sprintf "recoveries=%d attempts=%d good=%d t=%d"
        (Supervisor.recoveries sup)
@@ -184,7 +192,7 @@ let flat_hang_backoff () =
   supervised "flat-hang-backoff" (fun fs ->
       Faultsim.install fs
         { fault = Hang_agent { node = 2; duration = Some (Simtime.ms 600) };
-          trigger = On_phase { phase = "sup_detect:node1"; pod = None; skip = 0 } };
+          trigger = On_phase { phase = Sup_detect 1; pod = None; skip = 0 } };
       Faultsim.install fs (crash 1))
 
 (* the test_tree_subcoordinator_crash shape: fanout 3 over 13 nodes, the
@@ -196,7 +204,7 @@ let tree_subcoordinator_crash () =
     (fun fs ->
       Faultsim.install fs
         { fault = Crash_node { node = 1 };
-          trigger = On_phase { phase = "meta_sent"; pod = None; skip = 0 } })
+          trigger = On_phase { phase = Meta_sent; pod = None; skip = 0 } })
 
 (* the tree path with the serial per-message cost on: a snapshot through a
    depth-3 fanout-2 tree, then a restart on other nodes *)
@@ -245,12 +253,13 @@ let flat_mig_src_crash () =
   in
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "mig_handoff"; pod = Some p.Pod.pod_id; skip = 0 } };
+      trigger = On_phase { phase = Mig_handoff; pod = Some p.Pod.pod_id; skip = 0 } };
   let result = ref None in
   Manager.migrate (Cluster.manager cluster) ~pod:p.Pod.pod_id ~src_node:1 ~dest_node:2
     ~on_done:(fun r -> result := Some r);
   Cluster.run_until cluster ~timeout:(Simtime.sec 10.0) (fun () -> !result <> None);
   run_for cluster 300;
+  all_fired "flat-mig-src-crash" fs;
   report "flat-mig-src-crash" cluster fs (result_str (Option.get !result))
 
 (* --- serve-battery shard digests --------------------------------------- *)

@@ -96,6 +96,7 @@ let test_crash_during_burst () =
       trigger = Faultsim.After (Simtime.ms 30) };
   Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
       Supervisor.recoveries sup >= 1 || Supervisor.gave_up sup);
+  if Faultsim.armed fs <> 0 then fail "crash-during-burst: the injected crash never fired";
   if Supervisor.gave_up sup then fail "supervisor gave up";
   if Supervisor.recoveries sup < 1 then fail "no recovery happened";
   wait_done t;

@@ -12,6 +12,9 @@ module Chrome = Zapc_obs.Chrome
 module Json = Zapc_obs.Json
 module Flight = Zapc_obs.Flight
 module Critpath = Zapc_obs.Critpath
+module Phase = Zapc_obs.Phase
+
+let str = Phase.to_string
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -132,7 +135,7 @@ let ms = Simtime.ms
 
 let test_span_basic () =
   let r = Span.create () in
-  let s = Span.begin_span r ~time:(ms 1) ~op:7 ~pod:3 "work" in
+  let s = Span.begin_span r ~time:(ms 1) ~op:7 ~pod:3 Phase.Standalone in
   check tint "one open" 1 (List.length (Span.open_spans r));
   Span.end_span r ~time:(ms 5) s;
   Span.end_span r ~time:(ms 9) s;
@@ -145,11 +148,11 @@ let test_span_basic () =
 
 let test_span_end_named () =
   let r = Span.create () in
-  let _outer = Span.begin_span r ~time:(ms 1) ~pod:1 "phase" in
-  let _inner = Span.begin_span r ~time:(ms 2) ~pod:1 "phase" in
-  let _other = Span.begin_span r ~time:(ms 3) ~pod:2 "phase" in
+  let _outer = Span.begin_span r ~time:(ms 1) ~pod:1 Phase.Suspend in
+  let _inner = Span.begin_span r ~time:(ms 2) ~pod:1 Phase.Suspend in
+  let _other = Span.begin_span r ~time:(ms 3) ~pod:2 Phase.Suspend in
   check tbool "closes most recent of the pod" true
-    (Span.end_named r ~time:(ms 4) ~pod:1 "phase");
+    (Span.end_named r ~time:(ms 4) ~pod:1 Phase.Suspend);
   (match Span.spans r with
    | [ a; b; c ] ->
      check tbool "outer still open" true (a.Span.sp_end = None);
@@ -157,23 +160,23 @@ let test_span_end_named () =
      check tbool "other pod untouched" true (c.Span.sp_end = None)
    | _ -> Alcotest.fail "expected 3 spans");
   check tbool "no match returns false" false
-    (Span.end_named r ~time:(ms 5) ~pod:9 "phase");
+    (Span.end_named r ~time:(ms 5) ~pod:9 Phase.Suspend);
   Span.end_all_for_pod r ~time:(ms 6) ~pod:1;
   check tint "only pod 2 left open" 1 (List.length (Span.open_spans r));
   check tbool "last_time tracks" true (Simtime.compare (Span.last_time r) (ms 6) = 0)
 
 let test_span_chronological () =
   let r = Span.create () in
-  let a = Span.begin_span r ~time:(ms 5) ~pod:1 "b" in
-  let b = Span.begin_span r ~time:(ms 2) ~pod:1 "a" in
+  let a = Span.begin_span r ~time:(ms 5) ~pod:1 Phase.Paused in
+  let b = Span.begin_span r ~time:(ms 2) ~pod:1 Phase.Suspend in
   Span.end_span r ~time:(ms 6) a;
   Span.end_span r ~time:(ms 7) b;
-  Span.instant r ~time:(ms 4) ~pod:1 "tick";
-  Span.instant r ~time:(ms 3) ~pod:1 "tock";
+  Span.instant r ~time:(ms 4) ~node:0 ~pod:1 Phase.Resumed;
+  Span.instant r ~time:(ms 3) ~node:0 ~pod:1 Phase.Suspended;
   check tbool "spans sorted by begin time" true
-    (List.map (fun s -> s.Span.sp_name) (Span.spans r) = [ "a"; "b" ]);
+    (List.map (fun s -> s.Span.sp_name) (Span.spans r) = Phase.[ Suspend; Paused ]);
   check tbool "instants sorted by time" true
-    (List.map (fun i -> i.Span.in_what) (Span.instants r) = [ "tock"; "tick" ])
+    (List.map (fun i -> i.Span.in_what) (Span.instants r) = Phase.[ Suspended; Resumed ])
 
 let test_span_parent_links () =
   let r = Span.create () in
@@ -182,30 +185,33 @@ let test_span_parent_links () =
   let log = ref [] in
   Span.subscribe r (fun e -> log := (1, e) :: !log);
   Span.subscribe r (fun e -> log := (2, e) :: !log);
-  let root = Span.begin_span r ~time:(ms 1) ~pod:(-1) ~node:(-1) "op" in
+  let root = Span.begin_span r ~time:(ms 1) ~pod:(-1) ~node:(-1) Phase.Ckpt_op in
   let child =
     Span.begin_span r ~time:(ms 2) ~parent:root.Span.sp_id ~pod:3 ~node:1
-      "pod_ckpt"
+      Phase.Pod_ckpt
   in
-  Span.instant r ~time:(ms 3) ~pod:3 "meta_sent";
+  Span.instant r ~time:(ms 3) ~node:1 ~pod:3 Phase.Meta_sent;
   check tbool "root has no parent" true (root.Span.sp_parent = None);
   check tbool "child links its parent" true
     (child.Span.sp_parent = Some root.Span.sp_id);
   check tbool "ids are distinct" true (root.Span.sp_id <> child.Span.sp_id);
   check tbool "parent resolves" true
     (match Span.find_span r root.Span.sp_id with
-     | Some sp -> String.equal sp.Span.sp_name "op"
+     | Some sp -> sp.Span.sp_name = Phase.Ckpt_op
      | None -> false);
   Span.end_span r ~time:(ms 4) child;
   Span.end_span r ~time:(ms 5) root;
   let label = function
-    | Span.Opened sp -> "open " ^ sp.Span.sp_name
-    | Span.Closed sp -> "close " ^ sp.Span.sp_name
-    | Span.Instant i -> "instant " ^ i.Span.in_what
+    | Span.Opened sp -> "open " ^ str sp.Span.sp_name
+    | Span.Closed sp -> "close " ^ str sp.Span.sp_name
+    | Span.Instant i -> "instant " ^ str i.Span.in_what
   in
   let recorded =
-    [ "open op"; "open pod_ckpt"; "instant meta_sent"; "close pod_ckpt";
-      "close op" ]
+    List.map
+      (fun (what, p) -> what ^ " " ^ str p)
+      Phase.
+        [ ("open", Ckpt_op); ("open", Pod_ckpt); ("instant", Meta_sent);
+          ("close", Pod_ckpt); ("close", Ckpt_op) ]
   in
   check (Alcotest.list Alcotest.string) "both subscribers, recording order"
     (List.concat_map (fun l -> [ "1 " ^ l; "2 " ^ l ]) recorded)
@@ -215,17 +221,17 @@ let test_span_parent_links () =
        (function _, Span.Closed sp -> sp.Span.sp_end <> None | _ -> true)
        !log);
   Span.unsubscribe_all r;
-  ignore (Span.begin_span r ~time:(ms 6) ~pod:0 "quiet");
+  ignore (Span.begin_span r ~time:(ms 6) ~pod:0 Phase.Paused);
   check tint "subscribers detached" 10 (List.length !log)
 
 (* --- chrome exporter --- *)
 
 let test_chrome_export () =
   let r = Span.create () in
-  let s = Span.begin_span r ~time:(ms 1) ~op:1 ~node:0 ~pod:1 "pod_ckpt" in
-  ignore (Span.begin_span r ~time:(ms 2) ~pod:(-1) "mgr_sync");
+  let s = Span.begin_span r ~time:(ms 1) ~op:1 ~node:0 ~pod:1 Phase.Pod_ckpt in
+  ignore (Span.begin_span r ~time:(ms 2) ~pod:(-1) Phase.Mgr_sync);
   Span.end_span r ~time:(ms 4) s;
-  Span.instant r ~time:(ms 3) ~node:0 ~pod:1 "meta_sent";
+  Span.instant r ~time:(ms 3) ~node:0 ~pod:1 Phase.Meta_sent;
   let v = ok_json (Chrome.to_string r) in
   let events =
     match Option.bind (Json.member "traceEvents" v) Json.to_list with
@@ -241,7 +247,7 @@ let test_chrome_export () =
       events
   in
   check tbool "metadata rows present" true (named "M" "process_name" <> None);
-  (match named "X" "pod_ckpt" with
+  (match named "X" (str Phase.Pod_ckpt) with
    | Some ev ->
      let num k = Option.bind (Json.member k ev) Json.to_float in
      check tbool "ts in us" true (num "ts" = Some 1000.0);
@@ -249,22 +255,22 @@ let test_chrome_export () =
      check tbool "pid = node+1" true (num "pid" = Some 1.0)
    | None -> Alcotest.fail "pod_ckpt X event missing");
   (* the still-open mgr_sync is closed at last_time and flagged *)
-  (match named "X" "mgr_sync" with
+  (match named "X" (str Phase.Mgr_sync) with
    | Some ev ->
      check tbool "unfinished flagged" true
        (Option.bind (Json.member "args" ev) (Json.member "unfinished") <> None)
    | None -> Alcotest.fail "open span not exported");
-  check tbool "instant exported" true (named "i" "meta_sent" <> None)
+  check tbool "instant exported" true (named "i" (str Phase.Meta_sent) <> None)
 
 (* Cross-node parent: the child's X row carries sid + parent args and the
    exporter joins the two tracks with an s/f flow pair keyed by the child's
    sid. *)
 let test_chrome_causal_args () =
   let r = Span.create () in
-  let root = Span.begin_span r ~time:(ms 1) ~pod:(-1) ~node:(-1) "op" in
+  let root = Span.begin_span r ~time:(ms 1) ~pod:(-1) ~node:(-1) Phase.Ckpt_op in
   let child =
     Span.begin_span r ~time:(ms 2) ~parent:root.Span.sp_id ~pod:3 ~node:1
-      "pod_ckpt"
+      Phase.Pod_ckpt
   in
   Span.end_span r ~time:(ms 4) child;
   Span.end_span r ~time:(ms 5) root;
@@ -280,7 +286,7 @@ let test_chrome_causal_args () =
        (fun ev ->
          phase ev = Some "X"
          && Option.bind (Json.member "name" ev) Json.to_string_opt
-            = Some "pod_ckpt")
+            = Some (str Phase.Pod_ckpt))
        events
    with
    | Some ev ->
@@ -386,22 +392,22 @@ let test_flight_dump_roundtrip () =
   let recorded =
     [ (0,
        Flight.Span_open
-         { f_time = ms 1; f_id = 7; f_name = "pod_ckpt"; f_op = 3; f_pod = 2;
+         { f_time = ms 1; f_id = 7; f_name = str Phase.Pod_ckpt; f_op = 3; f_pod = 2;
            f_parent = Some 5 });
       (0, Flight.Span_close { f_time = ms 2; f_id = 7 });
       (1,
        Flight.Span_open
          { f_time = ms 3; f_id = 9; f_name = "net_ckpt\"x"; f_op = 3; f_pod = 4;
            f_parent = None });
-      (-1, Flight.Instant { f_time = ms 4; f_pod = -1; f_what = "op_failed:channel" });
+      (-1, Flight.Instant { f_time = ms 4; f_pod = -1; f_what = (str (Phase.Op_failed Phase.Op_ckpt)) });
       (-1, Flight.Metric { f_time = ms 5; f_name = "mgr.ckpt.failed"; f_value = 1.5 }) ]
   in
   List.iter (fun (node, e) -> Flight.record fl ~node e) recorded;
-  let json = Flight.to_string fl ~time:(ms 6) ~reason:"op_failed:channel" in
+  let json = Flight.to_string fl ~time:(ms 6) ~reason:(str (Phase.Op_failed Phase.Op_ckpt)) in
   let v = ok_json json in
   check tbool "reason kept" true
     (Option.bind (Json.member "reason" v) Json.to_string_opt
-     = Some "op_failed:channel");
+     = Some (str (Phase.Op_failed Phase.Op_ckpt)));
   (match Flight.entries_of_json v with
    | None -> Alcotest.fail "dump does not decode"
    | Some decoded ->
@@ -412,7 +418,7 @@ let test_flight_dump_roundtrip () =
            Alcotest.failf "entry of node %d lost in the round-trip" node)
        recorded);
   (* trip with no dump dir still snapshots to last_dump, and clear drains *)
-  Flight.trip fl ~time:(ms 7) ~reason:"fault:crash_node";
+  Flight.trip fl ~time:(ms 7) ~reason:(str (Phase.Fault "crash-node(node 1)"));
   check tint "trip counted" 1 (Flight.trips fl);
   check tbool "last_dump parses" true
     (match Flight.last_dump fl with
@@ -426,20 +432,21 @@ let test_flight_dump_roundtrip () =
 let test_critpath () =
   let r = Span.create () in
   (* the op span covers the whole window: skipped, attributes nothing *)
-  let op = Span.begin_span r ~time:(ms 0) ~pod:(-1) "ckpt_op" in
-  let a = Span.begin_span r ~time:(ms 0) ~pod:1 "standalone" in
-  let b = Span.begin_span r ~time:(ms 6) ~pod:1 "net_ckpt" in
+  let op = Span.begin_span r ~time:(ms 0) ~pod:(-1) Phase.Ckpt_op in
+  let a = Span.begin_span r ~time:(ms 0) ~pod:1 Phase.Standalone in
+  let b = Span.begin_span r ~time:(ms 6) ~pod:1 Phase.Net_ckpt in
   Span.end_span r ~time:(ms 6) a;
   Span.end_span r ~time:(ms 9) b;
   Span.end_span r ~time:(ms 10) op;
   let rep = Critpath.analyze ~spans:(Span.spans r) ~t0:(ms 0) ~t1:(ms 10) in
   check tbool "total is the window" true (Simtime.compare rep.Critpath.cp_total (ms 10) = 0);
-  check tbool "dominant phase" true (String.equal rep.Critpath.cp_dominant "standalone");
+  check tbool "dominant phase" true
+    (String.equal rep.Critpath.cp_dominant (str Phase.Standalone));
   let phase n = List.assoc_opt n rep.Critpath.cp_phases in
-  check tbool "standalone charged 6ms" true (phase "standalone" = Some (ms 6));
-  check tbool "net_ckpt charged 3ms" true (phase "net_ckpt" = Some (ms 3));
+  check tbool "standalone charged 6ms" true (phase (str Phase.Standalone) = Some (ms 6));
+  check tbool "net_ckpt charged 3ms" true (phase (str Phase.Net_ckpt) = Some (ms 3));
   check tbool "uncovered tail charged to other" true (phase "other" = Some (ms 1));
-  check tbool "op span attributes nothing" true (phase "ckpt_op" = None);
+  check tbool "op span attributes nothing" true (phase (str Phase.Ckpt_op) = None);
   (* every charged nanosecond is charged exactly once *)
   let sum =
     List.fold_left (fun acc (_, d) -> Simtime.add acc d) Simtime.zero
@@ -472,28 +479,29 @@ let test_trace_observers () =
   let r = Span.create () in
   let fired = ref 0 in
   Span.subscribe r (fun _ -> Stdlib.incr fired);
-  Span.instant r ~time:(ms 1) ~pod:0 "a";
+  Span.instant r ~time:(ms 1) ~node:0 ~pod:0 Phase.Suspended;
   check tint "subscriber fires" 1 !fired;
   Span.clear r;
   check tint "clear forgets instants" 0 (List.length (Span.instants r));
-  Span.instant r ~time:(ms 2) ~pod:0 "b";
+  Span.instant r ~time:(ms 2) ~node:0 ~pod:0 Phase.Meta_sent;
   check tint "subscriptions survive clear" 2 !fired;
-  (* an off recorder records nothing, notifies no one, hands out id -1 *)
+  (* an off recorder records nothing and hands out id -1, but still
+     delivers its instants (and only those) *)
   Span.set_enabled r false;
-  let sp = Span.begin_span r ~time:(ms 3) ~pod:0 "dark" in
+  let sp = Span.begin_span r ~time:(ms 3) ~pod:0 Phase.Standalone in
   check tint "off span id" (-1) sp.Span.sp_id;
-  Span.instant r ~time:(ms 3) ~pod:0 "c";
+  Span.instant r ~time:(ms 3) ~node:0 ~pod:0 Phase.Resumed;
   Span.end_span r ~time:(ms 4) sp;
   check tbool "off end_named finds nothing" false
-    (Span.end_named r ~time:(ms 4) ~pod:0 "dark");
+    (Span.end_named r ~time:(ms 4) ~pod:0 Phase.Standalone);
   check tint "off: no span recorded" 0 (List.length (Span.spans r));
   check tbool "off: no instant recorded" true
-    (List.map (fun i -> i.Span.in_what) (Span.instants r) = [ "b" ]);
-  check tint "off: nobody notified" 2 !fired;
+    (List.map (fun i -> i.Span.in_what) (Span.instants r) = [ Phase.Meta_sent ]);
+  check tint "off: the instant alone delivered" 3 !fired;
   Span.set_enabled r true;
   Span.unsubscribe_all r;
-  Span.instant r ~time:(ms 5) ~pod:0 "d";
-  check tint "unsubscribe_all detaches" 2 !fired;
+  Span.instant r ~time:(ms 5) ~node:0 ~pod:0 Phase.Resumed;
+  check tint "unsubscribe_all detaches" 3 !fired;
   (* a cluster's recorder exists from make, but reads as a trace only once
      switched on *)
   let c = Zapc.Cluster.make ~params:Zapc.Params.default ~node_count:1 () in

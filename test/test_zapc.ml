@@ -21,6 +21,7 @@ module Protocol = Zapc.Protocol
 module Params = Zapc.Params
 module Launch = Zapc_msg.Launch
 module Span = Zapc_obs.Span
+module Phase = Zapc_obs.Phase
 module Mpi = Zapc_msg.Mpi
 
 let check = Alcotest.check
@@ -921,7 +922,7 @@ let stream_source_lost () =
       ~before:(fun cluster app ->
         let src = List.combine (Launch.pod_ids app) [ 0; 1 ] in
         Span.subscribe (Cluster.enable_trace cluster) (function
-          | Span.Instant i when (not !lost) && String.equal i.in_what "destroyed" ->
+          | Span.Instant i when (not !lost) && i.in_what = Phase.Destroyed ->
             lost := true;
             Manager.break_channel (Cluster.manager cluster)
               ~node:(List.assoc i.in_pod src)
@@ -1564,27 +1565,27 @@ let test_figure2_timeline () =
   let time pod what =
     match
       List.find_opt
-        (fun (i : Span.instant) -> i.in_pod = pod && String.equal i.in_what what)
+        (fun (i : Span.instant) -> i.in_pod = pod && i.in_what = what)
         (Span.instants tr)
     with
     | Some i -> i.in_time
-    | None -> Alcotest.failf "missing trace event %s for pod %d" what pod
+    | None -> Alcotest.failf "missing trace event %s for pod %d" (Phase.to_string what) pod
   in
   List.iter
     (fun (p : Pod.t) ->
       let id = p.pod_id in
       (* phases happen in Figure-1 order *)
-      check tbool "suspend before net ckpt" true (time id "suspended" <= time id "net_ckpt_done");
-      check tbool "net ckpt before meta" true (time id "net_ckpt_done" <= time id "meta_sent");
+      check tbool "suspend before net ckpt" true (time id Phase.Suspended <= time id Phase.Net_ckpt_done);
+      check tbool "net ckpt before meta" true (time id Phase.Net_ckpt_done <= time id Phase.Meta_sent);
       (* the Manager's continue arrives DURING the standalone checkpoint:
          this is the overlap the network-state-first ordering buys *)
       check tbool "continue overlaps standalone" true
-        (time id "continue_received" < time id "standalone_done");
+        (time id Phase.Continue_received < time id Phase.Standalone_done);
       (* resume gates on both conditions *)
       check tbool "resume after standalone" true
-        (time id "resumed" >= time id "standalone_done");
+        (time id Phase.Resumed >= time id Phase.Standalone_done);
       check tbool "resume after continue" true
-        (time id "resumed" >= time id "continue_received"))
+        (time id Phase.Resumed >= time id Phase.Continue_received))
     app.Launch.pods;
   (* the rendering is printable and mentions every pod *)
   let s = Zapc.Trace.render_checkpoint tr in
@@ -1783,7 +1784,7 @@ let migrate_cap0 () =
   check tbool "no mig_round trace event" true
     (not
        (List.exists
-          (fun (i : Span.instant) -> String.equal i.in_what "mig_round")
+          (fun (i : Span.instant) -> i.in_what = Phase.Mig_round)
           (Span.instants tr)));
   check tbool "commit reported zero rounds" true
     (Zapc_obs.Metrics.hist_count m "mig.rounds" = 1
@@ -1828,16 +1829,16 @@ let migrate_pod_set () =
   check tbool "pod-set migration ok" true (Option.get !result).Manager.r_ok;
   let spans = Zapc_obs.Span.spans (Zapc.Trace.recorder tr) in
   let named n =
-    List.filter (fun (sp : Zapc_obs.Span.span) -> String.equal sp.sp_name n) spans
+    List.filter (fun (sp : Zapc_obs.Span.span) -> sp.sp_name = n) spans
   in
   let m0, m1 =
-    match named "migrate" with
+    match named Phase.Migrate with
     | [ { sp_begin; sp_end = Some e; _ } ] -> (sp_begin, e)
     | _ -> Alcotest.fail "expected one closed migrate span"
   in
   List.iter2
     (fun id dst ->
-      (match List.filter (fun (sp : Zapc_obs.Span.span) -> sp.sp_pod = id) (named "blackout") with
+      (match List.filter (fun (sp : Zapc_obs.Span.span) -> sp.sp_pod = id) (named Phase.Blackout) with
        | [ { sp_begin; sp_end = Some e; _ } ] ->
          check tbool "blackout inside the migrate span" true (m0 < sp_begin && e < m1)
        | bs -> Alcotest.failf "pod %d: %d blackout spans" id (List.length bs));
@@ -1859,7 +1860,7 @@ let migrate_failures () =
   let break_at what node =
     let armed = ref true in
     Span.subscribe tr (function
-      | Span.Instant i when !armed && String.equal i.in_what what ->
+      | Span.Instant i when !armed && i.in_what = what ->
         armed := false;
         Manager.break_channel (Cluster.manager cluster) ~node
       | _ -> ())
@@ -1870,11 +1871,11 @@ let migrate_failures () =
                ~loops:100_000)
   in
   Cluster.run cluster ~until:(Simtime.ms 20) ();
-  break_at "mig_round" 1;
+  break_at Phase.Mig_round 1;
   let r = Cluster.migrate_sync cluster ~pod ~dest_node:1 ~max_rounds:3 in
   check tbool "copy fails with its destination" false r.Manager.r_ok;
   check tint "pod still on its source" 0 (pod_node cluster pod.Pod.pod_id);
-  break_at "mig_copy_done" 2;
+  break_at Phase.Mig_copy_done 2;
   let r = Cluster.migrate_sync cluster ~pod ~dest_node:2 ~max_rounds:3 in
   check tbool "restore fails with its destination" false r.Manager.r_ok;
   Cluster.metrics cluster
@@ -2029,7 +2030,7 @@ let mgr_agent_registry () =
   let hang_at what node hung =
     let armed = ref true in
     Span.subscribe tr (function
-      | Span.Instant i when !armed && String.equal i.in_what what ->
+      | Span.Instant i when !armed && i.in_what = what ->
         armed := false;
         Cluster.set_hung cluster node hung
       | _ -> ())
@@ -2040,11 +2041,11 @@ let mgr_agent_registry () =
   Cluster.run cluster ~until:(Simtime.ms 10) ();
   ok "delta checkpoint"
     (Cluster.snapshot ~incremental:true cluster ~pods:app.Launch.pods ~key_prefix:"mgr-delta");
-  hang_at "continue_broadcast" 1 true;
+  hang_at Phase.Continue_broadcast 1 true;
   let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"mgr-hung" in
   check tbool "hung checkpoint times out" true
     (match r.Manager.r_failure with Some (Protocol.F_timeout _) -> true | _ -> false);
-  hang_at "continue_broadcast" 1 false;
+  hang_at Phase.Continue_broadcast 1 false;
   ok "checkpoint of the other pod" (Cluster.snapshot cluster ~pods:[ pod0 ] ~key_prefix:"mgr-one");
   let reg = Cluster.metrics cluster in
   check tbool "the late report counted stale" true
@@ -2089,17 +2090,17 @@ let test_late_done_of_aborted_checkpoint () =
   let hang_at what hung =
     let armed = ref true in
     Span.subscribe tr (function
-      | Span.Instant i when !armed && String.equal i.in_what what ->
+      | Span.Instant i when !armed && i.in_what = what ->
         armed := false;
         Cluster.set_hung cluster 1 hung
       | _ -> ())
   in
   Cluster.run cluster ~until:(Simtime.ms 5) ();
-  hang_at "continue_broadcast" true;
+  hang_at Phase.Continue_broadcast true;
   let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"late-hung" in
   check tbool "hung checkpoint times out" true
     (match r.Manager.r_failure with Some (Protocol.F_timeout _) -> true | _ -> false);
-  hang_at "ckpt_broadcast" false;
+  hang_at Phase.Ckpt_broadcast false;
   let r = Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"late-next" in
   check tbool
     (match r.Manager.r_failure with
@@ -2251,12 +2252,13 @@ let supervised_crash ?(params = sup_params) ~hang () =
   if hang then
     Faultsim.install fs
       { fault = Hang_agent { node = 2; duration = None };
-        trigger = On_phase { phase = "sup_detect:node1"; pod = None; skip = 0 } };
+        trigger = On_phase { phase = Phase.Sup_detect 1; pod = None; skip = 0 } };
   Faultsim.install fs
     { fault = Crash_node { node = 1 };
-      trigger = On_phase { phase = "suspended"; pod = None; skip = 0 } };
+      trigger = On_phase { phase = Phase.Suspended; pod = None; skip = 0 } };
   Cluster.run_until cluster ~timeout:(Simtime.sec 60.0) (fun () ->
       Zapc.Supervisor.recoveries sup >= 1 || Zapc.Supervisor.gave_up sup);
+  check tint "every directed injection fired" 0 (Faultsim.armed fs);
   (cluster, sup, fl)
 
 (* Regression: a supervisor started without [?trace] records into the
@@ -2267,7 +2269,7 @@ let test_supervisor_default_trace () =
   check tint "recovered" 1 (Zapc.Supervisor.recoveries sup);
   let module Json = Zapc_obs.Json in
   check (Alcotest.option Alcotest.string) "flight dump tripped by the detection"
-    (Some "sup_detect:node1")
+    (Some (Phase.to_string (Phase.Sup_detect 1)))
     (Option.bind (Zapc_obs.Flight.last_dump fl) (fun dump ->
          match Json.parse dump with
          | Ok j -> Option.bind (Json.member "reason" j) Json.to_string_opt
@@ -2275,7 +2277,7 @@ let test_supervisor_default_trace () =
   check tbool "closed sup_recover span" true
     (List.exists
        (fun (sp : Span.span) ->
-         String.equal sp.sp_name "sup_recover" && sp.sp_end <> None)
+         sp.sp_name = Phase.Sup_recover && sp.sp_end <> None)
        (Span.spans (Cluster.recorder cluster)));
   Zapc.Supervisor.stop sup
 
@@ -2539,6 +2541,181 @@ let test_restart_rebinds_every_namespace () =
         restored old_rips)
     (client :: restored)
 
+(* --- the phase vocabulary ------------------------------------------- *)
+
+module Faultsim = Zapc_faultsim.Faultsim
+
+(* One fault-free operation on a depth-1 tree ([fanout] 0) or a fanout-2
+   tree over five nodes, with the recorder on or off.  One subscriber
+   counts every delivered instant per (phase, pod); the result is those
+   counts and how many spans and instants the recorder stored. *)
+let phase_run ~fanout ~traced op =
+  let params = { Params.default with Params.tree_fanout = fanout } in
+  let cluster = make_cluster ~params ~nodes:5 () in
+  if traced then ignore (Cluster.enable_trace cluster);
+  let rec_ = Cluster.recorder cluster in
+  let counts = Hashtbl.create 64 in
+  Span.subscribe rec_ (function
+    | Span.Instant i ->
+      let k = (i.Span.in_what, i.Span.in_pod) in
+      Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+    | Span.Opened _ | Span.Closed _ -> ());
+  let ok what (r : Manager.op_result) = check tbool (what ^ " ok") true r.Manager.r_ok in
+  let launch_bt () =
+    let app =
+      Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+        ~app_args:(bt_args 96 30) ()
+    in
+    Cluster.run cluster ~until:(Simtime.ms 5) ();
+    app
+  in
+  (match op with
+   | `Checkpoint -> ok "checkpoint" (Cluster.snapshot cluster ~pods:(launch_bt ()).Launch.pods ~key_prefix:"ph")
+   | `Restart ->
+     let app = launch_bt () in
+     ok "checkpoint" (Cluster.snapshot cluster ~pods:app.Launch.pods ~key_prefix:"ph");
+     List.iter Pod.destroy app.Launch.pods;
+     ok "restart"
+       (Cluster.restart_app cluster ~pod_ids:(Launch.pod_ids app) ~target_nodes:[ 2; 3 ]
+          ~key_prefix:"ph")
+   | `Migrate rounds ->
+     let pod =
+       launch_hog cluster ~node_idx:0
+         ~args:(hog_args ~regions:8 ~size:65_536 ~stride:0 ~period_us:0 ~loops:0)
+     in
+     Cluster.run_until cluster ~timeout:(Simtime.sec 5.0) (fun () -> has_log "dirtyhog ready");
+     ok "migrate" (Cluster.migrate_sync cluster ~pod ~dest_node:4 ~max_rounds:rounds)
+   | `Epoch ->
+     let app = launch_bt () in
+     let svc =
+       Zapc.Periodic.start cluster ~pods:app.Launch.pods ~prefix:"ph"
+         ~period:(Simtime.ms 50) ~keep:2 ()
+     in
+     Cluster.run_until cluster ~timeout:(Simtime.sec 30.0) (fun () ->
+         Zapc.Periodic.completed svc >= 1 && not (Manager.busy (Cluster.manager cluster)));
+     Zapc.Periodic.stop svc);
+  Span.unsubscribe_all rec_;
+  ( List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []),
+    List.length (Span.spans rec_) + List.length (Span.instants rec_) )
+
+(* Recording and delivery are separate: with the recorder off, every
+   operation delivers exactly the instants it delivers with it on, and the
+   off recorder stores nothing.  The runs cover every phase a random
+   fault trigger aims at, and their (phase, pod) instants are the fault
+   points an enumeration would inject at. *)
+let test_recorder_off_delivers () =
+  let ops =
+    [ ("checkpoint", `Checkpoint); ("restart", `Restart); ("migrate/0", `Migrate 0);
+      ("migrate/3", `Migrate 3); ("epoch", `Epoch) ]
+  in
+  let seen = Hashtbl.create 64 and points = ref 0 in
+  List.iter
+    (fun fanout ->
+      List.iter
+        (fun (name, op) ->
+          let ctx = Printf.sprintf "%s, fanout %d" name fanout in
+          let off, stored = phase_run ~fanout ~traced:false op in
+          let on, stored_on = phase_run ~fanout ~traced:true op in
+          check tint (ctx ^ ": the off recorder stored nothing") 0 stored;
+          check tbool (ctx ^ ": the on recorder stored the run") true (stored_on > 0);
+          check tbool (ctx ^ ": same instants delivered off and on") true (off = on);
+          let has p = List.exists (fun ((q, _), _) -> q = p) off in
+          (match op with
+           | `Migrate 0 -> check tbool (ctx ^ ": no pre-copy round") false (has Phase.Mig_round)
+           | `Migrate _ -> check tbool (ctx ^ ": pre-copy rounds") true (has Phase.Mig_round)
+           | `Checkpoint | `Restart | `Epoch -> ());
+          points := !points + List.length off;
+          List.iter (fun ((p, _), _) -> Hashtbl.replace seen p ()) off)
+        ops)
+    [ 0; 2 ];
+  Array.iter
+    (fun p ->
+      check tbool (Phase.to_string p ^ " occurs in a fault-free run") true (Hashtbl.mem seen p))
+    Faultsim.random_phases;
+  Printf.printf "phases: %d fault points (phase x pod) over 10 fault-free runs, %d distinct phases\n%!"
+    !points (Hashtbl.length seen)
+
+(* A seeded random plan fires the same faults at the same instants, and
+   the operation ends the same way, with the recorder off as with it on. *)
+let test_random_plans_recorder_off () =
+  let run ~traced seed =
+    let prng = Zapc_sim.Rng.create ~seed:(9000 + seed) in
+    let params = { Params.default with phase_timeout = Simtime.ms 200 } in
+    let cluster = make_cluster ~params ~nodes:4 ~seed:(1000 + seed) () in
+    if traced then ignore (Cluster.enable_trace cluster);
+    let fs = Faultsim.create cluster in
+    let app =
+      Launch.launch cluster ~name:"bt" ~program:"bt_nas" ~placement:[ 0; 1 ]
+        ~app_args:(bt_args 96 25) ()
+    in
+    Cluster.run cluster ~until:(Simtime.ms 5) ();
+    let plan =
+      Faultsim.random_plan prng ~node_count:4 ~horizon:(Simtime.ms 30) ~count:3
+    in
+    Faultsim.install_all fs plan;
+    let result = ref None in
+    Manager.checkpoint (Cluster.manager cluster) ~resume:true
+      ~items:
+        (Launch.checkpoint_items app ~key_prefix:"plan"
+           ~node_of_pod:(fun (p : Pod.t) -> pod_node cluster p.Pod.pod_id))
+      ~on_done:(fun r -> result := Some r);
+    Cluster.run_until cluster ~timeout:(Simtime.sec 10.0) (fun () -> !result <> None);
+    Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 600)) ();
+    Faultsim.heal_all fs;
+    Cluster.run cluster ~until:(Simtime.add (Cluster.now cluster) (Simtime.ms 600)) ();
+    let r = Option.get !result in
+    let on_phase =
+      List.length
+        (List.filter
+           (fun (i : Faultsim.injection) ->
+             match i.trigger with Faultsim.On_phase _ -> true | _ -> false)
+           plan)
+    in
+    if not traced then
+      check tint "off: no instant stored" 0 (List.length (Span.instants (Cluster.recorder cluster)));
+    Span.unsubscribe_all (Cluster.recorder cluster);
+    ( Faultsim.fired fs,
+      Printf.sprintf "ok=%b %s %dns now=%d" r.Manager.r_ok r.Manager.r_detail
+        r.Manager.r_duration (Cluster.now cluster),
+      on_phase )
+  in
+  let phase_triggers = ref 0 in
+  for seed = 1 to 6 do
+    let fired_off, result_off, n = run ~traced:false seed in
+    let fired_on, result_on, _ = run ~traced:true seed in
+    phase_triggers := !phase_triggers + n;
+    check (Alcotest.list (Alcotest.pair tint Alcotest.string))
+      (Printf.sprintf "seed %d: same faults fired" seed) fired_on fired_off;
+    check Alcotest.string (Printf.sprintf "seed %d: same result" seed) result_on result_off
+  done;
+  check tbool "the plans aim phase triggers" true (!phase_triggers > 0)
+
+(* The "Phases" table of doc/OBSERVABILITY.md names every constant phase
+   and nothing else; rows whose name carries a [<payload>] stand for the
+   payload constructors. *)
+let test_phase_catalogue () =
+  let path =
+    if Sys.file_exists "../doc/OBSERVABILITY.md" then "../doc/OBSERVABILITY.md"
+    else "doc/OBSERVABILITY.md"
+  in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  let rec section = function
+    | [] -> []
+    | l :: rest when String.equal l "## Phases" -> rest
+    | _ :: rest -> section rest
+  in
+  let rec rows acc = function
+    | [] -> acc
+    | l :: _ when String.starts_with ~prefix:"## " l -> acc
+    | l :: rest when String.starts_with ~prefix:"| `" l ->
+      let name = List.nth (String.split_on_char '`' l) 1 in
+      rows (if String.contains name '<' then acc else name :: acc) rest
+    | _ :: rest -> rows acc rest
+  in
+  check (Alcotest.list Alcotest.string) "constant rows = Phase.all"
+    (List.sort compare (List.map Phase.to_string Phase.all))
+    (List.sort compare (rows [] (section lines)))
+
 let () =
   Alcotest.run "zapc"
     [ ( "coordinated",
@@ -2637,4 +2814,10 @@ let () =
             test_tree_subtree_break_aborts;
           Alcotest.test_case "flat re-form drops stale-edge commands" `Quick
             test_flat_reform_drops_stale_edge;
-          Alcotest.test_case "tree metric catalogue" `Quick test_tree_metric_catalogue ] ) ]
+          Alcotest.test_case "tree metric catalogue" `Quick test_tree_metric_catalogue ] );
+      ( "phases",
+        [ Alcotest.test_case "recorder off delivers every instant" `Quick
+            test_recorder_off_delivers;
+          Alcotest.test_case "seeded plans fire the same off and on" `Quick
+            test_random_plans_recorder_off;
+          Alcotest.test_case "phase catalogue" `Quick test_phase_catalogue ] ) ]
